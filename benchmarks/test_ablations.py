@@ -19,8 +19,8 @@ from repro.core.node import EpidemicNode
 from repro.experiments.ablations import build_item_set_with_set
 from repro.experiments.common import make_items
 from repro.interfaces import DirectTransport
-from repro.metrics.counters import OverheadCounters
 from repro.metrics.reporting import Table
+from repro.obs import OverheadCounters
 from repro.substrate.operations import BytePatch, Put
 
 M_RECORDS = 2_000

@@ -55,7 +55,7 @@ def demo_hosts() -> None:
     hosts[0].replica("wiki").update("page-00003", BytePatch(1_024, b"[typo fixed]"))
 
     from repro.interfaces import DirectTransport
-    from repro.metrics.counters import OverheadCounters
+    from repro.obs import OverheadCounters
 
     traffic = OverheadCounters()
     line = DirectTransport(traffic)

@@ -19,8 +19,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.baselines.lotus import LotusNode
 from repro.core.protocol import DBVVProtocolNode
 from repro.interfaces import DirectTransport
-from repro.metrics.counters import OverheadCounters
 from repro.metrics.reporting import Table
+from repro.obs import OverheadCounters
 from repro.substrate.operations import Put
 from repro.workload.generators import HotColdWorkload
 

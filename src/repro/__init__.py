@@ -26,8 +26,8 @@ Public surface (see each subpackage for details):
 * :mod:`repro.analysis` — scaling-law fitting and automated paper-claim
   verdicts (numpy/scipy).
 * :mod:`repro.workload` — reproducible workload generators and traces.
-* :mod:`repro.metrics` — overhead counters, staleness tracking, report
-  tables.
+* :mod:`repro.obs` — the overhead counters (below :mod:`repro.core`).
+* :mod:`repro.metrics` — staleness tracking, summaries, report tables.
 * :mod:`repro.experiments` — one harness per paper claim (E1–E9), shared
   by the benchmark suite and the examples.
 

@@ -28,8 +28,8 @@ protocol matches the no-failure traffic while keeping epidemic repair.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.cluster.failures import CrashAfterPartialPush
 from repro.core.messages import (
     WORD_SIZE,
     lww_record_wire_size,
@@ -45,8 +45,11 @@ from repro.interfaces import (
     Transport,
     open_session,
 )
-from repro.metrics.counters import NULL_COUNTERS, OverheadCounters
+from repro.obs import NULL_COUNTERS, OverheadCounters
 from repro.substrate.operations import UpdateOperation
+
+if TYPE_CHECKING:
+    from repro.cluster.failures import CrashAfterPartialPush
 
 __all__ = ["UpdateRecord", "OraclePushNode"]
 

@@ -49,7 +49,7 @@ from repro.interfaces import (
     Transport,
     open_session,
 )
-from repro.metrics.counters import NULL_COUNTERS, OverheadCounters
+from repro.obs import NULL_COUNTERS, OverheadCounters
 from repro.substrate.operations import UpdateOperation
 
 __all__ = ["GossipRecord", "WuuBernsteinNode"]

@@ -51,7 +51,7 @@ from typing import Iterable, Sequence
 
 from repro.errors import InvariantViolation
 from repro.interfaces import ProtocolNode
-from repro.metrics.counters import NULL_COUNTERS, OverheadCounters
+from repro.obs import NULL_COUNTERS, OverheadCounters
 from repro.substrate.operations import UpdateOperation
 
 __all__ = [

@@ -34,7 +34,7 @@ from repro.errors import (
     UnknownItemError,
 )
 from repro.interfaces import ProtocolNode
-from repro.metrics.counters import OverheadCounters
+from repro.obs import OverheadCounters
 from repro.substrate.operations import UpdateOperation
 
 __all__ = ["NodeSchedule", "EventDrivenSimulation"]

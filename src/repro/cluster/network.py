@@ -46,8 +46,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
+from repro.cluster.sanitizer import sanitize_enabled
 from repro.errors import (
     InvariantViolation,
     MessageLostError,
@@ -56,10 +56,8 @@ from repro.errors import (
     UnknownNodeError,
 )
 from repro.interfaces import SessionScope, _SizedMessage
-from repro.metrics.counters import NULL_COUNTERS, OverheadCounters
-
-if TYPE_CHECKING:
-    from repro.wire import WireCodec
+from repro.obs import NULL_COUNTERS, OverheadCounters
+from repro.wire import WireCodec, wire_enabled
 
 __all__ = ["LinkStats", "SimulatedNetwork"]
 
@@ -133,11 +131,6 @@ class SimulatedNetwork:
     def __post_init__(self) -> None:
         if self.n_nodes <= 0:
             raise ValueError(f"n_nodes must be positive, got {self.n_nodes}")
-        # Imported lazily: repro.wire pulls in the baselines for codec
-        # registration, and some of those import this module back.
-        from repro.cluster.sanitizer import sanitize_enabled
-        from repro.wire import WireCodec, wire_enabled
-
         self.wire = wire_enabled(self.wire)
         self.sanitize = sanitize_enabled(self.sanitize)
         self._codec: WireCodec | None = WireCodec() if self.wire else None

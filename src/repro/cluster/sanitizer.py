@@ -14,7 +14,7 @@ Enable it per simulation (``ClusterSimulation(..., sanitize=True)``) or
 globally via the environment (``REPRO_SANITIZE=1``); the environment
 toggle is what CI's sanitizer job uses to re-run the tier-1 suite with
 checking on.  Every sweep is counted in
-:attr:`~repro.metrics.counters.OverheadCounters.sanitizer_checks` so
+:attr:`~repro.obs.OverheadCounters.sanitizer_checks` so
 benchmarks can report the sanitizer's overhead explicitly.
 
 Since the incremental convergence/staleness tracking landed, sanitizer
@@ -37,7 +37,7 @@ import os
 from typing import Sequence
 
 from repro.interfaces import ProtocolNode
-from repro.metrics.counters import OverheadCounters
+from repro.obs import OverheadCounters
 
 __all__ = ["SANITIZE_ENV_VAR", "sanitize_enabled", "sanitize_endpoints"]
 

@@ -31,16 +31,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
-if TYPE_CHECKING:
-    from repro.durable import NodeJournal
-    from repro.metrics.reporting import Table
-
 from repro.cluster.convergence import GroundTruth, fingerprints_equal
 from repro.cluster.coverage import SessionRecord, TransitiveCoverageTracker
 from repro.cluster.failures import FailurePlan, Recover
 from repro.cluster.network import LinkStats, SimulatedNetwork
 from repro.cluster.sanitizer import sanitize_enabled, sanitize_endpoints
 from repro.cluster.scheduler import PeerSelector, RandomSelector
+from repro.durable import NodeJournal, durable_enabled
 from repro.errors import (
     ConvergenceError,
     InvariantViolation,
@@ -48,8 +45,11 @@ from repro.errors import (
     NodeDownError,
 )
 from repro.interfaces import ProtocolNode, StateVersion, SyncStats
-from repro.metrics.counters import OverheadCounters
+from repro.obs import OverheadCounters
 from repro.substrate.operations import UpdateOperation
+
+if TYPE_CHECKING:
+    from repro.metrics.reporting import Table
 
 __all__ = ["RetryPolicy", "RoundStats", "ClusterSimulation"]
 
@@ -306,11 +306,6 @@ class ClusterSimulation:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # Imported here, not at module level: repro.durable sits on top
-        # of repro.core, and this module loads while repro.core is still
-        # initializing (via the repro.metrics <-> repro.cluster seam).
-        from repro.durable import durable_enabled
-
         self.sanitize = sanitize_enabled(self.sanitize)
         self.durable = durable_enabled(self.durable)
         self.rng = random.Random(self.seed)
@@ -372,8 +367,6 @@ class ClusterSimulation:
         durable mode is a per-protocol capability, not a cluster-wide
         requirement, so env-driven durable CI sweeps the whole suite.
         """
-        from repro.durable import NodeJournal
-
         attach = getattr(node, "attach_journal", None)
         if attach is None:
             return
@@ -1088,6 +1081,7 @@ class ClusterSimulation:
 
     def history_table(self, title: str = "Simulation rounds") -> Table:
         """The per-round stats as a printable/CSV-able report table."""
+        # The one upward import: repro.metrics sits above this package.
         from repro.metrics.reporting import Table
 
         table = Table(

@@ -28,7 +28,7 @@ import operator
 from array import array
 
 from repro.core.version_vector import VersionVector
-from repro.metrics.counters import NULL_COUNTERS, OverheadCounters
+from repro.obs import NULL_COUNTERS, OverheadCounters
 
 __all__ = ["DatabaseVersionVector"]
 

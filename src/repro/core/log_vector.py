@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from repro.errors import InvariantViolation, UnknownNodeError
-from repro.metrics.counters import NULL_COUNTERS, OverheadCounters
+from repro.obs import NULL_COUNTERS, OverheadCounters
 
 __all__ = ["LogRecord", "LogComponent", "LogVector", "LOG_RECORD_WIRE_SIZE"]
 

@@ -42,7 +42,7 @@ from repro.core.messages import (
 from repro.core.version_vector import Ordering, VersionVector
 from repro.errors import InvariantViolation, UnknownItemError
 from repro.interfaces import ContentDigest
-from repro.metrics.counters import NULL_COUNTERS, OverheadCounters
+from repro.obs import NULL_COUNTERS, OverheadCounters
 from repro.substrate.operations import UpdateOperation
 
 __all__ = ["EpidemicNode", "AcceptOutcome", "IntraNodeOutcome"]

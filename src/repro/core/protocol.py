@@ -9,22 +9,18 @@ transport and condenses outcomes into :class:`~repro.interfaces.SyncStats`.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.core.conflicts import ConflictReporter
 from repro.core.delta import DeltaEpidemicNode
 from repro.core.messages import OutOfBoundReply, PropagationReply
 from repro.core.node import EpidemicNode
 from repro.core.session import PullSession, respond
+from repro.durable.journal import NodeJournal
 from repro.errors import (
     DurabilityError,
     MessageLostError,
     NodeDownError,
     ProtocolStateError,
 )
-
-if TYPE_CHECKING:
-    from repro.durable.journal import NodeJournal
 from repro.interfaces import (
     ProtocolNode,
     SessionPhase,
@@ -33,8 +29,9 @@ from repro.interfaces import (
     Transport,
     open_session,
 )
-from repro.metrics.counters import NULL_COUNTERS, OverheadCounters
+from repro.obs import NULL_COUNTERS, OverheadCounters
 from repro.substrate.operations import UpdateOperation
+from repro.substrate.persistence import dump_node
 
 __all__ = ["DBVVProtocolNode", "DeltaProtocolNode"]
 
@@ -302,8 +299,6 @@ class DBVVProtocolNode(ProtocolNode):
         conflict every session changes no behaviour, and keying on the
         count would keep a legitimately-conflicted state from ever
         reaching a closure fixpoint."""
-        from repro.substrate.persistence import dump_node
-
         return (dump_node(self.node), self.node.conflicts.count > 0)
 
     def exploration_vectors(self) -> dict[str, tuple[int, ...]]:

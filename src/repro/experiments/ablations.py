@@ -19,7 +19,7 @@ buys:
 from __future__ import annotations
 
 from repro.core.log_vector import LogRecord
-from repro.metrics.counters import NULL_COUNTERS, OverheadCounters
+from repro.obs import NULL_COUNTERS, OverheadCounters
 
 __all__ = ["AppendOnlyLog", "build_item_set_with_set"]
 

@@ -21,7 +21,7 @@ from repro.baselines.per_item import PerItemVVNode
 from repro.baselines.wuu_bernstein import WuuBernsteinNode
 from repro.core.protocol import DBVVProtocolNode, DeltaProtocolNode
 from repro.interfaces import DirectTransport, ProtocolNode
-from repro.metrics.counters import OverheadCounters
+from repro.obs import OverheadCounters
 
 __all__ = [
     "PROTOCOLS",
@@ -96,7 +96,7 @@ class NodePair:
 
     def session_work(self) -> int:
         """Comparison/scan work both endpoints did (see
-        :meth:`~repro.metrics.counters.OverheadCounters.total_work`)."""
+        :meth:`~repro.obs.OverheadCounters.total_work`)."""
         return (
             self.recipient_counters.total_work()
             + self.source_counters.total_work()

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 from repro.experiments.common import EPIDEMIC_PROTOCOLS, make_items, protocol_class
 from repro.interfaces import DirectTransport
-from repro.metrics.counters import OverheadCounters
 from repro.metrics.reporting import Table
+from repro.obs import OverheadCounters
 from repro.substrate.operations import Put
 
 __all__ = ["E1Row", "run_triangle_session", "run", "report", "main"]

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 from repro.core.log_vector import LogComponent
 from repro.experiments.ablations import AppendOnlyLog
-from repro.metrics.counters import OverheadCounters
 from repro.metrics.reporting import Table
+from repro.obs import OverheadCounters
 
 __all__ = ["E3Row", "run", "report", "main"]
 

@@ -27,8 +27,8 @@ from repro.baselines.lotus import LotusNode
 from repro.core.protocol import DBVVProtocolNode
 from repro.experiments.e1_identical_detection import E1Row, run_triangle_session
 from repro.interfaces import DirectTransport
-from repro.metrics.counters import OverheadCounters
 from repro.metrics.reporting import Table
+from repro.obs import OverheadCounters
 from repro.substrate.operations import Put
 
 __all__ = [

@@ -42,9 +42,9 @@ from repro.cluster.simulation import ClusterSimulation, RetryPolicy
 from repro.core.protocol import DBVVProtocolNode
 from repro.errors import MessageLostError, NodeDownError
 from repro.experiments.common import make_items
-from repro.metrics.counters import OverheadCounters
 from repro.metrics.reporting import Table
 from repro.metrics.staleness import StalenessSummary, summarize_staleness
+from repro.obs import OverheadCounters
 from repro.substrate.operations import Put
 
 __all__ = [

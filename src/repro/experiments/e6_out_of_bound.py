@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 from repro.core.node import EpidemicNode
 from repro.experiments.common import make_items
-from repro.metrics.counters import OverheadCounters
 from repro.metrics.reporting import Table
+from repro.obs import OverheadCounters
 from repro.substrate.operations import Append, Put
 
 __all__ = ["E6Row", "run_replay_sweep", "run_freshness", "report", "main"]

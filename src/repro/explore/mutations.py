@@ -48,7 +48,7 @@ from repro.core.messages import PropagationReply
 from repro.core.node import AcceptOutcome, EpidemicNode, IntraNodeOutcome
 from repro.core.version_vector import Ordering, merge
 from repro.explore.world import ExplorationConfig
-from repro.metrics.counters import NULL_COUNTERS, OverheadCounters
+from repro.obs import NULL_COUNTERS, OverheadCounters
 
 __all__ = ["MUTATIONS", "Mutation", "apply_mutation"]
 

@@ -55,7 +55,7 @@ from repro.cluster.sanitizer import sanitize_endpoints
 from repro.core.protocol import DBVVProtocolNode
 from repro.errors import InvariantViolation, ReplicationError
 from repro.explore.world import DifferentialWorld, ProtocolWorld, ordered_pairs
-from repro.metrics.counters import OverheadCounters
+from repro.obs import OverheadCounters
 
 __all__ = ["InvariantOracle", "OracleViolation", "VectorSnapshot"]
 

@@ -42,7 +42,7 @@ from repro.explore.actions import (
     StartSession,
 )
 from repro.interfaces import ProtocolNode
-from repro.metrics.counters import OverheadCounters
+from repro.obs import OverheadCounters
 from repro.substrate.operations import Append
 
 __all__ = [

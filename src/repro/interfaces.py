@@ -28,7 +28,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Iterable, Protocol, runtime_checkable
 
-from repro.metrics.counters import NULL_COUNTERS, OverheadCounters
+from repro.obs import NULL_COUNTERS, OverheadCounters
 from repro.substrate.operations import UpdateOperation
 
 __all__ = [

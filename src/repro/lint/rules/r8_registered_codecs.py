@@ -84,7 +84,10 @@ class RegisteredCodecRule(LintRule):
             return
         # Imported lazily so `python -m repro.lint` only pays for (and
         # only requires) the protocol packages when R8 actually runs.
-        from repro.wire.registry import registered_codecs
+        # repro.wire registers the core's codecs, repro.baselines its own.
+        if scope.in_subpackage("baselines"):
+            import repro.baselines  # noqa: F401
+        from repro.wire import registered_codecs
 
         registered_here = {
             codec.cls.__name__: codec
@@ -98,7 +101,7 @@ class RegisteredCodecRule(LintRule):
                     scope,
                     node,
                     f"message class {name} defines wire_size but has no "
-                    "codec in repro.wire.codecs — encoded mode "
+                    "codec in repro.wire — encoded mode "
                     "(REPRO_WIRE=1) would raise WireFormatError the "
                     "first time it ships",
                 )

@@ -14,22 +14,10 @@ import socket
 from typing import Any
 
 from repro.errors import NetworkSessionError, WireFormatError
+from repro.net.framing import MAX_FRAME_BYTES
+from repro.wire.varint import MAX_VARINT_BYTES, write_uvarint
 
 __all__ = ["NodeClient"]
-
-_MAX_VARINT_BYTES = 10
-
-
-def _encode_uvarint(value: int) -> bytes:
-    out = bytearray()
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return bytes(out)
 
 
 class NodeClient:
@@ -58,7 +46,7 @@ class NodeClient:
     def _read_uvarint(self) -> int:
         value = 0
         shift = 0
-        for _ in range(_MAX_VARINT_BYTES):
+        for _ in range(MAX_VARINT_BYTES):
             byte = self._read_exact(1)[0]
             value |= (byte & 0x7F) << shift
             if not byte & 0x80:
@@ -69,8 +57,15 @@ class NodeClient:
     def request(self, payload: dict[str, Any]) -> dict[str, Any]:
         """One round trip; raises on transport failure or error reply."""
         blob = json.dumps(payload).encode("utf-8")
-        self._sock.sendall(_encode_uvarint(len(blob)) + blob)
+        out = bytearray()
+        write_uvarint(out, len(blob))
+        out += blob
+        self._sock.sendall(out)
         length = self._read_uvarint()
+        if length > MAX_FRAME_BYTES:
+            raise WireFormatError(
+                f"reply length {length} exceeds the {MAX_FRAME_BYTES}-byte cap"
+            )
         response: dict[str, Any] = json.loads(self._read_exact(length))
         if not response.get("ok"):
             raise NetworkSessionError(

@@ -40,7 +40,6 @@ from repro.cluster.simulation import ClusterSimulation
 from repro.core.protocol import DBVVProtocolNode
 from repro.errors import NetworkSessionError, SimulationError
 from repro.interfaces import SyncStats
-from repro.metrics.counters import OverheadCounters
 from repro.net.client import NodeClient
 from repro.substrate.operations import Put
 

@@ -15,9 +15,8 @@ edges:
 * a **client listener** serving a small length-prefixed JSON API
   (put/get/sync/status/ping/shutdown) for applications and the parity
   harness;
-* an optional **anti-entropy scheduler** pulling from a randomly
-  selected peer every ``anti_entropy_period`` seconds, reusing the
-  simulator's :class:`~repro.cluster.scheduler.PeerSelector` policies.
+* an optional **anti-entropy scheduler** pulling from a uniformly
+  random other peer every ``anti_entropy_period`` seconds.
 
 **Connection-scoped delta-VV caches.**  Every TCP connection gets its
 own :class:`~repro.wire.WireCodec`: both endpoints create the codec at
@@ -40,7 +39,6 @@ import logging
 import random
 from typing import Any
 
-from repro.cluster.scheduler import PeerSelector, RandomSelector
 from repro.core.node import EpidemicNode
 from repro.core.messages import PropagationReply, PropagationRequest
 from repro.core.session import PullOutcome, PullSession, respond
@@ -132,7 +130,6 @@ class NetNode:
         # Scheduler randomness is seeded per node so a cluster of
         # processes is as replayable as the simulator (R3).
         self.rng = random.Random((config.seed << 8) ^ config.node_id)
-        self.selector: PeerSelector = RandomSelector()
         self.round_no = 0
         self._peer_server: asyncio.base_events.Server | None = None
         self._client_server: asyncio.base_events.Server | None = None
@@ -358,15 +355,15 @@ class NetNode:
     # -- anti-entropy scheduler -----------------------------------------------
 
     async def _anti_entropy_loop(self) -> None:
-        """Pull from a selector-chosen peer every period; best-effort
+        """Pull from a random other peer every period; best-effort
         (an unreachable peer is this round's dead dial-up number)."""
         period = self.config.anti_entropy_period
         while True:
             await asyncio.sleep(period)
             self.round_no += 1
-            peer = self.selector.peer_for(
-                self.node_id, self.n_nodes, self.round_no, self.rng
-            )
+            peer = self.rng.randrange(self.n_nodes - 1)
+            if peer >= self.node_id:
+                peer += 1
             try:
                 outcome = await self.sync_with(peer)
             except (NetworkSessionError, ReplicationError) as exc:
@@ -394,6 +391,8 @@ class NetNode:
                 blob = await read_blob(reader)
                 try:
                     request = json.loads(blob)
+                    if not isinstance(request, dict):
+                        raise TypeError("request is not a JSON object")
                     response = await self._handle_client_op(request)
                 except ReplicationError as exc:
                     response = {"ok": False, "error": str(exc)}

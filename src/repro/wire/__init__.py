@@ -17,13 +17,29 @@ Layout: :mod:`~repro.wire.varint` (the number format),
 :mod:`~repro.wire.registry` (type-id table contract, audited by lint
 rule R8), :mod:`~repro.wire.codec` (frames, field primitives, and
 delta-compressed version vectors), :mod:`~repro.wire.codecs` (the
-per-message encode/decode pairs — imported last, below, because it
-imports the baselines and must find this module initialised).
+core protocol's encode/decode pairs, type ids 1–8 — the whole registry
+of a real replica) and :mod:`~repro.wire.baseline_codecs` (ids 16–50,
+registered by importing :mod:`repro.baselines`, never by this package).
 """
 
 from __future__ import annotations
 
 import os
+
+import repro.wire.codecs  # noqa: F401  (populates the registry, ids 1-8)
+from repro.wire.codec import (
+    MAX_FRAME_LEN,
+    MAX_SEQUENCE_ITEMS,
+    Decoder,
+    Encoder,
+    WireCodec,
+)
+from repro.wire.registry import (
+    MessageCodec,
+    codec_for_class,
+    codec_for_id,
+    registered_codecs,
+)
 
 __all__ = [
     "WIRE_ENV_VAR",
@@ -56,23 +72,3 @@ def wire_enabled(explicit: bool | None = None) -> bool:
     if explicit is not None:
         return explicit
     return os.environ.get(WIRE_ENV_VAR, "").strip().lower() in _TRUTHY
-
-
-from repro.wire.codec import (  # noqa: E402
-    MAX_FRAME_LEN,
-    MAX_SEQUENCE_ITEMS,
-    Decoder,
-    Encoder,
-    WireCodec,
-)
-from repro.wire.registry import (  # noqa: E402
-    MessageCodec,
-    codec_for_class,
-    codec_for_id,
-    registered_codecs,
-)
-
-# Populate the registry.  Must stay the final import: codecs.py imports
-# the baselines, which import repro.cluster, which may (in encoded mode)
-# re-enter this package — by then every name above is already bound.
-import repro.wire.codecs  # noqa: E402,F401

@@ -6,7 +6,7 @@ import pytest
 from repro.baselines.agrawal_malpani import AgrawalMalpaniNode
 from repro.cluster.network import SimulatedNetwork
 from repro.interfaces import DirectTransport
-from repro.metrics.counters import OverheadCounters
+from repro.obs import OverheadCounters
 from repro.substrate.operations import Put
 
 ITEMS = [f"item-{k}" for k in range(6)]

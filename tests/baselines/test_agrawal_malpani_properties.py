@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.baselines.agrawal_malpani import AgrawalMalpaniNode
 from repro.interfaces import DirectTransport
-from repro.metrics.counters import OverheadCounters
+from repro.obs import OverheadCounters
 from repro.substrate.operations import Put
 
 N_NODES = 3

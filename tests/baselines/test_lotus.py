@@ -3,7 +3,7 @@
 
 from repro.baselines.lotus import LotusNode
 from repro.interfaces import DirectTransport
-from repro.metrics.counters import OverheadCounters
+from repro.obs import OverheadCounters
 from repro.substrate.operations import Put
 
 ITEMS = [f"item-{k}" for k in range(8)]

@@ -7,7 +7,7 @@ from repro.cluster.failures import CrashAfterPartialPush
 from repro.cluster.network import SimulatedNetwork
 from repro.errors import UnknownItemError
 from repro.interfaces import DirectTransport
-from repro.metrics.counters import OverheadCounters
+from repro.obs import OverheadCounters
 
 from repro.substrate.operations import Put
 

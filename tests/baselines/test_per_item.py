@@ -5,7 +5,7 @@ import pytest
 from repro.baselines.per_item import PerItemVVNode
 from repro.errors import UnknownItemError
 from repro.interfaces import DirectTransport
-from repro.metrics.counters import OverheadCounters
+from repro.obs import OverheadCounters
 from repro.substrate.operations import Put
 
 ITEMS = [f"item-{k}" for k in range(10)]

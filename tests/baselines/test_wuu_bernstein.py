@@ -2,7 +2,7 @@
 
 from repro.baselines.wuu_bernstein import WuuBernsteinNode
 from repro.interfaces import DirectTransport
-from repro.metrics.counters import OverheadCounters
+from repro.obs import OverheadCounters
 from repro.substrate.operations import Put
 
 ITEMS = [f"item-{k}" for k in range(6)]

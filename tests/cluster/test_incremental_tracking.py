@@ -27,7 +27,7 @@ from repro.errors import (
 )
 from repro.experiments.common import make_factory, make_items
 from repro.interfaces import ContentDigest, StateVersion, value_digest
-from repro.metrics.counters import OverheadCounters
+from repro.obs import OverheadCounters
 from repro.substrate.operations import Put
 
 ITEMS = make_items(12)

@@ -15,7 +15,7 @@ from repro.errors import (
     SimulationError,
     UnknownNodeError,
 )
-from repro.metrics.counters import OverheadCounters
+from repro.obs import OverheadCounters
 
 # Most of this module asserts the *modelled* accounting semantics —
 # deliver() returning the identical object and charging wire_size() —

@@ -12,7 +12,7 @@ from repro.cluster.sanitizer import (
 from repro.cluster.simulation import ClusterSimulation
 from repro.errors import InvariantViolation
 from repro.experiments.common import make_factory, make_items
-from repro.metrics.counters import OverheadCounters
+from repro.obs import OverheadCounters
 from repro.substrate.operations import Put
 
 ITEMS = make_items(10)

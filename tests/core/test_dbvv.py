@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.dbvv import DatabaseVersionVector
 from repro.core.version_vector import VersionVector
-from repro.metrics.counters import OverheadCounters
+from repro.obs import OverheadCounters
 
 
 class TestMaintenanceRules:

@@ -14,7 +14,7 @@ from repro.core.node import EpidemicNode
 from repro.core.protocol import DBVVProtocolNode, DeltaProtocolNode
 from repro.core.version_vector import VersionVector
 from repro.interfaces import DIRECT_TRANSPORT, DirectTransport
-from repro.metrics.counters import OverheadCounters
+from repro.obs import OverheadCounters
 from repro.substrate.operations import Append, BytePatch, Put
 
 ITEMS = [f"item-{k}" for k in range(10)]

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from repro.cluster.network import SimulatedNetwork
 from repro.core.protocol import DBVVProtocolNode
 from repro.core.version_vector import VersionVector
-from repro.metrics.counters import OverheadCounters
+from repro.obs import OverheadCounters
 from repro.substrate.operations import Append
 
 N_NODES = 2

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.log_vector import LogComponent, LogVector
 from repro.errors import UnknownNodeError
-from repro.metrics.counters import OverheadCounters
+from repro.obs import OverheadCounters
 
 
 class TestAddLogRecord:

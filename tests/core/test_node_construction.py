@@ -52,7 +52,7 @@ class TestAdapterConstruction:
         assert DeltaProtocolNode.node_class is DeltaEpidemicNode
 
     def test_adapter_shares_counters_with_inner_node(self):
-        from repro.metrics.counters import OverheadCounters
+        from repro.obs import OverheadCounters
 
         counters = OverheadCounters()
         adapter = DBVVProtocolNode(0, 2, ITEMS, counters=counters)

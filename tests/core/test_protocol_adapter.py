@@ -6,7 +6,7 @@ from repro.baselines.lotus import LotusNode
 from repro.cluster.network import SimulatedNetwork
 from repro.core.protocol import DBVVProtocolNode
 from repro.interfaces import DirectTransport, SessionPhase
-from repro.metrics.counters import OverheadCounters
+from repro.obs import OverheadCounters
 from repro.substrate.operations import Put
 
 ITEMS = ["x", "y"]

@@ -2,7 +2,7 @@
 
 from repro.core.messages import PropagationReply, YouAreCurrent
 from repro.core.node import EpidemicNode
-from repro.metrics.counters import OverheadCounters
+from repro.obs import OverheadCounters
 from repro.substrate.operations import Put
 
 ITEMS = [f"item-{k}" for k in range(20)]

@@ -10,7 +10,7 @@ from repro.experiments.common import (
     make_items,
     protocol_class,
 )
-from repro.metrics.counters import OverheadCounters
+from repro.obs import OverheadCounters
 from repro.substrate.operations import Put
 
 

@@ -19,7 +19,7 @@ from repro.core.protocol import DBVVProtocolNode, DeltaProtocolNode
 from repro.cluster.network import SimulatedNetwork
 from repro.errors import MessageLostError, NodeDownError
 from repro.experiments.common import make_items
-from repro.metrics.counters import OverheadCounters
+from repro.obs import OverheadCounters
 from repro.substrate.operations import Append
 
 ITEMS = make_items(25)

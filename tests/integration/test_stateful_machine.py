@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 from repro.cluster.network import SimulatedNetwork
 from repro.core.protocol import DBVVProtocolNode
 from repro.errors import MessageLostError, NodeDownError
-from repro.metrics.counters import OverheadCounters
+from repro.obs import OverheadCounters
 from repro.substrate.operations import Append
 
 N_NODES = 3

@@ -1,6 +1,6 @@
 """Unit tests for overhead counters."""
 
-from repro.metrics.counters import NULL_COUNTERS, OverheadCounters
+from repro.obs import NULL_COUNTERS, OverheadCounters
 
 
 class TestBasicAccounting:

@@ -1,10 +1,17 @@
 """Multi-process tests: LocalCluster spawns real ``python -m repro.net``
 processes and drives them through the blocking client API."""
 
+import socket
+import time
+
 import pytest
 
+from repro.baselines.oracle import _PushBatch
 from repro.errors import NetworkSessionError
+from repro.net.framing import MAGIC, PROTOCOL_VERSION
 from repro.net.harness import LocalCluster
+from repro.wire import WireCodec
+from repro.wire.varint import write_uvarint
 
 ITEMS = ("a", "b")
 
@@ -48,3 +55,40 @@ class TestLocalCluster:
             log = cluster.log_dir / f"node-{node_id}.log"
             assert log.exists()
             assert "READY" in log.read_text()
+
+
+class TestForeignFrames:
+    def test_baseline_frame_is_refused_undecoded(self, cluster):
+        """A replica's registry is the core protocol's (type ids 1-8):
+        a well-formed Oracle push batch (id 17) on a peer connection is
+        an *unknown type id* — dropped before any decode — and the node
+        keeps serving everyone else."""
+        # This process imported repro.baselines, so it can encode the
+        # frame; the spawned node never did, so it cannot decode it.
+        frame = WireCodec().encode(1, 0, _PushBatch(1, ()))
+        preamble = bytearray()
+        for field in (MAGIC, PROTOCOL_VERSION, 1):
+            write_uvarint(preamble, field)
+        with socket.create_connection(
+            ("127.0.0.1", cluster.peer_ports[0]), timeout=10.0
+        ) as sock:
+            sock.sendall(preamble)
+            terminators = 0  # node 0's preamble: three uvarints
+            while terminators < 3:
+                terminators += not sock.recv(1)[0] & 0x80
+            sock.sendall(frame)
+            assert sock.recv(1) == b""  # dropped, no answer
+
+        log = cluster.log_dir / "node-0.log"
+        deadline = time.monotonic() + 10.0
+        while "type id 17" not in log.read_text():
+            assert time.monotonic() < deadline, log.read_text()
+            time.sleep(0.02)
+        text = log.read_text()
+        assert "peer 1 connection dropped: unknown wire message type id 17" in text
+        assert "_PushBatch" not in text
+
+        assert cluster.client(0).ping() == 0
+        cluster.client(0).put("a", b"still serving")
+        cluster.client(1).sync(0)
+        assert cluster.client(1).get("a") == b"still serving"

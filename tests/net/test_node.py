@@ -8,11 +8,13 @@ anti-entropy scheduler.  The multi-process path is covered by
 """
 
 import asyncio
+import json
 
 import pytest
 
 from repro.errors import NetworkSessionError
 from repro.net.config import NodeConfig, PeerAddress
+from repro.net.framing import read_blob, write_blob
 from repro.net.harness import _free_ports
 from repro.net.node import NetNode
 from repro.substrate.operations import Put
@@ -210,6 +212,33 @@ class TestClientOps:
         response = asyncio.run(run())
         assert response["ok"] is False
         assert "frobnicate" in response["error"]
+
+    @pytest.mark.parametrize("payload", [b"[1]", b'"x"'])
+    def test_non_object_json_is_a_typed_rejection(self, payload):
+        """Valid JSON that is not an object gets the same ``bad
+        request`` reply as any malformed request, and the connection
+        stays usable."""
+
+        async def run():
+            nodes = await start_nodes(2)
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", nodes[0].client_port
+                )
+                try:
+                    await write_blob(writer, payload)
+                    rejected = json.loads(await read_blob(reader))
+                    await write_blob(writer, b'{"op": "ping"}')
+                    return rejected, json.loads(await read_blob(reader))
+                finally:
+                    writer.close()
+            finally:
+                await stop_nodes(nodes)
+
+        rejected, pong = asyncio.run(run())
+        assert rejected["ok"] is False
+        assert rejected["error"].startswith("bad request: ")
+        assert pong == {"ok": True, "node": 0}
 
 
 class TestScheduler:

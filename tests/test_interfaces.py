@@ -10,7 +10,7 @@ from repro.interfaces import (
     Transport,
 )
 from repro.core.messages import YouAreCurrent
-from repro.metrics.counters import OverheadCounters
+from repro.obs import OverheadCounters
 from repro.substrate.operations import Put
 
 

@@ -52,11 +52,12 @@ class TestSubpackagesImportCleanly:
             "repro.baselines.lotus", "repro.baselines.oracle",
             "repro.baselines.wuu_bernstein", "repro.baselines.agrawal_malpani",
             "repro.workload", "repro.workload.generators", "repro.workload.traces",
-            "repro.metrics", "repro.metrics.counters", "repro.metrics.staleness",
+            "repro.metrics", "repro.metrics.staleness",
             "repro.metrics.reporting", "repro.metrics.ascii_chart",
             "repro.analysis", "repro.analysis.fitting", "repro.analysis.verdicts",
             "repro.experiments", "repro.experiments.common",
             "repro.experiments.run_all", "repro.interfaces", "repro.errors",
+            "repro.obs",
         ] + [f"repro.experiments.e{k}_" for k in []]  # experiment ids below
         modules += [
             "repro.experiments.e1_identical_detection",

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.baselines  # noqa: F401  (registers type ids 16-50)
 from repro.core.messages import ItemPayload, PropagationRequest, YouAreCurrent
 from repro.core.version_vector import VersionVector
 from repro.errors import WireFormatError
