@@ -29,19 +29,18 @@ class NodeClient:
         self.host = host
         self.port = port
         self._sock = socket.create_connection((host, port), timeout=timeout)
+        # One buffer: a reply is one ``recv``, not one per prefix byte.
+        self._replies = self._sock.makefile("rb")
 
     # -- plumbing -------------------------------------------------------------
 
     def _read_exact(self, n: int) -> bytes:
-        chunks = bytearray()
-        while len(chunks) < n:
-            chunk = self._sock.recv(n - len(chunks))
-            if not chunk:
-                raise NetworkSessionError(
-                    f"node at {self.host}:{self.port} closed the connection"
-                )
-            chunks += chunk
-        return bytes(chunks)
+        data = self._replies.read(n)
+        if len(data) < n:
+            raise NetworkSessionError(
+                f"node at {self.host}:{self.port} closed the connection"
+            )
+        return data
 
     def _read_uvarint(self) -> int:
         value = 0
@@ -75,6 +74,7 @@ class NodeClient:
         return response
 
     def close(self) -> None:
+        self._replies.close()
         self._sock.close()
 
     def __enter__(self) -> "NodeClient":

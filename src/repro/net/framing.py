@@ -16,6 +16,11 @@ even when the registry evolves.
 The JSON client API shares the length-prefix discipline
 (:func:`read_blob`/:func:`write_blob`) with a plain payload instead of
 a registered frame.
+
+Every connection of a node reads through a :class:`BufferedReader`:
+one ``read`` per wake-up, then prefixes and payloads come out of memory.
+The framing functions call only ``read``/``readexactly``, so a bare
+``StreamReader`` (tests, the benchmark's control port) works the same.
 """
 
 from __future__ import annotations
@@ -24,13 +29,14 @@ import asyncio
 
 from repro.errors import NetworkSessionError, WireFormatError
 from repro.wire.codec import MAX_FRAME_LEN
-from repro.wire.varint import write_uvarint
+from repro.wire.varint import read_uvarint, write_uvarint
 
 __all__ = [
     "MAGIC",
     "PROTOCOL_VERSION",
     "MAX_FRAME_BYTES",
     "ConnectionClosed",
+    "BufferedReader",
     "read_stream_uvarint",
     "read_frame",
     "write_frame",
@@ -51,6 +57,7 @@ PROTOCOL_VERSION = 1
 MAX_FRAME_BYTES = MAX_FRAME_LEN
 
 _MAX_VARINT_BYTES = 10
+_FILL_BYTES = 1 << 16  # one wake-up's read; ``StreamReader``'s own limit
 
 
 class ConnectionClosed(NetworkSessionError):
@@ -62,8 +69,63 @@ class ConnectionClosed(NetworkSessionError):
     """
 
 
+class BufferedReader:
+    """``read``/``readexactly`` of a ``StreamReader``, served from memory.
+
+    One ``reader.read(64 KiB)`` per wake-up fills a ``bytearray`` read
+    through a cursor.  Consumed bytes are dropped only at a fill, which
+    moves at most one partial unit: a multi-megabyte reply is appended
+    to, never re-copied, and endless pipelining cannot grow the buffer.
+    """
+
+    __slots__ = ("_reader", "_buf", "_pos")
+
+    def __init__(self, reader: asyncio.StreamReader) -> None:
+        self._reader = reader
+        self._buf = bytearray()
+        self._pos = 0
+
+    async def _fill(self) -> bool:
+        """Take what has arrived; False at EOF."""
+        if self._pos:
+            del self._buf[: self._pos]
+            self._pos = 0
+        chunk = await self._reader.read(_FILL_BYTES)
+        self._buf += chunk
+        return bool(chunk)
+
+    def _take(self, n: int) -> bytes:
+        start = self._pos
+        data = bytes(memoryview(self._buf)[start : start + n])
+        self._pos = start + len(data)
+        return data
+
+    async def read(self, n: int) -> bytes:
+        """Up to ``n`` bytes, at least one; ``b""`` at EOF."""
+        if self._pos == len(self._buf) and not await self._fill():
+            return b""
+        return self._take(n)
+
+    async def readexactly(self, n: int) -> bytes:
+        """Exactly ``n`` bytes or :class:`asyncio.IncompleteReadError`."""
+        while len(self._buf) - self._pos < n:
+            if not await self._fill():  # which left the cursor at 0
+                raise asyncio.IncompleteReadError(self._take(len(self._buf)), n)
+        return self._take(n)
+
+    def has_blob(self) -> bool:
+        """Asked between units: will the next :func:`read_blob` neither
+        wait nor raise — is a well-formed length prefix within
+        :data:`MAX_FRAME_BYTES` buffered with all of its payload?"""
+        try:
+            length, start = read_uvarint(self._buf, self._pos)
+        except WireFormatError:
+            return False
+        return length <= MAX_FRAME_BYTES and start + length <= len(self._buf)
+
+
 async def read_stream_uvarint(
-    reader: asyncio.StreamReader,
+    reader: asyncio.StreamReader | BufferedReader,
 ) -> tuple[int, bytes]:
     """One LEB128 uvarint off the stream; returns ``(value, raw bytes)``.
 
@@ -92,7 +154,7 @@ async def read_stream_uvarint(
             raise WireFormatError("unterminated varint in stream")
 
 
-async def read_frame(reader: asyncio.StreamReader) -> bytes:
+async def read_frame(reader: asyncio.StreamReader | BufferedReader) -> bytes:
     """One whole frame — length prefix *included* — off the stream."""
     length, prefix = await read_stream_uvarint(reader)
     if length > MAX_FRAME_BYTES:
@@ -115,7 +177,7 @@ async def write_frame(writer: asyncio.StreamWriter, frame: bytes) -> None:
         raise ConnectionClosed("connection closed while writing") from None
 
 
-async def read_blob(reader: asyncio.StreamReader) -> bytes:
+async def read_blob(reader: asyncio.StreamReader | BufferedReader) -> bytes:
     """One length-prefixed payload *without* the prefix (client API)."""
     length, _prefix = await read_stream_uvarint(reader)
     if length > MAX_FRAME_BYTES:
@@ -128,11 +190,12 @@ async def read_blob(reader: asyncio.StreamReader) -> bytes:
         raise ConnectionClosed("connection closed mid-blob") from None
 
 
-async def write_blob(writer: asyncio.StreamWriter, payload: bytes) -> None:
-    """Length-prefix and write one client-API payload."""
+async def write_blob(writer: asyncio.StreamWriter, *payloads: bytes) -> None:
+    """Length-prefix each client-API payload; one transport write for all."""
     buf = bytearray()
-    write_uvarint(buf, len(payload))
-    buf += payload
+    for payload in payloads:
+        write_uvarint(buf, len(payload))
+        buf += payload
     writer.write(bytes(buf))
     try:
         await writer.drain()
@@ -153,7 +216,7 @@ async def send_preamble(writer: asyncio.StreamWriter, node_id: int) -> None:
         raise ConnectionClosed("connection closed during handshake") from None
 
 
-async def receive_preamble(reader: asyncio.StreamReader) -> int:
+async def receive_preamble(reader: asyncio.StreamReader | BufferedReader) -> int:
     """Validate the peer's preamble; returns the peer's node id."""
     magic, _ = await read_stream_uvarint(reader)
     if magic != MAGIC:

@@ -14,7 +14,8 @@ edges:
   sessions, one at a time per peer;
 * a **client listener** serving a small length-prefixed JSON API
   (put/get/sync/status/ping/shutdown) for applications and the parity
-  harness;
+  harness, pipelined requests served a wake-up's worth at a time
+  (:meth:`NetNode._serve_client`);
 * an optional **anti-entropy scheduler** pulling from a uniformly
   random other peer every ``anti_entropy_period`` seconds.
 
@@ -58,6 +59,7 @@ from repro.errors import (
 )
 from repro.net.config import NodeConfig
 from repro.net.framing import (
+    BufferedReader,
     ConnectionClosed,
     read_blob,
     read_frame,
@@ -74,6 +76,10 @@ __all__ = ["NetNode"]
 
 logger = logging.getLogger("repro.net")
 
+#: Reply bytes one client connection may hold for a write: pipelined
+#: ``status`` requests meet back-pressure instead of piling up.
+_HELD_CAP = 1 << 16
+
 
 class _PeerLink:
     """One live outbound connection, with its connection-scoped codec."""
@@ -82,7 +88,7 @@ class _PeerLink:
 
     def __init__(
         self,
-        reader: asyncio.StreamReader,
+        reader: BufferedReader,
         writer: asyncio.StreamWriter,
         codec: WireCodec,
     ) -> None:
@@ -202,8 +208,9 @@ class NetNode:
         on both ends.
         """
         peer_id = -1
+        stream = BufferedReader(reader)
         try:
-            peer_id = await receive_preamble(reader)
+            peer_id = await receive_preamble(stream)
             if not 0 <= peer_id < self.n_nodes or peer_id == self.node_id:
                 raise WireFormatError(
                     f"peer handshake announced illegal node id {peer_id}"
@@ -211,7 +218,7 @@ class NetNode:
             await send_preamble(writer, self.node_id)
             codec = WireCodec(delta_vv=self.config.delta_vv)
             while True:
-                frame = await read_frame(reader)
+                frame = await read_frame(stream)
                 message = codec.decode(peer_id, self.node_id, frame)
                 if not isinstance(message, PropagationRequest):
                     raise WireFormatError(
@@ -308,7 +315,7 @@ class NetNode:
             return link
         address = self.config.address_of(peer_id)
         try:
-            reader, writer = await asyncio.open_connection(
+            raw_reader, writer = await asyncio.open_connection(
                 address.host, address.port
             )
         except OSError as exc:
@@ -316,6 +323,7 @@ class NetNode:
                 f"cannot reach peer {peer_id} at "
                 f"{address.host}:{address.port}: {exc}"
             ) from None
+        reader = BufferedReader(raw_reader)
         try:
             await send_preamble(writer, self.node_id)
             served_by = await receive_preamble(reader)
@@ -385,23 +393,50 @@ class NetNode:
     async def _serve_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        """Serve one client connection: length-prefixed JSON requests."""
+        """Serve one client connection: length-prefixed JSON requests.
+
+        What has already arrived is served, in order, before the task
+        waits again; the replies are held and written in one transport
+        write once no complete request is left (a batch is at most what
+        one wake-up delivered).  No reply is held across a wait: an op
+        that waits (``sync``, a journaled ``put``) is served alone —
+        held replies are written before it, its own right after it.
+        """
+        stream = BufferedReader(reader)
+        durable = self.journal is not None
+        held: list[bytes] = []
+        held_bytes = 0
         try:
             while True:
-                blob = await read_blob(reader)
+                blob = await read_blob(stream)
+                alone = False
                 try:
                     request = json.loads(blob)
                     if not isinstance(request, dict):
                         raise TypeError("request is not a JSON object")
+                    op = request.get("op")
+                    alone = op == "sync" or (durable and op == "put")
+                    if alone and held:
+                        await write_blob(writer, *held)
+                        held.clear()
+                        held_bytes = 0
                     response = await self._handle_client_op(request)
+                except ConnectionClosed:
+                    raise  # the write of the held replies, not the op
                 except ReplicationError as exc:
                     response = {"ok": False, "error": str(exc)}
                 except (ValueError, KeyError, TypeError) as exc:
                     response = {"ok": False, "error": f"bad request: {exc}"}
-                await write_blob(
-                    writer, json.dumps(response).encode("utf-8")
-                )
-                if response.get("bye"):
+                reply = json.dumps(response).encode("utf-8")
+                held.append(reply)
+                held_bytes += len(reply)
+                bye = response.get("bye")
+                if not (alone or bye or held_bytes >= _HELD_CAP) and stream.has_blob():
+                    continue
+                await write_blob(writer, *held)
+                held.clear()
+                held_bytes = 0
+                if bye:
                     break
         except (ConnectionClosed, WireFormatError) as exc:
             # Clients may hang up whenever they like, but a malformed

@@ -9,15 +9,18 @@ anti-entropy scheduler.  The multi-process path is covered by
 
 import asyncio
 import json
+import random
 
 import pytest
 
 from repro.errors import NetworkSessionError
+from repro.net import node as node_module
 from repro.net.config import NodeConfig, PeerAddress
 from repro.net.framing import read_blob, write_blob
 from repro.net.harness import _free_ports
 from repro.net.node import NetNode
 from repro.substrate.operations import Put
+from repro.wire.varint import write_uvarint
 
 ITEMS = ("a", "b")
 
@@ -256,3 +259,264 @@ class TestScheduler:
                 await stop_nodes(nodes)
 
         assert asyncio.run(run())
+
+
+def _framed(*payloads):
+    """Length-prefixed client requests, back to back."""
+    out = bytearray()
+    for payload in payloads:
+        if not isinstance(payload, bytes):
+            payload = json.dumps(payload).encode("utf-8")
+        write_uvarint(out, len(payload))
+        out += payload
+    return bytes(out)
+
+
+async def _connect(node):
+    return await asyncio.open_connection("127.0.0.1", node.client_port)
+
+
+async def _replies(reader, count):
+    return [json.loads(await read_blob(reader)) for _ in range(count)]
+
+
+class _WriteSpy:
+    """Counts the replies ``repro.net.node`` has handed to the transport;
+    ``sizes`` is the number of replies in each ``write_blob`` call."""
+
+    def __init__(self, monkeypatch):
+        self.sizes = []
+        inner = node_module.write_blob
+
+        async def write_blob_spy(writer, *payloads):
+            self.sizes.append(len(payloads))
+            await inner(writer, *payloads)
+
+        monkeypatch.setattr(node_module, "write_blob", write_blob_spy)
+
+    @property
+    def written(self):
+        return sum(self.sizes)
+
+
+def _count_handled(node, monkeypatch):
+    """A one-element list counting the replies ``node`` has produced."""
+    handled = [0]
+    inner = node._handle_client_op
+
+    async def handle(request):
+        try:
+            return await inner(request)
+        finally:
+            handled[0] += 1
+
+    monkeypatch.setattr(node, "_handle_client_op", handle)
+    return handled
+
+
+class TestClientPipelining:
+    """A client may send its next request before the last reply: what one
+    wake-up delivers is served in order and answered in one write."""
+
+    @staticmethod
+    def _mixed_requests(count, seed):
+        rng = random.Random(seed)
+        kinds = [
+            lambda: {"op": "put", "item": rng.choice(ITEMS), "value": rng.randbytes(rng.randrange(40)).hex()},
+            lambda: {"op": "get", "item": rng.choice(ITEMS)},
+            lambda: {"op": "ping"},
+            lambda: {"op": "frobnicate", "n": rng.randrange(10)},
+            lambda: rng.choice([b"[1]", b'"x"', b"7", b"{not json"]),
+            lambda: {"op": "get", "item": "no-such-item"},
+            lambda: {"op": "put", "item": "a", "value": "not hex"},
+            lambda: {"op": "put", "item": "a"},
+        ]  # fmt: skip
+        weights = [30, 30, 10, 5, 5, 5, 5, 5]
+        return [rng.choices(kinds, weights)[0]() for _ in range(count)]
+
+    def test_a_pipelined_mix_gets_the_one_at_a_time_replies_in_order(
+        self, monkeypatch
+    ):
+        requests = self._mixed_requests(5000, seed=19)
+        spy = _WriteSpy(monkeypatch)
+
+        async def run():
+            nodes = await start_nodes(2)
+            try:
+                reader, writer = await _connect(nodes[0])
+                writer.write(_framed(*requests))
+                pipelined = await _replies(reader, len(requests))
+                batches = list(spy.sizes)
+                writer.close()
+                # The same requests, each sent after the previous reply,
+                # to the replica that has seen none of them.
+                reader, writer = await _connect(nodes[1])
+                one_at_a_time = []
+                for request in requests:
+                    writer.write(_framed(request))
+                    one_at_a_time += await _replies(reader, 1)
+                writer.close()
+                return pipelined, one_at_a_time, batches
+            finally:
+                await stop_nodes(nodes)
+
+        pipelined, one_at_a_time, batches = asyncio.run(run())
+        for reply in one_at_a_time:
+            reply.pop("node", None)  # ping names the replica that answered
+        for reply in pipelined:
+            reply.pop("node", None)
+        assert pipelined == one_at_a_time
+        assert {reply["ok"] for reply in pipelined} == {True, False}
+        # One transport write per wake-up, not per request.
+        assert sum(batches) == len(requests)
+        assert len(batches) < len(requests) // 20
+
+    def test_a_request_split_across_segments_delays_nothing_before_it(self):
+        big = {"op": "put", "item": "a", "value": (b"v" * 100).hex()}
+        framed = _framed(big)
+        assert framed[0] & 0x80  # a two-byte prefix to split
+
+        async def run():
+            nodes = await start_nodes(2)
+            try:
+                reader, writer = await _connect(nodes[0])
+                # A whole ping and the first prefix byte of the put.
+                writer.write(_framed({"op": "ping"}) + framed[:1])
+                assert (await _replies(reader, 1))[0]["ok"]
+                # The rest of the prefix and half of the payload.
+                writer.write(framed[1:60])
+                await asyncio.sleep(0.05)
+                assert nodes[0].node.read("a") == b""
+                writer.write(framed[60:] + _framed({"op": "get", "item": "a"}))
+                put, got = await _replies(reader, 2)
+                writer.close()
+                return put, got
+            finally:
+                await stop_nodes(nodes)
+
+        put, got = asyncio.run(run())
+        assert put == {"ok": True}
+        assert bytes.fromhex(got["value"]) == b"v" * 100
+
+    @pytest.mark.parametrize(
+        "garbage",
+        [b"\x80" * 10, b"\x81\x80\x80\x20" + b"x" * 32],
+        ids=["unterminated-prefix", "oversized-prefix"],
+    )
+    def test_replies_before_a_malformed_frame_are_not_lost(self, garbage):
+        """``[valid get][malformed prefix]`` in one segment: the get is
+        answered, then the connection is dropped."""
+
+        async def run():
+            nodes = await start_nodes(2)
+            try:
+                nodes[0].node.update("a", Put(b"kept"))
+                reader, writer = await _connect(nodes[0])
+                writer.write(_framed({"op": "get", "item": "a"}) + garbage)
+                reply = (await _replies(reader, 1))[0]
+                rest = await reader.read()
+                writer.close()
+                return reply, rest
+            finally:
+                await stop_nodes(nodes)
+
+        reply, rest = asyncio.run(run())
+        assert bytes.fromhex(reply["value"]) == b"kept"
+        assert rest == b""  # dropped, nothing more said
+
+    def test_durable_puts_commit_one_by_one_with_nothing_held(
+        self, tmp_path, monkeypatch
+    ):
+        """N pipelined puts on a journaled node are N fsyncs, and no
+        reply waits in memory while the node waits for the disk."""
+        spy = _WriteSpy(monkeypatch)
+        requests = []
+        for k in range(40):
+            requests.append({"op": "get", "item": "b"})
+            if k % 3:
+                requests.append({"op": "ping"})
+            requests.append({"op": "put", "item": "a", "value": bytes([k]).hex()})
+        puts = sum(request["op"] == "put" for request in requests)
+        held_at_commit = []
+
+        async def run():
+            node = NetNode(
+                NodeConfig(node_id=0, items=ITEMS, data_dir=str(tmp_path))
+            )
+            handled = _count_handled(node, monkeypatch)
+            commit = node.journal.commit
+
+            def commit_spy(state):
+                held_at_commit.append(handled[0] - spy.written)
+                return commit(state)
+
+            monkeypatch.setattr(node.journal, "commit", commit_spy)
+            await node.start()
+            try:
+                before = node._status()["durable"]["fsyncs"]
+                reader, writer = await _connect(node)
+                writer.write(_framed(*requests))
+                replies = await _replies(reader, len(requests))
+                writer.close()
+                return replies, node._status()["durable"]["fsyncs"] - before
+            finally:
+                await node.stop()
+
+        replies, fsyncs = asyncio.run(run())
+        assert all(reply["ok"] for reply in replies)
+        assert fsyncs == puts
+        assert held_at_commit == [0] * puts
+        # The gets and pings between two puts still shared one write.
+        assert max(spy.sizes) > 1
+
+    def test_nothing_is_held_across_a_sync(self, monkeypatch):
+        """``get, sync, get`` in one segment: the first reply is on the
+        wire before the session to the peer starts."""
+        spy = _WriteSpy(monkeypatch)
+        written_at_sync = []
+
+        async def run():
+            nodes = await start_nodes(2)
+            try:
+                nodes[1].node.update("a", Put(b"pulled"))
+                sync_with = nodes[0].sync_with
+
+                async def sync_spy(peer_id):
+                    written_at_sync.append(spy.written)
+                    return await sync_with(peer_id)
+
+                monkeypatch.setattr(nodes[0], "sync_with", sync_spy)
+                reader, writer = await _connect(nodes[0])
+                get = {"op": "get", "item": "a"}
+                writer.write(_framed(get, {"op": "sync", "peer": 1}, get))
+                replies = await _replies(reader, 3)
+                writer.close()
+                return replies
+            finally:
+                await stop_nodes(nodes)
+
+        before, synced, after = asyncio.run(run())
+        assert written_at_sync == [1]
+        assert before["value"] == ""
+        assert synced["adopted"] == ["a"]
+        assert bytes.fromhex(after["value"]) == b"pulled"
+
+    def test_held_replies_are_capped(self, monkeypatch):
+        """Large replies are not piled up behind a pipelining client:
+        past the cap the batch goes to the transport (and its drain)."""
+        spy = _WriteSpy(monkeypatch)
+        monkeypatch.setattr(node_module, "_HELD_CAP", 100)
+
+        async def run():
+            nodes = await start_nodes(2)
+            try:
+                reader, writer = await _connect(nodes[0])
+                writer.write(_framed(*[{"op": "status"}] * 50))
+                replies = await _replies(reader, 50)
+                writer.close()
+                return replies
+            finally:
+                await stop_nodes(nodes)
+
+        assert all(reply["ok"] for reply in asyncio.run(run()))
+        assert spy.sizes == [1] * 50
