@@ -22,6 +22,9 @@ wins – ties – losses, and two verdicts:
 
 A run that exits non-zero, is incorrect or fails an op is reported and
 makes the exit status 1; a larger share of failed ops is never a gain.
+With ``--claim METRIC`` the exit status is 0 only when that metric's
+verdict is ``GAIN``, no metric is ``WORSE`` and neither side failed an op
+or a run; the last line says which of the three decided.
 Budget: a run is ≈ 16–32 s, so ten pairs of ``mem_small_kv`` ≈ 6 min.
 """
 
@@ -36,7 +39,7 @@ from pathlib import Path
 from statistics import median, quantiles
 from typing import Any
 
-__all__ = ["Verdict", "judge", "parse_result", "render", "run_pairs", "main"]
+__all__ = ["Verdict", "judge", "parse_result", "render", "report", "run_pairs", "main"]
 
 
 def parse_result(stdout: str) -> dict[str, Any]:
@@ -154,6 +157,43 @@ def run_pairs(
     return results[parent], results[change]
 
 
+def report(
+    workload: str,
+    end_to_end: list[dict[str, Any]],
+    parent: list[dict[str, Any]],
+    change: list[dict[str, Any]],
+    claim: str | None = None,
+) -> tuple[str, int]:
+    """The table, each side's failures, the claim's line, and the exit status."""
+    verdicts = [
+        judge(
+            entry["name"], entry["unit"], entry["bound"],
+            [run["metrics"][entry["name"]]["value"] for run in parent],
+            [run["metrics"][entry["name"]]["value"] for run in change],
+            entry["better"] == "lower",
+        )
+        for entry in end_to_end
+    ]  # fmt: skip
+    lines = [render(workload, verdicts, len(parent))]
+    unsound = False
+    for side, runs in (("parent", parent), ("change", change)):
+        bad, incorrect = sum(r["failed"] for r in runs), sum(not r["correct"] for r in runs)
+        lines.append(f"  {side}: {bad} of {sum(r['attempted'] for r in runs)} ops failed, "
+                     f"{incorrect} incorrect run(s)")  # fmt: skip
+        unsound = unsound or bool(bad or incorrect)
+    worse = [v.metric for v in verdicts if v.regression == "WORSE"]
+    refused = ""
+    if unsound:
+        refused = "a side failed an op or a run"
+    elif worse:
+        refused = f"WORSE: {', '.join(worse)}"
+    elif claim is not None and not any(v.gain for v in verdicts if v.metric == claim):
+        refused = f"{claim} is not a GAIN"
+    if claim is not None:
+        lines.append(f"  claim {claim} on {workload}: " + (f"REFUSED ({refused})" if refused else "HOLDS"))
+    return "\n".join(lines), 1 if refused else 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="python -m benchmarks.pairs", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)  # fmt: skip
@@ -162,32 +202,19 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1, help="pair k runs both sides on seed + k")
+    parser.add_argument("--claim", metavar="METRIC", help="exit 0 only if this metric is a GAIN")
     args = parser.parse_args(argv)
     if args.parent.resolve() == args.change.resolve():
         parser.error("--parent and --change are the same directory")
     contract = json.loads((args.change / "BENCHMARK.json").read_text())
+    if args.claim is not None and args.claim not in {e["name"] for e in contract["end_to_end"]}:
+        parser.error(f"--claim {args.claim}: not an end-to-end metric of BENCHMARK.json")
     parent, change = run_pairs(
         args.parent.resolve(), args.change.resolve(), args.workload, args.pairs, args.seed
     )
-    verdicts = [
-        judge(
-            entry["name"], entry["unit"], entry["bound"],
-            [run["metrics"][entry["name"]]["value"] for run in parent],
-            [run["metrics"][entry["name"]]["value"] for run in change],
-            entry["better"] == "lower",
-        )
-        for entry in contract["end_to_end"]
-    ]  # fmt: skip
-    print(render(args.workload, verdicts, args.pairs))
-    failed = {
-        side: (sum(r["failed"] for r in runs), sum(r["attempted"] for r in runs),
-               sum(not r["correct"] for r in runs))
-        for side, runs in (("parent", parent), ("change", change))
-    }  # fmt: skip
-    for side, (bad, attempted, incorrect) in failed.items():
-        print(f"  {side}: {bad} of {attempted} ops failed, {incorrect} incorrect run(s)")
-    unsound = any(bad or incorrect for bad, _, incorrect in failed.values())
-    return 1 if unsound or any(v.regression == "WORSE" for v in verdicts) else 0
+    text, status = report(args.workload, contract["end_to_end"], parent, change, args.claim)
+    print(text)
+    return status
 
 
 if __name__ == "__main__":

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from pairs import judge, parse_result, render
+from pairs import judge, main, parse_result, render, report
 
 
 def _line(correct=True, failed=0, **metrics):
@@ -112,3 +112,52 @@ def test_render_names_every_metric_with_ratio_base_and_verdict():
     assert "18.15" in get_row  # the ratio's base: the parent's median
     assert get_row.rstrip().endswith("within GAIN  (us)")
     assert "WORSE" in put_row and "GAIN" not in put_row
+
+
+class TestClaim:
+    CONTRACT = [
+        {"name": "put_cpu_us", "unit": "us", "better": "lower", "bound": 0.16},
+        {"name": "get_cpu_us", "unit": "us", "better": "lower", "bound": 0.17},
+    ]
+
+    def _report(self, put=1.0, get=1.0, claim="put_cpu_us", **change_line):
+        parent = [parse_result(_line(put_cpu_us=v, get_cpu_us=v)) for v in TestJudge.PARENT]
+        change = [
+            parse_result(_line(put_cpu_us=v * put, get_cpu_us=v * get, **change_line))
+            for v in TestJudge.PARENT
+        ]
+        return report("propagate_bulk_values", self.CONTRACT, parent, change, claim)
+
+    def test_a_claimed_gain_with_nothing_worse_holds(self):
+        text, status = self._report(put=0.75)
+        assert status == 0
+        assert text.splitlines()[-1] == "  claim put_cpu_us on propagate_bulk_values: HOLDS"
+
+    def test_a_claimed_metric_that_is_merely_within_is_refused(self):
+        text, status = self._report(put=0.999)
+        assert status == 1
+        assert text.splitlines()[-1].endswith("REFUSED (put_cpu_us is not a GAIN)")
+        # ... though without a claim the same table is a pass.
+        assert self._report(put=0.999, claim=None)[1] == 0
+
+    def test_another_metric_worse_refuses_a_gain(self):
+        text, status = self._report(put=0.75, get=1.3)
+        assert status == 1
+        assert text.splitlines()[-1].endswith("REFUSED (WORSE: get_cpu_us)")
+
+    @pytest.mark.parametrize("flaw", [{"failed": 1}, {"correct": False}])
+    def test_a_failed_op_or_run_refuses_a_gain(self, flaw):
+        text, status = self._report(put=0.75, **flaw)
+        assert status == 1
+        assert text.splitlines()[-1].endswith("REFUSED (a side failed an op or a run)")
+
+    def test_an_unknown_metric_is_a_usage_error_before_any_run(self, tmp_path, capsys):
+        for side in ("parent", "change"):
+            (tmp_path / side).mkdir()
+            (tmp_path / side / "BENCHMARK.json").write_text(json.dumps({"end_to_end": self.CONTRACT}))
+        argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+                "--workload", "mem_small_kv", "--claim", "put_cpu_ms"]  # fmt: skip
+        with pytest.raises(SystemExit) as usage:
+            main(argv)
+        assert usage.value.code == 2
+        assert "put_cpu_ms" in capsys.readouterr().err

@@ -72,7 +72,8 @@ class DatabaseVersionVector(VersionVector):
         """
         old_counts = old_ivv._counts
         new_counts = new_ivv._counts
-        counters.vv_components_touched += len(old_counts)
+        if counters is not NULL_COUNTERS:
+            counters.vv_components_touched += len(old_counts)
         if new_counts is old_counts or new_counts == old_counts:
             return
         if any(map(operator.lt, new_counts, old_counts)):

@@ -141,9 +141,11 @@ class LogComponent:
         old = self._by_item.get(item)
         if old is not None:
             self._unlink(old)
-            counters.log_records_evicted += 1
         self._by_item[item] = record
-        counters.log_records_added += 1
+        if counters is not NULL_COUNTERS:
+            counters.log_records_added += 1
+            if old is not None:
+                counters.log_records_evicted += 1
         return record
 
     def discard_item(self, item: str) -> bool:
@@ -173,10 +175,11 @@ class LogComponent:
         selected: list[LogRecord] = []
         node = self._tail
         while node is not None and node.seqno > threshold:
-            counters.log_records_examined += 1
             selected.append(node)
             node = node.prev
         selected.reverse()
+        if counters is not NULL_COUNTERS:
+            counters.log_records_examined += len(selected)
         return selected
 
     def check_invariants(self) -> None:

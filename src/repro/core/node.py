@@ -41,7 +41,7 @@ from repro.core.messages import (
 )
 from repro.core.version_vector import Ordering, VersionVector
 from repro.errors import InvariantViolation, UnknownItemError
-from repro.interfaces import ContentDigest
+from repro.interfaces import value_digest
 from repro.obs import NULL_COUNTERS, OverheadCounters
 from repro.substrate.operations import UpdateOperation
 
@@ -126,10 +126,16 @@ class EpidemicNode:
         # when later sessions or a conflict resolution push the DBVV
         # component past the recorded seqno.
         self.log_gaps: dict[int, int] = {}
-        # Incremental digest of the regular {item: value} state; every
-        # regular-copy write below maintains it in O(1) so the adapter's
-        # state_version() never rescans the store.
-        self._content_digest = ContentDigest()
+        # Lazy digest of the regular {item: value} state.  A regular-copy
+        # write only *marks* the item (``_mark_value_changed``: O(1), no
+        # hash); ``content_digest`` folds the marked items when somebody
+        # asks.  ``_digest_folded`` is each item's contribution to
+        # ``_digest_acc`` as of the last fold; the stale names live in an
+        # insertion-ordered dict used as a set so the fold iterates
+        # deterministically.
+        self._digest_acc = 0
+        self._digest_folded: dict[str, int] = {}
+        self._digest_stale: dict[str, None] = {}
 
     # ------------------------------------------------------------------
     # User operations (paper section 5.3)
@@ -159,9 +165,8 @@ class EpidemicNode:
             entry.aux_value = op.apply(entry.aux_value)
             entry.aux_ivv.increment(self.node_id)
         else:
-            old_value = entry.value
             entry.value = op.apply(entry.value)
-            self._content_digest.replace(entry.name, old_value, entry.value)
+            self._mark_value_changed(entry.name)
             entry.ivv.increment(self.node_id)
             self.dbvv.record_local_update_by(self.node_id)
             self.log.add(
@@ -209,10 +214,13 @@ class EpidemicNode:
         """Called by the persistence layer after rebuilding a node from
         a snapshot; derived (non-persisted) state must assume nothing
         about the pre-crash history.  The restore path writes item
-        values directly, so the content digest is rebuilt from the
-        store here; variants overriding this must call ``super()``."""
-        self._content_digest.recompute(
-            (entry.name, entry.value) for entry in self.store
+        values directly, so the content digest starts over with every
+        non-empty item marked stale (nothing is hashed until somebody
+        reads it); variants overriding this must call ``super()``."""
+        self._digest_acc = 0
+        self._digest_folded.clear()
+        self._digest_stale = dict.fromkeys(
+            entry.name for entry in self.store if entry.value
         )
         # ``log_gaps`` is derived bookkeeping, not durable state: any
         # component running ahead of the restored DBVV was a recorded
@@ -297,19 +305,15 @@ class EpidemicNode:
 
         for payload in reply.items:
             entry = self.store[payload.name]
-            self.counters.vv_comparisons += 1
-            self.counters.vv_components_touched += self.n_nodes
             ordering = payload.ivv.compare(entry.ivv)
             if ordering is Ordering.DOMINATES:
                 old_ivv = entry.ivv
-                old_value = entry.value
                 self._install_payload(entry, payload)
-                self._content_digest.replace(entry.name, old_value, entry.value)
+                self._mark_value_changed(entry.name)
                 entry.ivv = payload.ivv.copy()
                 entry.in_conflict = False
                 self.dbvv.absorb_item_copy(old_ivv, entry.ivv, self.counters)
                 outcome.adopted.append(payload.name)
-                self.counters.items_copied += 1
             elif ordering is Ordering.CONCURRENT:
                 entry.in_conflict = True
                 self.conflicts.declare(
@@ -319,7 +323,6 @@ class EpidemicNode:
                     entry.ivv,
                     payload.ivv,
                 )
-                self.counters.conflicts_detected += 1
                 dropped_items.add(payload.name)
                 outcome.conflicted.append(payload.name)
             else:
@@ -336,7 +339,6 @@ class EpidemicNode:
         for k, tail in enumerate(reply.tails):
             component = self.log[k]
             for item, seqno in tail:
-                self.counters.log_records_examined += 1
                 if item in dropped_items:
                     outcome.records_dropped += 1
                     continue
@@ -359,6 +361,17 @@ class EpidemicNode:
                     # component maximum, so assignment tracks the
                     # highest gapped seqno.
                     self.log_gaps[k] = seqno
+
+        # Charged once per call with the call's totals (one IVV
+        # comparison of n components per payload), never per element:
+        # the null sink sees O(1) writes per session, a real sink the
+        # same sums.
+        counters = self.counters
+        counters.vv_comparisons += len(reply.items)
+        counters.vv_components_touched += self.n_nodes * len(reply.items)
+        counters.items_copied += len(outcome.adopted)
+        counters.conflicts_detected += len(outcome.conflicted)
+        counters.log_records_examined += sum(map(len, reply.tails))
 
         self._after_accept_installs()
         intra = self.intra_node_propagation(outcome.adopted)
@@ -403,9 +416,8 @@ class EpidemicNode:
             self.counters.vv_comparisons += 1
             ordering = entry.ivv.compare(record.pre_ivv)
             if ordering is Ordering.EQUAL:
-                old_value = entry.value
                 entry.value = record.op.apply(entry.value)
-                self._content_digest.replace(entry.name, old_value, entry.value)
+                self._mark_value_changed(entry.name)
                 entry.ivv.increment(self.node_id)
                 self.dbvv.record_local_update_by(self.node_id)
                 self.log.add(
@@ -566,8 +578,8 @@ class EpidemicNode:
         for report in self.conflicts.conflicts_for(item):
             merged.merge_from(VersionVector.from_counts(report.remote_vv))
             merged.merge_from(VersionVector.from_counts(report.local_vv))
-        self._content_digest.replace(entry.name, entry.value, value)
         entry.value = value
+        self._mark_value_changed(entry.name)
         entry.ivv = merged
         entry.drop_auxiliary()
         self.aux_log.discard_item(item)
@@ -580,12 +592,39 @@ class EpidemicNode:
         self.log.add(self.node_id, item, self.dbvv[self.node_id], self.counters)
         self._on_full_rewrite(entry)
 
+    def _mark_value_changed(self, name: str) -> None:
+        """The one thing every regular-copy value write does for the
+        content digest: remember the item as stale (O(1), no hash, the
+        old value is not kept).  See :attr:`content_digest`."""
+        self._digest_stale[name] = None
+
     @property
     def content_digest(self) -> int:
-        """The incrementally maintained 64-bit digest of the regular
-        ``{item: value}`` state (see
-        :class:`~repro.interfaces.ContentDigest`)."""
-        return self._content_digest.token()
+        """The 64-bit digest of the regular ``{item: value}`` state:
+        exactly the token :meth:`ContentDigest.recompute
+        <repro.interfaces.ContentDigest.recompute>` yields over the
+        store (sum mod 2^64 of :func:`~repro.interfaces.value_digest`
+        over the non-empty values).
+
+        Maintained lazily — *marked* on write, *folded* on read.  Each
+        item written since the last read is hashed once here, however
+        often it was written, and its previous contribution is
+        subtracted; a process that never asks (every ``repro.net``
+        node) never hashes.  Only the simulator's
+        ``DBVVProtocolNode.state_version`` reads it.
+        """
+        stale = self._digest_stale
+        if stale:
+            folded = self._digest_folded
+            acc = self._digest_acc
+            for name in stale:
+                value = self.store[name].value
+                contribution = value_digest(name, value) if value else 0
+                acc += contribution - folded.get(name, 0)
+                folded[name] = contribution
+            self._digest_acc = acc % (1 << 64)
+            stale.clear()
+        return self._digest_acc
 
     def state_fingerprint(self) -> dict[str, tuple[bytes, tuple[int, ...]]]:
         """Regular-copy snapshot ``{item: (value, ivv)}`` used by the

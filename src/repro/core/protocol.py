@@ -246,8 +246,9 @@ class DBVVProtocolNode(ProtocolNode):
         return {entry.name: entry.value for entry in self.node.store}
 
     def state_version(self) -> StateVersion:
-        """O(n) worst case: the incrementally maintained content digest,
-        plus the DBVV tuple as the paper's identical-detection
+        """O(n) plus one hash per item written since the last call:
+        the content digest (folded here, its only reader), plus the
+        DBVV tuple as the paper's identical-detection
         certificate while this replica is conflict-free AND free of
         imported log gaps.  A conflict freezes DBVV accounting, and a
         gap imported from a frozen peer means the reflected update set

@@ -22,11 +22,12 @@ user update twice is not idempotent).
 Recovery (:meth:`NodeJournal.recover`) is the paper's "repaired server"
 made real: load the latest valid checkpoint (or start from a fresh
 replica), truncate any torn WAL tail, replay the intact suffix, and
-hand back a node whose ``after_restore`` has re-derived the content
-digest and per-origin ``log_gaps``.  The conflict reporter's history is
-telemetry, not protocol state: like the snapshot format, recovery
-starts it empty, and conflicts re-detected while replaying post-
-checkpoint records are re-declared into the fresh reporter.
+hand back a node whose ``after_restore`` has marked the content
+digest stale and re-derived the per-origin ``log_gaps``.  The conflict
+reporter's history is telemetry, not protocol state: like the snapshot
+format, recovery starts it empty, and conflicts re-detected while
+replaying post-checkpoint records are re-declared into the fresh
+reporter.
 """
 
 from __future__ import annotations

@@ -72,7 +72,8 @@ def _add_without_unlink(
     # BUG: the previous record for `item` stays linked; the pointer map
     # forgets it and the component grows without bound.
     self._by_item[item] = record
-    counters.log_records_added += 1
+    if counters is not NULL_COUNTERS:
+        counters.log_records_added += 1
     return record
 
 
@@ -90,9 +91,8 @@ def _accept_adopt_any(
         ordering = payload.ivv.compare(entry.ivv)
         if ordering is Ordering.DOMINATES or ordering is Ordering.CONCURRENT:
             old_ivv = entry.ivv
-            old_value = entry.value
             self._install_payload(entry, payload)
-            self._content_digest.replace(entry.name, old_value, entry.value)
+            self._mark_value_changed(entry.name)
             # BUG: a concurrent copy silently wins; joining the IVVs
             # hides the lost update from all vector bookkeeping.
             entry.ivv = merge(payload.ivv, old_ivv)  # lint: skip=R4
@@ -127,10 +127,11 @@ def _tail_after_off_by_one(
     node = self._tail
     # BUG: `> threshold + 1` stops one record early.
     while node is not None and node.seqno > threshold + 1:
-        counters.log_records_examined += 1
         selected.append(node)
         node = node.prev
     selected.reverse()
+    if counters is not NULL_COUNTERS:
+        counters.log_records_examined += len(selected)
     return selected
 
 

@@ -170,6 +170,14 @@ class ContentDigest:
     Order never matters (addition commutes), which is what lets every
     protocol maintain the digest at its own write sites without any
     coordination of update order across nodes.
+
+    This class is the *eager* form — two hashes per write — used by the
+    baselines, which exist only in the simulator where the token is
+    read every round.  :class:`~repro.core.node.EpidemicNode` also runs
+    as a real node that never reads it, so it keeps the same token
+    lazily (marked per write, folded at read; see
+    ``EpidemicNode.content_digest``); :meth:`recompute` is the
+    reference both forms are tested against.
     """
 
     __slots__ = ("_acc",)

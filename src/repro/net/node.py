@@ -469,7 +469,7 @@ class NetNode:
         if op == "get":
             return {"ok": True, "value": self.node.read(request["item"]).hex()}
         if op == "sync":
-            peer = validate_node_id(int(request["peer"]), self.n_nodes)
+            peer = validate_node_id(request["peer"], self.n_nodes)
             outcome = await self.sync_with(peer)
             return {
                 "ok": True,

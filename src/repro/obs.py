@@ -173,6 +173,14 @@ class _NullCounters(OverheadCounters):
 
     Keeping the same interface (instead of ``if counters is not None``
     checks everywhere) keeps the protocol code straight-line.
+
+    A swallowed write is still a Python-level ``__setattr__`` call, so
+    the protocol charges per *call* with the call's totals, never per
+    element, and the leaf helpers that run inside a caller's loop
+    (``LogComponent.add``/``tail_after``,
+    ``DatabaseVersionVector.absorb_item_copy``) skip the charge when
+    their sink ``is NULL_COUNTERS``: ``EpidemicNode.update`` writes
+    here zero times, a propagation session a constant number of times.
     """
 
     def bump(self, name: str, by: int = 1) -> None:  # noqa: D102 - see class

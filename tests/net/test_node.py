@@ -8,8 +8,10 @@ anti-entropy scheduler.  The multi-process path is covered by
 """
 
 import asyncio
+import dataclasses
 import json
 import random
+import shutil
 
 import pytest
 
@@ -26,7 +28,12 @@ ITEMS = ("a", "b")
 
 
 async def start_nodes(
-    n, items=ITEMS, reconnect_attempts=1, anti_entropy_period=0.0, seed=0
+    n,
+    items=ITEMS,
+    reconnect_attempts=1,
+    anti_entropy_period=0.0,
+    seed=0,
+    data_dir=None,
 ):
     ports = _free_ports(n)
     nodes = []
@@ -46,6 +53,7 @@ async def start_nodes(
                     reconnect_attempts=reconnect_attempts,
                     anti_entropy_period=anti_entropy_period,
                     seed=seed,
+                    data_dir=data_dir and str(data_dir / f"node-{node_id}"),
                 )
             )
         )
@@ -242,6 +250,103 @@ class TestClientOps:
         assert rejected["ok"] is False
         assert rejected["error"].startswith("bad request: ")
         assert pong == {"ok": True, "node": 0}
+
+    @pytest.mark.parametrize("peer", ["true", "1.9", '"1"', "null", "7"])
+    def test_sync_peer_must_be_a_node_id_as_it_arrived(self, peer):
+        """``peer`` is validated as the JSON value it is, never coerced:
+        ``true``, ``1.9`` and ``"1"`` used to start a session with node
+        1.  The reply is typed and the connection stays usable."""
+
+        async def run():
+            nodes = await start_nodes(2)
+            try:
+                reader, writer = await _connect(nodes[0])
+                try:
+                    sync = b'{"op": "sync", "peer": %s}' % peer.encode()
+                    writer.write(_framed(sync, {"op": "ping"}))
+                    rejected, pong = await _replies(reader, 2)
+                    return rejected, pong, dict(nodes[0].census)
+                finally:
+                    writer.close()
+            finally:
+                await stop_nodes(nodes)
+
+        rejected, pong, sent = asyncio.run(run())
+        assert rejected["ok"] is False
+        assert "node id" in rejected["error"]
+        assert pong == {"ok": True, "node": 0}
+        assert sent == {}  # no session was started
+
+
+class TestWritePathNeverHashes:
+    """The content digest is folded when somebody reads it, and nothing
+    in a ``repro.net`` process does: no put, adopted item, status dump,
+    checkpoint or recovery may call ``value_digest``."""
+
+    @pytest.mark.parametrize("durable", [False, True])
+    def test_put_sync_get_and_restart_call_value_digest_zero_times(
+        self, durable, tmp_path, monkeypatch
+    ):
+        calls = []
+
+        def spy(item, value):
+            calls.append(item)
+            return 0
+
+        monkeypatch.setattr("repro.interfaces.value_digest", spy)
+        monkeypatch.setattr("repro.core.node.value_digest", spy)
+        data_dir = tmp_path if durable else None
+
+        async def drive(nodes, *requests):
+            reader, writer = await _connect(nodes[1])
+            try:
+                writer.write(_framed(*requests))
+                return await _replies(reader, len(requests))
+            finally:
+                writer.close()
+
+        async def run():
+            nodes = await start_nodes(2, data_dir=data_dir)
+            try:
+                for k in range(3):
+                    nodes[0].node.update("a", Put(b"remote-%d" % k))
+                replies = await drive(
+                    nodes,
+                    {"op": "put", "item": "b", "value": b"local".hex()},
+                    {"op": "put", "item": "b", "value": b"".hex()},
+                    {"op": "sync", "peer": 0},
+                    {"op": "get", "item": "a"},
+                    {"op": "status"},
+                )
+                if durable:  # what a kill -9 would leave: a WAL to replay
+                    shutil.copytree(tmp_path / "node-1", tmp_path / "killed")
+            finally:
+                await stop_nodes(nodes)
+            if not durable:
+                return replies
+            killed = NetNode(
+                dataclasses.replace(
+                    nodes[1].config, data_dir=str(tmp_path / "killed")
+                )
+            )
+            killed.journal.close()
+            assert killed.journal.records_replayed == 3
+            assert killed.node.read("a") == b"remote-2"
+            # The clean stop checkpointed; this start loads the snapshot.
+            nodes = await start_nodes(2, data_dir=data_dir)
+            try:
+                assert nodes[1].journal.records_replayed == 0
+                return replies + await drive(nodes, {"op": "get", "item": "a"})
+            finally:
+                await stop_nodes(nodes)
+
+        replies = asyncio.run(run())
+        assert all(reply["ok"] for reply in replies)
+        assert replies[2]["adopted"] == ["a"]
+        assert bytes.fromhex(replies[3]["value"]) == b"remote-2"
+        if durable:
+            assert bytes.fromhex(replies[-1]["value"]) == b"remote-2"
+        assert calls == []
 
 
 class TestScheduler:
