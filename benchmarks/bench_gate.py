@@ -26,6 +26,14 @@ fail CI.  The tolerance (default ±50%, ``REPRO_BENCH_TOLERANCE``) is
 deliberately loose: single-core CI runners show ±40% wall-clock noise
 run to run, and the exact-kind counters carry the precise signal.
 
+``python benchmarks/bench_gate.py --net-smoke <result>`` gates a third
+report instead, one it does not produce itself: the output of
+``python -m benchmarks.net --workload all --smoke`` (the file's last
+line is the result object).  Only that run's exact counts are compared
+— ``wire_bytes_per_item`` and ``wire_bytes_per_idle_sync`` per workload,
+against ``benchmarks/baselines/net_smoke.json`` — its timed metrics stay
+printed-only (``net-bench-smoke`` in CI).
+
 Baselines are regenerated deliberately with
 ``python benchmarks/bench_gate.py --update`` (see DEVELOPING.md,
 "Performance discipline") — never automatically.
@@ -46,6 +54,7 @@ if _SRC not in sys.path:
 
 __all__ = [
     "BASELINE_DIR",
+    "collect_net_smoke_metrics",
     "collect_scale_metrics",
     "collect_wire_metrics",
     "compare",
@@ -67,6 +76,8 @@ _EXACT_SUFFIXES = (
     "skips_in_timed_window",
     "bytes_per_session",
     "bytes_sent",
+    "wire_bytes_per_item",
+    "wire_bytes_per_idle_sync",
 )
 _MIN_SUFFIXES = ("_mb_s", "_per_sec", "speedup")
 _MAX_SUFFIXES = ("per_round_ms",)
@@ -146,6 +157,20 @@ def collect_wire_metrics(report: dict[str, Any]) -> dict[str, Any]:
     return metrics
 
 
+#: The system benchmark's exact counts (``BENCHMARK.json`` names).
+NET_SMOKE_METRICS = ("wire_bytes_per_item", "wire_bytes_per_idle_sync")
+
+
+def collect_net_smoke_metrics(results: dict[str, Any]) -> dict[str, Any]:
+    """Flatten ``benchmarks.net --workload all --smoke``'s result object
+    (workload → result) into its gated, machine-independent counts."""
+    return {
+        f"{workload}.{metric}": result["metrics"][metric]["value"]
+        for workload, result in results.items()
+        for metric in NET_SMOKE_METRICS
+    }
+
+
 def compare(
     current: dict[str, Any],
     baseline: dict[str, Any],
@@ -218,20 +243,28 @@ def write_baseline(harness: str, metrics: dict[str, Any]) -> Path:
     payload = {
         "harness": harness,
         "smoke": True,
-        "regenerate_with": "python benchmarks/bench_gate.py --update",
+        "regenerate_with": "python benchmarks/bench_gate.py "
+        + ("--net-smoke <result> " if harness == "net" else "")
+        + "--update",
         "metrics": metrics,
     }
     path.write_text(json.dumps(payload, indent=2) + "\n")
     return path
 
 
-def _collect(harness: str) -> dict[str, Any]:
-    """Run one harness in smoke mode and flatten its report.
+def _collect(harness: str, net_smoke: Path | None = None) -> dict[str, Any]:
+    """Run one harness in smoke mode and flatten its report (``net``:
+    read the report ``benchmarks.net`` already printed).
 
     Imports happen here (not at module top) so the smoke env vars are
     set before the harness modules read them, and so ``--only`` runs
     pay only for what they gate.
     """
+    if harness == "net":
+        if net_smoke is None:
+            raise ValueError("the net harness gates a report: pass net_smoke")
+        last_line = net_smoke.read_text().strip().splitlines()[-1]
+        return collect_net_smoke_metrics(json.loads(last_line))
     if harness == "scale":
         os.environ["REPRO_SCALE_SMOKE"] = "1"
         import scale_harness
@@ -249,12 +282,13 @@ def run_gate(
     update: bool = False,
     tolerance: float | None = None,
     report_path: Path | None = None,
+    net_smoke: Path | None = None,
 ) -> int:
     tolerance = default_tolerance() if tolerance is None else tolerance
     gate_report: dict[str, Any] = {"tolerance": tolerance, "harnesses": {}}
     failed = False
     for harness in harnesses:
-        metrics = _collect(harness)
+        metrics = _collect(harness, net_smoke)
         if update:
             path = write_baseline(harness, metrics)
             print(f"[bench-gate] wrote baseline {path}")
@@ -296,6 +330,12 @@ def main(argv: list[str] | None = None) -> int:
         help="gate a single harness",
     )
     parser.add_argument(
+        "--net-smoke", type=Path, default=None, metavar="RESULT",
+        help="gate the exact counts in the output of `python -m "
+             "benchmarks.net --workload all --smoke` instead of running "
+             "the scale and wire harnesses",
+    )
+    parser.add_argument(
         "--report", type=Path, default=None,
         help=f"gate-report path (default ./{GATE_REPORT_NAME})",
     )
@@ -305,12 +345,18 @@ def main(argv: list[str] | None = None) -> int:
              "(default REPRO_BENCH_TOLERANCE or 0.50)",
     )
     args = parser.parse_args(argv)
-    harnesses = (args.only,) if args.only else ("scale", "wire")
+    if args.net_smoke is not None:
+        if args.only:
+            parser.error("--net-smoke gates that report only; drop --only")
+        harnesses: tuple[str, ...] = ("net",)
+    else:
+        harnesses = (args.only,) if args.only else ("scale", "wire")
     return run_gate(
         harnesses,
         update=args.update,
         tolerance=args.tolerance,
         report_path=args.report,
+        net_smoke=args.net_smoke,
     )
 
 

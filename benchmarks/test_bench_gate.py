@@ -8,6 +8,7 @@ from pathlib import Path
 import bench_gate
 from bench_gate import (
     BASELINE_DIR,
+    collect_net_smoke_metrics,
     collect_scale_metrics,
     collect_wire_metrics,
     compare,
@@ -24,7 +25,7 @@ def _load(harness):
 
 class TestMetricKinds:
     def test_every_baselined_metric_has_a_kind(self):
-        for harness in ("scale", "wire"):
+        for harness in ("scale", "wire", "net"):
             for name in _load(harness):
                 assert metric_kind(name) in ("exact", "min", "max"), name
 
@@ -151,6 +152,71 @@ class TestBaselinesMatchHarnessShape:
             },
         }
         assert set(collect_wire_metrics(report)) == set(_load("wire"))
+
+
+class TestNetSmoke:
+    """``--net-smoke``: the system benchmark's exact counts, read from
+    the report ``python -m benchmarks.net --workload all --smoke`` printed."""
+
+    @staticmethod
+    def _stdout(tmp_path, bump=0.0):
+        contract = json.loads(
+            (Path(bench_gate.__file__).parents[1] / "BENCHMARK.json").read_text()
+        )
+        baseline = _load("net")
+        results = {
+            workload["name"]: {
+                "correct": True,
+                "metrics": {
+                    entry["name"]: {
+                        "value": baseline.get(
+                            f"{workload['name']}.{entry['name']}", 1.0
+                        )
+                        + bump,
+                        "unit": entry["unit"],
+                    }
+                    for entry in contract["end_to_end"]
+                },
+            }
+            for workload in contract["workloads"]
+        }
+        path = tmp_path / "net-smoke.out"
+        path.write_text(f"== a report\n  put_cpu_us 18 us\n{json.dumps(results)}\n")
+        return path
+
+    def test_baseline_holds_both_counts_of_every_workload(self, tmp_path):
+        current = bench_gate._collect("net", self._stdout(tmp_path))
+        assert current == _load("net")
+        assert len(current) == 2 * 4
+        assert all(metric_kind(name) == "exact" for name in current)
+
+    def test_gate_passes_on_the_baselined_counts(self, tmp_path):
+        report = tmp_path / "report.json"
+        argv = ["--net-smoke", str(self._stdout(tmp_path)), "--report", str(report)]
+        assert bench_gate.main(argv) == 0
+        assert list(json.loads(report.read_text())["harnesses"]) == ["net"]
+
+    def test_one_byte_more_per_item_fails_it(self, tmp_path):
+        report = tmp_path / "report.json"
+        argv = [
+            "--net-smoke", str(self._stdout(tmp_path, bump=1 / 256)),
+            "--report", str(report),
+        ]
+        assert bench_gate.main(argv) == 1
+        violations = json.loads(report.read_text())["harnesses"]["net"]["violations"]
+        assert len(violations) == 8
+        assert {v["kind"] for v in violations} == {"exact"}
+
+    def test_timed_metrics_of_the_run_are_not_gated(self):
+        results = {"w": {"metrics": {
+            "put_cpu_us": {"value": 1e9},
+            "wire_bytes_per_item": {"value": 1.0},
+            "wire_bytes_per_idle_sync": {"value": 2.0},
+        }}}
+        assert collect_net_smoke_metrics(results) == {
+            "w.wire_bytes_per_item": 1.0,
+            "w.wire_bytes_per_idle_sync": 2.0,
+        }
 
 
 class TestUpdateRoundTrip:

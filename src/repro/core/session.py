@@ -103,8 +103,10 @@ class PullSession:
         if not isinstance(answer, PropagationReply):
             raise ProtocolStateError("PropagationReply", answer)
         # The answer may have crossed a trust boundary (a TCP frame in
-        # repro.net, a replayed WAL record); adopt nothing a validator
-        # has not sanctioned (lint rule R13).
+        # repro.net); adopt nothing a validator has not sanctioned (lint
+        # rule R13).  This is the one deep check of the body on every
+        # path: a transport checks only what it alone knows (the answer
+        # came from the peer it dialled) before handing the answer over.
         reply = validate_propagation_reply(answer, self._node)
         outcome, _intra = self._node.accept_propagation(reply)
         return PullOutcome(

@@ -246,28 +246,22 @@ def validate_propagation_reply(
     return reply
 
 
-def validate_session_answer(
-    answer: object, peer_id: int, node: "EpidemicNode"
-) -> SessionAnswer:
-    """Check a decoded session answer attributed to ``peer_id``: the
-    claimed source must match the peer the request was sent to, and a
-    reply body must validate in full.
+def validate_session_answer(answer: object, peer_id: int) -> SessionAnswer:
+    """The transport's half of checking a decoded session answer: it is
+    one of the two legal answers, and it claims the peer the request
+    was sent to — the one fact about a reply the session driver cannot
+    know.  The reply *body* is checked where it is adopted, once
+    (:meth:`~repro.core.session.PullSession.conclude`).
     """
-    if isinstance(answer, YouAreCurrent):
-        if answer.source != peer_id:
-            raise ValidationError(
-                f"answer claims source {answer.source}, session peer is {peer_id}"
-            )
-        return answer
-    if isinstance(answer, PropagationReply):
-        if answer.source != peer_id:
-            raise ValidationError(
-                f"reply claims source {answer.source}, session peer is {peer_id}"
-            )
-        return validate_propagation_reply(answer, node)
-    raise ValidationError(
-        f"expected a session answer, got {type(answer).__name__}"
-    )
+    if not isinstance(answer, (YouAreCurrent, PropagationReply)):
+        raise ValidationError(
+            f"expected a session answer, got {type(answer).__name__}"
+        )
+    if answer.source != peer_id:
+        raise ValidationError(
+            f"answer claims source {answer.source}, session peer is {peer_id}"
+        )
+    return answer
 
 
 def validate_oob_reply(reply: object, node: "EpidemicNode") -> OutOfBoundReply:

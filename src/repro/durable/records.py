@@ -26,7 +26,13 @@ field primitives and per-message codecs::
 The nested ``PropagationReply``/``OutOfBoundReply`` payloads go through
 the registered message codecs with a **delta-VV-free** codec instance:
 a log record must be self-contained (replayable with no cross-record
-cache), so every version vector is stored in full form.
+cache), so every version vector is stored in full form.  An accept
+record is therefore exactly as compact as the reply frame it journals
+(type id 9: names once, seqnos as differences), and a record written
+before that format (type id 4, retired) fails :func:`decode_record`
+with *unknown type id* — recovery stops there, loudly.  Upgrading a
+durable node is a clean shutdown (which folds the WAL into a
+checkpoint, a format this change did not touch) followed by a start.
 
 The LSN makes checkpointing crash-safe.  ``NodeJournal.checkpoint``
 first replaces the snapshot (atomically), then truncates the WAL; a

@@ -9,7 +9,7 @@ registered validator from :mod:`repro.core.validate` (the taint
 engine's :data:`~repro.lint.taint.SANCTIONED_SANITIZERS`).  A cap guard
 (``if n > MAX: raise``) bounds a value but does not make it trusted;
 only a sanitizer clears taint, and only by reassignment
-(``answer = validate_session_answer(answer, ...)``).
+(``reply = validate_propagation_reply(answer, ...)``).
 
 Scoped to the trust boundary: ``repro.net``, ``repro.durable``, and the
 sans-I/O session driver ``repro/core/session.py``.  The simulator-side

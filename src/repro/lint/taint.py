@@ -33,7 +33,10 @@ tainted taints its call sites).
 validate_record` — produces a CLEAN result.  Sanitizers are
 value-passing: ``answer = validate_session_answer(answer, ...)`` cleans
 ``answer``; a bare ``validate_...(answer)`` call cleans nothing, which
-keeps the wiring honest.  A comparison guard against a cap
+keeps the wiring honest.  (``validate_session_answer`` sanctions an
+answer *for the session driver*: it checks type and claimed source,
+and ``PullSession.conclude`` runs ``validate_propagation_reply`` on the
+body before adopting it.)  A comparison guard against a cap
 (``if n > MAX_...: raise``) downgrades TAINTED to CAPPED — enough for
 R14's allocation bounds, never enough for R13's state sinks.
 

@@ -48,8 +48,10 @@ __all__ = [
 
 #: First uvarint of every peer connection; "EP" for epidemic.
 MAGIC = 0xE95
-#: Bumped on any incompatible change to framing or the preamble.
-PROTOCOL_VERSION = 1
+#: Bumped on any incompatible change to framing, the preamble, or a
+#: frame body a peer connection carries (2: the v2 ``PropagationReply``,
+#: type id 9 — see :mod:`repro.wire.codecs`).
+PROTOCOL_VERSION = 2
 #: Upper bound on a single frame/blob; a malformed length prefix must
 #: not make the reader allocate gigabytes.  Aliases the codec-level cap
 #: so the stream reader and :meth:`WireCodec.decode` reject the same

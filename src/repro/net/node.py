@@ -254,7 +254,9 @@ class NetNode:
         mid-session is dropped (caches with it) and the session retried
         on a fresh connection, up to ``reconnect_attempts`` extra
         dials; the retry re-reads the node state, so an answer the peer
-        computed for the lost session is never half-applied here.
+        computed for the lost session is never half-applied here.  An
+        answer that does not decode or does not validate also costs the
+        link, and is raised as the typed error it is — not retried.
         """
         if not 0 <= peer_id < self.n_nodes or peer_id == self.node_id:
             raise NetworkSessionError(f"illegal sync peer {peer_id}")
@@ -284,15 +286,26 @@ class NetNode:
                         attempts,
                     )
                     continue
-                answer = link.codec.decode(
-                    peer_id, self.node_id, answer_frame
-                )
                 # The frame came off a socket: nothing it claims is
-                # trusted until validated (R13) — the session driver
-                # deep-checks the reply body again, but the source-id
-                # match against the dialed peer only this layer knows.
-                answer = validate_session_answer(answer, peer_id, self.node)
-                outcome = pull.conclude(answer)
+                # trusted until validated (R13).  This layer checks what
+                # only it knows — a legal answer type, claiming the
+                # dialled peer — and the session driver deep-checks the
+                # body, once, before adopting any of it.
+                try:
+                    answer = link.codec.decode(
+                        peer_id, self.node_id, answer_frame
+                    )
+                    answer = validate_session_answer(answer, peer_id)
+                    outcome = pull.conclude(answer)
+                except (WireFormatError, ValidationError):
+                    # A decode that failed part-way advanced this end's
+                    # delta caches for the items before the failure and
+                    # the sender's for all of them: the link is torn
+                    # like any other, and so is one whose peer forges.
+                    # The node state is untouched (conclude validates
+                    # before it adopts); the next pull redials.
+                    self._drop_link(peer_id)
+                    raise
                 if self.journal is not None and isinstance(
                     answer, PropagationReply
                 ):

@@ -17,8 +17,8 @@ Layout: :mod:`~repro.wire.varint` (the number format),
 :mod:`~repro.wire.registry` (type-id table contract, audited by lint
 rule R8), :mod:`~repro.wire.codec` (frames, field primitives, and
 delta-compressed version vectors), :mod:`~repro.wire.codecs` (the
-core protocol's encode/decode pairs, type ids 1–8 — the whole registry
-of a real replica) and :mod:`~repro.wire.baseline_codecs` (ids 16–50,
+core protocol's encode/decode pairs, type ids 1–9 less the retired 4 —
+the whole registry of a real replica) and :mod:`~repro.wire.baseline_codecs` (ids 16–50,
 registered by importing :mod:`repro.baselines`, never by this package).
 """
 
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import os
 
-import repro.wire.codecs  # noqa: F401  (populates the registry, ids 1-8)
+import repro.wire.codecs  # noqa: F401  (populates the registry, ids 1-9)
 from repro.wire.codec import (
     MAX_FRAME_LEN,
     MAX_SEQUENCE_ITEMS,

@@ -1,4 +1,4 @@
-"""The core protocol's codecs and the stable type-id table (ids 1–8).
+"""The core protocol's codecs and the stable type-id table (ids 1–3, 5–9).
 
 Importing this module registers an encode/decode pair for every
 ``wire_size`` class of the DBVV protocol itself — the session and
@@ -9,9 +9,45 @@ new message class without a registration (or a registration whose
 class lost its ``wire_size``) fails ``python -m repro.lint``.
 
 Type ids are stable protocol constants grouped by module (core protocol
-``1–8`` here; oracle ``16+``, agrawal-malpani ``24+``, per-item-vv
+``1–9`` here; oracle ``16+``, agrawal-malpani ``24+``, per-item-vv
 ``32+``, lotus ``40+``, wuu-bernstein ``48+`` in the baseline file);
-never renumber an existing id.
+never renumber an existing id, and never reuse a retired one:
+
+== ======================= ==============================================
+id class                   body
+== ======================= ==============================================
+1  ``ItemPayload``         name · value · vv(``ivv:<name>``)
+2  ``PropagationRequest``  recipient · vv(``dbvv``)
+3  ``YouAreCurrent``       source
+4  *retired*               the v1 ``PropagationReply`` (names twice,
+                           absolute seqnos); a frame or WAL record that
+                           carries it is an *unknown type id*
+5  ``OutOfBoundRequest``   requester · item
+6  ``OutOfBoundReply``     source · item · value · vv(``oob:<item>``)
+7  ``OpChainEntry``        origin · m · op
+8  ``DeltaPayload``        name · vv(``ivv:<name>``) · count · entries
+9  ``PropagationReply``    see below
+== ======================= ==============================================
+
+**The reply body (v2).**  The paper's tail vector D names exactly the
+items of the shipped set S (Fig. 2), so a name crosses the wire once,
+in S; D refers to it by position, and a tail's seqnos — which climb —
+travel as differences::
+
+    reply   := source count payload* count tail*
+    payload := uvarint(1) ItemPayload-body | uvarint(8) DeltaPayload-body
+    tail    := count record*
+    record  := uvarint(index into S) svarint(seqno - previous seqno of
+               this tail, the first from 0)
+
+The decoder accepts the two payload type ids and nothing else (no
+registered message nests, so no frame can make a codec recurse), checks
+``index < len(S)``, and hands each record its payload's own ``str``.
+The encoder refuses (:class:`WireFormatError`) a reply whose tail names
+an item it does not ship — ``send_propagation`` cannot build one.  The
+in-memory :class:`PropagationReply` and its ``wire_size()`` model are
+what they were; whether seqnos *climb* is the recipient's validator's
+call (:mod:`repro.core.validate`), which is why the difference is signed.
 
 Field-domain notes the encoders rely on:
 
@@ -110,35 +146,25 @@ encode_wire_op = _encode_op
 decode_wire_op = _decode_op
 
 
-# -- core protocol (ids 1-8) --------------------------------------------------
+# -- core protocol (ids 1-3, 5-9) ---------------------------------------------
 
-
-# Per-item stream keys ("ivv:<name>") are rebuilt for every payload on
-# both sides of the link; memoizing them turns an f-string allocation
-# plus a fresh-string hash into one dict hit.  The cache is bounded by
-# the item namespace, the same order of growth as the codec's own
-# per-stream delta caches.
-_IVV_KEYS: dict[str, str] = {}
-
-
-def _ivv_key(name: str) -> str:
-    key = _IVV_KEYS.get(name)
-    if key is None:
-        key = _IVV_KEYS[name] = "ivv:" + name
-    return key
+#: The two ids a reply's item set S may carry; the reply codec writes
+#: and accepts exactly these (see the module docstring).
+_ITEM_PAYLOAD_ID = 1
+_DELTA_PAYLOAD_ID = 8
 
 
 def _encode_item_payload(enc: Encoder, msg: ItemPayload) -> None:
     name = msg.name
     enc.string(name)
     enc.bytes_(msg.value)
-    enc.vv(_ivv_key(name), msg.ivv)
+    enc.vv("ivv:" + name, msg.ivv)
 
 
 def _decode_item_payload(dec: Decoder) -> ItemPayload:
     name = dec.string()
     value = dec.bytes_()
-    return ItemPayload(name, value, dec.vv(_ivv_key(name)))
+    return ItemPayload(name, value, dec.vv("ivv:" + name))
 
 
 def _encode_propagation_request(enc: Encoder, msg: PropagationRequest) -> None:
@@ -160,25 +186,68 @@ def _decode_you_are_current(dec: Decoder) -> YouAreCurrent:
 
 def _encode_propagation_reply(enc: Encoder, msg: PropagationReply) -> None:
     enc.uvarint(msg.source)
+    enc.uvarint(len(msg.items))
+    index_of: dict[str, int] = {}
+    for index, payload in enumerate(msg.items):
+        if type(payload) is ItemPayload:
+            enc.uvarint(_ITEM_PAYLOAD_ID)
+            _encode_item_payload(enc, payload)
+        elif type(payload) is DeltaPayload:
+            enc.uvarint(_DELTA_PAYLOAD_ID)
+            _encode_delta_payload(enc, payload)
+        else:
+            raise WireFormatError(
+                f"a reply ships ItemPayload or DeltaPayload, "
+                f"not {type(payload).__qualname__}"
+            )
+        index_of[payload.name] = index
     enc.uvarint(len(msg.tails))
     for tail in msg.tails:
         enc.uvarint(len(tail))
+        previous = 0
         for item, seqno in tail:
-            enc.string(item)
-            enc.uvarint(seqno)
-    enc.uvarint(len(msg.items))
-    for payload in msg.items:
-        enc.message(payload)  # ItemPayload or DeltaPayload — self-typed
+            index = index_of.get(item)
+            if index is None:
+                raise WireFormatError(
+                    f"reply tail names item {item!r} that the reply "
+                    "does not ship"
+                )
+            enc.uvarint(index)
+            enc.svarint(seqno - previous)
+            previous = seqno
 
 
 def _decode_propagation_reply(dec: Decoder) -> PropagationReply:
     source = dec.uvarint()
-    tails = tuple(
-        tuple((dec.string(), dec.uvarint()) for _ in range(dec.count()))
-        for _ in range(dec.count())
-    )
-    items = tuple(dec.message() for _ in range(dec.count()))
-    return PropagationReply(source, tails, items)
+    items: list[ItemPayload | DeltaPayload] = []
+    for _ in range(dec.count()):
+        type_id = dec.uvarint()
+        if type_id == _ITEM_PAYLOAD_ID:
+            items.append(_decode_item_payload(dec))
+        elif type_id == _DELTA_PAYLOAD_ID:
+            items.append(_decode_delta_payload(dec))
+        else:
+            raise WireFormatError(
+                f"reply item has type id {type_id}; only ItemPayload "
+                f"({_ITEM_PAYLOAD_ID}) and DeltaPayload "
+                f"({_DELTA_PAYLOAD_ID}) are shipped"
+            )
+    names = [payload.name for payload in items]
+    shipped = len(names)
+    tails = []
+    for _ in range(dec.count()):
+        tail = []
+        seqno = 0
+        for _ in range(dec.count()):
+            index = dec.uvarint()
+            if index >= shipped:
+                raise WireFormatError(
+                    f"reply tail record points at item {index} of {shipped}"
+                )
+            seqno += dec.svarint()
+            tail.append((names[index], seqno))
+        tails.append(tuple(tail))
+    return PropagationReply(source, tuple(tails), tuple(items))
 
 
 def _encode_oob_request(enc: Encoder, msg: OutOfBoundRequest) -> None:
@@ -216,7 +285,7 @@ def _decode_op_chain_entry(dec: Decoder) -> OpChainEntry:
 
 def _encode_delta_payload(enc: Encoder, msg: DeltaPayload) -> None:
     enc.string(msg.name)
-    enc.vv(_ivv_key(msg.name), msg.ivv)
+    enc.vv("ivv:" + msg.name, msg.ivv)
     enc.uvarint(len(msg.ops))
     for entry in msg.ops:
         _encode_op_chain_entry(enc, entry)
@@ -224,18 +293,18 @@ def _encode_delta_payload(enc: Encoder, msg: DeltaPayload) -> None:
 
 def _decode_delta_payload(dec: Decoder) -> DeltaPayload:
     name = dec.string()
-    ivv = dec.vv(_ivv_key(name))
+    ivv = dec.vv("ivv:" + name)
     ops = tuple(_decode_op_chain_entry(dec) for _ in range(dec.count()))
     return DeltaPayload(name, ivv, ops)
 
 
-# -- the type-id table --------------------------------------------------------
+# -- the type-id table (4 is retired: the v1 reply; never reuse it) -----------
 
-register(1, ItemPayload, _encode_item_payload, _decode_item_payload)
+register(_ITEM_PAYLOAD_ID, ItemPayload, _encode_item_payload, _decode_item_payload)
 register(2, PropagationRequest, _encode_propagation_request, _decode_propagation_request)
 register(3, YouAreCurrent, _encode_you_are_current, _decode_you_are_current)
-register(4, PropagationReply, _encode_propagation_reply, _decode_propagation_reply)
 register(5, OutOfBoundRequest, _encode_oob_request, _decode_oob_request)
 register(6, OutOfBoundReply, _encode_oob_reply, _decode_oob_reply)
 register(7, OpChainEntry, _encode_op_chain_entry, _decode_op_chain_entry)
-register(8, DeltaPayload, _encode_delta_payload, _decode_delta_payload)
+register(_DELTA_PAYLOAD_ID, DeltaPayload, _encode_delta_payload, _decode_delta_payload)
+register(9, PropagationReply, _encode_propagation_reply, _decode_propagation_reply)

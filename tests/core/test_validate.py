@@ -48,6 +48,7 @@ from repro.durable.records import (
 )
 from repro.errors import ReplicationError, ValidationError
 from repro.substrate.operations import Put
+from repro.substrate.persistence import dump_node
 
 ITEMS = ["a", "b"]
 
@@ -202,24 +203,35 @@ class TestPropagationReply:
 
 
 class TestSessionAnswer:
+    """The transport's half: answer type and claimed source.  The body
+    is :func:`validate_propagation_reply`'s, run by the session."""
+
     def test_you_are_current_source_must_match_peer(self):
-        recipient, _ = make_pair()
         answer = YouAreCurrent(1)
-        assert validate_session_answer(answer, 1, recipient) is answer
+        assert validate_session_answer(answer, 1) is answer
         with pytest.raises(ValidationError):
-            validate_session_answer(answer, 0, recipient)
+            validate_session_answer(answer, 0)
 
     def test_reply_source_must_match_peer(self):
         recipient, source = make_pair()
         reply = honest_reply(recipient, source)
-        assert validate_session_answer(reply, 1, recipient) is reply
+        assert validate_session_answer(reply, 1) is reply
         with pytest.raises(ValidationError):
-            validate_session_answer(reply, 0, recipient)
+            validate_session_answer(reply, 0)
 
     def test_junk_answer_rejected(self):
-        recipient, _ = make_pair()
         with pytest.raises(ValidationError):
-            validate_session_answer(b"not-a-message", 1, recipient)
+            validate_session_answer(b"not-a-message", 1)
+
+    def test_the_body_is_the_sessions_to_check(self):
+        recipient, source = make_pair()
+        reply = honest_reply(recipient, source)
+        forged = dataclasses.replace(reply, tails=reply.tails[:1])
+        assert validate_session_answer(forged, 1) is forged
+        before = dump_node(recipient)
+        with pytest.raises(ValidationError):
+            PullSession(recipient).conclude(forged)
+        assert dump_node(recipient) == before
 
 
 class TestOutOfBoundReply:

@@ -5,10 +5,18 @@ import pytest
 from repro.core.messages import PropagationReply
 from repro.core.node import EpidemicNode
 from repro.core.session import PullSession, respond
-from repro.durable import NodeJournal, WalUpdate, decode_record, encode_record
+from repro.durable import (
+    NodeJournal,
+    WalAccept,
+    WalUpdate,
+    decode_record,
+    encode_record,
+)
+from repro.durable import journal as journal_module
 from repro.errors import WALError
 from repro.substrate.operations import Append, Put
 from repro.substrate.persistence import SnapshotError, dump_node
+from repro.wire import WireCodec
 
 ITEMS = ["a", "b"]
 
@@ -63,6 +71,60 @@ class TestRecordCodec:
         body = encode_record(1, WalUpdate("a", Put(b"v"))) + b"\x00"
         with pytest.raises(WALError, match="trailing"):
             decode_record(body)
+
+    def test_accept_record_embeds_the_v2_reply_body(self):
+        """LSN · kind 2 · type id 9 · the reply exactly as a delta-free
+        link would frame it: the record shrank with the wire format."""
+        node, peer = EpidemicNode(0, 2, ITEMS), EpidemicNode(1, 2, ITEMS)
+        for name, value in (("a", b"xy"), ("b", b"z"), ("a", b"xyz")):
+            peer.update(name, Put(value))
+        reply = respond(peer, PullSession(node).request())
+        body = encode_record(2, WalAccept(reply))
+        frame = WireCodec(delta_vv=False).encode(1, 0, reply)
+        assert body == bytes([2, 2]) + frame[1:]
+        assert body[2] == 9
+        assert len(body) < len(PARENT_ACCEPT_RECORD)
+        assert decode_record(body) == (2, WalAccept(reply))
+
+
+#: LSN 2's body as the parent commit journaled it: the adoption, by
+#: replica 0 of a two-node {a, b} database, of replica 1's answer after
+#: ``a := xy; b := z; a := xyz`` — kind 2, then a type-id-4 (v1) reply.
+PARENT_ACCEPT_RECORD = bytes.fromhex(
+    "0202040102000201620201610302010162017a000200010101610378797a00020002"
+)
+
+
+class TestParentWrittenJournal:
+    """A v1 journal is refused loudly, never half-read.  (Upgrading is a
+    clean shutdown — it folds the WAL into a checkpoint — then a start.)"""
+
+    def test_parent_accept_record_is_an_unknown_type_id(self):
+        with pytest.raises(WALError, match="unknown wire message type id 4"):
+            decode_record(PARENT_ACCEPT_RECORD)
+
+    def test_recovery_stops_at_it_and_replays_nothing_after(
+        self, tmp_path, monkeypatch
+    ):
+        journal = NodeJournal(tmp_path, checkpoint_every=0)
+        journal.record_update("b", Put(b"before"))
+        journal.wal.append(PARENT_ACCEPT_RECORD)
+        journal._next_lsn += 1
+        journal.record_update("b", Put(b"after"))
+        journal.commit()
+        journal.close()
+
+        applied = []
+        monkeypatch.setattr(
+            journal_module,
+            "apply_record",
+            lambda node, record: applied.append(record),
+        )
+        fresh = NodeJournal(tmp_path)
+        with pytest.raises(WALError, match="type id 4"):
+            fresh.recover(EpidemicNode, 0, 2, ITEMS)
+        assert applied == [WalUpdate("b", Put(b"before"))]
+        fresh.close()
 
 
 class TestRecovery:

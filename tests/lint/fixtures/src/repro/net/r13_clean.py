@@ -5,6 +5,7 @@ Sanitizers are value-passing: only the *result* of the ``validate_*``
 call is clean, so the wiring style is ``x = validate_...(x, ...)``.
 """
 
+from repro.core.session import PullSession
 from repro.core.validate import (
     validate_propagation_request,
     validate_session_answer,
@@ -18,5 +19,5 @@ def serve_request(node, codec, frame):
 
 
 def adopt_answer(node, peer_id, answer):
-    answer = validate_session_answer(answer, peer_id, node)
-    node.accept_propagation(answer)
+    answer = validate_session_answer(answer, peer_id)
+    return PullSession(node).conclude(answer)

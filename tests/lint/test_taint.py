@@ -73,14 +73,14 @@ class TestEngine:
         # Value-passing: rebinding through the validator clears taint...
         assert not findings(
             "def f(node, answer):\n"
-            "    answer = validate_session_answer(answer, 1, node)\n"
+            "    answer = validate_propagation_reply(answer, node)\n"
             "    node.accept_propagation(answer)\n",
             kinds=["sink"],
         )
         # ...a bare call does not.
         hits = findings(
             "def f(node, answer):\n"
-            "    validate_session_answer(answer, 1, node)\n"
+            "    validate_propagation_reply(answer, node)\n"
             "    node.accept_propagation(answer)\n",
             kinds=["sink"],
         )

@@ -59,7 +59,7 @@ class TestLocalCluster:
 
 class TestForeignFrames:
     def test_baseline_frame_is_refused_undecoded(self, cluster):
-        """A replica's registry is the core protocol's (type ids 1-8):
+        """A replica's registry is the core protocol's (type ids 1-9):
         a well-formed Oracle push batch (id 17) on a peer connection is
         an *unknown type id* — dropped before any decode — and the node
         keeps serving everyone else."""

@@ -17,6 +17,7 @@ from pathlib import Path
 
 from repro.core.messages import (
     ItemPayload,
+    PropagationReply,
     PropagationRequest,
     YouAreCurrent,
 )
@@ -25,6 +26,13 @@ from repro.wire.codec import MAX_SEQUENCE_ITEMS, WireCodec
 from repro.wire.varint import write_uvarint
 
 CORPUS = Path(__file__).parent
+
+#: What the parent commit's codec wrote for node 1's answer to node 0
+#: after ``b.update("a", Put(b"xy")); b.update("b", Put(b"z"));
+#: b.update("a", Put(b"xyz"))`` on a two-node, two-item database.
+V1_REPLY_FRAME = bytes.fromhex(
+    "20040102000201620201610302010162017a000200010101610378797a00020002"
+)
 
 
 def _uvarint(value: int) -> bytes:
@@ -117,6 +125,34 @@ def main() -> None:
 
     # 12. Zero-length payload: the message type id itself is missing.
     _write("empty_payload", _uvarint(0))
+
+    # 13. A reply frame written by the v1 codec (type id 4: names in
+    #     the tails *and* in the payloads, absolute seqnos) — bytes kept
+    #     from the parent of the format change, which this tree can no
+    #     longer produce.  Id 4 is retired: the frame must be refused
+    #     as an unknown type id, never half-read.
+    _write("reply_v1_parent_written", V1_REPLY_FRAME)
+
+    # 14. The 12 KB frame that made the v1 decoder raise RecursionError:
+    #     3000 replies nested in each other's item position
+    #     (id 4 · source 0 · 0 tails · 1 item), a YouAreCurrent inside.
+    _write("nested_reply_v1", _frame(bytes([4, 0, 0, 1]) * 3000 + bytes([3, 0])))
+
+    # 15. The same attack spelled in v2 (id 9 · source 0 · 1 item): the
+    #     reply decoder takes ItemPayload/DeltaPayload ids only, so the
+    #     first nested 9 is refused and nothing recurses.
+    _write("nested_reply", _frame(bytes([9, 0, 1]) * 3000 + bytes([3, 0])))
+
+    # 16. A well-formed YouAreCurrent in a reply's item position.
+    _write("reply_item_not_a_payload", _frame(bytes([9, 1, 1, 3, 1, 0])))
+
+    # 17. A tail record pointing one past the shipped set: a valid
+    #     one-item reply whose record index 0 is rewritten to 1.
+    reply = WireCodec(delta_vv=False).encode(
+        1, 0, PropagationReply(1, ((("a", 5),),), (ItemPayload("a", b"xy", vv),))
+    )
+    assert reply[-2:] == bytes([0, 10])  # index 0, svarint(+5)
+    _write("reply_tail_index_out_of_range", reply[:-2] + bytes([1, 10]))
 
 
 if __name__ == "__main__":

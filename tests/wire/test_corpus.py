@@ -30,7 +30,7 @@ def _corpus_files() -> list[Path]:
 def test_corpus_is_present():
     # The corpus only protects anything while it exists; a refactor that
     # drops the directory must fail loudly.
-    assert len(_corpus_files()) >= 12
+    assert len(_corpus_files()) >= 17
 
 
 @pytest.mark.parametrize("path", _corpus_files(), ids=lambda p: p.stem)
@@ -66,6 +66,18 @@ def test_over_cap_count_rejected_without_allocation():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_retired_reply_id_is_unknown_not_half_read():
+    """A v1 reply — honest or nested 3000 deep — stops at its type id."""
+    for name in ("reply_v1_parent_written", "nested_reply_v1"):
+        with pytest.raises(WireFormatError, match="unknown wire message type id 4"):
+            WireCodec().decode(1, 0, _load(CORPUS / f"{name}.hex"))
+
+
+def test_nested_reply_is_refused_at_the_first_level():
+    with pytest.raises(WireFormatError, match="reply item has type id 9"):
+        WireCodec().decode(1, 0, _load(CORPUS / "nested_reply.hex"))
 
 
 def test_corpus_frames_match_their_regeneration():

@@ -13,8 +13,11 @@ Three families:
 * **hostile frames** — truncation and byte corruption must surface as
   :class:`WireFormatError` (or a clean decode), never as
   ``struct.error`` / ``IndexError`` / ``UnicodeDecodeError`` from the
-  decoder's guts.
+  decoder's guts; for the v2 reply, exhaustively: every prefix and
+  every single-bit flip of a frame.
 """
+
+import pytest
 
 from hypothesis import given, settings, strategies as st
 
@@ -84,9 +87,27 @@ delta_payloads = st.builds(
     vectors,
     st.lists(op_entries, max_size=4).map(tuple),
 )
-tails = st.lists(
-    st.lists(st.tuples(names, seqnos), max_size=3).map(tuple), max_size=3
-).map(tuple)
+
+
+@st.composite
+def replies(draw):
+    """A reply as the codec can carry it: the tail vector D names only
+    items of the shipped set S — in any order, with any seqnos (whether
+    they climb is the recipient's validator's business, not the
+    format's)."""
+    items = draw(
+        st.lists(st.one_of(item_payloads, delta_payloads), max_size=4).map(tuple)
+    )
+    shipped = [payload.name for payload in items]
+    tail = (
+        st.lists(st.tuples(st.sampled_from(shipped), seqnos), max_size=3)
+        if shipped
+        else st.just([])
+    )
+    tails = draw(st.lists(tail.map(tuple), max_size=3))
+    return PropagationReply(draw(node_ids), tuple(tails), items)
+
+
 lww_fields = (names, values, seqnos, node_ids)
 writer_ids = st.integers(-1, 40)
 
@@ -106,12 +127,7 @@ MESSAGE_STRATEGIES = {
     ItemPayload: item_payloads,
     PropagationRequest: st.builds(PropagationRequest, node_ids, vectors),
     YouAreCurrent: st.builds(YouAreCurrent, node_ids),
-    PropagationReply: st.builds(
-        PropagationReply,
-        node_ids,
-        tails,
-        st.lists(st.one_of(item_payloads, delta_payloads), max_size=4).map(tuple),
-    ),
+    PropagationReply: replies(),
     OutOfBoundRequest: st.builds(OutOfBoundRequest, node_ids, names),
     OutOfBoundReply: st.builds(OutOfBoundReply, node_ids, names, values, vectors),
     OpChainEntry: op_entries,
@@ -259,3 +275,52 @@ def test_corrupt_frames_never_raise_untyped_errors(message, index, flip):
         raise  # would indicate a missing bound check — fail loudly
     # A corrupt frame may also decode to *some* message; what it must
     # never do is leak struct.error / IndexError / UnicodeDecodeError.
+
+
+# -- the v2 reply (type id 9), exhaustively ----------------------------------
+
+
+@settings(max_examples=40)
+@given(replies())
+def test_every_prefix_of_a_reply_frame_is_a_typed_error(reply):
+    frame = WireCodec().encode(0, 1, reply)
+    for cut in range(len(frame)):
+        with pytest.raises(WireFormatError):
+            WireCodec().decode(0, 1, frame[:cut])
+
+
+@settings(max_examples=40)
+@given(replies())
+def test_every_bit_flip_of_a_reply_frame_decodes_or_is_a_typed_error(reply):
+    """Nothing but :class:`WireFormatError` may escape — no
+    ``IndexError`` from a tail index, no ``RecursionError`` from an item
+    type id flipped into a nesting message, no ``OverflowError``."""
+    frame = WireCodec().encode(0, 1, reply)
+    for position in range(len(frame)):
+        for bit in range(8):
+            forged = bytearray(frame)
+            forged[position] ^= 1 << bit
+            try:
+                WireCodec().decode(0, 1, bytes(forged))
+            except WireFormatError:
+                pass
+
+
+@given(replies(), st.integers(0, 2), names, seqnos)
+def test_a_tail_naming_an_unshipped_item_does_not_encode(
+    reply, origin, stranger, seqno
+):
+    shipped = {payload.name for payload in reply.items}
+    if stranger in shipped:
+        stranger = max(shipped, key=len) + "+"
+    tails = list(reply.tails) + [()] * (origin + 1 - len(reply.tails))
+    tails[origin] += ((stranger, seqno),)
+    forged = PropagationReply(reply.source, tuple(tails), reply.items)
+    with pytest.raises(WireFormatError, match="does not ship"):
+        WireCodec().encode(0, 1, forged)
+
+
+def test_a_reply_ships_payloads_only():
+    for stowaway in (YouAreCurrent(1), PropagationReply(1, (), ())):
+        with pytest.raises(WireFormatError, match="ItemPayload or DeltaPayload"):
+            WireCodec().encode(0, 1, PropagationReply(1, (), (stowaway,)))
