@@ -4,19 +4,20 @@
 in smoke mode, flattens each report into named metrics, and diffs them
 against ``benchmarks/baselines/{scale_smoke,wire_smoke}.json``.  Any
 violation prints, lands in the machine-readable gate report (uploaded
-as a CI artifact), and fails the process — so a perf regression fails
-the PR the same way a lint or type error does.
+as a CI artifact, with the scale harness's own report beside it), and
+fails the process — so a perf regression fails the PR the same way a
+lint or type error does.
 
 Metrics come in three kinds, inferred from the metric name:
 
 * ``exact``  — deterministic counters and modelled byte totals
-  (``messages_sent``, ``converge_round``, ``*_bytes_per_session``,
-  fast-path skip counts...).  Seeded runs make these machine-independent,
-  so *any* drift is a behaviour change: either a regression, or an
-  intentional protocol change that must refresh the baselines
-  deliberately (``--update``) and justify the diff in review.
-* ``min``    — throughputs and speedups (``*_mb_s``, ``*_per_sec``,
-  ``*speedup``): fail when current < baseline * (1 - tolerance).
+  (``messages_sent``, ``converge_round``, ``*_bytes_per_session``...).
+  Seeded runs make these machine-independent, so *any* drift is a
+  behaviour change: either a regression, or an intentional protocol
+  change that must refresh the baselines deliberately (``--update``)
+  and justify the diff in review.
+* ``min``    — throughputs (``*_mb_s``, ``*_per_sec``): fail when
+  current < baseline * (1 - tolerance).
 * ``max``    — wall-clock costs (``*per_round_ms``): fail when
   current > baseline * (1 + tolerance).
 
@@ -65,6 +66,8 @@ __all__ = [
 
 BASELINE_DIR = Path(__file__).resolve().parent / "baselines"
 GATE_REPORT_NAME = "bench-gate-report.json"
+#: The scale harness's own (smoke) report, written beside the gate report.
+SCALE_REPORT_NAME = "bench-gate-scale.json"
 
 # Suffix → kind.  First match wins; a metric name matching no suffix is
 # a programming error (hard KeyError), so extraction and gating cannot
@@ -72,14 +75,12 @@ GATE_REPORT_NAME = "bench-gate-report.json"
 _EXACT_SUFFIXES = (
     "messages_sent",
     "converge_round",
-    "staleness_reexaminations",
-    "skips_in_timed_window",
     "bytes_per_session",
     "bytes_sent",
     "wire_bytes_per_item",
     "wire_bytes_per_idle_sync",
 )
-_MIN_SUFFIXES = ("_mb_s", "_per_sec", "speedup")
+_MIN_SUFFIXES = ("_mb_s", "_per_sec")
 _MAX_SUFFIXES = ("per_round_ms",)
 
 
@@ -105,24 +106,11 @@ def collect_scale_metrics(report: dict[str, Any]) -> dict[str, Any]:
         inc = cfg["incremental"]
         metrics[f"{key}.incremental.messages_sent"] = inc["messages_sent"]
         metrics[f"{key}.incremental.converge_round"] = inc["converge_round"]
-        metrics[f"{key}.legacy.staleness_reexaminations"] = cfg["legacy"][
-            "staleness_reexaminations"
-        ]
         metrics[f"{key}.incremental.per_round_ms"] = inc["per_round_ms"]
-        metrics[f"{key}.round_throughput_speedup"] = cfg[
-            "round_throughput_speedup"
-        ]
     for mode, arm in report["quiescent"]["arms"].items():
-        on = arm["fastpath_on"]
-        metrics[f"quiescent.{mode}.skips_in_timed_window"] = on[
-            "fastpath_skips_in_timed_window"
-        ]
-        metrics[f"quiescent.{mode}.on.per_round_ms"] = on["phases"][
+        metrics[f"quiescent.{mode}.per_round_ms"] = arm["phases"][
             "quiescent"
         ]["per_round_ms"]
-        metrics[f"quiescent.{mode}.skip_speedup"] = arm[
-            "quiescent_skip_speedup"
-        ]
     return metrics
 
 
@@ -252,9 +240,14 @@ def write_baseline(harness: str, metrics: dict[str, Any]) -> Path:
     return path
 
 
-def _collect(harness: str, net_smoke: Path | None = None) -> dict[str, Any]:
+def _collect(
+    harness: str,
+    net_smoke: Path | None = None,
+    scale_report: Path | None = None,
+) -> dict[str, Any]:
     """Run one harness in smoke mode and flatten its report (``net``:
-    read the report ``benchmarks.net`` already printed).
+    read the report ``benchmarks.net`` already printed; ``scale``: also
+    keep the unflattened report at ``scale_report``).
 
     Imports happen here (not at module top) so the smoke env vars are
     set before the harness modules read them, and so ``--only`` runs
@@ -269,7 +262,10 @@ def _collect(harness: str, net_smoke: Path | None = None) -> dict[str, Any]:
         os.environ["REPRO_SCALE_SMOKE"] = "1"
         import scale_harness
 
-        return collect_scale_metrics(scale_harness.run_grid())
+        report = scale_harness.run_grid()
+        if scale_report is not None:
+            scale_harness.write_report(report, scale_report)
+        return collect_scale_metrics(report)
     os.environ["REPRO_WIRE_SMOKE"] = "1"
     import wire_harness
 
@@ -286,9 +282,12 @@ def run_gate(
 ) -> int:
     tolerance = default_tolerance() if tolerance is None else tolerance
     gate_report: dict[str, Any] = {"tolerance": tolerance, "harnesses": {}}
+    report_path = report_path or Path.cwd() / GATE_REPORT_NAME
     failed = False
     for harness in harnesses:
-        metrics = _collect(harness, net_smoke)
+        metrics = _collect(
+            harness, net_smoke, report_path.with_name(SCALE_REPORT_NAME)
+        )
         if update:
             path = write_baseline(harness, metrics)
             print(f"[bench-gate] wrote baseline {path}")
@@ -313,9 +312,8 @@ def run_gate(
                 f"±{tolerance:.0%} of baseline"
             )
     if not update:
-        path = report_path or Path.cwd() / GATE_REPORT_NAME
-        path.write_text(json.dumps(gate_report, indent=2) + "\n")
-        print(f"[bench-gate] report: {path}")
+        report_path.write_text(json.dumps(gate_report, indent=2) + "\n")
+        print(f"[bench-gate] report: {report_path}")
     return 1 if failed else 0
 
 

@@ -1,15 +1,11 @@
-"""Round-loop scale harness: quantify the de-Python-ized round loop.
+"""Round-loop scale harness: what a simulated round costs as n and N grow.
 
-Before incremental tracking, every simulated round paid O(n·N) twice —
-``converged()`` materialized a full ``state_fingerprint()`` dict per
-node, and the per-round staleness sample re-probed every (node, item)
-pair against the ground truth.  With ``state_version()`` digests and
-the dirty-frontier ``GroundTruth``, both instruments cost O(n) plus the
-size of what actually changed.  This harness measures that difference
-directly: the same burst-then-quiesce workload through the same
-``ClusterSimulation`` round loop, once with ``incremental_tracking``
-on and once with the legacy from-scratch instruments, across a grid of
-cluster sizes n and database sizes N.
+The round loop's two instruments are incremental: ``converged()``
+compares ``state_version()`` digests and the per-round staleness sample
+reads the ``GroundTruth`` dirty frontier, so both cost O(n) plus the
+size of what actually changed instead of O(n·N).  This harness times a
+burst-then-quiesce workload through the ``ClusterSimulation`` round
+loop across a grid of cluster sizes n and database sizes N.
 
 The measured loop is the shape of every staleness experiment in the
 repo (E5/E7/E9): per round, ``run_round()`` (which samples
@@ -18,21 +14,22 @@ repo (E5/E7/E9): per round, ``run_round()`` (which samples
 one writer each) followed by quiescence; the cluster converges within
 the first ~10 rounds and the remaining rounds measure the steady-state
 cost that dominates long experiment runs.  Sanitizer mode is forced
-off in both arms so cross-checking never pollutes the timings.
+off so cross-checking never pollutes the timings.
 
 Each grid cell reports a *per-phase* breakdown alongside the full-run
 average: the ``converge`` phase (rounds up to and including the first
 round the cluster converged — real anti-entropy data movement) and the
-``steady_state`` phase (everything after — the quiescent rounds the
-quiescent-pair fast path turns into stamp replays).  The two phases
-have very different cost profiles; a regression in either is invisible
-in the blended average once the other dominates.
+``steady_state`` phase (everything after — rounds of identical-copy
+sessions only).  The two phases have very different cost profiles; a
+regression in either is invisible in the blended average once the
+other dominates.
 
 ``run_quiescent_suite`` is the dedicated quiescent-heavy configuration
-(n=128 on a deterministic ring, so every ordered pair's stamp warms
-within a few rounds): a converged, idle cluster measured with the
-fast path on and off, in both byte-accounting modes, pinning the
-skip speedup that CI's bench gate guards.
+(n=128 on a deterministic ring): a converged, idle cluster, one arm per
+byte-accounting mode.  Every session in its timed window is the paper's
+O(1) identical-replica exchange — one DBVV comparison, one
+``YouAreCurrent`` — so ``quiescent.{modelled,wire}.per_round_ms`` is
+what 128 of those cost, and CI's bench gate guards it.
 
 ``python benchmarks/scale_harness.py`` (or the driver test in
 ``test_scale.py``) writes ``BENCH_scale.json`` at the repo root.  Set
@@ -85,16 +82,16 @@ DEFAULT_GRID: tuple[tuple[int, int], ...] = (
 )
 DEFAULT_ROUNDS = 200
 
-# CI smoke: small enough to finish in seconds, still exercises both arms.
+# CI smoke: small enough to finish in seconds.
 SMOKE_GRID: tuple[tuple[int, int], ...] = ((8, 100), (32, 100), (32, 1000))
 SMOKE_ROUNDS = 60
 
 BURST_UPDATES = 64
 REPORT_NAME = "BENCH_scale.json"
 
-# The quiescent-heavy configuration: the issue's n=128 cluster, idle
-# after convergence, on a deterministic ring so every ordered pair
-# repeats within n rounds and the per-pair stamps warm immediately.
+# The quiescent-heavy configuration: an n=128 cluster, idle after
+# convergence, on a deterministic ring so every round runs the same n
+# sessions over the same links.
 QUIESCENT_NODES = 128
 QUIESCENT_ITEMS = 1000
 QUIESCENT_ROUNDS = 60
@@ -123,19 +120,17 @@ def run_config(
     n_items: int,
     *,
     rounds: int,
-    incremental: bool,
     protocol: str = "dbvv",
     seed: int = 7,
 ) -> dict[str, Any]:
-    """Time the instrumented round loop for one (n, N, mode) cell.
+    """Time the instrumented round loop for one (n, N) cell.
 
     Returns per-round wall time for the full loop, for the explicit
     instruments (``converged()`` + ``observe()``), and per phase —
     ``converge`` (rounds up to and including the first converged one)
-    vs ``steady_state`` (the quiescent remainder).  Note ``run_round()``
-    itself also samples ``stale_pairs`` once per round, so the
-    instrument figure *understates* the legacy mode's total overhead —
-    the comparison is conservative.
+    vs ``steady_state`` (the quiescent remainder).  ``run_round()``
+    itself also samples ``stale_pairs`` once per round; that cost is in
+    the round figure, not the instrument one.
     """
     items = make_items(n_items)
     sim = ClusterSimulation(
@@ -144,7 +139,6 @@ def run_config(
         items,
         seed=seed,
         sanitize=False,  # never let REPRO_SANITIZE poison timings
-        incremental_tracking=incremental,
     )
     burst = min(BURST_UPDATES, n_items)
     for k in range(burst):
@@ -174,7 +168,6 @@ def run_config(
 
     counters = sim.total_counters
     return {
-        "mode": "incremental" if incremental else "legacy",
         "per_round_ms": round(total_s / rounds * 1e3, 4),
         "rounds_per_sec": round(rounds / total_s, 2),
         "instrument_per_round_ms": round(instrument_s / rounds * 1e3, 4),
@@ -194,7 +187,6 @@ def run_config(
         },
         "converge_round": converge_round,
         "staleness_reexaminations": counters.staleness_reexaminations,
-        "fastpath_skips": counters.fastpath_skips,
         "messages_sent": counters.messages_sent,
     }
 
@@ -206,30 +198,19 @@ def run_grid(
     protocol: str = "dbvv",
     seed: int = 7,
 ) -> dict[str, Any]:
-    """Both arms across the grid, with per-cell speedups."""
+    """Every grid cell, plus the quiescent suite."""
     grid = active_grid() if grid is None else grid
     rounds = active_rounds() if rounds is None else rounds
-    configs = []
-    for n_nodes, n_items in grid:
-        inc = run_config(
-            n_nodes, n_items, rounds=rounds, incremental=True,
-            protocol=protocol, seed=seed,
-        )
-        leg = run_config(
-            n_nodes, n_items, rounds=rounds, incremental=False,
-            protocol=protocol, seed=seed,
-        )
-        configs.append(
-            {
-                "n_nodes": n_nodes,
-                "n_items": n_items,
-                "incremental": inc,
-                "legacy": leg,
-                "round_throughput_speedup": round(
-                    inc["rounds_per_sec"] / leg["rounds_per_sec"], 2
-                ),
-            }
-        )
+    configs = [
+        {
+            "n_nodes": n_nodes,
+            "n_items": n_items,
+            "incremental": run_config(
+                n_nodes, n_items, rounds=rounds, protocol=protocol, seed=seed
+            ),
+        }
+        for n_nodes, n_items in grid
+    ]
     return {
         "benchmark": "scale-round-loop",
         "protocol": protocol,
@@ -252,7 +233,6 @@ def _build_quiescent_sim(
     protocol: str,
     seed: int,
     wire: bool,
-    fastpath: bool,
 ) -> ClusterSimulation:
     items = make_items(n_items)
     sim = ClusterSimulation(
@@ -263,8 +243,6 @@ def _build_quiescent_sim(
         seed=seed,
         sanitize=False,
         wire=wire,
-        incremental_tracking=True,
-        quiescent_fastpath=fastpath,
     )
     burst = min(BURST_UPDATES, n_items)
     for k in range(burst):
@@ -279,24 +257,24 @@ def run_quiescent_config(
     protocol: str = "dbvv",
     seed: int = 7,
     wire: bool = False,
-    fastpath: bool = True,
     timed_rounds: int | None = None,
 ) -> dict[str, Any]:
     """One arm of the quiescent-heavy configuration.
 
     Burst, converge (timed as its own phase), a short warm-up window
-    (the fast path needs one observed exchange per pair — one round
-    trip of the ring — before stamps replay), then ``timed_rounds`` of
-    pure quiescence.  The quiescent figure is the steady state of every
-    long staleness experiment; the warm-up is excluded from it the same
-    way a cache benchmark excludes its first pass.
+    (in wire mode a link's first identical exchange still ships a full
+    version vector; every later one the same zero-change delta), then
+    ``timed_rounds`` of pure quiescence.  The quiescent figure is the
+    steady state of every long staleness experiment; the warm-up is
+    excluded from it the same way a cache benchmark excludes its first
+    pass.
     """
     timed_rounds = (
         active_quiescent_rounds() if timed_rounds is None else timed_rounds
     )
     sim = _build_quiescent_sim(
         n_nodes=n_nodes, n_items=n_items, protocol=protocol,
-        seed=seed, wire=wire, fastpath=fastpath,
+        seed=seed, wire=wire,
     )
 
     def tick() -> None:
@@ -316,15 +294,12 @@ def run_quiescent_config(
     for _ in range(QUIESCENT_WARM_ROUNDS):
         tick()
 
-    skips_before = sim.total_counters.fastpath_skips
     t0 = time.perf_counter()
     for _ in range(timed_rounds):
         tick()
     quiescent_s = time.perf_counter() - t0
-    counters = sim.total_counters
     return {
         "wire": wire,
-        "fastpath": fastpath,
         "phases": {
             "converge": {
                 "rounds": converge_rounds,
@@ -338,55 +313,35 @@ def run_quiescent_config(
             },
         },
         "quiescent_rounds_per_sec": round(timed_rounds / quiescent_s, 2),
-        "fastpath_skips_in_timed_window": (
-            counters.fastpath_skips - skips_before
-        ),
-        "fastpath_skips_total": counters.fastpath_skips,
     }
 
 
 def run_quiescent_suite(*, protocol: str = "dbvv", seed: int = 7) -> dict[str, Any]:
-    """The quiescent-heavy configuration, fast path on vs off, in both
-    byte-accounting modes; the ``quiescent_skip_speedup`` figures are
-    what the issue's ≥10x quiescent-phase target refers to."""
-    arms: dict[str, dict[str, Any]] = {}
-    for wire in (False, True):
-        mode = "wire" if wire else "modelled"
-        on = run_quiescent_config(
-            protocol=protocol, seed=seed, wire=wire, fastpath=True
-        )
-        off = run_quiescent_config(
-            protocol=protocol, seed=seed, wire=wire, fastpath=False
-        )
-        arms[mode] = {
-            "fastpath_on": on,
-            "fastpath_off": off,
-            "quiescent_skip_speedup": round(
-                off["phases"]["quiescent"]["per_round_ms"]
-                / on["phases"]["quiescent"]["per_round_ms"],
-                2,
-            ),
-        }
+    """The quiescent-heavy configuration, one arm per byte-accounting
+    mode: what an idle n=128 round of real O(1) sessions costs."""
     return {
         "n_nodes": QUIESCENT_NODES,
         "n_items": QUIESCENT_ITEMS,
         "selector": "ring",
         "warm_rounds": QUIESCENT_WARM_ROUNDS,
         "timed_rounds": active_quiescent_rounds(),
-        "arms": arms,
+        "arms": {
+            mode: run_quiescent_config(protocol=protocol, seed=seed, wire=wire)
+            for mode, wire in (("modelled", False), ("wire", True))
+        },
     }
 
 
 def profile_quiescent(top: int = 25) -> None:
-    """``--profile``: cProfile the fast-path quiescent round loop and
-    print the top functions by internal time."""
+    """``--profile``: cProfile the quiescent round loop (modelled
+    bytes) and print the top functions by internal time."""
     import cProfile
     import io
     import pstats
 
     sim = _build_quiescent_sim(
         n_nodes=QUIESCENT_NODES, n_items=QUIESCENT_ITEMS,
-        protocol="dbvv", seed=7, wire=False, fastpath=True,
+        protocol="dbvv", seed=7, wire=False,
     )
     while not sim.converged():
         sim.run_round()
@@ -420,19 +375,14 @@ def main() -> None:
         inc = cfg["incremental"]
         print(
             f"n={cfg['n_nodes']:4d} N={cfg['n_items']:5d}  "
-            f"incremental={inc['per_round_ms']:8.3f} ms/round  "
+            f"{inc['per_round_ms']:8.3f} ms/round  "
             f"(converge {inc['phases']['converge']['per_round_ms']:.3f} / "
-            f"steady {inc['phases']['steady_state']['per_round_ms']:.3f})  "
-            f"legacy={cfg['legacy']['per_round_ms']:8.3f} ms/round  "
-            f"speedup={cfg['round_throughput_speedup']:5.1f}x"
+            f"steady {inc['phases']['steady_state']['per_round_ms']:.3f})"
         )
     for mode, arm in report["quiescent"]["arms"].items():
-        on = arm["fastpath_on"]["phases"]["quiescent"]["per_round_ms"]
-        off = arm["fastpath_off"]["phases"]["quiescent"]["per_round_ms"]
         print(
-            f"quiescent n=128 [{mode}]  on={on:.3f} ms/round  "
-            f"off={off:.3f} ms/round  skip speedup="
-            f"{arm['quiescent_skip_speedup']:.1f}x"
+            f"quiescent n={QUIESCENT_NODES} [{mode}]  "
+            f"{arm['phases']['quiescent']['per_round_ms']:.3f} ms/round"
         )
     print(f"wrote {path}")
 

@@ -48,7 +48,7 @@ class TestCompare:
         # past the band and the gate must trip.
         baseline = _load("scale")
         slowed = dict(baseline)
-        name = "quiescent.modelled.on.per_round_ms"
+        name = "quiescent.modelled.per_round_ms"
         slowed[name] = baseline[name] * 2.0
         violations = compare(slowed, baseline, TOLERANCE)
         assert [v["metric"] for v in violations] == [name]
@@ -106,25 +106,17 @@ class TestBaselinesMatchHarnessShape:
                 {
                     "n_nodes": n,
                     "n_items": items,
-                    "round_throughput_speedup": 1.0,
                     "incremental": {
                         "messages_sent": 0,
                         "converge_round": 1,
                         "per_round_ms": 1.0,
                     },
-                    "legacy": {"staleness_reexaminations": 0},
                 }
                 for n, items in scale_harness.SMOKE_GRID
             ],
             "quiescent": {
                 "arms": {
-                    mode: {
-                        "quiescent_skip_speedup": 1.0,
-                        "fastpath_on": {
-                            "fastpath_skips_in_timed_window": 0,
-                            "phases": {"quiescent": {"per_round_ms": 1.0}},
-                        },
-                    }
+                    mode: {"phases": {"quiescent": {"per_round_ms": 1.0}}}
                     for mode in ("modelled", "wire")
                 }
             },

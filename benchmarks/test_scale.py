@@ -62,11 +62,10 @@ def test_bench_dbvv_propagation_at_scale(benchmark, n_items, big_items):
 class TestRoundLoopScale:
     """Driver for the round-loop scale harness (scale_harness.py).
 
-    Runs both tracking modes across the n × N grid and emits
+    Runs the n × N grid and the quiescent suite and emits
     ``BENCH_scale.json`` at the repo root — the checked-in evidence for
     the de-quadratized round loop.  ``REPRO_SCALE_SMOKE=1`` selects the
-    CI-sized grid; the speedup floor is only asserted on the full grid
-    (smoke cells are too small for the overhead to dominate).
+    CI-sized grid.
     """
 
     def test_round_loop_grid_emits_report(self):
@@ -75,27 +74,22 @@ class TestRoundLoopScale:
         report = scale_harness.run_grid()
         path = scale_harness.write_report(report)
         assert path.exists()
+        rounds = report["rounds_per_config"]
         for cfg in report["configs"]:
-            inc, leg = cfg["incremental"], cfg["legacy"]
-            assert inc["rounds_per_sec"] > 0 and leg["rounds_per_sec"] > 0
-            # Both arms ran the identical deterministic simulation:
-            # same convergence round, same session traffic.
-            assert inc["converge_round"] == leg["converge_round"]
-            assert inc["messages_sent"] == leg["messages_sent"]
-            # Incremental re-examines a frontier; legacy never does.
-            assert leg["staleness_reexaminations"] == 0
+            inc = cfg["incremental"]
+            assert inc["rounds_per_sec"] > 0
+            # A seeded run is deterministic: the same cell run again
+            # converges in the same round with the same session traffic.
+            again = scale_harness.run_config(
+                cfg["n_nodes"], cfg["n_items"], rounds=rounds
+            )
+            assert inc["converge_round"] == again["converge_round"]
+            assert inc["messages_sent"] == again["messages_sent"]
+            # Staleness sampling re-examines a frontier, never the
+            # whole n·N space every round.
             assert 0 < inc["staleness_reexaminations"] < (
-                report["rounds_per_config"] * cfg["n_nodes"] * cfg["n_items"]
+                rounds * cfg["n_nodes"] * cfg["n_items"]
             )
-        if not report["smoke"]:
-            headline = next(
-                c for c in report["configs"]
-                if (c["n_nodes"], c["n_items"]) == (128, 1000)
-            )
-            # Measured ~8x on the reference machine; 3x leaves margin
-            # for slow CI runners while still catching a regression to
-            # the quadratic loop.
-            assert headline["round_throughput_speedup"] >= 3.0
 
 
 def test_scale_correctness_100k(benchmark, big_items):

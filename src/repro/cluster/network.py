@@ -139,16 +139,6 @@ class SimulatedNetwork:
             raise ValueError("loss_rate > 0 requires an explicit rng")
         self._base_loss_rate = self.loss_rate
         self._up = [True] * self.n_nodes
-        #: Monotonic counter bumped by every control event that could
-        #: invalidate a recorded exchange — crash and recovery, in-flight
-        #: drops (which also wipe delta-VV codec caches), membership
-        #: growth, and partition changes.  The simulator's quiescent-pair
-        #: fast path stamps this epoch into its per-pair records: an
-        #: unchanged epoch proves both that the pair's reachability is as
-        #: recorded and that the codec caches the recorded frame sizes
-        #: depend on are intact, so the fast path needs no per-session
-        #: reachability probe.
-        self.fabric_epoch = 0
         # Partition groups: equal group ids can reach each other.  All
         # nodes start in one group (no partitions).
         self._group_of = [0] * self.n_nodes
@@ -187,7 +177,6 @@ class SimulatedNetwork:
         process."""
         self._check_node(node)
         self._up[node] = False
-        self.fabric_epoch += 1
         if self._codec is not None:
             self._codec.invalidate_node(node)
 
@@ -197,7 +186,6 @@ class SimulatedNetwork:
         must resend in full after it returns."""
         self._check_node(node)
         self._up[node] = True
-        self.fabric_epoch += 1
         if self._codec is not None:
             self._codec.invalidate_node(node)
 
@@ -212,7 +200,6 @@ class SimulatedNetwork:
         """
         new_id = self.n_nodes
         self.n_nodes += 1
-        self.fabric_epoch += 1
         self._up.append(True)
         groups = set(self._group_of)
         if len(groups) <= 1:
@@ -241,12 +228,10 @@ class SimulatedNetwork:
                 assignment[node] = next_gid
                 next_gid += 1
         self._group_of = [assignment[node] for node in range(self.n_nodes)]
-        self.fabric_epoch += 1
 
     def heal(self) -> None:
         """Remove all partitions (crashed nodes stay crashed)."""
         self._group_of = [0] * self.n_nodes
-        self.fabric_epoch += 1
 
     def can_reach(self, src: int, dst: int) -> bool:
         """True when a message from ``src`` could currently reach ``dst``."""
@@ -476,7 +461,6 @@ class SimulatedNetwork:
         return message
 
     def _drop(self, link: LinkStats, size: int, src: int, dst: int) -> None:
-        self.fabric_epoch += 1
         self.messages_dropped += 1
         self.bytes_dropped += size
         link.dropped += 1

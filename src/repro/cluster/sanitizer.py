@@ -18,7 +18,7 @@ checking on.  Every sweep is counted in
 benchmarks can report the sanitizer's overhead explicitly.
 
 Since the incremental convergence/staleness tracking landed, sanitizer
-mode also cross-checks every fast-path answer against the from-scratch
+mode also cross-checks every incremental answer against the from-scratch
 recomputation it replaced: :func:`~repro.cluster.convergence.fingerprints_equal`
 re-derives convergence from full snapshots whenever state versions
 decided it, and the simulation re-derives each round's ``stale_pairs``

@@ -32,9 +32,9 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.cluster.convergence import GroundTruth, fingerprints_equal
-from repro.cluster.coverage import SessionRecord, TransitiveCoverageTracker
+from repro.cluster.coverage import TransitiveCoverageTracker
 from repro.cluster.failures import FailurePlan, Recover
-from repro.cluster.network import LinkStats, SimulatedNetwork
+from repro.cluster.network import SimulatedNetwork
 from repro.cluster.sanitizer import sanitize_enabled, sanitize_endpoints
 from repro.cluster.scheduler import PeerSelector, RandomSelector
 from repro.durable import NodeJournal, durable_enabled
@@ -44,7 +44,7 @@ from repro.errors import (
     MessageLostError,
     NodeDownError,
 )
-from repro.interfaces import ProtocolNode, StateVersion, SyncStats
+from repro.interfaces import ProtocolNode, SyncStats
 from repro.obs import OverheadCounters
 from repro.substrate.operations import UpdateOperation
 
@@ -109,85 +109,6 @@ class _PendingRetry:
     due_round: int
 
 
-@dataclass(frozen=True)
-class _QuiescentStamp:
-    """Proof carried by one ordered pair that its last real session was
-    an identical two-message exchange, with everything needed to replay
-    that exchange's accounting without dispatching it.
-
-    Valid while both endpoints' :class:`~repro.interfaces.StateVersion`
-    still equal the recorded ones (DBVVs are monotone, so an equal
-    certificate can only mean *nothing happened*, never a round trip
-    through divergence and back) and the network's ``fabric_epoch`` is
-    unchanged (no crash/recovery/drop wiped the delta-VV codec caches
-    the recorded frame sizes depend on).
-
-    Frame sizes are only reproducible once the wire codec's per-link
-    delta caches reach steady state: the first identical exchange may
-    ship a full version vector, every later one the same zero-change
-    delta.  A freshly recorded stamp is therefore an unconfirmed
-    *candidate*; only after a second identical exchange repeats the
-    same byte counts (``confirmed``) may the pair be skipped.
-
-    The hot-path validity check compares the endpoints' *generation
-    clocks* (``ClusterSimulation._node_gen``) instead of recomputing
-    state versions: the driver bumps a node's clock on every event that
-    can change its durable state (user updates, any session that is not
-    a clean identical exchange), the same incremental-tracking contract
-    the ground-truth dirty frontier already relies on.  The recorded
-    ``StateVersion`` pair is kept for the sanitizer cross-check and for
-    record-time gating (a conflicted or gapped replica has no
-    certificate and is never stamped).
-    """
-
-    version_initiator: StateVersion
-    version_responder: StateVersion
-    gen_initiator: int
-    gen_responder: int
-    request_bytes: int
-    reply_bytes: int
-    modelled_bytes: int
-    epoch: int
-    #: Live accounting targets, resolved once at record time so a replay
-    #: is pure attribute arithmetic: the two directed LinkStats, the
-    #: responder's counter bundle, its replica-set width (the
-    #: ``vv_components_touched`` charge of the one DBVV comparison), and
-    #: a prebuilt immutable-by-convention SyncStats handed to observers.
-    forward_link: LinkStats = field(default_factory=LinkStats)
-    backward_link: LinkStats = field(default_factory=LinkStats)
-    responder_counters: OverheadCounters = field(default_factory=OverheadCounters)
-    n_components: int = 0
-    session: SyncStats = field(default_factory=SyncStats)
-    confirmed: bool = False
-
-
-@dataclass(frozen=True)
-class _UniformStamp:
-    """Proof that *every* pair's session would be the same identical
-    exchange: all replicas hold the same certified ``StateVersion``, so
-    per-pair warm-up is unnecessary — one observed exchange stamps the
-    whole cluster at once.
-
-    Sound only in modelled mode (``wire_size()`` is a pure function of
-    the message) for protocols declaring
-    ``symmetric_identical_exchange`` (request size depends only on the
-    — cluster-wide equal — DBVV value; reply is constant-size), and
-    only recorded while every node is up in a single partition group,
-    so a skip never predicts success for a session the fabric would
-    fail.  Validity is O(1): the cluster-wide generation total
-    (``ClusterSimulation._gen_total``) and the network's
-    ``fabric_epoch`` both unchanged means no node's durable state and
-    no fabric condition has changed since the sweep that recorded it.
-    """
-
-    version: StateVersion
-    gen_total: int
-    epoch: int
-    request_bytes: int
-    reply_bytes: int
-    session: SyncStats
-
-
 @dataclass
 class RoundStats:
     """What happened during one simulation round."""
@@ -230,19 +151,25 @@ class ClusterSimulation:
         After every faulted session, run ``check_invariants()`` on both
         endpoints that expose it (the DBVV adapters do) — an interrupted
         session must never leave either side in an inconsistent state.
+        Needed by ``tests/cluster/test_simulation.py::
+        test_invariants_checked_after_faults`` and every fault-plan
+        experiment (E5); nothing turns it off.
     sanitize:
         The run-time invariant sanitizer: run the full invariant suite
         on both endpoints after *every* session, not just faulted ones
         (see :mod:`repro.cluster.sanitizer`), and cross-check every
         incremental convergence/staleness answer against the
         from-scratch recomputation.  ``None`` (the default) defers to
-        the ``REPRO_SANITIZE`` environment variable.
+        the ``REPRO_SANITIZE`` environment variable.  Needed by CI job
+        ``test-sanitized`` and ``tests/cluster/test_sanitizer.py``.
     wire:
         Run the network in encoded mode: every delivery round-trips
         through the binary codec in :mod:`repro.wire` and byte counters
         become byte-exact frame lengths (with the sanitizer on, each
         delivery also verifies ``decode(encode(m)) == m``).  ``None``
-        defers to the ``REPRO_WIRE`` environment variable.
+        defers to the ``REPRO_WIRE`` environment variable.  Needed by
+        experiment E8 (byte-exact traffic), CI job ``test-wire`` and
+        ``tests/cluster/test_wire_cache_property.py``.
     durable:
         Run the cluster on the durable substrate (:mod:`repro.durable`):
         every node exposing ``attach_journal`` (the DBVV protocol
@@ -255,36 +182,21 @@ class ClusterSimulation:
         environment variable.  Journals run with ``fsync`` off: a
         simulated crash never drops the page cache, and the fsync-
         boundary semantics are exercised directly by the durable test
-        suite's truncation properties.
+        suite's truncation properties.  Needed by CI job
+        ``test-durable`` and ``tests/cluster/test_durable_simulation.py``.
     data_dir:
         Where durable mode keeps its per-node directories
         (``<data_dir>/node<k>/``).  ``None`` uses a private temporary
-        directory that lives as long as the simulation object.
-    incremental_tracking:
-        Maintain convergence and staleness incrementally (state-version
-        comparison + ground-truth dirty frontier) so per-round query
-        cost is proportional to what changed, not ``n·N``.  ``False``
-        restores the from-scratch recomputation every round — the
-        legacy behavior, kept as the scale benchmark's baseline.
-    quiescent_fastpath:
-        Exploit the paper's O(1) identical-DBVV detection in the round
-        loop itself: a pair whose last real session answered
-        ``YouAreCurrent`` is *replayed* (traffic charged, no messages
-        moved) for as long as both endpoints' state-version
-        certificates are provably unchanged and the network fabric is
-        transparent (no loss, no armed faults, no cache-wiping events
-        since the stamp).  Round statistics, counters, link stats, and
-        node state are identical to the unskipped loop — only
-        ``fastpath_skips`` records that the dispatch was elided.  With
-        the sanitizer on, every would-be skip runs the real session and
-        cross-checks the prediction instead.  ``False`` disables both
-        the stamps and the checks — the equivalence baseline.
+        directory that lives as long as the simulation object.  Needed
+        by ``tests/cluster/test_durable_simulation.py`` (it inspects the
+        journals a run leaves behind).
     session_observer:
         Optional ``observer(initiator, peer, stats)`` invoked after
-        every attempted session (including faulted ones).  The parity
-        harness (:mod:`repro.net.harness`) uses it to record the exact
-        session schedule a simulation executed, so the same schedule
-        can be replayed against a networked cluster.
+        every attempted session (including faulted ones).  Needed by
+        the parity harness (:mod:`repro.net.harness`, CI job
+        ``net-parity``), which records the exact session schedule a
+        simulation executed so the same schedule can be replayed
+        against a networked cluster.
     seed:
         Seed for the simulation's single RNG.
     """
@@ -300,8 +212,6 @@ class ClusterSimulation:
     wire: bool | None = None
     durable: bool | None = None
     data_dir: str | None = None
-    incremental_tracking: bool = True
-    quiescent_fastpath: bool = True
     session_observer: Callable[[int, int, SyncStats], None] | None = None
     seed: int = 0
 
@@ -323,26 +233,11 @@ class ClusterSimulation:
             for node_id in range(self.n_nodes)
         ]
         self.ground_truth = GroundTruth(tuple(self.items))
-        if self.incremental_tracking:
-            self.ground_truth.track(self.nodes, self.network_counters)
+        self.ground_truth.track(self.nodes, self.network_counters)
         self.coverage = TransitiveCoverageTracker(self.n_nodes)
         self.round_no = 0
         self.history: list[RoundStats] = []
         self._pending_retries: list[_PendingRetry] = []
-        # Quiescent-pair stamps, keyed by ordered (initiator, peer).
-        self._quiescent: dict[tuple[int, int], _QuiescentStamp] = {}
-        # Per-node generation clocks: bumped on every driver-mediated
-        # event that can change a node's durable state.  A stamp whose
-        # recorded generations still match proves neither endpoint was
-        # touched since the recorded identical exchange.
-        self._node_gen = [0] * self.n_nodes
-        # Cluster-wide generation total: bumped alongside every
-        # ``_node_gen`` bump, so an unchanged total is an O(1) proof
-        # that *no* node's durable state changed — the validity clock
-        # of the uniform stamp.
-        self._gen_total = 0
-        self._uniform: _UniformStamp | None = None
-        self._uniform_attempt_round = -1
         self._durable_tmp: tempfile.TemporaryDirectory | None = None
         self.journals: dict[int, NodeJournal] = {}
         if self.durable:
@@ -405,8 +300,6 @@ class ClusterSimulation:
         if not self.network.is_up(node_id):
             raise NodeDownError(node_id)
         self.nodes[node_id].user_update(item, op)
-        self._node_gen[node_id] += 1
-        self._gen_total += 1
         self.ground_truth.apply(item, op)
 
     def up_nodes(self) -> list[int]:
@@ -446,12 +339,6 @@ class ClusterSimulation:
             )
         self.nodes.append(newcomer)
         self.n_nodes = new_n
-        # Every existing replica's view was just expanded and the
-        # newcomer starts fresh: advance all generation clocks (the
-        # network's epoch bump already killed existing stamps).
-        self._node_gen = [gen + 1 for gen in self._node_gen]
-        self._node_gen.append(0)
-        self._gen_total += 1
         if self.durable:
             self._attach_journal(newcomer)
         # The tracked list object just grew in place; the newcomer's
@@ -581,106 +468,6 @@ class ClusterSimulation:
         self, node_id: int, peer: int, stats: RoundStats, attempt: int = 1
     ) -> SyncStats:
         stats.sessions += 1
-        # Quiescent-pair fast path (paper's O(1) identical-DBVV check
-        # lifted into the round loop): a still-valid stamp proves the
-        # session would be an identical two-message exchange, so its
-        # accounting is replayed instead of dispatching it.  The body is
-        # inlined — this branch is the per-session cost of a quiescent
-        # round, and every call boundary shows up at n=128.  It must
-        # stay semantically identical to ``_valid_stamp`` (the
-        # sanitizer-mode twin that cross-checks would-be skips) followed
-        # by the exact effects of one real identical session.  An
-        # unchanged ``fabric_epoch`` subsumes the reachability probe:
-        # every crash/recovery/partition event bumps it.
-        if self.quiescent_fastpath and not self.sanitize:
-            network = self.network
-            hit = False
-            request_bytes = reply_bytes = modelled_bytes = 0
-            session = None
-            if (
-                network.loss_rate == 0.0
-                # armed_fault_count(), without the call (hot path)
-                and not network._armed_crashes
-                and not network._armed_drops
-            ):
-                stamp = self._quiescent.get((node_id, peer))
-                gens = self._node_gen
-                if (
-                    stamp is not None
-                    and stamp.confirmed
-                    and stamp.gen_initiator == gens[node_id]
-                    and stamp.gen_responder == gens[peer]
-                    and stamp.epoch == network.fabric_epoch
-                ):
-                    hit = True
-                    request_bytes = stamp.request_bytes
-                    reply_bytes = stamp.reply_bytes
-                    modelled_bytes = stamp.modelled_bytes
-                    forward_link = stamp.forward_link
-                    backward_link = stamp.backward_link
-                    responder = stamp.responder_counters
-                    n_components = stamp.n_components
-                    session = stamp.session
-                else:
-                    uniform = self._uniform
-                    if (
-                        uniform is not None
-                        and uniform.gen_total == self._gen_total
-                        and uniform.epoch == network.fabric_epoch
-                    ):
-                        hit = True
-                        request_bytes = uniform.request_bytes
-                        reply_bytes = uniform.reply_bytes
-                        links = network._links
-                        forward_link = links.get((node_id, peer))
-                        if forward_link is None:
-                            forward_link = links[(node_id, peer)] = LinkStats()
-                        backward_link = links.get((peer, node_id))
-                        if backward_link is None:
-                            backward_link = links[(peer, node_id)] = LinkStats()
-                        responder = self.node_counters[peer]
-                        n_components = self.nodes[peer].n_nodes
-                        session = uniform.session
-            if hit and session is not None:
-                counters = self.network_counters
-                counters.messages_sent += 2
-                counters.bytes_sent += request_bytes + reply_bytes
-                counters.modelled_bytes_sent += modelled_bytes
-                counters.fastpath_skips += 1
-                census = network.frame_census
-                census["PropagationRequest"] = (
-                    census.get("PropagationRequest", 0) + 1
-                )
-                census["YouAreCurrent"] = census.get("YouAreCurrent", 0) + 1
-                forward_link.messages += 1
-                forward_link.bytes += request_bytes
-                backward_link.messages += 1
-                backward_link.bytes += reply_bytes
-                network.latency_total += 2 * network.link_latency
-                responder.vv_comparisons += 1
-                responder.vv_components_touched += n_components
-                if self.session_observer is not None:
-                    self.session_observer(node_id, peer, session)
-                # coverage.record_session, without the call or
-                # the id re-validation (both ids are simulator-
-                # owned and initiator != peer by the selector
-                # contract); must mirror that method exactly.
-                coverage = self.coverage
-                when = float(self.round_no)
-                coverage.history.append(
-                    SessionRecord(when, node_id, peer)
-                )
-                knows = coverage._knows[node_id]
-                if len(knows) < coverage.n_nodes:
-                    knows |= coverage._knows[peer]
-                    knows.add(peer)
-                    if (
-                        coverage._covered_at is None
-                        and coverage.is_fully_covered()
-                    ):
-                        coverage._covered_at = when
-                stats.identical_sessions += 1
-                return session
         if not self.network.can_reach(node_id, peer):
             stats.failed_sessions += 1
             self._schedule_retry(node_id, peer, attempt)
@@ -688,26 +475,6 @@ class ClusterSimulation:
             if self.session_observer is not None:
                 self.session_observer(node_id, peer, session)
             return session
-        stamp = self._valid_stamp(node_id, peer) if self.quiescent_fastpath else None
-        record = (
-            self.quiescent_fastpath
-            and stamp is None
-            and self.network.loss_rate == 0.0
-            and self.network.armed_fault_count() == 0
-        )
-        traffic_before = (0, 0, 0, 0, 0)
-        epoch_before = 0
-        if record:
-            forward = self.network.link_stats(node_id, peer)
-            backward = self.network.link_stats(peer, node_id)
-            traffic_before = (
-                forward.messages,
-                forward.bytes,
-                backward.messages,
-                backward.bytes,
-                self.network_counters.modelled_bytes_sent,
-            )
-            epoch_before = self.network.fabric_epoch
         try:
             session = self.nodes[node_id].sync_with(self.nodes[peer], self.network)
         except (NodeDownError, MessageLostError):
@@ -715,23 +482,6 @@ class ClusterSimulation:
             # covers ad-hoc ProtocolNode implementations that let the
             # transport's exceptions escape (phase unknown).
             session = SyncStats(failed=True)
-        if not (
-            session.identical
-            and not session.failed
-            and session.items_transferred == 0
-            and session.conflicts == 0
-        ):
-            # Anything but a clean identical exchange may have changed
-            # durable state at either endpoint (an aborted session can
-            # have adopted items before the fault) — advance both
-            # generation clocks so stamps involving them die.
-            self._node_gen[node_id] += 1
-            self._node_gen[peer] += 1
-            self._gen_total += 1
-        if stamp is not None:
-            self._crosscheck_prediction(node_id, peer, stamp, session)
-        elif record and session.identical and not session.failed:
-            self._record_stamp(node_id, peer, traffic_before, epoch_before)
         if self.sanitize:
             sanitize_endpoints(
                 self.nodes, (node_id, peer), self.network_counters
@@ -758,241 +508,6 @@ class ClusterSimulation:
             self.ground_truth.note_node_refresh(node_id)
             self.ground_truth.note_node_refresh(peer)
         return session
-
-    # -- quiescent-pair fast path -------------------------------------------------
-
-    def _valid_stamp(
-        self, node_id: int, peer: int
-    ) -> _QuiescentStamp | _UniformStamp | None:
-        """The stamp covering the pair, if one still proves an
-        identical exchange — the ordered pair's own stamp, or the
-        cluster-wide uniform stamp as fallback.
-
-        Validity needs a transparent fabric (no loss that would consume
-        RNG or drop frames, no armed scripted faults, no control event —
-        crash, recovery, partition change, membership growth, in-flight
-        drop — since the stamp, all subsumed by ``fabric_epoch``) and
-        the relevant generation clocks unchanged since the stamp was
-        recorded: the pair's two clocks for a pair stamp, the
-        cluster-wide total for the uniform stamp.  The driver bumps a
-        clock on every event that can change a node's durable state, so
-        matching clocks mean nothing happened and the recorded exchange
-        (outcome *and* frame sizes) replays exactly.
-
-        This is the sanitizer-mode twin of the inlined fast-path branch
-        in ``_run_session``; the two predicates must stay identical or
-        the cross-check verifies a different claim than the skip makes.
-        """
-        network = self.network
-        if network.loss_rate != 0.0 or network.armed_fault_count() != 0:
-            return None
-        stamp = self._quiescent.get((node_id, peer))
-        gens = self._node_gen
-        if (
-            stamp is not None
-            and stamp.confirmed
-            and stamp.gen_initiator == gens[node_id]
-            and stamp.gen_responder == gens[peer]
-            and stamp.epoch == network.fabric_epoch
-        ):
-            return stamp
-        uniform = self._uniform
-        if (
-            uniform is not None
-            and uniform.gen_total == self._gen_total
-            and uniform.epoch == network.fabric_epoch
-        ):
-            return uniform
-        return None
-
-    def _record_stamp(
-        self,
-        node_id: int,
-        peer: int,
-        traffic_before: tuple[int, int, int, int, int],
-        epoch_before: int,
-    ) -> None:
-        """Stamp the pair after a real identical session, capturing the
-        observed per-direction traffic for later replay.  Anything that
-        deviates from the canonical two-message shape (a protocol with a
-        different identical exchange, a fault that slipped through)
-        records nothing — the fast path only ever replays what it has
-        byte-exactly seen."""
-        network = self.network
-        if network.fabric_epoch != epoch_before:
-            return
-        forward = network.link_stats(node_id, peer)
-        backward = network.link_stats(peer, node_id)
-        if (
-            forward.messages - traffic_before[0] != 1
-            or backward.messages - traffic_before[2] != 1
-        ):
-            return
-        version_a = self.nodes[node_id].state_version()
-        if version_a is None or version_a.certificate is None:
-            return
-        version_b = self.nodes[peer].state_version()
-        if version_b is None or version_b.certificate is None:
-            return
-        request_bytes = forward.bytes - traffic_before[1]
-        reply_bytes = backward.bytes - traffic_before[3]
-        # In modelled mode ``wire_size()`` is a pure function of the
-        # message, so the observed byte counts replay exactly from the
-        # first sighting.  Encoded mode must wait for a second identical
-        # exchange with the same counts: only then have the codec's
-        # per-link delta caches reached steady state and made the
-        # exchange byte-for-byte repeatable.
-        if self.network.wire:
-            candidate = self._quiescent.get((node_id, peer))
-            confirmed = (
-                candidate is not None
-                and candidate.version_initiator == version_a
-                and candidate.version_responder == version_b
-                and candidate.request_bytes == request_bytes
-                and candidate.reply_bytes == reply_bytes
-                and candidate.epoch == epoch_before
-            )
-        else:
-            confirmed = True
-        self._quiescent[(node_id, peer)] = _QuiescentStamp(
-            version_initiator=version_a,
-            version_responder=version_b,
-            gen_initiator=self._node_gen[node_id],
-            gen_responder=self._node_gen[peer],
-            request_bytes=request_bytes,
-            reply_bytes=reply_bytes,
-            modelled_bytes=(
-                self.network_counters.modelled_bytes_sent - traffic_before[4]
-            ),
-            epoch=epoch_before,
-            forward_link=forward,
-            backward_link=backward,
-            responder_counters=self.node_counters[peer],
-            n_components=self.nodes[peer].n_nodes,
-            session=SyncStats(
-                identical=True,
-                messages=2,
-                bytes_sent=request_bytes + reply_bytes,
-            ),
-            confirmed=confirmed,
-        )
-        # Modelled mode only: a protocol whose identical exchange is
-        # direction-symmetric lets one observation stamp *both*
-        # directions — ``wire_size()`` is a pure function of the
-        # message, the request size depends only on the (equal) DBVV
-        # values, and the reply is constant-size, so the mirror
-        # session's byte counts are these byte counts.  This halves
-        # warm-up under random pairing, where the reverse direction
-        # might not be drawn for many rounds.  The versions must be
-        # truly *equal*: YouAreCurrent only proves the initiator
-        # dominates-or-equals the responder, and a strictly-ahead
-        # initiator would ship data in the reverse direction.  Encoded
-        # mode cannot mirror: frame sizes depend on the per-directed-
-        # link delta caches, which are in a different state on the
-        # reverse links.
-        if (
-            confirmed
-            and version_a == version_b
-            and not self.network.wire
-            and self.nodes[node_id].symmetric_identical_exchange
-            and self.nodes[peer].symmetric_identical_exchange
-        ):
-            self._quiescent[(peer, node_id)] = _QuiescentStamp(
-                version_initiator=version_b,
-                version_responder=version_a,
-                gen_initiator=self._node_gen[peer],
-                gen_responder=self._node_gen[node_id],
-                request_bytes=request_bytes,
-                reply_bytes=reply_bytes,
-                modelled_bytes=0,
-                epoch=epoch_before,
-                forward_link=backward,
-                backward_link=forward,
-                responder_counters=self.node_counters[node_id],
-                n_components=self.nodes[node_id].n_nodes,
-                session=SyncStats(
-                    identical=True,
-                    messages=2,
-                    bytes_sent=request_bytes + reply_bytes,
-                ),
-                confirmed=True,
-            )
-            self._maybe_record_uniform(version_a, request_bytes, reply_bytes)
-
-    def _maybe_record_uniform(
-        self, version: StateVersion, request_bytes: int, reply_bytes: int
-    ) -> None:
-        """Try to promote one observed identical exchange into a
-        cluster-wide uniform stamp.
-
-        Called only from the modelled-mode symmetric-protocol branch of
-        ``_record_stamp``.  The sweep is O(n) memoized ``state_version``
-        reads, so it is attempted at most once per round and only while
-        no current uniform stamp exists; once recorded, every pair
-        skips and recording stops entirely.  Requirements, each tied to
-        a live validity clock: every node up in a single partition
-        group (any later change bumps ``fabric_epoch``), every node
-        declaring a symmetric identical exchange, and every node
-        holding the same *certified* state version (any later durable
-        change bumps ``_gen_total``).
-        """
-        if self._uniform_attempt_round == self.round_no:
-            return
-        self._uniform_attempt_round = self.round_no
-        network = self.network
-        uniform = self._uniform
-        if (
-            uniform is not None
-            and uniform.gen_total == self._gen_total
-            and uniform.epoch == network.fabric_epoch
-        ):
-            return
-        if not all(network._up) or len(set(network._group_of)) != 1:
-            return
-        for node in self.nodes:
-            if not node.symmetric_identical_exchange:
-                return
-            state = node.state_version()
-            if state is None or state.certificate is None or state != version:
-                return
-        self._uniform = _UniformStamp(
-            version=version,
-            gen_total=self._gen_total,
-            epoch=network.fabric_epoch,
-            request_bytes=request_bytes,
-            reply_bytes=reply_bytes,
-            session=SyncStats(
-                identical=True,
-                messages=2,
-                bytes_sent=request_bytes + reply_bytes,
-            ),
-        )
-
-    def _crosscheck_prediction(
-        self,
-        node_id: int,
-        peer: int,
-        stamp: _QuiescentStamp | _UniformStamp,
-        session: SyncStats,
-    ) -> None:
-        """Sanitizer mode: the real session just ran where the fast path
-        would have replayed; the prediction must match it exactly."""
-        self.network_counters.fastpath_crosschecks += 1
-        predicted_bytes = stamp.request_bytes + stamp.reply_bytes
-        if (
-            session.failed
-            or not session.identical
-            or session.messages != 2
-            or session.bytes_sent != predicted_bytes
-        ):
-            raise InvariantViolation(
-                "quiescent fast path would have mispredicted session "
-                f"{node_id}->{peer} at round {self.round_no}: predicted "
-                f"identical 2-message exchange of {predicted_bytes} bytes, "
-                f"observed identical={session.identical} "
-                f"failed={session.failed} messages={session.messages} "
-                f"bytes={session.bytes_sent}"
-            )
 
     def _schedule_retry(self, node_id: int, peer: int, attempt: int) -> None:
         if attempt >= self.retry_policy.max_attempts:
@@ -1046,7 +561,6 @@ class ClusterSimulation:
         live = [self.nodes[k] for k in self.up_nodes()]
         return fingerprints_equal(
             live,
-            use_versions=self.incremental_tracking,
             crosscheck=bool(self.sanitize),
             counters=self.network_counters,
         )

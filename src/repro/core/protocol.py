@@ -48,11 +48,6 @@ class DBVVProtocolNode(ProtocolNode):
 
     protocol_name = "dbvv"
 
-    # Identical pull: request is WORD_SIZE + vv_wire_size(dbvv) with the
-    # vectors equal across the pair, reply is the constant YouAreCurrent
-    # — so the exchange is the same size in either direction.
-    symmetric_identical_exchange = True
-
     #: The epidemic-node implementation this adapter wraps; the
     #: operation-shipping variant overrides it.
     node_class: type[EpidemicNode] = EpidemicNode
@@ -75,7 +70,6 @@ class DBVVProtocolNode(ProtocolNode):
         self._items = tuple(items)
         self._initial_n_nodes = n_nodes
         self.journal: NodeJournal | None = None
-        self._version_memo: StateVersion | None = None
 
     # -- durability (repro.durable integration) -------------------------------
 
@@ -254,35 +248,12 @@ class DBVVProtocolNode(ProtocolNode):
         gap imported from a frozen peer means the reflected update set
         is not a per-origin prefix — either voids the equal-DBVV ⟹
         equal-state argument (see ``EpidemicNode.has_open_log_gaps``).
-
-        The quiescent fast path calls this per scheduled session, so the
-        last certified version is memoized.  The memo is returned only
-        under live checks that *prove* recomputation would rebuild it:
-        the DBVV tuple must be the identical cached object
-        (``VersionVector.as_tuple`` re-caches on every mutation), the
-        digest equal, and the replica conflict-free with no imported
-        gap bookkeeping at all — conditions under which the certificate
-        is necessarily that same tuple.
         """
         node = self.node
-        cert_tuple = node.dbvv.as_tuple()
-        digest = node.content_digest
-        memo = self._version_memo
-        if (
-            memo is not None
-            and memo.certificate is cert_tuple
-            and memo.digest == digest
-            and not node.conflicts.reports
-            and not node.log_gaps
-        ):
-            return memo
         certificate = None
         if node.conflicts.count == 0 and not node.has_open_log_gaps():
-            certificate = cert_tuple
-        version = StateVersion(self.protocol_name, digest, certificate)
-        if certificate is not None and not node.log_gaps:
-            self._version_memo = version
-        return version
+            certificate = node.dbvv.as_tuple()
+        return StateVersion(self.protocol_name, node.content_digest, certificate)
 
     def fingerprint_value(self, item: str) -> bytes:
         return self.node.store[item].value

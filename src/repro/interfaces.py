@@ -324,17 +324,6 @@ class ProtocolNode(abc.ABC):
     #: Short protocol identifier used in experiment tables.
     protocol_name: str = "abstract"
 
-    #: True when the protocol's *identical* exchange is direction-
-    #: symmetric: with both replicas in the same state, the i←j and
-    #: j←i sessions move the same message and byte counts (e.g. the
-    #: paper's protocol, whose request size depends only on the DBVV
-    #: value — equal across an identical pair — and whose reply is the
-    #: constant-size YouAreCurrent).  The simulator's quiescent-pair
-    #: fast path uses this to stamp both directions of a pair from one
-    #: observed exchange; protocols that cannot promise symmetry leave
-    #: it False and simply warm each direction separately.
-    symmetric_identical_exchange: bool = False
-
     def __init__(
         self,
         node_id: int,

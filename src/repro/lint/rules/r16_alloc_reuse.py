@@ -1,11 +1,11 @@
 """R16 — fresh allocations on per-round hot paths with a reuse API.
 
 **Why.**  The round loop's cost budget is carried by object reuse, not
-just by algorithmic shape: the quiescent-pair fast path replays
-prebuilt stamps, the wire codec leases pooled :class:`Encoder` buffers
-(``WireCodec._acquire``), and :class:`~repro.core.version_vector.
-VersionVector` exposes in-place mutators (``merge_from``,
-``increment``) precisely so steady-state rounds allocate nothing.  One
+just by algorithmic shape: the wire codec leases pooled
+:class:`Encoder` buffers (``WireCodec._acquire``), and
+:class:`~repro.core.version_vector.VersionVector` exposes in-place
+mutators (``merge_from``, ``increment``) precisely so steady-state
+rounds allocate nothing.  One
 innocent ``VersionVector(n)`` or ``bytearray()`` inside ``run_round``
 re-introduces a per-session allocation (and the GC pressure that comes
 with it) that no test fails on — the benchmarks just quietly regress
@@ -23,7 +23,7 @@ loop and the codec's encode path — see ``HOT_PATH_NAMES``):
   pooled encoder buffer instead.
 
 Decode-side construction is exempt by scoping: a decoded message has
-to materialize a new vector for the recipient; only the encode/replay
+to materialize a new vector for the recipient; only the encode
 direction has a documented reuse API.  An allocation that is inherent
 (e.g. a cold fallback that never runs in steady state) is annotated in
 place with ``# pragma: fresh-alloc <reason>`` — the reason is
@@ -41,16 +41,13 @@ from repro.lint.engine import FileScope, LintRule, Violation
 __all__ = ["AllocReuseRule", "HOT_PATH_NAMES"]
 
 #: Functions on the per-round critical path: the simulator's round and
-#: session loop (including the fast-path stamp machinery and network
-#: delivery) and the codec's encode direction.
+#: session loop (including network delivery) and the codec's encode
+#: direction.
 HOT_PATH_NAMES = frozenset(
     {
         # repro.cluster — executed once per round / per session.
         "run_round",
         "_run_session",
-        "_valid_stamp",
-        "_record_stamp",
-        "_maybe_record_uniform",
         "deliver",
         # repro.wire — executed once per frame on the encode direction.
         "encode",

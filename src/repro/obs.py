@@ -70,16 +70,6 @@ baselines, and the experiment harness:
     staleness results equal the from-scratch recomputation (each one
     *is* a full O(n·N) recomputation — that is the point of the
     cross-check mode).
-``fastpath_skips``
-    Sessions the simulator's quiescent-pair fast path replayed from a
-    per-pair stamp instead of dispatching — each one is a provably
-    identical two-message exchange whose traffic was charged without
-    moving the messages.  The only counter where a fast-path run is
-    *allowed* to differ from the unskipped loop.
-``fastpath_crosschecks``
-    Sanitizer-mode verifications that a session the fast path would
-    have skipped really produced the predicted identical outcome,
-    message count, and byte count when actually dispatched.
 """
 
 from __future__ import annotations
@@ -114,8 +104,6 @@ class OverheadCounters:
     sanitizer_checks: int = 0
     staleness_reexaminations: int = 0
     tracking_crosschecks: int = 0
-    fastpath_skips: int = 0
-    fastpath_crosschecks: int = 0
     extra: dict[str, int] = field(default_factory=dict)
 
     def reset(self) -> None:

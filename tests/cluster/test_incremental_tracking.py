@@ -174,7 +174,7 @@ class TestGroundTruthTracking:
 
     def test_untracked_ground_truth_still_works(self):
         truth = GroundTruth(tuple(ITEMS))
-        sim = make_sim(n_nodes=2, incremental_tracking=False)
+        sim = make_sim(n_nodes=2)
         truth.apply(ITEMS[0], Put(b"v"))
         assert truth.stale_pairs(sim.nodes) == 2
 
@@ -218,14 +218,6 @@ class TestGroundTruthTracking:
         sim.run_until_converged(max_rounds=60)
         assert sim.ground_truth.stale_pairs(sim.nodes) == 0
         assert sim.ground_truth.recompute_stale_pairs(sim.nodes) == 0
-
-    def test_legacy_mode_keeps_recomputing(self):
-        sim = make_sim(n_nodes=3, incremental_tracking=False)
-        sim.apply_update(0, ITEMS[0], Put(b"v"))
-        assert not sim.ground_truth.tracking(sim.nodes)
-        sim.run_until_converged(max_rounds=50)
-        assert sim.ground_truth.stale_pairs(sim.nodes) == 0
-        assert sim.network_counters.staleness_reexaminations == 0
 
     def test_sanitize_mode_crosschecks_every_round(self):
         sim = make_sim(n_nodes=3, sanitize=True)

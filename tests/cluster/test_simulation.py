@@ -1,11 +1,17 @@
 """Unit and integration tests for the cluster simulation driver."""
 
+from dataclasses import asdict
+from functools import partial
+
 import pytest
 
 from repro.cluster.failures import (
     Crash,
     CrashMidSession,
     FailurePlan,
+    HealEvent,
+    LossyWindow,
+    PartitionEvent,
     Recover,
 )
 from repro.cluster.scheduler import RingSelector
@@ -20,6 +26,49 @@ ITEMS = make_items(20)
 def make_sim(protocol="dbvv", n_nodes=4, seed=5, **kwargs):
     return ClusterSimulation(
         make_factory(protocol, n_nodes, ITEMS), n_nodes, ITEMS, seed=seed, **kwargs
+    )
+
+
+def one_update_run(seed):
+    sim = make_sim(seed=seed)
+    sim.apply_update(0, ITEMS[0], Put(b"v"))
+    sim.run_until_converged(max_rounds=50)
+    return sim
+
+
+def stacked_faults_run(seed, wire):
+    """Node churn, partition/heal, a lossy window, a mid-session crash
+    and a second update burst, all in one 60-round run of 12 nodes."""
+    n_nodes = 12
+    plan = FailurePlan([
+        Crash(node=1, at_round=6),
+        Recover(node=1, at_round=10),
+        PartitionEvent(
+            groups=(tuple(range(6)), tuple(range(6, n_nodes))), at_round=14
+        ),
+        HealEvent(at_round=18),
+        LossyWindow(rate=0.3, at_round=22, until_round=26, seed=99),
+        CrashMidSession(node=2, at_round=28, after_messages=1),
+        Recover(node=2, at_round=31),
+    ])
+    sim = make_sim(n_nodes=n_nodes, seed=seed, wire=wire, failure_plan=plan)
+    for k in range(16):
+        sim.apply_update(k % n_nodes, ITEMS[k % len(ITEMS)], Put(b"v%d" % k))
+    for _ in range(20):
+        sim.run_round()
+    for k in range(8):
+        sim.apply_update(k % n_nodes, ITEMS[(k * 3) % len(ITEMS)], Put(b"w%d" % k))
+    for _ in range(40):
+        sim.run_round()
+    return sim
+
+
+def observables(sim):
+    return (
+        [asdict(stats) for stats in sim.history],
+        sim.total_counters.snapshot(),
+        [node.state_fingerprint() for node in sim.nodes],
+        [node.exploration_vectors() for node in sim.nodes],
     )
 
 
@@ -78,15 +127,15 @@ class TestConvergence:
         assert sim.total_conflicts() > 0
 
     def test_deterministic_under_seed(self):
-        def run(seed):
-            sim = make_sim(seed=seed)
-            sim.apply_update(0, ITEMS[0], Put(b"v"))
-            rounds = sim.run_until_converged(max_rounds=50)
-            return rounds, sim.total_counters.snapshot()
-
-        assert run(9) == run(9)
+        runs = [partial(one_update_run, 9)] + [
+            partial(stacked_faults_run, seed, wire)
+            for seed in (7, 11)
+            for wire in (False, True)
+        ]
+        for run in runs:
+            assert observables(run()) == observables(run()), run
         # Different seeds may differ (not asserted — just must not crash).
-        run(10)
+        one_update_run(10)
 
     def test_ring_selector_respected(self):
         sim = make_sim(selector=RingSelector())

@@ -20,7 +20,7 @@ class Sim:
         encoder.reset()
         return encoder
 
-    def _record_stamp(self, node_id, peer, session):
-        # Stamps hold references to already-materialized state; nothing
-        # fresh is built per session.
-        self._stamps[(node_id, peer)] = session.version
+    def deliver(self, src, dst, message):
+        # Delivery hands on already-materialized state; nothing fresh
+        # is built per message.
+        self._in_flight[(src, dst)] = message.dbvv

@@ -16,6 +16,6 @@ class Sim:
         frame += b"\x00"
         return baseline, frame
 
-    def _record_stamp(self, node_id, peer, session):
-        copy = VersionVector.from_counts(session.counts)  # flagged: fresh VV
-        self._stamps[(node_id, peer)] = copy
+    def deliver(self, src, dst, message):
+        copy = VersionVector.from_counts(message.counts)  # flagged: fresh VV
+        self._in_flight[(src, dst)] = copy
