@@ -161,8 +161,12 @@ class EpidemicNode:
                     f"item {item!r} claims an auxiliary copy but its "
                     "auxiliary value/IVV is missing"
                 )
+            # Applied before it is logged: an op that raises (a patch
+            # beyond the value's end) must not leave a record for the
+            # next intra-node replay to trip over.
+            value = op.apply(entry.aux_value)
             self.aux_log.append(item, entry.aux_ivv, op)
-            entry.aux_value = op.apply(entry.aux_value)
+            entry.aux_value = value
             entry.aux_ivv.increment(self.node_id)
         else:
             entry.value = op.apply(entry.value)

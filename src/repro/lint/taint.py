@@ -139,6 +139,9 @@ STATE_SINKS = frozenset(
         "expand_replica_set",
         "send_propagation",
         "intra_node_propagation",
+        # not a mutation, but an untrusted name must not index the store
+        # (or come back in the error) unvalidated — the client ``get``
+        "read",
         # session driver
         "conclude",
         "sync_with",

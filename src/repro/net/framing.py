@@ -18,9 +18,14 @@ The JSON client API shares the length-prefix discipline
 a registered frame.
 
 Every connection of a node reads through a :class:`BufferedReader`:
-one ``read`` per wake-up, then prefixes and payloads come out of memory.
-The framing functions call only ``read``/``readexactly``, so a bare
-``StreamReader`` (tests, the benchmark's control port) works the same.
+one ``read`` per wake-up, then whole units come out of memory —
+:func:`read_blob`/:func:`read_frame` ask it for the next unit
+(:meth:`BufferedReader.next_unit`: one prefix parse, one copy, no
+``await``) and fill only when that unit is incomplete.  A bare
+``StreamReader`` (tests, the benchmark's control port) and the preamble
+go byte by byte through :func:`read_stream_uvarint`, which calls only
+``read``/``readexactly``; so does a buffered stream that has ended,
+which is how both paths name an EOF the same way.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import asyncio
 
 from repro.errors import NetworkSessionError, WireFormatError
 from repro.wire.codec import MAX_FRAME_LEN
-from repro.wire.varint import read_uvarint, write_uvarint
+from repro.wire.varint import write_uvarint
 
 __all__ = [
     "MAGIC",
@@ -72,7 +77,8 @@ class ConnectionClosed(NetworkSessionError):
 
 
 class BufferedReader:
-    """``read``/``readexactly`` of a ``StreamReader``, served from memory.
+    """``read``/``readexactly`` of a ``StreamReader``, served from memory,
+    and :meth:`next_unit`: a whole buffered blob or frame without a wait.
 
     One ``reader.read(64 KiB)`` per wake-up fills a ``bytearray`` read
     through a cursor.  Consumed bytes are dropped only at a fill, which
@@ -115,15 +121,54 @@ class BufferedReader:
                 raise asyncio.IncompleteReadError(self._take(len(self._buf)), n)
         return self._take(n)
 
+    def _span(self, what: str) -> tuple[int, int] | None:
+        """``(payload start, end)`` of the next unit when all of it is
+        buffered, ``None`` when more must arrive; raises what
+        :func:`read_stream_uvarint` and the cap check raise, as soon as
+        the bytes that prove it are here."""
+        buf = self._buf
+        first = pos = self._pos
+        have = len(buf)
+        length = shift = 0
+        while True:
+            if pos == have:
+                return None
+            byte = buf[pos]
+            pos += 1
+            length |= (byte & 0x7F) << shift
+            if byte < 0x80:
+                break
+            shift += 7
+            if pos - first >= _MAX_VARINT_BYTES:
+                raise WireFormatError("unterminated varint in stream")
+        if length > MAX_FRAME_BYTES:
+            raise WireFormatError(
+                f"{what} length {length} exceeds the {MAX_FRAME_BYTES}-byte cap"
+            )
+        end = pos + length
+        return (pos, end) if end <= have else None
+
+    def next_unit(self, what: str, prefixed: bool) -> bytes | None:
+        """The next whole blob or frame if it is all buffered, else
+        ``None``: one prefix parse and one copy, with (a peer frame) or
+        without (a client blob) the prefix."""
+        span = self._span(what)
+        if span is None:
+            return None
+        start, end = span
+        if prefixed:
+            start = self._pos
+        self._pos = end
+        return bytes(memoryview(self._buf)[start:end])
+
     def has_blob(self) -> bool:
         """Asked between units: will the next :func:`read_blob` neither
         wait nor raise — is a well-formed length prefix within
         :data:`MAX_FRAME_BYTES` buffered with all of its payload?"""
         try:
-            length, start = read_uvarint(self._buf, self._pos)
+            return self._span("blob") is not None
         except WireFormatError:
             return False
-        return length <= MAX_FRAME_BYTES and start + length <= len(self._buf)
 
 
 async def read_stream_uvarint(
@@ -158,6 +203,12 @@ async def read_stream_uvarint(
 
 async def read_frame(reader: asyncio.StreamReader | BufferedReader) -> bytes:
     """One whole frame — length prefix *included* — off the stream."""
+    if isinstance(reader, BufferedReader):
+        while (frame := reader.next_unit("frame", True)) is None:
+            if not await reader._fill():
+                break  # EOF: the byte path below says where the stream ended
+        else:
+            return frame
     length, prefix = await read_stream_uvarint(reader)
     if length > MAX_FRAME_BYTES:
         raise WireFormatError(
@@ -181,6 +232,12 @@ async def write_frame(writer: asyncio.StreamWriter, frame: bytes) -> None:
 
 async def read_blob(reader: asyncio.StreamReader | BufferedReader) -> bytes:
     """One length-prefixed payload *without* the prefix (client API)."""
+    if isinstance(reader, BufferedReader):
+        while (blob := reader.next_unit("blob", False)) is None:
+            if not await reader._fill():
+                break  # EOF: the byte path below says where the stream ended
+        else:
+            return blob
     length, _prefix = await read_stream_uvarint(reader)
     if length > MAX_FRAME_BYTES:
         raise WireFormatError(
@@ -198,7 +255,7 @@ async def write_blob(writer: asyncio.StreamWriter, *payloads: bytes) -> None:
     for payload in payloads:
         write_uvarint(buf, len(payload))
         buf += payload
-    writer.write(bytes(buf))
+    writer.write(buf)  # never touched again: the transport may keep it
     try:
         await writer.drain()
     except (ConnectionError, OSError):

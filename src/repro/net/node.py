@@ -80,6 +80,12 @@ logger = logging.getLogger("repro.net")
 #: ``status`` requests meet back-pressure instead of piling up.
 _HELD_CAP = 1 << 16
 
+#: The two replies of the hot path, spelled by ``json.dumps`` once, at
+#: import: a successful ``put`` is a constant and a successful ``get``
+#: is its value's hex digits (which never need escaping) between two.
+_PUT_REPLY = json.dumps({"ok": True}).encode("utf-8")
+_GET_HEAD, _GET_TAIL = json.dumps({"ok": True, "value": "|"}).split("|")
+
 
 class _PeerLink:
     """One live outbound connection, with its connection-scoped codec."""
@@ -423,6 +429,7 @@ class NetNode:
             while True:
                 blob = await read_blob(stream)
                 alone = False
+                reply = None
                 try:
                     request = json.loads(blob)
                     if not isinstance(request, dict):
@@ -434,13 +441,20 @@ class NetNode:
                         held.clear()
                         held_bytes = 0
                     response = await self._handle_client_op(request)
+                    # A ``put``/``get`` that did not raise succeeded, and
+                    # its reply has one shape (see ``_handle_client_op``).
+                    if op == "put":
+                        reply = _PUT_REPLY
+                    elif op == "get":
+                        reply = (_GET_HEAD + response["value"] + _GET_TAIL).encode("utf-8")
                 except ConnectionClosed:
                     raise  # the write of the held replies, not the op
                 except ReplicationError as exc:
                     response = {"ok": False, "error": str(exc)}
                 except (ValueError, KeyError, TypeError) as exc:
                     response = {"ok": False, "error": f"bad request: {exc}"}
-                reply = json.dumps(response).encode("utf-8")
+                if reply is None:
+                    reply = json.dumps(response).encode("utf-8")
                 held.append(reply)
                 held_bytes += len(reply)
                 bye = response.get("bye")
@@ -462,6 +476,8 @@ class NetNode:
     async def _handle_client_op(
         self, request: dict[str, Any]
     ) -> dict[str, Any]:
+        # ``_serve_client`` writes a successful ``put``/``get`` without
+        # ``json.dumps``: their two result shapes change there too.
         op = request.get("op")
         if op == "ping":
             return {"ok": True, "node": self.node_id}
@@ -480,7 +496,8 @@ class NetNode:
                 self.journal.commit(self.node)
             return {"ok": True}
         if op == "get":
-            return {"ok": True, "value": self.node.read(request["item"]).hex()}
+            item = validate_item_name(request["item"])
+            return {"ok": True, "value": self.node.read(item).hex()}
         if op == "sync":
             peer = validate_node_id(request["peer"], self.n_nodes)
             outcome = await self.sync_with(peer)

@@ -9,7 +9,7 @@ there by ``tests/net/test_node.py::TestWritePathNeverHashes``) never
 calls ``value_digest``.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core import node as node_module
 from repro.core.node import EpidemicNode
@@ -63,6 +63,14 @@ steps = st.one_of(
 
 @settings(max_examples=120, deadline=None)
 @given(st.lists(steps, max_size=40))
+@example(  # a refused update of an auxiliary copy used to stay in its log
+    program=[
+        ("resolve", 0, 3, b""),
+        ("oob", 2, 0, 3),
+        ("update", 2, 3, Truncate(1)),
+        ("pull", 2, 0),
+    ]
+)
 def test_every_read_equals_a_recomputation_over_the_store(program):
     """Any writer, any item: conflicts, out-of-bound copies replayed by
     a later pull, resolutions, empty values and snapshot round trips are

@@ -211,10 +211,14 @@ class TestPreamble:
             asyncio.run(run())
 
 
-def _blob(payload: bytes) -> bytes:
+def _prefix(length: int) -> bytes:
     buf = bytearray()
-    write_uvarint(buf, len(payload))
-    return bytes(buf) + payload
+    write_uvarint(buf, length)
+    return bytes(buf)
+
+
+def _blob(payload: bytes) -> bytes:
+    return _prefix(len(payload)) + payload
 
 
 def _no_wait(coroutine):
@@ -228,16 +232,35 @@ def _no_wait(coroutine):
 
 
 class _Pieces:
-    """The ``read`` half of a stream that delivers fixed-size pieces."""
+    """The ``read`` half of a stream that delivers fixed-size pieces;
+    ``reads`` counts the times it was asked for more."""
 
     def __init__(self, data: bytes, piece: int) -> None:
         self._pieces = [data[k : k + piece] for k in range(0, len(data), piece)]
         self._pieces.reverse()
+        self.reads = 0
+
+    @classmethod
+    def cut_at(cls, data: bytes, split: int) -> "_Pieces":
+        """Two pieces (one may be empty, which reads as an early EOF
+        would — so it is left out), then EOF."""
+        pieces = cls(b"", 1)
+        pieces._pieces = [piece for piece in (data[split:], data[:split]) if piece]
+        return pieces
 
     async def read(self, n: int) -> bytes:
+        self.reads += 1
         piece = self._pieces.pop() if self._pieces else b""
         assert len(piece) <= n
         return piece
+
+
+def _outcome(coroutine):
+    """What awaiting it gives, an error as ``(type, message)``."""
+    try:
+        return _no_wait(coroutine)
+    except (ConnectionClosed, WireFormatError) as exc:
+        return type(exc), str(exc)
 
 
 class TestBufferedReader:
@@ -277,6 +300,49 @@ class TestBufferedReader:
 
         for split in range(len(stream) + 1):
             asyncio.run(run(split))
+
+    #: What may follow the well-formed units of a stream that then ends.
+    TAILS = {
+        "nothing": b"",
+        "eof-mid-prefix": b"\xc8",
+        "eof-mid-payload": bytes([10]) + b"abc",
+        "unterminated-prefix": b"\x80" * 10 + b"z" * 4,
+        "one-past-the-cap": _prefix(MAX_FRAME_BYTES + 1) + b"z" * 4,
+    }
+
+    @pytest.mark.parametrize("read", [read_blob, read_frame])
+    @pytest.mark.parametrize("tail", TAILS)
+    def test_it_yields_what_a_bare_stream_yields_at_every_split_point(
+        self, read, tail
+    ):
+        """Same payloads, same error type and message, wherever the
+        stream was cut in two — and ``has_blob`` says, before each read,
+        whether it will neither ask for more nor raise."""
+        units = [self.FIRST, b"", self.SECOND, b"z"]
+        stream = b"".join(map(_blob, units)) + self.TAILS[tail]
+
+        async def through_a_bare_stream():
+            raw = asyncio.StreamReader()
+            raw.feed_data(stream)
+            raw.feed_eof()
+            return [_outcome(read(raw)) for _ in range(len(units) + 1)]
+
+        expected = asyncio.run(through_a_bare_stream())
+        assert isinstance(expected[-1], tuple) and expected[-1][1]
+        if read is read_blob:
+            assert expected[:-1] == units
+        else:
+            assert expected[:-1] == [_blob(unit) for unit in units]
+
+        for split in range(len(stream) + 1):
+            source = _Pieces.cut_at(stream, split)
+            buffered = BufferedReader(source)
+            for wanted in expected:
+                asked = source.reads
+                promised = buffered.has_blob()
+                assert _outcome(read(buffered)) == wanted
+                handed_out = source.reads == asked and not isinstance(wanted, tuple)
+                assert promised == handed_out, (split, wanted)
 
     def test_frames_and_preamble_read_through_it(self):
         frame = WireCodec().encode(

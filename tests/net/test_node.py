@@ -12,13 +12,16 @@ import dataclasses
 import json
 import random
 import shutil
+import types
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import NetworkSessionError
 from repro.net import node as node_module
 from repro.net.config import NodeConfig, PeerAddress
-from repro.net.framing import read_blob, write_blob
+from repro.net import framing
+from repro.net.framing import BufferedReader, read_blob, write_blob
 from repro.net.harness import _free_ports
 from repro.net.node import NetNode
 from repro.substrate.operations import Put
@@ -276,6 +279,145 @@ class TestClientOps:
         assert "node id" in rejected["error"]
         assert pong == {"ok": True, "node": 0}
         assert sent == {}  # no session was started
+
+    @pytest.mark.parametrize(
+        "request_json, complaint",
+        [
+            (b'{"op": "get", "item": "%s"}' % (b"n" * 100_000), "exceeds cap"),
+            (b'{"op": "get", "item": 5}', "must be a str"),
+            (b'{"op": "get", "item": null}', "must be a str"),
+            (b'{"op": "get"}', "bad request: 'item'"),
+        ],
+        ids=["oversize", "number", "null", "missing"],
+    )
+    def test_get_validates_its_item_name_like_put(self, request_json, complaint):
+        """The name is not looked up, and not echoed back, before it has
+        passed ``validate_item_name``; the connection stays usable."""
+
+        async def run():
+            nodes = await start_nodes(2)
+            try:
+                reader, writer = await _connect(nodes[0])
+                try:
+                    writer.write(_framed(request_json, {"op": "ping"}))
+                    rejected = await read_blob(reader)
+                    return rejected, json.loads(await read_blob(reader))
+                finally:
+                    writer.close()
+            finally:
+                await stop_nodes(nodes)
+
+        rejected, pong = asyncio.run(run())
+        assert len(rejected) < 200
+        rejected = json.loads(rejected)
+        assert rejected["ok"] is False
+        assert complaint in rejected["error"]
+        assert pong == {"ok": True, "node": 0}
+
+
+class TestHotReplies:
+    """A successful ``put``/``get`` is answered without ``json.dumps``,
+    in the bytes ``json.dumps`` would have produced."""
+
+    @staticmethod
+    def _raw_replies(node, *requests):
+        """The reply blobs of ``requests`` delivered in one segment to
+        ``node``'s stock ``_serve_client`` (no socket)."""
+
+        class Sink:
+            written = b""
+
+            def write(self, data):
+                self.written += data
+
+            async def drain(self):
+                pass
+
+            def close(self):
+                pass
+
+        async def run():
+            reader = asyncio.StreamReader()
+            reader.feed_data(_framed(*requests))
+            reader.feed_eof()
+            sink = Sink()
+            await node._serve_client(reader, sink)
+            replies = asyncio.StreamReader()
+            replies.feed_data(sink.written)
+            replies.feed_eof()
+            return [await read_blob(replies) for _ in requests]
+
+        return asyncio.run(run())
+
+    @settings(max_examples=60, deadline=None)
+    @given(value=st.binary(max_size=4096))
+    @example(value=b"")
+    @example(value=bytes(range(256)) * 4096)  # 1 MiB
+    def test_reply_bytes_are_what_json_dumps_spells(self, value):
+        node = NetNode(NodeConfig(node_id=0, items=ITEMS))
+        put, got = self._raw_replies(
+            node,
+            {"op": "put", "item": "a", "value": value.hex()},
+            {"op": "get", "item": "a"},
+        )
+        assert put == json.dumps({"ok": True}).encode("utf-8")
+        assert got == json.dumps({"ok": True, "value": value.hex()}).encode("utf-8")
+
+    def test_whole_buffered_requests_cost_no_stream_read_and_no_dumps(
+        self, monkeypatch
+    ):
+        """1 000 gets and 1 000 puts sent at once: every unit that is
+        whole in the buffer is handed out by ``next_unit`` — none of the
+        byte-at-a-time readers runs — and ``json.dumps`` runs for the
+        one reply that is an error."""
+        calls = {"read": 0, "readexactly": 0, "read_stream_uvarint": 0, "dumps": 0}
+
+        def counted(name, inner):
+            def spy(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            return spy
+
+        for name in ("read", "readexactly"):
+            monkeypatch.setattr(
+                BufferedReader, name, counted(name, getattr(BufferedReader, name))
+            )
+        monkeypatch.setattr(
+            framing,
+            "read_stream_uvarint",
+            counted("read_stream_uvarint", framing.read_stream_uvarint),
+        )
+        requests = []
+        for k in range(1000):
+            requests.append({"op": "put", "item": "a", "value": (b"v%d" % k).hex()})
+            requests.append({"op": "get", "item": "a"})
+        segment = _framed(*requests, {"op": "get", "item": "no-such-item"})
+        monkeypatch.setattr(
+            node_module,
+            "json",
+            types.SimpleNamespace(
+                loads=json.loads, dumps=counted("dumps", json.dumps)
+            ),
+        )
+
+        async def run():
+            nodes = await start_nodes(2)
+            try:
+                reader, writer = await _connect(nodes[0])
+                writer.write(segment)
+                reader = BufferedReader(reader)  # or this end would count
+                replies = [await read_blob(reader) for _ in range(2001)]
+                seen = dict(calls)  # before the hang-up, which is read by bytes
+                writer.close()
+                return replies, seen
+            finally:
+                await stop_nodes(nodes)
+
+        replies, seen = asyncio.run(run())
+        assert replies[-2] == b'{"ok": true, "value": "%s"}' % b"v999".hex().encode()
+        assert json.loads(replies[-1])["ok"] is False
+        assert seen == {"read": 0, "readexactly": 0, "read_stream_uvarint": 0, "dumps": 1}
 
 
 class TestWritePathNeverHashes:
