@@ -51,6 +51,20 @@ def test_bench_delta_request_quiescent(benchmark):
     benchmark(lambda: codec.decode(0, 1, codec.encode(0, 1, message)))
 
 
+def test_stage_profile_reports_the_five_stages():
+    """``wire_harness.py --stages`` (printed only, nothing gated): every
+    stage of the replayed pull is reported, per shipped item, and took
+    some time."""
+    import wire_harness
+
+    (row,) = wire_harness.bench_stages(shapes=((32, 16, 2),))
+    assert row["items"] == 32 and row["value_bytes"] == 16
+    assert [stage for stage in row if stage in wire_harness.STAGES] == [
+        "respond", "encode", "decode", "conclude", "wal-record",
+    ]
+    assert all(row[stage] > 0 for stage in wire_harness.STAGES)
+
+
 class TestWireReport:
     def test_wire_harness_emits_report(self):
         import wire_harness

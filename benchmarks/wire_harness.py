@@ -18,12 +18,18 @@ and that encoding is cheap enough to leave on everywhere:
 ``python benchmarks/wire_harness.py`` (or the driver test in
 ``test_wire.py``) writes ``BENCH_wire.json`` at the repo root.  Set
 ``REPRO_WIRE_SMOKE=1`` for the CI-sized run.
+
+``python benchmarks/wire_harness.py --stages`` is a separate, printed-only
+tool: a five-second per-stage profile of one burst pull replayed in
+process (see :func:`bench_stages`).  It sizes a change to the pull path
+in seconds; ``benchmarks/pairs.py`` still decides whether it is a gain.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -40,7 +46,10 @@ from repro.core.messages import (  # noqa: E402
     PropagationRequest,
     YouAreCurrent,
 )
+from repro.core.node import EpidemicNode  # noqa: E402
+from repro.core.session import PullSession, respond  # noqa: E402
 from repro.core.version_vector import VersionVector  # noqa: E402
+from repro.durable.records import WalAccept, encode_record  # noqa: E402
 from repro.experiments.common import make_factory, make_items  # noqa: E402
 from repro.substrate.operations import Put  # noqa: E402
 from repro.wire import WireCodec  # noqa: E402
@@ -49,6 +58,7 @@ __all__ = [
     "REPORT_NAME",
     "bench_session_bytes",
     "bench_simulation_drift",
+    "bench_stages",
     "bench_throughput",
     "run_all",
     "smoke_mode",
@@ -266,6 +276,93 @@ def bench_simulation_drift(
     }
 
 
+# -- the pull path, stage by stage (printed only) -----------------------------
+
+STAGES = ("respond", "encode", "decode", "conclude", "wal-record")
+#: (items per burst, value bytes, timed repetitions): the burst shapes of
+#: ``mem_small_kv``, ``durable_two_writers`` and ``propagate_bulk_values``.
+STAGE_SHAPES = ((256, 16, 60), (256, 256, 60), (1024, 1024, 15))
+_CALIBRATION_STEPS = 20_000
+
+
+def _calibration_unit() -> float:
+    """Seconds one *unit* takes right now: a fixed pure-Python loop,
+    scaled so a unit is about a microsecond on the box the numbers in
+    CHANGES.md were taken on.  Stage times are reported as multiples of
+    it because this box's speed drifts by tens of percent within
+    minutes; the ratio to a loop timed beside each repetition does not.
+    """
+    acc = 0
+    started = time.perf_counter()
+    for step in range(_CALIBRATION_STEPS):
+        acc += step * step
+    return (time.perf_counter() - started) / 1000
+
+
+def bench_stages(
+    shapes: tuple[tuple[int, int, int], ...] = STAGE_SHAPES,
+) -> list[dict[str, Any]]:
+    """Replay burst pulls in process — no sockets, no event loop — and
+    attribute each to the five stages a ``repro.net`` pull runs between
+    the two socket reads: ``respond`` (source builds the reply),
+    ``encode``, ``decode``, ``conclude`` (validate + AcceptPropagation)
+    and ``wal-record`` (what a durable recipient journals).
+
+    Every repetition rewrites all ``m`` items at the source and pulls
+    them over the same pair of link codecs, so item vectors travel as
+    deltas, as they do in the second and later bursts of the real
+    benchmark (the first, full-vector pull is the untimed warm-up).
+    Each figure is the median over repetitions of stage time per
+    shipped item divided by :func:`_calibration_unit` timed immediately
+    before and after that repetition.
+    """
+    clock = time.perf_counter
+    rows = []
+    for m, value_bytes, repetitions in shapes:
+        names = [f"k{index:05d}" for index in range(m)]
+        source = EpidemicNode(0, 2, names)
+        recipient = EpidemicNode(1, 2, names)
+        sender, receiver = WireCodec(), WireCodec()
+        samples: dict[str, list[float]] = {stage: [] for stage in STAGES}
+        for repetition in range(repetitions + 1):
+            value = bytes([repetition % 251]) * value_bytes
+            for name in names:
+                source.update(name, Put(value))
+            session = PullSession(recipient)
+            request = session.request()
+            before = _calibration_unit()
+            t0 = clock()
+            reply = respond(source, request)
+            t1 = clock()
+            frame = sender.encode(0, 1, reply)
+            t2 = clock()
+            decoded = receiver.decode(0, 1, frame)
+            t3 = clock()
+            outcome = session.conclude(decoded)
+            t4 = clock()
+            encode_record(repetition + 1, WalAccept(decoded))
+            t5 = clock()
+            unit = (before + _calibration_unit()) / 2
+            assert len(outcome.adopted) == m
+            if repetition == 0:
+                continue
+            for stage, spent in zip(STAGES, (t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4)):
+                samples[stage].append(spent / m / unit)
+        row: dict[str, Any] = {"items": m, "value_bytes": value_bytes}
+        for stage in STAGES:
+            row[stage] = round(statistics.median(samples[stage]), 3)
+        rows.append(row)
+    return rows
+
+
+def print_stages() -> None:
+    print("units per shipped item (1 unit = the calibration loop / 1000, ~1 us)")
+    print(f"{'burst':>14}  " + "  ".join(f"{stage:>10}" for stage in STAGES))
+    for row in bench_stages():
+        shape = f"{row['items']}x{row['value_bytes']}B"
+        print(f"{shape:>14}  " + "  ".join(f"{row[stage]:>10.3f}" for stage in STAGES))
+
+
 def run_all() -> dict[str, Any]:
     return {
         "benchmark": "wire-codec",
@@ -283,6 +380,9 @@ def write_report(report: dict[str, Any], path: Path | None = None) -> Path:
 
 
 def main() -> None:
+    if "--stages" in sys.argv[1:]:
+        print_stages()
+        return
     report = run_all()
     path = write_report(report)
     session = report["throughput"]["session_frames"]

@@ -13,7 +13,8 @@ Maintenance rules (paper section 4.1):
    component: ``V_ii += 1``.
 3. When item ``x`` is copied from node ``j`` during update propagation,
    each component grows by the updates the new copy has seen beyond the
-   old one: ``V_il += v_jl(x) - v_il(x)`` for every ``l``.
+   old one: ``V_il += v_jl(x) - v_il(x)`` for every ``l`` — applied once
+   per session as the sum of the per-item deltas.
 
 Rule 3 is the reason a single O(n) vector can stand in for per-item state:
 copying a *newer* item copy adds a non-negative delta per origin, keeping
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import operator
 from array import array
+from typing import Sequence
 
 from repro.core.version_vector import VersionVector
 from repro.obs import NULL_COUNTERS, OverheadCounters
@@ -62,40 +64,45 @@ class DatabaseVersionVector(VersionVector):
         new_ivv: VersionVector,
         counters: OverheadCounters = NULL_COUNTERS,
     ) -> None:
-        """Rule 3: account for replacing an item copy with a newer one.
+        """Rule 3 for one replaced copy: the one-pair call of
+        :meth:`absorb_item_copies`, which holds the rule's only body."""
+        self.absorb_item_copies((old_ivv,), (new_ivv,), counters)
 
-        ``old_ivv`` is the IVV of the copy being replaced, ``new_ivv`` the
-        IVV of the adopted copy.  The protocol only copies when
-        ``new_ivv`` dominates ``old_ivv``, so every per-component delta is
-        non-negative; a negative delta means the caller broke that
-        precondition and we fail fast rather than corrupt the DBVV.
+    def absorb_item_copies(
+        self,
+        old_ivvs: Sequence[VersionVector],
+        new_ivvs: Sequence[VersionVector],
+        counters: OverheadCounters = NULL_COUNTERS,
+    ) -> None:
+        """Rule 3, applied once per session as the sum of the per-item
+        deltas: ``V_il += sum_x (v_jl(x) - v_il(x))`` for every ``l``.
+
+        ``old_ivvs[k]`` is the IVV of a copy being replaced,
+        ``new_ivvs[k]`` the IVV of the copy adopted in its place.  The
+        deltas commute, so the DBVV is rebuilt once, from the column
+        sums.  The protocol only copies when the new IVV dominates the
+        old, so every summed delta is non-negative; a negative one
+        means the caller broke that and we fail fast, before anything
+        is applied.  ``vv_components_touched`` is charged what the same
+        pairs absorbed one by one would.
         """
-        old_counts = old_ivv._counts
-        new_counts = new_ivv._counts
         if counters is not NULL_COUNTERS:
-            counters.vv_components_touched += len(old_counts)
-        if new_counts is old_counts or new_counts == old_counts:
+            counters.vv_components_touched += len(self._counts) * len(new_ivvs)
+        if not new_ivvs:
             return
-        if any(map(operator.lt, new_counts, old_counts)):
-            # Cold path: rerun per-component only to name the culprit.
-            for l_idx, (old_count, new_count) in enumerate(
-                zip(old_counts, new_counts)
-            ):
-                if new_count < old_count:
-                    raise ValueError(
-                        "absorb_item_copy called with a non-dominating "
-                        f"new IVV (component {l_idx}: {new_count} < "
-                        f"{old_count})"
-                    )
-        # One fused C-level pass: V_il += v_jl(x) - v_il(x) for every l.
-        self._counts = array(
-            "Q",
-            map(
-                operator.add,
-                self._counts,
-                map(operator.sub, new_counts, old_counts),
-            ),
-        )
+        # Column sums at C speed: zip(*arrays) walks the vectors once.
+        gained = map(sum, zip(*[vv._counts for vv in new_ivvs]))
+        lost = map(sum, zip(*[vv._counts for vv in old_ivvs]))
+        delta = list(map(operator.sub, gained, lost))
+        if not any(delta):
+            return
+        if min(delta) < 0:
+            l_idx = delta.index(min(delta))
+            raise ValueError(
+                "absorb_item_copies called with non-dominating new IVVs "
+                f"(component {l_idx} would move by {delta[l_idx]})"
+            )
+        self._counts = array("Q", map(operator.add, self._counts, delta))
         self._total = None
         self._hash = None
         self._tuple = None

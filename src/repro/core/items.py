@@ -17,7 +17,7 @@ model; items are registered once at database creation.
 
 from __future__ import annotations
 
-from typing import Iterator, KeysView
+from typing import Callable, Iterator, KeysView
 
 from repro.core.version_vector import VersionVector
 from repro.errors import UnknownItemError
@@ -84,6 +84,16 @@ class DataItem:
         return f"DataItem({self.name!r}, ivv={self.ivv.as_tuple()}{aux})"
 
 
+class _ItemDict(dict[str, DataItem]):
+    """``{name: item}`` whose miss is the typed ``UnknownItemError``:
+    a lookup costs a dict subscript and nothing else."""
+
+    __slots__ = ()
+
+    def __missing__(self, name: str) -> DataItem:
+        raise UnknownItemError(name)
+
+
 class ItemStore:
     """All data item replicas of one node's database replica."""
 
@@ -91,7 +101,7 @@ class ItemStore:
 
     def __init__(self, n_nodes: int, item_names: list[str] | tuple[str, ...] = ()):
         self.n_nodes = n_nodes
-        self._items: dict[str, DataItem] = {}
+        self._items = _ItemDict()
         for name in item_names:
             self.register(name)
 
@@ -113,10 +123,14 @@ class ItemStore:
         return len(self._items)
 
     def __getitem__(self, name: str) -> DataItem:
-        try:
-            return self._items[name]
-        except KeyError:
-            raise UnknownItemError(name) from None
+        return self._items[name]
+
+    def lookup(self) -> Callable[[str], DataItem]:
+        """``store[name]`` as a bare callable, for a loop that looks up
+        one item per iteration.  Fetch it per use and do not keep it: it
+        is bound to this store's dict, and a copy of the store (the
+        explorer ``deepcopy``s nodes) has another."""
+        return self._items.__getitem__
 
     def __iter__(self) -> Iterator[DataItem]:
         return iter(self._items.values())

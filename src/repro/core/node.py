@@ -268,23 +268,25 @@ class EpidemicNode:
         selected: list[DataItem] = []
         mine = self.dbvv.as_tuple()
         theirs = remote.as_tuple()
+        entry_of = self.store.lookup()
         for k in range(self.n_nodes):  # pragma: full-scan one tail probe per log component; the request already ships an O(n) DBVV, so O(n) is the session floor (paper section 6)
             if mine[k] <= theirs[k]:
                 tails.append(())
                 continue
-            records = self.log[k].tail_after(theirs[k], self.counters)
-            tails.append(tuple(record.pair() for record in records))
-            for record in records:
-                entry = self.store[record.item]
+            tail = []
+            for record in self.log[k].tail_after(theirs[k], self.counters):
+                item = record.item
+                tail.append((item, record.seqno))
+                entry = entry_of(item)
                 if not entry.is_selected:
                     entry.is_selected = True
                     selected.append(entry)
+            tails.append(tuple(tail))
 
         # Only regular copies travel; auxiliary state never leaves the
         # node through scheduled propagation (paper section 5.1).
-        payloads = tuple(
-            self._payload_for(entry, remote) for entry in selected
-        )
+        payload_for = self._payload_for
+        payloads = tuple([payload_for(entry, remote) for entry in selected])
         # Flip the IsSelected flags back — linear in |S|, not in N.
         for entry in selected:
             entry.is_selected = False
@@ -301,34 +303,48 @@ class EpidemicNode:
         """The paper's ``AcceptPropagation`` (Fig. 3) followed by
         ``IntraNodePropagation`` (Fig. 4) on the items just copied.
 
+        A batch: each item is compared and installed once, and DBVV
+        rule 3 is applied once, as the sum of the adoptions' deltas,
+        after the last item and before the tails are appended.
+
         Returns both outcomes so callers (and tests) can see exactly
         which items were adopted, skipped, conflicted, and replayed.
         """
         outcome = AcceptOutcome()
+        adopted = outcome.adopted
         dropped_items: set[str] = set()
+        # The replaced and installed IVVs of every adoption: rule 3
+        # absorbs them together, once, after the loop.
+        replaced: list[VersionVector] = []
+        installed: list[VersionVector] = []
+        # Per-session lookups (see ``ItemStore.lookup``: never kept).
+        entry_of = self.store.lookup()
+        install = self._install_payload
+        mark_changed = self._mark_value_changed
 
         for payload in reply.items:
-            entry = self.store[payload.name]
+            name = payload.name
+            entry = entry_of(name)
             ordering = payload.ivv.compare(entry.ivv)
             if ordering is Ordering.DOMINATES:
-                old_ivv = entry.ivv
-                self._install_payload(entry, payload)
-                self._mark_value_changed(entry.name)
+                replaced.append(entry.ivv)
+                install(entry, payload)
+                mark_changed(name)
                 entry.ivv = payload.ivv.copy()
+                installed.append(entry.ivv)
                 entry.in_conflict = False
-                self.dbvv.absorb_item_copy(old_ivv, entry.ivv, self.counters)
-                outcome.adopted.append(payload.name)
+                adopted.append(name)
             elif ordering is Ordering.CONCURRENT:
                 entry.in_conflict = True
                 self.conflicts.declare(
-                    payload.name,
+                    name,
                     self.node_id,
                     ConflictSite.ACCEPT_PROPAGATION,
                     entry.ivv,
                     payload.ivv,
                 )
-                dropped_items.add(payload.name)
-                outcome.conflicted.append(payload.name)
+                dropped_items.add(name)
+                outcome.conflicted.append(name)
             else:
                 # The paper's normal case cannot reach here: a record for
                 # x in a tail means the source reflects an update to x
@@ -337,24 +353,34 @@ class EpidemicNode:
                 # after earlier conflicts froze an item, and DOMINATED
                 # "cannot happen" — we tolerate both by skipping, which
                 # keeps criterion C2 (never adopt a non-dominating copy).
-                dropped_items.add(payload.name)
-                outcome.skipped.append(payload.name)
+                dropped_items.add(name)
+                outcome.skipped.append(name)
+
+        # Before the tails: gap detection below compares a shipped seqno
+        # with the DBVV *after* this session's adoptions.
+        counters = self.counters
+        self.dbvv.absorb_item_copies(replaced, installed, counters)
 
         for k, tail in enumerate(reply.tails):
+            if not tail:
+                continue
             component = self.log[k]
+            newest = component.max_seqno
+            covered = self.dbvv[k]
             for item, seqno in tail:
-                if item in dropped_items:
+                if dropped_items and item in dropped_items:
                     outcome.records_dropped += 1
                     continue
-                if seqno <= component.max_seqno:
+                if seqno <= newest:
                     # Possible only after a conflict froze an item and a
                     # later tail overlapped records we kept; the existing
                     # newer record already supersedes this one.
                     outcome.records_dropped += 1
                     continue
-                component.add(item, seqno, self.counters)
+                component.add(item, seqno, counters)
+                newest = seqno
                 outcome.records_appended += 1
-                if seqno > self.dbvv[k]:
+                if seqno > covered:
                     # The source's log ran ahead of what our DBVV can
                     # account for — it (or some replica upstream of it)
                     # dropped a conflicting adoption, so the conflicted
@@ -370,7 +396,6 @@ class EpidemicNode:
         # comparison of n components per payload), never per element:
         # the null sink sees O(1) writes per session, a real sink the
         # same sums.
-        counters = self.counters
         counters.vv_comparisons += len(reply.items)
         counters.vv_components_touched += self.n_nodes * len(reply.items)
         counters.items_copied += len(outcome.adopted)

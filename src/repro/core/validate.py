@@ -33,9 +33,13 @@ workloads.
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import chain
+from operator import itemgetter
 from typing import TYPE_CHECKING, Union
 
 from repro.core.messages import (
+    ItemPayload,
     OutOfBoundReply,
     PropagationReply,
     PropagationRequest,
@@ -170,12 +174,17 @@ def _validate_tail(
             f"tail for origin {origin} must be a tuple, got {type(tail).__name__}"
         )
     ceiling = node.dbvv[origin] + MAX_SEQNO_GAP
+    names = node.store.names()
     prev = 0
     for entry in tail:
         if not isinstance(entry, tuple) or len(entry) != 2:
             raise ValidationError(f"malformed tail record for origin {origin}")
         item, seqno = entry
-        if validate_item_name(item) not in node.store:
+        # Inline tests pass an honest record; the named validator is
+        # called only to raise.
+        if type(item) is not str or len(item) > MAX_ITEM_NAME_LEN:
+            validate_item_name(item)
+        if item not in names:
             raise ValidationError(
                 f"tail for origin {origin} names unknown item {item!r}"
             )
@@ -197,10 +206,33 @@ def _validate_tail(
 
 
 def _validate_payload(payload: object, node: "EpidemicNode") -> None:
-    """One shipped item payload, duck-typed: ``ItemPayload`` carries a
-    whole value, ``DeltaPayload`` an op chain — both carry a name and an
-    IVV the recipient will merge.
+    """One shipped item payload — the per-item seam of reply validation.
+
+    An ``ItemPayload`` is checked on its three slots with inline tests,
+    the named ``validate_*`` functions running only to raise: checks
+    and messages are those of the duck-typed body below, which
+    ``DeltaPayload`` (an op chain in place of the value) still takes.
     """
+    if type(payload) is ItemPayload:
+        n_nodes = node.n_nodes
+        name = payload.name
+        if type(name) is not str or len(name) > MAX_ITEM_NAME_LEN:
+            validate_item_name(name)
+        if name not in node.store.names():
+            raise ValidationError(f"payload names unknown item {name!r}")
+        ivv = payload.ivv
+        if (
+            type(ivv) is not VersionVector
+            or len(counts := ivv.as_tuple()) != n_nodes
+            or (counts and max(counts) > MAX_VV_COMPONENT)
+        ):
+            validate_version_vector(ivv, n_nodes, what=f"payload {name!r} IVV")
+        value = payload.value
+        if (
+            type(value) is not bytes or len(value) > MAX_VALUE_LEN
+        ) and value is not None:
+            validate_value(value)
+        return
     name = getattr(payload, "name", None)
     if validate_item_name(name) not in node.store:
         raise ValidationError(f"payload names unknown item {name!r}")
@@ -243,6 +275,21 @@ def validate_propagation_reply(
         _validate_tail(tail, origin, node)
     for payload in reply.items:
         _validate_payload(payload, node)
+    # S is a set and D names exactly S (paper Fig. 2).  A second copy of
+    # an item is skipped as "equal" and drops its log record with it; an
+    # item without a record is adopted with nothing in the log to hand
+    # on — both pass ``check_invariants`` and silently stop spreading.
+    shipped = [payload.name for payload in reply.items]
+    in_s = set(shipped)
+    if len(in_s) != len(shipped):
+        twice = Counter(shipped).most_common(1)[0][0]
+        raise ValidationError(f"reply ships item {twice!r} more than once")
+    in_d = set(map(itemgetter(0), chain.from_iterable(reply.tails)))
+    if in_d != in_s:
+        raise ValidationError(
+            f"reply names item {min(in_d ^ in_s)!r} in only one of its "
+            "tails and its shipped set"
+        )
     return reply
 
 

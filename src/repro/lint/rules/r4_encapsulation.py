@@ -11,8 +11,8 @@ any error until (at best) a distant sanitizer sweep.
 **Rule.**  Outside ``repro.core``, code in ``src/repro`` may not:
 
 * call mutators (``increment``, ``merge_from``, ``record_local_update_by``,
-  ``absorb_item_copy``, ``extend_to``) on an attribute named ``dbvv``,
-  ``ivv`` or ``aux_ivv`` of some other object;
+  ``absorb_item_copy``, ``absorb_item_copies``, ``extend_to``) on an
+  attribute named ``dbvv``, ``ivv`` or ``aux_ivv`` of some other object;
 * assign to such an attribute or to its components
   (``node.dbvv[k] = ...``);
 * call log-vector mutators (``add``, ``discard_item``, ``add_origin``)
@@ -43,7 +43,7 @@ _VECTOR_ATTRS = frozenset({"dbvv", "ivv", "aux_ivv"})
 #: In-place mutators of :class:`~repro.core.version_vector.VersionVector`.
 _VECTOR_MUTATORS = frozenset(
     {"increment", "merge_from", "record_local_update_by", "absorb_item_copy",
-     "extend_to"}
+     "absorb_item_copies", "extend_to"}
 )
 
 #: Mutators of :class:`~repro.core.log_vector.LogVector` / components.

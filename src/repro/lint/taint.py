@@ -159,6 +159,7 @@ STATE_SINKS = frozenset(
         "merge_from",
         "record_local_update_by",
         "absorb_item_copy",
+        "absorb_item_copies",
         "extend_to",
         "discard_item",
         "add_origin",

@@ -166,7 +166,7 @@ class _NullCounters(OverheadCounters):
     the protocol charges per *call* with the call's totals, never per
     element, and the leaf helpers that run inside a caller's loop
     (``LogComponent.add``/``tail_after``,
-    ``DatabaseVersionVector.absorb_item_copy``) skip the charge when
+    ``DatabaseVersionVector.absorb_item_copies``) skip the charge when
     their sink ``is NULL_COUNTERS``: ``EpidemicNode.update`` writes
     here zero times, a propagation session a constant number of times.
     """

@@ -48,6 +48,7 @@ from repro.wire.registry import (
     codec_for_id,
 )
 from repro.wire.varint import (
+    _U64_LIMIT,
     read_svarint,
     read_uvarint,
     write_svarint,
@@ -107,7 +108,11 @@ class Encoder:
             write_uvarint(self.buf, value)
 
     def svarint(self, value: int) -> None:
-        write_svarint(self.buf, value)
+        if -0x40 <= value < 0x40:
+            # One zigzag byte: a tail's seqno differences are mostly 1.
+            self.buf.append((value << 1) ^ (value >> 63))
+        else:
+            write_svarint(self.buf, value)
 
     def bytes_(self, value: bytes) -> None:
         buf = self.buf
@@ -227,7 +232,7 @@ class Decoder:
         self._dst = dst
         # Receiver-side stream cache for this directed link, resolved on
         # the first vector read of the frame and reused for the rest.
-        self._streams: dict[str, VersionVector | tuple[int, ...]] | None = None
+        self._streams: dict[str, tuple[int, ...]] | None = None
 
     def uvarint(self) -> int:
         data = self.data
@@ -243,7 +248,14 @@ class Decoder:
         return value
 
     def svarint(self) -> int:
-        value, self.pos = read_svarint(self.data, self.pos)
+        data = self.data
+        pos = self.pos
+        if pos < len(data):
+            byte = data[pos]
+            if byte < 0x80:
+                self.pos = pos + 1
+                return (byte >> 1) ^ -(byte & 1)
+        value, self.pos = read_svarint(data, pos)
         return value
 
     def count(self, cap: int = MAX_SEQUENCE_ITEMS) -> int:
@@ -312,6 +324,10 @@ class Decoder:
         return codec.decode(self)
 
     def vv(self, stream_key: str) -> VersionVector:
+        """A version vector, full or as a delta against the tuple this
+        link+stream last decoded (which the cache then holds in its
+        place).  A delta with no base, or one that takes a component
+        outside ``[0, 2**64)``, is a :class:`WireFormatError`."""
         # Hand-inlined varint reads on local data/pos: this is the
         # hottest decode primitive (every request, reply payload, and
         # probe carries a vector) and per-component method dispatch was
@@ -329,31 +345,18 @@ class Decoder:
                 (self._src, self._dst), {}
             )
         if tag == _DELTA_VV:
-            cached = streams.get(stream_key) if streams is not None else None
-            if cached is None:
+            base = streams.get(stream_key) if streams is not None else None
+            if base is None:
                 raise WireFormatError(
                     f"delta version vector for stream {stream_key!r} from "
                     f"node {self._src} without a cached base — the sender "
                     "and receiver caches are out of sync"
                 )
-            # The cache normally holds a private template VersionVector
-            # (never handed out, so callers can't mutate it behind the
-            # codec's back); a bare tuple is also accepted so tests can
-            # inject a corrupted base directly.
-            if type(cached) is VersionVector:
-                template: VersionVector | None = cached
-                base = cached.as_tuple()
-            else:
-                template = None
-                base = cached
             if pos < len(data) and data[pos] == 0:
                 # The quiescent steady state: a zero-change delta is the
-                # cached base verbatim — one tag byte, one zero byte, a
-                # bulk buffer copy of the template, no per-component
-                # work at all.
+                # cached base verbatim — one tag byte, one zero byte, no
+                # per-component work at all.
                 self.pos = pos + 1
-                if template is not None:
-                    return template.copy()
                 return VersionVector.from_counts(base)
             n_changes, pos = read_uvarint(data, pos)
             if n_changes > MAX_SEQUENCE_ITEMS:
@@ -373,10 +376,15 @@ class Decoder:
                         f"outside the cached base of length {length}"
                     )
                 delta, pos = read_svarint(data, pos)
-                mutable[index] += delta
-                if mutable[index] < 0:
+                component = mutable[index] = mutable[index] + delta
+                if component < 0:
                     raise WireFormatError(
                         "delta version vector produced a negative component"
+                    )
+                if component >= _U64_LIMIT:
+                    raise WireFormatError(
+                        "delta version vector produced a component past "
+                        "the 64-bit range"
                     )
             counts = tuple(mutable)
         elif tag == _FULL_VV:
@@ -395,13 +403,12 @@ class Decoder:
         else:
             raise WireFormatError(f"unknown version-vector tag {tag:#x}")
         self.pos = pos
-        vv = VersionVector.from_counts(counts)
         if streams is not None:
-            # Cache a private copy as the next delta's template; the
-            # returned vector escapes to the caller and must not alias
-            # the codec's base.
-            streams[stream_key] = vv.copy()
-        return vv
+            # The next delta's base is the component tuple itself:
+            # immutable, so the caller may mutate the vector it is
+            # handed, and no second vector is kept per stream.
+            streams[stream_key] = counts
+        return VersionVector.from_counts(counts)
 
 
 class WireCodec:
@@ -434,9 +441,7 @@ class WireCodec:
         # invalidates on *every* disconnect, and a flat map would charge
         # each disconnect a scan of every cached stream in the process.
         self._sent: dict[tuple[int, int], dict[str, tuple[int, ...]]] = {}
-        self._seen: dict[
-            tuple[int, int], dict[str, VersionVector | tuple[int, ...]]
-        ] = {}
+        self._seen: dict[tuple[int, int], dict[str, tuple[int, ...]]] = {}
 
     def encode(self, src: int, dst: int, message: Any) -> bytes:
         """Encode ``message`` into a length-prefixed frame for the

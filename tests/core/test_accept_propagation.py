@@ -1,5 +1,7 @@
 """Unit tests for AcceptPropagation (paper Figure 3)."""
 
+import copy
+
 import pytest
 
 from repro.core.conflicts import ConflictPolicy, ConflictReporter, ConflictSite
@@ -34,6 +36,41 @@ class TestAdoption:
         b.update("item-2", Put(b"v3"))
         a.pull_from(b)
         assert a.dbvv.as_tuple() == (0, 3)
+
+    def test_gap_detection_sees_the_dbvv_after_the_sessions_adoptions(self):
+        """Rule 3 lands once per session, before the tails are walked:
+        a record is a gap only against the DBVV *with* this session's
+        adoptions absorbed."""
+        a, b = make_pair()
+        for version in range(3):
+            b.update("item-1", Put(b"v%d" % version))
+            b.update("item-2", Put(b"w%d" % version))
+        outcome, _ = a.pull_from(b)
+        assert outcome.records_appended == 2
+        assert a.log_gaps == {} and not a.has_open_log_gaps()
+        a.check_invariants()
+
+    def test_a_deepcopied_node_adopts_into_its_own_store(self):
+        """``explore.world`` clones nodes with ``copy.deepcopy``.  The
+        session's store lookup is fetched per session: a lookup cached
+        on the store would keep reading the *original's* items."""
+        source, original = make_pair()
+        source.update("item-1", Put(b"v1"))
+        original.pull_from(source)
+        clone = copy.deepcopy(original)
+        source.update("item-1", Put(b"v2"))
+        source.update("item-2", Put(b"only-later"))
+        outcome, _ = clone.pull_from(source)
+        assert sorted(outcome.adopted) == ["item-1", "item-2"]
+        assert clone.read("item-1") == b"v2"
+        assert original.read("item-1") == b"v1" and original.read("item-2") == b""
+        assert original.dbvv.as_tuple() == (1, 0)
+        # ... and the clone serves from its own store, too.
+        third = EpidemicNode(1, 2, ITEMS)
+        third.pull_from(clone)
+        assert third.read("item-2") == b"only-later"
+        original.check_invariants()
+        clone.check_invariants()
 
     def test_log_tails_are_appended(self):
         a, b = make_pair()

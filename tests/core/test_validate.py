@@ -11,6 +11,7 @@ Two properties matter, and both are pinned here:
 """
 
 import dataclasses
+from types import SimpleNamespace
 
 import pytest
 
@@ -37,6 +38,7 @@ from repro.core.validate import (
     validate_session_answer,
     validate_value,
     validate_version_vector,
+    _validate_payload,
 )
 from repro.core.version_vector import VersionVector
 from repro.durable.records import (
@@ -200,6 +202,110 @@ class TestPropagationReply:
         forged = dataclasses.replace(reply, items=reply.items + (rogue,))
         with pytest.raises(ValidationError):
             validate_propagation_reply(forged, recipient)
+
+
+    # -- S is a set, and D names exactly S (paper Fig. 2) ---------------------
+
+    def test_item_shipped_twice_rejected(self):
+        recipient, source = make_pair()
+        reply = honest_reply(recipient, source)
+        forged = dataclasses.replace(reply, items=reply.items * 2)
+        with pytest.raises(ValidationError, match="ships item 'a' more than once"):
+            validate_propagation_reply(forged, recipient)
+
+    def test_payload_without_tail_record_rejected(self):
+        recipient, source = make_pair()
+        reply = honest_reply(recipient, source)
+        forged = dataclasses.replace(reply, tails=((), ()))
+        with pytest.raises(ValidationError, match="item 'a' in only one of"):
+            validate_propagation_reply(forged, recipient)
+
+    def test_tail_record_without_payload_rejected(self):
+        recipient, source = make_pair()
+        reply = honest_reply(recipient, source)
+        forged = dataclasses.replace(reply, items=())
+        with pytest.raises(ValidationError, match="item 'a' in only one of"):
+            validate_propagation_reply(forged, recipient)
+
+    def test_a_refused_reply_leaves_the_node_untouched(self):
+        recipient, source = make_pair()
+        reply = honest_reply(recipient, source)
+        before = dump_node(recipient)
+        for forged in (
+            dataclasses.replace(reply, items=reply.items * 2),
+            dataclasses.replace(reply, tails=((), ())),
+        ):
+            with pytest.raises(ValidationError):
+                PullSession(recipient).conclude(forged)
+            assert dump_node(recipient) == before
+        assert PullSession(recipient).conclude(reply).adopted == ("a",)
+
+    def test_what_the_set_check_prevents(self):
+        """Adopted unchecked, the duplicate leaves a replica that passes
+        its invariants and can never hand the item on: the second copy
+        is skipped as equal and drops the item's log record with it."""
+        recipient, source = make_pair()
+        reply = honest_reply(recipient, source)
+        forged = dataclasses.replace(reply, items=reply.items * 2)
+        outcome, _ = recipient.accept_propagation(forged)
+        assert outcome.adopted == ["a"] and outcome.records_appended == 0
+        recipient.check_invariants()
+        third = EpidemicNode(1, 2, ITEMS)
+        answer = respond(recipient, PullSession(third).request())
+        assert isinstance(answer, PropagationReply) and answer.items == ()
+
+
+def _item_payload_cases():
+    """``case -> (name, value, ivv, passes)`` for a recipient of
+    ``make_pair()``: each check of the payload validator, at its
+    boundary where it has one."""
+    ok = VersionVector.from_counts((0, 1))
+    return {
+        "honest": ("a", b"x", ok, True),
+        "name-not-str": (7, b"x", ok, False),
+        "name-none": (None, b"x", ok, False),
+        "name-unhashable": (["a"], b"x", ok, False),
+        "name-at-cap-but-unknown": ("n" * MAX_ITEM_NAME_LEN, b"x", ok, False),
+        "name-past-cap": ("n" * (MAX_ITEM_NAME_LEN + 1), b"x", ok, False),
+        "name-unknown": ("zz", b"x", ok, False),
+        "ivv-not-a-vector": ("a", b"x", (0, 1), False),
+        "ivv-none": ("a", b"x", None, False),
+        "ivv-short": ("a", b"x", VersionVector.from_counts((1,)), False),
+        "ivv-long": ("a", b"x", VersionVector.from_counts((0, 1, 5)), False),
+        "ivv-at-cap": (
+            "a", b"x", VersionVector.from_counts((0, MAX_VV_COMPONENT)), True
+        ),
+        "ivv-past-cap": (
+            "a", b"x", VersionVector.from_counts((0, MAX_VV_COMPONENT + 1)), False
+        ),
+        "value-not-bytes": ("a", "text", ok, False),
+        "value-bytearray": ("a", bytearray(b"x"), ok, False),
+        "value-none": ("a", None, ok, True),
+    }
+
+
+class TestTypedPayloadPass:
+    """``_validate_payload`` checks an ``ItemPayload`` on its slots with
+    inline tests; the duck-typed body (what any other payload class
+    takes, and what every payload took before) is the reference: same
+    verdict, same exception type, same message, case by case."""
+
+    @pytest.mark.parametrize("case", sorted(_item_payload_cases()))
+    def test_same_verdict_and_message_as_the_duck_typed_body(self, case):
+        name, value, ivv, passes = _item_payload_cases()[case]
+        recipient, _ = make_pair()
+
+        def verdict(payload):
+            try:
+                _validate_payload(payload, recipient)
+            except ValidationError as exc:
+                return str(exc)
+            return None
+
+        typed = verdict(ItemPayload(name, value, ivv))
+        duck = verdict(SimpleNamespace(name=name, value=value, ivv=ivv))
+        assert typed == duck
+        assert (typed is None) == passes
 
 
 class TestSessionAnswer:

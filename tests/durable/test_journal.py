@@ -1,5 +1,7 @@
 """Tests for NodeJournal: record/commit/checkpoint/recover mechanics."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.messages import PropagationReply
@@ -13,7 +15,7 @@ from repro.durable import (
     encode_record,
 )
 from repro.durable import journal as journal_module
-from repro.errors import WALError
+from repro.errors import ValidationError, WALError
 from repro.substrate.operations import Append, Put
 from repro.substrate.persistence import SnapshotError, dump_node
 from repro.wire import WireCodec
@@ -122,6 +124,39 @@ class TestParentWrittenJournal:
         )
         fresh = NodeJournal(tmp_path)
         with pytest.raises(WALError, match="type id 4"):
+            fresh.recover(EpidemicNode, 0, 2, ITEMS)
+        assert applied == [WalUpdate("b", Put(b"before"))]
+        fresh.close()
+
+
+class TestForgedAcceptRecord:
+    """The log is disk state: an accept record whose reply ships an item
+    twice (S is not a set) parses and passes its CRC, and must still be
+    refused before it touches the node."""
+
+    def test_recovery_refuses_it_and_replays_nothing_after(
+        self, tmp_path, monkeypatch
+    ):
+        peer = EpidemicNode(1, 2, ITEMS)
+        peer.update("a", Put(b"from-1"))
+        reply = respond(peer, PullSession(EpidemicNode(0, 2, ITEMS)).request())
+        forged = dataclasses.replace(reply, items=reply.items * 2)
+
+        journal = NodeJournal(tmp_path, checkpoint_every=0)
+        journal.record_update("b", Put(b"before"))
+        journal.record_accept(forged)
+        journal.record_update("b", Put(b"after"))
+        journal.commit()
+        journal.close()
+
+        applied = []
+        monkeypatch.setattr(
+            journal_module,
+            "apply_record",
+            lambda node, record: applied.append(record),
+        )
+        fresh = NodeJournal(tmp_path)
+        with pytest.raises(ValidationError, match="ships item 'a' more than once"):
             fresh.recover(EpidemicNode, 0, 2, ITEMS)
         assert applied == [WalUpdate("b", Put(b"before"))]
         fresh.close()

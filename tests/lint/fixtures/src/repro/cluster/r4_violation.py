@@ -5,6 +5,10 @@ def corrupt_vector(node):
     node.dbvv.increment(0)
 
 
+def absorb_outside_core(node, replaced, installed):
+    node.dbvv.absorb_item_copies(replaced, installed)
+
+
 def corrupt_log(node):
     node.log.add(0, "x", 1)
 

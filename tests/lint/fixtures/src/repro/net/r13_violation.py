@@ -11,3 +11,8 @@ def apply_frame_directly(node, codec, frame):
 def adopt_answer(node, answer):
     # ``answer`` names a trust-boundary parameter: tainted on entry.
     node.accept_propagation(answer)
+
+
+def absorb_answer(vector, answer):
+    # the batched rule-3 mutator is a state sink like the one-pair call
+    vector.absorb_item_copies((), [payload.ivv for payload in answer.items])

@@ -20,7 +20,7 @@ VIOLATION_FIXTURES = {
     "R1": (FIXTURES / "src/repro/core/r1_violation.py", 1),
     "R2": (FIXTURES / "r2_violation.py", 1),
     "R3": (FIXTURES / "src/repro/cluster/r3_violation.py", 7),
-    "R4": (FIXTURES / "src/repro/cluster/r4_violation.py", 4),
+    "R4": (FIXTURES / "src/repro/cluster/r4_violation.py", 5),
     "R5": (FIXTURES / "src/repro/core/r5_violation.py", 1),
     "R6": (FIXTURES / "src/repro/cluster/r6_violation.py", 3),
     "R7": (FIXTURES / "src/repro/baselines/r7_violation.py", 4),
@@ -29,7 +29,7 @@ VIOLATION_FIXTURES = {
     "R10": (FIXTURES / "src/repro/net/r10_violation.py", 2),
     "R11": (FIXTURES / "src/repro/net/r11_violation.py", 2),
     "R12": (FIXTURES / "src/repro/net/r12_violation.py", 3),
-    "R13": (FIXTURES / "src/repro/net/r13_violation.py", 2),
+    "R13": (FIXTURES / "src/repro/net/r13_violation.py", 3),
     "R14": (FIXTURES / "src/repro/wire/r14_violation.py", 3),
     "R15": (FIXTURES / "src/repro/net/r15_violation.py", 2),
     "R16": (FIXTURES / "src/repro/cluster/r16_violation.py", 4),

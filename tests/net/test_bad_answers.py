@@ -147,8 +147,23 @@ def _forged_body(request, codec):
     )
 
 
+def _item_shipped_twice(request, codec):
+    """S is not a set: the one payload of the honest reply, twice.  It
+    encodes and decodes; adopted, the second copy would be skipped as
+    equal and take the item's only log record with it."""
+    return _forged(request, items=lambda reply: reply.items * 2)
+
+
+def _item_without_a_record(request, codec):
+    """D does not name S: the payload ships, its tail record does not."""
+    return _forged(request, tails=lambda reply: ((), ()))
+
+
 BAD_ANSWERS = {
     "garbage": (b"\x05\xde\xad\xbe\xef\x00", WireFormatError),
+    "delta-overflows-u64": (_corpus("delta_vv_overflows_u64"), WireFormatError),
+    "item-shipped-twice": (_item_shipped_twice, ValidationError),
+    "item-without-a-record": (_item_without_a_record, ValidationError),
     "nested-reply-v1": (_corpus("nested_reply_v1"), WireFormatError),
     "nested-reply": (_corpus("nested_reply"), WireFormatError),
     "parent-written-reply": (_corpus("reply_v1_parent_written"), WireFormatError),
@@ -204,6 +219,44 @@ def test_a_bad_answer_is_a_typed_error_and_costs_the_link(case, monkeypatch):
                 assert healed["ok"] and healed["adopted"] == ["a"]
                 assert peer.connections == peer.full_dbvvs == 3
                 assert len(entered) == 1
+            finally:
+                await node.stop()
+
+    asyncio.run(run())
+
+
+def test_a_bad_answer_does_not_kill_the_scheduler():
+    """The anti-entropy task survives what it can name.  A delta that
+    pushes a component past 64 bits used to surface as a bare
+    ``ValueError`` — not a ``ReplicationError`` — and the task died
+    with it; now it is this round's failed session and the next round
+    redials and adopts."""
+
+    async def run():
+        ports = _free_ports(2)
+        node = NetNode(
+            NodeConfig(
+                node_id=0,
+                items=ITEMS,
+                peer_port=ports[0],
+                peers=(PeerAddress(1, "127.0.0.1", ports[1]),),
+                reconnect_attempts=0,
+                anti_entropy_period=0.01,
+            )
+        )
+        peer = ScriptedPeer(ports[1])
+        peer.state.update("a", Put(b"theirs"))
+        peer.script.append(_corpus("delta_vv_overflows_u64"))
+        async with peer:
+            await node.start()
+            try:
+                for _ in range(500):
+                    if node.node.read("a") == b"theirs":
+                        break
+                    await asyncio.sleep(0.01)
+                assert node.node.read("a") == b"theirs"
+                assert peer.connections >= 2  # the bad answer cost the link
+                assert not node._anti_entropy_task.done()
             finally:
                 await node.stop()
 

@@ -154,6 +154,21 @@ def main() -> None:
     assert reply[-2:] == bytes([0, 10])  # index 0, svarint(+5)
     _write("reply_tail_index_out_of_range", reply[:-2] + bytes([1, 10]))
 
+    # 18. A reply that ships item "x" twice in one frame: first with a
+    #     full IVV whose component 0 is 2**64 - 1, then with a delta of
+    #     +1 on that same stream.  The delta branch must bound the sum —
+    #     it used to reach the component array as a bare ValueError.
+    item = bytes([1, 1]) + b"x" + bytes([1]) + b"A"  # id 1 · "x" · b"A"
+    _write(
+        "delta_vv_overflows_u64",
+        _frame(
+            bytes([9, 0, 2])  # reply · source 0 · 2 items
+            + item + b"\x00\x02" + _uvarint(2**64 - 1) + b"\x00"
+            + item + bytes([0x01, 1, 0, 2])  # delta · 1 change · gap 0 · +1
+            + bytes([2, 0, 0])  # two empty tails
+        ),
+    )
+
 
 if __name__ == "__main__":
     main()

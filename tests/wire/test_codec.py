@@ -136,6 +136,36 @@ class TestDeltaVectors:
             codec.decode(0, 1, frame)
 
 
+    def test_component_past_64_bits_rejected(self):
+        """The delta branch bounds both ends: a full vector at 2**64 - 1
+        followed by ``+1`` on the same stream must be a typed error, not
+        the ``ValueError`` of the component array."""
+        codec = WireCodec()
+        top = PropagationRequest(1, vv(5, 2**64 - 1))
+        codec.decode(0, 1, codec.encode(0, 1, top))
+        # type 2, recipient 1, tag 0x01, 1 change, gap 1, delta +1.
+        payload = bytes([2, 1, 0x01, 1, 1, 2])  # zigzag(+1) = 2
+        frame = bytes([len(payload)]) + payload
+        with pytest.raises(WireFormatError, match="past the 64-bit range"):
+            codec.decode(0, 1, frame)
+
+    def test_mutating_a_decoded_vector_leaves_the_cached_base_alone(self):
+        """The receiver's cache keeps the decoded component tuple, so
+        whatever the caller does to the vector it was handed, the next
+        zero-change delta on that stream decodes to what was sent."""
+        sender, receiver = WireCodec(), WireCodec()
+        payload = ItemPayload("a", b"v", vv(3, 4))
+        first = receiver.decode(0, 1, sender.encode(0, 1, payload))
+        first.ivv.increment(0, 10)
+        first.ivv.merge_from(vv(0, 99))
+        again = receiver.decode(0, 1, sender.encode(0, 1, payload))
+        assert again.ivv == vv(3, 4) and again.ivv is not first.ivv
+        again.ivv.increment(1)
+        bumped = ItemPayload("a", b"v", vv(3, 5))
+        assert receiver.decode(0, 1, sender.encode(0, 1, bumped)) == bumped
+        assert type(receiver._seen[(0, 1)]["ivv:a"]) is tuple
+
+
 class TestInvalidation:
     def test_invalidate_link_clears_only_that_direction(self):
         codec = WireCodec()

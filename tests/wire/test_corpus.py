@@ -30,7 +30,7 @@ def _corpus_files() -> list[Path]:
 def test_corpus_is_present():
     # The corpus only protects anything while it exists; a refactor that
     # drops the directory must fail loudly.
-    assert len(_corpus_files()) >= 17
+    assert len(_corpus_files()) >= 18
 
 
 @pytest.mark.parametrize("path", _corpus_files(), ids=lambda p: p.stem)
