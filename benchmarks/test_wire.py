@@ -65,6 +65,17 @@ def test_stage_profile_reports_the_five_stages():
     assert all(row[stage] > 0 for stage in wire_harness.STAGES)
 
 
+def test_stage_profile_reports_checkpoint_write_and_load():
+    """``--stages`` also prints the checkpoint rows: write and load, per
+    item, text and binary format side by side."""
+    import wire_harness
+
+    rows = wire_harness.bench_checkpoint(shape=(64, 8, 1))
+    assert [row["stage"] for row in rows] == ["checkpoint-write", "checkpoint-load"]
+    assert all(row[form] > 0 for row in rows for form in ("text", "binary"))
+    assert rows[0]["binary_bytes"] < rows[0]["text_bytes"]
+
+
 class TestWireReport:
     def test_wire_harness_emits_report(self):
         import wire_harness

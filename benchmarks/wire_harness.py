@@ -21,8 +21,11 @@ and that encoding is cheap enough to leave on everywhere:
 
 ``python benchmarks/wire_harness.py --stages`` is a separate, printed-only
 tool: a five-second per-stage profile of one burst pull replayed in
-process (see :func:`bench_stages`).  It sizes a change to the pull path
-in seconds; ``benchmarks/pairs.py`` still decides whether it is a gain.
+process (see :func:`bench_stages`), then the checkpoint's write and load
+cost per item, text and binary format side by side
+(:func:`bench_checkpoint`).  It sizes a change to the pull path or the
+checkpoint in seconds; ``benchmarks/pairs.py`` still decides whether it
+is a gain.
 """
 
 from __future__ import annotations
@@ -49,13 +52,17 @@ from repro.core.messages import (  # noqa: E402
 from repro.core.node import EpidemicNode  # noqa: E402
 from repro.core.session import PullSession, respond  # noqa: E402
 from repro.core.version_vector import VersionVector  # noqa: E402
+from repro.durable.checkpoint import encode_checkpoint  # noqa: E402
+from repro.durable.checkpoint import load_node as load_checkpoint  # noqa: E402
 from repro.durable.records import WalAccept, encode_record  # noqa: E402
 from repro.experiments.common import make_factory, make_items  # noqa: E402
 from repro.substrate.operations import Put  # noqa: E402
+from repro.substrate.persistence import dump_node, load_node  # noqa: E402
 from repro.wire import WireCodec  # noqa: E402
 
 __all__ = [
     "REPORT_NAME",
+    "bench_checkpoint",
     "bench_session_bytes",
     "bench_simulation_drift",
     "bench_stages",
@@ -355,12 +362,75 @@ def bench_stages(
     return rows
 
 
+CHECKPOINT_STAGES = ("checkpoint-write", "checkpoint-load")
+#: (items, value bytes, timed repetitions): ``durable_large_store``'s store.
+CHECKPOINT_SHAPE = (8192, 64, 7)
+
+
+def bench_checkpoint(
+    shape: tuple[int, int, int] = CHECKPOINT_SHAPE,
+) -> list[dict[str, Any]]:
+    """Checkpoint CPU per item in the text format (``dump_node`` /
+    ``load_node``) and the binary one (``encode_checkpoint`` /
+    ``repro.durable.checkpoint.load_node``), no file or fsync: n = 2, every
+    item adopted from a peer and a quarter rewritten locally, so both log
+    components are populated.  Each figure is the median over
+    repetitions of time per item divided by :func:`_calibration_unit`
+    timed beside it; the row also carries each format's size in bytes.
+    """
+    items, value_bytes, repetitions = shape
+    names = [f"k{index:05d}" for index in range(items)]
+    node = EpidemicNode(0, 2, names)
+    peer = EpidemicNode(1, 2, names)
+    for name in names:
+        peer.update(name, Put(bytes(value_bytes)))
+    node.pull_from(peer)
+    for name in names[: items // 4]:
+        node.update(name, Put(b"\x01" * value_bytes))
+    text = dump_node(node).encode("utf-8")
+    binary = bytes(encode_checkpoint(1, node))
+    runs = {
+        ("checkpoint-write", "text"): lambda: dump_node(node).encode("utf-8"),
+        ("checkpoint-write", "binary"): lambda: encode_checkpoint(1, node),
+        ("checkpoint-load", "text"): lambda: load_node(text.decode("utf-8")),
+        ("checkpoint-load", "binary"): lambda: load_checkpoint(binary),
+    }
+    clock = time.process_time
+    rows = []
+    for stage in CHECKPOINT_STAGES:
+        row: dict[str, Any] = {"stage": stage, "items": items, "value_bytes": value_bytes}
+        for form in ("text", "binary"):
+            run = runs[stage, form]
+            samples = []
+            for _repetition in range(repetitions):
+                before = _calibration_unit()
+                started = clock()
+                run()
+                spent = clock() - started
+                unit = (before + _calibration_unit()) / 2
+                samples.append(spent / items / unit)
+            row[form] = round(statistics.median(samples), 3)
+        row["text_bytes"], row["binary_bytes"] = len(text), len(binary)
+        rows.append(row)
+    return rows
+
+
 def print_stages() -> None:
     print("units per shipped item (1 unit = the calibration loop / 1000, ~1 us)")
     print(f"{'burst':>14}  " + "  ".join(f"{stage:>10}" for stage in STAGES))
     for row in bench_stages():
         shape = f"{row['items']}x{row['value_bytes']}B"
         print(f"{shape:>14}  " + "  ".join(f"{row[stage]:>10.3f}" for stage in STAGES))
+    rows = bench_checkpoint()
+    first = rows[0]
+    print(
+        f"\nunits per item, checkpoint of {first['items']}x{first['value_bytes']}B, n=2 "
+        f"(text {first['text_bytes']} B, binary {first['binary_bytes']} B)"
+    )
+    print(f"{'stage':>16}  {'text':>10}  {'binary':>10}  {'ratio':>6}")
+    for row in rows:
+        ratio = row["binary"] / row["text"]
+        print(f"{row['stage']:>16}  {row['text']:>10.3f}  {row['binary']:>10.3f}  {ratio:>6.2f}")
 
 
 def run_all() -> dict[str, Any]:

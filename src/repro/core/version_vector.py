@@ -37,12 +37,20 @@ from __future__ import annotations
 
 import enum
 import operator
+import sys
 from array import array
 from typing import Iterable, Iterator, Sequence
 
 from repro.errors import ReplicaSetMismatchError, UnknownNodeError
 
-__all__ = ["Ordering", "VersionVector", "compare", "merge", "dominates"]
+__all__ = [
+    "Ordering",
+    "VersionVector",
+    "compare",
+    "merge",
+    "dominates",
+    "pack_vectors",
+]
 
 _U64_LIMIT = 1 << 64
 
@@ -404,3 +412,18 @@ def merge(a: VersionVector, b: VersionVector) -> VersionVector:
 def dominates(a: VersionVector, b: VersionVector) -> bool:
     """Module-level alias of :meth:`VersionVector.dominates`."""
     return a.dominates(b)
+
+
+_COUNTS = operator.attrgetter("_counts")
+
+
+def pack_vectors(vectors: Iterable[VersionVector]) -> bytes:
+    """The components of ``vectors``, concatenated as little-endian
+    64-bit words — the checkpoint's IVV column, built in C-level passes
+    (no per-component boxing)."""
+    words = b"".join(map(array.tobytes, map(_COUNTS, vectors)))
+    if sys.byteorder == "big":
+        swapped = array("Q", words)
+        swapped.byteswap()
+        return swapped.tobytes()
+    return words

@@ -12,6 +12,9 @@ the assumption real:
 * :mod:`~repro.durable.records` — the record codec: the five
   state-changing node inputs (update / accept / oob / resolve /
   expand), wire-encoded with LSNs for checkpoint gating;
+* :mod:`~repro.durable.checkpoint` — the checkpoint file: the whole
+  protocol state as one WAL-framed record laid out by column, validated
+  before it becomes a node;
 * :mod:`~repro.durable.journal` — :class:`~repro.durable.journal.
   NodeJournal`, one node's checkpoint + WAL + recovery engine.
 

@@ -2,7 +2,7 @@
 
 One :class:`NodeJournal` owns one data directory::
 
-    <data_dir>/checkpoint.snap   # "checkpoint lsn <n>" + dump_node text
+    <data_dir>/checkpoint.snap   # one CRC-framed binary snapshot + its LSN
     <data_dir>/wal.log           # records with LSNs > any checkpoint's
 
 Writing discipline (the drivers call this after every accepted input):
@@ -19,9 +19,14 @@ crash between the two steps leaves stale records in the log whose LSNs
 the checkpoint already covers, and recovery skips them (replaying a
 user update twice is not idempotent).
 
+The checkpoint is the whole protocol state laid out by column under
+the WAL's framing (:mod:`repro.durable.checkpoint`); the file name and
+the cadence are fixed points a deployment's data directory relies on.
+
 Recovery (:meth:`NodeJournal.recover`) is the paper's "repaired server"
-made real: load the latest valid checkpoint (or start from a fresh
-replica), truncate any torn WAL tail, replay the intact suffix, and
+made real: load the checkpoint (or start from a fresh replica) — a torn,
+corrupt or text-format one is a ``SnapshotError`` and nothing is
+replayed — then truncate any torn WAL tail, replay the intact suffix, and
 hand back a node whose ``after_restore`` has marked the content
 digest stale and re-derived the per-origin ``log_gaps``.  The conflict
 reporter's history is telemetry, not protocol state: like the snapshot
@@ -37,6 +42,7 @@ from typing import Sequence
 
 from repro.core.node import EpidemicNode
 from repro.core.messages import OutOfBoundReply, PropagationReply
+from repro.durable.checkpoint import encode_checkpoint, load_node
 from repro.durable.records import (
     WalAccept,
     WalExpand,
@@ -51,18 +57,12 @@ from repro.durable.records import (
 )
 from repro.durable.wal import WriteAheadLog
 from repro.substrate.operations import UpdateOperation
-from repro.substrate.persistence import (
-    SnapshotError,
-    atomic_write_bytes,
-    dump_node,
-    load_node,
-)
+from repro.substrate.persistence import SnapshotError, atomic_write_bytes
 
 __all__ = ["NodeJournal"]
 
 _CHECKPOINT_NAME = "checkpoint.snap"
 _WAL_NAME = "wal.log"
-_CHECKPOINT_HEADER = "checkpoint lsn "
 
 
 class NodeJournal:
@@ -143,10 +143,10 @@ class NodeJournal:
         the log.  Crashing in between leaves records the checkpoint
         already covers — recovery's LSN gate skips them.
         """
-        covered = self._next_lsn - 1
-        text = f"{_CHECKPOINT_HEADER}{covered}\n{dump_node(node)}"
         atomic_write_bytes(
-            self.checkpoint_path, text.encode("utf-8"), fsync=self.fsync
+            self.checkpoint_path,
+            encode_checkpoint(self._next_lsn - 1, node),
+            fsync=self.fsync,
         )
         self.wal.reset()
         self._since_checkpoint = 0
@@ -172,13 +172,19 @@ class NodeJournal:
         constructor arguments describe the replica *at birth*; journaled
         ``expand`` records re-grow the replica set during replay.  Torn
         WAL tails are truncated in place, so the journal is immediately
-        appendable again.
+        appendable again.  A checkpoint that does not load raises
+        :class:`~repro.substrate.persistence.SnapshotError` before any
+        WAL record is read.
         """
         base_lsn = 0
         node: EpidemicNode | None = None
         if self.checkpoint_path.exists():
-            base_lsn, snapshot_text = self._read_checkpoint()
-            node = load_node(snapshot_text, node_class, **node_kwargs)
+            try:
+                base_lsn, node = load_node(
+                    self.checkpoint_path.read_bytes(), node_class, **node_kwargs
+                )
+            except SnapshotError as exc:
+                raise SnapshotError(f"{self.checkpoint_path}: {exc}") from exc
         if node is None:
             node = node_class(node_id, n_nodes, list(items), **node_kwargs)
         last_lsn = base_lsn
@@ -201,24 +207,3 @@ class NodeJournal:
         self._next_lsn = last_lsn + 1
         self._since_checkpoint = replayed
         return node
-
-    def _read_checkpoint(self) -> tuple[int, str]:
-        text = self.checkpoint_path.read_text()
-        header, newline, snapshot_text = text.partition("\n")
-        if not newline or not header.startswith(_CHECKPOINT_HEADER):
-            raise SnapshotError(
-                f"malformed checkpoint header in {self.checkpoint_path}: "
-                f"{header[:40]!r}"
-            )
-        try:
-            base_lsn = int(header[len(_CHECKPOINT_HEADER):])
-        except ValueError:
-            raise SnapshotError(
-                f"malformed checkpoint LSN in {self.checkpoint_path}: "
-                f"{header!r}"
-            ) from None
-        if base_lsn < 0:
-            raise SnapshotError(
-                f"negative checkpoint LSN in {self.checkpoint_path}"
-            )
-        return base_lsn, snapshot_text

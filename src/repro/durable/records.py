@@ -30,9 +30,11 @@ cache), so every version vector is stored in full form.  An accept
 record is therefore exactly as compact as the reply frame it journals
 (type id 9: names once, seqnos as differences), and a record written
 before that format (type id 4, retired) fails :func:`decode_record`
-with *unknown type id* — recovery stops there, loudly.  Upgrading a
-durable node is a clean shutdown (which folds the WAL into a
-checkpoint, a format this change did not touch) followed by a start.
+with *unknown type id* — recovery stops there, loudly.  The checkpoint
+(:mod:`repro.durable.checkpoint`) is the same kind of frame around a
+column dump and reuses the op encoding for its auxiliary log; an old
+text checkpoint is refused just as loudly, so an old data directory is
+emptied and re-seeded from a peer, not upgraded in place.
 
 The LSN makes checkpointing crash-safe.  ``NodeJournal.checkpoint``
 first replaces the snapshot (atomically), then truncates the WAL; a

@@ -38,9 +38,22 @@ from typing import IO
 from repro.errors import WireFormatError
 from repro.wire.varint import read_uvarint, write_uvarint
 
-__all__ = ["WriteAheadLog"]
+__all__ = ["WriteAheadLog", "frame_record"]
 
 _CRC_BYTES = 4
+
+
+def frame_record(body: bytes) -> bytearray:
+    """One record as it lies on disk: ``uvarint(len) u32le(crc32) body``.
+
+    The checkpoint file is exactly one such frame, so torn writes and
+    bit rot have one story for both files.
+    """
+    frame = bytearray()
+    write_uvarint(frame, len(body))
+    frame += zlib.crc32(body).to_bytes(_CRC_BYTES, "little")
+    frame += body
+    return frame
 
 
 class WriteAheadLog:
@@ -73,10 +86,7 @@ class WriteAheadLog:
 
     def append(self, body: bytes) -> None:
         """Buffer one record; durable only after the next :meth:`commit`."""
-        frame = bytearray()
-        write_uvarint(frame, len(body))
-        frame += zlib.crc32(body).to_bytes(_CRC_BYTES, "little")
-        frame += body
+        frame = frame_record(body)
         self._handle().write(frame)
         self.records_appended += 1
         self.bytes_appended += len(frame)

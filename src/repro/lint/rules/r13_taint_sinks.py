@@ -1,12 +1,15 @@
 """R13: no untrusted value reaches a protocol-state mutation.
 
 Every frame :mod:`repro.wire` decodes, every client-op payload
-:mod:`repro.net` parses, and every WAL record :mod:`repro.durable`
-replays is attacker-writable.  The state machine's mutation sites — the
+:mod:`repro.net` parses, and every WAL record and checkpoint
+:mod:`repro.durable` reads back is attacker-writable.  The state machine's mutation sites — the
 R4 vector/log mutator inventory plus the ``EpidemicNode`` / session /
 journal entry points — must only ever see values that passed a
 registered validator from :mod:`repro.core.validate` (the taint
-engine's :data:`~repro.lint.taint.SANCTIONED_SANITIZERS`).  A cap guard
+engine's :data:`~repro.lint.taint.SANCTIONED_SANITIZERS`, which add the
+two disk-state validators: ``validate_record`` for WAL records, and
+``validate_snapshot`` between ``decode_checkpoint`` and the restore
+sink ``rebuild_node``).  A cap guard
 (``if n > MAX: raise``) bounds a value but does not make it trusted;
 only a sanitizer clears taint, and only by reassignment
 (``reply = validate_propagation_reply(answer, ...)``).

@@ -21,9 +21,13 @@ any error until (at best) a distant sanitizer sweep.
   core structures (``_components``, ``_by_item``, ``_head``, ``_tail``,
   ``_counts``, ...) on any object other than ``self``.
 
-The one sanctioned exception is the snapshot-restore path in
-``substrate/persistence.py``, which rebuilds a node bit-identically and
-carries explicit ``# lint: skip=R4`` pragmas.  Tests are exempt —
+The one sanctioned exception is
+:func:`repro.substrate.persistence.rebuild_node`, the restore function
+both snapshot formats (the durable binary checkpoint and the text debug
+dump) rebuild a node through, bit-identically, after
+``validate_snapshot`` has checked what they decoded; its writes carry
+explicit ``# lint: skip=R4`` pragmas (as do the explorer's deliberate
+protocol mutations in ``explore/mutations.py``).  Tests are exempt —
 white-box tests must corrupt state on purpose to prove the checkers
 catch it.
 """

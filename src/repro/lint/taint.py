@@ -11,9 +11,9 @@ The model (deliberately simple, calibrated to this codebase):
 
 **Sources.**  A call to a decode-boundary function
 (:data:`FRAME_SOURCES`: ``decode``, ``json.loads``, ``read_frame``,
-``decode_record``, ...) produces a TAINTED value, as does reading a
-parameter named ``request`` or ``answer`` (the two names the sans-I/O
-session driver uses for peer-supplied messages).  Inside
+``decode_record``, ``decode_checkpoint``, ...) produces a TAINTED
+value, as does reading a parameter named ``request`` or ``answer`` (the
+two names the sans-I/O session driver uses for peer-supplied messages).  Inside
 ``repro.wire``, the ``Decoder`` field readers (``uvarint``, ``bytes_``,
 ``vv``, ...) are sources too — every field of a frame is attacker
 data.  ``Decoder.count()`` yields a CAPPED value: still untrusted, but
@@ -29,8 +29,10 @@ tainted taints its call sites).
 
 **Sanitizers.**  Only a call to a *registered* sanitizer —
 :data:`SANCTIONED_SANITIZERS`, the ``validate_*`` API of
-:mod:`repro.core.validate` plus :func:`repro.durable.records.
-validate_record` — produces a CLEAN result.  Sanitizers are
+:mod:`repro.core.validate` plus the disk-state validators
+:func:`repro.durable.records.validate_record` and
+:func:`repro.substrate.persistence.validate_snapshot` — produces a
+CLEAN result.  Sanitizers are
 value-passing: ``answer = validate_session_answer(answer, ...)`` cleans
 ``answer``; a bare ``validate_...(answer)`` call cleans nothing, which
 keeps the wiring honest.  (``validate_session_answer`` sanctions an
@@ -81,7 +83,8 @@ CAPPED = 1
 TAINTED = 2
 
 #: Calls that produce untrusted data in any module: frame/blob readers,
-#: codec decodes, the JSON client-op parser, WAL record decoding.
+#: codec decodes, the JSON client-op parser, WAL record and checkpoint
+#: decoding.
 FRAME_SOURCES = frozenset(
     {
         "decode",
@@ -91,6 +94,7 @@ FRAME_SOURCES = frozenset(
         "receive_preamble",
         "read_stream_uvarint",
         "decode_record",
+        "decode_checkpoint",
     }
 )
 
@@ -109,7 +113,9 @@ CAPPED_READS = frozenset({"count"})
 UNTRUSTED_PARAMS = frozenset({"request", "answer"})
 
 #: The registered sanitizer set.  ``repro.core.validate.__all__`` must
-#: stay in sync (a unit test cross-checks); an unregistered
+#: stay in sync (a unit test cross-checks) — plus the two disk-state
+#: validators, ``validate_record`` (WAL records) and
+#: ``validate_snapshot`` (checkpoints); an unregistered
 #: ``validate_``-prefixed helper clears nothing.
 SANCTIONED_SANITIZERS = frozenset(
     {
@@ -120,6 +126,7 @@ SANCTIONED_SANITIZERS = frozenset(
         "validate_propagation_request",
         "validate_record",
         "validate_session_answer",
+        "validate_snapshot",
         "validate_value",
         "validate_version_vector",
     }
@@ -154,6 +161,8 @@ STATE_SINKS = frozenset(
         "record_resolve",
         "record_expand",
         "apply_record",
+        # checkpoint restore: the one writer of core state outside core
+        "rebuild_node",
         # version-vector / log mutators (R4's inventory)
         "increment",
         "merge_from",

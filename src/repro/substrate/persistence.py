@@ -1,29 +1,52 @@
-"""Durable snapshots of protocol state.
+"""Protocol-state snapshots: one restore path, and a text debug dump.
 
 The failure experiments assume a fail-stop model: a crashed server
 loses nothing and resumes from its durable state (paper section 8.2
-talks about servers being "repaired").  The storage journal
-(:mod:`repro.substrate.storage`) already proves user *values* are
-recoverable; this module makes the full *protocol* state durable — the
-DBVV, every IVV, the log vector, auxiliary copies, and the auxiliary
-log — so a node object can be serialized, destroyed, and rebuilt
-bit-identically.
+talks about servers being "repaired").  A node's full *protocol* state
+— the DBVV, every IVV, the log vector, auxiliary copies, and the
+auxiliary log — decodes into a :class:`Snapshot`, is checked by
+:func:`validate_snapshot` before any node exists, and becomes a node
+through :func:`rebuild_node`, the one writer of core state outside
+:mod:`repro.core` (lint rule R4's sanctioned exception).
 
-The format is a line-oriented text format (sections with hex-encoded
-bytes), chosen over pickle deliberately: it is diffable in tests,
-stable across Python versions, and cannot execute code on load.
-Operations in the auxiliary log are encoded by a small registry
-covering the operation types in :mod:`repro.substrate.operations`.
+Two formats decode into a :class:`Snapshot`:
+
+* the binary checkpoint a durable node writes
+  (:mod:`repro.durable.checkpoint`: columns under the WAL's CRC
+  framing);
+* the line-oriented text format here (:func:`dump_node` /
+  :func:`load_node`, hex-encoded bytes), kept as a diffable debug dump
+  and as the simulator's state fingerprint.  It was chosen over pickle
+  deliberately: stable across Python versions, and it cannot execute
+  code on load.  A dump must end with its ``[end]`` line, so a
+  truncated one is refused rather than loaded as a smaller node.
+
+Every failure on the way in — a cut, a malformed line, a forged count —
+is a :class:`SnapshotError`.  Operations in the auxiliary log are
+text-encoded by a small registry covering the operation types in
+:mod:`repro.substrate.operations`.
 """
 
 from __future__ import annotations
 
+import operator
 import os
+from array import array
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 from repro.core.node import EpidemicNode
+from repro.core.validate import (
+    MAX_REPLICA_SET,
+    MAX_VALUE_LEN,
+    MAX_VV_COMPONENT,
+    validate_item_name,
+    validate_value,
+    validate_version_vector,
+)
 from repro.core.version_vector import VersionVector
-from repro.errors import ReplicationError
+from repro.errors import ReplicationError, ValidationError
 from repro.substrate.operations import (
     Append,
     BytePatch,
@@ -34,21 +57,50 @@ from repro.substrate.operations import (
 )
 
 __all__ = [
+    "Snapshot",
     "SnapshotError",
     "atomic_write_bytes",
     "encode_op",
     "decode_op",
     "dump_node",
     "load_node",
+    "rebuild_node",
     "save_node",
     "restore_node",
+    "validate_snapshot",
 ]
 
 FORMAT_VERSION = 1
+_HEADER = f"epidemic-node-snapshot v{FORMAT_VERSION}"
 
 
 class SnapshotError(ReplicationError):
     """A snapshot could not be encoded or decoded."""
+
+
+@dataclass(slots=True)
+class Snapshot:
+    """A node's protocol state as decoded — not yet trusted.
+
+    Items are addressed by their index in ``names`` (store order), and
+    ``ivvs`` is one flat column of ``n_nodes`` components per item.
+    """
+
+    node_id: int
+    n_nodes: int
+    dbvv: VersionVector
+    names: list[str]
+    ivvs: Sequence[int]
+    values: list[bytes]
+    #: One byte per item: 1 while the item is declared in conflict.
+    conflicts: bytes
+    #: ``(origin, item indexes, seqnos)`` per non-empty log component,
+    #: origins ascending, records oldest first.
+    log: list[tuple[int, Sequence[int], Sequence[int]]]
+    #: ``(item index, auxiliary IVV, auxiliary value)`` per aux copy.
+    aux: list[tuple[int, VersionVector, bytes]]
+    #: ``(item index, pre-update IVV, operation)``, oldest first.
+    aux_log: list[tuple[int, VersionVector, UpdateOperation]]
 
 
 def encode_op(op: UpdateOperation) -> str:
@@ -119,7 +171,7 @@ def dump_node(node: EpidemicNode) -> str:
     with empty telemetry).
     """
     lines: list[str] = [
-        f"epidemic-node-snapshot v{FORMAT_VERSION}",
+        _HEADER,
         f"node {node.node_id} {node.n_nodes}",
         f"dbvv {_vv_text(node.dbvv)}",
         "[items]",
@@ -172,66 +224,215 @@ def load_node(
     operation-shipping subclass; note a restored
     :class:`~repro.core.delta.DeltaEpidemicNode` starts with empty op
     histories (histories are a send-side optimization, rebuilt as new
-    updates arrive — it simply serves whole values meanwhile).
+    updates arrive — it simply serves whole values meanwhile).  A dump
+    without its ``[end]`` line, or with any line that does not parse,
+    raises :class:`SnapshotError`.
     """
+    snapshot = validate_snapshot(_parse_text(text))
+    return rebuild_node(snapshot, node_class, **node_kwargs)
+
+
+def _parse_text(text: str) -> Snapshot:
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines or not lines[0].startswith("epidemic-node-snapshot"):
         raise SnapshotError("not an epidemic-node snapshot")
-    if lines[0] != f"epidemic-node-snapshot v{FORMAT_VERSION}":
+    if lines[0] != _HEADER:
         raise SnapshotError(f"unsupported snapshot version: {lines[0]!r}")
+    if lines[-1] != "[end]":
+        raise SnapshotError("truncated snapshot: no [end] line")
     try:
-        _tag, node_id_text, n_nodes_text = lines[1].split(" ")
-        node_id, n_nodes = int(node_id_text), int(n_nodes_text)
-    except ValueError as exc:
-        raise SnapshotError(f"malformed node line: {lines[1]!r}") from exc
-    if not lines[2].startswith("dbvv "):
-        raise SnapshotError("missing dbvv line")
-    dbvv = _vv_parse(lines[2][len("dbvv "):])
+        return _parse_sections(lines[1:-1])
+    except (ValueError, IndexError, OverflowError) as exc:
+        raise SnapshotError(f"malformed snapshot: {exc}") from exc
 
-    # First pass: collect the schema so the node can be constructed.
-    item_lines: list[tuple[str, str, str, str]] = []
-    aux_lines: list[tuple[str, str, str]] = []
-    log_lines: list[tuple[int, int, str]] = []
-    auxlog_lines: list[tuple[str, str, str]] = []
+
+def _parse_sections(lines: list[str]) -> Snapshot:
+    tag, node_id_text, n_nodes_text = lines[0].split(" ")
+    dbvv_tag, dbvv_text = lines[1].split(" ")
+    if (tag, dbvv_tag) != ("node", "dbvv"):
+        raise SnapshotError(f"malformed header lines: {lines[:2]!r}")
+    n_nodes = int(n_nodes_text)
+    names: list[str] = []
+    index: dict[str, int] = {}
+    ivvs = array("Q")
+    values: list[bytes] = []
+    conflicts = bytearray()
+    log: list[tuple[int, Sequence[int], Sequence[int]]] = []
+    indexes: list[int] = []
+    seqnos: list[int] = []
+    aux: list[tuple[int, VersionVector, bytes]] = []
+    aux_log: list[tuple[int, VersionVector, UpdateOperation]] = []
+
+    def index_of(name: str) -> int:
+        position = index.get(name)
+        if position is None:
+            raise SnapshotError(f"snapshot line names unknown item {name!r}")
+        return position
+
+    sections = iter(("[items]", "[log]", "[auxlog]"))
     section = ""
-    for line in lines[3:]:
-        if line in ("[items]", "[log]", "[auxlog]", "[end]"):
+    for line in lines[2:]:
+        if line.startswith("["):
+            if line != next(sections, None):
+                raise SnapshotError(f"unexpected section line {line!r}")
             section = line
             continue
-        fields = line.split(" ", 1)
-        if section == "[items]" and fields[0] == "item":
-            name, ivv_text, value_hex, conflict_flag = line.split(" ")[1:]
-            item_lines.append((name, ivv_text, value_hex, conflict_flag))
-        elif section == "[items]" and fields[0] == "aux":
-            name, ivv_text, value_hex = line.split(" ")[1:]
-            aux_lines.append((name, ivv_text, value_hex))
-        elif section == "[log]" and fields[0] == "rec":
-            _tag, origin_text, seqno_text, item = line.split(" ", 3)
-            log_lines.append((int(origin_text), int(seqno_text), item))
-        elif section == "[auxlog]" and fields[0] == "auxrec":
-            _tag, item, ivv_text, op_text = line.split(" ", 3)
-            auxlog_lines.append((item, ivv_text, op_text))
+        kind, _, rest = line.partition(" ")
+        if section == "[items]" and kind == "item":
+            name, ivv_text, value_hex, flag = rest.split(" ")
+            counts = ivv_text.split(",")
+            if len(counts) != n_nodes or flag not in ("0", "1"):
+                raise SnapshotError(f"malformed item line: {line!r}")
+            index[name] = len(names)
+            names.append(name)
+            ivvs.extend(map(int, counts))
+            values.append(bytes.fromhex(value_hex))
+            conflicts.append(flag == "1")
+        elif section == "[items]" and kind == "aux":
+            name, ivv_text, value_hex = rest.split(" ")
+            aux.append((index_of(name), _vv_parse(ivv_text), bytes.fromhex(value_hex)))
+        elif section == "[log]" and kind == "rec":
+            origin_text, seqno_text, name = rest.split(" ")
+            origin = int(origin_text)
+            if not log or log[-1][0] != origin:
+                indexes, seqnos = [], []
+                log.append((origin, indexes, seqnos))
+            indexes.append(index_of(name))
+            seqnos.append(int(seqno_text))
+        elif section == "[auxlog]" and kind == "auxrec":
+            name, ivv_text, op_text = rest.split(" ", 2)
+            aux_log.append((index_of(name), _vv_parse(ivv_text), decode_op(op_text)))
         else:
             raise SnapshotError(f"unexpected line in {section or 'header'}: {line!r}")
-
-    node = node_class(
-        node_id, n_nodes, [name for name, *_rest in item_lines], **node_kwargs
+    if section != "[auxlog]":
+        raise SnapshotError("snapshot is missing a section")
+    return Snapshot(
+        int(node_id_text), n_nodes, _vv_parse(dbvv_text), names, ivvs,
+        values, bytes(conflicts), log, aux, aux_log,
     )
-    # Snapshot restore is the one sanctioned writer of core state outside
-    # repro.core: it rebuilds a node bit-identically from its own dump,
-    # then after_restore() re-verifies the cross-structure invariants.
-    node.dbvv.merge_from(dbvv)  # lint: skip=R4
-    for name, ivv_text, value_hex, conflict_flag in item_lines:
-        entry = node.store[name]
-        entry.ivv = _vv_parse(ivv_text)  # lint: skip=R4
-        entry.value = bytes.fromhex(value_hex)
-        entry.in_conflict = conflict_flag == "1"
-    for name, ivv_text, value_hex in aux_lines:
-        node.store[name].install_auxiliary(bytes.fromhex(value_hex), _vv_parse(ivv_text))
-    for origin, seqno, item in log_lines:
-        node.log.add(origin, item, seqno)  # lint: skip=R4
-    for item, ivv_text, op_text in auxlog_lines:
-        node.aux_log.append(item, _vv_parse(ivv_text), decode_op(op_text))
+
+
+def validate_snapshot(snapshot: Snapshot) -> Snapshot:
+    """Trust-boundary check of a decoded snapshot, before any node
+    exists.  Every column is as long as the item count says, every
+    index names an item, every vector fits the replica set and the
+    component cap, each log component holds one record per item in
+    strictly increasing seqno order, and the DBVV equals the IVV column
+    sums (rule 3's invariant — unless a conflict flag is set, which
+    freezes that accounting exactly as in
+    ``EpidemicNode.check_invariants``).  Registered as an R13
+    sanitizer; raises :class:`SnapshotError`.
+    """
+    n = snapshot.n_nodes
+    if not 0 < n <= MAX_REPLICA_SET:
+        raise SnapshotError(
+            f"replica set of {n} nodes outside 1..{MAX_REPLICA_SET}"
+        )
+    if not 0 <= snapshot.node_id < n:
+        raise SnapshotError(
+            f"node id {snapshot.node_id} outside the replica set of {n}"
+        )
+    names = snapshot.names
+    items = len(names)
+    ivvs = snapshot.ivvs
+    try:
+        for name in names:
+            validate_item_name(name)
+        validate_version_vector(snapshot.dbvv, n, "DBVV")
+        for _index, ivv, value in snapshot.aux:
+            validate_version_vector(ivv, n, "auxiliary IVV")
+            validate_value(value)
+        for _index, ivv, _op in snapshot.aux_log:
+            validate_version_vector(ivv, n, "auxiliary-log IVV")
+    except ValidationError as exc:
+        raise SnapshotError(f"invalid snapshot: {exc}") from exc
+    if len(set(names)) != items:
+        raise SnapshotError("snapshot names an item twice")
+    if len(ivvs) != items * n:
+        raise SnapshotError(
+            f"IVV column holds {len(ivvs)} components, not {items} items "
+            f"x {n} nodes"
+        )
+    if max(ivvs, default=0) > MAX_VV_COMPONENT:
+        raise SnapshotError(f"IVV component exceeds cap {MAX_VV_COMPONENT}")
+    if len(snapshot.values) != items or len(snapshot.conflicts) != items:
+        raise SnapshotError(
+            "value or conflict column length is not the item count"
+        )
+    if max(map(len, snapshot.values), default=0) > MAX_VALUE_LEN:
+        raise SnapshotError(f"value exceeds cap {MAX_VALUE_LEN}")
+    if snapshot.conflicts.translate(None, b"\x00\x01"):
+        raise SnapshotError("conflict flag other than 0 or 1")
+    previous = -1
+    for origin, indexes, seqnos in snapshot.log:
+        if not previous < origin < n:
+            raise SnapshotError(
+                f"log component {origin} repeated, out of order or outside "
+                f"the replica set of {n}"
+            )
+        previous = origin
+        if len(indexes) != len(seqnos) or max(indexes, default=0) >= items:
+            raise SnapshotError(
+                f"log component {origin} names an item index past the "
+                f"{items} items"
+            )
+        if len(set(indexes)) != len(indexes):
+            raise SnapshotError(
+                f"log component {origin} holds two records for one item"
+            )
+        if seqnos and (
+            seqnos[0] < 1 or not all(map(operator.lt, seqnos, seqnos[1:]))
+        ):
+            raise SnapshotError(
+                f"log component {origin} seqnos are not strictly increasing"
+            )
+    aux_items = [index for index, _ivv, _value in snapshot.aux]
+    if len(set(aux_items)) != len(aux_items):
+        raise SnapshotError("snapshot holds two auxiliary copies of one item")
+    for index, _ivv, _payload in (*snapshot.aux, *snapshot.aux_log):
+        if index >= items:
+            raise SnapshotError(
+                f"auxiliary entry names item index {index} past the {items} items"
+            )
+    if 1 not in snapshot.conflicts:
+        sums = [sum(ivvs[k::n]) for k in range(n)]
+        if sums != list(snapshot.dbvv):
+            raise SnapshotError(
+                f"DBVV {list(snapshot.dbvv)} is not the IVV column sums {sums}"
+            )
+    return snapshot
+
+
+def rebuild_node(
+    snapshot: Snapshot,
+    node_class: type[EpidemicNode] = EpidemicNode,
+    **node_kwargs,
+) -> EpidemicNode:
+    """The node a snapshot that passed :func:`validate_snapshot`
+    describes, bit-identical to the one it was taken from.
+
+    Snapshot restore is the one sanctioned writer of core state outside
+    :mod:`repro.core` (R4): both formats rebuild through here, and
+    ``after_restore`` then re-derives the state nothing persists.
+    """
+    n = snapshot.n_nodes
+    names = snapshot.names
+    node = node_class(snapshot.node_id, n, names, **node_kwargs)
+    node.dbvv.merge_from(snapshot.dbvv)  # lint: skip=R4
+    ivvs = snapshot.ivvs
+    for start, entry, value, conflict in zip(
+        range(0, len(ivvs), n), node.store, snapshot.values, snapshot.conflicts
+    ):
+        entry.ivv = VersionVector.from_counts(ivvs[start:start + n])  # lint: skip=R4
+        entry.value = value
+        entry.in_conflict = conflict == 1
+    for index, ivv, value in snapshot.aux:
+        node.store[names[index]].install_auxiliary(value, ivv)
+    for origin, indexes, seqnos in snapshot.log:
+        for index, seqno in zip(indexes, seqnos):
+            node.log.add(origin, names[index], seqno)  # lint: skip=R4
+    for index, ivv, op in snapshot.aux_log:
+        node.aux_log.append(names[index], ivv, op)
     node.after_restore()
     return node
 
@@ -284,4 +485,8 @@ def restore_node(
     **node_kwargs,
 ) -> EpidemicNode:
     """Read a node snapshot from disk."""
-    return load_node(Path(path).read_text(), node_class, **node_kwargs)
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SnapshotError(f"snapshot {path} is not UTF-8 text") from exc
+    return load_node(text, node_class, **node_kwargs)

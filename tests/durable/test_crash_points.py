@@ -177,9 +177,12 @@ def test_recovery_from_checkpoint_plus_suffix_at_every_truncation_point(
         journal = NodeJournal(base / "node", fsync=False, checkpoint_every=0)
         node = EpidemicNode(0, 3, ITEMS)
         peer = EpidemicNode(1, 3, ITEMS)
+        base_lsn, base_dump = 0, dump_node(EpidemicNode(0, 3, ITEMS))
         for index, action in enumerate(actions):
             if index == checkpoint_after:
                 journal.checkpoint(node)
+                # Independent base state: the node as it was checkpointed.
+                base_lsn, base_dump = journal.wal.records_appended, dump_node(node)
             kind = action[0]
             if kind == "put":
                 node.update(action[1], Put(action[2]))
@@ -210,15 +213,6 @@ def test_recovery_from_checkpoint_plus_suffix_at_every_truncation_point(
         checkpoint_bytes = (
             journal.checkpoint_path.read_bytes() if has_checkpoint else b""
         )
-
-        # Independent base state: parse the checkpoint by hand.
-        if has_checkpoint:
-            header, _, snapshot_text = checkpoint_bytes.decode().partition("\n")
-            base_lsn = int(header.removeprefix("checkpoint lsn "))
-            base_dump = snapshot_text
-        else:
-            base_lsn = 0
-            base_dump = dump_node(EpidemicNode(0, 3, ITEMS))
 
         bodies, valid = WriteAheadLog.scan(data)
         assert valid == len(data)

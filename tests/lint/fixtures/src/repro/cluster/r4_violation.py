@@ -19,3 +19,8 @@ def replace_ivv(entry, vv):
 
 def poke_internals(node):
     return node.log._by_item
+
+
+def restore_beside_rebuild_node(node, snapshot):
+    # persistence.rebuild_node is the one sanctioned restore writer
+    node.dbvv.merge_from(snapshot.dbvv)

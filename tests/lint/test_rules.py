@@ -20,7 +20,7 @@ VIOLATION_FIXTURES = {
     "R1": (FIXTURES / "src/repro/core/r1_violation.py", 1),
     "R2": (FIXTURES / "r2_violation.py", 1),
     "R3": (FIXTURES / "src/repro/cluster/r3_violation.py", 7),
-    "R4": (FIXTURES / "src/repro/cluster/r4_violation.py", 5),
+    "R4": (FIXTURES / "src/repro/cluster/r4_violation.py", 6),
     "R5": (FIXTURES / "src/repro/core/r5_violation.py", 1),
     "R6": (FIXTURES / "src/repro/cluster/r6_violation.py", 3),
     "R7": (FIXTURES / "src/repro/baselines/r7_violation.py", 4),
@@ -39,10 +39,12 @@ VIOLATION_FIXTURES = {
 #: rules whose scope spans several subpackages get one pair per scope.
 EXTRA_VIOLATION_FIXTURES = [
     ("R1", FIXTURES / "src/repro/substrate/r1_violation.py", 1),
+    ("R13", FIXTURES / "src/repro/durable/r13_violation.py", 1),
 ]
 
 EXTRA_CLEAN_FIXTURES = [
     ("R1", FIXTURES / "src/repro/substrate/r1_clean.py"),
+    ("R13", FIXTURES / "src/repro/durable/r13_clean.py"),
 ]
 
 CLEAN_FIXTURES = {

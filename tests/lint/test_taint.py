@@ -230,15 +230,18 @@ class TestSanitizerRegistry:
             if name.startswith("validate_")
         }
         assert exported <= SANCTIONED_SANITIZERS
-        # The one sanitizer living outside repro.core.validate:
-        assert "validate_record" in SANCTIONED_SANITIZERS
-        assert SANCTIONED_SANITIZERS == exported | {"validate_record"}
+        # The disk-state sanitizers living outside repro.core.validate:
+        # WAL records and checkpoint snapshots.
+        disk = {"validate_record", "validate_snapshot"}
+        assert disk <= SANCTIONED_SANITIZERS
+        assert SANCTIONED_SANITIZERS == exported | disk
 
 
 WIRED_MODULES = [
     "repro/core/session.py",
     "repro/net/node.py",
     "repro/durable/journal.py",
+    "repro/durable/checkpoint.py",
 ]
 
 

@@ -230,3 +230,44 @@ class TestValidation:
         node = EpidemicNode(0, 1, ["bad name"])
         with pytest.raises(SnapshotError):
             dump_node(node)
+
+
+class TestTruncatedDump:
+    """A dump cut anywhere never loads as a smaller node: before its
+    ``[end]`` line every cut is a :class:`SnapshotError`; only dropping
+    the final newline (the line itself survives) loads, identically."""
+
+    def test_every_truncation_is_refused_or_identical(self):
+        node = busy_node()
+        text = dump_node(node)
+        loaded = 0
+        for cut in range(len(text) + 1):
+            try:
+                restored = load_node(text[:cut])
+            except SnapshotError:
+                continue
+            assert equivalent(node, restored), f"cut at {cut}"
+            loaded += 1
+        assert loaded == 2  # the whole dump, and the dump minus its newline
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("rec 0 2 item-0", "rec 0 2 item-99"),  # log names an unknown item
+            ("aux item-3", "aux item-99"),  # aux copy of an unknown item
+            ("rec 0 2 item-0", "rec 0 x item-0"),  # ValueError inside
+            ("node 0 3", "node 0"),  # too few fields
+            ("[log]", "[auxlog]"),  # sections out of order
+        ],
+    )
+    def test_parse_failures_are_snapshot_errors(self, old, new):
+        text = dump_node(busy_node())
+        assert old in text
+        with pytest.raises(SnapshotError):
+            load_node(text.replace(old, new, 1))
+
+    def test_non_utf8_file_is_a_snapshot_error(self, tmp_path):
+        path = tmp_path / "node.snapshot"
+        path.write_bytes(b"epidemic-node-snapshot v1\n\xff\n")
+        with pytest.raises(SnapshotError, match="UTF-8"):
+            restore_node(path)
