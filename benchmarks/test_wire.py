@@ -76,6 +76,17 @@ def test_stage_profile_reports_checkpoint_write_and_load():
     assert rows[0]["binary_bytes"] < rows[0]["text_bytes"]
 
 
+def test_stage_profile_reports_wal_replay_beside_checkpoint_load():
+    """``--stages`` prints a ``wal-replay`` row: one whole-store accept
+    record decoded, validated and applied, per item, in the checkpoint
+    rows' units."""
+    import wire_harness
+
+    row = wire_harness.bench_wal_replay(shape=(64, 8, 1))
+    assert row["stage"] == "wal-replay"
+    assert row["items"] == 64 and row["binary"] > 0 and row["record_bytes"] > 64 * 8
+
+
 class TestWireReport:
     def test_wire_harness_emits_report(self):
         import wire_harness

@@ -23,7 +23,9 @@ and that encoding is cheap enough to leave on everywhere:
 tool: a five-second per-stage profile of one burst pull replayed in
 process (see :func:`bench_stages`), then the checkpoint's write and load
 cost per item, text and binary format side by side
-(:func:`bench_checkpoint`).  It sizes a change to the pull path or the
+(:func:`bench_checkpoint`), then what a restart pays instead of the
+checkpoint load when the WAL holds a whole-store adoption
+(:func:`bench_wal_replay`).  It sizes a change to the pull path or the
 checkpoint in seconds; ``benchmarks/pairs.py`` still decides whether it
 is a gain.
 """
@@ -54,7 +56,13 @@ from repro.core.session import PullSession, respond  # noqa: E402
 from repro.core.version_vector import VersionVector  # noqa: E402
 from repro.durable.checkpoint import encode_checkpoint  # noqa: E402
 from repro.durable.checkpoint import load_node as load_checkpoint  # noqa: E402
-from repro.durable.records import WalAccept, encode_record  # noqa: E402
+from repro.durable.records import (  # noqa: E402
+    WalAccept,
+    apply_record,
+    decode_record,
+    encode_record,
+    validate_record,
+)
 from repro.experiments.common import make_factory, make_items  # noqa: E402
 from repro.substrate.operations import Put  # noqa: E402
 from repro.substrate.persistence import dump_node, load_node  # noqa: E402
@@ -67,6 +75,7 @@ __all__ = [
     "bench_simulation_drift",
     "bench_stages",
     "bench_throughput",
+    "bench_wal_replay",
     "run_all",
     "smoke_mode",
     "write_report",
@@ -415,6 +424,43 @@ def bench_checkpoint(
     return rows
 
 
+def bench_wal_replay(
+    shape: tuple[int, int, int] = CHECKPOINT_SHAPE,
+) -> dict[str, Any]:
+    """Recovery CPU per item for one accept record that hands a fresh
+    replica a peer's whole store — ``decode_record``, ``validate_record``
+    and ``apply_record``, no file — in the units of
+    :func:`bench_checkpoint`.  Its ratio to the binary checkpoint-load
+    row is what the journal's bytes trigger rests on: a WAL that
+    outweighs its checkpoint replays slower than the checkpoint loads.
+    """
+    items, value_bytes, repetitions = shape
+    names = [f"k{index:05d}" for index in range(items)]
+    peer = EpidemicNode(1, 2, names)
+    for name in names:
+        peer.update(name, Put(bytes(value_bytes)))
+    reply = respond(peer, PullSession(EpidemicNode(0, 2, names)).request())
+    body = encode_record(1, WalAccept(reply))
+    clock = time.process_time
+    samples = []
+    for _repetition in range(repetitions):
+        node = EpidemicNode(0, 2, names)
+        before = _calibration_unit()
+        started = clock()
+        _lsn, record = decode_record(body)
+        apply_record(node, validate_record(record, node))
+        spent = clock() - started
+        unit = (before + _calibration_unit()) / 2
+        samples.append(spent / items / unit)
+    return {
+        "stage": "wal-replay",
+        "items": items,
+        "value_bytes": value_bytes,
+        "binary": round(statistics.median(samples), 3),
+        "record_bytes": len(body),
+    }
+
+
 def print_stages() -> None:
     print("units per shipped item (1 unit = the calibration loop / 1000, ~1 us)")
     print(f"{'burst':>14}  " + "  ".join(f"{stage:>10}" for stage in STAGES))
@@ -431,6 +477,13 @@ def print_stages() -> None:
     for row in rows:
         ratio = row["binary"] / row["text"]
         print(f"{row['stage']:>16}  {row['text']:>10.3f}  {row['binary']:>10.3f}  {ratio:>6.2f}")
+    replay = bench_wal_replay()
+    print(
+        f"\nunits per item, WAL replay of one {replay['items']}x{replay['value_bytes']}B "
+        f"accept record ({replay['record_bytes']} B): decode + validate + apply"
+    )
+    versus = replay["binary"] / rows[-1]["binary"]
+    print(f"{replay['stage']:>16}  {replay['binary']:>10.3f}  ({versus:.2f}x checkpoint-load binary)")
 
 
 def run_all() -> dict[str, Any]:

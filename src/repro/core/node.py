@@ -585,28 +585,47 @@ class EpidemicNode:
     # Administration and introspection
     # ------------------------------------------------------------------
 
-    def resolve_conflict(self, item: str, value: bytes) -> None:
+    def conflict_lineage(self, item: str) -> VersionVector:
+        """The join of every lineage of ``item`` this node knows: the
+        regular copy, any auxiliary copy, and the vectors captured in
+        this node's conflict reports for the item (the conflicting
+        remote copy was never adopted, so its vector survives only in
+        the report).  A report taken before an ``expand_replica_set`` is
+        zero-extended: the servers added since had originated nothing
+        when it was taken."""
+        entry = self.store[item]
+        merged = entry.ivv.copy()
+        if entry.aux_ivv is not None:
+            merged.merge_from(entry.aux_ivv)
+        width = self.n_nodes
+        for report in self.conflicts.conflicts_for(item):
+            for counts in (report.remote_vv, report.local_vv):
+                padded = counts + (0,) * (width - len(counts))
+                merged.merge_from(VersionVector.from_counts(padded))
+        return merged
+
+    def resolve_conflict(
+        self, item: str, value: bytes, lineage: VersionVector | None = None
+    ) -> VersionVector:
         """Administrative conflict resolution (extension — the paper
         leaves resolution to the application, section 2).
 
         Installs ``value`` as the item's new regular state whose IVV is
-        the join of every known lineage — the regular copy, any
-        auxiliary copy, and the remote vectors captured in this node's
-        conflict reports for the item (the conflicting remote copy was
-        never adopted, so its vector survives only in the report) —
-        plus a fresh local update.  The resolved copy therefore
-        dominates all conflicting lineages and propagates normally.
-        Pending auxiliary records for the item are discarded (they
-        belong to an overwritten lineage).
+        the join of the regular IVV and ``lineage`` (by default
+        :meth:`conflict_lineage`, every lineage this node knows) plus a
+        fresh local update.  The resolved copy therefore dominates all
+        conflicting lineages and propagates normally.  Pending
+        auxiliary records for the item are discarded (they belong to an
+        overwritten lineage).  Returns the lineage merged: the journal
+        keeps it, because the conflict reports it was read from are
+        telemetry that recovery does not restore.
         """
         entry = self.store[item]
+        if lineage is None:
+            lineage = self.conflict_lineage(item)
         old_ivv = entry.ivv.copy()
         merged = entry.ivv.copy()
-        if entry.aux_ivv is not None:
-            merged.merge_from(entry.aux_ivv)
-        for report in self.conflicts.conflicts_for(item):
-            merged.merge_from(VersionVector.from_counts(report.remote_vv))
-            merged.merge_from(VersionVector.from_counts(report.local_vv))
+        merged.merge_from(lineage)
         entry.value = value
         self._mark_value_changed(entry.name)
         entry.ivv = merged
@@ -620,6 +639,7 @@ class EpidemicNode:
         self.dbvv.record_local_update_by(self.node_id)
         self.log.add(self.node_id, item, self.dbvv[self.node_id], self.counters)
         self._on_full_rewrite(entry)
+        return lineage
 
     def _mark_value_changed(self, name: str) -> None:
         """The one thing every regular-copy value write does for the

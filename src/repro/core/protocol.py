@@ -122,9 +122,9 @@ class DBVVProtocolNode(ProtocolNode):
     def resolve_conflict(self, item: str, value: bytes) -> None:
         """Administrator conflict resolution, journaled like any other
         state-changing input (see :meth:`EpidemicNode.resolve_conflict`)."""
-        self.node.resolve_conflict(item, value)
+        lineage = self.node.resolve_conflict(item, value)
         if self.journal is not None:
-            self.journal.record_resolve(item, value)
+            self.journal.record_resolve(item, value, lineage)
             self.journal.commit(self.node)
 
     def read(self, item: str) -> bytes:

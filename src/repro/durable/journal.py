@@ -8,9 +8,18 @@ One :class:`NodeJournal` owns one data directory::
 Writing discipline (the drivers call this after every accepted input):
 
 1. ``record_*`` appends the wire-encoded record to the WAL buffer;
-2. ``commit(node)`` group-commits (one flush/fsync for the batch) and,
-   every ``checkpoint_every`` records, folds the log into a fresh
-   checkpoint.
+2. ``commit(node)`` group-commits (one flush/fsync for the batch) and
+   folds the log into a fresh checkpoint when either trigger fires:
+   ``checkpoint_every`` records since the last fold, or more WAL bytes
+   since the last fold than the last checkpoint's size (floored at
+   64 KiB).
+
+The bytes trigger is what bounds recovery: the WAL a restart scans and
+replays holds at most one snapshot's worth of bytes (or 64 KiB) plus
+one commit's batch.  That is the durable analogue of the paper's log
+bound (Theorem 2: the log is bounded by the state it describes, not by
+history).  The record count alone does not bound it, since one
+adoption record can carry the whole store.
 
 Checkpointing is crash-safe by LSN gating: the snapshot is replaced
 atomically (:func:`~repro.substrate.persistence.atomic_write_bytes`)
@@ -21,7 +30,8 @@ user update twice is not idempotent).
 
 The checkpoint is the whole protocol state laid out by column under
 the WAL's framing (:mod:`repro.durable.checkpoint`); the file name and
-the cadence are fixed points a deployment's data directory relies on.
+the ``checkpoint_every`` cadence are fixed points a deployment's data
+directory relies on.
 
 Recovery (:meth:`NodeJournal.recover`) is the paper's "repaired server"
 made real: load the checkpoint (or start from a fresh replica) — a torn,
@@ -32,7 +42,9 @@ digest stale and re-derived the per-origin ``log_gaps``.  The conflict
 reporter's history is telemetry, not protocol state: like the snapshot
 format, recovery starts it empty, and conflicts re-detected while
 replaying post-checkpoint records are re-declared into the fresh
-reporter.
+reporter.  A resolution, the one input that reads that history,
+journals the lineage it merged (:mod:`repro.durable.records`), so a
+fold may land anywhere.
 """
 
 from __future__ import annotations
@@ -42,6 +54,7 @@ from typing import Sequence
 
 from repro.core.node import EpidemicNode
 from repro.core.messages import OutOfBoundReply, PropagationReply
+from repro.core.version_vector import VersionVector
 from repro.durable.checkpoint import encode_checkpoint, load_node
 from repro.durable.records import (
     WalAccept,
@@ -63,6 +76,11 @@ __all__ = ["NodeJournal"]
 
 _CHECKPOINT_NAME = "checkpoint.snap"
 _WAL_NAME = "wal.log"
+#: The bytes trigger's floor.  Without it a small store's checkpoint is
+#: a few hundred bytes, so the WAL would outweigh it every couple of
+#: commits, and each fold adds three fsyncs (the snapshot, its directory
+#: entry, the WAL truncate) to the commit's own.
+_MIN_FOLD_BYTES = 64 * 1024
 
 
 class NodeJournal:
@@ -78,9 +96,13 @@ class NodeJournal:
         self.data_dir.mkdir(parents=True, exist_ok=True)
         self.fsync = fsync
         #: Fold the WAL into a fresh checkpoint once this many records
-        #: accumulate past the last one (0 disables auto-checkpointing).
+        #: accumulate past the last one (0 disables auto-checkpointing,
+        #: the bytes trigger included).
         self.checkpoint_every = checkpoint_every
         self.checkpoints = 0
+        #: Size of the last checkpoint written or loaded; 0 until one
+        #: exists, so a fresh replica's first large adoption folds.
+        self.checkpoint_bytes = 0
         self.records_replayed = 0
         self.records_skipped = 0
         self.wal = WriteAheadLog(self.wal_path, fsync=fsync)
@@ -94,6 +116,12 @@ class NodeJournal:
     @property
     def wal_path(self) -> Path:
         return self.data_dir / _WAL_NAME
+
+    @property
+    def wal_bytes_since_checkpoint(self) -> int:
+        """WAL bytes a restart would scan: every frame since the last
+        fold, stale LSN-gated ones included (recovery scans them too)."""
+        return self.wal.size
 
     @property
     def has_state(self) -> bool:
@@ -119,20 +147,24 @@ class NodeJournal:
     def record_oob(self, reply: OutOfBoundReply) -> None:
         self.record(WalOob(reply))
 
-    def record_resolve(self, item: str, value: bytes) -> None:
-        self.record(WalResolve(item, value))
+    def record_resolve(
+        self, item: str, value: bytes, lineage: VersionVector
+    ) -> None:
+        self.record(WalResolve(item, value, lineage))
 
     def record_expand(self, n_nodes: int) -> None:
         self.record(WalExpand(n_nodes))
 
     def commit(self, node: EpidemicNode | None = None) -> None:
         """Group-commit the pending batch; with ``node`` given, fold the
-        WAL into a checkpoint when the cadence is due."""
+        WAL into a checkpoint when either trigger is due (see the module
+        docstring)."""
         self.wal.commit()
-        if (
-            node is not None
-            and self.checkpoint_every > 0
-            and self._since_checkpoint >= self.checkpoint_every
+        if node is None or self.checkpoint_every <= 0:
+            return
+        wal_bytes = self.wal.size
+        if self._since_checkpoint >= self.checkpoint_every or (
+            wal_bytes > _MIN_FOLD_BYTES and wal_bytes > self.checkpoint_bytes
         ):
             self.checkpoint(node)
 
@@ -143,11 +175,9 @@ class NodeJournal:
         the log.  Crashing in between leaves records the checkpoint
         already covers — recovery's LSN gate skips them.
         """
-        atomic_write_bytes(
-            self.checkpoint_path,
-            encode_checkpoint(self._next_lsn - 1, node),
-            fsync=self.fsync,
-        )
+        snapshot = encode_checkpoint(self._next_lsn - 1, node)
+        atomic_write_bytes(self.checkpoint_path, snapshot, fsync=self.fsync)
+        self.checkpoint_bytes = len(snapshot)
         self.wal.reset()
         self._since_checkpoint = 0
         self.checkpoints += 1
@@ -179,12 +209,12 @@ class NodeJournal:
         base_lsn = 0
         node: EpidemicNode | None = None
         if self.checkpoint_path.exists():
+            snapshot = self.checkpoint_path.read_bytes()
             try:
-                base_lsn, node = load_node(
-                    self.checkpoint_path.read_bytes(), node_class, **node_kwargs
-                )
+                base_lsn, node = load_node(snapshot, node_class, **node_kwargs)
             except SnapshotError as exc:
                 raise SnapshotError(f"{self.checkpoint_path}: {exc}") from exc
+            self.checkpoint_bytes = len(snapshot)
         if node is None:
             node = node_class(node_id, n_nodes, list(items), **node_kwargs)
         last_lsn = base_lsn

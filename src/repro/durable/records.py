@@ -15,8 +15,17 @@ accept     ``PullSession.conclude`` adopting a    ``node.accept_propagation``
            ``PropagationReply``
 oob        ``EpidemicNode.accept_oob``            ``node.accept_oob``
 resolve    ``EpidemicNode.resolve_conflict``      ``node.resolve_conflict``
+                                                  with the journaled lineage
 expand     ``EpidemicNode.expand_replica_set``    ``node.expand_replica_set``
 =========  =====================================  =======================
+
+A resolve record (kind 6) carries the lineage the resolution merged —
+the join of the item's regular and auxiliary IVVs and of every
+conflict report's vectors — in full form.  The reports are telemetry
+that no checkpoint keeps, so a record that named only the item and the
+value (kind 4, retired) replayed after a fold as a different node;
+:func:`decode_record` refuses kind 4 loudly, as the wire refuses type
+id 4.
 
 Each record body is LEB128 wire encoding, reusing the :mod:`repro.wire`
 field primitives and per-message codecs::
@@ -57,7 +66,9 @@ from repro.core.validate import (
     validate_oob_reply,
     validate_propagation_reply,
     validate_value,
+    validate_version_vector,
 )
+from repro.core.version_vector import VersionVector
 from repro.errors import ValidationError, WALError, WireFormatError
 from repro.substrate.operations import UpdateOperation
 from repro.wire.codec import Decoder, Encoder, WireCodec
@@ -80,8 +91,10 @@ __all__ = [
 _KIND_UPDATE = 1
 _KIND_ACCEPT = 2
 _KIND_OOB = 3
-_KIND_RESOLVE = 4
+#: A resolution without its lineage, by an earlier release: refused.
+_KIND_RESOLVE_RETIRED = 4
 _KIND_EXPAND = 5
+_KIND_RESOLVE = 6
 
 #: Log records are self-contained: full version vectors, no delta
 #: caches.  With ``delta_vv=False`` the codec instance is stateless, so
@@ -113,10 +126,12 @@ class WalOob:
 
 @dataclass(frozen=True, slots=True)
 class WalResolve:
-    """An administrator conflict resolution applied at this node."""
+    """An administrator conflict resolution applied at this node, with
+    the lineage it merged (the conflict reports it read are not kept)."""
 
     item: str
     value: bytes
+    lineage: VersionVector
 
 
 @dataclass(frozen=True, slots=True)
@@ -147,6 +162,7 @@ def encode_record(lsn: int, record: WalRecord) -> bytes:
         enc.uvarint(_KIND_RESOLVE)
         enc.string(record.item)
         enc.bytes_(record.value)
+        enc.vv("lineage", record.lineage)
     else:
         enc.uvarint(_KIND_EXPAND)
         enc.uvarint(record.n_nodes)
@@ -185,7 +201,14 @@ def decode_record(body: bytes) -> tuple[int, WalRecord]:
                 )
             record = WalOob(message)
         elif kind == _KIND_RESOLVE:
-            record = WalResolve(dec.string(), dec.bytes_())
+            record = WalResolve(dec.string(), dec.bytes_(), dec.vv("lineage"))
+        elif kind == _KIND_RESOLVE_RETIRED:
+            raise WALError(
+                f"retired WAL record kind {kind}: a conflict resolution "
+                "journaled without its lineage by an earlier release; "
+                "fold that journal with a clean shutdown of the release "
+                "that wrote it, then start this one"
+            )
         elif kind == _KIND_EXPAND:
             record = WalExpand(dec.uvarint())
         else:
@@ -232,6 +255,9 @@ def validate_record(record: WalRecord, node: EpidemicNode) -> WalRecord:
                 f"resolve record names unknown item {record.item!r}"
             )
         validate_value(record.value)
+        validate_version_vector(
+            record.lineage, node.n_nodes, what="resolve record lineage"
+        )
     elif isinstance(record, WalExpand):
         if not node.n_nodes <= record.n_nodes <= MAX_REPLICA_SET:
             raise ValidationError(
@@ -255,6 +281,6 @@ def apply_record(node: EpidemicNode, record: WalRecord) -> None:
     elif isinstance(record, WalOob):
         node.accept_oob(record.reply)
     elif isinstance(record, WalResolve):
-        node.resolve_conflict(record.item, record.value)
+        node.resolve_conflict(record.item, record.value, record.lineage)
     else:
         node.expand_replica_set(record.n_nodes)

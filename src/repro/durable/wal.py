@@ -67,6 +67,7 @@ class WriteAheadLog:
         "fsyncs",
         "pending_records",
         "torn_bytes_dropped",
+        "size",
         "_fh",
     )
 
@@ -80,6 +81,11 @@ class WriteAheadLog:
         #: guaranteed durable).
         self.pending_records = 0
         self.torn_bytes_dropped = 0
+        #: Bytes of intact records in the file, as far as this handle
+        #: knows: set by :meth:`open_and_repair`, grown by
+        #: :meth:`append`, zeroed by :meth:`reset` (0 for a file this
+        #: handle never read).
+        self.size = 0
         self._fh: IO[bytes] | None = None
 
     # -- writing --------------------------------------------------------------
@@ -90,6 +96,7 @@ class WriteAheadLog:
         self._handle().write(frame)
         self.records_appended += 1
         self.bytes_appended += len(frame)
+        self.size += len(frame)
         self.pending_records += 1
 
     def commit(self) -> None:
@@ -111,6 +118,7 @@ class WriteAheadLog:
             os.fsync(fh.fileno())
             self.fsyncs += 1
         self.pending_records = 0
+        self.size = 0
 
     def close(self) -> None:
         if self._fh is not None:
@@ -161,10 +169,12 @@ class WriteAheadLog:
         subsequent :meth:`append` calls extend a well-formed log.
         """
         self.close()
+        self.size = 0
         if not self.path.exists():
             return []
         data = self.path.read_bytes()
         bodies, valid_length = self.scan(data)
+        self.size = valid_length
         if valid_length < len(data):
             self.torn_bytes_dropped += len(data) - valid_length
             with open(self.path, "r+b") as fh:

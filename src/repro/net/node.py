@@ -550,5 +550,7 @@ class NetNode:
                 "wal_records": self.journal.wal.records_appended,
                 "wal_bytes": self.journal.wal.bytes_appended,
                 "fsyncs": self.journal.wal.fsyncs,
+                "wal_bytes_since_checkpoint": self.journal.wal_bytes_since_checkpoint,
+                "checkpoint_bytes": self.journal.checkpoint_bytes,
             }
         return status

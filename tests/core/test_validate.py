@@ -381,7 +381,7 @@ class TestWalRecordValidation:
         for record in (
             WalUpdate("a", Put(b"v")),
             WalAccept(reply),
-            WalResolve("b", b"winner"),
+            WalResolve("b", b"winner", node.conflict_lineage("b")),
             WalExpand(node.n_nodes),
             WalExpand(node.n_nodes + 1),
         ):
@@ -400,7 +400,20 @@ class TestWalRecordValidation:
     def test_resolve_for_unknown_item_rejected(self):
         node, _ = make_pair()
         with pytest.raises(ValidationError):
-            validate_record(WalResolve("zz", b"v"), node)
+            validate_record(
+                WalResolve("zz", b"v", VersionVector(node.n_nodes)), node
+            )
+
+    @pytest.mark.parametrize(
+        "counts",
+        [(0,), (0, 0, 0), (0, MAX_VV_COMPONENT + 1)],
+        ids=["narrow", "wide", "past-cap"],
+    )
+    def test_resolve_with_forged_lineage_rejected(self, counts):
+        node, _ = make_pair()
+        forged = WalResolve("b", b"v", VersionVector.from_counts(counts))
+        with pytest.raises(ValidationError, match="resolve record lineage"):
+            validate_record(forged, node)
 
     def test_shrinking_expand_rejected(self):
         node, _ = make_pair()

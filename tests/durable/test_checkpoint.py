@@ -10,6 +10,10 @@
   with their auxiliary log, replica-set growth, the delta-shipping
   node — comes back from checkpoint → recover ``dump_node``-identical
   and passing ``check_invariants``.
+* **Fold anywhere.**  The same runs journaled input by input, with the
+  WAL folded after an arbitrary subset of steps, recover to the same
+  node: no record depends on state a checkpoint drops (the conflict
+  reports a resolution merged are journaled with it).
 * **Forgeries.**  CRC-valid bodies built by hand from the layout in
   ``repro.durable.checkpoint`` — the honest one is pinned byte for byte
   against the encoder — and then bent one field at a time: each is a
@@ -27,9 +31,17 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.core.delta import DeltaEpidemicNode
+from repro.core.messages import PropagationReply
 from repro.core.node import EpidemicNode
 from repro.core.validate import MAX_REPLICA_SET
-from repro.durable import NodeJournal
+from repro.durable import (
+    NodeJournal,
+    WalAccept,
+    WalExpand,
+    WalOob,
+    WalResolve,
+    WalUpdate,
+)
 from repro.durable.checkpoint import encode_checkpoint, load_node
 from repro.errors import OperationError
 from repro.substrate.operations import (
@@ -134,35 +146,49 @@ steps = st.lists(
 )
 
 
-def resolvable(node, item):
-    """In conflict, with every report taken at today's replica-set size:
-    ``resolve_conflict`` cannot yet merge a report that predates an
-    ``expand_replica_set`` (its vectors are one size short)."""
-    reports = node.conflicts.conflicts_for(item)
-    return node.store[item].in_conflict and all(
-        len(report.remote_vv) == node.n_nodes for report in reports
-    )
-
-
-def run(node_class, program):
+def run(node_class, program, journals=None, folds=frozenset()):
+    """Drive the cluster through ``program``.  With ``journals`` given,
+    each node journals its inputs as the simulator and ``repro.net`` do,
+    one commit per input, and every journal folds after each step index
+    in ``folds``."""
     nodes = [node_class(k, N_NODES, ITEMS) for k in range(N_NODES)]
-    for step in program:
+    for index, step in enumerate(program):
         kind = step[0]
+        records = []  # (node id, record)
         if kind == "update":
             _kind, who, item, op = step
             try:
                 nodes[who].update(ITEMS[item], op)
             except OperationError:
                 pass  # e.g. a patch past the value's end: nothing applied
+            else:
+                records.append((who, WalUpdate(ITEMS[item], op)))
         elif kind == "pull" and step[1] != step[2]:
-            nodes[step[1]].pull_from(nodes[step[2]])
+            node = nodes[step[1]]
+            answer = nodes[step[2]].send_propagation(node.make_propagation_request())
+            if isinstance(answer, PropagationReply):
+                node.accept_propagation(answer)
+                records.append((node.node_id, WalAccept(answer)))
         elif kind == "oob" and step[1] != step[2]:
-            nodes[step[1]].copy_out_of_bound(ITEMS[step[3]], nodes[step[2]])
-        elif kind == "resolve" and resolvable(nodes[step[1]], ITEMS[step[2]]):
-            nodes[step[1]].resolve_conflict(ITEMS[step[2]], b"resolved")
+            node = nodes[step[1]]
+            reply = nodes[step[2]].handle_oob_request(node.make_oob_request(ITEMS[step[3]]))
+            node.accept_oob(reply)
+            records.append((node.node_id, WalOob(reply)))
+        elif kind == "resolve" and nodes[step[1]].store[ITEMS[step[2]]].in_conflict:
+            lineage = nodes[step[1]].resolve_conflict(ITEMS[step[2]], b"resolved")
+            records.append((step[1], WalResolve(ITEMS[step[2]], b"resolved", lineage)))
         elif kind == "expand" and nodes[0].n_nodes < 5:
             for node in nodes:
                 node.expand_replica_set(node.n_nodes + 1)
+                records.append((node.node_id, WalExpand(node.n_nodes)))
+        if journals is None:
+            continue
+        for who, record in records:
+            journals[who].record(record)
+            journals[who].commit()
+        if index in folds:
+            for journal, node in zip(journals, nodes):
+                journal.checkpoint(node)
     return nodes
 
 
@@ -177,6 +203,16 @@ CONFLICT_THEN_AUX = [
     ("oob", 2, 1, 1),  # auxiliary copy of b at node 2...
     ("update", 2, 1, CounterAdd(3)),  # ...and an auxiliary-log record
 ]
+#: A conflict folded into a checkpoint, then resolved: the reports the
+#: resolution merges are not in the checkpoint.
+RESOLVE_AFTER_FOLD = [
+    ("update", 0, 0, Put(b"x")),
+    ("update", 1, 0, Put(b"y")),
+    ("pull", 0, 1),
+    ("resolve", 0, 0),
+]
+#: A conflict reported at three nodes, resolved at four.
+RESOLVE_AFTER_EXPAND = RESOLVE_AFTER_FOLD[:3] + [("expand",), ("resolve", 0, 0)]
 GROWN_THEN_AUX = [
     ("update", 0, 2, Append(b"c")),
     ("expand",),
@@ -201,6 +237,35 @@ def test_checkpoint_then_recover_reproduces_any_reachable_state(node_class, prog
             recovered = journal.recover(node_class, node.node_id, N_NODES, ITEMS)
             journal.close()
             assert type(recovered) is node_class
+            assert dump_node(recovered) == dump_node(node)
+            recovered.check_invariants()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    node_class=st.sampled_from([EpidemicNode, DeltaEpidemicNode]),
+    program=steps,
+    folds=st.frozensets(st.integers(min_value=0, max_value=29)),
+)
+@example(node_class=EpidemicNode, program=RESOLVE_AFTER_FOLD, folds=frozenset({2}))
+@example(node_class=EpidemicNode, program=RESOLVE_AFTER_EXPAND, folds=frozenset())
+@example(node_class=DeltaEpidemicNode, program=RESOLVE_AFTER_EXPAND, folds=frozenset({3}))
+@example(node_class=EpidemicNode, program=CONFLICT_THEN_AUX, folds=frozenset({2, 4, 6}))
+@example(node_class=EpidemicNode, program=GROWN_THEN_AUX, folds=frozenset({0, 3}))
+def test_fold_anywhere_then_recover_reproduces_the_journaled_node(
+    node_class, program, folds
+):
+    with tempfile.TemporaryDirectory(prefix="fold-") as tmp:
+        journals = [
+            NodeJournal(Path(tmp) / str(k), fsync=False, checkpoint_every=0)
+            for k in range(N_NODES)
+        ]
+        nodes = run(node_class, program, journals, folds)
+        for journal, node in zip(journals, nodes):
+            journal.close()
+            fresh = NodeJournal(journal.data_dir, fsync=False)
+            recovered = fresh.recover(node_class, node.node_id, N_NODES, ITEMS)
+            fresh.close()
             assert dump_node(recovered) == dump_node(node)
             recovered.check_invariants()
 

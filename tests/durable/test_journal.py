@@ -7,20 +7,26 @@ import pytest
 from repro.core.messages import PropagationReply
 from repro.core.node import EpidemicNode
 from repro.core.session import PullSession, respond
+from repro.core.version_vector import VersionVector
 from repro.durable import (
     NodeJournal,
     WalAccept,
+    WalResolve,
     WalUpdate,
     decode_record,
     encode_record,
 )
 from repro.durable import journal as journal_module
+from repro.durable.wal import frame_record
 from repro.errors import ValidationError, WALError
 from repro.substrate.operations import Append, Put
 from repro.substrate.persistence import SnapshotError, dump_node
 from repro.wire import WireCodec
+from repro.wire.varint import write_uvarint
 
 ITEMS = ["a", "b"]
+#: The bytes trigger's floor (``repro.durable.journal``).
+FLOOR = 64 * 1024
 
 
 def journaled_workload(journal: NodeJournal) -> EpidemicNode:
@@ -261,3 +267,194 @@ class TestCheckpointing:
         journal.checkpoint_path.write_text("checkpoint lsn nope\nbody\n")
         with pytest.raises(SnapshotError, match="checkpoint LSN"):
             journal.recover(EpidemicNode, 0, 3, ITEMS)
+
+
+def conflicted_pair(journal: NodeJournal) -> EpidemicNode:
+    """Replica 0 of a two-node {a, b} database, holding ``a`` in
+    conflict after pulling replica 1's concurrent write; every input of
+    replica 0 journaled."""
+    node, peer = EpidemicNode(0, 2, ITEMS), EpidemicNode(1, 2, ITEMS)
+    node.update("a", Put(b"mine"))
+    journal.record_update("a", Put(b"mine"))
+    peer.update("a", Put(b"theirs"))
+    answer = respond(peer, PullSession(node).request())
+    node.accept_propagation(answer)
+    journal.record_accept(answer)
+    journal.commit()
+    assert node.store["a"].in_conflict
+    return node
+
+
+def resolve(journal: NodeJournal, node: EpidemicNode) -> None:
+    lineage = node.resolve_conflict("a", b"r")
+    journal.record_resolve("a", b"r", lineage)
+    journal.commit()
+
+
+def assert_recovers_as(tmp_path, node: EpidemicNode) -> None:
+    fresh = NodeJournal(tmp_path, fsync=False)
+    recovered = fresh.recover(EpidemicNode, 0, 2, ITEMS)
+    fresh.close()
+    assert recovered.dbvv.as_tuple() == node.dbvv.as_tuple()
+    assert recovered.store["a"].ivv.as_tuple() == node.store["a"].ivv.as_tuple()
+    assert dump_node(recovered) == dump_node(node)
+    recovered.check_invariants()
+
+
+def resolve_record(lineage_bytes: bytes) -> bytes:
+    """A kind-6 body resolving ``a`` to ``r``, its lineage laid out by
+    hand (full-form tag, count, components)."""
+    body = bytearray()
+    for field in (1, 6, 1):  # lsn, kind, len("a")
+        write_uvarint(body, field)
+    return bytes(body) + b"a" + b"\x01r" + lineage_bytes
+
+
+class TestResolveRecord:
+    """A resolution merges lineage held only in conflict reports, which
+    no checkpoint keeps: the record carries that lineage itself."""
+
+    def test_resolution_after_a_fold_recovers_as_the_same_node(self, tmp_path):
+        journal = NodeJournal(tmp_path, fsync=False, checkpoint_every=0)
+        node = conflicted_pair(journal)
+        journal.checkpoint(node)
+        resolve(journal, node)
+        journal.close()
+        assert node.dbvv.as_tuple() == (2, 1)
+        assert_recovers_as(tmp_path, node)
+
+    def test_resolution_after_an_expansion_merges_the_narrow_reports(self, tmp_path):
+        journal = NodeJournal(tmp_path, fsync=False, checkpoint_every=0)
+        node = conflicted_pair(journal)
+        node.expand_replica_set(3)
+        journal.record_expand(3)
+        resolve(journal, node)
+        journal.close()
+        assert node.store["a"].ivv.as_tuple() == (2, 1, 0)
+        assert_recovers_as(tmp_path, node)
+
+    def test_record_round_trips_with_its_lineage(self):
+        record = WalResolve("a", b"r", VersionVector.from_counts((3, 1)))
+        assert decode_record(encode_record(1, record)) == (1, record)
+        assert encode_record(1, record) == resolve_record(b"\x00\x02\x03\x01")
+
+    @pytest.mark.parametrize(
+        "lineage, error, match",
+        [
+            (b"\x00\x03\x00\x00\x00", ValidationError, "covers 3 nodes"),
+            (b"\x00\x02" + b"\x80" * 9 + b"\x02\x00", WALError, "64-bit"),
+            (b"\x00\x02\x01", WALError, "failed to decode"),
+        ],
+        ids=["wide", "past-2^64", "short"],
+    )
+    def test_forged_lineage_is_refused_at_recovery(self, tmp_path, lineage, error, match):
+        (tmp_path / "wal.log").write_bytes(bytes(frame_record(resolve_record(lineage))))
+        journal = NodeJournal(tmp_path, fsync=False)
+        with pytest.raises(error, match=match):
+            journal.recover(EpidemicNode, 0, 2, ITEMS)
+        assert journal.records_replayed == 0
+
+    def test_retired_kind_4_is_refused_loudly(self, tmp_path):
+        """What ``record_resolve`` wrote before the lineage: lsn 1,
+        kind 4, item ``a``, value ``r``."""
+        (tmp_path / "wal.log").write_bytes(bytes(frame_record(b"\x01\x04\x01a\x01r")))
+        journal = NodeJournal(tmp_path, fsync=False)
+        with pytest.raises(WALError, match="retired WAL record kind 4"):
+            journal.recover(EpidemicNode, 0, 2, ITEMS)
+        assert journal.records_replayed == 0
+
+
+def adopted_store(items: int) -> tuple[EpidemicNode, EpidemicNode, PropagationReply]:
+    """A fresh replica, its peer, and the reply that hands the replica
+    the peer's whole store (``items`` × 64 B)."""
+    names = [f"k{index:05d}" for index in range(items)]
+    node, peer = EpidemicNode(0, 2, names), EpidemicNode(1, 2, names)
+    for name in names:
+        peer.update(name, Put(bytes(64)))
+    answer = respond(peer, PullSession(node).request())
+    assert isinstance(answer, PropagationReply)
+    return node, peer, answer
+
+
+class TestBytesTrigger:
+    """The WAL folds once it outweighs the last checkpoint (floored at
+    64 KiB), beside the ``checkpoint_every`` record count."""
+
+    def test_one_whole_store_adoption_folds_and_restarts_from_the_checkpoint(
+        self, tmp_path, monkeypatch
+    ):
+        node, _peer, answer = adopted_store(1200)
+        journal = NodeJournal(tmp_path, fsync=False)
+        node.accept_propagation(answer)
+        journal.record_accept(answer)
+        assert journal.wal_bytes_since_checkpoint > FLOOR
+        journal.commit(node)
+        assert journal.checkpoints == 1
+        assert journal.wal_bytes_since_checkpoint == 0
+        assert journal.checkpoint_bytes == journal.checkpoint_path.stat().st_size
+        journal.close()
+
+        loads = []
+        load_node = journal_module.load_node
+        monkeypatch.setattr(
+            journal_module,
+            "load_node",
+            lambda *args, **kwargs: loads.append(1) or load_node(*args, **kwargs),
+        )
+        fresh = NodeJournal(tmp_path, fsync=False)
+        recovered = fresh.recover(EpidemicNode, 0, 2, list(node.store.names()))
+        assert loads == [1] and fresh.records_replayed == 0
+        assert fresh.checkpoint_bytes == journal.checkpoint_bytes
+        assert dump_node(recovered) == dump_node(node)
+
+    def test_the_wal_never_outweighs_the_bound_by_more_than_one_batch(self, tmp_path):
+        node, peer, answer = adopted_store(1200)
+        journal = NodeJournal(tmp_path, fsync=False)
+        batches = [("accept", answer)] + [("update", k) for k in range(900)]
+        for round_no in range(3):
+            batches.append(("pull", round_no))
+            batches += [("update", k) for k in range(300)]
+        for kind, what in batches:
+            bound = max(journal.checkpoint_bytes, FLOOR)
+            before = journal.wal_bytes_since_checkpoint
+            if kind == "update":
+                value = f"v{what}".encode()
+                node.update("k00000", Put(value))
+                journal.record_update("k00000", Put(value))
+            else:
+                if kind == "pull":
+                    for name in list(peer.store.names())[1:301]:
+                        peer.update(name, Put(bytes([what]) * 64))
+                    what = respond(peer, PullSession(node).request())
+                node.accept_propagation(what)
+                journal.record_accept(what)
+            batch = journal.wal_bytes_since_checkpoint - before
+            assert journal.wal_bytes_since_checkpoint <= bound + batch
+            journal.commit(node)
+            assert journal.wal_bytes_since_checkpoint <= max(journal.checkpoint_bytes, FLOOR)
+        assert journal.checkpoints >= 3
+        journal.close()
+        fresh = NodeJournal(tmp_path, fsync=False)
+        recovered = fresh.recover(EpidemicNode, 0, 2, list(node.store.names()))
+        assert dump_node(recovered) == dump_node(node)
+        assert fresh.wal_bytes_since_checkpoint == journal.wal_path.stat().st_size
+
+    def test_checkpoint_every_zero_disables_both_triggers(self, tmp_path):
+        node, _peer, answer = adopted_store(1200)
+        journal = NodeJournal(tmp_path, fsync=False, checkpoint_every=0)
+        node.accept_propagation(answer)
+        journal.record_accept(answer)
+        journal.commit(node)
+        assert journal.checkpoints == 0
+        assert journal.wal_bytes_since_checkpoint > FLOOR
+
+    def test_a_small_store_keeps_the_record_count_cadence(self, tmp_path):
+        """Below the floor only the count folds: 256 updates of a
+        two-item store weigh a few KiB, well under 64 KiB."""
+        journal = NodeJournal(tmp_path, fsync=False)
+        node = EpidemicNode(0, 2, ITEMS)
+        for k in range(600):
+            node.update("a", Put(b"x" * 8))
+            journal.record_update("a", Put(b"x" * 8))
+            journal.commit(node)
+        assert journal.checkpoints == 2

@@ -12,6 +12,9 @@ import pytest
 from repro.net.harness import LocalCluster
 
 ITEMS = ("a", "b")
+#: 64 items × 1.5 KiB: one adopting pull journals ≈ 97 KiB, past the
+#: journal's 64 KiB floor for folding a WAL that outweighs its checkpoint.
+LARGE_ITEMS = tuple(f"k{index:02d}" for index in range(64))
 
 
 @pytest.fixture()
@@ -77,3 +80,34 @@ class TestKillRestart:
         # The checkpoint absorbed the log: nothing left to replay.
         assert status["durable"]["records_replayed"] == 0
         assert status["store"]["b"] == b"checkpointed".hex()
+
+    def test_status_reports_the_fold_gauges(self, durable_cluster):
+        cluster = durable_cluster
+        cluster.client(0).put("a", b"gauged")
+        durable = cluster.client(0).status()["durable"]
+        wal = cluster.data_dir / "node-0" / "wal.log"
+        assert durable["wal_bytes_since_checkpoint"] == wal.stat().st_size > 0
+        assert durable["checkpoint_bytes"] == 0  # none written yet
+
+
+class TestWholeStoreAdoption:
+    def test_adopting_node_folds_and_recovers_from_its_checkpoint(self, tmp_path):
+        with LocalCluster(
+            2, LARGE_ITEMS, tmp_path / "logs", seed=12, data_dir=tmp_path / "data"
+        ) as cluster:
+            for index, name in enumerate(LARGE_ITEMS):
+                cluster.client(0).put(name, bytes([index]) * 1536)
+            cluster.client(1).sync(0)
+            before = cluster.client(1).status()
+            assert before["durable"]["checkpoints"] == 1
+            assert before["durable"]["wal_bytes_since_checkpoint"] == 0
+            assert before["durable"]["checkpoint_bytes"] > 64 * 1024
+
+            cluster.kill(1)
+            cluster.restart(1)
+            after = cluster.client(1).status()
+            assert after["durable"]["records_replayed"] == 0
+            assert after["durable"]["checkpoint_bytes"] == before["durable"]["checkpoint_bytes"]
+            assert after["store"] == before["store"]
+            assert after["ivvs"] == before["ivvs"]
+            assert after["dbvv"] == before["dbvv"]
