@@ -67,13 +67,13 @@ def test_stage_profile_reports_the_five_stages():
 
 def test_stage_profile_reports_checkpoint_write_and_load():
     """``--stages`` also prints the checkpoint rows: write and load, per
-    item, text and binary format side by side."""
+    item, beside the checkpoint's size."""
     import wire_harness
 
     rows = wire_harness.bench_checkpoint(shape=(64, 8, 1))
     assert [row["stage"] for row in rows] == ["checkpoint-write", "checkpoint-load"]
-    assert all(row[form] > 0 for row in rows for form in ("text", "binary"))
-    assert rows[0]["binary_bytes"] < rows[0]["text_bytes"]
+    assert all(row["binary"] > 0 for row in rows)
+    assert rows[0]["binary_bytes"] > 64 * 8
 
 
 def test_stage_profile_reports_wal_replay_beside_checkpoint_load():

@@ -22,8 +22,7 @@ and that encoding is cheap enough to leave on everywhere:
 ``python benchmarks/wire_harness.py --stages`` is a separate, printed-only
 tool: a five-second per-stage profile of one burst pull replayed in
 process (see :func:`bench_stages`), then the checkpoint's write and load
-cost per item, text and binary format side by side
-(:func:`bench_checkpoint`), then what a restart pays instead of the
+cost per item (:func:`bench_checkpoint`), then what a restart pays instead of the
 checkpoint load when the WAL holds a whole-store adoption
 (:func:`bench_wal_replay`).  It sizes a change to the pull path or the
 checkpoint in seconds; ``benchmarks/pairs.py`` still decides whether it
@@ -54,8 +53,7 @@ from repro.core.messages import (  # noqa: E402
 from repro.core.node import EpidemicNode  # noqa: E402
 from repro.core.session import PullSession, respond  # noqa: E402
 from repro.core.version_vector import VersionVector  # noqa: E402
-from repro.durable.checkpoint import encode_checkpoint  # noqa: E402
-from repro.durable.checkpoint import load_node as load_checkpoint  # noqa: E402
+from repro.durable.checkpoint import encode_checkpoint, load_node  # noqa: E402
 from repro.durable.records import (  # noqa: E402
     WalAccept,
     apply_record,
@@ -65,7 +63,6 @@ from repro.durable.records import (  # noqa: E402
 )
 from repro.experiments.common import make_factory, make_items  # noqa: E402
 from repro.substrate.operations import Put  # noqa: E402
-from repro.substrate.persistence import dump_node, load_node  # noqa: E402
 from repro.wire import WireCodec  # noqa: E402
 
 __all__ = [
@@ -379,13 +376,12 @@ CHECKPOINT_SHAPE = (8192, 64, 7)
 def bench_checkpoint(
     shape: tuple[int, int, int] = CHECKPOINT_SHAPE,
 ) -> list[dict[str, Any]]:
-    """Checkpoint CPU per item in the text format (``dump_node`` /
-    ``load_node``) and the binary one (``encode_checkpoint`` /
-    ``repro.durable.checkpoint.load_node``), no file or fsync: n = 2, every
-    item adopted from a peer and a quarter rewritten locally, so both log
-    components are populated.  Each figure is the median over
+    """Checkpoint CPU per item (``encode_checkpoint`` /
+    ``repro.durable.checkpoint.load_node``), no file or fsync: n = 2,
+    every item adopted from a peer and a quarter rewritten locally, so
+    both log components are populated.  Each figure is the median over
     repetitions of time per item divided by :func:`_calibration_unit`
-    timed beside it; the row also carries each format's size in bytes.
+    timed beside it; the row also carries the checkpoint's size in bytes.
     """
     items, value_bytes, repetitions = shape
     names = [f"k{index:05d}" for index in range(items)]
@@ -396,31 +392,30 @@ def bench_checkpoint(
     node.pull_from(peer)
     for name in names[: items // 4]:
         node.update(name, Put(b"\x01" * value_bytes))
-    text = dump_node(node).encode("utf-8")
     binary = bytes(encode_checkpoint(1, node))
     runs = {
-        ("checkpoint-write", "text"): lambda: dump_node(node).encode("utf-8"),
-        ("checkpoint-write", "binary"): lambda: encode_checkpoint(1, node),
-        ("checkpoint-load", "text"): lambda: load_node(text.decode("utf-8")),
-        ("checkpoint-load", "binary"): lambda: load_checkpoint(binary),
+        "checkpoint-write": lambda: encode_checkpoint(1, node),
+        "checkpoint-load": lambda: load_node(binary),
     }
     clock = time.process_time
     rows = []
     for stage in CHECKPOINT_STAGES:
-        row: dict[str, Any] = {"stage": stage, "items": items, "value_bytes": value_bytes}
-        for form in ("text", "binary"):
-            run = runs[stage, form]
-            samples = []
-            for _repetition in range(repetitions):
-                before = _calibration_unit()
-                started = clock()
-                run()
-                spent = clock() - started
-                unit = (before + _calibration_unit()) / 2
-                samples.append(spent / items / unit)
-            row[form] = round(statistics.median(samples), 3)
-        row["text_bytes"], row["binary_bytes"] = len(text), len(binary)
-        rows.append(row)
+        run = runs[stage]
+        samples = []
+        for _repetition in range(repetitions):
+            before = _calibration_unit()
+            started = clock()
+            run()
+            spent = clock() - started
+            unit = (before + _calibration_unit()) / 2
+            samples.append(spent / items / unit)
+        rows.append({
+            "stage": stage,
+            "items": items,
+            "value_bytes": value_bytes,
+            "binary": round(statistics.median(samples), 3),
+            "binary_bytes": len(binary),
+        })
     return rows
 
 
@@ -430,8 +425,8 @@ def bench_wal_replay(
     """Recovery CPU per item for one accept record that hands a fresh
     replica a peer's whole store — ``decode_record``, ``validate_record``
     and ``apply_record``, no file — in the units of
-    :func:`bench_checkpoint`.  Its ratio to the binary checkpoint-load
-    row is what the journal's bytes trigger rests on: a WAL that
+    :func:`bench_checkpoint`.  Its ratio to the checkpoint-load row is
+    what the journal's bytes trigger rests on: a WAL that
     outweighs its checkpoint replays slower than the checkpoint loads.
     """
     items, value_bytes, repetitions = shape
@@ -471,19 +466,17 @@ def print_stages() -> None:
     first = rows[0]
     print(
         f"\nunits per item, checkpoint of {first['items']}x{first['value_bytes']}B, n=2 "
-        f"(text {first['text_bytes']} B, binary {first['binary_bytes']} B)"
+        f"({first['binary_bytes']} B)"
     )
-    print(f"{'stage':>16}  {'text':>10}  {'binary':>10}  {'ratio':>6}")
     for row in rows:
-        ratio = row["binary"] / row["text"]
-        print(f"{row['stage']:>16}  {row['text']:>10.3f}  {row['binary']:>10.3f}  {ratio:>6.2f}")
+        print(f"{row['stage']:>16}  {row['binary']:>10.3f}")
     replay = bench_wal_replay()
     print(
         f"\nunits per item, WAL replay of one {replay['items']}x{replay['value_bytes']}B "
         f"accept record ({replay['record_bytes']} B): decode + validate + apply"
     )
     versus = replay["binary"] / rows[-1]["binary"]
-    print(f"{replay['stage']:>16}  {replay['binary']:>10.3f}  ({versus:.2f}x checkpoint-load binary)")
+    print(f"{replay['stage']:>16}  {replay['binary']:>10.3f}  ({versus:.2f}x checkpoint-load)")
 
 
 def run_all() -> dict[str, Any]:

@@ -3,7 +3,7 @@
 and asynchronous schedules.
 
 Three branch offices each host replicas of two databases — a CRM and a
-wiki — as independent protocol instances on one machine (paper
+wiki — as independent protocol instances, one per database (paper
 section 2: "a separate instance of the protocol runs for each
 database").  The wiki holds large pages that receive small edits, so it
 runs the protocol in operation-shipping mode (the paper's alternative
@@ -20,59 +20,72 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.cluster.event_sim import EventDrivenSimulation, NodeSchedule
 from repro.core.protocol import DBVVProtocolNode, DeltaProtocolNode
+from repro.interfaces import (
+    DIRECT_TRANSPORT,
+    DirectTransport,
+    ProtocolNode,
+    SyncStats,
+    Transport,
+)
 from repro.metrics.reporting import Table, format_bytes
-from repro.substrate.database import DatabaseSchema
-from repro.substrate.host import Host
+from repro.obs import OverheadCounters
 from repro.substrate.operations import BytePatch, Put
 
 N_OFFICES = 3
-CRM = DatabaseSchema.with_generated_items("crm", 200, N_OFFICES, prefix="customer")
-WIKI = DatabaseSchema.with_generated_items("wiki", 50, N_OFFICES, prefix="page")
+CRM_ITEMS = [f"customer-{k:05d}" for k in range(200)]
+WIKI_ITEMS = [f"page-{k:05d}" for k in range(50)]
 PAGE_SIZE = 16_384
 
-
-def build_hosts() -> list[Host]:
-    hosts = []
-    for office in range(N_OFFICES):
-        host = Host(office)
-        host.add_database(
-            CRM, lambda node_id: DBVVProtocolNode(node_id, N_OFFICES, CRM.items)
-        )
-        host.add_database(
-            WIKI, lambda node_id: DeltaProtocolNode(node_id, N_OFFICES, WIKI.items)
-        )
-        hosts.append(host)
-    return hosts
+#: An office is one protocol instance per database it replicates.
+Office = dict[str, ProtocolNode]
 
 
-def demo_hosts() -> None:
-    hosts = build_hosts()
+def build_offices() -> list[Office]:
+    return [
+        {
+            "crm": DBVVProtocolNode(office, N_OFFICES, CRM_ITEMS),
+            "wiki": DeltaProtocolNode(office, N_OFFICES, WIKI_ITEMS),
+        }
+        for office in range(N_OFFICES)
+    ]
+
+
+def sync_all(
+    office: Office, peer: Office, transport: Transport = DIRECT_TRANSPORT
+) -> dict[str, SyncStats]:
+    """One dial-up session: pull every database both offices replicate,
+    each through its own protocol instance."""
+    return {
+        database: replica.sync_with(peer[database], transport)
+        for database, replica in sorted(office.items())
+        if database in peer
+    }
+
+
+def demo_offices() -> None:
+    offices = build_offices()
     # Office 0 lands a customer and fixes a typo on a big wiki page.
-    hosts[0].replica("crm").update("customer-00017", Put(b"ACME Corp; tier=gold"))
-    hosts[0].replica("wiki").update("page-00003", Put(b"x" * PAGE_SIZE))
-    hosts[1].sync_all_from(hosts[0])
-    hosts[2].sync_all_from(hosts[1])
-    hosts[0].replica("wiki").update("page-00003", BytePatch(1_024, b"[typo fixed]"))
-
-    from repro.interfaces import DirectTransport
-    from repro.obs import OverheadCounters
+    offices[0]["crm"].user_update("customer-00017", Put(b"ACME Corp; tier=gold"))
+    offices[0]["wiki"].user_update("page-00003", Put(b"x" * PAGE_SIZE))
+    sync_all(offices[1], offices[0])
+    sync_all(offices[2], offices[1])
+    offices[0]["wiki"].user_update("page-00003", BytePatch(1_024, b"[typo fixed]"))
 
     traffic = OverheadCounters()
-    line = DirectTransport(traffic)
-    results = hosts[1].sync_all_from(hosts[0], line)
+    results = sync_all(offices[1], offices[0], DirectTransport(traffic))
     table = Table(
         "Office 1's next session with office 0 (one connection, every "
         "shared database; the wiki ships the 12-byte patch, not the "
         f"{format_bytes(PAGE_SIZE)} page)",
         ["database", "items moved", "identical?"],
     )
-    for database, stats in sorted(results.items()):
+    for database, stats in results.items():
         table.add_row([
             database, stats.items_transferred, "yes" if stats.identical else "no",
         ])
     table.print()
     print(f"total session traffic: {format_bytes(traffic.bytes_sent)}")
-    assert hosts[1].replica("wiki").read("page-00003")[1_024:1_036] == b"[typo fixed]"
+    assert offices[1]["wiki"].read("page-00003")[1_024:1_036] == b"[typo fixed]"
 
 
 def demo_async_schedules() -> None:
@@ -85,10 +98,10 @@ def demo_async_schedules() -> None:
     ]
     sim = EventDrivenSimulation(
         lambda node_id, counters: DBVVProtocolNode(
-            node_id, N_OFFICES, CRM.items, counters=counters
+            node_id, N_OFFICES, CRM_ITEMS, counters=counters
         ),
         N_OFFICES,
-        CRM.items,
+        CRM_ITEMS,
         schedules=schedules,
         seed=21,
     )
@@ -106,7 +119,7 @@ def demo_async_schedules() -> None:
 
 
 def main() -> None:
-    demo_hosts()
+    demo_offices()
     demo_async_schedules()
 
 

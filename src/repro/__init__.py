@@ -13,9 +13,10 @@ Public surface (see each subpackage for details):
   version vectors, the bounded log vector, the epidemic node with
   SendPropagation / AcceptPropagation / IntraNodePropagation and
   out-of-bound copying.
-* :mod:`repro.substrate` — the replicated-database substrate: update
-  operations, storage, databases, servers, optional token-based
-  pessimistic concurrency.
+* :mod:`repro.substrate` — what the protocol replicates: re-doable
+  update operations, and the simulated clock.
+* :mod:`repro.durable` — write-ahead log, binary checkpoint and
+  recovery for a node that must survive its process.
 * :mod:`repro.cluster` — deterministic discrete-event cluster
   simulation: network, schedulers, failure injection, convergence
   checking.

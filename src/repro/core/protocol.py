@@ -14,6 +14,7 @@ from repro.core.delta import DeltaEpidemicNode
 from repro.core.messages import OutOfBoundReply, PropagationReply
 from repro.core.node import EpidemicNode
 from repro.core.session import PullSession, respond
+from repro.durable.checkpoint import encode_checkpoint
 from repro.durable.journal import NodeJournal
 from repro.errors import (
     DurabilityError,
@@ -31,7 +32,6 @@ from repro.interfaces import (
 )
 from repro.obs import NULL_COUNTERS, OverheadCounters
 from repro.substrate.operations import UpdateOperation
-from repro.substrate.persistence import dump_node
 
 __all__ = ["DBVVProtocolNode", "DeltaProtocolNode"]
 
@@ -262,16 +262,16 @@ class DBVVProtocolNode(ProtocolNode):
         return self.node.conflicts.count
 
     def exploration_key(self) -> tuple:
-        """The persistence dump — already a canonical text encoding of
-        every durable structure (DBVV, IVVs, values, conflict flags,
-        log vector, auxiliary copies and log) — plus conflict
-        *existence*, which the protocol reads back (it freezes DBVV
-        certificates and invariant checks) but the dump deliberately
-        omits.  Existence, not the count: re-detecting an already-known
-        conflict every session changes no behaviour, and keying on the
-        count would keep a legitimately-conflicted state from ever
-        reaching a closure fixpoint."""
-        return (dump_node(self.node), self.node.conflicts.count > 0)
+        """The checkpoint bytes — already a canonical encoding of every
+        durable structure (DBVV, IVVs, values, conflict flags, log
+        vector, auxiliary copies and log) — plus conflict *existence*,
+        which the protocol reads back (it freezes DBVV certificates and
+        invariant checks) but the checkpoint deliberately omits.
+        Existence, not the count: re-detecting an already-known conflict
+        every session changes no behaviour, and keying on the count
+        would keep a legitimately-conflicted state from ever reaching a
+        closure fixpoint."""
+        return (bytes(encode_checkpoint(0, self.node)), self.node.conflicts.count > 0)
 
     def exploration_vectors(self) -> dict[str, tuple[int, ...]]:
         """The DBVV and every *regular* IVV; auxiliary IVVs are excluded

@@ -33,35 +33,51 @@ pending.
 :func:`load_node` reads the file through
 :meth:`~repro.durable.wal.WriteAheadLog.scan`, and the file must be
 exactly one intact frame: a cut or a flipped bit anywhere is a
-:class:`~repro.substrate.persistence.SnapshotError`, never a smaller
-node.  A text checkpoint written by an earlier release is refused with
-the remedy.  The decoded columns pass the snapshot validator before any
-node exists, then rebuild through the restore path the text format
-shares (:mod:`repro.substrate.persistence`).
+:class:`SnapshotError`, never a smaller node.  A text checkpoint written
+by an earlier release is refused with the remedy.  The body decodes into
+a :class:`Snapshot`, which :func:`validate_snapshot` checks before any
+node exists; :func:`rebuild_node`, the one writer of core state outside
+:mod:`repro.core` (lint rule R4's sanctioned exception), then makes it a
+node.  The conflict reporter's history and the counters are measurement
+state, not protocol state, and are not kept: a restored node starts with
+empty telemetry.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
+from dataclasses import dataclass
 from itertools import accumulate, compress, count, islice, repeat
-from operator import attrgetter, is_not
+from operator import attrgetter, is_not, lt
 from typing import AnyStr, Callable, Iterable, Sequence, TypeVar
 
 from repro.core.node import EpidemicNode
-from repro.core.version_vector import pack_vectors
-from repro.durable.wal import WriteAheadLog, frame_record
-from repro.substrate.persistence import (
-    Snapshot,
-    SnapshotError,
-    rebuild_node,
-    validate_snapshot,
+from repro.core.validate import (
+    MAX_REPLICA_SET,
+    MAX_VALUE_LEN,
+    MAX_VV_COMPONENT,
+    validate_item_name,
+    validate_value,
+    validate_version_vector,
 )
+from repro.core.version_vector import VersionVector, pack_vectors
+from repro.durable.wal import WriteAheadLog, frame_record
+from repro.errors import ReplicationError, ValidationError
+from repro.substrate.operations import UpdateOperation
 from repro.wire.codec import Decoder, Encoder, WireCodec
 from repro.wire.codecs import decode_wire_op, encode_wire_op
 from repro.wire.varint import write_uvarint
 
-__all__ = ["decode_checkpoint", "encode_checkpoint", "load_node"]
+__all__ = [
+    "Snapshot",
+    "SnapshotError",
+    "decode_checkpoint",
+    "encode_checkpoint",
+    "load_node",
+    "rebuild_node",
+    "validate_snapshot",
+]
 
 if array("I").itemsize != 4 or array("Q").itemsize != 8:
     raise ImportError("checkpoint columns need 4- and 8-byte array items")
@@ -71,6 +87,36 @@ _CODEC = WireCodec(delta_vv=False)
 _BIG_ENDIAN = sys.byteorder == "big"
 #: How every checkpoint before the binary format began.
 _TEXT_HEADER = b"checkpoint lsn "
+
+
+class SnapshotError(ReplicationError):
+    """A checkpoint could not be encoded or decoded."""
+
+
+@dataclass(slots=True)
+class Snapshot:
+    """A node's protocol state as decoded — not yet trusted.
+
+    Items are addressed by their index in ``names`` (store order), and
+    ``ivvs`` is one flat column of ``n_nodes`` components per item.
+    """
+
+    node_id: int
+    n_nodes: int
+    dbvv: VersionVector
+    names: list[str]
+    ivvs: Sequence[int]
+    values: list[bytes]
+    #: One byte per item: 1 while the item is declared in conflict.
+    conflicts: bytes
+    #: ``(origin, item indexes, seqnos)`` per non-empty log component,
+    #: origins ascending, records oldest first.
+    log: list[tuple[int, Sequence[int], Sequence[int]]]
+    #: ``(item index, auxiliary IVV, auxiliary value)`` per aux copy.
+    aux: list[tuple[int, VersionVector, bytes]]
+    #: ``(item index, pre-update IVV, operation)``, oldest first.
+    aux_log: list[tuple[int, VersionVector, UpdateOperation]]
+
 
 _Entry = TypeVar("_Entry")
 _IVV = attrgetter("ivv")
@@ -166,6 +212,131 @@ def load_node(
     lsn, snapshot = decode_checkpoint(data)
     snapshot = validate_snapshot(snapshot)
     return lsn, rebuild_node(snapshot, node_class, **node_kwargs)
+
+
+def validate_snapshot(snapshot: Snapshot) -> Snapshot:
+    """Trust-boundary check of a decoded snapshot, before any node
+    exists.  Every column is as long as the item count says, every
+    index names an item, every vector fits the replica set and the
+    component cap, each log component holds one record per item in
+    strictly increasing seqno order, and the DBVV equals the IVV column
+    sums (rule 3's invariant — unless a conflict flag is set, which
+    freezes that accounting exactly as in
+    ``EpidemicNode.check_invariants``).  Registered as an R13
+    sanitizer; raises :class:`SnapshotError`.
+    """
+    n = snapshot.n_nodes
+    if not 0 < n <= MAX_REPLICA_SET:
+        raise SnapshotError(
+            f"replica set of {n} nodes outside 1..{MAX_REPLICA_SET}"
+        )
+    if not 0 <= snapshot.node_id < n:
+        raise SnapshotError(
+            f"node id {snapshot.node_id} outside the replica set of {n}"
+        )
+    names = snapshot.names
+    items = len(names)
+    ivvs = snapshot.ivvs
+    try:
+        for name in names:
+            validate_item_name(name)
+        validate_version_vector(snapshot.dbvv, n, "DBVV")
+        for _index, ivv, value in snapshot.aux:
+            validate_version_vector(ivv, n, "auxiliary IVV")
+            validate_value(value)
+        for _index, ivv, _op in snapshot.aux_log:
+            validate_version_vector(ivv, n, "auxiliary-log IVV")
+    except ValidationError as exc:
+        raise SnapshotError(f"invalid snapshot: {exc}") from exc
+    if len(set(names)) != items:
+        raise SnapshotError("snapshot names an item twice")
+    if len(ivvs) != items * n:
+        raise SnapshotError(
+            f"IVV column holds {len(ivvs)} components, not {items} items "
+            f"x {n} nodes"
+        )
+    if max(ivvs, default=0) > MAX_VV_COMPONENT:
+        raise SnapshotError(f"IVV component exceeds cap {MAX_VV_COMPONENT}")
+    if len(snapshot.values) != items or len(snapshot.conflicts) != items:
+        raise SnapshotError(
+            "value or conflict column length is not the item count"
+        )
+    if max(map(len, snapshot.values), default=0) > MAX_VALUE_LEN:
+        raise SnapshotError(f"value exceeds cap {MAX_VALUE_LEN}")
+    if snapshot.conflicts.translate(None, b"\x00\x01"):
+        raise SnapshotError("conflict flag other than 0 or 1")
+    previous = -1
+    for origin, indexes, seqnos in snapshot.log:
+        if not previous < origin < n:
+            raise SnapshotError(
+                f"log component {origin} repeated, out of order or outside "
+                f"the replica set of {n}"
+            )
+        previous = origin
+        if len(indexes) != len(seqnos) or max(indexes, default=0) >= items:
+            raise SnapshotError(
+                f"log component {origin} names an item index past the "
+                f"{items} items"
+            )
+        if len(set(indexes)) != len(indexes):
+            raise SnapshotError(
+                f"log component {origin} holds two records for one item"
+            )
+        if seqnos and (
+            seqnos[0] < 1 or not all(map(lt, seqnos, seqnos[1:]))
+        ):
+            raise SnapshotError(
+                f"log component {origin} seqnos are not strictly increasing"
+            )
+    aux_items = [index for index, _ivv, _value in snapshot.aux]
+    if len(set(aux_items)) != len(aux_items):
+        raise SnapshotError("snapshot holds two auxiliary copies of one item")
+    for index, _ivv, _payload in (*snapshot.aux, *snapshot.aux_log):
+        if index >= items:
+            raise SnapshotError(
+                f"auxiliary entry names item index {index} past the {items} items"
+            )
+    if 1 not in snapshot.conflicts:
+        sums = [sum(ivvs[k::n]) for k in range(n)]
+        if sums != list(snapshot.dbvv):
+            raise SnapshotError(
+                f"DBVV {list(snapshot.dbvv)} is not the IVV column sums {sums}"
+            )
+    return snapshot
+
+
+def rebuild_node(
+    snapshot: Snapshot,
+    node_class: type[EpidemicNode] = EpidemicNode,
+    **node_kwargs,
+) -> EpidemicNode:
+    """The node a snapshot that passed :func:`validate_snapshot`
+    describes, bit-identical to the one it was taken from.
+
+    Snapshot restore is the one sanctioned writer of core state outside
+    :mod:`repro.core` (R4), and ``after_restore`` then re-derives the
+    state nothing persists.
+    """
+    n = snapshot.n_nodes
+    names = snapshot.names
+    node = node_class(snapshot.node_id, n, names, **node_kwargs)
+    node.dbvv.merge_from(snapshot.dbvv)  # lint: skip=R4
+    ivvs = snapshot.ivvs
+    for start, entry, value, conflict in zip(
+        range(0, len(ivvs), n), node.store, snapshot.values, snapshot.conflicts
+    ):
+        entry.ivv = VersionVector.from_counts(ivvs[start:start + n])  # lint: skip=R4
+        entry.value = value
+        entry.in_conflict = conflict == 1
+    for index, ivv, value in snapshot.aux:
+        node.store[names[index]].install_auxiliary(value, ivv)
+    for origin, indexes, seqnos in snapshot.log:
+        for index, seqno in zip(indexes, seqnos):
+            node.log.add(origin, names[index], seqno)  # lint: skip=R4
+    for index, ivv, op in snapshot.aux_log:
+        node.aux_log.append(names[index], ivv, op)
+    node.after_restore()
+    return node
 
 
 def _decode_body(body: bytes) -> tuple[int, Snapshot]:

@@ -22,7 +22,7 @@ history).  The record count alone does not bound it, since one
 adoption record can carry the whole store.
 
 Checkpointing is crash-safe by LSN gating: the snapshot is replaced
-atomically (:func:`~repro.substrate.persistence.atomic_write_bytes`)
+atomically (:func:`atomic_write_bytes`)
 *before* the WAL is truncated, and every record carries its LSN — a
 crash between the two steps leaves stale records in the log whose LSNs
 the checkpoint already covers, and recovery skips them (replaying a
@@ -49,13 +49,14 @@ fold may land anywhere.
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 from typing import Sequence
 
 from repro.core.node import EpidemicNode
 from repro.core.messages import OutOfBoundReply, PropagationReply
 from repro.core.version_vector import VersionVector
-from repro.durable.checkpoint import encode_checkpoint, load_node
+from repro.durable.checkpoint import SnapshotError, encode_checkpoint, load_node
 from repro.durable.records import (
     WalAccept,
     WalExpand,
@@ -70,7 +71,6 @@ from repro.durable.records import (
 )
 from repro.durable.wal import WriteAheadLog
 from repro.substrate.operations import UpdateOperation
-from repro.substrate.persistence import SnapshotError, atomic_write_bytes
 
 __all__ = ["NodeJournal"]
 
@@ -203,7 +203,7 @@ class NodeJournal:
         ``expand`` records re-grow the replica set during replay.  Torn
         WAL tails are truncated in place, so the journal is immediately
         appendable again.  A checkpoint that does not load raises
-        :class:`~repro.substrate.persistence.SnapshotError` before any
+        :class:`~repro.durable.checkpoint.SnapshotError` before any
         WAL record is read.
         """
         base_lsn = 0
@@ -237,3 +237,38 @@ class NodeJournal:
         self._next_lsn = last_lsn + 1
         self._since_checkpoint = replayed
         return node
+
+
+def atomic_write_bytes(path: str | Path, data: bytes, fsync: bool = True) -> None:
+    """Write ``data`` to ``path`` atomically: temp file in the same
+    directory, flush (+ optional fsync), then ``os.replace``.
+
+    A crash at any point leaves either the previous file intact or the
+    fully written new one — never a torn mix.  ``os.replace`` is atomic
+    only within one filesystem, which the same-directory temp file
+    guarantees.
+    """
+    target = Path(path)
+    tmp = target.with_name(target.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            if fsync:
+                os.fsync(fh.fileno())
+        os.replace(tmp, target)
+    finally:
+        # A failure between write and replace must not litter the data
+        # directory with a stale temp file a later write would trust.
+        if tmp.exists():
+            tmp.unlink()
+    if fsync:
+        # The rename itself must survive a power cut: fsync the directory.
+        try:
+            dir_fd = os.open(target.parent, os.O_RDONLY)
+        except OSError:
+            return  # platform without directory fds (e.g. Windows)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)

@@ -51,21 +51,6 @@ class ConflictError(ReplicationError):
         self.detail = detail
 
 
-class TokenHeldError(ReplicationError):
-    """An update was attempted without holding the item's token while the
-    system runs in pessimistic (token-based) mode (paper section 2).
-    """
-
-    def __init__(self, item: str, holder: int, requester: int):
-        super().__init__(
-            f"token for item {item!r} is held by node {holder}, "
-            f"update attempted by node {requester}"
-        )
-        self.item = item
-        self.holder = holder
-        self.requester = requester
-
-
 class InvariantViolation(ReplicationError, AssertionError):
     """A protocol invariant did not hold — the replica is corrupt.
 
@@ -183,12 +168,3 @@ class WALError(DurabilityError):
     replay a guess.
     """
 
-
-class JournalIntegrityError(DurabilityError):
-    """A write journal failed validation during recovery.
-
-    :meth:`repro.substrate.storage.Storage.recover` requires the
-    journal's sequence numbers to be exactly ``1..N`` with no gaps or
-    duplicates — a disk-backed journal that lost or doubled a record
-    must fail recovery loudly instead of silently renumbering writes.
-    """

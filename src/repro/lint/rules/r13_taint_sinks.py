@@ -8,8 +8,8 @@ journal entry points — must only ever see values that passed a
 registered validator from :mod:`repro.core.validate` (the taint
 engine's :data:`~repro.lint.taint.SANCTIONED_SANITIZERS`, which add the
 two disk-state validators: ``validate_record`` for WAL records, and
-``validate_snapshot`` between ``decode_checkpoint`` and the restore
-sink ``rebuild_node``).  A cap guard
+``validate_snapshot`` (:mod:`repro.durable.checkpoint`) between
+``decode_checkpoint`` and the restore sink ``rebuild_node``).  A cap guard
 (``if n > MAX: raise``) bounds a value but does not make it trusted;
 only a sanitizer clears taint, and only by reassignment
 (``reply = validate_propagation_reply(answer, ...)``).

@@ -22,10 +22,9 @@ any error until (at best) a distant sanitizer sweep.
   ``_counts``, ...) on any object other than ``self``.
 
 The one sanctioned exception is
-:func:`repro.substrate.persistence.rebuild_node`, the restore function
-both snapshot formats (the durable binary checkpoint and the text debug
-dump) rebuild a node through, bit-identically, after
-``validate_snapshot`` has checked what they decoded; its writes carry
+:func:`repro.durable.checkpoint.rebuild_node`, the restore function a
+checkpoint rebuilds a node through, bit-identically, after
+``validate_snapshot`` has checked what was decoded; its writes carry
 explicit ``# lint: skip=R4`` pragmas (as do the explorer's deliberate
 protocol mutations in ``explore/mutations.py``).  Tests are exempt —
 white-box tests must corrupt state on purpose to prove the checkers

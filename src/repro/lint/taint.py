@@ -31,7 +31,7 @@ tainted taints its call sites).
 :data:`SANCTIONED_SANITIZERS`, the ``validate_*`` API of
 :mod:`repro.core.validate` plus the disk-state validators
 :func:`repro.durable.records.validate_record` and
-:func:`repro.substrate.persistence.validate_snapshot` — produces a
+:func:`repro.durable.checkpoint.validate_snapshot` — produces a
 CLEAN result.  Sanitizers are
 value-passing: ``answer = validate_session_answer(answer, ...)`` cleans
 ``answer``; a bare ``validate_...(answer)`` call cleans nothing, which

@@ -1,14 +1,11 @@
-"""The replicated-database substrate the protocol runs on.
+"""What the protocol replicates, and the clock it runs on.
 
 The paper assumes "a collection of networked servers that keep
-databases, which are collections of data items" (section 2).  This
-package supplies that world: re-doable update operations
-(:mod:`~repro.substrate.operations`), a versioned in-memory storage
-engine (:mod:`~repro.substrate.storage`), whole-database replicas and
-the servers hosting them (:mod:`~repro.substrate.database`,
-:mod:`~repro.substrate.server`), the optional token manager for
-pessimistic replica control (:mod:`~repro.substrate.tokens`), and the
-simulated clock (:mod:`~repro.substrate.clock`).
+databases, which are collections of data items" (section 2); the
+protocol needs only two things from that world: re-doable update
+operations (:mod:`~repro.substrate.operations`), which the auxiliary
+log replays and the operation-shipping mode ships, and the simulated
+clock (:mod:`~repro.substrate.clock`) the event engine advances.
 """
 
 from repro.substrate.operations import (

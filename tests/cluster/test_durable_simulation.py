@@ -16,7 +16,7 @@ from repro.cluster.failures import Crash, FailurePlan, Recover
 from repro.cluster.simulation import ClusterSimulation
 from repro.experiments.common import make_factory, make_items
 from repro.substrate.operations import Put
-from repro.substrate.persistence import dump_node
+from tests.node_state import node_state
 
 ITEMS = make_items(6)
 
@@ -116,7 +116,7 @@ class TestRecoverFromDisk:
             make_sim(durable=True, failure_plan=FailurePlan(list(PLAN)))
         )
         for p, d in zip(plain.nodes, durable.nodes):
-            assert dump_node(p.node) == dump_node(d.node)
+            assert node_state(p.node) == node_state(d.node)
         assert plain.round_no == durable.round_no
 
     def test_recover_without_durable_restores_in_memory(self):
@@ -173,4 +173,4 @@ def test_durable_parity_across_seeds(seed):
         make_sim(seed=seed, durable=True, failure_plan=FailurePlan(list(PLAN)))
     )
     for p, d in zip(plain.nodes, durable.nodes):
-        assert dump_node(p.node) == dump_node(d.node)
+        assert node_state(p.node) == node_state(d.node)

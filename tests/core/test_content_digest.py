@@ -13,10 +13,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.core import node as node_module
 from repro.core.node import EpidemicNode
+from repro.durable.checkpoint import encode_checkpoint, load_node
 from repro.errors import OperationError
 from repro.interfaces import ContentDigest
 from repro.substrate.operations import Append, BytePatch, CounterAdd, Put, Truncate
-from repro.substrate.persistence import dump_node, load_node
 
 N_NODES = 3
 ITEMS = [f"item-{k}" for k in range(4)]
@@ -91,7 +91,7 @@ def test_every_read_equals_a_recomputation_over_the_store(program):
         elif kind == "resolve":
             nodes[who].resolve_conflict(ITEMS[step[2]], step[3])
         elif kind == "restore":
-            nodes[who] = load_node(dump_node(nodes[who]))
+            _lsn, nodes[who] = load_node(bytes(encode_checkpoint(0, nodes[who])))
         elif kind == "read":
             token = nodes[who].content_digest
             assert token == recomputed(nodes[who])
@@ -136,7 +136,7 @@ def test_restore_marks_instead_of_hashing(monkeypatch):
     node.update(ITEMS[1], Put(b"also kept"))
     before = node.content_digest
     calls = spy_on_value_digest(monkeypatch)
-    restored = load_node(dump_node(node))
+    _lsn, restored = load_node(bytes(encode_checkpoint(0, node)))
     assert calls == []
     assert restored.content_digest == before
     assert sorted(item for item, _value in calls) == ITEMS[:2]

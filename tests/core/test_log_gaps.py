@@ -21,9 +21,9 @@ import pytest
 
 from repro.core.node import EpidemicNode
 from repro.core.protocol import DBVVProtocolNode
+from repro.durable.checkpoint import encode_checkpoint, load_node
 from repro.errors import InvariantViolation
 from repro.substrate.operations import Put
-from repro.substrate.persistence import dump_node, load_node
 
 ITEMS = ["alpha", "gamma"]
 
@@ -114,7 +114,7 @@ class TestGapContagion:
         """``log_gaps`` is derived state: a restored snapshot of a
         clean-but-gapped replica must not trip the invariant checker."""
         _, _, c = build_contagion_triple()
-        restored = load_node(dump_node(c))
+        _lsn, restored = load_node(bytes(encode_checkpoint(0, c)))
         restored.check_invariants()
         assert restored.log_gaps == {0: 3}
         assert restored.has_open_log_gaps()

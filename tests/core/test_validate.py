@@ -50,7 +50,7 @@ from repro.durable.records import (
 )
 from repro.errors import ReplicationError, ValidationError
 from repro.substrate.operations import Put
-from repro.substrate.persistence import dump_node
+from tests.node_state import node_state
 
 ITEMS = ["a", "b"]
 
@@ -230,14 +230,14 @@ class TestPropagationReply:
     def test_a_refused_reply_leaves_the_node_untouched(self):
         recipient, source = make_pair()
         reply = honest_reply(recipient, source)
-        before = dump_node(recipient)
+        before = node_state(recipient)
         for forged in (
             dataclasses.replace(reply, items=reply.items * 2),
             dataclasses.replace(reply, tails=((), ())),
         ):
             with pytest.raises(ValidationError):
                 PullSession(recipient).conclude(forged)
-            assert dump_node(recipient) == before
+            assert node_state(recipient) == before
         assert PullSession(recipient).conclude(reply).adopted == ("a",)
 
     def test_what_the_set_check_prevents(self):
@@ -334,10 +334,10 @@ class TestSessionAnswer:
         reply = honest_reply(recipient, source)
         forged = dataclasses.replace(reply, tails=reply.tails[:1])
         assert validate_session_answer(forged, 1) is forged
-        before = dump_node(recipient)
+        before = node_state(recipient)
         with pytest.raises(ValidationError):
             PullSession(recipient).conclude(forged)
-        assert dump_node(recipient) == before
+        assert node_state(recipient) == before
 
 
 class TestOutOfBoundReply:

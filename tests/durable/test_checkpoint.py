@@ -8,12 +8,15 @@
 * **Round trip.**  Any state a cluster can reach — all five operation
   types, pulls, conflicts and their resolution, out-of-bound copies
   with their auxiliary log, replica-set growth, the delta-shipping
-  node — comes back from checkpoint → recover ``dump_node``-identical
+  node — comes back from checkpoint → recover ``node_state``-identical
   and passing ``check_invariants``.
 * **Fold anywhere.**  The same runs journaled input by input, with the
   WAL folded after an arbitrary subset of steps, recover to the same
   node: no record depends on state a checkpoint drops (the conflict
   reports a resolution merged are journaled with it).
+* **Restored nodes carry on.**  A node rebuilt from its checkpoint
+  keeps serving its log, replays its deferred out-of-bound updates, and
+  a restored cluster ends where the original does under the same pulls.
 * **Forgeries.**  CRC-valid bodies built by hand from the layout in
   ``repro.durable.checkpoint`` — the honest one is pinned byte for byte
   against the encoder — and then bent one field at a time: each is a
@@ -42,7 +45,7 @@ from repro.durable import (
     WalResolve,
     WalUpdate,
 )
-from repro.durable.checkpoint import encode_checkpoint, load_node
+from repro.durable.checkpoint import SnapshotError, encode_checkpoint, load_node
 from repro.errors import OperationError
 from repro.substrate.operations import (
     Append,
@@ -51,8 +54,8 @@ from repro.substrate.operations import (
     Put,
     Truncate,
 )
-from repro.substrate.persistence import SnapshotError, dump_node
 from repro.wire.varint import write_uvarint
+from tests.node_state import node_state
 
 #: What ``NodeJournal.checkpoint`` wrote before the binary format.
 PARENT_TEXT_CHECKPOINT = (
@@ -114,7 +117,7 @@ class TestEveryCutAndFlip:
 
         (crash / "checkpoint.snap").write_bytes(good)
         journal = NodeJournal(crash, fsync=False)
-        assert dump_node(journal.recover(EpidemicNode, 0, 2, SIX)) == dump_node(node)
+        assert node_state(journal.recover(EpidemicNode, 0, 2, SIX)) == node_state(node)
         assert journal.records_replayed == 2
 
 
@@ -237,7 +240,7 @@ def test_checkpoint_then_recover_reproduces_any_reachable_state(node_class, prog
             recovered = journal.recover(node_class, node.node_id, N_NODES, ITEMS)
             journal.close()
             assert type(recovered) is node_class
-            assert dump_node(recovered) == dump_node(node)
+            assert node_state(recovered) == node_state(node)
             recovered.check_invariants()
 
 
@@ -266,8 +269,86 @@ def test_fold_anywhere_then_recover_reproduces_the_journaled_node(
             fresh = NodeJournal(journal.data_dir, fsync=False)
             recovered = fresh.recover(node_class, node.node_id, N_NODES, ITEMS)
             fresh.close()
-            assert dump_node(recovered) == dump_node(node)
+            assert node_state(recovered) == node_state(node)
             recovered.check_invariants()
+
+
+def restored(node, node_class=EpidemicNode):
+    """``node`` through its checkpoint bytes and back."""
+    _lsn, copy = load_node(bytes(encode_checkpoint(0, node)), node_class)
+    return copy
+
+
+def busy_pair() -> tuple[EpidemicNode, EpidemicNode]:
+    """Replica 0 holding a merged peer write, an out-of-bound copy of
+    ``c`` and a deferred local update of it; and the peer it copied
+    from, whose regular update of ``c`` replica 0 has not pulled yet."""
+    node, peer = EpidemicNode(0, N_NODES, ITEMS), EpidemicNode(1, N_NODES, ITEMS)
+    node.update("a", Put(b"hello"))
+    node.update("a", Append(b" world"))
+    peer.update("b", Put(b"peer-data"))
+    node.pull_from(peer)
+    peer.update("c", Put(b"hot"))
+    node.copy_out_of_bound("c", peer)
+    node.update("c", Append(b"+local"))
+    return node, peer
+
+
+class TestRestoredNode:
+    def test_restored_node_continues_the_protocol(self):
+        """A repaired node keeps replicating: its log still serves, and
+        its deferred out-of-bound update replays once the regular copy
+        catches up."""
+        node, peer = busy_pair()
+        copy = restored(node)
+        assert node_state(copy) == node_state(node)
+        fresh = EpidemicNode(2, N_NODES, ITEMS)
+        fresh.pull_from(copy)
+        assert fresh.read("a") == b"hello world"
+        assert copy.store["c"].has_auxiliary
+        copy.pull_from(peer)
+        assert copy.read("c") == b"hot+local"
+        assert not copy.store["c"].has_auxiliary
+        copy.check_invariants()
+
+    def test_delta_node_restores_and_serves_full_copies(self):
+        source = DeltaEpidemicNode(0, 2, ITEMS)
+        source.update("a", Put(b"v"))
+        copy = restored(source, DeltaEpidemicNode)
+        # Operation histories are not kept: the restored node ships
+        # whole values until new updates rebuild them.
+        recipient = DeltaEpidemicNode(1, 2, ITEMS)
+        recipient.pull_from(copy)
+        assert recipient.read("a") == b"v"
+        assert copy.full_copies_shipped == 1
+
+    def test_half_present_auxiliary_copy_rejected(self):
+        """An auxiliary IVV without its value is internal corruption: the
+        encoder raises (it must survive ``python -O``) rather than write
+        a checkpoint that loads as some other node."""
+        node, _peer = busy_pair()
+        entry = node.store["c"]
+        assert entry.has_auxiliary
+        entry.aux_value = None
+        with pytest.raises(SnapshotError, match="auxiliary"):
+            encode_checkpoint(0, node)
+
+
+@settings(max_examples=30, deadline=None)
+@given(program=steps)
+def test_restored_cluster_behaves_identically(program):
+    """Restore every node from its checkpoint, run one deterministic
+    pull schedule on both clusters, and compare the final states."""
+    original = run(EpidemicNode, program)
+    copies = [restored(node) for node in original]
+    for _round in range(N_NODES + 1):
+        for dst in range(N_NODES):
+            for src in range(N_NODES):
+                if dst != src:
+                    original[dst].pull_from(original[src])
+                    copies[dst].pull_from(copies[src])
+    for node, copy in zip(original, copies):
+        assert node_state(copy) == node_state(node)
 
 
 def _uvarint(value: int) -> bytes:
@@ -325,7 +406,7 @@ class TestForgedBodies:
         node.update("a", Put(b"x"))
         assert bytes(encode_checkpoint(7, node)) == forge()
         lsn, loaded = load_node(forge())
-        assert lsn == 7 and dump_node(loaded) == dump_node(node)
+        assert lsn == 7 and node_state(loaded) == node_state(node)
 
     @pytest.mark.parametrize(
         "fields, error",

@@ -9,7 +9,7 @@ drivers journal); the test then truncates the resulting WAL at every
 single byte offset and checks, for each truncation point, that the
 recovered replica
 
-* equals (``dump_node``-exactly) an *independent* replay of the record
+* equals (``node_state``-exactly) an *independent* replay of the record
   prefix whose frames fit below the cut,
 * passes ``check_invariants``, and
 * left the log file appendable (truncated to the last intact record).
@@ -20,6 +20,7 @@ the same sweep; a dedicated assertion checks the acknowledged-record
 guarantee at exactly those boundaries anyway.
 """
 
+import copy
 import shutil
 import tempfile
 from pathlib import Path
@@ -32,8 +33,8 @@ from repro.core.session import PullSession, respond
 from repro.durable import NodeJournal, apply_record, decode_record
 from repro.durable.wal import WriteAheadLog
 from repro.substrate.operations import Append, Put
-from repro.substrate.persistence import dump_node, load_node
 from repro.wire.varint import write_uvarint
+from tests.node_state import node_state
 
 ITEMS = ["a", "b"]
 
@@ -132,11 +133,11 @@ def test_recovery_is_prefix_consistent_at_every_truncation_point(actions):
         # Independent prefix states: dumps[k] = fresh node + replay of
         # the first k records (not through NodeJournal.recover).
         reference = EpidemicNode(0, 3, ITEMS)
-        dumps = [dump_node(reference)]
+        dumps = [node_state(reference)]
         for body in bodies:
             _, record = decode_record(body)
             apply_record(reference, record)
-            dumps.append(dump_node(reference))
+            dumps.append(node_state(reference))
 
         crash_dir = base / "crash"
         for cut in range(len(data) + 1):
@@ -145,7 +146,7 @@ def test_recovery_is_prefix_consistent_at_every_truncation_point(actions):
             crash_dir.mkdir()
             (crash_dir / "wal.log").write_bytes(data[:cut])
             recovered, recovering = recover_from(crash_dir)
-            assert dump_node(recovered) == dumps[survived], f"cut at byte {cut}"
+            assert node_state(recovered) == dumps[survived], f"cut at byte {cut}"
             recovered.check_invariants()
             assert recovering.records_replayed == survived
             # The repaired log ends exactly at the last intact record,
@@ -162,7 +163,7 @@ def test_recovery_is_prefix_consistent_at_every_truncation_point(actions):
             crash_dir.mkdir()
             (crash_dir / "wal.log").write_bytes(data[:cut])
             recovered, _ = recover_from(crash_dir)
-            assert dump_node(recovered) == dumps[count]
+            assert node_state(recovered) == dumps[count]
 
 
 @settings(max_examples=8, deadline=None)
@@ -177,12 +178,12 @@ def test_recovery_from_checkpoint_plus_suffix_at_every_truncation_point(
         journal = NodeJournal(base / "node", fsync=False, checkpoint_every=0)
         node = EpidemicNode(0, 3, ITEMS)
         peer = EpidemicNode(1, 3, ITEMS)
-        base_lsn, base_dump = 0, dump_node(EpidemicNode(0, 3, ITEMS))
+        base_lsn, base_node = 0, EpidemicNode(0, 3, ITEMS)
         for index, action in enumerate(actions):
             if index == checkpoint_after:
                 journal.checkpoint(node)
                 # Independent base state: the node as it was checkpointed.
-                base_lsn, base_dump = journal.wal.records_appended, dump_node(node)
+                base_lsn, base_node = journal.wal.records_appended, copy.deepcopy(node)
             kind = action[0]
             if kind == "put":
                 node.update(action[1], Put(action[2]))
@@ -229,13 +230,13 @@ def test_recovery_from_checkpoint_plus_suffix_at_every_truncation_point(
             recovered, _ = recover_from(crash_dir)
             recovered.check_invariants()
 
-            expected = load_node(base_dump)
+            expected = copy.deepcopy(base_node)
             for body in bodies[:survived]:
                 lsn, record = decode_record(body)
                 if lsn > base_lsn:
                     apply_record(expected, record)
-            assert dump_node(recovered) == dump_node(expected), f"cut {cut}"
+            assert node_state(recovered) == node_state(expected), f"cut {cut}"
 
         # The full log replays back to the exact pre-crash state.
         full, _ = recover_from(base / "node")
-        assert dump_node(full) == dump_node(node)
+        assert node_state(full) == node_state(node)

@@ -17,12 +17,13 @@ from repro.durable import (
     encode_record,
 )
 from repro.durable import journal as journal_module
+from repro.durable.checkpoint import SnapshotError
 from repro.durable.wal import frame_record
 from repro.errors import ValidationError, WALError
 from repro.substrate.operations import Append, Put
-from repro.substrate.persistence import SnapshotError, dump_node
 from repro.wire import WireCodec
 from repro.wire.varint import write_uvarint
+from tests.node_state import node_state
 
 ITEMS = ["a", "b"]
 #: The bytes trigger's floor (``repro.durable.journal``).
@@ -175,7 +176,7 @@ class TestRecovery:
         journal.close()
         fresh = NodeJournal(tmp_path)
         recovered = fresh.recover(EpidemicNode, 0, 3, ITEMS)
-        assert dump_node(recovered) == dump_node(node)
+        assert node_state(recovered) == node_state(node)
         recovered.check_invariants()
         assert fresh.records_replayed == 4
         assert fresh.records_skipped == 0
@@ -184,7 +185,7 @@ class TestRecovery:
         journal = NodeJournal(tmp_path)
         assert not journal.has_state
         recovered = journal.recover(EpidemicNode, 2, 5, ITEMS)
-        assert dump_node(recovered) == dump_node(EpidemicNode(2, 5, ITEMS))
+        assert node_state(recovered) == node_state(EpidemicNode(2, 5, ITEMS))
 
     def test_has_state_after_first_commit(self, tmp_path):
         journal = NodeJournal(tmp_path)
@@ -204,7 +205,7 @@ class TestRecovery:
         fresh.close()
         final = NodeJournal(tmp_path).recover(EpidemicNode, 0, 3, ITEMS)
         node.update("b", Append(b"!"))
-        assert dump_node(final) == dump_node(node)
+        assert node_state(final) == node_state(node)
 
 
 class TestCheckpointing:
@@ -216,7 +217,7 @@ class TestCheckpointing:
         journal.close()
         fresh = NodeJournal(tmp_path)
         recovered = fresh.recover(EpidemicNode, 0, 3, ITEMS)
-        assert dump_node(recovered) == dump_node(node)
+        assert node_state(recovered) == node_state(node)
         assert fresh.records_replayed == 0
 
     def test_auto_checkpoint_cadence(self, tmp_path):
@@ -230,7 +231,7 @@ class TestCheckpointing:
         journal.close()
         fresh = NodeJournal(tmp_path)
         recovered = fresh.recover(EpidemicNode, 0, 2, ITEMS)
-        assert dump_node(recovered) == dump_node(node)
+        assert node_state(recovered) == node_state(node)
 
     def test_commit_without_node_never_checkpoints(self, tmp_path):
         journal = NodeJournal(tmp_path, checkpoint_every=1)
@@ -254,7 +255,7 @@ class TestCheckpointing:
         recovered = fresh.recover(EpidemicNode, 0, 3, ITEMS)
         assert fresh.records_skipped == 4
         assert fresh.records_replayed == 0
-        assert dump_node(recovered) == dump_node(node)
+        assert node_state(recovered) == node_state(node)
 
     def test_malformed_checkpoint_header_rejected(self, tmp_path):
         journal = NodeJournal(tmp_path)
@@ -267,6 +268,56 @@ class TestCheckpointing:
         journal.checkpoint_path.write_text("checkpoint lsn nope\nbody\n")
         with pytest.raises(SnapshotError, match="checkpoint LSN"):
             journal.recover(EpidemicNode, 0, 3, ITEMS)
+
+
+class TestAtomicCheckpointWrite:
+    """A fold that dies before its rename leaves the prior checkpoint
+    byte for byte, no temp file, and a WAL still holding every record
+    the prior checkpoint does not cover."""
+
+    def test_failed_replace_keeps_prior_checkpoint(
+        self, tmp_path, monkeypatch
+    ):
+        journal = NodeJournal(tmp_path, checkpoint_every=0)
+        node = journaled_workload(journal)
+        journal.checkpoint(node)
+        prior = journal.checkpoint_path.read_bytes()
+        node.update("b", Append(b"!"))
+        journal.record_update("b", Append(b"!"))
+        journal.commit()
+
+        def exploding_replace(src, dst):
+            raise OSError("simulated crash during rename")
+
+        monkeypatch.setattr(journal_module.os, "replace", exploding_replace)
+        with pytest.raises(OSError, match="rename"):
+            journal.checkpoint(node)
+        monkeypatch.undo()
+        journal.close()
+        assert journal.checkpoint_path.read_bytes() == prior
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "checkpoint.snap",
+            "wal.log",
+        ]
+        fresh = NodeJournal(tmp_path)
+        recovered = fresh.recover(EpidemicNode, 0, 3, ITEMS)
+        assert fresh.records_replayed == 1
+        assert node_state(recovered) == node_state(node)
+
+    def test_failed_write_leaves_no_temp_file(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "checkpoint.snap"
+        journal_module.atomic_write_bytes(path, b"prior")
+
+        def failing_fsync(fd):
+            raise OSError("simulated EIO")
+
+        monkeypatch.setattr(journal_module.os, "fsync", failing_fsync)
+        with pytest.raises(OSError, match="EIO"):
+            journal_module.atomic_write_bytes(path, b"newer")
+        assert path.read_bytes() == b"prior"
+        assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.snap"]
 
 
 def conflicted_pair(journal: NodeJournal) -> EpidemicNode:
@@ -297,7 +348,7 @@ def assert_recovers_as(tmp_path, node: EpidemicNode) -> None:
     fresh.close()
     assert recovered.dbvv.as_tuple() == node.dbvv.as_tuple()
     assert recovered.store["a"].ivv.as_tuple() == node.store["a"].ivv.as_tuple()
-    assert dump_node(recovered) == dump_node(node)
+    assert node_state(recovered) == node_state(node)
     recovered.check_invariants()
 
 
@@ -405,7 +456,7 @@ class TestBytesTrigger:
         recovered = fresh.recover(EpidemicNode, 0, 2, list(node.store.names()))
         assert loads == [1] and fresh.records_replayed == 0
         assert fresh.checkpoint_bytes == journal.checkpoint_bytes
-        assert dump_node(recovered) == dump_node(node)
+        assert node_state(recovered) == node_state(node)
 
     def test_the_wal_never_outweighs_the_bound_by_more_than_one_batch(self, tmp_path):
         node, peer, answer = adopted_store(1200)
@@ -436,7 +487,7 @@ class TestBytesTrigger:
         journal.close()
         fresh = NodeJournal(tmp_path, fsync=False)
         recovered = fresh.recover(EpidemicNode, 0, 2, list(node.store.names()))
-        assert dump_node(recovered) == dump_node(node)
+        assert node_state(recovered) == node_state(node)
         assert fresh.wal_bytes_since_checkpoint == journal.wal_path.stat().st_size
 
     def test_checkpoint_every_zero_disables_both_triggers(self, tmp_path):

@@ -1,8 +1,7 @@
 """R13 clean twin, durable scope: the decoded snapshot is validated
 before it rebuilds a node."""
 
-from repro.durable.checkpoint import decode_checkpoint
-from repro.substrate.persistence import rebuild_node, validate_snapshot
+from repro.durable.checkpoint import decode_checkpoint, rebuild_node, validate_snapshot
 
 
 def restore(data, node_class):

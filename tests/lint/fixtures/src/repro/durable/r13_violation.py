@@ -1,8 +1,7 @@
 """R13 violation, durable scope: checkpoint bytes are disk state, like
 WAL bytes, and reach the restore path without the snapshot validator."""
 
-from repro.durable.checkpoint import decode_checkpoint
-from repro.substrate.persistence import rebuild_node
+from repro.durable.checkpoint import decode_checkpoint, rebuild_node
 
 
 def restore_unvalidated(data, node_class):

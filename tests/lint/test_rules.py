@@ -38,12 +38,12 @@ VIOLATION_FIXTURES = {
 #: (rule id, fixture, min hits) pairs beyond each rule's primary pair —
 #: rules whose scope spans several subpackages get one pair per scope.
 EXTRA_VIOLATION_FIXTURES = [
-    ("R1", FIXTURES / "src/repro/substrate/r1_violation.py", 1),
+    ("R1", FIXTURES / "src/repro/durable/r1_violation.py", 1),
     ("R13", FIXTURES / "src/repro/durable/r13_violation.py", 1),
 ]
 
 EXTRA_CLEAN_FIXTURES = [
-    ("R1", FIXTURES / "src/repro/substrate/r1_clean.py"),
+    ("R1", FIXTURES / "src/repro/durable/r1_clean.py"),
     ("R13", FIXTURES / "src/repro/durable/r13_clean.py"),
 ]
 
@@ -240,7 +240,8 @@ class TestRuleScoping:
             "src/repro/core/node.py",
             "src/repro/cluster/simulation.py",
             "src/repro/baselines/lotus.py",
-            "src/repro/substrate/persistence.py",
+            "src/repro/substrate/operations.py",
+            "src/repro/durable/checkpoint.py",
         ):
             findings = lint_source(source, module, ALL_RULES)
             assert any(v.rule_id == "R1" for v in findings), module

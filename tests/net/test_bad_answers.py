@@ -34,7 +34,6 @@ from repro.net.framing import (
 from repro.net.harness import _free_ports
 from repro.net.node import NetNode
 from repro.substrate.operations import Put
-from repro.substrate.persistence import dump_node
 from repro.wire import WireCodec
 from repro.wire.varint import read_uvarint, write_uvarint
 from tests.net.test_node import (
@@ -45,6 +44,7 @@ from tests.net.test_node import (
     start_nodes,
     stop_nodes,
 )
+from tests.node_state import node_state
 
 CORPUS = Path(__file__).parents[1] / "wire" / "corpus"
 
@@ -189,14 +189,14 @@ def test_a_bad_answer_is_a_typed_error_and_costs_the_link(case, monkeypatch):
             try:
                 node.node.update("b", Put(b"mine"))
                 peer.state.update("a", Put(b"theirs"))
-                before = dump_node(node.node)
+                before = node_state(node.node)
 
                 # Straight at the API: the typed error itself.
                 peer.script.append(answer)
                 with pytest.raises(error):
                     await node.sync_with(1)
                 assert 1 not in node._links
-                assert dump_node(node.node) == before
+                assert node_state(node.node) == before
                 assert entered == []
 
                 # Through the client port: refused, connection kept.
@@ -209,7 +209,7 @@ def test_a_bad_answer_is_a_typed_error_and_costs_the_link(case, monkeypatch):
                 assert refused["ok"] is False and refused["error"]
                 assert pong == {"ok": True, "node": 0}
                 assert 1 not in node._links
-                assert dump_node(node.node) == before
+                assert node_state(node.node) == before
                 assert entered == []
 
                 # The next pull redials — full vectors — and adopts.

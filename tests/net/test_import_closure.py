@@ -49,7 +49,7 @@ def test_node_entry_point_closure():
         if any(name == bad or name.startswith(bad + ".") for bad in FORBIDDEN)
     ]
     assert leaked == []
-    assert len([m for m in loaded if m.split(".")[0] == "repro"]) <= 36
+    assert len([m for m in loaded if m.split(".")[0] == "repro"]) <= 35
     assert type_ids == [1, 2, 3, 5, 6, 7, 8, 9]  # 4 is retired (the v1 reply)
 
 

@@ -10,9 +10,9 @@ from repro.errors import (
     ReplicaSetMismatchError,
     ReplicationError,
     SimulationError,
-    TokenHeldError,
     UnknownItemError,
     UnknownNodeError,
+    WALError,
 )
 
 
@@ -24,7 +24,7 @@ class TestHierarchy:
             UnknownNodeError(3),
             ReplicaSetMismatchError("mismatch"),
             ConflictError("x"),
-            TokenHeldError("x", 0, 1),
+            WALError("bad record"),
             NodeDownError(2),
             OperationError("bad"),
             SimulationError("bad"),
@@ -56,12 +56,6 @@ class TestMessages:
 
     def test_conflict_error_without_detail(self):
         assert "inconsistent" in str(ConflictError("x"))
-
-    def test_token_held_error_identifies_parties(self):
-        err = TokenHeldError("x", holder=2, requester=5)
-        assert err.holder == 2
-        assert err.requester == 5
-        assert "held by node 2" in str(err)
 
     def test_node_down_and_message_lost_carry_endpoints(self):
         assert NodeDownError(3).node == 3

@@ -38,11 +38,8 @@ class TestSubpackagesImportCleanly:
             "repro.core.messages", "repro.core.node", "repro.core.delta",
             "repro.core.conflicts", "repro.core.protocol",
             "repro.substrate", "repro.substrate.operations",
-            "repro.substrate.storage", "repro.substrate.database",
-            "repro.substrate.server", "repro.substrate.host",
-            "repro.substrate.tokens", "repro.substrate.transactions",
-            "repro.substrate.sessions", "repro.substrate.persistence",
             "repro.substrate.clock",
+            "repro.durable", "repro.durable.checkpoint", "repro.durable.journal",
             "repro.cluster", "repro.cluster.events", "repro.cluster.network",
             "repro.cluster.scheduler", "repro.cluster.topologies",
             "repro.cluster.failures", "repro.cluster.convergence",
