@@ -3,85 +3,26 @@
 Generic linters know nothing about DBVV dominance, the one-record-per-
 item log rule, or the determinism contract the experiments depend on.
 This package is an AST-based checker for exactly those protocol-shaped
-bug classes — each rule encodes a failure mode this repository has
-actually had (see ``docs/DEVELOPING.md`` for the catalogue):
-
-==  ======================  ==================================================
-ID  name                    guards against
-==  ======================  ==================================================
-R1  invariant-assert        bare ``assert`` invariants that vanish under -O
-R2  lost-message-handling   catching ``NodeDownError`` but not
-                            ``MessageLostError`` (the PR 1 escape)
-R3  determinism             unseeded randomness / wall-clock time / unordered
-                            set iteration in simulation code
-R4  encapsulation           mutation of DBVV / IVV / log-vector internals
-                            outside ``repro.core``
-R5  tautological-invariant  self-referential ``check_invariants`` comparisons
-                            (the fixed ``max_seqno <= max(dbvv[k],
-                            max_seqno)`` tautology)
-R6  frozen-message          message dataclasses that are not frozen+slotted,
-                            so session replay under retry could alias state
-R7  complexity-budget       full item/node-space scans on the session path,
-                            which silently re-introduce the O(N) cost the
-                            paper's protocol exists to avoid
-R8  registered-codec        wire messages (``wire_size`` classes) without a
-                            binary codec registration — encoded mode would
-                            crash at runtime — and stale registrations
-                            pointing at vanished messages
-R9  no-blocking-in-async    event-loop stalls in ``repro.net``: ``time.
-                            sleep``, synchronous socket/file/subprocess
-                            calls, and unbounded ``await x.wait()`` inside
-                            ``async def``
-R10 await-atomicity         shared node-state mutation sequences that span
-                            an await point outside an ``async with`` lock
-                            region — a half-applied transition visible to
-                            every other coroutine
-R11 tracked-tasks           raw ``asyncio.create_task``/``ensure_future``
-                            fire-and-forget tasks (weakly referenced,
-                            exceptions never retrieved) instead of
-                            ``repro.net.tasks.spawn``
-R12 cancellation-safety     ``except`` clauses that swallow ``asyncio.
-                            CancelledError`` (a cancelled task keeps
-                            running) or erase the typed ``repro.errors``
-                            taxonomy with a broad ``except Exception``
-R13 tainted-state-sink      wire-decoded / client-supplied values reaching
-                            protocol-state mutation (the R4 sink inventory:
-                            ``update``, ``accept_propagation``, journal
-                            ``record_*``, VV ``merge_from``, ...) without
-                            passing through a registered
-                            ``repro.core.validate`` sanitizer
-R14 tainted-allocation      wire-decoded integers driving ``range`` /
-                            ``readexactly`` / ``bytearray`` / ``*`` sizing
-                            with no cap comparison first — a hostile length
-                            prefix as a memory bomb
-R15 swallowed-validation    validation/decode failures silently dropped
-                            (``except ValueError: pass``) or clamped
-                            (``min(tainted, cap)``) instead of raising the
-                            typed ``ValidationError``/``WireFormatError``
-R16 alloc-reuse             fresh ``VersionVector``/``bytearray`` allocation
-                            on per-round hot paths (round/session loop,
-                            encode direction) where a pooled buffer or
-                            in-place mutator exists
-==  ======================  ==================================================
+bug classes — sixteen rules, R1–R16, each encoding a failure mode this
+repository has actually had.  ``python -m repro.lint --list-rules``
+prints them; ``docs/DEVELOPING.md`` is the catalogue, with each rule's
+history.
 
 Run it over the tree with ``python -m repro.lint src tests benchmarks``.
 Suppress a finding on one line with ``# lint: skip=<ID>`` (comma-
 separated for several) and a whole file with ``# lint: skip-file``;
-R7 findings are suppressed only by ``# pragma: full-scan <reason>``,
-R9 findings only by ``# pragma: blocking <reason>``, and R16 findings
-only by ``# pragma: fresh-alloc <reason>``, each with a non-empty
-reason.  Every suppression should carry a justifying
-comment.  Each run also audits the suppressions themselves: a pragma
-whose line no longer produces the finding it suppresses is reported
-under the pseudo rule id ``PRAGMA`` and fails the run.
+R7, R9 and R16 findings are suppressed only by their reason pragmas,
+``# pragma: full-scan <reason>``, ``# pragma: blocking <reason>`` and
+``# pragma: fresh-alloc <reason>``.  Each run also audits the
+suppressions: a pragma whose line no longer produces the finding it
+suppresses is reported under the pseudo rule id ``PRAGMA``.
 
-R10's underlying await-point control-flow analysis (per-function flow
-over statement ASTs, with ``async with``-lock guard regions) lives in
-:mod:`repro.lint.asyncflow` and is reusable by future rules.  R13–R15
-share the interprocedural taint-dataflow engine in
-:mod:`repro.lint.taint`: sources are the wire decoders and client-op
-payloads, sinks are the R4 protocol-state mutators, and the only thing
-that clears taint is the *result* of a sanctioned ``validate_*`` call.
+Layout: :mod:`repro.lint.engine` parses each file once, runs each
+applicable rule once, and applies and audits the pragmas;
+:mod:`repro.lint.flow` holds the AST shapes the rules share and the
+one forward statement walker, whose two domains are R10's atomicity
+scan and the taint engine (:mod:`repro.lint.taint`) behind R13–R15;
+:mod:`repro.lint.rules` is the registry.
 """
 
 from __future__ import annotations

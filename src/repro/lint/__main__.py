@@ -2,34 +2,30 @@
 
 Every run does two passes over the tree:
 
-1. **lint** — the rule registry (R1–R12), with ``# lint: skip=<ID>`` /
-   ``# pragma: full-scan <reason>`` / ``# pragma: blocking <reason>``
-   suppressions honoured;
+1. **lint** — the rule registry (R1–R16), with ``# lint: skip=<ID>`` /
+   ``# pragma: full-scan <reason>`` / ``# pragma: blocking <reason>`` /
+   ``# pragma: fresh-alloc <reason>`` suppressions honoured;
 2. **pragma audit** — flags suppressions that suppress nothing
    (refactored-away violations leave stale pragmas that silently re-arm
    later); reported under the pseudo rule id ``PRAGMA``.
+
+Both passes read the same findings: each file is parsed once and each
+rule runs on it once.  Findings go to stdout, one ``path:line:col: ID
+message`` line each; the summary line goes to stderr.
 
 Exit status 0 when both passes are clean, 1 when any rule fires, a file
 fails to parse, or a stale pragma is found, and 2 on usage errors or an
 internal linter crash (so CI can tell "the code is bad" from "the
 linter is bad").
-
-``--format`` selects the findings document written to stdout: ``text``
-(one ``path:line:col: ID message`` line per finding, the default),
-``json`` (a single object with a ``findings`` array, for CI
-annotation), or ``sarif`` (a minimal SARIF 2.1.0 log for code-scanning
-upload).  The summary line always goes to stderr and the exit codes
-are identical across formats.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Sequence
 
-from repro.lint.engine import Violation, audit_file, collect_files, lint_file
+from repro.lint.engine import Violation, lint_paths
 from repro.lint.rules import ALL_RULES, rules_by_id
 
 
@@ -38,7 +34,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.lint",
         description=(
             "Protocol-aware static analysis for the epidemic-replication "
-            "codebase (rules R1-R12; see docs/DEVELOPING.md)."
+            "codebase (rules R1-R16; see docs/DEVELOPING.md)."
         ),
     )
     parser.add_argument(
@@ -61,12 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip the stale-pragma audit pass",
     )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json", "sarif"),
-        default="text",
-        help="findings document written to stdout (default: text)",
-    )
     return parser
 
 
@@ -79,85 +69,6 @@ def _per_rule_summary(violations: Sequence[Violation]) -> str:
     known = [rid for rid in order if rid in counts]
     extra = sorted(set(counts) - set(order))
     return " ".join(f"{rid}:{counts[rid]}" for rid in known + extra)
-
-
-def _rule_summaries() -> dict[str, str]:
-    summaries = {rule.rule_id: rule.summary for rule in ALL_RULES}
-    summaries["PARSE"] = "file failed to parse"
-    summaries["PRAGMA"] = "suppression pragma suppresses nothing"
-    return summaries
-
-
-def _as_json(violations: Sequence[Violation], n_files: int) -> str:
-    return json.dumps(
-        {
-            "files_checked": n_files,
-            "findings": [
-                {
-                    "rule": v.rule_id,
-                    "path": v.path,
-                    "line": v.line,
-                    "col": v.col,
-                    "message": v.message,
-                }
-                for v in violations
-            ],
-        },
-        indent=2,
-    )
-
-
-def _as_sarif(violations: Sequence[Violation]) -> str:
-    """Minimal SARIF 2.1.0 log — one run, one result per finding."""
-    summaries = _rule_summaries()
-    fired = sorted({v.rule_id for v in violations})
-    return json.dumps(
-        {
-            "$schema": (
-                "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/"
-                "master/Schemata/sarif-schema-2.1.0.json"
-            ),
-            "version": "2.1.0",
-            "runs": [
-                {
-                    "tool": {
-                        "driver": {
-                            "name": "repro.lint",
-                            "rules": [
-                                {
-                                    "id": rid,
-                                    "shortDescription": {
-                                        "text": summaries.get(rid, rid)
-                                    },
-                                }
-                                for rid in fired
-                            ],
-                        }
-                    },
-                    "results": [
-                        {
-                            "ruleId": v.rule_id,
-                            "level": "error",
-                            "message": {"text": v.message},
-                            "locations": [
-                                {
-                                    "physicalLocation": {
-                                        "artifactLocation": {"uri": v.path},
-                                        "region": {
-                                            "startLine": v.line,
-                                            "startColumn": v.col,
-                                        },
-                                    }
-                                }
-                            ],
-                        }
-                        for v in violations
-                    ],
-                }
-            ],
-        },
-        indent=2,
-    )
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -182,12 +93,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         rules = ALL_RULES
 
     try:
-        files = collect_files(args.paths)
-        violations: list[Violation] = []
-        for path in files:
-            violations.extend(lint_file(path, rules))
-            if not args.no_audit:
-                violations.extend(audit_file(path, rules))
+        violations, n_files = lint_paths(args.paths, rules, audit=not args.no_audit)
     except Exception as exc:  # noqa: B902 - exit 2 distinguishes linter crashes
         print(
             f"internal error: {type(exc).__name__}: {exc}",
@@ -195,21 +101,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         )
         return 2
 
-    if args.format == "json":
-        print(_as_json(violations, len(files)))
-    elif args.format == "sarif":
-        print(_as_sarif(violations))
-    else:
-        for violation in violations:
-            print(violation.render())
+    for violation in violations:
+        print(violation.render())
     if violations:
         print(
-            f"{len(violations)} violation(s) in {len(files)} file(s) "
+            f"{len(violations)} violation(s) in {n_files} file(s) "
             f"checked  [{_per_rule_summary(violations)}]",
             file=sys.stderr,
         )
         return 1
-    print(f"clean: {len(files)} file(s) checked", file=sys.stderr)
+    print(f"clean: {n_files} file(s) checked", file=sys.stderr)
     return 0
 
 

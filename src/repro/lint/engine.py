@@ -3,8 +3,9 @@
 The engine is deliberately small: it parses each file once with
 :mod:`ast`, classifies the file into a *scope* (which part of the tree
 it belongs to — ``repro.core``, ``repro.cluster``, tests, ...), asks
-every registered rule that applies to that scope for violations, and
-filters out findings suppressed by an inline pragma.
+every registered rule that applies to that scope for violations — once
+per file — and from those findings both filters out what an inline
+pragma suppresses and audits the pragmas that suppress nothing.
 
 Scoping is path-based and uses the *last* ``src/repro`` marker in the
 path, so fixture files under ``tests/lint/fixtures/src/repro/...`` are
@@ -26,7 +27,6 @@ __all__ = [
     "FileScope",
     "LintRule",
     "Violation",
-    "audit_file",
     "audit_pragmas",
     "collect_files",
     "lint_file",
@@ -44,24 +44,25 @@ EXCLUDED_DIR_NAMES = frozenset(
 
 _PRAGMA_LINE = re.compile(r"#\s*lint:\s*skip=([A-Za-z0-9_,\s]+)")
 _PRAGMA_FILE = re.compile(r"#\s*lint:\s*skip-file\b")
-#: The ``pragma: full-scan <reason>`` comment — suppresses R7 only, and
-#: only with a non-empty reason: an unexplained full scan is exactly
-#: what R7 is for.  The bare form is matched separately so the audit
-#: can demand the missing reason instead of silently not suppressing.
-_PRAGMA_FULL_SCAN = re.compile(r"#\s*pragma:\s*full-scan\s+(\S.*)")
-_PRAGMA_FULL_SCAN_BARE = re.compile(r"#\s*pragma:\s*full-scan\s*(?:#|$)")
-#: The ``pragma: blocking <reason>`` comment — suppresses R9 only, and
-#: only with a non-empty reason: an event loop blocked without an
-#: explanation is exactly what R9 is for.  Same bare-form handling as
-#: ``full-scan`` so the audit can demand the missing reason.
-_PRAGMA_BLOCKING = re.compile(r"#\s*pragma:\s*blocking\s+(\S.*)")
-_PRAGMA_BLOCKING_BARE = re.compile(r"#\s*pragma:\s*blocking\s*(?:#|$)")
-#: The ``pragma: fresh-alloc <reason>`` comment — suppresses R16 only,
-#: and only with a non-empty reason: an unexplained allocation on a
-#: per-round hot path is exactly what R16 is for.  Same bare-form
-#: handling as the pragmas above.
-_PRAGMA_FRESH_ALLOC = re.compile(r"#\s*pragma:\s*fresh-alloc\s+(\S.*)")
-_PRAGMA_FRESH_ALLOC_BARE = re.compile(r"#\s*pragma:\s*fresh-alloc\s*(?:#|$)")
+
+#: Reason pragmas, ``# pragma: <keyword> <reason>``: each suppresses one
+#: rule, and only with a non-empty reason — an unexplained full scan,
+#: blocking call or hot-path allocation is exactly what its rule is
+#: for.  A bare pragma does not suppress; the audit demands the reason.
+#: keyword -> (rule id, what its line does while the pragma is live,
+#: what the reason must state).
+_REASON_PRAGMAS = {
+    "full-scan": ("R7", "scans a full item/node space", "why the scan is inherent"),
+    "blocking": ("R9", "blocks or waits unboundedly", "why blocking here is intended"),
+    "fresh-alloc": (
+        "R16", "allocates on a per-round hot path", "why the allocation is inherent"
+    ),
+}
+#: Group 1 matches only when a reason follows the keyword.
+_REASON_PRAGMA_RE = {
+    keyword: re.compile(rf"#\s*pragma:\s*{keyword}(?:(\s+\S)|\s*(?:#|$))")
+    for keyword in _REASON_PRAGMAS
+}
 
 
 @dataclass(frozen=True)
@@ -171,20 +172,63 @@ def _comments_by_line(source: str) -> dict[int, str]:
     return comments
 
 
+def _reason_pragmas(line: str) -> Iterator[tuple[str, str, re.Match[str]]]:
+    """``(keyword, rule id, match)`` for each reason pragma on ``line``."""
+    for keyword, pattern in _REASON_PRAGMA_RE.items():
+        match = pattern.search(line)
+        if match is not None:
+            yield keyword, _REASON_PRAGMAS[keyword][0], match
+
+
 def _suppressed_rules(line: str) -> frozenset[str]:
-    suppressed: set[str] = set()
+    suppressed = {
+        rule_id
+        for _, rule_id, match in _reason_pragmas(line)
+        if match.group(1) is not None
+    }
     match = _PRAGMA_LINE.search(line)
     if match is not None:
         suppressed.update(
             token.strip() for token in match.group(1).split(",") if token.strip()
         )
-    if _PRAGMA_FULL_SCAN.search(line):
-        suppressed.add("R7")
-    if _PRAGMA_BLOCKING.search(line):
-        suppressed.add("R9")
-    if _PRAGMA_FRESH_ALLOC.search(line):
-        suppressed.add("R16")
     return frozenset(suppressed)
+
+
+def _check(
+    source: str, scope: FileScope, rules: Sequence[LintRule]
+) -> tuple[list[Violation], list[Violation]]:
+    """One parse and one run of each applicable rule: the findings no
+    pragma suppresses, and the pragma-audit findings.
+
+    A file that does not parse yields a single pseudo-violation with
+    rule id ``PARSE`` — a broken file must fail the lint run, not slip
+    through unchecked — and nothing to audit.
+    """
+    try:
+        tree = ast.parse(source, filename=scope.posix)
+    except SyntaxError as exc:
+        line, col = exc.lineno or 1, (exc.offset or 0) + 1
+        message = f"file does not parse: {exc.msg}"
+        return [Violation("PARSE", scope.posix, line, col, message)], []
+    raw = [
+        violation
+        for rule in rules
+        if rule.applies_to(scope)
+        for violation in rule.check(tree, scope)
+    ]
+    comments = _comments_by_line(source)
+    skip_file = any(
+        _PRAGMA_FILE.search(text) for line, text in comments.items() if line <= 5
+    )
+    kept = [
+        violation
+        for violation in raw
+        if not skip_file
+        and violation.rule_id
+        not in _suppressed_rules(comments.get(violation.line, ""))
+    ]
+    kept.sort(key=lambda v: (v.line, v.col, v.rule_id))
+    return kept, _audit(raw, comments, skip_file, scope, rules)
 
 
 def lint_source(
@@ -193,48 +237,18 @@ def lint_source(
     rules: Sequence[LintRule],
     scope: FileScope | None = None,
 ) -> list[Violation]:
-    """Lint one file's text; ``scope`` defaults to :func:`make_scope`.
-
-    A file that does not parse yields a single pseudo-violation with
-    rule id ``PARSE`` — a broken file must fail the lint run, not slip
-    through unchecked.
-    """
-    if scope is None:
-        scope = make_scope(path)
-    try:
-        tree = ast.parse(source, filename=scope.posix)
-    except SyntaxError as exc:
-        return [
-            Violation(
-                "PARSE",
-                scope.posix,
-                exc.lineno or 1,
-                (exc.offset or 0) + 1,
-                f"file does not parse: {exc.msg}",
-            )
-        ]
-    comments = _comments_by_line(source)
-    if any(
-        _PRAGMA_FILE.search(text) for line, text in comments.items() if line <= 5
-    ):
-        return []
-    findings: list[Violation] = []
-    for rule in rules:
-        if rule.applies_to(scope):
-            findings.extend(rule.check(tree, scope))
-    kept: list[Violation] = []
-    for violation in findings:
-        if violation.rule_id in _suppressed_rules(comments.get(violation.line, "")):
-            continue
-        kept.append(violation)
-    kept.sort(key=lambda v: (v.line, v.col, v.rule_id))
-    return kept
+    """Lint one file's text; ``scope`` defaults to :func:`make_scope`."""
+    return _check(source, scope or make_scope(path), rules)[0]
 
 
-def lint_file(path: str | Path, rules: Sequence[LintRule]) -> list[Violation]:
-    """Lint one file from disk."""
+def lint_file(
+    path: str | Path, rules: Sequence[LintRule], audit: bool = False
+) -> list[Violation]:
+    """Lint one file from disk; with ``audit``, the stale-pragma
+    findings (:func:`audit_pragmas`) follow the lint findings."""
     text = Path(path).read_text(encoding="utf-8")
-    return lint_source(text, path, rules)
+    kept, stale = _check(text, make_scope(path), rules)
+    return kept + stale if audit else kept
 
 
 def collect_files(paths: Iterable[str | Path]) -> list[Path]:
@@ -273,25 +287,27 @@ def audit_pragmas(
     Pragmas for rules outside ``rules`` are not judged (a ``--select``
     run cannot know whether an unselected rule still fires).
     """
-    if scope is None:
-        scope = make_scope(path)
-    try:
-        tree = ast.parse(source, filename=scope.posix)
-    except SyntaxError:
-        return []  # lint_source already reports PARSE
+    return _check(source, scope or make_scope(path), rules)[1]
+
+
+def _audit(
+    raw: Sequence[Violation],
+    comments: dict[int, str],
+    skip_file: bool,
+    scope: FileScope,
+    rules: Sequence[LintRule],
+) -> list[Violation]:
     selected = {rule.rule_id for rule in rules}
-    raw: list[Violation] = []
-    for rule in rules:
-        if rule.applies_to(scope):
-            raw.extend(rule.check(tree, scope))
     fired_by_line: dict[int, set[str]] = {}
     for violation in raw:
         fired_by_line.setdefault(violation.line, set()).add(violation.rule_id)
-    comments = _comments_by_line(source)
-    skip_file = any(
-        _PRAGMA_FILE.search(text) for line, text in comments.items() if line <= 5
-    )
     findings: list[Violation] = []
+
+    def flag(lineno: int, match: re.Match[str], message: str) -> None:
+        findings.append(
+            Violation("PRAGMA", scope.posix, lineno, match.start() + 1, message)
+        )
+
     for lineno, line in sorted(comments.items()):
         fired = fired_by_line.get(lineno, set())
         match = _PRAGMA_LINE.search(line)
@@ -299,101 +315,48 @@ def audit_pragmas(
             for token in match.group(1).split(","):
                 rule_id = token.strip()
                 if rule_id and rule_id in selected and rule_id not in fired:
-                    findings.append(
-                        Violation(
-                            "PRAGMA",
-                            scope.posix,
-                            lineno,
-                            match.start() + 1,
-                            f"stale `lint: skip={rule_id}`: {rule_id} no "
-                            "longer fires on this line; drop the pragma",
-                        )
+                    flag(
+                        lineno,
+                        match,
+                        f"stale `lint: skip={rule_id}`: {rule_id} no "
+                        "longer fires on this line; drop the pragma",
                     )
-        for rule_id, with_reason, bare_form, stale_msg, bare_msg in (
-            (
-                "R7",
-                _PRAGMA_FULL_SCAN,
-                _PRAGMA_FULL_SCAN_BARE,
-                "stale `pragma: full-scan`: this line no longer "
-                "scans a full item/node space; drop the pragma",
-                "`pragma: full-scan` without a reason does not "
-                "suppress; state why the scan is inherent "
-                "(`# pragma: full-scan <reason>`)",
-            ),
-            (
-                "R9",
-                _PRAGMA_BLOCKING,
-                _PRAGMA_BLOCKING_BARE,
-                "stale `pragma: blocking`: this line no longer "
-                "blocks or waits unboundedly; drop the pragma",
-                "`pragma: blocking` without a reason does not "
-                "suppress; state why blocking here is intended "
-                "(`# pragma: blocking <reason>`)",
-            ),
-            (
-                "R16",
-                _PRAGMA_FRESH_ALLOC,
-                _PRAGMA_FRESH_ALLOC_BARE,
-                "stale `pragma: fresh-alloc`: this line no longer "
-                "allocates on a per-round hot path; drop the pragma",
-                "`pragma: fresh-alloc` without a reason does not "
-                "suppress; state why the allocation is inherent "
-                "(`# pragma: fresh-alloc <reason>`)",
-            ),
-        ):
+        for keyword, rule_id, match in _reason_pragmas(line):
+            _, does, why = _REASON_PRAGMAS[keyword]
             if rule_id not in selected:
                 continue
-            match_with_reason = with_reason.search(line)
-            if match_with_reason is not None and rule_id not in fired:
-                findings.append(
-                    Violation(
-                        "PRAGMA",
-                        scope.posix,
-                        lineno,
-                        match_with_reason.start() + 1,
-                        stale_msg,
-                    )
+            if match.group(1) is None:
+                flag(
+                    lineno,
+                    match,
+                    f"`pragma: {keyword}` without a reason does not "
+                    f"suppress; state {why} (`# pragma: {keyword} <reason>`)",
                 )
-            elif match_with_reason is None:
-                bare = bare_form.search(line)
-                if bare is not None:
-                    findings.append(
-                        Violation(
-                            "PRAGMA",
-                            scope.posix,
-                            lineno,
-                            bare.start() + 1,
-                            bare_msg,
-                        )
-                    )
+            elif rule_id not in fired:
+                flag(
+                    lineno,
+                    match,
+                    f"stale `pragma: {keyword}`: this line no longer "
+                    f"{does}; drop the pragma",
+                )
     if skip_file and not raw:
-        findings.append(
-            Violation(
-                "PRAGMA",
-                scope.posix,
-                1,
-                1,
-                "stale `lint: skip-file`: no selected rule fires anywhere "
-                "in this file; drop the pragma",
-            )
+        message = (
+            "stale `lint: skip-file`: no selected rule fires anywhere "
+            "in this file; drop the pragma"
         )
+        findings.append(Violation("PRAGMA", scope.posix, 1, 1, message))
     findings.sort(key=lambda v: (v.line, v.col))
     return findings
 
 
-def audit_file(path: str | Path, rules: Sequence[LintRule]) -> list[Violation]:
-    """Run :func:`audit_pragmas` on one file from disk."""
-    text = Path(path).read_text(encoding="utf-8")
-    return audit_pragmas(text, path, rules)
-
-
 def lint_paths(
-    paths: Iterable[str | Path], rules: Sequence[LintRule]
+    paths: Iterable[str | Path], rules: Sequence[LintRule], audit: bool = False
 ) -> tuple[list[Violation], int]:
-    """Lint every python file under ``paths``; returns the violations
-    and the number of files checked."""
+    """Lint (and with ``audit``, audit the pragmas of) every python file
+    under ``paths``; returns the violations and the number of files
+    checked."""
     files = collect_files(paths)
     violations: list[Violation] = []
     for path in files:
-        violations.extend(lint_file(path, rules))
+        violations.extend(lint_file(path, rules, audit))
     return violations, len(files)

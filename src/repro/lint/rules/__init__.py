@@ -1,12 +1,14 @@
 """Rule registry.
 
-Each module under this package implements one rule; ``ALL_RULES`` is
-the canonical ordered registry the CLI and the fixture tests run.  To
-add a rule: write ``rN_<name>.py`` with a :class:`~repro.lint.engine.
-LintRule` subclass, document the historical failure it guards against
-in its module docstring and in ``docs/DEVELOPING.md``, add a violating
-+ clean fixture pair under ``tests/lint/fixtures/``, and append an
-instance here.
+Each module under this package implements one rule — except
+``r13_r15_taint``, whose three rules read one taint report — and
+``ALL_RULES`` is the canonical ordered registry the CLI and the fixture
+tests run.  To add a rule: write ``rN_<name>.py`` with a
+:class:`~repro.lint.engine.LintRule` subclass (flow-sensitive rules
+subclass :class:`~repro.lint.flow.ForwardWalker` rather than walking
+statements themselves), add a violating + clean fixture pair under
+``tests/lint/fixtures/``, append an instance here, and add a section
+to ``docs/DEVELOPING.md``.
 """
 
 from __future__ import annotations
@@ -24,9 +26,11 @@ from repro.lint.rules.r9_blocking_async import BlockingAsyncRule
 from repro.lint.rules.r10_await_atomicity import AwaitAtomicityRule
 from repro.lint.rules.r11_tracked_tasks import TrackedTasksRule
 from repro.lint.rules.r12_cancellation import CancellationSafetyRule
-from repro.lint.rules.r13_taint_sinks import TaintedStateSinkRule
-from repro.lint.rules.r14_alloc_bounds import TaintedAllocationRule
-from repro.lint.rules.r15_swallowed_validation import SwallowedValidationRule
+from repro.lint.rules.r13_r15_taint import (
+    SwallowedValidationRule,
+    TaintedAllocationRule,
+    TaintedStateSinkRule,
+)
 from repro.lint.rules.r16_alloc_reuse import AllocReuseRule
 
 __all__ = ["ALL_RULES", "rules_by_id"]

@@ -1,35 +1,23 @@
 """R10 — shared-state mutation sequences that span an await point.
 
-**Why.**  The paper's correctness argument (Theorem 2's log bounds,
-DBVV monotonicity, the DBVV-equals-IVV-column-sums equality) assumes
-each node applies its state transitions *atomically*: between
-transitions, the invariants hold.  In the simulator that is free —
-everything is synchronous.  In :mod:`repro.net` it is a discipline:
-an ``async def`` body is atomic only between awaits, so a sequence of
-mutations to shared node state with an ``await`` in the middle
-publishes a half-applied transition to every other coroutine on the
-loop — the peer service, concurrent client operations, the scheduler.
-That is a data race in exactly the sense the sanitizer checks for
-after the fact; R10 rejects the shape before it runs.
+The paper's correctness argument (Theorem 2, DBVV monotonicity)
+assumes each node applies a state transition atomically.  An ``async
+def`` body is atomic only between awaits, so two mutations of shared
+node state with an ``await`` between them publish a half-applied
+transition to every other coroutine on the loop.
 
-**Rule.**  Inside ``async def`` bodies in ``src/repro/net``: two
-mutations of shared node state (the driven
-:class:`~repro.core.node.EpidemicNode`, link and codec tables, traffic
-counters, ``log_gaps`` — see ``SHARED_STATE_ATTRS``) separated by an
-await point must sit inside a region guarded by ``async with`` on a
-lock (the per-peer ``_link_locks`` in
-:class:`~repro.net.node.NetNode`).  Mutations inside a lock-guarded
-region are sanctioned — the lock is the mechanism that makes holding
-an invariant across awaits safe; a single mutation per await segment
-is atomic by construction and always fine.
+**Rule.**  Inside ``async def`` methods in ``src/repro/net``, two
+mutations of shared node state (``SHARED_STATE_ATTRS``: the driven
+:class:`~repro.core.node.EpidemicNode`, link tables, traffic counters)
+separated by an await point must sit inside an ``async with`` on a
+lock (the per-peer ``_link_locks`` of :class:`~repro.net.node.NetNode`).
 
-The analysis is the await-point control flow of
-:mod:`repro.lint.asyncflow`: branches are joined (a mutation in one
-``if`` arm is never paired with an await only the other arm runs),
-loops are walked once (cross-iteration sequences are one complete
-transaction per iteration), and calls count as mutations when they
-demonstrably touch shared state — a mutator method on a shared
-attribute, a bare function taking a shared attribute as argument
+:class:`AtomicityScanner` is R10's domain of the shared
+:class:`~repro.lint.flow.ForwardWalker`; it walks loop bodies once
+(a sequence that spans an await only across the back edge is one
+complete transaction per iteration).  A call is a mutation when it
+demonstrably touches shared state: a mutator method on a shared
+attribute, a bare function given a shared attribute
 (``respond(self.node, ...)``), or a method of the same class that the
 intra-class fixpoint shows mutates shared state.
 """
@@ -37,62 +25,41 @@ intra-class fixpoint shows mutates shared state.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Iterable, Iterator, Sequence
 
-from repro.lint.asyncflow import AtomicityScanner
 from repro.lint.engine import FileScope, LintRule, Violation
-
-__all__ = ["AwaitAtomicityRule", "SHARED_STATE_ATTRS"]
-
-#: ``self.<attr>`` names that hold shared node state: the driven
-#: protocol node, session-driver fields, link/codec tables, traffic
-#: counters, and the gap-tracking introduced by the frozen-DBVV fix.
-SHARED_STATE_ATTRS = frozenset(
-    {
-        "node",
-        "_driver",
-        "_links",
-        "_link_locks",
-        "census",
-        "frames_sent",
-        "bytes_sent",
-        "reconnects",
-        "sync_retries",
-        "sessions_served",
-        "log_gaps",
-        "conflicts",
-        "store",
-    }
+from repro.lint.flow import (
+    FUNC_DEFS,
+    ForwardWalker,
+    fixpoint,
+    is_lock_expression,
+    walk_in_scope,
 )
 
-#: Attribute-name suffixes that also mark shared state (codec caches,
-#: counter bundles) without enumerating every future field.
-_SHARED_SUFFIXES = ("_cache", "_caches", "_counters")
+__all__ = [
+    "AtomicityScanner",
+    "AtomicitySpan",
+    "AwaitAtomicityRule",
+    "SHARED_STATE_ATTRS",
+]
+
+#: ``self.<attr>`` names that hold shared node state: the driven
+#: protocol node, link tables, and traffic counters.
+SHARED_STATE_ATTRS = frozenset(
+    {
+        "node", "_links", "_link_locks", "census", "frames_sent", "bytes_sent",
+        "reconnects", "sync_retries", "sessions_served",
+    }
+)
 
 #: Method names that mutate their receiver.
 _MUTATOR_METHODS = frozenset(
     {
-        "append",
-        "extend",
-        "insert",
-        "add",
-        "update",
-        "setdefault",
-        "pop",
-        "popitem",
-        "clear",
-        "remove",
-        "discard",
-        "increment",
-        "merge_from",
-        "advance",
-        "record",
-        "adopt",
-        "accept_propagation",
-        "send_propagation",
-        "intra_node_propagation",
-        "fetch_out_of_bound",
-        "apply_update",
+        "append", "extend", "insert", "add", "update", "setdefault", "pop",
+        "popitem", "clear", "remove", "discard", "increment", "merge_from",
+        "advance", "record", "adopt", "accept_propagation", "send_propagation",
+        "intra_node_propagation", "fetch_out_of_bound", "apply_update",
     }
 )
 
@@ -100,41 +67,113 @@ _MUTATOR_METHODS = frozenset(
 #: attribute to these is not a mutation.
 _READONLY_BARE_CALLS = frozenset(
     {
-        "len",
-        "sorted",
-        "list",
-        "tuple",
-        "set",
-        "frozenset",
-        "dict",
-        "enumerate",
-        "reversed",
-        "min",
-        "max",
-        "sum",
-        "any",
-        "all",
-        "repr",
-        "str",
-        "bytes",
-        "print",
-        "isinstance",
-        "id",
-        "iter",
-        "next",
-        "getattr",
-        "hasattr",
-        "type",
-        "format",
-        "zip",
-        "map",
-        "filter",
+        "len", "sorted", "list", "tuple", "set", "frozenset", "dict", "enumerate",
+        "reversed", "min", "max", "sum", "any", "all", "repr", "str", "bytes",
+        "print", "isinstance", "id", "iter", "next", "getattr", "hasattr", "type",
+        "format", "zip", "map", "filter",
     }
 )
 
+#: Cap on the pending-mutation candidates tracked per path, so deeply
+#: branchy functions cannot blow the join up combinatorially.
+_MAX_PENDING = 8
 
-def _is_shared_attr(name: str) -> bool:
-    return name in SHARED_STATE_ATTRS or name.endswith(_SHARED_SUFFIXES)
+Mutations = Callable[[ast.stmt], Sequence[tuple[ast.AST, str]]]
+
+
+@dataclass(frozen=True)
+class Pending:
+    """One shared-state mutation whose successor has not arrived yet."""
+
+    node: ast.AST
+    label: str
+    #: The first await crossed since the mutation, or ``None``.
+    await_node: ast.AST | None = None
+
+
+@dataclass(frozen=True)
+class AtomicitySpan:
+    """One detected race shape: two unguarded shared-state mutations
+    with at least one await point strictly between them."""
+
+    first: ast.AST
+    first_label: str
+    await_node: ast.AST
+    second: ast.AST
+    second_label: str
+
+
+def _location(node: ast.AST) -> tuple[int, int]:
+    return getattr(node, "lineno", 0), getattr(node, "col_offset", 0)
+
+
+class AtomicityScanner(ForwardWalker[tuple[Pending, ...]]):
+    """Find unguarded mutation sequences that span an await point.
+
+    The state of a path is its pending mutations.  ``mutations(stmt)``
+    maps one *simple* statement to the shared-state mutations it
+    performs, in evaluation order, as ``(node, label)`` pairs; compound
+    statements are the walker's business and never reach it.
+    ``is_guard`` classifies an ``async with`` context expression.
+    """
+
+    def __init__(
+        self,
+        mutations: Mutations,
+        is_guard: Callable[[ast.expr], bool] = is_lock_expression,
+    ) -> None:
+        super().__init__(is_guard)
+        self._mutations = mutations
+        self._spans: list[AtomicitySpan] = []
+        self._reported: set[tuple[int, int]] = set()
+
+    def scan(self, function: ast.AsyncFunctionDef) -> list[AtomicitySpan]:
+        """All atomicity spans in one ``async def`` body."""
+        self._spans = []
+        self._reported = set()
+        self.run(function.body, ())
+        return self._spans
+
+    def join(
+        self, states: Iterable[tuple[Pending, ...] | None]
+    ) -> tuple[Pending, ...] | None:
+        alive = [state for state in states if state is not None]
+        if not alive:
+            return None
+        merged: dict[tuple[int, int, bool], Pending] = {}
+        for state in alive:
+            for pending in state:
+                key = (*_location(pending.node), pending.await_node is not None)
+                merged.setdefault(key, pending)
+        return tuple(merged.values())[:_MAX_PENDING]
+
+    def on_await(
+        self, node: ast.AST, state: tuple[Pending, ...]
+    ) -> tuple[Pending, ...]:
+        return tuple(
+            replace(pending, await_node=node) if pending.await_node is None else pending
+            for pending in state
+        )
+
+    def transfer(
+        self, stmt: ast.stmt, state: tuple[Pending, ...]
+    ) -> tuple[Pending, ...]:
+        for node, label in self._mutations(stmt):
+            if self.locked:
+                # Inside an async-with-lock region: the lock is exactly
+                # the sanctioned way to hold an invariant across awaits.
+                continue
+            for pending in state:
+                if pending.await_node is not None:
+                    if _location(node) not in self._reported:
+                        self._reported.add(_location(node))
+                        span = AtomicitySpan(
+                            pending.node, pending.label, pending.await_node, node, label
+                        )
+                        self._spans.append(span)
+                    break
+            state = (Pending(node, label),)
+        return state
 
 
 def _self_attr_name(expr: ast.expr) -> str | None:
@@ -152,24 +191,30 @@ def _self_attr_name(expr: ast.expr) -> str | None:
 
 def _shared_target(expr: ast.expr) -> str | None:
     name = _self_attr_name(expr)
-    if name is not None and _is_shared_attr(name):
-        return name
-    return None
+    return name if name in SHARED_STATE_ATTRS else None
+
+
+def _flatten_target(target: ast.expr) -> Iterator[ast.expr]:
+    if isinstance(target, (ast.Tuple, ast.List)):
+        for element in target.elts:
+            yield from _flatten_target(element)
+    else:
+        yield target
 
 
 class _MutationModel:
     """Per-class mutation knowledge: which ``self.<method>`` calls are
-    known to mutate shared state, computed by a fixpoint over the
-    class's own call graph (one file deep — the linter never imports)."""
+    known to mutate shared state (one file deep — the linter never
+    imports)."""
 
     def __init__(self, mutating_methods: frozenset[str]) -> None:
         self.mutating_methods = mutating_methods
 
-    def mutations(self, stmt: ast.stmt) -> Sequence[tuple[ast.AST, str]]:
-        """Shared-state mutations performed by one simple statement,
-        in (approximate) evaluation order."""
+    def mutations(self, stmt: ast.AST) -> Sequence[tuple[ast.AST, str]]:
+        """Shared-state mutations performed by one simple statement (or
+        a whole function body), in (approximate) evaluation order."""
         events: list[tuple[ast.AST, str]] = []
-        for node in _walk_in_scope(stmt):
+        for node in walk_in_scope(stmt):
             if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
                 targets = (
                     node.targets
@@ -214,59 +259,17 @@ class _MutationModel:
         return None
 
 
-def _flatten_target(target: ast.expr) -> Iterator[ast.expr]:
-    if isinstance(target, (ast.Tuple, ast.List)):
-        for element in target.elts:
-            yield from _flatten_target(element)
-    else:
-        yield target
-
-
-def _walk_in_scope(stmt: ast.stmt) -> Iterator[ast.AST]:
-    """Walk one statement without descending into nested scopes."""
-    stack: list[ast.AST] = [stmt]
-    while stack:
-        current = stack.pop()
-        if current is not stmt and isinstance(
-            current,
-            (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef),
-        ):
-            continue
-        yield current
-        stack.extend(ast.iter_child_nodes(current))
-
-
-def _direct_mutators(
-    function: ast.FunctionDef | ast.AsyncFunctionDef,
-    known: frozenset[str],
-) -> bool:
-    """Does ``function`` mutate shared state directly, or call a
-    ``self`` method already known to?"""
-    model = _MutationModel(known)
-    for node in ast.walk(function):
-        if isinstance(node, ast.stmt) and model.mutations(node):
-            return True
-    return False
-
-
 def _class_mutating_methods(klass: ast.ClassDef) -> frozenset[str]:
-    """Fixpoint: method names of ``klass`` that (transitively through
-    ``self`` calls within the class) mutate shared state."""
-    methods = [
-        node
-        for node in klass.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    ]
-    mutating: frozenset[str] = frozenset()
-    while True:
-        grown = frozenset(
-            method.name
-            for method in methods
-            if _direct_mutators(method, mutating)
-        )
-        if grown == mutating:
-            return mutating
-        mutating = grown
+    """Method names of ``klass`` that (transitively through ``self``
+    calls within the class) mutate shared state."""
+    methods = [node for node in klass.body if isinstance(node, FUNC_DEFS)]
+
+    def step(known: frozenset[str]) -> frozenset[str]:
+        model = _MutationModel(known)
+        return frozenset(method.name for method in methods if model.mutations(method))
+
+    # Each round that changes anything adds a method, so this converges.
+    return fixpoint(step, frozenset(), max_rounds=len(methods) + 1)
 
 
 class AwaitAtomicityRule(LintRule):

@@ -1,24 +1,12 @@
 """R11 — fire-and-forget tasks: untracked ``create_task``/``ensure_future``.
 
-**Why.**  A task created and dropped is invisible twice over.  Its
-exception vanishes — asyncio logs "Task exception was never retrieved"
-at garbage-collection time, long after the causal context is gone, and
-only if the task object is collected at all.  And its *reference*
-vanishes: the event loop keeps only a weak reference to running tasks,
-so a fire-and-forget task can be garbage-collected mid-flight and
-simply never finish.  The node's original shutdown path did exactly
-this — ``asyncio.ensure_future(self.stop())`` at the bottom of the
-client API — which meant a failing ``stop()`` would kill the
-acknowledged shutdown *silently* and leave the process serving.
-
-**Rule.**  In ``src/repro/net``, every task must be spawned through
+A task created and dropped is held only weakly by the loop (it can be
+collected mid-flight) and its exception is never retrieved.  In
+``src/repro/net`` every task is spawned through
 :func:`repro.net.tasks.spawn` (or a :class:`~repro.net.tasks.
-TaskTracker`), which retains the task, logs its exception with
-context, and lets shutdown await whatever is still in flight.  Direct
-calls to ``asyncio.create_task`` / ``asyncio.ensure_future`` /
-``loop.create_task`` are flagged everywhere except inside
-``repro/net/tasks.py`` itself — the tracked primitive has to call the
-raw one somewhere, and that one place is it.
+TaskTracker`), which retains it, logs its exception, and lets shutdown
+await it.  Raw ``create_task`` / ``ensure_future`` calls are flagged
+everywhere except ``repro/net/tasks.py``, which wraps them.
 """
 
 from __future__ import annotations
@@ -27,6 +15,7 @@ import ast
 from typing import Iterator
 
 from repro.lint.engine import FileScope, LintRule, Violation
+from repro.lint.flow import leaf_name
 
 __all__ = ["TrackedTasksRule"]
 
@@ -52,13 +41,8 @@ class TrackedTasksRule(LintRule):
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
-            func = node.func
-            name: str | None = None
-            if isinstance(func, ast.Attribute) and func.attr in _SPAWN_NAMES:
-                name = func.attr
-            elif isinstance(func, ast.Name) and func.id in _SPAWN_NAMES:
-                name = func.id
-            if name is None:
+            name = leaf_name(node.func)
+            if name not in _SPAWN_NAMES:
                 continue
             yield self.violation(
                 scope,

@@ -1,31 +1,17 @@
 """R12 — cancellation-unsafe and type-erasing exception handlers.
 
-**Why.**  Cancellation is asyncio's only composable teardown
-mechanism: ``stop()`` cancels the scheduler, the task tracker cancels
-stragglers, and every ``wait_for`` deadline is a cancellation.  An
-``except`` clause that catches ``asyncio.CancelledError`` (explicitly,
-via ``BaseException``, or bare) and does not re-raise turns a
-cancelled coroutine into one that *keeps running* — the cancel
-appears to succeed while the task loops on, holding connections and
-locks.  Broad ``except Exception`` on the session path is the milder
-relative: it erases the typed :mod:`repro.errors` taxonomy the retry
-and parity machinery dispatches on, so a codec bug and a dead peer
-become indistinguishable.
+In ``src/repro/net``:
 
-**Rule.**  In ``src/repro/net``:
+* an ``except`` clause catching ``CancelledError``, ``BaseException``
+  or everything (bare ``except:``) must re-raise — otherwise a
+  cancelled task keeps running, holding connections and locks;
+* an ``except Exception`` handler must convert — its body raises —
+  rather than erase the typed :mod:`repro.errors` taxonomy the retry
+  machinery dispatches on.
 
-* an ``except`` clause catching ``CancelledError``, ``BaseException``,
-  or everything (bare ``except:``) must re-raise — its body contains a
-  ``raise``;
-* an ``except Exception`` handler must convert: its body contains a
-  ``raise`` (bare re-raise, or a typed :mod:`repro.errors` exception).
-
-Handlers for specific typed exceptions (``ConnectionClosed``,
-``WireFormatError``, ``OSError``...) are the sanctioned shape and are
-never flagged.  The one place that legitimately swallows a
-``CancelledError`` — awaiting a task *we just cancelled* in
-``repro.net.tasks`` — re-raises when the cancellation was not its own,
-so it satisfies the rule rather than suppressing it.
+Handlers for specific typed exceptions are the sanctioned shape.
+``repro.net.tasks.cancel_and_wait`` re-raises a cancellation that was
+not its own, so it satisfies the rule rather than suppressing it.
 """
 
 from __future__ import annotations
@@ -34,29 +20,12 @@ import ast
 from typing import Iterator
 
 from repro.lint.engine import FileScope, LintRule, Violation
+from repro.lint.flow import handler_names
 
 __all__ = ["CancellationSafetyRule"]
 
 #: Exception names whose handlers must re-raise unconditionally.
 _MUST_RERAISE = frozenset({"CancelledError", "BaseException"})
-
-
-def _caught_names(handler: ast.ExceptHandler) -> list[str] | None:
-    """Exception names a handler catches; ``None`` for bare ``except:``."""
-    if handler.type is None:
-        return None
-    types = (
-        list(handler.type.elts)
-        if isinstance(handler.type, ast.Tuple)
-        else [handler.type]
-    )
-    names: list[str] = []
-    for node in types:
-        if isinstance(node, ast.Attribute):
-            names.append(node.attr)
-        elif isinstance(node, ast.Name):
-            names.append(node.id)
-    return names
 
 
 def _body_raises(handler: ast.ExceptHandler) -> bool:
@@ -83,7 +52,7 @@ class CancellationSafetyRule(LintRule):
                 continue
             if _body_raises(node):
                 continue
-            names = _caught_names(node)
+            names = handler_names(node)
             if names is None:
                 yield self.violation(
                     scope,

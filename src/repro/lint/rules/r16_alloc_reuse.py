@@ -1,34 +1,15 @@
 """R16 — fresh allocations on per-round hot paths with a reuse API.
 
-**Why.**  The round loop's cost budget is carried by object reuse, not
-just by algorithmic shape: the wire codec leases pooled
-:class:`Encoder` buffers (``WireCodec._acquire``), and
-:class:`~repro.core.version_vector.VersionVector` exposes in-place
-mutators (``merge_from``, ``increment``) precisely so steady-state
-rounds allocate nothing.  One
-innocent ``VersionVector(n)`` or ``bytearray()`` inside ``run_round``
-re-introduces a per-session allocation (and the GC pressure that comes
-with it) that no test fails on — the benchmarks just quietly regress
-until the CI bench gate trips, long after the offending line merged.
-This rule names the line instead.
-
-**Rule.**  Inside the per-round hot-path functions of
-``repro.cluster`` and ``repro.wire`` (the simulator's round/session
-loop and the codec's encode path — see ``HOT_PATH_NAMES``):
-
-* ``repro.cluster`` code may not construct a fresh ``VersionVector``
-  (constructor, ``.zero``, ``.from_counts``) — hoist the scratch vector
-  out of the loop and reuse it with the in-place APIs; and
-* neither subpackage may allocate a fresh ``bytearray`` — lease a
-  pooled encoder buffer instead.
-
-Decode-side construction is exempt by scoping: a decoded message has
-to materialize a new vector for the recipient; only the encode
-direction has a documented reuse API.  An allocation that is inherent
-(e.g. a cold fallback that never runs in steady state) is annotated in
-place with ``# pragma: fresh-alloc <reason>`` — the reason is
-mandatory, and the pragma audit flags pragmas whose line no longer
-allocates.
+The wire codec leases pooled encoder buffers (``WireCodec._acquire``)
+and :class:`~repro.core.version_vector.VersionVector` has in-place
+mutators, so steady-state rounds allocate nothing.  Inside the
+per-round hot-path functions of ``repro.cluster`` and ``repro.wire``
+(``HOT_PATH_NAMES``), ``repro.cluster`` may not construct a fresh
+``VersionVector`` (constructor, ``.zero``, ``.from_counts``), and
+neither may allocate a fresh ``bytearray``.  Decode-side construction
+is exempt by scoping.  An inherent allocation is annotated in place
+with ``# pragma: fresh-alloc <reason>``; the reason is mandatory, and
+the pragma audit flags pragmas whose line no longer allocates.
 """
 
 from __future__ import annotations

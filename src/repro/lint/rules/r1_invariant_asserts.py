@@ -1,23 +1,14 @@
 """R1 — bare ``assert`` in protocol code.
 
-**Historical bug.**  The protocol's safety argument (DESIGN.md §1: DBVV
-dominance, the one-record-per-item log rule, bounded log size) was
-checked with bare ``assert`` statements, and ``python -O`` strips every
-one of them — the deployment configuration most tempted to use ``-O``
-(production scale) is exactly the one that silently lost all checking.
-
-**Rule.**  ``repro.core``, ``repro.cluster``, ``repro.baselines``,
+``repro.core``, ``repro.cluster``, ``repro.baselines``,
 ``repro.substrate`` and ``repro.durable`` may not contain ``assert``
-statements.  Invariant checks raise
-:class:`~repro.errors.InvariantViolation`; impossible-message type
-narrowing raises :class:`~repro.errors.ProtocolStateError`; malformed
-checkpoint input raises
-:class:`~repro.durable.checkpoint.SnapshotError` (the checkpoint decoder
-and ``validate_snapshot`` check untrusted disk bytes — exactly the
-checks ``-O`` must not strip); argument validation raises the specific
-:class:`~repro.errors.ReplicationError` subclass.  Tests keep using
-``assert`` freely — pytest rewrites them and test suites are never run
-under ``-O``.
+statements: ``python -O`` strips every one, so an invariant written as
+an assert silently stops guarding the replica when run optimized.
+Invariant checks raise :class:`~repro.errors.InvariantViolation`;
+malformed checkpoint input raises
+:class:`~repro.durable.checkpoint.SnapshotError`; argument validation
+raises the specific :class:`~repro.errors.ReplicationError` subclass.
+Tests keep using ``assert`` — pytest rewrites them.
 """
 
 from __future__ import annotations

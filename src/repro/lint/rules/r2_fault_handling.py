@@ -1,18 +1,11 @@
 """R2 — catching ``NodeDownError`` without ``MessageLostError``.
 
-**Historical bug.**  PR 1 added a lossy network whose in-flight drops
-raise :class:`~repro.errors.MessageLostError`.  Every fault-facing call
-site written before it caught only ``NodeDownError``, so the new
-exception escaped ``fetch_out_of_bound`` and aborted the user operation
-that triggered the fetch — best-effort code turned a dropped packet
-into a crash.
-
-**Rule.**  An ``except`` clause that names ``NodeDownError`` must also
-handle ``MessageLostError`` (in the same tuple, or in a sibling clause
-of the same ``try``).  Both are transport faults; a session that
-survives a dead peer must survive a dropped message.  Catching a common
-base class (``ReplicationError``) is naturally fine — the rule only
-fires on the asymmetric pattern.
+An ``except`` clause that names ``NodeDownError`` must also handle
+``MessageLostError`` (in the same tuple, or in a sibling clause of the
+same ``try``): both are transport faults, and a session that survives
+a dead peer must survive a dropped message.  Catching a common base
+class is fine.  The PR 1 escape: a lossy network's drop escaped
+``fetch_out_of_bound`` and aborted the user operation behind it.
 """
 
 from __future__ import annotations
@@ -21,24 +14,9 @@ import ast
 from typing import Iterator
 
 from repro.lint.engine import FileScope, LintRule, Violation
+from repro.lint.flow import TRY_NODES, handler_names
 
 __all__ = ["LostMessageHandlingRule"]
-
-
-def _exception_names(node: ast.expr | None) -> set[str]:
-    """The leaf names an ``except`` clause catches."""
-    if node is None:
-        return set()
-    if isinstance(node, ast.Tuple):
-        names: set[str] = set()
-        for element in node.elts:
-            names |= _exception_names(element)
-        return names
-    if isinstance(node, ast.Name):
-        return {node.id}
-    if isinstance(node, ast.Attribute):
-        return {node.attr}
-    return set()
 
 
 class LostMessageHandlingRule(LintRule):
@@ -51,15 +29,12 @@ class LostMessageHandlingRule(LintRule):
 
     def check(self, tree: ast.Module, scope: FileScope) -> Iterator[Violation]:
         for node in ast.walk(tree):
-            if not isinstance(node, ast.Try):
+            if not isinstance(node, TRY_NODES):
                 continue
-            caught_anywhere: set[str] = set()
-            for handler in node.handlers:
-                caught_anywhere |= _exception_names(handler.type)
-            if "MessageLostError" in caught_anywhere:
+            caught = [handler_names(handler) or [] for handler in node.handlers]
+            if any("MessageLostError" in names for names in caught):
                 continue
-            for handler in node.handlers:
-                names = _exception_names(handler.type)
+            for handler, names in zip(node.handlers, caught):
                 if "NodeDownError" in names:
                     yield self.violation(
                         scope,

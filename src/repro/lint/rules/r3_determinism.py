@@ -1,32 +1,18 @@
 """R3 — nondeterminism in simulation code.
 
-**Historical hazard.**  Every experiment's claim rests on "a simulation
-is a pure function of its configuration and seed" (see
-``cluster/simulation.py``).  One call to the module-level ``random``
-functions (which share one process-global, OS-seeded RNG), one read of
-the wall clock, or one iteration over a ``set`` whose order leaks into
-protocol state, and a failing run can no longer be replayed — which is
-how the unseeded-randomness hazards of PR 1's fault-injection work were
-found.
+A simulation is a pure function of its configuration and seed, or it
+cannot replay its own failures.  Inside ``src/repro``:
 
-**Rule.**  Inside ``src/repro``:
-
-* no module-level ``random.*`` calls (``random.random()``,
-  ``random.choice()``, ...) and no ``from random import <function>`` —
-  all randomness flows through an *injected, seeded*
-  ``random.Random(seed)``;
-* ``random.Random()`` must be given an explicit seed;
+* no module-level ``random.*`` calls and no ``from random import
+  <function>`` — randomness flows through an injected, seeded
+  ``random.Random(seed)``, and ``random.Random()`` needs that seed;
 * no wall-clock reads (``time.time()``, ``time.monotonic()``,
   ``time.perf_counter()`` and their ``_ns`` variants) — simulated time
   comes from :mod:`repro.substrate.clock`;
-* no OS-entropy identifiers or bytes (``uuid.uuid4()``, ``uuid.uuid1()``,
-  ``os.urandom()``) — they are unseeded randomness with a different
-  spelling; derive ids from the run seed and node/event counters;
-* no ``id()``-based ordering (``sorted(..., key=id)`` and friends) —
-  CPython ids are allocation addresses, different every run;
+* no OS entropy (``uuid.uuid4()``, ``uuid.uuid1()``, ``os.urandom()``);
+* no ``id()``-based ordering (``sorted(..., key=id)``);
 * no iteration over a bare ``set``/``frozenset`` expression and no
-  ``hash()`` of one — iteration order depends on the per-process hash
-  seed for strings; sort it or keep a list.
+  ``hash()`` of one — the order depends on the per-process hash seed.
 """
 
 from __future__ import annotations

@@ -1,34 +1,22 @@
 """R4 — mutating DBVV / IVV / log-vector internals outside ``repro.core``.
 
-**Why.**  The paper's correctness argument is carried by three coupled
-structures: the DBVV (``V_i``), the per-item IVVs, and the log vector
-with its per-item pointers ``P(x)`` enforcing the one-record-per-item
-rule.  Their maintenance rules (DESIGN.md §1) only hold if every write
-goes through :mod:`repro.core` — a single ``node.dbvv.increment(...)``
-from a driver breaks the DBVV-equals-IVV-column-sums invariant without
-any error until (at best) a distant sanitizer sweep.
+The DBVV-equals-IVV-column-sums equality and the one-record-per-item
+log rule hold only if every write goes through :mod:`repro.core`.
+Outside it, code in ``src/repro`` may not:
 
-**Rule.**  Outside ``repro.core``, code in ``src/repro`` may not:
-
-* call mutators (``increment``, ``merge_from``, ``record_local_update_by``,
-  ``absorb_item_copy``, ``absorb_item_copies``, ``extend_to``) on an
-  attribute named ``dbvv``, ``ivv`` or ``aux_ivv`` of some other object;
-* assign to such an attribute or to its components
-  (``node.dbvv[k] = ...``);
+* call vector mutators (``increment``, ``merge_from``, ...) on an
+  attribute named ``dbvv``, ``ivv`` or ``aux_ivv`` of another object;
+* assign to such an attribute or to its components;
 * call log-vector mutators (``add``, ``discard_item``, ``add_origin``)
   through a ``.log`` attribute;
-* reach into the private linked-list / pointer-map internals of the
-  core structures (``_components``, ``_by_item``, ``_head``, ``_tail``,
-  ``_counts``, ...) on any object other than ``self``.
+* touch the private internals of the core structures (``_components``,
+  ``_by_item``, ``_head``, ...) on any object other than ``self``.
 
-The one sanctioned exception is
-:func:`repro.durable.checkpoint.rebuild_node`, the restore function a
-checkpoint rebuilds a node through, bit-identically, after
-``validate_snapshot`` has checked what was decoded; its writes carry
-explicit ``# lint: skip=R4`` pragmas (as do the explorer's deliberate
-protocol mutations in ``explore/mutations.py``).  Tests are exempt —
-white-box tests must corrupt state on purpose to prove the checkers
-catch it.
+The one sanctioned writer,
+:func:`repro.durable.checkpoint.rebuild_node`, carries explicit
+``# lint: skip=R4`` pragmas (as do the explorer's deliberate protocol
+mutations).  Tests are exempt: white-box tests corrupt state on
+purpose.
 """
 
 from __future__ import annotations

@@ -1,25 +1,11 @@
 """R5 — tautological comparisons in ``check_invariants`` bodies.
 
-**Historical bug.**  A seed-era invariant check read::
-
-    assert max_seqno <= max(dbvv[k], max_seqno)
-
-which is true for every possible value of both sides — the check
-compared a quantity against a bound *derived from itself*, so the
-invariant it was meant to guard (``max_seqno <= dbvv[k]``) could fail
-silently.  PR 1 fixed that instance; this rule keeps the class out.
-
-**Rule.**  Inside any function named ``check_invariants`` (or helpers
-prefixed ``_check_invariant``), a comparison may not be
-self-referential: the two sides must be independently derived.
-Detected structurally, per comparison operand pair:
-
-* the two sides have identical ASTs (``x <= x``), or
-* one side appears verbatim as an argument of a ``max()``/``min()``
-  call on the other side (``x <= max(y, x)``, ``min(x, y) <= x``).
-
-The detector is a heuristic — it cannot prove independence — but it is
-exact on the bug class this codebase has actually produced.
+Inside ``check_invariants`` (or a ``_check_invariant*`` helper), a
+comparison may not relate a value to a bound built from itself: the
+two sides have identical ASTs (``x <= x``), or one side is an argument
+of a ``max()``/``min()`` call on the other (``x <= max(y, x)``).  The
+seed shipped ``max_seqno <= max(dbvv[k], max_seqno)``, which can never
+fail.  A heuristic, exact on the bug class this codebase has produced.
 """
 
 from __future__ import annotations

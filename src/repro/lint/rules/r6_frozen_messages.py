@@ -1,20 +1,10 @@
 """R6 — protocol messages must be frozen, slotted dataclasses.
 
-**Why.**  PR 1 made sessions non-atomic and added a retry layer: the
-same message object can now be observed by the network accounting, an
-armed mid-session fault, *and* a retried session.  The in-process
-transport delivers messages by identity (no serialization), so a
-mutable message would let one endpoint alias another's state across a
-retry — a bug that real networks make impossible.  Freezing the
-dataclass removes the aliasing channel; ``slots=True`` additionally
-forbids sneaking new attributes onto a message in flight (and is
-cheaper, which matters for the million-message traffic experiments).
-
-**Rule.**  Inside ``src/repro``, every class that defines
-``wire_size`` — the marker of an on-the-wire message — must be
-decorated ``@dataclass(frozen=True, slots=True)``.  Protocol classes
-(``typing.Protocol`` structural types such as ``_SizedMessage``) are
-exempt: they describe shapes, they are never instantiated.
+Inside ``src/repro``, every class defining ``wire_size`` — the marker
+of an on-the-wire message — must be ``@dataclass(frozen=True,
+slots=True)``; ``typing.Protocol`` shapes are exempt.  The in-process
+transport delivers messages by identity and retries replay sessions,
+so a mutable message would alias one endpoint's state into another's.
 """
 
 from __future__ import annotations
@@ -23,48 +13,24 @@ import ast
 from typing import Iterator
 
 from repro.lint.engine import FileScope, LintRule, Violation
+from repro.lint.flow import leaf_name, message_classes
 
 __all__ = ["FrozenMessageRule"]
 
 
-def _base_names(node: ast.ClassDef) -> set[str]:
-    names: set[str] = set()
-    for base in node.bases:
-        if isinstance(base, ast.Name):
-            names.add(base.id)
-        elif isinstance(base, ast.Attribute):
-            names.add(base.attr)
-        elif isinstance(base, ast.Subscript):
-            value = base.value
-            if isinstance(value, ast.Name):
-                names.add(value.id)
-            elif isinstance(value, ast.Attribute):
-                names.add(value.attr)
-    return names
-
-
-def _dataclass_flags(node: ast.ClassDef) -> tuple[bool, bool, bool]:
-    """(is_dataclass, frozen, slots) from the class decorators."""
+def _frozen_and_slotted(node: ast.ClassDef) -> bool:
+    """Is the class decorated ``@dataclass(frozen=True, slots=True)``?"""
     for decorator in node.decorator_list:
-        if isinstance(decorator, ast.Name) and decorator.id == "dataclass":
-            return True, False, False
-        if isinstance(decorator, ast.Attribute) and decorator.attr == "dataclass":
-            return True, False, False
-        if isinstance(decorator, ast.Call):
-            func = decorator.func
-            is_dc = (isinstance(func, ast.Name) and func.id == "dataclass") or (
-                isinstance(func, ast.Attribute) and func.attr == "dataclass"
-            )
-            if is_dc:
-                frozen = slots = False
-                for keyword in decorator.keywords:
-                    if isinstance(keyword.value, ast.Constant):
-                        if keyword.arg == "frozen":
-                            frozen = bool(keyword.value.value)
-                        elif keyword.arg == "slots":
-                            slots = bool(keyword.value.value)
-                return True, frozen, slots
-    return False, False, False
+        if leaf_name(decorator) == "dataclass":
+            return False
+        if isinstance(decorator, ast.Call) and leaf_name(decorator.func) == "dataclass":
+            flags = {
+                keyword.arg: bool(keyword.value.value)
+                for keyword in decorator.keywords
+                if isinstance(keyword.value, ast.Constant)
+            }
+            return flags.get("frozen", False) and flags.get("slots", False)
+    return False
 
 
 class FrozenMessageRule(LintRule):
@@ -79,20 +45,8 @@ class FrozenMessageRule(LintRule):
         return scope.in_src
 
     def check(self, tree: ast.Module, scope: FileScope) -> Iterator[Violation]:
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            defines_wire_size = any(
-                isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and member.name == "wire_size"
-                for member in node.body
-            )
-            if not defines_wire_size:
-                continue
-            if "Protocol" in _base_names(node):
-                continue
-            is_dataclass, frozen, slots = _dataclass_flags(node)
-            if not (is_dataclass and frozen and slots):
+        for node in message_classes(tree):
+            if not _frozen_and_slotted(node):
                 yield self.violation(
                     scope,
                     node,

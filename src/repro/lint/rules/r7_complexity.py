@@ -1,32 +1,17 @@
 """R7 — full item/node-space scans in session-path protocol functions.
 
-**Why.**  The paper's headline claim is that an anti-entropy session
-costs O(m) — proportional to the number of records actually shipped —
-not O(N) in the database size or worse.  That bound is carried by code
-shape: ``SendPropagation`` walks log *tails* (stopping at the first
-record the recipient has), and the ``IsSelected`` flags dedupe the item
-set without scanning the store.  One innocent ``for entry in
-self.store`` on the session path silently re-introduces the O(N) cost
-the protocol exists to avoid — and nothing fails, the experiments just
-quietly stop demonstrating the paper.
+The paper's headline claim is that a session costs O(m) in the records
+shipped, not O(N) in the database size, and code shape carries that
+bound.  Inside the session-path functions of ``repro.core`` and
+``repro.baselines`` (``SESSION_PATH_NAMES``), a ``for`` loop or
+comprehension may not iterate the full item space (the store, the
+per-item value/IVV/stamp maps, the update log) or the full node space
+(``range(... n_nodes)``, the time table).  Iterating received message
+content or a locally selected subset is always fine.
 
-**Rule.**  Inside the session-path functions of ``repro.core`` and
-``repro.baselines`` (``sync_with``, ``send_propagation``,
-``accept_propagation``, the serve/gossip helpers — see
-``SESSION_PATH_NAMES``), a ``for`` loop or comprehension may not
-iterate the full item space (the item store, the per-item value/IVV/
-stamp maps, the update log) or the full node space (``range(...
-n_nodes)``, the time table).  Iterating *received message content* or a
-locally selected subset is the O(m) shape and is always fine.
-
-Scans that are **inherent to a protocol** — the per-item-vv baseline
-ships all N IVVs by definition; the Wuu-Bernstein time table is n×n —
-are annotated in place with ``# pragma: full-scan <reason>``.  The
-reason is mandatory (a bare pragma does not suppress) and the pragma
-audit (``python -m repro.lint``) flags pragmas whose line no longer
-scans anything.  The paper's own protocol needs exactly one: the
-O(n) per-component loop in ``send_propagation``, whose cost is already
-dominated by the O(n) DBVV in the request message.
+A scan inherent to a protocol is annotated in place with ``# pragma:
+full-scan <reason>``; the reason is mandatory, and the pragma audit
+flags pragmas whose line no longer scans anything.
 """
 
 from __future__ import annotations

@@ -1,24 +1,13 @@
 """R8 — every wire message must have a registered binary codec.
 
-**Why.**  The network's encoded mode (``REPRO_WIRE=1``) serializes
-every delivered message through the type registry in
-:mod:`repro.wire.registry`.  A message class that defines ``wire_size``
-(the R6 marker of an on-the-wire message) but has no codec registration
-is a landmine: the modelled mode ships it happily, and the first
-encoded-mode run that touches that protocol path dies with
-``WireFormatError`` at runtime.  The reverse defect — a registration
-pointing at a class that no longer defines ``wire_size`` — is dead
-protocol surface holding a stable type id hostage, exactly the decay
-the stale-pragma audit exists for; R8 treats it the same way.
-
-**Rule.**  Inside ``repro.core`` and ``repro.baselines`` (where every
-real message class lives), each non-``Protocol`` class defining
-``wire_size`` must appear in :func:`repro.wire.registry.
+Inside ``repro.core`` and ``repro.baselines`` (where every real
+message class lives), each non-``Protocol`` class defining
+``wire_size`` must be registered in :func:`repro.wire.registry.
 registered_codecs` under this module's name, and every registration
-claiming this module must match a ``wire_size``-defining class in the
-file.  The check is per-file and AST-against-registry, so a fixture
-that *imitates* a message module is audited against what the real
-registry says about that path — same mechanics as the pragma audit.
+claiming this module must match such a class in the file.  Otherwise
+encoded mode (``REPRO_WIRE=1``) dies with ``WireFormatError`` the first
+time the message ships, or a stale registration holds a type id
+hostage.  The check is per file, AST against the live registry.
 """
 
 from __future__ import annotations
@@ -27,7 +16,7 @@ import ast
 from typing import Iterator
 
 from repro.lint.engine import FileScope, LintRule, Violation
-from repro.lint.rules.r6_frozen_messages import _base_names
+from repro.lint.flow import message_classes
 
 __all__ = ["RegisteredCodecRule"]
 
@@ -45,22 +34,6 @@ def _module_name(scope: FileScope) -> str | None:
     if parts[-1] == "__init__":
         parts.pop()
     return ".".join(parts)
-
-
-def _wire_size_classes(tree: ast.Module) -> dict[str, ast.ClassDef]:
-    """Non-Protocol classes in the file that define ``wire_size``."""
-    found: dict[str, ast.ClassDef] = {}
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        defines_wire_size = any(
-            isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and member.name == "wire_size"
-            for member in node.body
-        )
-        if defines_wire_size and "Protocol" not in _base_names(node):
-            found[node.name] = node
-    return found
 
 
 class RegisteredCodecRule(LintRule):
@@ -94,7 +67,7 @@ class RegisteredCodecRule(LintRule):
             for codec in registered_codecs()
             if codec.cls.__module__ == module
         }
-        defined_here = _wire_size_classes(tree)
+        defined_here = {node.name: node for node in message_classes(tree)}
         for name, node in defined_here.items():
             if name not in registered_here:
                 yield self.violation(

@@ -1,32 +1,14 @@
 """R9 — blocking calls and unbounded waits inside ``async def``.
 
-**Why.**  One replica process is one event loop: the peer service, the
-client API, and the anti-entropy scheduler all interleave on it.  A
-single synchronous ``time.sleep``, blocking ``socket`` call, file
-``open``, or ``subprocess`` spawn inside a coroutine freezes *every*
-connection the node serves for its duration — the networked analogue
-of a crashed node, except invisible to the failure model because the
-process stays up.  Unbounded ``await <event>.wait()`` calls are the
-softer form of the same hazard: a coroutine parked forever on a
-condition nobody will signal leaks the task and everything it holds.
-
-**Rule.**  Inside ``async def`` bodies in ``src/repro/net``:
-
-* no ``time.sleep`` (use ``await asyncio.sleep``);
-* no synchronous socket construction (``socket.socket``,
-  ``socket.create_connection``) — use ``asyncio.open_connection`` /
-  ``asyncio.start_server``;
-* no blocking file or process I/O (builtin ``open``, ``subprocess.*``
-  spawns, ``os.system``/``os.popen``);
-* no bare ``await <expr>.wait()`` — wrap it in ``asyncio.wait_for``
-  with a deadline, or annotate a wait that is unbounded *by design*.
-
-A wait or blocking call that is intentional is annotated in place with
-``# pragma: blocking <reason>`` — the reason is mandatory (a bare
-pragma does not suppress, same contract as R7's ``full-scan``), and
-the pragma audit flags annotations whose line no longer blocks.  The
-tree carries exactly one: the node's ``run_until_shutdown`` parks on
-the shutdown event forever by design.
+One replica process is one event loop: a blocking call in any
+coroutine stalls every connection the node serves.  Inside ``async
+def`` bodies in ``src/repro/net``: no ``time.sleep``, no synchronous
+socket construction or resolution, no blocking file or process I/O
+(builtin ``open``/``input``, ``subprocess.*``, ``os.system``/``os.popen``),
+and no bare ``await <expr>.wait()`` — bound it with
+``asyncio.wait_for``.  A wait unbounded by design is annotated in
+place with ``# pragma: blocking <reason>``; the reason is mandatory,
+and the pragma audit flags pragmas whose line no longer blocks.
 """
 
 from __future__ import annotations
@@ -34,8 +16,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.asyncflow import async_functions, iter_awaits
 from repro.lint.engine import FileScope, LintRule, Violation
+from repro.lint.flow import iter_awaits
 
 __all__ = ["BlockingAsyncRule"]
 
@@ -76,7 +58,9 @@ class BlockingAsyncRule(LintRule):
 
     def check(self, tree: ast.Module, scope: FileScope) -> Iterator[Violation]:
         seen: set[tuple[int, int]] = set()
-        for function in async_functions(tree):
+        for function in ast.walk(tree):
+            if not isinstance(function, ast.AsyncFunctionDef):
+                continue
             for node in ast.walk(function):
                 if not isinstance(node, ast.Call):
                     continue

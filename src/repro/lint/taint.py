@@ -1,59 +1,38 @@
 """Trust-boundary taint dataflow for the R13–R15 lint rules.
 
-The protocol core adopts whatever a decoded frame says — that is the
-paper's honest-peer assumption, and it is exactly what the Byzantine
-arc (ROADMAP item 4) has to drop.  This module gives the lint stack the
-static half of that story: a per-module taint analysis that proves no
+The protocol core adopts whatever a decoded frame says — the paper's
+honest-peer assumption.  This per-module analysis proves that no
 wire-decoded value reaches protocol state without passing a registered
-validator.
+validator.  It is the taint domain of the shared forward walker
+(:class:`~repro.lint.flow.ForwardWalker`) over a three-level lattice,
+CLEAN < CAPPED < TAINTED:
 
-The model (deliberately simple, calibrated to this codebase):
+**Sources.**  A call to a decode boundary (:data:`FRAME_SOURCES`)
+is TAINTED, as is a parameter named ``request`` or ``answer`` (the
+session driver's names for peer-supplied messages).  Inside
+``repro.wire`` the ``Decoder`` field readers are sources too;
+``Decoder.count()`` is CAPPED: untrusted, but size-bounded.
 
-**Sources.**  A call to a decode-boundary function
-(:data:`FRAME_SOURCES`: ``decode``, ``json.loads``, ``read_frame``,
-``decode_record``, ``decode_checkpoint``, ...) produces a TAINTED
-value, as does reading a parameter named ``request`` or ``answer`` (the
-two names the sans-I/O session driver uses for peer-supplied messages).  Inside
-``repro.wire``, the ``Decoder`` field readers (``uvarint``, ``bytes_``,
-``vv``, ...) are sources too — every field of a frame is attacker
-data.  ``Decoder.count()`` yields a CAPPED value: still untrusted, but
-size-bounded, so it may drive a loop without tripping R14.
+**Propagation.**  Through assignments, calls (a tainted argument
+taints the result), containers, attribute loads, and ``self``
+attribute stores; function and attribute summaries are folded to a
+per-module fixpoint, so a local function returning taint taints its
+call sites.
 
-**Propagation.**  Taint flows through assignments (including tuple
-unpacking and augmented assignment), calls (any tainted argument taints
-the result), containers (a collection holding a tainted element is
-tainted), attribute loads on tainted objects, and ``self`` attribute
-stores (a per-class attribute summary, folded to fixpoint together with
-per-module function summaries: a local function whose return value is
-tainted taints its call sites).
+**Sanitizers.**  Only the *result* of a registered sanitizer
+(:data:`SANCTIONED_SANITIZERS`: the ``validate_*`` API of
+:mod:`repro.core.validate` plus ``validate_record`` and
+``validate_snapshot``) is CLEAN: ``answer = validate_...(answer)``
+cleans ``answer``; a bare ``validate_...(answer)`` call cleans nothing.
+Surviving a cap guard (``if n > MAX_...: raise``) downgrades TAINTED
+to CAPPED — enough for R14, never for R13.
 
-**Sanitizers.**  Only a call to a *registered* sanitizer —
-:data:`SANCTIONED_SANITIZERS`, the ``validate_*`` API of
-:mod:`repro.core.validate` plus the disk-state validators
-:func:`repro.durable.records.validate_record` and
-:func:`repro.durable.checkpoint.validate_snapshot` — produces a
-CLEAN result.  Sanitizers are
-value-passing: ``answer = validate_session_answer(answer, ...)`` cleans
-``answer``; a bare ``validate_...(answer)`` call cleans nothing, which
-keeps the wiring honest.  (``validate_session_answer`` sanctions an
-answer *for the session driver*: it checks type and claimed source,
-and ``PullSession.conclude`` runs ``validate_propagation_reply`` on the
-body before adopting it.)  A comparison guard against a cap
-(``if n > MAX_...: raise``) downgrades TAINTED to CAPPED — enough for
-R14's allocation bounds, never enough for R13's state sinks.
-
-**Findings.**  The walk records four kinds, consumed by the rules:
-
-``sink``
-    A TAINTED or CAPPED argument reaches a protocol-state mutation
-    (:data:`STATE_SINKS` — the R4 mutator inventory plus the node /
-    journal / session entry points).  → R13.
-``alloc``
-    A TAINTED integer drives ``range``/``readexactly``/``bytearray`` or
-    an allocation-sized multiplication.  → R14.
-``swallow`` / ``clamp``
-    A validation-failure exception silently discarded, or an untrusted
-    value clamped with ``min``/``max`` instead of raising.  → R15.
+**Findings.**  ``sink``: a TAINTED or CAPPED argument reaches a
+protocol-state mutation (:data:`STATE_SINKS`) → R13.  ``alloc``: a
+TAINTED integer sizes ``range``/``readexactly``/``bytearray`` or a
+multiplication → R14.  ``swallow`` / ``clamp``: a validation failure
+silently discarded, or an untrusted value clamped with ``min``/``max``
+→ R15.
 """
 
 from __future__ import annotations
@@ -61,9 +40,10 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator
 
 from repro.lint.engine import FileScope
+from repro.lint.flow import FUNC_DEFS, ForwardWalker, fixpoint, handler_names, leaf_name
 
 __all__ = [
     "CAPPED",
@@ -87,14 +67,8 @@ TAINTED = 2
 #: decoding.
 FRAME_SOURCES = frozenset(
     {
-        "decode",
-        "loads",
-        "read_frame",
-        "read_blob",
-        "receive_preamble",
-        "read_stream_uvarint",
-        "decode_record",
-        "decode_checkpoint",
+        "decode", "loads", "read_frame", "read_blob", "receive_preamble",
+        "read_stream_uvarint", "decode_record", "decode_checkpoint",
     }
 )
 
@@ -119,16 +93,10 @@ UNTRUSTED_PARAMS = frozenset({"request", "answer"})
 #: ``validate_``-prefixed helper clears nothing.
 SANCTIONED_SANITIZERS = frozenset(
     {
-        "validate_item_name",
-        "validate_node_id",
-        "validate_oob_reply",
-        "validate_propagation_reply",
-        "validate_propagation_request",
-        "validate_record",
-        "validate_session_answer",
-        "validate_snapshot",
-        "validate_value",
-        "validate_version_vector",
+        "validate_item_name", "validate_node_id", "validate_oob_reply",
+        "validate_propagation_reply", "validate_propagation_request",
+        "validate_record", "validate_session_answer", "validate_snapshot",
+        "validate_value", "validate_version_vector",
     }
 )
 
@@ -139,39 +107,21 @@ SANCTIONED_SANITIZERS = frozenset(
 STATE_SINKS = frozenset(
     {
         # EpidemicNode entry points (protocol state transitions)
-        "update",
-        "accept_propagation",
-        "accept_oob",
-        "resolve_conflict",
-        "expand_replica_set",
-        "send_propagation",
-        "intra_node_propagation",
+        "update", "accept_propagation", "accept_oob", "resolve_conflict",
+        "expand_replica_set", "send_propagation", "intra_node_propagation",
         # not a mutation, but an untrusted name must not index the store
         # (or come back in the error) unvalidated — the client ``get``
         "read",
         # session driver
-        "conclude",
-        "sync_with",
-        "respond",
+        "conclude", "sync_with", "respond",
         # durable journal / replay
-        "record",
-        "record_update",
-        "record_accept",
-        "record_oob",
-        "record_resolve",
-        "record_expand",
-        "apply_record",
+        "record", "record_update", "record_accept", "record_oob",
+        "record_resolve", "record_expand", "apply_record",
         # checkpoint restore: the one writer of core state outside core
         "rebuild_node",
         # version-vector / log mutators (R4's inventory)
-        "increment",
-        "merge_from",
-        "record_local_update_by",
-        "absorb_item_copy",
-        "absorb_item_copies",
-        "extend_to",
-        "discard_item",
-        "add_origin",
+        "increment", "merge_from", "record_local_update_by", "absorb_item_copy",
+        "absorb_item_copies", "extend_to", "discard_item", "add_origin",
     }
 )
 
@@ -182,25 +132,13 @@ ALLOC_SINKS = frozenset({"range", "readexactly", "bytearray"})
 #: on the untrusted path is an R15 violation.
 VALIDATION_EXCEPTIONS = frozenset(
     {
-        "ValidationError",
-        "WireFormatError",
-        "WALError",
-        "ValueError",
-        "KeyError",
-        "UnicodeDecodeError",
-        "OverflowError",
+        "ValidationError", "WireFormatError", "WALError", "ValueError",
+        "KeyError", "UnicodeDecodeError", "OverflowError",
     }
 )
 
 #: Names that look like a bound in a comparison guard.
 _CAP_NAME_RE = re.compile(r"(?i)(max|min|cap|limit|budget|bound|n_nodes)")
-
-_NEW_SCOPE = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
-_FUNC_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
-
-#: Fixpoint iteration cap; summaries are monotone over small finite
-#: sets, so convergence is fast — the cap only guards pathology.
-_MAX_ROUNDS = 8
 
 
 @dataclass(frozen=True)
@@ -225,14 +163,6 @@ class TaintReport:
                 yield finding
 
 
-def _call_name(func: ast.expr) -> str | None:
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return None
-
-
 def _is_cappish(expr: ast.expr) -> bool:
     """Does this comparator look like a bound (constant, cap-named
     constant/attribute, or a ``len()``-derived quantity)?"""
@@ -243,7 +173,7 @@ def _is_cappish(expr: ast.expr) -> bool:
             return True
         if isinstance(node, ast.Attribute) and _CAP_NAME_RE.search(node.attr):
             return True
-        if isinstance(node, ast.Call) and _call_name(node.func) == "len":
+        if isinstance(node, ast.Call) and leaf_name(node.func) == "len":
             return True
     return False
 
@@ -258,11 +188,11 @@ class _ModuleContext:
         # ``self.f(...)`` — the bare-attr key is how call sites see them).
         self.functions: dict[str, ast.FunctionDef | ast.AsyncFunctionDef] = {}
         for stmt in tree.body:
-            if isinstance(stmt, _FUNC_DEFS):
+            if isinstance(stmt, FUNC_DEFS):
                 self.functions[stmt.name] = stmt
             elif isinstance(stmt, ast.ClassDef):
                 for sub in stmt.body:
-                    if isinstance(sub, _FUNC_DEFS):
+                    if isinstance(sub, FUNC_DEFS):
                         self.functions[sub.name] = sub
         #: Local functions whose return value carries taint.
         self.tainting: set[str] = set()
@@ -270,21 +200,19 @@ class _ModuleContext:
         self.attr_taints: dict[str, int] = {}
 
 
-class _FunctionFlow:
-    """Forward taint walk over one function body (or the module body).
+class _FunctionFlow(ForwardWalker[dict[str, int]]):
+    """The taint domain of :class:`~repro.lint.flow.ForwardWalker`: a
+    variable→taint environment over one function body (or the module
+    body), with loop bodies iterated to a two-round local fixpoint."""
 
-    The walk mirrors :mod:`repro.lint.asyncflow`'s statement shapes —
-    branch joins on ``if``/``match``, once-through loop bodies iterated
-    to a local fixpoint, handler entry as the join of body entry and
-    exit — but tracks a variable→taint environment instead of pending
-    mutations.
-    """
+    loop_rounds = 2
 
     def __init__(
         self,
         ctx: _ModuleContext,
         findings: list[TaintFinding] | None,
     ) -> None:
+        super().__init__()
         self.ctx = ctx
         self.findings = findings
         self.return_taint = CLEAN
@@ -292,19 +220,14 @@ class _FunctionFlow:
     # -- entry points ----------------------------------------------------
 
     def run_function(self, func: ast.FunctionDef | ast.AsyncFunctionDef) -> int:
-        env: dict[str, int] = {}
         args = func.args
-        for arg in (
-            list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs)
-        ):
-            if arg.arg in UNTRUSTED_PARAMS:
-                env[arg.arg] = TAINTED
-        self._exec_block(func.body, env)
+        env = {
+            arg.arg: TAINTED
+            for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs)
+            if arg.arg in UNTRUSTED_PARAMS
+        }
+        self.run(func.body, env)
         return self.return_taint
-
-    def run_module(self, tree: ast.Module) -> None:
-        body = [s for s in tree.body if not isinstance(s, _NEW_SCOPE)]
-        self._exec_block(body, {})
 
     # -- findings --------------------------------------------------------
 
@@ -324,71 +247,20 @@ class _FunctionFlow:
     def _taint(self, node: ast.expr | None, env: dict[str, int]) -> int:
         if node is None:
             return CLEAN
-        if isinstance(node, ast.Constant):
-            return CLEAN
         if isinstance(node, ast.Name):
             return env.get(node.id, CLEAN)
         if isinstance(node, ast.Attribute):
             base = self._taint(node.value, env)
-            if (
-                isinstance(node.value, ast.Name)
-                and node.value.id == "self"
-                and node.attr in self.ctx.attr_taints
-            ):
-                base = max(base, self.ctx.attr_taints[node.attr])
+            if isinstance(node.value, ast.Name) and node.value.id == "self":
+                base = max(base, self.ctx.attr_taints.get(node.attr, CLEAN))
             return base
         if isinstance(node, ast.Subscript):
             return self._taint(node.value, env)
         if isinstance(node, ast.Call):
             return self._call_taint(node, env)
-        if isinstance(node, ast.BinOp):
-            left = self._taint(node.left, env)
-            right = self._taint(node.right, env)
-            worst = max(left, right)
-            if isinstance(node.op, ast.Mult) and worst >= TAINTED:
-                self._record(
-                    node,
-                    "alloc",
-                    "tainted integer sizes a multiplication (allocation) "
-                    "without a cap check",
-                )
-            return worst
-        if isinstance(node, ast.BoolOp):
-            return max(self._taint(v, env) for v in node.values)
-        if isinstance(node, ast.UnaryOp):
-            return self._taint(node.operand, env)
-        if isinstance(node, ast.Compare):
-            # Evaluate operands for nested calls/findings; the boolean
-            # result itself is clean.
-            self._taint(node.left, env)
-            for comparator in node.comparators:
-                self._taint(comparator, env)
-            return CLEAN
         if isinstance(node, ast.IfExp):
             self._taint(node.test, env)
             return max(self._taint(node.body, env), self._taint(node.orelse, env))
-        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
-            if not node.elts:
-                return CLEAN
-            return max(self._taint(e, env) for e in node.elts)
-        if isinstance(node, ast.Dict):
-            worst = CLEAN
-            for key in node.keys:
-                if key is not None:
-                    worst = max(worst, self._taint(key, env))
-            for value in node.values:
-                worst = max(worst, self._taint(value, env))
-            return worst
-        if isinstance(node, ast.Starred):
-            return self._taint(node.value, env)
-        if isinstance(node, ast.Await):
-            return self._taint(node.value, env)
-        if isinstance(node, ast.JoinedStr):
-            worst = CLEAN
-            for part in node.values:
-                if isinstance(part, ast.FormattedValue):
-                    worst = max(worst, self._taint(part.value, env))
-            return worst
         if isinstance(node, ast.NamedExpr):
             taint = self._taint(node.value, env)
             if isinstance(node.target, ast.Name):
@@ -398,11 +270,8 @@ class _FunctionFlow:
             node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
         ):
             inner = dict(env)
-            worst_iter = CLEAN
             for gen in node.generators:
-                taint = self._taint(gen.iter, inner)
-                worst_iter = max(worst_iter, taint)
-                self._bind_target(gen.target, taint, inner)
+                self._bind_target(gen.target, self._taint(gen.iter, inner), inner)
                 for cond in gen.ifs:
                     self._taint(cond, inner)
             if isinstance(node, ast.DictComp):
@@ -412,24 +281,33 @@ class _FunctionFlow:
             return self._taint(node.elt, inner)
         if isinstance(node, ast.Lambda):
             return CLEAN
-        if isinstance(node, (ast.Yield, ast.YieldFrom)):
-            taint = self._taint(node.value, env)
-            self.return_taint = max(self.return_taint, taint)
+        # Everything else joins its operands: containers, operators,
+        # f-strings, awaits, yields.
+        worst = max(
+            (
+                self._taint(child, env)
+                for child in ast.iter_child_nodes(node)
+                if isinstance(child, ast.expr)
+            ),
+            default=CLEAN,
+        )
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            if worst >= TAINTED:
+                self._record(
+                    node,
+                    "alloc",
+                    "tainted integer sizes a multiplication (allocation) "
+                    "without a cap check",
+                )
+        elif isinstance(node, (ast.Yield, ast.YieldFrom)):
+            self.return_taint = max(self.return_taint, worst)
             return CLEAN
-        if isinstance(node, ast.Slice):
-            for part in (node.lower, node.upper, node.step):
-                if part is not None:
-                    self._taint(part, env)
-            return CLEAN
-        # Conservative default: join over child expressions.
-        worst = CLEAN
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.expr):
-                worst = max(worst, self._taint(child, env))
+        elif isinstance(node, (ast.Compare, ast.Slice)):
+            return CLEAN  # a comparison's result is a clean boolean
         return worst
 
     def _call_taint(self, node: ast.Call, env: dict[str, int]) -> int:
-        name = _call_name(node.func)
+        name = leaf_name(node.func)
         arg_taints = [self._taint(a, env) for a in node.args]
         arg_taints.extend(self._taint(kw.value, env) for kw in node.keywords)
         worst_arg = max(arg_taints, default=CLEAN)
@@ -507,32 +385,61 @@ class _FunctionFlow:
                 if taint > self.ctx.attr_taints.get(base.attr, CLEAN):
                     self.ctx.attr_taints[base.attr] = taint
 
-    # -- statements ------------------------------------------------------
+    # -- the domain ------------------------------------------------------
 
-    def _exec_block(
-        self, body: Sequence[ast.stmt], env: dict[str, int]
-    ) -> dict[str, int] | None:
-        """Walk statements; returns the exit environment, or ``None``
-        when every path through the block terminates."""
-        current: dict[str, int] | None = env
-        for stmt in body:
-            if current is None:
-                break
-            current = self._exec_stmt(stmt, current)
-        return current
+    def copy(self, state: dict[str, int]) -> dict[str, int]:
+        return dict(state)
 
-    @staticmethod
-    def _join(
-        a: dict[str, int] | None, b: dict[str, int] | None
+    def join(
+        self, states: Iterable[dict[str, int] | None]
     ) -> dict[str, int] | None:
-        if a is None:
-            return b
-        if b is None:
-            return a
-        joined = dict(a)
-        for name, taint in b.items():
-            if taint > joined.get(name, CLEAN):
-                joined[name] = taint
+        alive = [state for state in states if state is not None]
+        if len(alive) <= 1:
+            return alive[0] if alive else None
+        joined = dict(alive[0])
+        for state in alive[1:]:
+            for name, taint in state.items():
+                if taint > joined.get(name, CLEAN):
+                    joined[name] = taint
+        return joined
+
+    def transfer(self, stmt: ast.stmt, env: dict[str, int]) -> dict[str, int]:
+        if isinstance(stmt, ast.Assign):
+            taint = self._taint(stmt.value, env)
+            for target in stmt.targets:
+                self._bind_target(target, taint, env)
+        elif isinstance(stmt, (ast.AugAssign, ast.AnnAssign)):
+            if stmt.value is not None:
+                taint = self._taint(stmt.value, env)
+                target = stmt.target
+                if isinstance(stmt, ast.AugAssign) and isinstance(target, ast.Name):
+                    taint = max(taint, env.get(target.id, CLEAN))
+                self._bind_target(stmt.target, taint, env)
+        elif isinstance(stmt, ast.Return):
+            self.return_taint = max(self.return_taint, self._taint(stmt.value, env))
+        elif isinstance(stmt, ast.Expr):
+            self._taint(stmt.value, env)
+        elif isinstance(stmt, ast.Raise):
+            self._taint(stmt.exc, env)
+        elif isinstance(stmt, ast.Assert):
+            self._taint(stmt.test, env)
+        elif isinstance(stmt, ast.Delete):
+            for target in stmt.targets:
+                if isinstance(target, ast.Name):
+                    env.pop(target.id, None)
+        return env  # imports, global/nonlocal, pass, ...
+
+    def after_if(
+        self,
+        stmt: ast.If,
+        body: dict[str, int] | None,
+        joined: dict[str, int] | None,
+    ) -> dict[str, int] | None:
+        # ``if <var> past cap: raise`` — surviving means bounded.
+        if body is None and joined is not None:
+            guard = self._cap_guard_name(stmt.test, joined)
+            if guard is not None:
+                joined[guard] = CAPPED
         return joined
 
     def _cap_guard_name(
@@ -568,152 +475,20 @@ class _FunctionFlow:
             return name
         return None
 
-    def _exec_stmt(
-        self, stmt: ast.stmt, env: dict[str, int]
-    ) -> dict[str, int] | None:
-        if isinstance(stmt, ast.Assign):
-            taint = self._taint(stmt.value, env)
-            for target in stmt.targets:
-                self._bind_target(target, taint, env)
-            return env
-        if isinstance(stmt, ast.AugAssign):
-            taint = self._taint(stmt.value, env)
-            if isinstance(stmt.target, ast.Name):
-                taint = max(taint, env.get(stmt.target.id, CLEAN))
-            self._bind_target(stmt.target, taint, env)
-            return env
-        if isinstance(stmt, ast.AnnAssign):
-            if stmt.value is not None:
-                self._bind_target(stmt.target, self._taint(stmt.value, env), env)
-            return env
-        if isinstance(stmt, ast.Expr):
-            self._taint(stmt.value, env)
-            return env
-        if isinstance(stmt, ast.Return):
-            self.return_taint = max(self.return_taint, self._taint(stmt.value, env))
-            return None
-        if isinstance(stmt, ast.Raise):
-            if stmt.exc is not None:
-                self._taint(stmt.exc, env)
-            return None
-        if isinstance(stmt, (ast.Break, ast.Continue)):
-            return None
-        if isinstance(stmt, ast.If):
-            guard = self._cap_guard_name(stmt.test, env)
-            self._taint(stmt.test, env)
-            out_body = self._exec_block(stmt.body, dict(env))
-            out_else = self._exec_block(stmt.orelse, dict(env))
-            joined = self._join(out_body, out_else)
-            if joined is not None and guard is not None and out_body is None:
-                # ``if <var> past cap: raise`` — surviving means bounded.
-                if joined.get(guard, CLEAN) == TAINTED:
-                    joined[guard] = CAPPED
-            return joined if joined is not None else None
-        if isinstance(stmt, (ast.For, ast.AsyncFor)):
-            iter_taint = self._taint(stmt.iter, env)
-            loop_env = dict(env)
-            self._bind_target(stmt.target, iter_taint, loop_env)
-            for _ in range(2):
-                out = self._exec_block(stmt.body, dict(loop_env))
-                merged = self._join(loop_env, out)
-                if merged == loop_env:
-                    break
-                loop_env = merged if merged is not None else loop_env
-            out_else = self._exec_block(stmt.orelse, dict(loop_env))
-            return self._join(loop_env, out_else)
-        if isinstance(stmt, ast.While):
-            self._taint(stmt.test, env)
-            loop_env = dict(env)
-            for _ in range(2):
-                out = self._exec_block(stmt.body, dict(loop_env))
-                merged = self._join(loop_env, out)
-                if merged == loop_env:
-                    break
-                loop_env = merged if merged is not None else loop_env
-            out_else = self._exec_block(stmt.orelse, dict(loop_env))
-            return self._join(loop_env, out_else)
-        if isinstance(stmt, ast.Try):
-            out_body = self._exec_block(stmt.body, dict(env))
-            handler_entry = self._join(dict(env), out_body)
-            exits = out_body
-            for handler in stmt.handlers:
-                h_env = dict(handler_entry) if handler_entry is not None else {}
-                if handler.name is not None:
-                    h_env[handler.name] = CLEAN
-                exits = self._join(exits, self._exec_block(handler.body, h_env))
-            out_else = (
-                self._exec_block(stmt.orelse, dict(out_body))
-                if out_body is not None and stmt.orelse
-                else out_body
-            )
-            exits = self._join(exits, out_else)
-            if stmt.finalbody:
-                if exits is None:
-                    # Walk the finally for findings, but stay dead.
-                    self._exec_block(stmt.finalbody, dict(env))
-                    return None
-                exits = self._exec_block(stmt.finalbody, dict(exits))
-            return exits
-        if isinstance(stmt, (ast.With, ast.AsyncWith)):
-            for item in stmt.items:
-                taint = self._taint(item.context_expr, env)
-                if item.optional_vars is not None:
-                    self._bind_target(item.optional_vars, taint, env)
-            return self._exec_block(stmt.body, env)
-        if isinstance(stmt, ast.Match):
-            subject = self._taint(stmt.subject, env)
-            out: dict[str, int] | None = None
-            for case in stmt.cases:
-                case_env = dict(env)
-                for captured in ast.walk(case.pattern):
-                    if isinstance(captured, ast.MatchAs) and captured.name:
-                        case_env[captured.name] = max(
-                            case_env.get(captured.name, CLEAN), subject
-                        )
-                out = self._join(out, self._exec_block(case.body, case_env))
-            return self._join(out, env)
-        if isinstance(stmt, ast.Assert):
-            self._taint(stmt.test, env)
-            return env
-        if isinstance(stmt, ast.Delete):
-            for target in stmt.targets:
-                if isinstance(target, ast.Name):
-                    env.pop(target.id, None)
-            return env
-        if isinstance(stmt, _NEW_SCOPE):
-            return env  # nested scopes are analyzed separately (or not at all)
-        return env  # imports, global/nonlocal, pass, ...
-
 
 def _scan_swallows(tree: ast.Module, findings: list[TaintFinding]) -> None:
     """Syntactic R15 half: ``except <validation error>: pass``."""
     for node in ast.walk(tree):
         if not isinstance(node, ast.ExceptHandler):
             continue
-        caught: set[str] = set()
-        types = node.type
-        if types is None:
-            continue  # bare except is R12's business
-        elts = types.elts if isinstance(types, ast.Tuple) else [types]
-        for elt in elts:
-            name = (
-                elt.id
-                if isinstance(elt, ast.Name)
-                else elt.attr
-                if isinstance(elt, ast.Attribute)
-                else None
-            )
-            if name is not None:
-                caught.add(name)
-        hit = sorted(caught & VALIDATION_EXCEPTIONS)
-        if not hit:
-            continue
+        # A bare ``except:`` is R12's business.
+        hit = sorted(set(handler_names(node) or ()) & VALIDATION_EXCEPTIONS)
         silent = all(
             isinstance(s, (ast.Pass, ast.Continue))
             or (isinstance(s, ast.Expr) and isinstance(s.value, ast.Constant))
             for s in node.body
         )
-        if silent:
+        if hit and silent:
             findings.append(
                 TaintFinding(
                     "swallow",
@@ -729,21 +504,20 @@ def _scan_swallows(tree: ast.Module, findings: list[TaintFinding]) -> None:
 def _analyze(tree: ast.Module, scope: FileScope) -> TaintReport:
     ctx = _ModuleContext(tree, wire_scope=scope.in_subpackage("wire"))
 
-    # Fixpoint over function summaries and self-attribute taints: both
-    # grow monotonically, so rerun until neither changes.
-    for _ in range(_MAX_ROUNDS):
-        before = (frozenset(ctx.tainting), dict(ctx.attr_taints))
+    # Function summaries and self-attribute taints both grow
+    # monotonically, so rerun until neither changes.
+    def summarize(_: object) -> tuple[frozenset[str], dict[str, int]]:
         for name, func in ctx.functions.items():
-            flow = _FunctionFlow(ctx, findings=None)
-            if flow.run_function(func) >= CAPPED:
+            if _FunctionFlow(ctx, findings=None).run_function(func) >= CAPPED:
                 ctx.tainting.add(name)
-        if (frozenset(ctx.tainting), dict(ctx.attr_taints)) == before:
-            break
+        return frozenset(ctx.tainting), dict(ctx.attr_taints)
+
+    fixpoint(summarize, (frozenset(), {}))
 
     findings: list[TaintFinding] = []
     for func in ctx.functions.values():
         _FunctionFlow(ctx, findings).run_function(func)
-    _FunctionFlow(ctx, findings).run_module(tree)
+    _FunctionFlow(ctx, findings).run(tree.body, {})
     _scan_swallows(tree, findings)
 
     unique = sorted(

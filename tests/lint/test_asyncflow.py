@@ -7,13 +7,13 @@ regions, and the synthetic awaits of ``async with`` / ``async for``.
 """
 
 import ast
+import sys
 import textwrap
 
-from repro.lint.asyncflow import (
-    AtomicityScanner,
-    is_lock_expression,
-    iter_awaits,
-)
+import pytest
+
+from repro.lint.flow import is_lock_expression, iter_awaits
+from repro.lint.rules.r10_await_atomicity import AtomicityScanner
 
 
 def toy_mutations(stmt):
@@ -276,6 +276,23 @@ class TestTryExcept:
         )
         assert len(spans) == 1
         assert spans[0].second_label == "mut_b"
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="except* is 3.11+")
+    def test_try_star_body_is_walked_like_try(self):
+        spans = spans_of(
+            """
+            async def f():
+                try:
+                    mut_a = 1
+                    await g()
+                    mut_b = 2
+                except* ValueError:
+                    raise
+            """
+        )
+        assert [(s.first_label, s.second_label) for s in spans] == [
+            ("mut_a", "mut_b")
+        ]
 
 
 class TestNestedScopes:

@@ -4,7 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.lint import ALL_RULES, lint_source, make_scope
+from repro.lint import ALL_RULES, LintRule, lint_source, make_scope
 from repro.lint.engine import audit_pragmas, collect_files
 from repro.lint.rules import rules_by_id
 
@@ -217,3 +217,29 @@ class TestCli:
         target.write_text("def f(x):\n    return x  # lint: skip=R1\n")
         result = self._run("--no-audit", str(target))
         assert result.returncode == 0
+
+
+class _CountingRule(LintRule):
+    rule_id = "R1"
+    name = "counting"
+    summary = "counts the files it checks"
+
+    def __init__(self):
+        self.checked = []
+
+    def check(self, tree, scope):
+        self.checked.append(scope.filename)
+        return iter(())
+
+
+class TestOnePass:
+    def test_each_rule_checks_each_file_once(self, tmp_path, monkeypatch):
+        """Lint and the pragma audit share one parse and one rule run."""
+        import repro.lint.__main__ as cli
+
+        rule = _CountingRule()
+        monkeypatch.setattr(cli, "ALL_RULES", (rule,))
+        for name in ("a.py", "b.py"):
+            (tmp_path / name).write_text("x = 1  # lint: skip=R1\n")
+        assert cli.main([str(tmp_path)]) == 1  # two stale pragmas
+        assert sorted(rule.checked) == ["a.py", "b.py"]

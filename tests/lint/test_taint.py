@@ -17,6 +17,7 @@ Three layers:
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -211,6 +212,20 @@ class TestEngine:
             "        raise\n",
             kinds=["swallow"],
         )
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="except* is 3.11+")
+    def test_try_star_body_reaches_sink(self):
+        hits = findings(
+            "import json\n"
+            "def f(node, line):\n"
+            "    try:\n"
+            "        op = json.loads(line)\n"
+            "        node.update(op['name'], op['value'])\n"
+            "    except* ValueError:\n"
+            "        raise\n",
+            kinds=["sink"],
+        )
+        assert len(hits) == 1 and hits[0].line == 5
 
     def test_clamping_untrusted_value_detected(self):
         hits = findings(
