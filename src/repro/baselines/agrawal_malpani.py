@@ -37,16 +37,13 @@ from repro.core.messages import (
     lww_record_wire_size,
     payload_list_wire_size,
 )
-from repro.errors import MessageLostError, NodeDownError, UnknownItemError
+from repro.errors import ProtocolStateError, UnknownItemError
 from repro.interfaces import (
     ContentDigest,
     ProtocolNode,
-    SessionPhase,
-    SessionScope,
     StateVersion,
     SyncStats,
     Transport,
-    open_session,
 )
 from repro.obs import NULL_COUNTERS, OverheadCounters
 from repro.substrate.operations import UpdateOperation
@@ -171,52 +168,37 @@ class AgrawalMalpaniNode(ProtocolNode):
 
     # -- dissemination ------------------------------------------------------------
 
-    def sync_with(self, peer: ProtocolNode, transport: Transport) -> SyncStats:
+    def exchange(
+        self, peer: ProtocolNode, transport: Transport, stats: SyncStats
+    ) -> None:
         """Push recent records to ``peer``; every k-th call also runs
-        the vector exchange and repairs gaps in both directions."""
+        the vector exchange and repairs gaps in both directions.
+
+        A lost log push is *by design* not retried (the cursors already
+        advanced — decoupling means the cheap path carries no
+        acknowledgement state); the vector exchange repairs the gap
+        later.  The abort is still a failed session for accounting
+        purposes."""
         if not isinstance(peer, AgrawalMalpaniNode):
-            raise TypeError(
-                f"cannot disseminate to {type(peer).__name__}"
-            )
-        stats = SyncStats()
+            raise ProtocolStateError("AgrawalMalpaniNode", peer)
         self._sync_calls += 1
-        adopted: list[tuple[int, str]] = []
-        session = open_session(transport, self.node_id, peer.node_id)
-        try:
-            applied, pushed_names = self._log_push(peer, transport, stats, session)
-            adopted.extend((peer.node_id, name) for name in pushed_names)
-            if self._sync_calls % self.vector_exchange_every == 0:
-                repaired, repair_adopted = self._vector_exchange(
-                    peer, transport, stats, session
-                )
-                applied += repaired
-                adopted.extend(repair_adopted)
-        except (NodeDownError, MessageLostError):
-            # A lost log push is *by design* not retried (the cursors
-            # already advanced — decoupling means the cheap path carries
-            # no acknowledgement state); the vector exchange repairs the
-            # gap later.  The abort is still a failed session for
-            # accounting purposes.
-            stats.failed = True
-            stats.aborted_phase = session.phase
-            stats.messages = session.messages
-            stats.bytes_sent = session.bytes_sent
-            return stats
-        finally:
-            session.close()
-        stats.bytes_sent = session.bytes_sent
+        applied, pushed_names = self._log_push(peer, transport, stats)
+        adopted = [(peer.node_id, name) for name in pushed_names]
+        if self._sync_calls % self.vector_exchange_every == 0:
+            repaired, repair_adopted = self._vector_exchange(
+                peer, transport, stats
+            )
+            applied += repaired
+            adopted.extend(repair_adopted)
         stats.items_transferred = applied
         stats.identical = applied == 0
         stats.adopted_items = tuple(adopted)
-        session.advance(SessionPhase.REPLY_APPLIED)
-        return stats
 
     def _log_push(
         self,
         peer: "AgrawalMalpaniNode",
         transport: Transport,
         stats: SyncStats,
-        session: SessionScope,
     ) -> tuple[int, tuple[str, ...]]:
         # Pushes are deliberately fire-and-forget: the cursors advance
         # whether or not delivery succeeds, and a lost push is never
@@ -233,11 +215,9 @@ class AgrawalMalpaniNode(ProtocolNode):
             cursors[origin] = len(records)
         if not fresh:
             return 0, ()
-        session.advance(SessionPhase.REQUEST_SENT)
         message = transport.deliver(
             self.node_id, peer.node_id, _LogPush(self.node_id, tuple(fresh))
         )
-        session.advance(SessionPhase.SOURCE_PROCESSED)
         stats.messages += 1
         return peer._accept_records(message.records)
 
@@ -265,64 +245,55 @@ class AgrawalMalpaniNode(ProtocolNode):
         peer: "AgrawalMalpaniNode",
         transport: Transport,
         stats: SyncStats,
-        session: SessionScope,
     ) -> tuple[int, list[tuple[int, str]]]:
-        """Compare received-vectors both ways and repair gaps."""
+        """Compare received-vectors both ways and repair gaps: I repair
+        from the peer, then the peer from me (symmetric exchange; the
+        peer's request travels the reply leg, its repair the request
+        leg)."""
         self.vector_exchanges += 1
-        adopted: list[tuple[int, str]] = []
-        session.advance(SessionPhase.REQUEST_SENT)
         mine = transport.deliver(
             self.node_id, peer.node_id,
             _VectorExchange(self.node_id, self.received_vector()),
         )
-        session.advance(SessionPhase.REPLY_IN_FLIGHT)
         theirs = transport.deliver(
             peer.node_id, self.node_id,
             _VectorExchange(peer.node_id, peer.received_vector()),
         )
         stats.messages += 2
         applied = 0
-        # I repair from the peer...
-        gaps = tuple(
-            (origin, mine.received[origin])
-            for origin in range(self.n_nodes)
-            if theirs.received[origin] > mine.received[origin]
-        )
-        if gaps:
-            session.advance(SessionPhase.REQUEST_SENT)
-            request = transport.deliver(
-                self.node_id, peer.node_id, _RepairRequest(self.node_id, gaps)
+        adopted: list[tuple[int, str]] = []
+        for needy, server, have, other in (
+            (self, peer, mine, theirs), (peer, self, theirs, mine)
+        ):
+            gaps = tuple(
+                (origin, have.received[origin])
+                for origin in range(self.n_nodes)
+                if other.received[origin] > have.received[origin]
             )
-            session.advance(SessionPhase.REPLY_IN_FLIGHT)
-            repair = transport.deliver(
-                peer.node_id, self.node_id, peer._serve_repair(request)
-            )
-            stats.messages += 2
-            accepted, changed = self._accept_records(repair.records)
-            applied += accepted
-            adopted.extend((self.node_id, name) for name in changed)
-            self.repairs += 1
-        # ...and the peer repairs from me (symmetric exchange).
-        peer_gaps = tuple(
-            (origin, theirs.received[origin])
-            for origin in range(self.n_nodes)
-            if mine.received[origin] > theirs.received[origin]
-        )
-        if peer_gaps:
-            session.advance(SessionPhase.REQUEST_SENT)
-            request = transport.deliver(
-                peer.node_id, self.node_id, _RepairRequest(peer.node_id, peer_gaps)
-            )
-            session.advance(SessionPhase.REPLY_IN_FLIGHT)
-            repair = transport.deliver(
-                self.node_id, peer.node_id, self._serve_repair(request)
-            )
-            stats.messages += 2
-            accepted, changed = peer._accept_records(repair.records)
-            applied += accepted
-            adopted.extend((peer.node_id, name) for name in changed)
-            peer.repairs += 1
+            if gaps:
+                accepted, changed = needy._repair(server, gaps, transport, stats)
+                applied += accepted
+                adopted.extend((needy.node_id, name) for name in changed)
         return applied, adopted
+
+    def _repair(
+        self,
+        server: "AgrawalMalpaniNode",
+        gaps: tuple[tuple[int, int], ...],
+        transport: Transport,
+        stats: SyncStats,
+    ) -> tuple[int, tuple[str, ...]]:
+        """Request the records past ``gaps`` from ``server`` and accept
+        them."""
+        request = transport.deliver(
+            self.node_id, server.node_id, _RepairRequest(self.node_id, gaps)
+        )
+        repair = transport.deliver(
+            server.node_id, self.node_id, server._serve_repair(request)
+        )
+        stats.messages += 2
+        self.repairs += 1
+        return self._accept_records(repair.records)
 
     def _serve_repair(self, request: _RepairRequest) -> _LogPush:
         records: list[AMRecord] = []

@@ -44,15 +44,13 @@ from repro.core.messages import (
     name_list_wire_size,
     string_wire_size,
 )
-from repro.errors import MessageLostError, NodeDownError, UnknownItemError
+from repro.errors import ProtocolStateError, UnknownItemError
 from repro.interfaces import (
     ContentDigest,
     ProtocolNode,
-    SessionPhase,
     StateVersion,
     SyncStats,
     Transport,
-    open_session,
 )
 from repro.obs import NULL_COUNTERS, OverheadCounters
 from repro.substrate.operations import UpdateOperation
@@ -167,69 +165,49 @@ class LotusNode(ProtocolNode):
 
     # -- anti-entropy ------------------------------------------------------------
 
-    def sync_with(self, peer: ProtocolNode, transport: Transport) -> SyncStats:
+    def exchange(
+        self, peer: ProtocolNode, transport: Transport, stats: SyncStats
+    ) -> None:
         """Pull from ``peer`` (``peer`` is the source ``j`` of paper
-        section 8.1; this node is the recipient ``i``)."""
+        section 8.1; this node is the recipient ``i``).
+
+        Note the Lotus-specific hazard under faults: if the source
+        already served the probe (advancing its last-propagation
+        cursor) and the reply was lost, those entries will not be
+        offered again — a real weakness of per-pair cursors."""
         if not isinstance(peer, LotusNode):
-            raise TypeError(
-                f"cannot run Lotus replication against {type(peer).__name__}"
-            )
-        stats = SyncStats(messages=2)
-        session = open_session(transport, self.node_id, peer.node_id)
-        try:
-            session.advance(SessionPhase.REQUEST_SENT)
-            probe = transport.deliver(
-                self.node_id, peer.node_id, _PropagationProbe(self.node_id)
-            )
-            session.advance(SessionPhase.SOURCE_PROCESSED)
-            change_list = peer._serve_probe(probe)
-            session.advance(SessionPhase.REPLY_IN_FLIGHT)
-            change_list = transport.deliver(
-                peer.node_id, self.node_id, change_list
-            )
-            if not change_list.entries:
-                stats.identical = True
-                stats.bytes_sent = session.bytes_sent
-                session.advance(SessionPhase.REPLY_APPLIED)
-                return stats
+            raise ProtocolStateError("LotusNode", peer)
+        probe = transport.deliver(
+            self.node_id, peer.node_id, _PropagationProbe(self.node_id)
+        )
+        change_list = transport.deliver(
+            peer.node_id, self.node_id, peer._serve_probe(probe)
+        )
+        stats.messages = 2
+        if not change_list.entries:
+            stats.identical = True
+            return
 
-            wanted: list[str] = []
-            for name, seqno, writer in change_list.entries:
-                self.counters.seqno_comparisons += 1
-                if (seqno, writer) > self._doc(name).stamp():
-                    wanted.append(name)
-            if not wanted:
-                # The list was all stale entries — work was done for
-                # nothing (the Lotus overhead the paper criticizes), but
-                # no data needs to move.
-                stats.bytes_sent = session.bytes_sent
-                session.advance(SessionPhase.REPLY_APPLIED)
-                return stats
+        wanted: list[str] = []
+        for name, seqno, writer in change_list.entries:
+            self.counters.seqno_comparisons += 1
+            if (seqno, writer) > self._doc(name).stamp():
+                wanted.append(name)
+        if not wanted:
+            # The list was all stale entries — work was done for
+            # nothing (the Lotus overhead the paper criticizes), but no
+            # data needs to move.
+            return
 
-            # Second exchange: the phase machine cycles back for the
-            # document fetch.
-            session.advance(SessionPhase.REQUEST_SENT)
-            fetch = transport.deliver(
-                self.node_id, peer.node_id, _DocFetch(self.node_id, tuple(wanted))
-            )
-            session.advance(SessionPhase.SOURCE_PROCESSED)
-            shipment = peer._serve_fetch(fetch)
-            session.advance(SessionPhase.REPLY_IN_FLIGHT)
-            shipment = transport.deliver(peer.node_id, self.node_id, shipment)
-        except (NodeDownError, MessageLostError):
-            # Note the Lotus-specific hazard: if the source already
-            # served the probe (advancing its last-propagation cursor)
-            # and the reply was lost, those entries will not be offered
-            # again — a real weakness of per-pair cursors under faults.
-            stats.failed = True
-            stats.aborted_phase = session.phase
-            stats.messages = session.messages
-            stats.bytes_sent = session.bytes_sent
-            return stats
-        finally:
-            session.close()
+        # Second exchange: request-sent / reply-in-flight again, for the
+        # document fetch.
+        fetch = transport.deliver(
+            self.node_id, peer.node_id, _DocFetch(self.node_id, tuple(wanted))
+        )
+        shipment = transport.deliver(
+            peer.node_id, self.node_id, peer._serve_fetch(fetch)
+        )
         stats.messages += 2
-        stats.bytes_sent = session.bytes_sent
         for name, value, seqno, writer in shipment.docs:
             doc = self._doc(name)
             # Blind adoption by sequence number: this is where Lotus can
@@ -246,8 +224,6 @@ class LotusNode(ProtocolNode):
         stats.adopted_items = tuple(
             (self.node_id, name) for name, _v, _s, _w in shipment.docs
         )
-        session.advance(SessionPhase.REPLY_APPLIED)
-        return stats
 
     def _serve_probe(self, probe: _PropagationProbe) -> _ChangeList:
         """Source side of step 1 (paper section 8.1).

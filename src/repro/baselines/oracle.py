@@ -35,15 +35,13 @@ from repro.core.messages import (
     lww_record_wire_size,
     payload_list_wire_size,
 )
-from repro.errors import MessageLostError, NodeDownError, UnknownItemError
+from repro.errors import ProtocolStateError, UnknownItemError
 from repro.interfaces import (
     ContentDigest,
     ProtocolNode,
-    SessionPhase,
     StateVersion,
     SyncStats,
     Transport,
-    open_session,
 )
 from repro.obs import NULL_COUNTERS, OverheadCounters
 from repro.substrate.operations import UpdateOperation
@@ -128,44 +126,30 @@ class OraclePushNode(ProtocolNode):
 
     # -- push propagation ------------------------------------------------------
 
-    def sync_with(self, peer: ProtocolNode, transport: Transport) -> SyncStats:
+    def exchange(
+        self, peer: ProtocolNode, transport: Transport, stats: SyncStats
+    ) -> None:
         """Push my unacknowledged updates to ``peer`` (no pulling, no
         forwarding: only records I originated travel)."""
         if not isinstance(peer, OraclePushNode):
-            raise TypeError(
-                f"cannot run deferred push against {type(peer).__name__}"
-            )
-        stats = SyncStats()
+            raise ProtocolStateError("OraclePushNode", peer)
         pending = self._queue[self._acked[peer.node_id]:]
         if not pending:
             stats.identical = True
-            return stats
-        batch = _PushBatch(self.node_id, tuple(pending))
+            return
         # The push is a single message, so the session has one fault
         # point: the batch in flight (REQUEST_SENT).
-        session = open_session(transport, self.node_id, peer.node_id)
-        try:
-            session.advance(SessionPhase.REQUEST_SENT)
-            batch = transport.deliver(self.node_id, peer.node_id, batch)
-        except (NodeDownError, MessageLostError):
-            stats.failed = True
-            stats.aborted_phase = session.phase
-            stats.messages = session.messages
-            stats.bytes_sent = session.bytes_sent
-            return stats
-        finally:
-            session.close()
+        batch = transport.deliver(
+            self.node_id, peer.node_id, _PushBatch(self.node_id, tuple(pending))
+        )
         stats.messages = 1
-        stats.bytes_sent = session.bytes_sent
         applied, changed = peer._apply_batch(batch)
-        session.advance(SessionPhase.REPLY_APPLIED)
         self._acked[peer.node_id] = len(self._queue)
         stats.items_transferred = applied
         # A push changes state at the *peer* only.
         stats.adopted_items = tuple(
             (peer.node_id, name) for name in changed
         )
-        return stats
 
     def push_to_all(
         self,

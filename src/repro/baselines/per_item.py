@@ -31,15 +31,13 @@ from repro.core.messages import (
     payload_list_wire_size,
 )
 from repro.core.version_vector import Ordering, VersionVector
-from repro.errors import MessageLostError, NodeDownError, UnknownItemError
+from repro.errors import ProtocolStateError, UnknownItemError
 from repro.interfaces import (
     ContentDigest,
     ProtocolNode,
-    SessionPhase,
     StateVersion,
     SyncStats,
     Transport,
-    open_session,
 )
 from repro.obs import NULL_COUNTERS, OverheadCounters
 from repro.substrate.operations import UpdateOperation
@@ -128,69 +126,53 @@ class PerItemVVNode(ProtocolNode):
 
     # -- anti-entropy ------------------------------------------------------------
 
-    def sync_with(self, peer: ProtocolNode, transport: Transport) -> SyncStats:
+    def exchange(
+        self, peer: ProtocolNode, transport: Transport, stats: SyncStats
+    ) -> None:
         """Pull from ``peer``: fetch all its IVVs, compare every item,
-        then fetch the items whose remote copy dominates."""
+        then fetch the items whose remote copy dominates.
+
+        A fault before the shipment arrives aborts cleanly: no item
+        state changed yet (conflicts detected while comparing were real
+        detections and stand)."""
         if not isinstance(peer, PerItemVVNode):
-            raise TypeError(
-                f"cannot run per-item anti-entropy against {type(peer).__name__}"
-            )
-        stats = SyncStats(messages=2)
-        session = open_session(transport, self.node_id, peer.node_id)
-        try:
-            session.advance(SessionPhase.REQUEST_SENT)
-            request = transport.deliver(
-                self.node_id, peer.node_id, _IVVListRequest(self.node_id)
-            )
-            session.advance(SessionPhase.SOURCE_PROCESSED)
-            reply = peer._serve_ivv_list(request)
-            session.advance(SessionPhase.REPLY_IN_FLIGHT)
-            reply = transport.deliver(peer.node_id, self.node_id, reply)
+            raise ProtocolStateError("PerItemVVNode", peer)
+        request = transport.deliver(
+            self.node_id, peer.node_id, _IVVListRequest(self.node_id)
+        )
+        reply = transport.deliver(
+            peer.node_id, self.node_id, peer._serve_ivv_list(request)
+        )
+        stats.messages = 2
 
-            wanted: list[str] = []
-            for name, remote_ivv in reply.ivvs:
-                self.counters.vv_comparisons += 1
-                self.counters.vv_components_touched += self.n_nodes
-                self.counters.items_scanned += 1
-                ordering = remote_ivv.compare(self._ivvs[name])
-                if ordering is Ordering.DOMINATES:
-                    wanted.append(name)
-                elif ordering is Ordering.CONCURRENT:
-                    self._conflicts.append(name)
-                    self.counters.conflicts_detected += 1
-                    stats.conflicts += 1
-            if not wanted:
-                stats.identical = all(
-                    remote_ivv == self._ivvs[name]
-                    for name, remote_ivv in reply.ivvs
-                ) and stats.conflicts == 0
-                stats.bytes_sent = session.bytes_sent
-                session.advance(SessionPhase.REPLY_APPLIED)
-                return stats
+        wanted: list[str] = []
+        for name, remote_ivv in reply.ivvs:
+            self.counters.vv_comparisons += 1
+            self.counters.vv_components_touched += self.n_nodes
+            self.counters.items_scanned += 1
+            ordering = remote_ivv.compare(self._ivvs[name])
+            if ordering is Ordering.DOMINATES:
+                wanted.append(name)
+            elif ordering is Ordering.CONCURRENT:
+                self._conflicts.append(name)
+                self.counters.conflicts_detected += 1
+                stats.conflicts += 1
+        if not wanted:
+            stats.identical = all(
+                remote_ivv == self._ivvs[name]
+                for name, remote_ivv in reply.ivvs
+            ) and stats.conflicts == 0
+            return
 
-            # Second exchange of the session: the phase machine cycles
-            # back through request-sent / reply-in-flight for the fetch.
-            session.advance(SessionPhase.REQUEST_SENT)
-            fetch = transport.deliver(
-                self.node_id, peer.node_id, _ItemFetch(self.node_id, tuple(wanted))
-            )
-            session.advance(SessionPhase.SOURCE_PROCESSED)
-            shipment = peer._serve_fetch(fetch)
-            session.advance(SessionPhase.REPLY_IN_FLIGHT)
-            shipment = transport.deliver(peer.node_id, self.node_id, shipment)
-        except (NodeDownError, MessageLostError):
-            # IVV comparisons already done are harmless — no item state
-            # changed yet, so the session aborts cleanly (conflicts
-            # detected while comparing were real detections and stand).
-            stats.failed = True
-            stats.aborted_phase = session.phase
-            stats.messages = session.messages
-            stats.bytes_sent = session.bytes_sent
-            return stats
-        finally:
-            session.close()
+        # Second exchange of the session: request-sent / reply-in-flight
+        # again, for the fetch.
+        fetch = transport.deliver(
+            self.node_id, peer.node_id, _ItemFetch(self.node_id, tuple(wanted))
+        )
+        shipment = transport.deliver(
+            peer.node_id, self.node_id, peer._serve_fetch(fetch)
+        )
         stats.messages += 2
-        stats.bytes_sent = session.bytes_sent
         for payload in shipment.payloads:
             self._digest.replace(
                 payload.name, self._values[payload.name], payload.value
@@ -202,8 +184,6 @@ class PerItemVVNode(ProtocolNode):
         stats.adopted_items = tuple(
             (self.node_id, payload.name) for payload in shipment.payloads
         )
-        session.advance(SessionPhase.REPLY_APPLIED)
-        return stats
 
     def _serve_ivv_list(self, request: _IVVListRequest) -> _IVVListReply:
         """Source side: snapshot every item's IVV (the O(N) scan)."""

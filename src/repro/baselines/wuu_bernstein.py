@@ -39,15 +39,13 @@ from repro.core.messages import (
     lww_record_wire_size,
     payload_list_wire_size,
 )
-from repro.errors import MessageLostError, NodeDownError, UnknownItemError
+from repro.errors import ProtocolStateError, UnknownItemError
 from repro.interfaces import (
     ContentDigest,
     ProtocolNode,
-    SessionPhase,
     StateVersion,
     SyncStats,
     Transport,
-    open_session,
 )
 from repro.obs import NULL_COUNTERS, OverheadCounters
 from repro.substrate.operations import UpdateOperation
@@ -150,35 +148,23 @@ class WuuBernsteinNode(ProtocolNode):
 
     # -- gossip ------------------------------------------------------------------
 
-    def sync_with(self, peer: ProtocolNode, transport: Transport) -> SyncStats:
-        """Pull a gossip message from ``peer``."""
+    def exchange(
+        self, peer: ProtocolNode, transport: Transport, stats: SyncStats
+    ) -> None:
+        """Pull a gossip message from ``peer``.
+
+        Aborts are safe: the time-table only records *proven* knowledge,
+        so a lost gossip message merely means the records travel again
+        next session."""
         if not isinstance(peer, WuuBernsteinNode):
-            raise TypeError(
-                f"cannot gossip with {type(peer).__name__}"
-            )
-        stats = SyncStats(messages=2)
-        session = open_session(transport, self.node_id, peer.node_id)
-        try:
-            session.advance(SessionPhase.REQUEST_SENT)
-            request = transport.deliver(
-                self.node_id, peer.node_id, _GossipRequest(self.node_id)
-            )
-            session.advance(SessionPhase.SOURCE_PROCESSED)
-            message = peer._build_gossip(request.requester)
-            session.advance(SessionPhase.REPLY_IN_FLIGHT)
-            message = transport.deliver(peer.node_id, self.node_id, message)
-        except (NodeDownError, MessageLostError):
-            # Safe abort: the time-table only records *proven* knowledge,
-            # so a lost gossip message merely means the records travel
-            # again next session.
-            stats.failed = True
-            stats.aborted_phase = session.phase
-            stats.messages = session.messages
-            stats.bytes_sent = session.bytes_sent
-            return stats
-        finally:
-            session.close()
-        stats.bytes_sent = session.bytes_sent
+            raise ProtocolStateError("WuuBernsteinNode", peer)
+        request = transport.deliver(
+            self.node_id, peer.node_id, _GossipRequest(self.node_id)
+        )
+        message = transport.deliver(
+            peer.node_id, self.node_id, peer._build_gossip(request.requester)
+        )
+        stats.messages = 2
 
         applied = 0
         changed: list[str] = []
@@ -215,8 +201,6 @@ class WuuBernsteinNode(ProtocolNode):
                 if remote_row[l_idx] > row[l_idx]:
                     row[l_idx] = remote_row[l_idx]
         self._garbage_collect()
-        session.advance(SessionPhase.REPLY_APPLIED)
-        return stats
 
     def _build_gossip(self, requester: int) -> _GossipMessage:
         """Select every record the requester might be missing.

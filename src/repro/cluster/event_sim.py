@@ -5,14 +5,16 @@ synchronizes all nodes to a global drumbeat.  Real epidemic deployments
 do not: "update propagation can be done at a convenient time (i.e.,
 during the next dial-up session)" (paper section 1) — each node syncs
 on its own schedule, updates arrive whenever users make them, crashes
-happen at arbitrary instants.  This driver runs the same protocol
-nodes on the :class:`~repro.cluster.events.EventLoop` with per-node
-anti-entropy periods (plus deterministic jitter), timed workload
-events, and timed failures.
+happen at arbitrary instants.  This driver is a second clock over a
+composed :class:`~repro.cluster.simulation.ClusterSimulation`: it runs
+that cluster's ``session_step`` on the
+:class:`~repro.cluster.events.EventLoop` with per-node anti-entropy
+periods (plus deterministic jitter), timed workload events, and timed
+failures.
 
-Determinism: everything is derived from one seeded RNG and the event
-loop's stable FIFO tie-breaking, so a run is a pure function of its
-configuration.
+Determinism: everything is derived from the cluster's one seeded RNG
+and the event loop's stable FIFO tie-breaking, so a run is a pure
+function of its configuration.
 """
 
 from __future__ import annotations
@@ -21,18 +23,10 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from repro.cluster.convergence import GroundTruth, fingerprints_equal
-from repro.cluster.coverage import TransitiveCoverageTracker
 from repro.cluster.events import EventLoop
-from repro.cluster.network import SimulatedNetwork
-from repro.cluster.sanitizer import sanitize_enabled, sanitize_endpoints
 from repro.cluster.scheduler import PeerSelector, RandomSelector
-from repro.errors import (
-    ConvergenceError,
-    MessageLostError,
-    NodeDownError,
-    UnknownItemError,
-)
+from repro.cluster.simulation import ClusterSimulation
+from repro.errors import ConvergenceError, UnknownItemError
 from repro.interfaces import ProtocolNode
 from repro.obs import OverheadCounters
 from repro.substrate.operations import UpdateOperation
@@ -69,7 +63,7 @@ class EventDrivenSimulation:
     plus per-node schedules.  Workload and failures are injected as
     timed events via :meth:`schedule_update`, :meth:`schedule_crash`,
     and :meth:`schedule_recovery`; then :meth:`run_until` advances
-    simulated time.
+    simulated time.  The composed :attr:`cluster` never runs a round.
     """
 
     factory: Callable[[int, OverheadCounters], ProtocolNode]
@@ -81,64 +75,63 @@ class EventDrivenSimulation:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        self.sanitize = sanitize_enabled(self.sanitize)
-        self.rng = random.Random(self.seed)
+        cluster = self.cluster = ClusterSimulation(
+            self.factory,
+            self.n_nodes,
+            self.items,
+            selector=self.selector,
+            sanitize=self.sanitize,
+            seed=self.seed,
+        )
+        # The composed cluster's parts, under the names this driver
+        # exposes (E9 and the examples read them directly).
+        self.sanitize = cluster.sanitize
+        self.rng = cluster.rng
+        self.network = cluster.network
+        self.network_counters = cluster.network_counters
+        self.node_counters = cluster.node_counters
+        self.nodes = cluster.nodes
+        self.ground_truth = cluster.ground_truth
+        self.coverage = cluster.coverage
         self.loop = EventLoop()
-        self.network_counters = OverheadCounters()
-        self.network = SimulatedNetwork(self.n_nodes, counters=self.network_counters)
-        self.node_counters = [OverheadCounters() for _ in range(self.n_nodes)]
-        self.nodes: list[ProtocolNode] = [
-            self.factory(node_id, self.node_counters[node_id])
-            for node_id in range(self.n_nodes)
-        ]
         if self.schedules is None:
             self.schedules = [NodeSchedule() for _ in range(self.n_nodes)]
         if len(self.schedules) != self.n_nodes:
             raise ValueError(
                 f"{len(self.schedules)} schedules for {self.n_nodes} nodes"
             )
-        self.ground_truth = GroundTruth(tuple(self.items))
-        self.coverage = TransitiveCoverageTracker(self.n_nodes)
         self.sessions_run = 0
         self.sessions_failed = 0
-        self._session_count_for_selector = 0
         for node_id in range(self.n_nodes):
             self._arm_next_session(node_id)
+
+    @property
+    def total_counters(self) -> OverheadCounters:
+        """The composed cluster's :attr:`ClusterSimulation.total_counters`."""
+        return self.cluster.total_counters
+
+    def converged(self) -> bool:
+        """Live replicas are identical (:meth:`ClusterSimulation.converged`)."""
+        return self.cluster.converged()
 
     # -- scheduling ------------------------------------------------------------
 
     def _arm_next_session(self, node_id: int) -> None:
         gap = self.schedules[node_id].next_gap(self.rng)
         self.loop.schedule_after(
-            gap, lambda: self._run_session(node_id), label=f"sync@{node_id}"
+            gap, lambda: self._sync_slot(node_id), label=f"sync@{node_id}"
         )
 
-    def _run_session(self, node_id: int) -> None:
+    def _sync_slot(self, node_id: int) -> None:
         # A crashed node skips its slot but keeps its schedule armed, so
         # it resumes syncing after recovery.
         if self.network.is_up(node_id):
-            self._session_count_for_selector += 1
-            peer = self.selector.peer_for(
-                node_id, self.n_nodes, self._session_count_for_selector, self.rng
-            )
             self.sessions_run += 1
-            try:
-                stats = self.nodes[node_id].sync_with(self.nodes[peer], self.network)
-            except (NodeDownError, MessageLostError):
+            peer = self.selector.peer_for(
+                node_id, self.n_nodes, self.sessions_run, self.rng
+            )
+            if self.cluster.session_step(node_id, peer, self.now).failed:
                 self.sessions_failed += 1
-            else:
-                # Protocols may report failure in the stats instead of
-                # raising (the DBVV adapter does); either way no data
-                # moved, so no Theorem 5 coverage accrues.
-                if stats.failed:
-                    self.sessions_failed += 1
-                else:
-                    self.coverage.record_session(node_id, peer, time=self.now)
-            finally:
-                if self.sanitize:
-                    sanitize_endpoints(
-                        self.nodes, (node_id, peer), self.network_counters
-                    )
         self._arm_next_session(node_id)
 
     def schedule_update(
@@ -160,8 +153,7 @@ class EventDrivenSimulation:
             if not self.network.is_up(node_id):
                 self.updates_rejected += 1
                 return
-            self.nodes[node_id].user_update(item, op)
-            self.ground_truth.apply(item, op)
+            self.cluster.apply_update(node_id, item, op)
 
         self.loop.schedule_at(at, apply, label=f"update@{node_id}:{item}")
 
@@ -180,10 +172,13 @@ class EventDrivenSimulation:
         self.loop.schedule_at(at, crash, label=f"crash@{node_id}")
 
     def schedule_recovery(self, at: float, node_id: int) -> None:
-        """Recover ``node_id`` at simulated time ``at``."""
+        """Recover ``node_id`` at simulated time ``at``; in durable mode
+        the node is rebuilt from its journal, as a round-based
+        :class:`~repro.cluster.failures.Recover` event does."""
 
         def recover() -> None:
             self.network.set_up(node_id)
+            self.cluster.rebuild_from_journal(node_id)
             self._pending_failure_events -= 1
 
         self._pending_failure_events += 1
@@ -215,27 +210,3 @@ class EventDrivenSimulation:
             f"no convergence by simulated time {deadline} "
             f"({self.sessions_run} sessions run)"
         )
-
-    def converged(self) -> bool:
-        """State-version comparison when every node provides one; the
-        sanitizer cross-checks it against full fingerprints.  (This
-        driver keeps the from-scratch :class:`GroundTruth` — its
-        sessions do not report adoption frontiers.)"""
-        live = [
-            self.nodes[k] for k in range(self.n_nodes) if self.network.is_up(k)
-        ]
-        return fingerprints_equal(
-            live,
-            crosscheck=bool(self.sanitize),
-            counters=self.network_counters,
-        )
-
-    @property
-    def total_counters(self) -> OverheadCounters:
-        """All per-node counters plus the network's, merged field-for-
-        field (the network object also carries abort/sanitizer/tracking
-        accounting, not just traffic volume)."""
-        merged = OverheadCounters()
-        for counters in self.node_counters:
-            merged = merged.merged_with(counters)
-        return merged.merged_with(self.network_counters)

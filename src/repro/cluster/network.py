@@ -9,11 +9,13 @@ properties the experiments need:
 * **partitions** — nodes can be split into groups that cannot reach
   each other;
 * **loss** — an optional independent per-message drop probability,
-  deterministic under the injected RNG and adjustable at runtime (the
+  deterministic under the injected RNG and adjustable at runtime through
+  stacked windows (:meth:`push_loss_rate` / :meth:`pop_loss_rate`; the
   failure plan's lossy windows use this);
 * **sessions** — anti-entropy sessions register a
   :class:`~repro.interfaces.SessionScope` so every message is
-  attributed to the session that sent it, which enables the scripted
+  attributed to the session that sent it and labelled with its leg
+  (the scope's phase), which enables the scripted
   **mid-session faults**: crash a participant between two messages of a
   session (:meth:`arm_mid_session_crash`) or drop the N-th message of a
   session (:meth:`arm_message_drop`);
@@ -55,7 +57,7 @@ from repro.errors import (
     SimulationError,
     UnknownNodeError,
 )
-from repro.interfaces import SessionScope, _SizedMessage
+from repro.interfaces import SessionPhase, SessionScope, _SizedMessage
 from repro.obs import NULL_COUNTERS, OverheadCounters
 from repro.wire import WireCodec, wire_enabled
 
@@ -245,32 +247,6 @@ class SimulatedNetwork:
 
     # -- loss ------------------------------------------------------------------
 
-    def set_loss_rate(self, rate: float, rng: random.Random | None = None) -> None:
-        """Change the per-message drop probability at runtime (lossy
-        windows).  A nonzero rate needs an RNG: the one passed here, or
-        the one the network already holds."""
-        self._check_loss_rate(rate)
-        if rng is not None:
-            self.rng = rng
-        if rate > 0.0 and self.rng is None:
-            raise ValueError("loss_rate > 0 requires an explicit rng")
-        self.loss_rate = rate
-
-    def restore_loss_rate(self) -> None:
-        """Reset to the constructor-time rate (non-stacking API).
-
-        Raises :class:`SimulationError` while stacked windows opened via
-        :meth:`push_loss_rate` are still open: silently reinstating the
-        base rate would clobber them — the overlapping-``LossyWindow``
-        bug this guard exists to keep fixed.
-        """
-        if self._loss_windows:
-            raise SimulationError(
-                f"restore_loss_rate with {len(self._loss_windows)} lossy "
-                "window(s) still open; close them with pop_loss_rate"
-            )
-        self.loss_rate = self._base_loss_rate
-
     def push_loss_rate(self, rate: float, rng: random.Random | None = None) -> int:
         """Open a stacked lossy window at ``rate``; returns a token for
         :meth:`pop_loss_rate`.
@@ -279,8 +255,7 @@ class SimulatedNetwork:
         active one, and closing any window re-activates the most recent
         *still-open* window (or the constructor-time rate when none
         remain) — so overlapping or nested failure events cannot clobber
-        each other the way bare ``set_loss_rate``/``restore_loss_rate``
-        pairs did.
+        each other's saved rate.
         """
         self._check_loss_rate(rate)
         if rng is not None:
@@ -372,6 +347,9 @@ class SimulatedNetwork:
     def deliver(self, src: int, dst: int, message: _SizedMessage) -> _SizedMessage:
         """Deliver ``message`` from ``src`` to ``dst``, charging traffic.
 
+        With a session open, the message's leg is recorded first as the
+        scope's phase (see :class:`~repro.interfaces.SessionPhase`).
+
         Raises :class:`NodeDownError` when either endpoint is down or the
         endpoints are partitioned apart — detected at connect time,
         before bytes flow, so nothing is charged (sessions are
@@ -389,6 +367,15 @@ class SimulatedNetwork:
         """
         self._check_node(src)
         self._check_node(dst)
+        session = self._session if self._session is not None and not self._session.closed else None
+        if session is not None:
+            # The leg is known before the connect check, so a session
+            # that dies dialling its reply is attributed to that leg.
+            session.phase = (
+                SessionPhase.REQUEST_SENT
+                if src == session.initiator
+                else SessionPhase.REPLY_IN_FLIGHT
+            )
         if not self._up[src]:
             raise NodeDownError(src)
         if not self._up[dst] or self._group_of[src] != self._group_of[dst]:
@@ -408,7 +395,6 @@ class SimulatedNetwork:
         link.messages += 1
         link.bytes += size
         self.latency_total += self.link_latency
-        session = self._session if self._session is not None and not self._session.closed else None
         if session is not None:
             session.note_message(size)
         dropped = False
@@ -418,7 +404,7 @@ class SimulatedNetwork:
         if not dropped and self.loss_rate > 0.0:
             if self.rng is None:
                 raise InvariantViolation(
-                    "network has loss_rate > 0 but no RNG; set_loss_rate "
+                    "network has loss_rate > 0 but no RNG; push_loss_rate "
                     "should have rejected this configuration"
                 )
             if self.rng.random() < self.loss_rate:

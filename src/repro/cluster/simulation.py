@@ -13,10 +13,13 @@ caller or a workload driver.
 
 Sessions are *not* atomic: a fault can interrupt one between messages
 (see :class:`~repro.interfaces.SessionPhase`), and the simulation
-accounts for how far each aborted session got and how many bytes it
+accounts for the leg each aborted session died on and how many bytes it
 wasted.  The :class:`RetryPolicy` layer re-attempts aborted sessions in
 later rounds with capped exponential backoff, optionally falling back
 to an alternate peer when the original one is unreachable.
+
+The round loop is one clock over :meth:`ClusterSimulation.session_step`;
+:class:`~repro.cluster.event_sim.EventDrivenSimulation` is the other.
 
 Everything is driven by one seeded :class:`random.Random`, so a
 simulation is a pure function of (factory, selector, plan, policy,
@@ -38,13 +41,8 @@ from repro.cluster.network import SimulatedNetwork
 from repro.cluster.sanitizer import sanitize_enabled, sanitize_endpoints
 from repro.cluster.scheduler import PeerSelector, RandomSelector
 from repro.durable import NodeJournal, durable_enabled
-from repro.errors import (
-    ConvergenceError,
-    InvariantViolation,
-    MessageLostError,
-    NodeDownError,
-)
-from repro.interfaces import ProtocolNode, SyncStats
+from repro.errors import ConvergenceError, InvariantViolation, NodeDownError
+from repro.interfaces import ProtocolNode, SessionPhase, SyncStats
 from repro.obs import OverheadCounters
 from repro.substrate.operations import UpdateOperation
 
@@ -52,6 +50,13 @@ if TYPE_CHECKING:
     from repro.metrics.reporting import Table
 
 __all__ = ["RetryPolicy", "RoundStats", "ClusterSimulation"]
+
+
+def _abort_phase(session: SyncStats) -> SessionPhase | None:
+    """The leg a failed session died on, if it moved a message first —
+    that traffic bought no state change.  (A dead peer caught at connect
+    time fails a session without aborting it: nothing was wasted.)"""
+    return session.aborted_phase if session.messages > 0 else None
 
 
 @dataclass(frozen=True)
@@ -147,13 +152,6 @@ class ClusterSimulation:
         Declarative crash/recover/partition script (default: none).
     retry_policy:
         How aborted sessions are re-attempted (default: no retries).
-    check_invariants_on_fault:
-        After every faulted session, run ``check_invariants()`` on both
-        endpoints that expose it (the DBVV adapters do) — an interrupted
-        session must never leave either side in an inconsistent state.
-        Needed by ``tests/cluster/test_simulation.py::
-        test_invariants_checked_after_faults`` and every fault-plan
-        experiment (E5); nothing turns it off.
     sanitize:
         The run-time invariant sanitizer: run the full invariant suite
         on both endpoints after *every* session, not just faulted ones
@@ -207,7 +205,6 @@ class ClusterSimulation:
     selector: PeerSelector = field(default_factory=RandomSelector)
     failure_plan: FailurePlan = field(default_factory=FailurePlan)
     retry_policy: RetryPolicy = field(default_factory=RetryPolicy)
-    check_invariants_on_fault: bool = True
     sanitize: bool | None = None
     wire: bool | None = None
     durable: bool | None = None
@@ -275,20 +272,17 @@ class ClusterSimulation:
         attach(journal)
         self.journals[node.node_id] = journal
 
-    def _recover_durable_nodes(self, fired: list[object]) -> None:
-        """Rebuild every node a :class:`Recover` event just repaired
-        from its on-disk state — never from the in-memory object."""
-        for event in fired:
-            if not isinstance(event, Recover):
-                continue
-            node = self.nodes[event.node]
-            recover = getattr(node, "recover_from_journal", None)
-            if recover is None or event.node not in self.journals:
-                continue
-            recover()
-            # The rebuilt replica must be re-examined wholesale by the
-            # incremental staleness tracker (object identity changed).
-            self.ground_truth.note_node_refresh(event.node)
+    def rebuild_from_journal(self, node_id: int) -> None:
+        """In durable mode, rebuild a recovered node from its on-disk
+        state — never from the in-memory object — as a repair must.
+        Nodes without a journal are left as they are."""
+        recover = getattr(self.nodes[node_id], "recover_from_journal", None)
+        if recover is None or node_id not in self.journals:
+            return
+        recover()
+        # The rebuilt replica must be re-examined wholesale by the
+        # incremental staleness tracker (object identity changed).
+        self.ground_truth.note_node_refresh(node_id)
 
     # -- workload entry points ---------------------------------------------------
 
@@ -361,14 +355,9 @@ class ClusterSimulation:
         order would let one round cascade an update across the whole
         cluster, flattering every schedule's convergence numbers.
         """
-        self.round_no += 1
-        fired = self.failure_plan.apply_round(self.round_no, self.network)
-        if self.durable:
-            self._recover_durable_nodes(fired)
-        stats = RoundStats(self.round_no)
-        msgs_before = self.network_counters.messages_sent
-        bytes_before = self.network_counters.bytes_sent
-        self._run_due_retries(stats)
+        return self._round(self._random_sessions)
+
+    def _random_sessions(self, stats: RoundStats) -> None:
         order = list(range(self.n_nodes))
         self.rng.shuffle(order)
         for node_id in order:
@@ -376,6 +365,21 @@ class ClusterSimulation:
                 continue
             peer = self.selector.peer_for(node_id, self.n_nodes, self.round_no, self.rng)
             self._run_session(node_id, peer, stats)
+
+    def _round(self, sessions: Callable[[RoundStats], None]) -> RoundStats:
+        """The round clock: failure events (a journaled node a
+        :class:`Recover` repairs is rebuilt from disk), due retries —
+        every kind of round owes aborted sessions that service — then
+        ``sessions``, then the round's traffic and staleness."""
+        self.round_no += 1
+        for event in self.failure_plan.apply_round(self.round_no, self.network):
+            if isinstance(event, Recover):
+                self.rebuild_from_journal(event.node)
+        stats = RoundStats(self.round_no)
+        msgs_before = self.network_counters.messages_sent
+        bytes_before = self.network_counters.bytes_sent
+        self._run_due_retries(stats)
+        sessions(stats)
         stats.messages = self.network_counters.messages_sent - msgs_before
         stats.bytes_sent = self.network_counters.bytes_sent - bytes_before
         stats.stale_pairs = self._sample_stale_pairs()
@@ -440,17 +444,9 @@ class ClusterSimulation:
         single round (e.g. measuring per-session costs without peer-
         selection noise).
         """
-        self.round_no += 1
-        fired = self.failure_plan.apply_round(self.round_no, self.network)
-        if self.durable:
-            self._recover_durable_nodes(fired)
-        stats = RoundStats(self.round_no)
-        msgs_before = self.network_counters.messages_sent
-        bytes_before = self.network_counters.bytes_sent
-        # Full-mesh rounds owe aborted sessions the same backoff-and-
-        # retry service as random rounds; skipping it would leak every
-        # pending retry scheduled from a faulted full-mesh session.
-        self._run_due_retries(stats)
+        return self._round(self._full_mesh_sessions)
+
+    def _full_mesh_sessions(self, stats: RoundStats) -> None:
         for node_id in range(self.n_nodes):
             if not self.network.is_up(node_id):
                 continue
@@ -458,30 +454,41 @@ class ClusterSimulation:
                 if peer == node_id:
                     continue
                 self._run_session(node_id, peer, stats)
-        stats.messages = self.network_counters.messages_sent - msgs_before
-        stats.bytes_sent = self.network_counters.bytes_sent - bytes_before
-        stats.stale_pairs = self._sample_stale_pairs()
-        self.history.append(stats)
-        return stats
 
     def _run_session(
         self, node_id: int, peer: int, stats: RoundStats, attempt: int = 1
-    ) -> SyncStats:
+    ) -> None:
+        """The round clock's view of one session: its :class:`RoundStats`
+        and, for a failed attempt, the retry."""
         stats.sessions += 1
-        if not self.network.can_reach(node_id, peer):
+        session = self.session_step(node_id, peer, float(self.round_no))
+        if session.failed:
             stats.failed_sessions += 1
+            phase = _abort_phase(session)
+            if phase is not None:
+                stats.bytes_wasted += session.bytes_sent
+                stats.aborted_by_phase[phase.value] = (
+                    stats.aborted_by_phase.get(phase.value, 0) + 1
+                )
             self._schedule_retry(node_id, peer, attempt)
+            return
+        if session.identical:
+            stats.identical_sessions += 1
+        stats.items_transferred += session.items_transferred
+        stats.conflicts += session.conflicts
+
+    def session_step(self, node_id: int, peer: int, time: float) -> SyncStats:
+        """One session ``node_id`` → ``peer`` at simulated ``time``, as
+        both clocks run it: reachability (an unreachable peer fails the
+        session without a message), ``sync_with``, the sanitizer sweep,
+        the observer, then abort accounting and the fault-path invariant
+        check, or Theorem 5 coverage and ground-truth adoptions."""
+        if not self.network.can_reach(node_id, peer):
             session = SyncStats(failed=True)
             if self.session_observer is not None:
                 self.session_observer(node_id, peer, session)
             return session
-        try:
-            session = self.nodes[node_id].sync_with(self.nodes[peer], self.network)
-        except (NodeDownError, MessageLostError):
-            # Protocols report faults through SyncStats; this safety net
-            # covers ad-hoc ProtocolNode implementations that let the
-            # transport's exceptions escape (phase unknown).
-            session = SyncStats(failed=True)
+        session = self.nodes[node_id].sync_with(self.nodes[peer], self.network)
         if self.sanitize:
             sanitize_endpoints(
                 self.nodes, (node_id, peer), self.network_counters
@@ -489,17 +496,11 @@ class ClusterSimulation:
         if self.session_observer is not None:
             self.session_observer(node_id, peer, session)
         if session.failed:
-            stats.failed_sessions += 1
-            self._note_abort(node_id, peer, session, stats)
-            self._schedule_retry(node_id, peer, attempt)
+            self._note_abort(node_id, peer, session)
             return session
         # Successful sessions (including you-are-current answers) build
         # Theorem 5's transitive coverage: data and knowledge flowed.
-        self.coverage.record_session(node_id, peer, time=float(self.round_no))
-        if session.identical:
-            stats.identical_sessions += 1
-        stats.items_transferred += session.items_transferred
-        stats.conflicts += session.conflicts
+        self.coverage.record_session(node_id, peer, time=time)
         if session.adopted_items:
             self.ground_truth.note_adoptions(session.adopted_items)
         elif session.items_transferred > 0:
@@ -521,30 +522,20 @@ class ClusterSimulation:
             )
         )
 
-    def _note_abort(
-        self, node_id: int, peer: int, session: SyncStats, stats: RoundStats
-    ) -> None:
+    def _note_abort(self, node_id: int, peer: int, session: SyncStats) -> None:
         """Account an aborted session and verify neither endpoint was
         left inconsistent by the interruption."""
-        phase = session.aborted_phase
-        if phase is not None and session.messages > 0:
-            # The session moved at least one message before dying —
-            # that traffic bought no state change.  (A dead peer caught
-            # at connect time is a failed session, not an aborted one:
-            # no message left, nothing was wasted.)
+        phase = _abort_phase(session)
+        if phase is not None:
             self.network_counters.sessions_aborted += 1
             self.network_counters.bytes_wasted_in_aborted_sessions += (
                 session.bytes_sent
             )
-            stats.bytes_wasted += session.bytes_sent
-            key = phase.counter_name()
-            self.network_counters.bump(key)
-            stats.aborted_by_phase[phase.value] = (
-                stats.aborted_by_phase.get(phase.value, 0) + 1
-            )
-        # The sanitizer (when on) already swept both endpoints right
-        # after the session; don't run the fault-path sweep twice.
-        if self.check_invariants_on_fault and not self.sanitize:
+            self.network_counters.bump(phase.counter_name())
+        # An interrupted session must never leave either side
+        # inconsistent.  The sanitizer (when on) already swept both
+        # endpoints right after the session; don't sweep twice.
+        if not self.sanitize:
             for endpoint in (node_id, peer):
                 check = getattr(self.nodes[endpoint], "check_invariants", None)
                 if check is not None:

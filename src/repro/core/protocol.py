@@ -4,10 +4,14 @@
 to :class:`~repro.interfaces.ProtocolNode` so the cluster simulator and
 the experiment harness can run it side by side with the baselines.  The
 adapter adds nothing to the protocol — it only routes messages through a
-transport and condenses outcomes into :class:`~repro.interfaces.SyncStats`.
+transport and condenses outcomes into :class:`~repro.interfaces.SyncStats`;
+the shared session envelope (:meth:`ProtocolNode.sync_with
+<repro.interfaces.ProtocolNode.sync_with>`) handles faults.
 """
 
 from __future__ import annotations
+
+import functools
 
 from repro.core.conflicts import ConflictReporter
 from repro.core.delta import DeltaEpidemicNode
@@ -16,20 +20,8 @@ from repro.core.node import EpidemicNode
 from repro.core.session import PullSession, respond
 from repro.durable.checkpoint import encode_checkpoint
 from repro.durable.journal import NodeJournal
-from repro.errors import (
-    DurabilityError,
-    MessageLostError,
-    NodeDownError,
-    ProtocolStateError,
-)
-from repro.interfaces import (
-    ProtocolNode,
-    SessionPhase,
-    StateVersion,
-    SyncStats,
-    Transport,
-    open_session,
-)
+from repro.errors import DurabilityError, ProtocolStateError
+from repro.interfaces import ProtocolNode, StateVersion, SyncStats, Transport
 from repro.obs import NULL_COUNTERS, OverheadCounters
 from repro.substrate.operations import UpdateOperation
 
@@ -132,47 +124,27 @@ class DBVVProtocolNode(ProtocolNode):
 
     # -- synchronization -----------------------------------------------------
 
-    def sync_with(self, peer: ProtocolNode, transport: Transport) -> SyncStats:
+    def exchange(
+        self, peer: ProtocolNode, transport: Transport, stats: SyncStats
+    ) -> None:
         if not isinstance(peer, DBVVProtocolNode):
-            raise TypeError(
-                f"cannot run DBVV anti-entropy against {type(peer).__name__}"
-            )
+            raise ProtocolStateError("DBVVProtocolNode", peer)
         if peer.node_class is not self.node_class:
             raise TypeError(
                 "propagation modes cannot mix: recipient runs "
                 f"{self.node_class.__name__}, peer runs "
                 f"{peer.node_class.__name__}"
             )
-        stats = SyncStats()
         # The sans-I/O session machine (repro.core.session) drives the
         # node; this adapter only moves its messages through the
-        # transport and translates faults into SyncStats.  repro.net
-        # moves the same messages through TCP sockets.
+        # transport.  repro.net moves the same messages through TCP
+        # sockets.
         pull = PullSession(self.node)
-        session = open_session(transport, self.node_id, peer.node_id)
-        try:
-            # Phase machine (request-sent → source-processed →
-            # reply-in-flight → reply-applied): each advance marks the
-            # milestone *entered*, so a fault during the next message
-            # is attributed to the exact point the session died at.
-            session.advance(SessionPhase.REQUEST_SENT)
-            request = transport.deliver(
-                self.node_id, peer.node_id, pull.request()
-            )
-            session.advance(SessionPhase.SOURCE_PROCESSED)
-            answer = respond(peer.node, request)
-            session.advance(SessionPhase.REPLY_IN_FLIGHT)
-            answer = transport.deliver(peer.node_id, self.node_id, answer)
-        except (NodeDownError, MessageLostError):
-            stats.failed = True
-            stats.aborted_phase = session.phase
-            stats.messages = session.messages
-            stats.bytes_sent = session.bytes_sent
-            return stats
-        finally:
-            session.close()
+        request = transport.deliver(self.node_id, peer.node_id, pull.request())
+        answer = transport.deliver(
+            peer.node_id, self.node_id, respond(peer.node, request)
+        )
         stats.messages = 2
-        stats.bytes_sent = session.bytes_sent
         # The reply is fully received before any state changes, so a
         # mid-session fault can never leave a half-applied adoption —
         # conclude() runs accept_propagation, which is local and atomic.
@@ -184,8 +156,7 @@ class DBVVProtocolNode(ProtocolNode):
             self.journal.commit(self.node)
         if outcome.identical:
             stats.identical = True
-            return stats
-        session.advance(SessionPhase.REPLY_APPLIED)
+            return
         stats.items_transferred = len(outcome.adopted)
         # The pull changed only this node, and only the adopted items
         # (intra-node replay is restricted to them too) — report the
@@ -194,7 +165,6 @@ class DBVVProtocolNode(ProtocolNode):
             (self.node_id, name) for name in outcome.adopted
         )
         stats.conflicts = outcome.conflicts
-        return stats
 
     # -- out-of-bound copying (protocol-specific extension) -------------------
 
@@ -204,25 +174,28 @@ class DBVVProtocolNode(ProtocolNode):
         """Fetch ``item`` from ``peer`` immediately (paper section 5.2);
         True when a newer copy was installed as the auxiliary copy.
 
-        A failed fetch — dead peer, *or* a message dropped by a lossy
-        network — reports False; out-of-bound copying is best-effort,
-        and an escaping :class:`MessageLostError` would wrongly abort
+        The fetch runs in the session envelope, so a failed fetch — dead
+        peer, *or* a message dropped by a lossy network — reports False;
+        out-of-bound copying is best-effort, and an escaping
+        :class:`~repro.errors.MessageLostError` would wrongly abort
         whatever user operation triggered the fetch.
         """
-        session = open_session(transport, self.node_id, peer.node_id)
-        try:
-            session.advance(SessionPhase.REQUEST_SENT)
-            request = transport.deliver(
-                self.node_id, peer.node_id, self.node.make_oob_request(item)
-            )
-            session.advance(SessionPhase.SOURCE_PROCESSED)
-            reply = peer.node.handle_oob_request(request)
-            session.advance(SessionPhase.REPLY_IN_FLIGHT)
-            reply = transport.deliver(peer.node_id, self.node_id, reply)
-        except (NodeDownError, MessageLostError):
-            return False
-        finally:
-            session.close()
+        fetch = functools.partial(self._exchange_oob, item, peer, transport)
+        return self._session(peer, transport, fetch).items_transferred > 0
+
+    def _exchange_oob(
+        self, item: str, peer: "DBVVProtocolNode", transport: Transport,
+        stats: SyncStats,
+    ) -> None:
+        """One out-of-bound request/reply; an installed copy counts as
+        the one item transferred."""
+        request = transport.deliver(
+            self.node_id, peer.node_id, self.node.make_oob_request(item)
+        )
+        reply = transport.deliver(
+            peer.node_id, self.node_id, peer.node.handle_oob_request(request)
+        )
+        stats.messages = 2
         if not isinstance(reply, OutOfBoundReply):
             raise ProtocolStateError("OutOfBoundReply", reply)
         installed = self.node.accept_oob(reply)
@@ -232,7 +205,7 @@ class DBVVProtocolNode(ProtocolNode):
             # reply may still have declared a conflict.
             self.journal.record_oob(reply)
             self.journal.commit(self.node)
-        return installed
+        stats.items_transferred = int(installed)
 
     # -- introspection -------------------------------------------------------
 

@@ -64,9 +64,10 @@ class InvariantViolation(ReplicationError, AssertionError):
 
 class ProtocolStateError(ReplicationError, TypeError):
     """A protocol exchange produced a message of an impossible type —
-    e.g. ``SendPropagation`` answering an out-of-bound request.  Used for
-    explicit type narrowing where a bare ``assert isinstance(...)`` would
-    silently vanish under ``python -O``.
+    e.g. ``SendPropagation`` answering an out-of-bound request — or was
+    asked to run against a peer of another protocol.  Used for explicit
+    type narrowing where a bare ``assert isinstance(...)`` would silently
+    vanish under ``python -O``.
     """
 
     def __init__(self, expected: str, got: object):

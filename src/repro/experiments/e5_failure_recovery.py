@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.baselines.oracle import OraclePushNode
 from repro.cluster.convergence import GroundTruth
@@ -40,8 +41,8 @@ from repro.cluster.network import SimulatedNetwork
 from repro.cluster.scheduler import RandomSelector
 from repro.cluster.simulation import ClusterSimulation, RetryPolicy
 from repro.core.protocol import DBVVProtocolNode
-from repro.errors import MessageLostError, NodeDownError
-from repro.experiments.common import make_items
+from repro.experiments.common import make_factory, make_items
+from repro.interfaces import ProtocolNode
 from repro.metrics.reporting import Table
 from repro.metrics.staleness import StalenessSummary, summarize_staleness
 from repro.obs import OverheadCounters
@@ -88,6 +89,37 @@ def _seed_updates(
         truth.apply(item, op)
 
 
+def _track_rounds(
+    protocol: str,
+    truth: GroundTruth,
+    nodes: list[ProtocolNode],
+    repair_round: int,
+    max_rounds: int,
+    run_round: Callable[[int], None],
+) -> E5Result:
+    """Run ``run_round(round_no)`` for every round and sample staleness
+    after each; the headline is the round at which the survivors (every
+    node but the originator, node 0) all became current."""
+    survivors = nodes[1:]
+    survivors_current: int | None = None
+    all_current: int | None = None
+    for round_no in range(1, max_rounds + 1):
+        run_round(round_no)
+        truth.observe(float(round_no), nodes)
+        if survivors_current is None and truth.stale_pairs(survivors) == 0:
+            survivors_current = round_no
+        if all_current is None and truth.fully_current(nodes):
+            all_current = round_no
+    return E5Result(
+        protocol=protocol,
+        survivors_current_round=survivors_current,
+        all_current_round=all_current,
+        repair_round=repair_round,
+        staleness=summarize_staleness(truth.samples),
+        stale_series=tuple(sample.stale_pairs for sample in truth.samples),
+    )
+
+
 def run_oracle_arm(
     n_nodes: int = DEFAULT_NODES,
     n_items: int = DEFAULT_ITEMS,
@@ -112,10 +144,7 @@ def run_oracle_arm(
     nodes[0].push_to_all(nodes, network, partial_crash=crash)
     assert crash.fired, "originator should have crashed mid-push"
 
-    survivors_current: int | None = None
-    all_current: int | None = None
-    survivors = [nodes[k] for k in range(1, n_nodes)]
-    for round_no in range(1, max_rounds + 1):
+    def push_round(round_no: int) -> None:
         if round_no == repair_round:
             network.set_up(0)
             # A repaired Oracle server resumes its interrupted push.
@@ -124,18 +153,9 @@ def run_oracle_arm(
         for node in nodes:
             if network.is_up(node.node_id):
                 node.push_to_all(nodes, network)
-        truth.observe(float(round_no), nodes)
-        if survivors_current is None and truth.stale_pairs(survivors) == 0:
-            survivors_current = round_no
-        if all_current is None and truth.fully_current(nodes):
-            all_current = round_no
-    return E5Result(
-        protocol="oracle-push",
-        survivors_current_round=survivors_current,
-        all_current_round=all_current,
-        repair_round=repair_round,
-        staleness=summarize_staleness(truth.samples),
-        stale_series=tuple(sample.stale_pairs for sample in truth.samples),
+
+    return _track_rounds(
+        "oracle-push", truth, list(nodes), repair_round, max_rounds, push_round
     )
 
 
@@ -166,32 +186,18 @@ def run_dbvv_arm(
 
     selector = RandomSelector()
     rng = random.Random(seed)
-    survivors_current: int | None = None
-    all_current: int | None = None
-    survivors = [nodes[k] for k in range(1, n_nodes)]
-    for round_no in range(1, max_rounds + 1):
+
+    def pull_round(round_no: int) -> None:
         if round_no == repair_round:
             network.set_up(0)
         for node_id in range(n_nodes):
             if not network.is_up(node_id):
                 continue
             peer = selector.peer_for(node_id, n_nodes, round_no, rng)
-            try:
-                nodes[node_id].sync_with(nodes[peer], network)
-            except (NodeDownError, MessageLostError):
-                continue
-        truth.observe(float(round_no), nodes)
-        if survivors_current is None and truth.stale_pairs(survivors) == 0:
-            survivors_current = round_no
-        if all_current is None and truth.fully_current(nodes):
-            all_current = round_no
-    return E5Result(
-        protocol="dbvv",
-        survivors_current_round=survivors_current,
-        all_current_round=all_current,
-        repair_round=repair_round,
-        staleness=summarize_staleness(truth.samples),
-        stale_series=tuple(sample.stale_pairs for sample in truth.samples),
+            nodes[node_id].sync_with(nodes[peer], network)
+
+    return _track_rounds(
+        "dbvv", truth, list(nodes), repair_round, max_rounds, pull_round
     )
 
 
@@ -235,29 +241,9 @@ def _run_interrupted(
     # Partial distribution before the fatal round, as in the classic
     # arms: `reached` peers already hold the new data.
     presync(sim, reached)
-
-    survivors = [sim.nodes[k] for k in range(1, n_nodes)]
-    survivors_current: int | None = None
-    all_current: int | None = None
-    for round_no in range(1, max_rounds + 1):
-        sim.run_round()
-        sim.ground_truth.observe(float(round_no), sim.nodes)
-        if (
-            survivors_current is None
-            and sim.ground_truth.stale_pairs(survivors) == 0
-        ):
-            survivors_current = round_no
-        if all_current is None and sim.ground_truth.fully_current(sim.nodes):
-            all_current = round_no
-    return E5Result(
-        protocol=protocol,
-        survivors_current_round=survivors_current,
-        all_current_round=all_current,
-        repair_round=repair_round,
-        staleness=summarize_staleness(sim.ground_truth.samples),
-        stale_series=tuple(
-            sample.stale_pairs for sample in sim.ground_truth.samples
-        ),
+    return _track_rounds(
+        protocol, sim.ground_truth, sim.nodes, repair_round, max_rounds,
+        lambda _round_no: sim.run_round(),
     )
 
 
@@ -278,10 +264,7 @@ def run_interrupted_dbvv_arm(
     if retry_policy is None:
         retry_policy = RetryPolicy(max_attempts=3, alternate_peer=True)
 
-    def factory(node_id: int, counters: OverheadCounters) -> DBVVProtocolNode:
-        return DBVVProtocolNode(
-            node_id, n_nodes, make_items(n_items), counters=counters
-        )
+    factory = make_factory("dbvv", n_nodes, make_items(n_items))
 
     def presync(sim: ClusterSimulation, n_reached: int) -> None:
         for peer in range(1, n_reached + 1):
@@ -310,10 +293,7 @@ def run_interrupted_oracle_arm(
     if retry_policy is None:
         retry_policy = RetryPolicy(max_attempts=3, alternate_peer=True)
 
-    def factory(node_id: int, counters: OverheadCounters) -> OraclePushNode:
-        return OraclePushNode(
-            node_id, n_nodes, make_items(n_items), counters=counters
-        )
+    factory = make_factory("oracle-push", n_nodes, make_items(n_items))
 
     def presync(sim: ClusterSimulation, n_reached: int) -> None:
         for peer in range(1, n_reached + 1):

@@ -1,7 +1,7 @@
 """The protocol-neutral node interface.
 
 Every replication protocol in this library — the paper's DBVV protocol
-and all four baselines — implements :class:`ProtocolNode`, so the
+and all five baselines — implements :class:`ProtocolNode`, so the
 cluster simulator, the workload drivers, the convergence checker and the
 experiment harness treat them interchangeably.  A protocol is reduced to
 four abilities:
@@ -10,7 +10,9 @@ four abilities:
 * serve a user read locally (``read``),
 * perform one pair-wise synchronization with a peer (``sync_with``) —
   anti-entropy for the epidemic protocols, a push for Oracle-style
-  replication,
+  replication; the protocol writes only the message exchange
+  (``exchange``), and the shared session envelope turns transport
+  faults into :class:`SyncStats`,
 * expose a comparable snapshot of its replica (``state_fingerprint``)
   so convergence can be checked without knowing protocol internals.
 
@@ -24,17 +26,18 @@ from __future__ import annotations
 
 import abc
 import enum
+import functools
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable, Protocol, runtime_checkable
+from typing import Callable, Iterable, Protocol, runtime_checkable
 
+from repro.errors import MessageLostError, NodeDownError
 from repro.obs import NULL_COUNTERS, OverheadCounters
 from repro.substrate.operations import UpdateOperation
 
 __all__ = [
     "SessionPhase",
     "SessionScope",
-    "open_session",
     "SyncStats",
     "Transport",
     "DirectTransport",
@@ -47,61 +50,46 @@ __all__ = [
 
 
 class SessionPhase(enum.Enum):
-    """Named milestones of one synchronization session.
+    """The leg of a session a message travels, recorded by the simulated
+    network before each delivery (see
+    :meth:`~repro.cluster.network.SimulatedNetwork.deliver`):
+    ``REQUEST_SENT`` is initiator → responder, ``REPLY_IN_FLIGHT``
+    responder → initiator.
 
-    A session is no longer atomic: it advances message by message, and a
-    fault (crash of either endpoint, a lost message) can interrupt it at
-    any point.  The phase names record *how far the session got* when it
-    was interrupted, which is what the failure experiments and the
-    abort-accounting counters report on.
-
-    The canonical single-exchange sequence (the DBVV pull, Figs. 2–3)::
-
-        STARTED → REQUEST_SENT → SOURCE_PROCESSED → REPLY_IN_FLIGHT
-                → REPLY_APPLIED
-
-    Multi-exchange protocols (per-item-vv and Lotus run a second
-    fetch/ship exchange) cycle back through REQUEST_SENT /
-    REPLY_IN_FLIGHT for each additional exchange; the phase at abort is
-    still exact — it names the message that was in flight.
+    A session is not atomic — a fault (crash of either endpoint, a lost
+    message) can interrupt it between any two messages — so the phase at
+    abort names the leg of the message that died, which the failure
+    experiments and the abort-accounting counters report on.
+    Multi-exchange protocols (per-item-vv, Lotus) travel both legs again
+    for their second exchange.
     """
 
-    STARTED = "started"
     REQUEST_SENT = "request-sent"
-    SOURCE_PROCESSED = "source-processed"
     REPLY_IN_FLIGHT = "reply-in-flight"
-    REPLY_APPLIED = "reply-applied"
 
     def counter_name(self) -> str:
         """The ``OverheadCounters.extra`` key aborts at this phase use."""
         return "sessions_aborted_at_" + self.value.replace("-", "_")
 
 
+@dataclass(eq=False)
 class SessionScope:
-    """Progress record of one session: current phase plus the traffic
-    the session has generated so far.
+    """One session's progress: the leg of its latest message and the
+    traffic it has generated so far.
 
-    The initiating protocol obtains one via :func:`open_session` and
-    calls :meth:`advance` at each milestone; the transport (when it is a
-    :class:`~repro.cluster.network.SimulatedNetwork`) attributes every
-    delivered-or-dropped message to the open scope via
-    :meth:`note_message`, which is what makes
-    ``bytes_wasted_in_aborted_sessions`` attributable.  Always close the
-    scope (``try/finally``) so the transport stops attributing traffic
-    to it.
+    A transport that tracks sessions (the simulated network) opens it
+    with its ``open_session`` method, sets :attr:`phase`, and attributes
+    every delivered-or-dropped message to it via :meth:`note_message` —
+    what makes ``bytes_wasted_in_aborted_sessions`` attributable.
+    Closing the scope stops the attribution.
     """
 
-    def __init__(self, initiator: int, responder: int) -> None:
-        self.initiator = initiator
-        self.responder = responder
-        self.phase = SessionPhase.STARTED
-        self.messages = 0
-        self.bytes_sent = 0
-        self.closed = False
-
-    def advance(self, phase: SessionPhase) -> None:
-        """Record that the session reached ``phase``."""
-        self.phase = phase
+    initiator: int
+    responder: int
+    phase: SessionPhase | None = None
+    messages: int = 0
+    bytes_sent: int = 0
+    closed: bool = False
 
     def note_message(self, size: int) -> None:
         """Attribute one message (delivered or dropped in flight) of
@@ -111,27 +99,6 @@ class SessionScope:
 
     def close(self) -> None:
         self.closed = True
-
-    def __repr__(self) -> str:
-        return (
-            f"SessionScope({self.initiator}->{self.responder}, "
-            f"phase={self.phase.value}, msgs={self.messages})"
-        )
-
-
-def open_session(transport: "Transport", initiator: int, responder: int) -> SessionScope:
-    """Open a session scope on ``transport``.
-
-    Transports that track sessions (the simulated network) expose an
-    ``open_session`` method and get the scope registered for message
-    attribution and scripted mid-session faults; plain transports
-    (:class:`DirectTransport`, ad-hoc test doubles) fall back to a
-    detached scope that still records phases for the caller.
-    """
-    opener = getattr(transport, "open_session", None)
-    if opener is not None:
-        return opener(initiator, responder)
-    return SessionScope(initiator, responder)
 
 
 _DIGEST_MASK = (1 << 64) - 1
@@ -252,9 +219,9 @@ class SyncStats:
     ``conflicts``         — conflicts detected during the session.
     ``messages`` / ``bytes_sent`` — traffic this session generated.
     ``failed``            — the session aborted (peer down / message lost).
-    ``aborted_phase``     — how far an aborted session got (None while
-                            ``failed`` is False, or when the failure was
-                            detected before any message moved).
+    ``aborted_phase``     — the leg of the message an aborted session
+                            died on (None while ``failed`` is False, or
+                            when the transport tracks no sessions).
     ``adopted_items``     — ``(node_id, item)`` pairs whose durable value
                             may have changed during the session, reported
                             by the protocol so staleness trackers can
@@ -318,7 +285,8 @@ class ProtocolNode(abc.ABC):
     (the paper), :class:`repro.baselines.per_item.PerItemVVNode`,
     :class:`repro.baselines.lotus.LotusNode`,
     :class:`repro.baselines.oracle.OraclePushNode`,
-    :class:`repro.baselines.wuu_bernstein.WuuBernsteinNode`.
+    :class:`repro.baselines.wuu_bernstein.WuuBernsteinNode`,
+    :class:`repro.baselines.agrawal_malpani.AgrawalMalpaniNode`.
     """
 
     #: Short protocol identifier used in experiment tables.
@@ -348,7 +316,6 @@ class ProtocolNode(abc.ABC):
 
     # -- synchronization -----------------------------------------------------
 
-    @abc.abstractmethod
     def sync_with(self, peer: "ProtocolNode", transport: Transport) -> SyncStats:
         """One scheduled pair-wise synchronization with ``peer``.
 
@@ -357,8 +324,51 @@ class ProtocolNode(abc.ABC):
         pushes its pending updates to ``peer``.  Either way, data flows
         so that after enough calls over enough pairs, replicas converge
         (or the protocol's documented weakness shows — that asymmetry is
-        what the experiments measure).
+        what the experiments measure).  The protocol supplies the
+        messages (:meth:`exchange`); :meth:`_session` handles faults.
         """
+        return self._session(
+            peer, transport, functools.partial(self.exchange, peer, transport)
+        )
+
+    @abc.abstractmethod
+    def exchange(
+        self, peer: "ProtocolNode", transport: Transport, stats: SyncStats
+    ) -> None:
+        """The protocol's messages for one session with ``peer``.
+
+        Moves every message through ``transport``, adopts what arrived,
+        and fills ``stats`` (``identical``, ``items_transferred``,
+        ``conflicts``, ``messages``, ``adopted_items``).  A transport
+        fault simply propagates: the envelope records it.
+        """
+
+    def _session(
+        self,
+        peer: "ProtocolNode",
+        transport: Transport,
+        exchange: Callable[[SyncStats], None],
+    ) -> SyncStats:
+        """The session envelope: run ``exchange(stats)`` in a transport
+        scope opened towards ``peer``; a ``NodeDownError`` or
+        ``MessageLostError`` becomes a failed :class:`SyncStats` with the
+        leg the session died on and the messages and bytes it had moved
+        (charged like delivered ones: they left the sender)."""
+        stats = SyncStats()
+        # A transport that tracks sessions opens the scope; any other
+        # gets a detached one.
+        opener = getattr(transport, "open_session", SessionScope)
+        scope: SessionScope = opener(self.node_id, peer.node_id)
+        try:
+            exchange(stats)
+        except (NodeDownError, MessageLostError):
+            stats.failed = True
+            stats.aborted_phase = scope.phase
+            stats.messages = scope.messages
+        finally:
+            scope.close()
+        stats.bytes_sent = scope.bytes_sent
+        return stats
 
     # -- introspection -------------------------------------------------------
 

@@ -28,7 +28,11 @@ HOT_PATH_NAMES = frozenset(
     {
         # repro.cluster — executed once per round / per session.
         "run_round",
+        "_round",
+        "_random_sessions",
+        "_full_mesh_sessions",
         "_run_session",
+        "session_step",
         "deliver",
         # repro.wire — executed once per frame on the encode direction.
         "encode",

@@ -27,6 +27,7 @@ __all__ = ["ComplexityBudgetRule", "SESSION_PATH_NAMES"]
 SESSION_PATH_NAMES = frozenset(
     {
         "sync_with",
+        "exchange",
         "send_propagation",
         "accept_propagation",
         "make_propagation_request",
@@ -39,8 +40,9 @@ SESSION_PATH_NAMES = frozenset(
     }
 )
 
-#: Session-side helpers by prefix (``_serve_ivv_list``, ``_serve_fetch``).
-_SESSION_PATH_PREFIXES = ("_serve",)
+#: Session-side helpers by prefix (``_serve_ivv_list``, ``_serve_fetch``,
+#: ``_exchange_oob``).
+_SESSION_PATH_PREFIXES = ("_serve", "_exchange")
 
 #: Attributes holding the full per-item state of a replica.
 _ITEM_SPACE_ATTRS = frozenset({"store", "_values", "_ivvs", "_stamps", "_log"})

@@ -124,3 +124,31 @@ class TestCoverageInEventTime:
         # Every session node 0 attempted targeted the dead node 1.
         assert sim.sessions_failed == sim.sessions_run
         assert not sim.coverage.has_propagated_from(0, 1)
+
+
+class TestComposedCluster:
+    def test_sessions_run_on_the_cluster_session_step(self):
+        sim = make_sim(n_nodes=3, schedules=[NodeSchedule(5.0, 0.0)] * 3)
+        sim.schedule_update(1.0, 0, ITEMS[0], Put(b"v"))
+        sim.run_until(40.0)
+        # The composed cluster's network, counters and ground truth are
+        # the ones the event clock exposes, and its rounds never ran.
+        assert sim.network is sim.cluster.network
+        assert sim.ground_truth is sim.cluster.ground_truth
+        assert sim.cluster.round_no == 0
+        assert sim.network_counters.messages_sent > 0
+
+    def test_durable_recovery_rebuilds_the_node_from_its_journal(self, monkeypatch):
+        monkeypatch.setenv("REPRO_DURABLE", "1")
+        sim = make_sim(n_nodes=3, schedules=[NodeSchedule(5.0, 0.0)] * 3)
+        sim.schedule_update(1.0, 1, ITEMS[0], Put(b"v"))
+        sim.schedule_crash(12.0, 1)
+        sim.schedule_recovery(30.0, 1)
+        sim.run_until(20.0)
+        before = sim.nodes[1].node
+        sim.run_until_converged(deadline=300.0)
+        journal = sim.cluster.journals[1]
+        assert sim.nodes[1].node is not before
+        assert journal.records_replayed >= 1
+        assert sim.nodes[1].read(ITEMS[0]) == b"v"
+        sim.nodes[1].check_invariants()

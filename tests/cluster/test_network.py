@@ -186,31 +186,15 @@ class TestDropAccounting:
 
 
 class TestLossWindows:
-    def test_set_and_restore_loss_rate(self):
-        net = SimulatedNetwork(2)
-        net.set_loss_rate(0.999, rng=random.Random(3))
-        with pytest.raises(MessageLostError):
-            net.deliver(0, 1, MSG)
-        net.restore_loss_rate()
-        assert net.loss_rate == 0.0
-        net.deliver(0, 1, MSG)  # no loss after the window closes
-
-    def test_restore_returns_to_constructor_rate(self):
-        net = SimulatedNetwork(2, loss_rate=0.25, rng=random.Random(1))
-        net.set_loss_rate(0.75)
-        assert net.loss_rate == 0.75
-        net.restore_loss_rate()
-        assert net.loss_rate == 0.25
-
     def test_nonzero_rate_requires_rng(self):
         net = SimulatedNetwork(2)
         with pytest.raises(ValueError):
-            net.set_loss_rate(0.5)
+            net.push_loss_rate(0.5)
 
     def test_rate_bounds_enforced(self):
         net = SimulatedNetwork(2)
         with pytest.raises(ValueError):
-            net.set_loss_rate(1.0, rng=random.Random(0))
+            net.push_loss_rate(1.0, rng=random.Random(0))
 
 
 class TestSessionScopes:
@@ -454,19 +438,6 @@ class TestStackedLossWindows:
         net.pop_loss_rate(token)
         with pytest.raises(SimulationError):
             net.pop_loss_rate(token)  # already closed
-
-    def test_restore_refuses_while_windows_open(self):
-        """``restore_loss_rate`` silently reinstating the base rate under
-        an open stacked window was the overlapping-window bug; it must
-        refuse until every window is popped."""
-        net = SimulatedNetwork(2, rng=random.Random(5))
-        token = net.push_loss_rate(0.4)
-        with pytest.raises(SimulationError):
-            net.restore_loss_rate()
-        assert net.loss_rate == 0.4
-        net.pop_loss_rate(token)
-        net.restore_loss_rate()
-        assert net.loss_rate == 0.0
 
     def test_push_validates_like_the_constructor(self):
         net = SimulatedNetwork(2)

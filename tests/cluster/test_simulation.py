@@ -269,10 +269,10 @@ class TestRetryPolicy:
         assert any(r.aborted_by_phase for r in aborted_rounds)
 
     def test_invariants_checked_after_faults(self):
-        """check_invariants_on_fault is on by default and must actually
-        run — give it a scenario with aborted DBVV sessions and make
-        sure nothing trips (the deep assertion that faults never corrupt
-        state lives in the property tests)."""
+        """The fault-path invariant check always runs — give it a
+        scenario with aborted DBVV sessions and make sure nothing trips
+        (the deep assertion that faults never corrupt state lives in the
+        property tests)."""
         plan = FailurePlan([
             CrashMidSession(node=0, at_round=1),
             Recover(node=0, at_round=3),
@@ -281,7 +281,6 @@ class TestRetryPolicy:
         sim.apply_update(0, ITEMS[0], Put(b"v"))
         for _ in range(5):
             sim.run_round()
-        assert sim.check_invariants_on_fault
 
 
 class TestAccounting:

@@ -40,8 +40,8 @@ class TestProtocolNodeBase:
         def read(self, item):
             return b""
 
-        def sync_with(self, peer, transport):
-            return SyncStats(identical=True)
+        def exchange(self, peer, transport, stats):
+            stats.identical = True
 
         def state_fingerprint(self):
             return {}
