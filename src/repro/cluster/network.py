@@ -37,11 +37,9 @@ properties the experiments need:
   sanitizer on as well, every delivery cross-checks
   ``decode(encode(message)) == message``.
 
-Latency is modelled as a per-link cost accumulated into ``latency_total``
-for reporting; it does not reorder events (messages within a session are
-delivered in program order, which matches the paper's round-level
-reasoning — the fault points between them are what the session scope
-adds).
+Latency is not modelled: messages within a session are delivered in
+program order, which matches the paper's round-level reasoning — the
+fault points between them are what the session scope adds.
 """
 
 from __future__ import annotations
@@ -49,7 +47,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from repro.cluster.sanitizer import sanitize_enabled
+from repro.cluster.sanitizer import SANITIZE_ENV_VAR, WIRE_ENV_VAR, env_flag
 from repro.errors import (
     InvariantViolation,
     MessageLostError,
@@ -59,7 +57,7 @@ from repro.errors import (
 )
 from repro.interfaces import SessionPhase, SessionScope, _SizedMessage
 from repro.obs import NULL_COUNTERS, OverheadCounters
-from repro.wire import WireCodec, wire_enabled
+from repro.wire import WireCodec
 
 __all__ = ["LinkStats", "SimulatedNetwork"]
 
@@ -111,8 +109,6 @@ class SimulatedNetwork:
     rng:
         Randomness source for loss; required when ``loss_rate > 0`` so
         experiments stay reproducible.
-    link_latency:
-        Simulated cost units accumulated per message.
     wire:
         Encoded mode: ``True``/``False`` wins, ``None`` defers to the
         ``REPRO_WIRE`` environment variable.
@@ -126,15 +122,14 @@ class SimulatedNetwork:
     counters: OverheadCounters = field(default_factory=lambda: NULL_COUNTERS)
     loss_rate: float = 0.0
     rng: random.Random | None = None
-    link_latency: float = 1.0
     wire: bool | None = None
     sanitize: bool | None = None
 
     def __post_init__(self) -> None:
         if self.n_nodes <= 0:
             raise ValueError(f"n_nodes must be positive, got {self.n_nodes}")
-        self.wire = wire_enabled(self.wire)
-        self.sanitize = sanitize_enabled(self.sanitize)
+        self.wire = env_flag(WIRE_ENV_VAR, self.wire)
+        self.sanitize = env_flag(SANITIZE_ENV_VAR, self.sanitize)
         self._codec: WireCodec | None = WireCodec() if self.wire else None
         self._check_loss_rate(self.loss_rate)
         if self.loss_rate > 0.0 and self.rng is None:
@@ -145,7 +140,6 @@ class SimulatedNetwork:
         # nodes start in one group (no partitions).
         self._group_of = [0] * self.n_nodes
         self._links: dict[tuple[int, int], LinkStats] = {}
-        self.latency_total = 0.0
         self.messages_dropped = 0
         self.bytes_dropped = 0
         #: Messages that left a sender, keyed by message class name —
@@ -394,7 +388,6 @@ class SimulatedNetwork:
         link = self._links.setdefault((src, dst), LinkStats())
         link.messages += 1
         link.bytes += size
-        self.latency_total += self.link_latency
         if session is not None:
             session.note_message(size)
         dropped = False

@@ -29,6 +29,10 @@ introduced it.
 
 A failed sweep raises :class:`~repro.errors.InvariantViolation` (which
 survives ``python -O`` — see ``docs/DEVELOPING.md``).
+
+:func:`env_flag` reads all three run-wide switches — ``REPRO_SANITIZE``
+here, ``REPRO_WIRE`` for the network's encoded mode and
+``REPRO_DURABLE`` for the simulation's durable mode — the same way.
 """
 
 from __future__ import annotations
@@ -39,23 +43,32 @@ from typing import Sequence
 from repro.interfaces import ProtocolNode
 from repro.obs import OverheadCounters
 
-__all__ = ["SANITIZE_ENV_VAR", "sanitize_enabled", "sanitize_endpoints"]
+__all__ = [
+    "DURABLE_ENV_VAR",
+    "SANITIZE_ENV_VAR",
+    "WIRE_ENV_VAR",
+    "env_flag",
+    "sanitize_endpoints",
+]
 
+#: The run-wide switches: CI re-runs the unmodified suite with each on.
 SANITIZE_ENV_VAR = "REPRO_SANITIZE"
+WIRE_ENV_VAR = "REPRO_WIRE"
+DURABLE_ENV_VAR = "REPRO_DURABLE"
 
 _TRUTHY = frozenset({"1", "true", "yes", "on"})
 
 
-def sanitize_enabled(explicit: bool | None = None) -> bool:
-    """Resolve the sanitizer toggle.
+def env_flag(var: str, explicit: bool | None) -> bool:
+    """Resolve a tri-state switch.
 
     An explicit ``True``/``False`` wins; ``None`` defers to the
-    ``REPRO_SANITIZE`` environment variable (``1``/``true``/``yes``/``on``,
-    case-insensitive, enable it).
+    environment variable ``var`` (``1``/``true``/``yes``/``on``,
+    case-insensitive, enable it; any other value leaves it off).
     """
     if explicit is not None:
         return explicit
-    return os.environ.get(SANITIZE_ENV_VAR, "").strip().lower() in _TRUTHY
+    return os.environ.get(var, "").strip().lower() in _TRUTHY
 
 
 def sanitize_endpoints(

@@ -3,7 +3,7 @@
 :class:`ClusterSimulation` wires together ``n`` protocol nodes (any
 :class:`~repro.interfaces.ProtocolNode` implementation), a
 :class:`~repro.cluster.network.SimulatedNetwork`, a peer-selection
-policy, an optional failure plan, a retry policy, and ground-truth
+policy, an optional failure plan, session retries, and ground-truth
 staleness tracking.  Time advances in *rounds*: at the start of each
 round the failure plan fires and due retries of previously aborted
 sessions run, then every live node performs one synchronization with
@@ -14,15 +14,15 @@ caller or a workload driver.
 Sessions are *not* atomic: a fault can interrupt one between messages
 (see :class:`~repro.interfaces.SessionPhase`), and the simulation
 accounts for the leg each aborted session died on and how many bytes it
-wasted.  The :class:`RetryPolicy` layer re-attempts aborted sessions in
-later rounds with capped exponential backoff, optionally falling back
-to an alternate peer when the original one is unreachable.
+wasted.  With ``retry_attempts > 1`` an aborted session is re-attempted
+in later rounds with capped exponential backoff, falling back to an
+alternate peer when the original one is unreachable.
 
 The round loop is one clock over :meth:`ClusterSimulation.session_step`;
 :class:`~repro.cluster.event_sim.EventDrivenSimulation` is the other.
 
 Everything is driven by one seeded :class:`random.Random`, so a
-simulation is a pure function of (factory, selector, plan, policy,
+simulation is a pure function of (factory, selector, plan, retries,
 workload, seed) — the experiments rely on that to be re-runnable.
 """
 
@@ -38,9 +38,14 @@ from repro.cluster.convergence import GroundTruth, fingerprints_equal
 from repro.cluster.coverage import TransitiveCoverageTracker
 from repro.cluster.failures import FailurePlan, Recover
 from repro.cluster.network import SimulatedNetwork
-from repro.cluster.sanitizer import sanitize_enabled, sanitize_endpoints
+from repro.cluster.sanitizer import (
+    DURABLE_ENV_VAR,
+    SANITIZE_ENV_VAR,
+    env_flag,
+    sanitize_endpoints,
+)
 from repro.cluster.scheduler import PeerSelector, RandomSelector
-from repro.durable import NodeJournal, durable_enabled
+from repro.durable import NodeJournal
 from repro.errors import ConvergenceError, InvariantViolation, NodeDownError
 from repro.interfaces import ProtocolNode, SessionPhase, SyncStats
 from repro.obs import OverheadCounters
@@ -49,7 +54,13 @@ from repro.substrate.operations import UpdateOperation
 if TYPE_CHECKING:
     from repro.metrics.reporting import Table
 
-__all__ = ["RetryPolicy", "RoundStats", "ClusterSimulation"]
+__all__ = ["RoundStats", "ClusterSimulation", "retry_backoff"]
+
+#: Rounds to wait after the first failed attempt; doubled per further
+#: failure up to the cap — bounded exponential backoff at round
+#: granularity (1 → 2 → 4 → 4 ...).
+_BACKOFF_ROUNDS = 1
+_MAX_BACKOFF_ROUNDS = 4
 
 
 def _abort_phase(session: SyncStats) -> SessionPhase | None:
@@ -59,49 +70,9 @@ def _abort_phase(session: SyncStats) -> SessionPhase | None:
     return session.aborted_phase if session.messages > 0 else None
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """How aborted synchronization sessions are re-attempted.
-
-    ``max_attempts``
-        Total attempts per scheduled session, first try included — the
-        default of 1 disables retries (the pre-retry behavior).
-    ``backoff_rounds`` / ``max_backoff_rounds``
-        A failed attempt ``a`` (1-based) schedules the next one
-        ``min(backoff_rounds * 2**(a-1), max_backoff_rounds)`` rounds
-        later — bounded exponential backoff at round granularity.
-    ``alternate_peer``
-        When the original peer is unreachable at retry time, fall back
-        to a uniformly chosen reachable peer instead of burning the
-        attempt on a dead dial-up number.  (A reachable original peer is
-        always retried directly — it may simply have suffered a lost
-        message.)
-    """
-
-    max_attempts: int = 1
-    backoff_rounds: int = 1
-    max_backoff_rounds: int = 4
-    alternate_peer: bool = False
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.backoff_rounds < 1:
-            raise ValueError(
-                f"backoff_rounds must be >= 1, got {self.backoff_rounds}"
-            )
-        if self.max_backoff_rounds < self.backoff_rounds:
-            raise ValueError(
-                "max_backoff_rounds must be >= backoff_rounds "
-                f"({self.max_backoff_rounds} < {self.backoff_rounds})"
-            )
-
-    def backoff_for(self, attempt: int) -> int:
-        """Rounds to wait after failed attempt number ``attempt``."""
-        return min(self.backoff_rounds * 2 ** (attempt - 1), self.max_backoff_rounds)
-
-    def retries_enabled(self) -> bool:
-        return self.max_attempts > 1
+def retry_backoff(attempt: int) -> int:
+    """Rounds to wait after failed attempt number ``attempt`` (1-based)."""
+    return min(_BACKOFF_ROUNDS * 2 ** (attempt - 1), _MAX_BACKOFF_ROUNDS)
 
 
 @dataclass(frozen=True)
@@ -150,8 +121,15 @@ class ClusterSimulation:
         Peer-selection policy (default: uniform random pull).
     failure_plan:
         Declarative crash/recover/partition script (default: none).
-    retry_policy:
-        How aborted sessions are re-attempted (default: no retries).
+    retry_attempts:
+        Total attempts per scheduled session, first try included; the
+        default of 1 disables retries.  A failed attempt schedules the
+        next after :func:`retry_backoff` rounds.  A retry whose original
+        peer is unreachable goes to a uniformly chosen reachable peer
+        instead of burning the attempt on a dead dial-up number (a
+        reachable original peer is retried directly — it may simply
+        have lost a message).  Needed by experiment E5's interrupted
+        arms.
     sanitize:
         The run-time invariant sanitizer: run the full invariant suite
         on both endpoints after *every* session, not just faulted ones
@@ -204,7 +182,7 @@ class ClusterSimulation:
     items: Sequence[str]
     selector: PeerSelector = field(default_factory=RandomSelector)
     failure_plan: FailurePlan = field(default_factory=FailurePlan)
-    retry_policy: RetryPolicy = field(default_factory=RetryPolicy)
+    retry_attempts: int = 1
     sanitize: bool | None = None
     wire: bool | None = None
     durable: bool | None = None
@@ -213,8 +191,12 @@ class ClusterSimulation:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        self.sanitize = sanitize_enabled(self.sanitize)
-        self.durable = durable_enabled(self.durable)
+        if self.retry_attempts < 1:
+            raise ValueError(
+                f"retry_attempts must be >= 1, got {self.retry_attempts}"
+            )
+        self.sanitize = env_flag(SANITIZE_ENV_VAR, self.sanitize)
+        self.durable = env_flag(DURABLE_ENV_VAR, self.durable)
         self.rng = random.Random(self.seed)
         self.network_counters = OverheadCounters()
         self.network = SimulatedNetwork(
@@ -416,10 +398,7 @@ class ClusterSimulation:
                 # its catch-up is the recovery path's job, not ours.
                 continue
             peer = retry.peer
-            if (
-                self.retry_policy.alternate_peer
-                and not self.network.can_reach(retry.node_id, peer)
-            ):
+            if not self.network.can_reach(retry.node_id, peer):
                 peer = self._alternate_peer_for(retry.node_id, peer)
             stats.retried_sessions += 1
             self.network_counters.sessions_retried += 1
@@ -511,14 +490,11 @@ class ClusterSimulation:
         return session
 
     def _schedule_retry(self, node_id: int, peer: int, attempt: int) -> None:
-        if attempt >= self.retry_policy.max_attempts:
+        if attempt >= self.retry_attempts:
             return
         self._pending_retries.append(
             _PendingRetry(
-                node_id,
-                peer,
-                attempt + 1,
-                self.round_no + self.retry_policy.backoff_for(attempt),
+                node_id, peer, attempt + 1, self.round_no + retry_backoff(attempt)
             )
         )
 

@@ -16,7 +16,6 @@ Module map (paper cross-reference):
 from repro.core.auxiliary import AuxiliaryLog, AuxLogRecord
 from repro.core.delta import DeltaEpidemicNode, DeltaPayload, OpChainEntry, OpHistory
 from repro.core.conflicts import (
-    ConflictPolicy,
     ConflictReport,
     ConflictReporter,
     ConflictSite,
@@ -42,7 +41,6 @@ __all__ = [
     "DeltaPayload",
     "OpChainEntry",
     "OpHistory",
-    "ConflictPolicy",
     "ConflictReport",
     "ConflictReporter",
     "ConflictSite",

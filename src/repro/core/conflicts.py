@@ -3,9 +3,10 @@
 The paper's protocol *detects* inconsistent replicas (correctness
 criterion 1) and alerts the administrator; resolution is explicitly
 application-specific (paper section 2).  This module provides the
-pluggable reporting seam: the node hands every detected conflict to a
-:class:`ConflictReporter`, which records it and — depending on policy —
-optionally raises.
+reporting seam: the node hands every detected conflict to its
+:class:`ConflictReporter`, which records it.  Detection never raises —
+a conflict leaves the item frozen (``in_conflict``) until the
+application resolves it.
 
 The paper's Fig. 4 footnote observes that the conflicting *nodes* can be
 pinpointed from the two version vectors: if they conflict in components
@@ -19,22 +20,13 @@ import enum
 from dataclasses import dataclass, field
 
 from repro.core.version_vector import VersionVector
-from repro.errors import ConflictError
 
 __all__ = [
-    "ConflictPolicy",
     "ConflictSite",
     "ConflictReport",
     "ConflictReporter",
     "pinpoint_conflicting_origins",
 ]
-
-
-class ConflictPolicy(enum.Enum):
-    """What the reporter does beyond recording a conflict."""
-
-    RECORD = "record"  # remember it; the system keeps running
-    RAISE = "raise"    # raise ConflictError (strict test setups)
 
 
 class ConflictSite(enum.Enum):
@@ -89,13 +81,8 @@ def pinpoint_conflicting_origins(
 
 @dataclass
 class ConflictReporter:
-    """Collects :class:`ConflictReport` objects for one node or cluster.
+    """Collects the :class:`ConflictReport` objects of one node."""
 
-    A single reporter may be shared by all nodes of a simulation so
-    tests can assert on the global conflict history.
-    """
-
-    policy: ConflictPolicy = ConflictPolicy.RECORD
     reports: list[ConflictReport] = field(default_factory=list)
 
     def declare(
@@ -106,7 +93,7 @@ class ConflictReporter:
         local_vv: VersionVector,
         remote_vv: VersionVector,
     ) -> ConflictReport:
-        """Record a conflict; raises when the policy is ``RAISE``."""
+        """Record a conflict."""
         report = ConflictReport(
             item=item,
             detected_by=detected_by,
@@ -116,8 +103,6 @@ class ConflictReporter:
             origins=pinpoint_conflicting_origins(local_vv, remote_vv),
         )
         self.reports.append(report)
-        if self.policy is ConflictPolicy.RAISE:
-            raise ConflictError(item, report.describe())
         return report
 
     def conflicts_for(self, item: str) -> list[ConflictReport]:

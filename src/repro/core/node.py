@@ -92,9 +92,6 @@ class EpidemicNode:
         The database schema; identical on every replica.
     counters:
         Where this node charges its work; defaults to a do-nothing sink.
-    conflict_reporter:
-        Receives every detected inconsistency; a fresh recording
-        reporter is created when omitted.
     """
 
     def __init__(
@@ -103,14 +100,13 @@ class EpidemicNode:
         n_nodes: int,
         item_names: list[str] | tuple[str, ...],
         counters: OverheadCounters = NULL_COUNTERS,
-        conflict_reporter: ConflictReporter | None = None,
     ):
         if not 0 <= node_id < n_nodes:
             raise ValueError(f"node_id {node_id} outside replica set 0..{n_nodes - 1}")
         self.node_id = node_id
         self.n_nodes = n_nodes
         self.counters = counters
-        self.conflicts = conflict_reporter if conflict_reporter is not None else ConflictReporter()
+        self.conflicts = ConflictReporter()
         self.dbvv = DatabaseVersionVector(n_nodes)
         self.log = LogVector(n_nodes)
         self.store = ItemStore(n_nodes, list(item_names))

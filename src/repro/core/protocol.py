@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 
-from repro.core.conflicts import ConflictReporter
 from repro.core.delta import DeltaEpidemicNode
 from repro.core.messages import OutOfBoundReply, PropagationReply
 from repro.core.node import EpidemicNode
@@ -50,13 +49,9 @@ class DBVVProtocolNode(ProtocolNode):
         n_nodes: int,
         items: list[str] | tuple[str, ...],
         counters: OverheadCounters = NULL_COUNTERS,
-        conflict_reporter: ConflictReporter | None = None,
     ):
         super().__init__(node_id, n_nodes, counters)
-        self.node = self.node_class(
-            node_id, n_nodes, items, counters=counters,
-            conflict_reporter=conflict_reporter,
-        )
+        self.node = self.node_class(node_id, n_nodes, items, counters=counters)
         # Replica-at-birth shape, for journal recovery's fresh-node path
         # (journaled expand records re-grow the replica set on replay).
         self._items = tuple(items)
@@ -80,23 +75,21 @@ class DBVVProtocolNode(ProtocolNode):
         done the way a real deployment must do it.
 
         The conflict reporter's history is telemetry and starts empty on
-        a repaired server (same contract as the snapshot format); its
-        *policy* carries over, and conflicts re-detected while replaying
-        post-checkpoint records are re-declared into the fresh reporter.
+        a repaired server (same contract as the snapshot format);
+        conflicts re-detected while replaying post-checkpoint records
+        are re-declared into the fresh reporter.
         """
         if self.journal is None:
             raise DurabilityError(
                 f"node {self.node_id} has no attached journal to recover "
                 "from"
             )
-        reporter = ConflictReporter(policy=self.node.conflicts.policy)
         self.node = self.journal.recover(
             self.node_class,
             self.node_id,
             self._initial_n_nodes,
             list(self._items),
             counters=self.counters,
-            conflict_reporter=reporter,
         )
         # Journaled expand records may have re-grown the replica set.
         self.n_nodes = self.node.n_nodes

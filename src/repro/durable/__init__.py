@@ -28,8 +28,6 @@ on-disk format.
 
 from __future__ import annotations
 
-import os
-
 from repro.durable.journal import NodeJournal
 from repro.durable.records import (
     WalAccept,
@@ -45,7 +43,6 @@ from repro.durable.records import (
 from repro.durable.wal import WriteAheadLog
 
 __all__ = [
-    "DURABLE_ENV_VAR",
     "NodeJournal",
     "WalAccept",
     "WalExpand",
@@ -56,22 +53,5 @@ __all__ = [
     "WriteAheadLog",
     "apply_record",
     "decode_record",
-    "durable_enabled",
     "encode_record",
 ]
-
-#: Environment variable that turns the simulator's durable mode on for
-#: the whole run, mirroring ``REPRO_SANITIZE``/``REPRO_WIRE``.
-DURABLE_ENV_VAR = "REPRO_DURABLE"
-
-
-def durable_enabled(flag: bool | None) -> bool:
-    """Resolve a tri-state ``durable`` setting against the environment.
-
-    Explicit ``True``/``False`` wins; ``None`` defers to
-    ``REPRO_DURABLE`` (any non-empty value other than ``0``).
-    """
-    if flag is not None:
-        return flag
-    value = os.environ.get(DURABLE_ENV_VAR, "")
-    return value not in ("", "0")

@@ -37,20 +37,6 @@ class ReplicaSetMismatchError(ReplicationError, ValueError):
     """
 
 
-class ConflictError(ReplicationError):
-    """Raised when a conflict is detected and the configured conflict
-    policy is :data:`~repro.core.conflicts.ConflictPolicy.RAISE`.
-    """
-
-    def __init__(self, item: str, detail: str = ""):
-        message = f"inconsistent replicas detected for item {item!r}"
-        if detail:
-            message = f"{message}: {detail}"
-        super().__init__(message)
-        self.item = item
-        self.detail = detail
-
-
 class InvariantViolation(ReplicationError, AssertionError):
     """A protocol invariant did not hold — the replica is corrupt.
 

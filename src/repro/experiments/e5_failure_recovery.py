@@ -39,7 +39,7 @@ from repro.cluster.failures import (
 )
 from repro.cluster.network import SimulatedNetwork
 from repro.cluster.scheduler import RandomSelector
-from repro.cluster.simulation import ClusterSimulation, RetryPolicy
+from repro.cluster.simulation import ClusterSimulation
 from repro.core.protocol import DBVVProtocolNode
 from repro.experiments.common import make_factory, make_items
 from repro.interfaces import ProtocolNode
@@ -66,6 +66,8 @@ DEFAULT_UPDATES = 10
 DEFAULT_REACHED = 2
 DEFAULT_REPAIR_ROUND = 25
 DEFAULT_MAX_ROUNDS = 40
+#: Attempts per session in the interrupted arms, first try included.
+DEFAULT_RETRY_ATTEMPTS = 3
 
 
 @dataclass(frozen=True)
@@ -212,7 +214,7 @@ def _run_interrupted(
     repair_round: int,
     max_rounds: int,
     seed: int,
-    retry_policy: RetryPolicy,
+    retry_attempts: int,
 ) -> E5Result:
     """Shared driver for the interrupted-session arms.
 
@@ -233,7 +235,7 @@ def _run_interrupted(
         n_nodes=n_nodes,
         items=items,
         failure_plan=plan,
-        retry_policy=retry_policy,
+        retry_attempts=retry_attempts,
         seed=seed,
     )
     for idx, item in enumerate(items[:updates]):
@@ -255,15 +257,12 @@ def run_interrupted_dbvv_arm(
     repair_round: int = DEFAULT_REPAIR_ROUND,
     max_rounds: int = DEFAULT_MAX_ROUNDS,
     seed: int = 11,
-    retry_policy: RetryPolicy | None = None,
+    retry_attempts: int = DEFAULT_RETRY_ATTEMPTS,
 ) -> E5Result:
     """DBVV with a mid-session crash: the session that dies half-way is
     retried (alternate peer — the originator is dead), and the survivors
     that already pulled the data forward it epidemically, so everyone
     alive re-converges long before the originator is repaired."""
-    if retry_policy is None:
-        retry_policy = RetryPolicy(max_attempts=3, alternate_peer=True)
-
     factory = make_factory("dbvv", n_nodes, make_items(n_items))
 
     def presync(sim: ClusterSimulation, n_reached: int) -> None:
@@ -272,7 +271,7 @@ def run_interrupted_dbvv_arm(
 
     return _run_interrupted(
         "dbvv (interrupted)", factory, presync, n_nodes, n_items, updates,
-        reached, repair_round, max_rounds, seed, retry_policy,
+        reached, repair_round, max_rounds, seed, retry_attempts,
     )
 
 
@@ -284,15 +283,12 @@ def run_interrupted_oracle_arm(
     repair_round: int = DEFAULT_REPAIR_ROUND,
     max_rounds: int = DEFAULT_MAX_ROUNDS,
     seed: int = 11,
-    retry_policy: RetryPolicy | None = None,
+    retry_attempts: int = DEFAULT_RETRY_ATTEMPTS,
 ) -> E5Result:
     """Oracle push with the same mid-session crash and the same retry
     policy: retries cannot help, because the unreached peers' missing
     records exist *only* on the dead originator (no forwarding), so the
     survivors stay stale until the repair round."""
-    if retry_policy is None:
-        retry_policy = RetryPolicy(max_attempts=3, alternate_peer=True)
-
     factory = make_factory("oracle-push", n_nodes, make_items(n_items))
 
     def presync(sim: ClusterSimulation, n_reached: int) -> None:
@@ -301,7 +297,7 @@ def run_interrupted_oracle_arm(
 
     return _run_interrupted(
         "oracle-push (interrupted)", factory, presync, n_nodes, n_items,
-        updates, reached, repair_round, max_rounds, seed, retry_policy,
+        updates, reached, repair_round, max_rounds, seed, retry_attempts,
     )
 
 

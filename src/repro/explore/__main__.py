@@ -4,9 +4,9 @@ Two modes:
 
 * **explore** (default) — exhaustively search one bounded configuration
   and report explored/pruned counts.  On a violation, the schedule is
-  minimized and written as a replayable JSON trace; exit code 1.
-  ``--por-compare`` runs the same search twice (sleep sets off, then
-  on) and reports the interleaving reduction.
+  minimized and written as a replayable JSON trace; exit code 1.  A
+  clean search ends with the reduction proof: how many interleavings
+  sleep sets and the state cache pruned.
 * **replay** (``--replay trace.json``) — re-run a saved trace through
   the oracle.  Exit 0 when the replay matches the trace's expectation
   (violation reproduces, or a clean witness stays clean), 1 otherwise.
@@ -26,7 +26,6 @@ from repro.errors import ReplicationError
 from repro.explore.engine import ExplorationResult, Explorer
 from repro.explore.minimize import minimize_schedule
 from repro.explore.mutations import MUTATIONS, apply_mutation
-from repro.explore.oracle import InvariantOracle
 from repro.explore.trace import Trace, load_trace, replay_trace, save_trace
 from repro.explore.world import (
     PROTOCOL_REGISTRY,
@@ -70,35 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--no-fault-variants",
         action="store_true",
         help="drop the mid-session drop/crash session variants from the alphabet",
-    )
-    parser.add_argument(
-        "--no-convergence",
-        action="store_true",
-        help="skip the quiescent-closure convergence oracle (structural checks only)",
-    )
-    parser.add_argument(
-        "--no-por",
-        action="store_true",
-        help="disable sleep-set partial-order reduction (state cache stays on)",
-    )
-    parser.add_argument(
-        "--por-compare",
-        action="store_true",
-        help="run twice (sleep sets off, then on) and report their isolated effect",
-    )
-    parser.add_argument(
-        "--no-reduction-proof",
-        action="store_true",
-        help=(
-            "skip the capped unreduced baseline that proves how many "
-            "interleavings the reduction pruned"
-        ),
-    )
-    parser.add_argument(
-        "--max-transitions",
-        type=int,
-        default=None,
-        help="hard cap on explored transitions (truncates instead of running on)",
     )
     parser.add_argument(
         "--trace-out",
@@ -208,52 +178,18 @@ def _run_explore(args: argparse.Namespace) -> int:
             f"mutation injected: {args.mutate} "
             f"({MUTATIONS[args.mutate].summary})"
         )
-    if args.por_compare:
-        baseline = Explorer(
-            config,
-            args.depth,
-            por=False,
-            convergence=not args.no_convergence,
-            max_transitions=args.max_transitions,
-        ).run()
-        print("-- sleep sets OFF --")
-        _print_stats(baseline)
-    explorer = Explorer(
-        config,
-        args.depth,
-        por=not args.no_por,
-        convergence=not args.no_convergence,
-        max_transitions=args.max_transitions,
-    )
-    result = explorer.run()
-    if args.por_compare:
-        print("-- sleep sets ON --")
+    result = Explorer(config, args.depth).run()
     _print_stats(result)
-    if args.por_compare and baseline.stats.transitions > 0:
-        saved = 1 - result.stats.transitions / baseline.stats.transitions
-        print(
-            f"POR reduction:       {baseline.stats.transitions} -> "
-            f"{result.stats.transitions} transitions ({saved:.1%} fewer "
-            f"interleavings explored)"
-        )
-    if result.violation is None and not result.truncated and not args.no_reduction_proof:
-        _reduction_proof(config, args.depth, result)
     if result.violation is None:
-        if result.truncated:
-            print(
-                f"result: TRUNCATED at {args.max_transitions} transitions "
-                f"(no violation up to that point; not exhaustive)"
-            )
-        else:
-            print(
-                f"result: exhaustive to depth {args.depth}, "
-                "no invariant violations"
-            )
+        _reduction_proof(config, args.depth, result)
+        print(
+            f"result: exhaustive to depth {args.depth}, "
+            "no invariant violations"
+        )
         return 0
     print(f"VIOLATION: {result.violation.describe()}")
     print("minimizing counterexample...")
-    oracle = InvariantOracle(convergence=not args.no_convergence)
-    minimized, violation = minimize_schedule(config, result.schedule, oracle)
+    minimized, violation = minimize_schedule(config, result.schedule)
     print(f"minimized to {len(minimized)} action(s):")
     for index, action in enumerate(minimized, 1):
         print(f"  {index}. {action.describe()}")
@@ -278,9 +214,7 @@ def _run_replay(args: argparse.Namespace) -> int:
     )
     for index, action in enumerate(trace.schedule, 1):
         print(f"  {index}. {action.describe()}")
-    report = replay_trace(
-        trace, InvariantOracle(convergence=not args.no_convergence)
-    )
+    report = replay_trace(trace)
     print(f"replay: {report.summary()}")
     if trace.violation is None:
         expected_clean = report.violation is None

@@ -148,22 +148,19 @@ class Explorer:
                            ``por=False`` this walks the raw unreduced
                            schedule tree (only useful capped, as the
                            reduction-proof baseline).
-    ``convergence``      — forward to the oracle (closure checks on/off).
     ``oracle_checks=False`` — skip the oracle entirely; transitions are
                            only counted (the reduction-proof baseline
                            measures tree size, not correctness).
     ``max_transitions``  — hard cap on explored transitions; exceeding it
                            marks the result ``truncated`` instead of
-                           running unbounded (the CI wall-clock guard).
+                           running unbounded (the reduction-proof cap).
     """
 
     def __init__(
         self,
         config: ExplorationConfig,
         depth: int,
-        oracle: InvariantOracle | None = None,
         por: bool = True,
-        convergence: bool = True,
         max_transitions: int | None = None,
         visited_cache: bool = True,
         oracle_checks: bool = True,
@@ -172,9 +169,7 @@ class Explorer:
             raise ValueError(f"exploration depth must be >= 1, got {depth}")
         self.config = config
         self.depth = depth
-        self.oracle = (
-            oracle if oracle is not None else InvariantOracle(convergence)
-        )
+        self.oracle = InvariantOracle()
         self.por = por
         self.visited_cache = visited_cache
         self.oracle_checks = oracle_checks

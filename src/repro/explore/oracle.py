@@ -90,14 +90,9 @@ def _members(world: AnyWorld) -> list[ProtocolWorld]:
 
 
 class InvariantOracle:
-    """Evaluates the oracle catalogue against explored states.
+    """Evaluates the oracle catalogue against explored states."""
 
-    ``convergence=False`` disables the (memoized but still dominant)
-    quiescent-closure check — useful for quick structural-only sweeps.
-    """
-
-    def __init__(self, convergence: bool = True):
-        self.convergence = convergence
+    def __init__(self) -> None:
         self._closure_memo: dict[bytes, OracleViolation | None] = {}
         self.closure_runs = 0
         self.closure_memo_hits = 0
@@ -188,8 +183,6 @@ class InvariantOracle:
         """C3 from this state: a fault-free closure must converge (or a
         conflict must have been detected).  Memoized on the budget-free
         protocol state."""
-        if not self.convergence:
-            return None
         key = world.protocol_key()
         if key in self._closure_memo:
             self.closure_memo_hits += 1

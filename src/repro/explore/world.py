@@ -378,13 +378,6 @@ class ProtocolWorld:
 
     # -- introspection ---------------------------------------------------------
 
-    def live_nodes(self) -> list[ProtocolNode]:
-        return [
-            self.nodes[k]
-            for k in range(self.config.n_nodes)
-            if self.network.is_up(k)
-        ]
-
     def total_conflicts(self) -> int:
         return sum(node.conflict_count() for node in self.nodes)
 

@@ -10,7 +10,6 @@ comparison against Oracle-style push (paper section 8.2); reporting
 from repro.metrics.ascii_chart import bar_chart, line_chart
 from repro.metrics.reporting import Table, format_bytes, format_ratio
 from repro.metrics.staleness import StalenessSummary, summarize_staleness
-from repro.metrics.summary import summarize_simulation
 from repro.obs import NULL_COUNTERS, OverheadCounters
 
 __all__ = [
@@ -23,5 +22,4 @@ __all__ = [
     "line_chart",
     "StalenessSummary",
     "summarize_staleness",
-    "summarize_simulation",
 ]

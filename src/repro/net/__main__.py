@@ -63,12 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--full-vv",
-        action="store_true",
-        help="disable delta-VV compression (send full vectors)",
-    )
-    parser.add_argument("--log-file", default=None)
-    parser.add_argument(
         "--data-dir",
         default=None,
         help="durable journal directory (checkpoint + WAL); the node "
@@ -89,8 +83,6 @@ def build_config(argv: list[str]) -> NodeConfig:
         peers=parse_peers(args.peers),
         anti_entropy_period=args.period,
         seed=args.seed,
-        delta_vv=not args.full_vv,
-        log_file=args.log_file,
         data_dir=args.data_dir,
     )
 
@@ -108,15 +100,10 @@ async def _amain(config: NodeConfig) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     config = build_config(sys.argv[1:] if argv is None else argv)
-    handlers: list[logging.Handler] = []
-    if config.log_file:
-        handlers.append(logging.FileHandler(config.log_file))
-    else:
-        handlers.append(logging.StreamHandler(sys.stderr))
     logging.basicConfig(
         level=logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
-        handlers=handlers,
+        stream=sys.stderr,
     )
     try:
         asyncio.run(_amain(config))

@@ -79,9 +79,7 @@ class NodeConfig:
     peers: tuple[PeerAddress, ...] = ()
     anti_entropy_period: float = 0.0
     seed: int = 0
-    delta_vv: bool = True
     reconnect_attempts: int = 1
-    log_file: str | None = None
     #: Directory for the durable journal (checkpoint + WAL).  ``None``
     #: runs in-memory only; a path makes every accepted update durable
     #: and has the node recover from disk on restart (repro.durable).

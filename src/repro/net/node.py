@@ -222,7 +222,7 @@ class NetNode:
                     f"peer handshake announced illegal node id {peer_id}"
                 )
             await send_preamble(writer, self.node_id)
-            codec = WireCodec(delta_vv=self.config.delta_vv)
+            codec = WireCodec()
             while True:
                 frame = await read_frame(stream)
                 message = codec.decode(peer_id, self.node_id, frame)
@@ -357,9 +357,7 @@ class NetNode:
                 f"dialed peer {peer_id} but node {served_by} answered — "
                 "the seed list and the deployment disagree"
             )
-        link = _PeerLink(
-            reader, writer, WireCodec(delta_vv=self.config.delta_vv)
-        )
+        link = _PeerLink(reader, writer, WireCodec())
         self._links[peer_id] = link
         return link
 

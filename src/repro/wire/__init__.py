@@ -24,8 +24,6 @@ registered by importing :mod:`repro.baselines`, never by this package).
 
 from __future__ import annotations
 
-import os
-
 import repro.wire.codecs  # noqa: F401  (populates the registry, ids 1-9)
 from repro.wire.codec import (
     MAX_FRAME_LEN,
@@ -42,7 +40,6 @@ from repro.wire.registry import (
 )
 
 __all__ = [
-    "WIRE_ENV_VAR",
     "Decoder",
     "Encoder",
     "MAX_FRAME_LEN",
@@ -52,23 +49,4 @@ __all__ = [
     "codec_for_class",
     "codec_for_id",
     "registered_codecs",
-    "wire_enabled",
 ]
-
-#: Environment variable that turns encoded mode on for the whole run.
-WIRE_ENV_VAR = "REPRO_WIRE"
-
-_TRUTHY = frozenset({"1", "true", "yes", "on"})
-
-
-def wire_enabled(explicit: bool | None = None) -> bool:
-    """Resolve the encoded-mode toggle.
-
-    An explicit ``True``/``False`` (e.g. ``SimulatedNetwork(wire=...)``)
-    wins; ``None`` defers to the :data:`WIRE_ENV_VAR` environment
-    variable, so ``REPRO_WIRE=1 pytest`` runs an unmodified suite with
-    every message round-tripping through the binary codec.
-    """
-    if explicit is not None:
-        return explicit
-    return os.environ.get(WIRE_ENV_VAR, "").strip().lower() in _TRUTHY

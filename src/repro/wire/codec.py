@@ -452,20 +452,6 @@ class WireCodec:
         finally:
             self._pool.append(encoder)
 
-    def encode_batch(self, src: int, dst: int, messages: Any) -> list[bytes]:
-        """Encode a sequence of messages for one directed link, reusing
-        a single leased buffer across all of them — the multi-message
-        session path (request + reply + payload frames) pays the pool
-        round-trip once instead of per frame.  Frames are returned in
-        order and are byte-identical to per-message :meth:`encode`
-        calls; sender-side VV caches advance identically.
-        """
-        encoder = self._acquire(src, dst)
-        try:
-            return [_assemble_frame(encoder, message) for message in messages]
-        finally:
-            self._pool.append(encoder)
-
     def _acquire(self, src: int, dst: int) -> Encoder:
         """Lease a pooled encoder retargeted at ``src -> dst``."""
         if self._pool:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from repro.cluster.convergence import GroundTruth, fingerprints_equal
 from repro.cluster.failures import Crash, CrashMidSession, FailurePlan, Recover
 from repro.cluster.network import SimulatedNetwork
-from repro.cluster.simulation import ClusterSimulation, RetryPolicy
+from repro.cluster.simulation import ClusterSimulation
 from repro.core.messages import YouAreCurrent
 from repro.core.protocol import DBVVProtocolNode
 from repro.errors import (
@@ -238,7 +238,7 @@ class TestAccountingFixes:
         sim = make_sim(
             n_nodes=3,
             failure_plan=plan,
-            retry_policy=RetryPolicy(max_attempts=2),
+            retry_attempts=2,
         )
         sim.apply_update(0, ITEMS[0], Put(b"v"))
         for _ in range(8):
@@ -264,7 +264,7 @@ class TestAccountingFixes:
         sim = make_sim(
             n_nodes=3,
             failure_plan=plan,
-            retry_policy=RetryPolicy(max_attempts=2),
+            retry_attempts=2,
         )
         first = sim.run_full_mesh_round()
         assert first.failed_sessions > 0

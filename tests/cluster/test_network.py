@@ -46,12 +46,6 @@ class TestDelivery:
         assert net.total_messages() == 3
         assert net.total_bytes() == 3 * MSG.wire_size()
 
-    def test_latency_accumulates(self):
-        net = SimulatedNetwork(2, link_latency=2.5)
-        net.deliver(0, 1, MSG)
-        net.deliver(1, 0, MSG)
-        assert net.latency_total == 5.0
-
     def test_unknown_nodes_rejected(self):
         net = SimulatedNetwork(2)
         with pytest.raises(UnknownNodeError):

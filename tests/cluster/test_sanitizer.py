@@ -5,8 +5,10 @@ sweep in both simulation drivers, corruption detection, and accounting.
 import pytest
 
 from repro.cluster.sanitizer import (
+    DURABLE_ENV_VAR,
     SANITIZE_ENV_VAR,
-    sanitize_enabled,
+    WIRE_ENV_VAR,
+    env_flag,
     sanitize_endpoints,
 )
 from repro.cluster.simulation import ClusterSimulation
@@ -24,31 +26,47 @@ def make_sim(n_nodes=4, seed=3, **kwargs):
     )
 
 
+#: Every run-wide switch reads the same way: "false" or "off" leaves
+#: each of them off, not just a missing or "0" value.
+SWITCHES = (SANITIZE_ENV_VAR, WIRE_ENV_VAR, DURABLE_ENV_VAR)
+
+
 class TestToggleResolution:
     def test_explicit_value_wins_over_environment(self, monkeypatch):
-        monkeypatch.setenv(SANITIZE_ENV_VAR, "1")
-        assert sanitize_enabled(False) is False
-        monkeypatch.delenv(SANITIZE_ENV_VAR)
-        assert sanitize_enabled(True) is True
+        for var in SWITCHES:
+            monkeypatch.setenv(var, "1")
+            assert env_flag(var, False) is False, var
+            monkeypatch.delenv(var)
+            assert env_flag(var, True) is True, var
 
     @pytest.mark.parametrize("value", ["1", "true", "YES", " on "])
     def test_truthy_environment_values(self, monkeypatch, value):
-        monkeypatch.setenv(SANITIZE_ENV_VAR, value)
-        assert sanitize_enabled() is True
+        for var in SWITCHES:
+            monkeypatch.setenv(var, value)
+            assert env_flag(var, None) is True, var
 
     @pytest.mark.parametrize("value", ["", "0", "false", "off", "nope"])
     def test_falsy_environment_values(self, monkeypatch, value):
-        monkeypatch.setenv(SANITIZE_ENV_VAR, value)
-        assert sanitize_enabled() is False
+        for var in SWITCHES:
+            monkeypatch.setenv(var, value)
+            assert env_flag(var, None) is False, var
 
     def test_default_is_off(self, monkeypatch):
-        monkeypatch.delenv(SANITIZE_ENV_VAR, raising=False)
-        assert sanitize_enabled() is False
+        for var in SWITCHES:
+            monkeypatch.delenv(var, raising=False)
+            assert env_flag(var, None) is False, var
 
     def test_simulation_resolves_env_at_construction(self, monkeypatch):
-        monkeypatch.setenv(SANITIZE_ENV_VAR, "1")
-        assert make_sim().sanitize is True
-        assert make_sim(sanitize=False).sanitize is False
+        for var, attr in (
+            (SANITIZE_ENV_VAR, "sanitize"),
+            (WIRE_ENV_VAR, "wire"),
+            (DURABLE_ENV_VAR, "durable"),
+        ):
+            monkeypatch.setenv(var, "1")
+            assert getattr(make_sim(), attr) is True, var
+            assert getattr(make_sim(**{attr: False}), attr) is False, var
+            monkeypatch.setenv(var, "off")
+            assert getattr(make_sim(), attr) is False, var
 
 
 class TestSessionSweep:

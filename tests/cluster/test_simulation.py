@@ -15,7 +15,7 @@ from repro.cluster.failures import (
     Recover,
 )
 from repro.cluster.scheduler import RingSelector
-from repro.cluster.simulation import ClusterSimulation, RetryPolicy
+from repro.cluster.simulation import ClusterSimulation, retry_backoff
 from repro.errors import NodeDownError
 from repro.experiments.common import make_factory, make_items
 from repro.substrate.operations import Put
@@ -173,18 +173,13 @@ class TestFailures:
 class TestRetryPolicy:
     def test_validation(self):
         with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff_rounds=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff_rounds=3, max_backoff_rounds=2)
+            make_sim(retry_attempts=0)
 
     def test_backoff_doubles_and_caps(self):
-        policy = RetryPolicy(max_attempts=5, backoff_rounds=1, max_backoff_rounds=4)
-        assert [policy.backoff_for(a) for a in (1, 2, 3, 4)] == [1, 2, 4, 4]
+        assert [retry_backoff(a) for a in (1, 2, 3, 4)] == [1, 2, 4, 4]
 
     def test_default_policy_disables_retries(self):
-        assert not RetryPolicy().retries_enabled()
+        assert make_sim().retry_attempts == 1
         plan = FailurePlan([Crash(node=1, at_round=1)])
         sim = make_sim(n_nodes=3, failure_plan=plan)
         for _ in range(4):
@@ -200,7 +195,7 @@ class TestRetryPolicy:
         sim = make_sim(
             n_nodes=3,
             failure_plan=plan,
-            retry_policy=RetryPolicy(max_attempts=2, backoff_rounds=1),
+            retry_attempts=2,
             selector=RingSelector(),
         )
         # Round 1: node 2 is down; with a ring selector node 1 targets
@@ -214,29 +209,27 @@ class TestRetryPolicy:
         )
 
     def test_retry_respects_max_attempts(self):
-        plan = FailurePlan([Crash(node=2, at_round=1)])  # never recovers
+        # Two nodes, node 1 never recovers: node 0 has no alternate
+        # peer, so every retry goes back to dead node 1 and fails.
+        plan = FailurePlan([Crash(node=1, at_round=1)])
         sim = make_sim(
-            n_nodes=3,
+            n_nodes=2,
             failure_plan=plan,
-            retry_policy=RetryPolicy(max_attempts=2, backoff_rounds=1),
+            retry_attempts=2,
             selector=RingSelector(),
         )
-        total_retries = 0
-        for _ in range(6):
-            total_retries += sim.run_round().retried_sessions
-        # Each round node 1's fresh session against dead node 2 earns
-        # exactly one retry (attempt 2 of 2) — never a third attempt, so
-        # retries never exceed one per originating round.
-        assert 0 < total_retries <= 6
+        retries = [sim.run_round().retried_sessions for _ in range(6)]
+        # Each round's fresh session against dead node 1 earns exactly
+        # one retry (attempt 2 of 2), due the next round — never a
+        # third attempt, which would stack a second retry in round 3.
+        assert retries == [0, 1, 1, 1, 1, 1]
 
     def test_alternate_peer_fallback_reaches_someone_alive(self):
         plan = FailurePlan([Crash(node=2, at_round=1)])
         sim = make_sim(
             n_nodes=3,
             failure_plan=plan,
-            retry_policy=RetryPolicy(
-                max_attempts=2, backoff_rounds=1, alternate_peer=True
-            ),
+            retry_attempts=2,
             selector=RingSelector(),
         )
         sim.apply_update(0, ITEMS[0], Put(b"v"))
@@ -254,7 +247,7 @@ class TestRetryPolicy:
         sim = make_sim(
             n_nodes=3,
             failure_plan=plan,
-            retry_policy=RetryPolicy(max_attempts=2, alternate_peer=True),
+            retry_attempts=2,
         )
         sim.apply_update(2, ITEMS[0], Put(b"payload"))
         aborted_rounds = [sim.run_round() for _ in range(3)]

@@ -2,12 +2,9 @@
 
 import copy
 
-import pytest
-
-from repro.core.conflicts import ConflictPolicy, ConflictReporter, ConflictSite
+from repro.core.conflicts import ConflictSite
 from repro.core.messages import PropagationReply, YouAreCurrent
 from repro.core.node import EpidemicNode
-from repro.errors import ConflictError
 from repro.substrate.operations import Put
 
 ITEMS = [f"item-{k}" for k in range(10)]
@@ -149,15 +146,6 @@ class TestConflictPath:
         outcome, _ = a.pull_from(b)
         assert outcome.adopted == ["item-2"]
         assert a.read("item-2") == b"fine"
-
-    def test_raise_policy_raises(self):
-        reporter = ConflictReporter(policy=ConflictPolicy.RAISE)
-        a = EpidemicNode(0, 2, ITEMS, conflict_reporter=reporter)
-        b = EpidemicNode(1, 2, ITEMS)
-        a.update("item-1", Put(b"from-a"))
-        b.update("item-1", Put(b"from-b"))
-        with pytest.raises(ConflictError):
-            a.pull_from(b)
 
     def test_in_conflict_flag_set(self):
         a, b = self.make_conflicting_pair()

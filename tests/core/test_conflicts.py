@@ -1,15 +1,11 @@
 """Unit tests for conflict reporting and origin pinpointing."""
 
-import pytest
-
 from repro.core.conflicts import (
-    ConflictPolicy,
     ConflictReporter,
     ConflictSite,
     pinpoint_conflicting_origins,
 )
 from repro.core.version_vector import VersionVector
-from repro.errors import ConflictError
 
 
 def vv(*counts):
@@ -42,15 +38,6 @@ class TestReporter:
         assert report.origins == (0, 1)
         assert "inconsistent" in report.describe()
 
-    def test_raise_policy(self):
-        reporter = ConflictReporter(policy=ConflictPolicy.RAISE)
-        with pytest.raises(ConflictError):
-            reporter.declare(
-                "x", 0, ConflictSite.OUT_OF_BOUND, vv(1, 0), vv(0, 1)
-            )
-        # The report is still recorded before raising.
-        assert reporter.count == 1
-
     def test_conflicts_for_filters_by_item(self):
         reporter = ConflictReporter()
         reporter.declare("x", 0, ConflictSite.INTRA_NODE, vv(1, 0), vv(0, 1))
@@ -71,18 +58,17 @@ class TestReporter:
         local.increment(0)
         assert reporter.reports[0].local_vv == (1, 0)
 
-    def test_shared_reporter_aggregates_across_nodes(self):
-        """One reporter can serve a whole cluster (how the simulation
-        collects a global conflict history)."""
+    def test_each_node_reports_its_own_detection(self):
+        """Both pullers of a conflicting pair declare into their own
+        reporter; the simulation sums the per-node counts."""
         from repro.core.node import EpidemicNode
         from repro.substrate.operations import Put
 
-        reporter = ConflictReporter()
-        a = EpidemicNode(0, 2, ["x"], conflict_reporter=reporter)
-        b = EpidemicNode(1, 2, ["x"], conflict_reporter=reporter)
+        a = EpidemicNode(0, 2, ["x"])
+        b = EpidemicNode(1, 2, ["x"])
         a.update("x", Put(b"a"))
         b.update("x", Put(b"b"))
         a.pull_from(b)
         b.pull_from(a)
-        assert reporter.count == 2
-        assert {r.detected_by for r in reporter.reports} == {0, 1}
+        assert [r.detected_by for r in a.conflicts.reports] == [0]
+        assert [r.detected_by for r in b.conflicts.reports] == [1]

@@ -59,8 +59,10 @@ class TestAdapterConstruction:
         assert adapter.node.counters is counters
 
     def test_adapter_shares_conflict_reporter(self):
-        from repro.core.conflicts import ConflictReporter
-
-        reporter = ConflictReporter()
-        adapter = DBVVProtocolNode(0, 2, ITEMS, conflict_reporter=reporter)
-        assert adapter.node.conflicts is reporter
+        """The adapter counts the conflicts its inner node declared."""
+        a = DBVVProtocolNode(0, 2, ITEMS)
+        b = DBVVProtocolNode(1, 2, ITEMS)
+        a.node.update("x", Put(b"a"))
+        b.node.update("x", Put(b"b"))
+        a.node.pull_from(b.node)
+        assert a.conflict_count() == a.node.conflicts.count == 1

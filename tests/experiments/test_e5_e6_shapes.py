@@ -1,7 +1,6 @@
 """Shape assertions for experiments E5 (failure recovery) and E6
 (out-of-bound copying)."""
 
-from repro.cluster.simulation import RetryPolicy
 from repro.experiments.e5_failure_recovery import (
     run_dbvv_arm,
     run_interrupted_dbvv_arm,
@@ -79,7 +78,7 @@ class TestE5InterruptedSession:
         result = run_interrupted_dbvv_arm(
             n_nodes=6, n_items=20, updates=4, reached=2,
             repair_round=10, max_rounds=15, seed=11,
-            retry_policy=RetryPolicy(),  # retries disabled
+            retry_attempts=1,  # retries disabled
         )
         assert result.survivors_current_round is not None
 

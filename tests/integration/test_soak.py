@@ -17,7 +17,6 @@ import pytest
 
 from repro.core.protocol import DBVVProtocolNode, DeltaProtocolNode
 from repro.cluster.network import SimulatedNetwork
-from repro.errors import MessageLostError, NodeDownError
 from repro.experiments.common import make_items
 from repro.obs import OverheadCounters
 from repro.substrate.operations import Append
@@ -58,10 +57,7 @@ def run_soak(protocol_class, seed: int, allow_expand: bool) -> None:
             dst = rng.randrange(len(nodes))
             src = rng.randrange(len(nodes))
             if dst != src and dst not in down:
-                try:
-                    nodes[dst].sync_with(nodes[src], network)
-                except (NodeDownError, MessageLostError):
-                    pass
+                nodes[dst].sync_with(nodes[src], network)
         elif roll < 0.80:
             # Out-of-bound fetch of a random item.
             dst = rng.randrange(len(nodes))

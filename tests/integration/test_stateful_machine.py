@@ -28,7 +28,6 @@ from hypothesis import strategies as st
 
 from repro.cluster.network import SimulatedNetwork
 from repro.core.protocol import DBVVProtocolNode
-from repro.errors import MessageLostError, NodeDownError
 from repro.obs import OverheadCounters
 from repro.substrate.operations import Append
 
@@ -64,10 +63,7 @@ class EpidemicMachine(RuleBasedStateMachine):
     def pull(self, dst, src):
         if dst == src or dst in self.down:
             return
-        try:
-            self.nodes[dst].sync_with(self.nodes[src], self.network)
-        except (NodeDownError, MessageLostError):
-            pass
+        self.nodes[dst].sync_with(self.nodes[src], self.network)
 
     @rule(dst=node_ids, src=node_ids, item_idx=item_ids)
     def out_of_bound(self, dst, src, item_idx):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import (
-    ConflictError,
+    InvariantViolation,
     MessageLostError,
     NodeDownError,
     OperationError,
@@ -23,7 +23,7 @@ class TestHierarchy:
             UnknownItemError("x"),
             UnknownNodeError(3),
             ReplicaSetMismatchError("mismatch"),
-            ConflictError("x"),
+            InvariantViolation("x"),
             WALError("bad record"),
             NodeDownError(2),
             OperationError("bad"),
@@ -48,14 +48,6 @@ class TestHierarchy:
 class TestMessages:
     def test_unknown_item_names_the_item(self):
         assert "'doc-7'" in str(UnknownItemError("doc-7"))
-
-    def test_conflict_error_carries_item_and_detail(self):
-        err = ConflictError("x", "vectors (1,0) vs (0,1)")
-        assert err.item == "x"
-        assert "vectors" in str(err)
-
-    def test_conflict_error_without_detail(self):
-        assert "inconsistent" in str(ConflictError("x"))
 
     def test_node_down_and_message_lost_carry_endpoints(self):
         assert NodeDownError(3).node == 3
