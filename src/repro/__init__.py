@@ -24,8 +24,8 @@ Public surface (see each subpackage for details):
   per-item version-vector anti-entropy, Lotus Notes, Oracle Symmetric
   Replication push, Wuu–Bernstein gossip, and Agrawal–Malpani
   decoupled dissemination.
-* :mod:`repro.analysis` — scaling-law fitting and automated paper-claim
-  verdicts (numpy/scipy).
+* :mod:`repro.analysis` — automated paper-claim verdicts: exact laws
+  for the work counters, a least-squares fit for convergence rounds.
 * :mod:`repro.workload` — reproducible workload generators and traces.
 * :mod:`repro.obs` — the overhead counters (below :mod:`repro.core`).
 * :mod:`repro.metrics` — staleness tracking, summaries, report tables.

@@ -1,20 +1,14 @@
-"""Analysis: scaling-law fitting and automated paper-claim verdicts.
+"""Analysis: automated paper-claim verdicts.
 
-:mod:`~repro.analysis.fitting` classifies a measured cost series as
-constant / logarithmic / linear / superlinear (numpy + scipy least
-squares with a log-log-slope gate); :mod:`~repro.analysis.verdicts`
-applies it to each experiment's rows and states whether the shape
-matches the paper's claim.
+:mod:`~repro.analysis.verdicts` reads the law of each experiment's
+measured series — exactly for E1/E2's deterministic work counters, by
+a least-squares fit for E7's seed-averaged rounds — and states whether
+the shape matches the paper's claim.
 """
 
-from repro.analysis.fitting import (
-    FitResult,
-    classify_scaling,
-    fit_series,
-    growth_exponent,
-)
 from repro.analysis.verdicts import (
     ClaimVerdict,
+    exact_law,
     verdict_e1,
     verdict_e2_m,
     verdict_e2_n,
@@ -22,11 +16,8 @@ from repro.analysis.verdicts import (
 )
 
 __all__ = [
-    "FitResult",
-    "classify_scaling",
-    "fit_series",
-    "growth_exponent",
     "ClaimVerdict",
+    "exact_law",
     "verdict_e1",
     "verdict_e2_m",
     "verdict_e2_n",

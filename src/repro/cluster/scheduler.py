@@ -16,8 +16,8 @@ standard epidemic literature shapes:
 * :class:`StarSelector` — hub-and-spoke: everyone pulls from the hub,
   the hub pulls from a rotating spoke.
 * :class:`TopologySelector` — pull from a random neighbor in an
-  arbitrary (connected) networkx graph, for experiments on restricted
-  connectivity.
+  arbitrary connected graph, given as an edge list, for experiments on
+  restricted connectivity.
 
 Every selector satisfies Theorem 5's premise on connected topologies,
 so correctness holds for all of them; they differ in rounds-to-converge
@@ -28,8 +28,7 @@ from __future__ import annotations
 
 import abc
 import random
-
-import networkx as nx
+from typing import Iterable
 
 __all__ = [
     "PeerSelector",
@@ -103,34 +102,39 @@ class StarSelector(PeerSelector):
 class TopologySelector(PeerSelector):
     """Pull from a uniformly random neighbor in a fixed undirected graph.
 
-    The graph must be connected and cover node ids ``0..n-1``; Theorem 5
-    then guarantees convergence (transitive coverage over any connected
-    topology).
+    The graph is given as ``(a, b)`` edges; it must be connected and
+    cover node ids ``0..n-1``.  Theorem 5 then guarantees convergence
+    (transitive coverage over any connected topology).
     """
 
-    def __init__(self, graph: nx.Graph):
-        if graph.number_of_nodes() == 0:
+    def __init__(self, edges: Iterable[tuple[int, int]]):
+        adjacent: dict[int, set[int]] = {}
+        for a, b in edges:
+            if a == b:
+                raise ValueError(f"self-loop at node {a}: a node never pulls from itself")
+            adjacent.setdefault(a, set()).add(b)
+            adjacent.setdefault(b, set()).add(a)
+        if not adjacent:
             raise ValueError("empty topology graph")
-        if not nx.is_connected(graph):
+        reached = {min(adjacent)}
+        frontier = list(reached)
+        while frontier:
+            for neighbor in adjacent[frontier.pop()] - reached:
+                reached.add(neighbor)
+                frontier.append(neighbor)
+        if len(reached) != len(adjacent):
             raise ValueError(
                 "topology must be connected or Theorem 5's premise fails "
                 "and replicas in different components never reconcile"
             )
-        self.graph = graph
-        self._neighbors = {
-            node: sorted(graph.neighbors(node)) for node in graph.nodes
-        }
+        self.neighbors = {node: sorted(adjacent[node]) for node in sorted(adjacent)}
 
     def peer_for(self, node: int, n_nodes: int, round_no: int, rng: random.Random) -> int:
-        if node not in self._neighbors:
+        if node not in self.neighbors:
             raise ValueError(f"node {node} not in topology graph")
-        neighbors = self._neighbors[node]
-        if not neighbors:
-            raise ValueError(f"node {node} has no neighbors")
+        neighbors = self.neighbors[node]
         return neighbors[rng.randrange(len(neighbors))]
 
     def describe(self) -> str:
-        return (
-            f"TopologySelector(nodes={self.graph.number_of_nodes()}, "
-            f"edges={self.graph.number_of_edges()})"
-        )
+        edges = sum(map(len, self.neighbors.values())) // 2
+        return f"TopologySelector(nodes={len(self.neighbors)}, edges={edges})"

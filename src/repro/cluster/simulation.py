@@ -32,7 +32,7 @@ import random
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 from repro.cluster.convergence import GroundTruth, fingerprints_equal
 from repro.cluster.coverage import TransitiveCoverageTracker
@@ -50,9 +50,6 @@ from repro.errors import ConvergenceError, InvariantViolation, NodeDownError
 from repro.interfaces import ProtocolNode, SessionPhase, SyncStats
 from repro.obs import OverheadCounters
 from repro.substrate.operations import UpdateOperation
-
-if TYPE_CHECKING:
-    from repro.metrics.reporting import Table
 
 __all__ = ["RoundStats", "ClusterSimulation", "retry_backoff"]
 
@@ -559,33 +556,6 @@ class ClusterSimulation:
         )
 
     # -- accounting ------------------------------------------------------------------
-
-    def history_table(self, title: str = "Simulation rounds") -> Table:
-        """The per-round stats as a printable/CSV-able report table."""
-        # The one upward import: repro.metrics sits above this package.
-        from repro.metrics.reporting import Table
-
-        table = Table(
-            title,
-            ["round", "sessions", "identical", "failed", "retried",
-             "items moved", "conflicts", "msgs", "bytes", "wasted bytes",
-             "stale pairs"],
-        )
-        for stats in self.history:
-            table.add_row([
-                stats.round_no,
-                stats.sessions,
-                stats.identical_sessions,
-                stats.failed_sessions,
-                stats.retried_sessions,
-                stats.items_transferred,
-                stats.conflicts,
-                stats.messages,
-                stats.bytes_sent,
-                stats.bytes_wasted,
-                stats.stale_pairs if stats.stale_pairs is not None else "-",
-            ])
-        return table
 
     @property
     def total_counters(self) -> OverheadCounters:

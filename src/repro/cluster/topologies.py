@@ -7,100 +7,73 @@ so experiments can sweep connectivity structure with one line:
 
 * :func:`ring` / :func:`line` — minimal connectivity, O(n) diameter;
 * :func:`grid` — 2-D torus-free lattice, O(√n) diameter;
-* :func:`binary_tree` — hierarchy (headquarters → regions → offices);
 * :func:`small_world` — a ring with random long-range chords
-  (Watts–Strogatz flavored), O(log n) diameter with local wiring;
-* :func:`random_regular` — every node exactly d neighbors, the classic
-  expander used in gossip analyses.
+  (Watts–Strogatz flavored), O(log n) diameter with local wiring.
 
 All take a seed where randomness is involved; Theorem 5 holds over any
 of them (they are connected by construction), but rounds-to-converge
-differ — that spread is the point.
+differ — that spread is the point.  Node ids are ``0..n-1``, matching
+the simulator's.
 """
 
 from __future__ import annotations
 
-import networkx as nx
+import random
 
 from repro.cluster.scheduler import TopologySelector
 
-__all__ = [
-    "ring",
-    "line",
-    "grid",
-    "binary_tree",
-    "small_world",
-    "random_regular",
-]
+__all__ = ["ring", "line", "grid", "small_world"]
 
 
-def _selector(graph: nx.Graph) -> TopologySelector:
-    # Relabel to consecutive integers 0..n-1 in sorted order, matching
-    # the simulator's node ids.
-    mapping = {node: idx for idx, node in enumerate(sorted(graph.nodes))}
-    return TopologySelector(nx.relabel_nodes(graph, mapping))
+def _ring_edges(n_nodes: int) -> set[tuple[int, int]]:
+    # Each edge as (low, high), so a chord that is already an edge adds nothing.
+    return {(k, k + 1) for k in range(n_nodes - 1)} | {(0, n_nodes - 1)}
 
 
 def ring(n_nodes: int) -> TopologySelector:
     """A cycle: each node talks to its two ring neighbors."""
     if n_nodes < 3:
         raise ValueError(f"a ring needs >= 3 nodes, got {n_nodes}")
-    return _selector(nx.cycle_graph(n_nodes))
+    return TopologySelector(_ring_edges(n_nodes))
 
 
 def line(n_nodes: int) -> TopologySelector:
     """A path: the worst connected diameter, n-1 hops end to end."""
     if n_nodes < 2:
         raise ValueError(f"a line needs >= 2 nodes, got {n_nodes}")
-    return _selector(nx.path_graph(n_nodes))
+    return TopologySelector((k, k + 1) for k in range(n_nodes - 1))
 
 
 def grid(rows: int, cols: int) -> TopologySelector:
-    """A rows×cols lattice (no wraparound)."""
+    """A rows×cols lattice (no wraparound); node ``r·cols + c`` sits at
+    row r, column c."""
     if rows < 1 or cols < 1 or rows * cols < 2:
         raise ValueError(f"grid {rows}x{cols} is too small")
-    return _selector(nx.grid_2d_graph(rows, cols))
-
-
-def binary_tree(depth: int) -> TopologySelector:
-    """A complete binary tree of the given depth (2^(depth+1) - 1
-    nodes): hub-and-spoke generalized to a hierarchy."""
-    if depth < 1:
-        raise ValueError(f"tree depth must be >= 1, got {depth}")
-    return _selector(nx.balanced_tree(2, depth))
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            node = r * cols + c
+            if c + 1 < cols:
+                edges.append((node, node + 1))
+            if r + 1 < rows:
+                edges.append((node, node + cols))
+    return TopologySelector(edges)
 
 
 def small_world(n_nodes: int, chords: int, seed: int = 0) -> TopologySelector:
     """A ring plus ``chords`` random long-range edges."""
     if n_nodes < 4:
         raise ValueError(f"small world needs >= 4 nodes, got {n_nodes}")
-    import random
-
+    room = n_nodes * (n_nodes - 1) // 2 - n_nodes
+    if chords > room:
+        raise ValueError(
+            f"a {n_nodes}-ring has room for {room} chords, {chords} asked"
+        )
     rng = random.Random(seed)
-    graph = nx.cycle_graph(n_nodes)
-    added = 0
-    attempts = 0
-    while added < chords and attempts < 100 * max(chords, 1):
-        attempts += 1
+    edges = _ring_edges(n_nodes)
+    while len(edges) < n_nodes + chords:
         a = rng.randrange(n_nodes)
         b = rng.randrange(n_nodes)
-        if a != b and not graph.has_edge(a, b):
-            graph.add_edge(a, b)
-            added += 1
-    return _selector(graph)
-
-
-def random_regular(n_nodes: int, degree: int, seed: int = 0) -> TopologySelector:
-    """A random d-regular graph (regenerated until connected)."""
-    if degree < 2 or degree >= n_nodes:
-        raise ValueError(f"degree {degree} invalid for {n_nodes} nodes")
-    if (n_nodes * degree) % 2 != 0:
-        raise ValueError("n_nodes * degree must be even for a regular graph")
-    for attempt in range(50):
-        graph = nx.random_regular_graph(degree, n_nodes, seed=seed + attempt)
-        if nx.is_connected(graph):
-            return _selector(graph)
-    raise ValueError(
-        f"could not build a connected {degree}-regular graph on "
-        f"{n_nodes} nodes"
-    )
+        if a != b:
+            edges.add((min(a, b), max(a, b)))
+    return TopologySelector(edges)

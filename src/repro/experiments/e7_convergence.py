@@ -76,30 +76,10 @@ def converge_once(
 
 def default_selector_families() -> list[tuple]:
     """(factory(n_nodes) -> PeerSelector, table name) pairs for the
-    standard sweep; extended families (star, restricted topologies)
-    come from :func:`extended_selector_families`."""
+    standard sweep; :func:`run_convergence` takes other families too."""
     return [
         (lambda n: RandomSelector(), "random"),
         (lambda n: RingSelector(), "ring"),
-    ]
-
-
-def extended_selector_families() -> list[tuple]:
-    """Additional scheduling shapes: hub-and-spoke, and a random
-    geometric-ish sparse topology (here: a cycle plus chords)."""
-    import networkx as nx
-
-    from repro.cluster.scheduler import StarSelector, TopologySelector
-
-    def chordal_cycle(n: int) -> TopologySelector:
-        graph = nx.cycle_graph(n)
-        for k in range(0, n, 4):
-            graph.add_edge(k, (k + n // 2) % n)
-        return TopologySelector(graph)
-
-    return [
-        (lambda n: StarSelector(hub=0), "star"),
-        (chordal_cycle, "chordal-cycle"),
     ]
 
 

@@ -81,7 +81,7 @@ def main(fast: bool = False) -> None:
 
 
 def print_verdicts() -> None:
-    """Fit the measured scaling laws and print claim-by-claim verdicts
+    """Read the measured scaling laws and print claim-by-claim verdicts
     (see :mod:`repro.analysis.verdicts`)."""
     from repro.analysis.verdicts import (
         verdict_e1,
@@ -90,7 +90,7 @@ def print_verdicts() -> None:
         verdict_e7,
     )
 
-    print("Scaling-law verdicts (least-squares classification):")
+    print("Scaling-law verdicts (E1/E2 work read exactly, E7 rounds by least squares):")
     e1_rows = e1_identical_detection.run()
     for protocol in ("dbvv", "per-item-vv", "lotus"):
         print("  " + verdict_e1(e1_rows, protocol).describe())

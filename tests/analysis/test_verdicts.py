@@ -1,13 +1,14 @@
 """Automated paper-claim verdicts on real experiment output.
 
 These are the strongest shape tests in the suite: the measured series
-from E1/E2/E7 are run through the curve classifier and must come out
-as the paper's claimed growth laws, protocol by protocol.
+from E1/E2 must be exactly the paper's claimed laws, and E7's rounds
+must fit them best, protocol by protocol.
 """
 
 import pytest
 
 from repro.analysis.verdicts import (
+    exact_law,
     verdict_e1,
     verdict_e2_m,
     verdict_e2_n,
@@ -42,13 +43,12 @@ class TestE1Verdicts:
     def test_dbvv_is_constant(self, e1_rows):
         verdict = verdict_e1(e1_rows, "dbvv")
         assert verdict.matches, verdict.describe()
-        assert verdict.fit.growth_exponent == pytest.approx(0.0, abs=0.01)
+        assert verdict.evidence == "4 at every N"
 
     @pytest.mark.parametrize("protocol", ["per-item-vv", "lotus"])
     def test_baselines_are_linear(self, e1_rows, protocol):
         verdict = verdict_e1(e1_rows, protocol)
         assert verdict.matches, verdict.describe()
-        assert verdict.fit.growth_exponent > 0.85
 
     def test_wuu_bernstein_is_flat_in_n(self, e1_rows):
         verdict = verdict_e1(e1_rows, "wuu-bernstein")
@@ -68,7 +68,7 @@ class TestE2Verdicts:
     def test_dbvv_linear_in_m(self, e2_m_rows):
         verdict = verdict_e2_m(e2_m_rows, "dbvv")
         assert verdict.matches, verdict.describe()
-        assert verdict.fit.growth_exponent == pytest.approx(1.0, abs=0.1)
+        assert verdict.evidence == "8·m + 3"
 
 
 class TestE7Verdicts:
@@ -86,35 +86,56 @@ class TestE7Verdicts:
         assert "MATCHES" in text
 
 
+class TestExactLaw:
+    def test_constant(self):
+        assert exact_law([1, 2, 4], [7, 7, 7], "N") == ("constant", "7 at every N")
+
+    def test_linear_reports_the_affine_law(self):
+        assert exact_law([1, 8, 64], [11, 67, 515], "m") == ("linear", "8·m + 3")
+        assert exact_law([2, 4, 8], [0, 1, 3]) == ("linear", "1/2·x - 1")
+
+    def test_anything_else_is_not_affine(self):
+        assert exact_law([1, 2, 3], [1, 4, 9]) == ("not affine", "slopes 3, 5")
+        assert exact_law([1, 2, 3], [3, 2, 1]) == ("not affine", "slopes -1, -1")
+
+    def test_fewer_than_three_points_raise(self):
+        with pytest.raises(ValueError):
+            exact_law([1, 2], [5, 9])
+
+
 class TestVerdictNegativePath:
     def test_mismatch_is_reported_honestly(self):
         """A synthetic series that contradicts the claim must produce
         matches=False and a DIVERGES description — the verdict layer
         must be able to fail, or it proves nothing."""
         from repro.analysis.verdicts import ClaimVerdict
-        from repro.analysis.fitting import classify_scaling
 
         xs = [100, 400, 1_600, 6_400]
-        linear_ys = [5 * x for x in xs]
-        fit = classify_scaling(xs, linear_ys)
         verdict = ClaimVerdict(
-            claim="synthetic", protocol="dbvv",
-            expected_model="constant", fit=fit,
+            "synthetic", "dbvv", "constant",
+            *exact_law(xs, [5 * x for x in xs], "N"),
         )
         assert not verdict.matches
         assert "DIVERGES" in verdict.describe()
 
     def test_verdict_on_tampered_rows(self, e1_rows):
         """Corrupting the measured data flips the verdict — the checks
-        are sensitive, not vacuous."""
+        are sensitive, not vacuous.  ``4 + N // 4000`` grows by 25 % over
+        the sweep: a least-squares classifier with a growth-ratio gate
+        reads it as constant, the exact law does not."""
         from dataclasses import replace
 
-        from repro.analysis.verdicts import verdict_e1
+        def tamper(work_of):
+            return [
+                replace(row, work=work_of(row)) if row.protocol == "dbvv" else row
+                for row in e1_rows
+            ]
 
-        tampered = [
-            replace(row, work=row.work * row.n_items)  # make dbvv 'linear'
-            if row.protocol == "dbvv" else row
-            for row in e1_rows
-        ]
-        verdict = verdict_e1(tampered, "dbvv")
-        assert not verdict.matches
+        for work_of, law in [
+            (lambda row: row.work * row.n_items, "linear"),
+            (lambda row: 4 + row.n_items // 2000, "not affine"),
+            (lambda row: 4 + row.n_items // 4000, "not affine"),
+        ]:
+            verdict = verdict_e1(tamper(work_of), "dbvv")
+            assert not verdict.matches
+            assert verdict.measured == law, verdict.describe()

@@ -6,6 +6,7 @@ asynchronous schedules and restricted-connectivity peer selection.
 
 from repro.cluster import topologies
 from repro.cluster.event_sim import EventDrivenSimulation, NodeSchedule
+from repro.cluster.scheduler import TopologySelector
 from repro.experiments.common import make_factory, make_items
 from repro.substrate.operations import Put
 
@@ -43,7 +44,10 @@ class TestTopologiesInEventTime:
 
     def test_tree_topology_with_heterogeneous_periods(self):
         """Root syncs often, leaves rarely — still converges."""
-        selector = topologies.binary_tree(2)  # 7 nodes
+        # A complete binary tree of depth 2: 7 nodes, root 0.
+        selector = TopologySelector(
+            [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)]
+        )
         schedules = [NodeSchedule(period=2.0, jitter=0.1)] + [
             NodeSchedule(period=8.0, jitter=0.1)
         ] * 6

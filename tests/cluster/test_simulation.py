@@ -293,17 +293,3 @@ class TestAccounting:
         sim.run_until_converged(max_rounds=50)
         assert sim.history[-1].stale_pairs in (0, None) or sim.run_round().stale_pairs == 0
 
-
-class TestHistoryTable:
-    def test_history_table_renders_and_exports(self):
-        sim = make_sim()
-        sim.apply_update(0, ITEMS[0], Put(b"v"))
-        sim.run_round()
-        sim.run_round()
-        table = sim.history_table("demo")
-        rendered = table.render()
-        assert "demo" in rendered
-        assert "stale pairs" in rendered
-        csv = table.to_csv()
-        assert csv.splitlines()[0].startswith("round,sessions")
-        assert len(csv.splitlines()) == 3  # header + 2 rounds

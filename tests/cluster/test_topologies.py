@@ -6,11 +6,23 @@ import random
 import pytest
 
 from repro.cluster import topologies
+from repro.cluster.scheduler import TopologySelector
 from repro.cluster.simulation import ClusterSimulation
 from repro.experiments.common import make_factory, make_items
 from repro.substrate.operations import Put
 
 ITEMS = make_items(10)
+
+#: A complete binary tree of depth 2 (headquarters → regions → offices).
+TREE = TopologySelector([(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)])
+#: The 3-cube: every one of its 8 nodes has exactly three neighbors.
+CUBE = TopologySelector(
+    (a, a ^ bit) for a in range(8) for bit in (1, 2, 4) if a < a ^ bit
+)
+
+
+def edge_count(selector):
+    return sum(map(len, selector.neighbors.values())) // 2
 
 
 class TestConstruction:
@@ -28,41 +40,33 @@ class TestConstruction:
 
     def test_grid_degree(self):
         selector = topologies.grid(3, 3)
-        assert selector.graph.number_of_nodes() == 9
+        assert len(selector.neighbors) == 9
         # Center node of a 3x3 grid has 4 neighbors.
-        degrees = sorted(dict(selector.graph.degree).values())
+        degrees = sorted(map(len, selector.neighbors.values()))
         assert degrees == [2, 2, 2, 2, 3, 3, 3, 3, 4]
 
-    def test_binary_tree_size(self):
-        selector = topologies.binary_tree(3)
-        assert selector.graph.number_of_nodes() == 2 ** 4 - 1
-
     def test_small_world_adds_chords(self):
-        base_edges = topologies.ring(20).graph.number_of_edges()
+        base_edges = edge_count(topologies.ring(20))
         chorded = topologies.small_world(20, chords=5, seed=1)
-        assert chorded.graph.number_of_edges() == base_edges + 5
+        assert edge_count(chorded) == base_edges + 5
 
     def test_small_world_deterministic_by_seed(self):
         a = topologies.small_world(20, chords=5, seed=1)
         b = topologies.small_world(20, chords=5, seed=1)
-        assert sorted(a.graph.edges) == sorted(b.graph.edges)
-
-    def test_random_regular_is_regular_and_connected(self):
-        selector = topologies.random_regular(12, degree=3, seed=2)
-        degrees = set(dict(selector.graph.degree).values())
-        assert degrees == {3}
+        assert a.neighbors == b.neighbors
 
     def test_validation(self):
         with pytest.raises(ValueError):
             topologies.ring(2)
         with pytest.raises(ValueError):
             topologies.grid(1, 1)
+        # A 4-ring has room for 2 chords, a 5-ring for 5: asking for
+        # more is refused, never silently cut short.
         with pytest.raises(ValueError):
-            topologies.binary_tree(0)
+            topologies.small_world(4, chords=5)
         with pytest.raises(ValueError):
-            topologies.random_regular(5, degree=3, seed=0)  # odd product
-        with pytest.raises(ValueError):
-            topologies.random_regular(4, degree=4, seed=0)  # degree >= n
+            topologies.small_world(5, chords=6)
+        assert edge_count(topologies.small_world(5, chords=5)) == 10
 
 
 class TestConvergenceOverTopologies:
@@ -72,9 +76,9 @@ class TestConvergenceOverTopologies:
             (topologies.ring(6), 6),
             (topologies.line(6), 6),
             (topologies.grid(2, 3), 6),
-            (topologies.binary_tree(2), 7),
+            (TREE, 7),
             (topologies.small_world(8, chords=3, seed=3), 8),
-            (topologies.random_regular(8, degree=3, seed=3), 8),
+            (CUBE, 8),
         ],
         ids=["ring", "line", "grid", "tree", "small-world", "regular"],
     )

@@ -4,9 +4,22 @@
 from repro.experiments.e7_convergence import (
     converge_once,
     run_conflict_detection,
+    run_convergence,
 )
 from repro.experiments.e8_traffic import run as run_e8
-from repro.cluster.scheduler import RandomSelector, RingSelector
+from repro.cluster.scheduler import (
+    RandomSelector,
+    RingSelector,
+    StarSelector,
+    TopologySelector,
+)
+
+
+def chordal_cycle(n):
+    """A cycle plus a chord across the ring from every fourth node."""
+    edges = [(k, (k + 1) % n) for k in range(n)]
+    edges += [(k, (k + n // 2) % n) for k in range(0, n, 4)]
+    return TopologySelector(edges)
 
 
 class TestE7Convergence:
@@ -70,14 +83,12 @@ class TestE7ExtendedSchedules:
         """Theorem 5 over additional topologies: hub-and-spoke is
         hub-bottlenecked (~n rounds: the hub pulls one spoke per
         round), a chorded cycle sits between log and linear."""
-        from repro.experiments.e7_convergence import (
-            extended_selector_families,
-            run_convergence,
-        )
-
         rows = run_convergence(
             node_counts=(4, 16), seeds=(1, 2),
-            families=extended_selector_families(),
+            families=[
+                (lambda n: StarSelector(hub=0), "star"),
+                (chordal_cycle, "chordal-cycle"),
+            ],
         )
         by_key = {(r.selector, r.n_nodes): r for r in rows}
         assert all(r.conflicts == 0 for r in rows)

@@ -20,7 +20,6 @@ from repro.substrate.operations import Put
 from repro.workload.generators import SingleWriterWorkload, UniformWorkload
 from repro.workload.traces import Trace
 
-import networkx as nx
 
 ITEMS = make_items(60)
 
@@ -107,7 +106,7 @@ class TestC3Catchup:
             RandomSelector(),
             RingSelector(),
             StarSelector(hub=0),
-            TopologySelector(nx.path_graph(5)),
+            TopologySelector((k, k + 1) for k in range(4)),
         ],
         ids=["random", "ring", "star", "path-topology"],
     )

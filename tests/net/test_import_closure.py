@@ -1,10 +1,12 @@
-"""A node process loads the protocol, not the repo.
+"""A node process loads the protocol, not the repo; the repo loads
+the standard library alone.
 
 ``python -m repro.net`` must import only the layers below it (see
-"Layers" in ``docs/DEVELOPING.md``): no simulator, no baselines, no
-third-party package — and its frame registry holds the core protocol's
-type ids and nothing else.  Each check runs in a fresh interpreter so
-pytest's own imports cannot mask a regression.
+"Layers" in ``docs/DEVELOPING.md``): no simulator, no baselines — and
+its frame registry holds the core protocol's type ids and nothing
+else.  No ``repro`` module imports a third-party package.  Each check
+runs in a fresh interpreter so pytest's own imports cannot mask a
+regression.
 """
 
 import json
@@ -15,7 +17,6 @@ from pathlib import Path
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 FORBIDDEN = (
-    "networkx", "numpy", "scipy",
     "repro.cluster", "repro.metrics", "repro.baselines", "repro.experiments",
     "repro.explore", "repro.lint", "repro.analysis", "repro.workload",
     "repro.net.harness",
@@ -53,13 +54,29 @@ def test_node_entry_point_closure():
     assert type_ids == [1, 2, 3, 5, 6, 7, 8, 9]  # 4 is retired (the v1 reply)
 
 
-def test_protocol_packages_import_without_networkx():
-    """Only the simulator needs the graph library: the protocol, the
-    node, the linter and (for R8) the baselines import without it."""
+def test_every_module_imports_with_the_standard_library_alone():
+    """A finder refuses every top-level name outside the standard
+    library and ``repro``; then every ``repro`` module is imported, and
+    no module the interpreter had not loaded at startup may appear
+    outside those two."""
     out = _run(
-        "import sys\n"
-        "sys.modules['networkx'] = None\n"
-        "import repro, repro.net, repro.lint, repro.baselines\n"
-        "print('ok')\n"
+        "import importlib, json, pkgutil, sys\n"
+        "allowed = set(sys.stdlib_module_names) | {'repro'}\n"
+        "class RefuseThirdParty:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.partition('.')[0] not in allowed:\n"
+        "            raise ModuleNotFoundError(f'{name} is not in the standard library')\n"
+        "sys.meta_path.insert(0, RefuseThirdParty())\n"
+        "at_startup = set(sys.modules)\n"
+        "import repro\n"
+        "names = [m.name for m in pkgutil.walk_packages(repro.__path__, 'repro.')]\n"
+        "for name in names:\n"
+        "    importlib.import_module(name)\n"
+        "foreign = sorted(m for m in set(sys.modules) - at_startup\n"
+        "                 if m.partition('.')[0] not in allowed)\n"
+        "print(json.dumps([names, foreign]))\n"
     )
-    assert out.strip() == "ok"
+    names, foreign = json.loads(out)
+    assert foreign == []
+    assert {"repro.analysis.verdicts", "repro.cluster.topologies",
+            "repro.net.__main__", "repro.lint.__main__"} <= set(names)

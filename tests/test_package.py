@@ -51,7 +51,7 @@ class TestSubpackagesImportCleanly:
             "repro.workload", "repro.workload.generators", "repro.workload.traces",
             "repro.metrics", "repro.metrics.staleness",
             "repro.metrics.reporting", "repro.metrics.ascii_chart",
-            "repro.analysis", "repro.analysis.fitting", "repro.analysis.verdicts",
+            "repro.analysis", "repro.analysis.verdicts",
             "repro.experiments", "repro.experiments.common",
             "repro.experiments.run_all", "repro.interfaces", "repro.errors",
             "repro.obs",
