@@ -25,7 +25,9 @@ def session_frame_messages():
 
 
 def test_bench_encode_session_frames(benchmark, session_frame_messages):
-    codec = WireCodec(delta_vv=False)
+    import wire_harness
+
+    codec = WireCodec(wire_harness.FRAME_SCHEMA, delta_vv=False)
 
     def encode_all():
         for message in session_frame_messages:
@@ -35,7 +37,9 @@ def test_bench_encode_session_frames(benchmark, session_frame_messages):
 
 
 def test_bench_roundtrip_session_frames(benchmark, session_frame_messages):
-    codec = WireCodec()
+    import wire_harness
+
+    codec = WireCodec(wire_harness.FRAME_SCHEMA)
 
     def roundtrip_all():
         for message in session_frame_messages:
@@ -45,7 +49,7 @@ def test_bench_roundtrip_session_frames(benchmark, session_frame_messages):
 
 
 def test_bench_delta_request_quiescent(benchmark):
-    codec = WireCodec()
+    codec = WireCodec(())
     message = PropagationRequest(1, VersionVector.from_counts(list(range(32))))
     codec.decode(0, 1, codec.encode(0, 1, message))  # prime both caches
     benchmark(lambda: codec.decode(0, 1, codec.encode(0, 1, message)))

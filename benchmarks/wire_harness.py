@@ -55,15 +55,15 @@ from repro.core.session import PullSession, respond  # noqa: E402
 from repro.core.version_vector import VersionVector  # noqa: E402
 from repro.durable.checkpoint import encode_checkpoint, load_node  # noqa: E402
 from repro.durable.records import (  # noqa: E402
-    WalAccept,
     apply_record,
     decode_record,
-    encode_record,
+    encode_accept,
     validate_record,
 )
 from repro.experiments.common import make_factory, make_items  # noqa: E402
 from repro.substrate.operations import Put  # noqa: E402
-from repro.wire import WireCodec  # noqa: E402
+from repro.wire import Schema, WireCodec  # noqa: E402
+from repro.wire.varint import read_uvarint  # noqa: E402
 
 __all__ = [
     "REPORT_NAME",
@@ -94,6 +94,12 @@ PAYLOADS_PER_REPLY = 4
 
 FULL_SIM = (8, 200, 160)  # (n_nodes, n_items, burst updates)
 SMOKE_SIM = (6, 60, 48)
+
+#: The items the throughput and session frames name, as both ends'
+#: schema: an item travels as its position in it.
+FRAME_SCHEMA = Schema(
+    (*(f"item-{k:04d}" for k in range(PAYLOADS_PER_REPLY)), "hot-item")
+)
 
 
 def smoke_mode() -> bool:
@@ -146,7 +152,7 @@ def bench_throughput(frames: int | None = None) -> dict[str, Any]:
         best_elapsed = float("inf")
         total_bytes = 0
         for _ in range(3):
-            codec = WireCodec(delta_vv=delta)
+            codec = WireCodec(FRAME_SCHEMA, delta_vv=delta)
             total_bytes = 0
             t0 = time.perf_counter()
             for _ in range(frames):
@@ -168,7 +174,7 @@ def bench_throughput(frames: int | None = None) -> dict[str, Any]:
     count = frames * 50
     small_elapsed = float("inf")
     for _ in range(3):
-        small_codec = WireCodec()
+        small_codec = WireCodec(FRAME_SCHEMA)
         t0 = time.perf_counter()
         for i in range(count):
             message = small[i % 2]
@@ -218,8 +224,8 @@ def bench_session_bytes() -> dict[str, Any]:
     """Quiescent and propagating session bytes, delta vs full vectors."""
 
     def arm(propagating: bool) -> dict[str, Any]:
-        delta = _session_bytes(WireCodec(delta_vv=True), propagating)
-        full = _session_bytes(WireCodec(delta_vv=False), propagating)
+        delta = _session_bytes(WireCodec(FRAME_SCHEMA, delta_vv=True), propagating)
+        full = _session_bytes(WireCodec(FRAME_SCHEMA, delta_vv=False), propagating)
         # Skip session 0: the delta arm has no cached base yet, so both
         # arms ship full vectors and the comparison is a wash.
         delta_steady = sum(delta[1:]) / (len(delta) - 1)
@@ -319,12 +325,13 @@ def bench_stages(
     attribute each to the five stages a ``repro.net`` pull runs between
     the two socket reads: ``respond`` (source builds the reply),
     ``encode``, ``decode``, ``conclude`` (validate + AcceptPropagation)
-    and ``wal-record`` (what a durable recipient journals).
+    and ``wal-record`` (the accept record a durable recipient journals:
+    the payload it decoded, behind the record head).
 
     Every repetition rewrites all ``m`` items at the source and pulls
-    them over the same pair of link codecs, so item vectors travel as
-    deltas, as they do in the second and later bursts of the real
-    benchmark (the first, full-vector pull is the untimed warm-up).
+    them over the same pair of link codecs, as the second and later
+    bursts of the real benchmark do (the first pull is the untimed
+    warm-up); a reply's item vectors read no link cache.
     Each figure is the median over repetitions of stage time per
     shipped item divided by :func:`_calibration_unit` timed immediately
     before and after that repetition.
@@ -335,7 +342,8 @@ def bench_stages(
         names = [f"k{index:05d}" for index in range(m)]
         source = EpidemicNode(0, 2, names)
         recipient = EpidemicNode(1, 2, names)
-        sender, receiver = WireCodec(), WireCodec()
+        schema = Schema(names)
+        sender, receiver = WireCodec(schema), WireCodec(schema)
         samples: dict[str, list[float]] = {stage: [] for stage in STAGES}
         for repetition in range(repetitions + 1):
             value = bytes([repetition % 251]) * value_bytes
@@ -353,7 +361,8 @@ def bench_stages(
             t3 = clock()
             outcome = session.conclude(decoded)
             t4 = clock()
-            encode_record(repetition + 1, WalAccept(decoded))
+            _length, start = read_uvarint(frame, 0)
+            encode_accept(repetition + 1, memoryview(frame)[start:])
             t5 = clock()
             unit = (before + _calibration_unit()) / 2
             assert len(outcome.adopted) == m
@@ -435,14 +444,15 @@ def bench_wal_replay(
     for name in names:
         peer.update(name, Put(bytes(value_bytes)))
     reply = respond(peer, PullSession(EpidemicNode(0, 2, names)).request())
-    body = encode_record(1, WalAccept(reply))
+    codec = WireCodec(names, delta_vv=False)
+    body = bytes(encode_accept(1, codec.encode_payload(reply)))
     clock = time.process_time
     samples = []
     for _repetition in range(repetitions):
         node = EpidemicNode(0, 2, names)
         before = _calibration_unit()
         started = clock()
-        _lsn, record = decode_record(body)
+        _lsn, record = decode_record(codec, body)
         apply_record(node, validate_record(record, node))
         spent = clock() - started
         unit = (before + _calibration_unit()) / 2

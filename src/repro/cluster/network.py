@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.cluster.sanitizer import SANITIZE_ENV_VAR, WIRE_ENV_VAR, env_flag
 from repro.errors import (
@@ -102,6 +103,9 @@ class SimulatedNetwork:
     ----------
     n_nodes:
         Size of the replica set.
+    items:
+        The item schema the replicas share, in store order: in encoded
+        mode an item travels as its position in it.
     counters:
         Global sink charged for every message that leaves a sender.
     loss_rate:
@@ -119,6 +123,7 @@ class SimulatedNetwork:
     """
 
     n_nodes: int
+    items: Sequence[str]
     counters: OverheadCounters = field(default_factory=lambda: NULL_COUNTERS)
     loss_rate: float = 0.0
     rng: random.Random | None = None
@@ -130,7 +135,7 @@ class SimulatedNetwork:
             raise ValueError(f"n_nodes must be positive, got {self.n_nodes}")
         self.wire = env_flag(WIRE_ENV_VAR, self.wire)
         self.sanitize = env_flag(SANITIZE_ENV_VAR, self.sanitize)
-        self._codec: WireCodec | None = WireCodec() if self.wire else None
+        self._codec: WireCodec | None = WireCodec(self.items) if self.wire else None
         self._check_loss_rate(self.loss_rate)
         if self.loss_rate > 0.0 and self.rng is None:
             raise ValueError("loss_rate > 0 requires an explicit rng")

@@ -198,6 +198,7 @@ class ClusterSimulation:
         self.network_counters = OverheadCounters()
         self.network = SimulatedNetwork(
             self.n_nodes,
+            self.items,
             counters=self.network_counters,
             wire=self.wire,
             sanitize=self.sanitize,

@@ -66,7 +66,9 @@ class DBVVProtocolNode(ProtocolNode):
         Attach at construction time, before the node accepts anything:
         the journal's recovery replays from an empty (or checkpointed)
         replica, so inputs accepted before attachment would be lost.
+        The journal is bound to this node's id and item schema here.
         """
+        journal.bind(self.node_id, self._items)
         self.journal = journal
 
     def recover_from_journal(self) -> None:
@@ -145,7 +147,9 @@ class DBVVProtocolNode(ProtocolNode):
         if self.journal is not None and isinstance(answer, PropagationReply):
             # One group commit covers the adoption and its intra-node
             # replay; a YouAreCurrent changed nothing, nothing to log.
-            self.journal.record_accept(answer)
+            # No frame reached this adapter, so the reply is encoded
+            # with the journal's codec — the bytes a socket would carry.
+            self.journal.record_accept(self.journal.codec.encode_payload(answer))
             self.journal.commit(self.node)
         if outcome.identical:
             stats.identical = True

@@ -11,7 +11,8 @@ the assumption real:
   and the torn-tail truncation rule;
 * :mod:`~repro.durable.records` — the record codec: the five
   state-changing node inputs (update / accept / oob / resolve /
-  expand), wire-encoded with LSNs for checkpoint gating;
+  expand) and the identity record that opens every WAL file,
+  wire-encoded with LSNs for checkpoint gating;
 * :mod:`~repro.durable.checkpoint` — the checkpoint file: the whole
   protocol state as one WAL-framed record laid out by column, validated
   before it becomes a node;
@@ -32,12 +33,14 @@ from repro.durable.journal import NodeJournal
 from repro.durable.records import (
     WalAccept,
     WalExpand,
+    WalIdentity,
     WalOob,
     WalRecord,
     WalResolve,
     WalUpdate,
     apply_record,
     decode_record,
+    encode_accept,
     encode_record,
 )
 from repro.durable.wal import WriteAheadLog
@@ -46,6 +49,7 @@ __all__ = [
     "NodeJournal",
     "WalAccept",
     "WalExpand",
+    "WalIdentity",
     "WalOob",
     "WalRecord",
     "WalResolve",
@@ -53,5 +57,6 @@ __all__ = [
     "WriteAheadLog",
     "apply_record",
     "decode_record",
+    "encode_accept",
     "encode_record",
 ]

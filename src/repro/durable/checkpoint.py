@@ -82,8 +82,9 @@ __all__ = [
 if array("I").itemsize != 4 or array("Q").itemsize != 8:
     raise ImportError("checkpoint columns need 4- and 8-byte array items")
 
-#: Stateless (no delta caches): one instance serves every checkpoint.
-_CODEC = WireCodec(delta_vv=False)
+#: Stateless (no delta caches, no item schema — the body addresses
+#: items by store position itself): one instance serves every checkpoint.
+_CODEC = WireCodec((), delta_vv=False)
 _BIG_ENDIAN = sys.byteorder == "big"
 #: How every checkpoint before the binary format began.
 _TEXT_HEADER = b"checkpoint lsn "

@@ -7,7 +7,12 @@ One :class:`NodeJournal` owns one data directory::
 
 Writing discipline (the drivers call this after every accepted input):
 
-1. ``record_*`` appends the wire-encoded record to the WAL buffer;
+0. ``bind(node_id, items)`` (or ``recover``, which binds) names the
+   replica the journal belongs to and builds its record codec over the
+   item schema;
+1. ``record_*`` appends the wire-encoded record to the WAL buffer —
+   ``record_accept`` the reply's payload bytes as they arrived — after
+   an identity record if the WAL file has none yet;
 2. ``commit(node)`` group-commits (one flush/fsync for the batch) and
    folds the log into a fresh checkpoint when either trigger fires:
    ``checkpoint_every`` records since the last fold, or more WAL bytes
@@ -35,8 +40,10 @@ directory relies on.
 
 Recovery (:meth:`NodeJournal.recover`) is the paper's "repaired server"
 made real: load the checkpoint (or start from a fresh replica) — a torn,
-corrupt or text-format one is a ``SnapshotError`` and nothing is
-replayed — then truncate any torn WAL tail, replay the intact suffix, and
+corrupt or text-format one, or one that names another node, another
+item schema or fewer replicas, is a ``SnapshotError`` and nothing is
+replayed — then truncate any torn WAL tail, check the WAL's identity
+record against the same node and schema, replay the intact suffix, and
 hand back a node whose ``after_restore`` has marked the content
 digest stale and re-derived the per-origin ``log_gaps``.  The conflict
 reporter's history is telemetry, not protocol state: like the snapshot
@@ -54,23 +61,26 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.core.node import EpidemicNode
-from repro.core.messages import OutOfBoundReply, PropagationReply
+from repro.core.messages import OutOfBoundReply
 from repro.core.version_vector import VersionVector
 from repro.durable.checkpoint import SnapshotError, encode_checkpoint, load_node
 from repro.durable.records import (
-    WalAccept,
     WalExpand,
+    WalIdentity,
     WalOob,
     WalRecord,
     WalResolve,
     WalUpdate,
     apply_record,
     decode_record,
+    encode_accept,
     encode_record,
     validate_record,
 )
 from repro.durable.wal import WriteAheadLog
+from repro.errors import DurabilityError, WALError
 from repro.substrate.operations import UpdateOperation
+from repro.wire.codec import WireCodec
 
 __all__ = ["NodeJournal"]
 
@@ -106,8 +116,26 @@ class NodeJournal:
         self.records_replayed = 0
         self.records_skipped = 0
         self.wal = WriteAheadLog(self.wal_path, fsync=fsync)
+        #: The record codec and the identity record of the replica this
+        #: journal belongs to, set by :meth:`bind` (``recover`` binds).
+        self._bound: tuple[WireCodec, WalIdentity] | None = None
         self._next_lsn = 1
         self._since_checkpoint = 0
+        #: Whether the WAL file already opens with its identity record.
+        self._headed = False
+
+    @property
+    def codec(self) -> WireCodec:
+        """The record codec, over the item schema :meth:`bind` named."""
+        return self._binding()[0]
+
+    def _binding(self) -> tuple[WireCodec, WalIdentity]:
+        if self._bound is None:
+            raise DurabilityError(
+                f"journal {self.data_dir} is not bound to a replica: "
+                "call recover() or bind() before journaling"
+            )
+        return self._bound
 
     @property
     def checkpoint_path(self) -> Path:
@@ -132,17 +160,42 @@ class NodeJournal:
 
     # -- journaling -----------------------------------------------------------
 
-    def record(self, record: WalRecord) -> None:
-        """Append one record (buffered until the next :meth:`commit`)."""
-        self.wal.append(encode_record(self._next_lsn, record))
+    def bind(self, node_id: int, items: Sequence[str]) -> None:
+        """Bind the journal to replica ``node_id`` over ``items`` (the
+        item schema, in store order): records address items by their
+        position in the schema, and every WAL file opens with this
+        identity."""
+        codec = WireCodec(items, delta_vv=False)
+        self._bound = (codec, WalIdentity(node_id, codec.schema.digest))
+
+    def _open_record(self) -> tuple[WireCodec, int]:
+        """The record codec and the next record's LSN, after the
+        identity record when the WAL file has none yet (it takes an LSN
+        of its own, but does not count toward ``checkpoint_every``)."""
+        codec, identity = self._binding()
+        if not self._headed:
+            self._headed = True
+            self.wal.append(encode_record(codec, self._next_lsn, identity))
+            self._next_lsn += 1
+        lsn = self._next_lsn
         self._next_lsn += 1
         self._since_checkpoint += 1
+        return codec, lsn
+
+    def record(self, record: WalRecord) -> None:
+        """Append one record (buffered until the next :meth:`commit`)."""
+        self.wal.append(encode_record(*self._open_record(), record))
 
     def record_update(self, item: str, op: UpdateOperation) -> None:
         self.record(WalUpdate(item, op))
 
-    def record_accept(self, reply: PropagationReply) -> None:
-        self.record(WalAccept(reply))
+    def record_accept(self, payload: bytes | memoryview) -> None:
+        """Journal an adopted ``PropagationReply`` as the frame payload
+        it arrived in (type id and body, no length prefix) — validated
+        by the caller's ``conclude``, and not encoded again.  A caller
+        with no frame passes ``journal.codec.encode_payload(reply)``."""
+        _codec, lsn = self._open_record()
+        self.wal.append(encode_accept(lsn, payload))
 
     def record_oob(self, reply: OutOfBoundReply) -> None:
         self.record(WalOob(reply))
@@ -179,6 +232,7 @@ class NodeJournal:
         atomic_write_bytes(self.checkpoint_path, snapshot, fsync=self.fsync)
         self.checkpoint_bytes = len(snapshot)
         self.wal.reset()
+        self._headed = False
         self._since_checkpoint = 0
         self.checkpoints += 1
 
@@ -200,42 +254,78 @@ class NodeJournal:
         With no durable state yet, this returns a fresh
         ``node_class(node_id, n_nodes, items, **node_kwargs)`` — the
         constructor arguments describe the replica *at birth*; journaled
-        ``expand`` records re-grow the replica set during replay.  Torn
+        ``expand`` records re-grow the replica set during replay.  The
+        journal is bound to ``(node_id, items)`` (:meth:`bind`): a
+        checkpoint that does not load, or that names another node id,
+        other item names or order, or fewer than ``n_nodes`` replicas
+        (more is legal after an ``expand``), raises
+        :class:`~repro.durable.checkpoint.SnapshotError` before any WAL
+        record is read, and a WAL that does not open with an identity
+        record naming the same node and schema raises
+        :class:`~repro.errors.WALError` before any record applies.  Torn
         WAL tails are truncated in place, so the journal is immediately
-        appendable again.  A checkpoint that does not load raises
-        :class:`~repro.durable.checkpoint.SnapshotError` before any
-        WAL record is read.
+        appendable again.
         """
+        self.bind(node_id, items)
+        codec, head = self._binding()
         base_lsn = 0
         node: EpidemicNode | None = None
         if self.checkpoint_path.exists():
             snapshot = self.checkpoint_path.read_bytes()
             try:
                 base_lsn, node = load_node(snapshot, node_class, **node_kwargs)
+                same_items = list(node.store.names()) == list(items)
+                if node.node_id != node_id or not same_items or node.n_nodes < n_nodes:
+                    raise SnapshotError(
+                        f"names node {node.node_id} of {node.n_nodes} over "
+                        f"{len(node.store)} items, not node {node_id} of "
+                        f"{n_nodes} over {len(items)} items"
+                        + ("" if same_items else " in this order")
+                        + "; a data directory belongs to one replica"
+                    )
             except SnapshotError as exc:
                 raise SnapshotError(f"{self.checkpoint_path}: {exc}") from exc
             self.checkpoint_bytes = len(snapshot)
         if node is None:
             node = node_class(node_id, n_nodes, list(items), **node_kwargs)
         last_lsn = base_lsn
-        replayed = 0
-        for body in self.wal.open_and_repair():
-            lsn, record = decode_record(body)
+        replayed = records = 0
+        bodies = self.wal.open_and_repair()
+        self._headed = bool(bodies)
+        for position, body in enumerate(bodies):
+            lsn, record = decode_record(codec, body)
+            if isinstance(record, WalIdentity):
+                if record != head:
+                    raise WALError(
+                        f"{self.wal_path} belongs to node {record.node_id} "
+                        f"(schema digest {record.schema_digest.hex()}), not "
+                        f"node {node_id} (schema digest "
+                        f"{head.schema_digest.hex()}); a data directory "
+                        "belongs to one replica"
+                    )
+            elif position == 0:
+                raise WALError(
+                    f"{self.wal_path} does not open with an identity record"
+                )
             if lsn <= base_lsn:
                 # Stale record from a crash between checkpoint-replace
                 # and WAL-truncate; its effect is inside the snapshot.
                 self.records_skipped += 1
                 continue
-            # The log is disk state, not process state: validate every
-            # decoded record against the node as-of its replay point
-            # (R13) before it mutates anything.
-            record = validate_record(record, node)
-            apply_record(node, record)
+            if not isinstance(record, WalIdentity):
+                # The log is disk state, not process state: validate
+                # every decoded record against the node as-of its replay
+                # point (R13) before it mutates anything.
+                record = validate_record(record, node)
+                apply_record(node, record)
+                records += 1
+            # An identity record counts as replayed: its replay is the
+            # check above.
             replayed += 1
             last_lsn = lsn
         self.records_replayed += replayed
         self._next_lsn = last_lsn + 1
-        self._since_checkpoint = replayed
+        self._since_checkpoint = records
         return node
 
 

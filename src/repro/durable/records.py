@@ -17,33 +17,44 @@ oob        ``EpidemicNode.accept_oob``            ``node.accept_oob``
 resolve    ``EpidemicNode.resolve_conflict``      ``node.resolve_conflict``
                                                   with the journaled lineage
 expand     ``EpidemicNode.expand_replica_set``    ``node.expand_replica_set``
+identity   the first record of a WAL file         checked, not applied
 =========  =====================================  =======================
-
-A resolve record (kind 6) carries the lineage the resolution merged —
-the join of the item's regular and auxiliary IVVs and of every
-conflict report's vectors — in full form.  The reports are telemetry
-that no checkpoint keeps, so a record that named only the item and the
-value (kind 4, retired) replayed after a fold as a different node;
-:func:`decode_record` refuses kind 4 loudly, as the wire refuses type
-id 4.
 
 Each record body is LEB128 wire encoding, reusing the :mod:`repro.wire`
 field primitives and per-message codecs::
 
     body := uvarint(lsn) uvarint(kind) payload
 
-The nested ``PropagationReply``/``OutOfBoundReply`` payloads go through
-the registered message codecs with a **delta-VV-free** codec instance:
-a log record must be self-contained (replayable with no cross-record
-cache), so every version vector is stored in full form.  An accept
-record is therefore exactly as compact as the reply frame it journals
-(type id 9: names once, seqnos as differences), and a record written
-before that format (type id 4, retired) fails :func:`decode_record`
-with *unknown type id* — recovery stops there, loudly.  The checkpoint
-(:mod:`repro.durable.checkpoint`) is the same kind of frame around a
-column dump and reuses the op encoding for its auxiliary log; an old
-text checkpoint is refused just as loudly, so an old data directory is
-emptied and re-seeded from a peer, not upgraded in place.
+An item is its position in the journal's item schema
+(:meth:`Encoder.item <repro.wire.codec.Encoder.item>`), as on the wire,
+so every record is read with the :class:`~repro.wire.WireCodec` of the
+journal that wrote it: one per journal, built over the node's items,
+with delta-VV caches off — a log record must be self-contained
+(replayable with no cross-record cache), so every version vector it
+holds is in full form.
+
+An **accept record** (kind 2) is the reply's frame payload —
+``uvarint(10)`` and the v3 reply body — byte for byte as it arrived:
+that body reads no link cache, so a durable pull journals what it
+decoded instead of encoding the reply again (:func:`encode_accept`).  A
+record written before (type id 4 or 9, both retired) fails
+:func:`decode_record` with *unknown type id* — recovery stops there,
+loudly.  A resolve record (kind 9) carries the lineage the resolution
+merged — the join of the item's regular and auxiliary IVVs and of
+every conflict report's vectors — since the reports are telemetry that
+no checkpoint keeps.
+
+The **identity record** (kind 10: node id and the 8-byte schema digest)
+opens every WAL file: the journal writes it before the first record
+after it is created and after each fold, and recovery refuses a WAL
+that does not open with one naming the replica it is recovering.
+Retired kinds are refused loudly, naming the kind: 1, 3 and 6 (an
+update, out-of-bound reply or resolution that named its item, before
+items were schema positions) and 4 (a resolution without its lineage).
+The checkpoint (:mod:`repro.durable.checkpoint`) is the same kind of
+frame around a column dump; an old text checkpoint is refused just as
+loudly, so an old data directory is emptied and re-seeded from a peer,
+not upgraded in place.
 
 The LSN makes checkpointing crash-safe.  ``NodeJournal.checkpoint``
 first replaces the snapshot (atomically), then truncates the WAL; a
@@ -73,33 +84,39 @@ from repro.errors import ValidationError, WALError, WireFormatError
 from repro.substrate.operations import UpdateOperation
 from repro.wire.codec import Decoder, Encoder, WireCodec
 from repro.wire.codecs import decode_wire_op, encode_wire_op
+from repro.wire.varint import write_uvarint
 
 __all__ = [
     "WalAccept",
     "WalExpand",
+    "WalIdentity",
     "WalOob",
     "WalRecord",
     "WalResolve",
     "WalUpdate",
     "apply_record",
     "decode_record",
+    "encode_accept",
     "encode_record",
     "validate_record",
 ]
 
 #: Record-kind tags; stable on-disk constants like wire type ids.
-_KIND_UPDATE = 1
 _KIND_ACCEPT = 2
-_KIND_OOB = 3
-#: A resolution without its lineage, by an earlier release: refused.
-_KIND_RESOLVE_RETIRED = 4
 _KIND_EXPAND = 5
-_KIND_RESOLVE = 6
-
-#: Log records are self-contained: full version vectors, no delta
-#: caches.  With ``delta_vv=False`` the codec instance is stateless, so
-#: one module-level instance serves every journal.
-_CODEC = WireCodec(delta_vv=False)
+_KIND_UPDATE = 7
+_KIND_OOB = 8
+_KIND_RESOLVE = 9
+_KIND_IDENTITY = 10
+#: Kinds an earlier release wrote, refused by name (never reuse them).
+_RETIRED_KINDS = {
+    1: "an update that named its item, before items were schema positions",
+    3: "an out-of-bound reply that named its item, before items were "
+    "schema positions",
+    4: "a conflict resolution journaled without its lineage",
+    6: "a conflict resolution that named its item, before items were "
+    "schema positions",
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -141,49 +158,76 @@ class WalExpand:
     n_nodes: int
 
 
-WalRecord = Union[WalUpdate, WalAccept, WalOob, WalResolve, WalExpand]
+@dataclass(frozen=True, slots=True)
+class WalIdentity:
+    """The replica a WAL file belongs to: its node id and the digest of
+    its item schema (:attr:`Schema.digest <repro.wire.codec.Schema.digest>`)."""
+
+    node_id: int
+    schema_digest: bytes
 
 
-def encode_record(lsn: int, record: WalRecord) -> bytes:
-    """Encode one record body (LSN + kind + payload)."""
-    enc = Encoder(_CODEC, 0, 0)
+WalRecord = Union[WalUpdate, WalAccept, WalOob, WalResolve, WalExpand, WalIdentity]
+
+
+def encode_record(codec: WireCodec, lsn: int, record: WalRecord) -> bytes:
+    """Encode one record body (LSN + kind + payload) with the journal's
+    codec.  An accept record is the payload that arrived
+    (:func:`encode_accept`), never encoded here."""
+    enc = Encoder(codec, 0, 0)
     enc.uvarint(lsn)
     if isinstance(record, WalUpdate):
         enc.uvarint(_KIND_UPDATE)
-        enc.string(record.item)
+        enc.item(record.item)
         encode_wire_op(enc, record.op)
-    elif isinstance(record, WalAccept):
-        enc.uvarint(_KIND_ACCEPT)
-        enc.message(record.reply)
     elif isinstance(record, WalOob):
         enc.uvarint(_KIND_OOB)
         enc.message(record.reply)
     elif isinstance(record, WalResolve):
         enc.uvarint(_KIND_RESOLVE)
-        enc.string(record.item)
+        enc.item(record.item)
         enc.bytes_(record.value)
         enc.vv("lineage", record.lineage)
-    else:
+    elif isinstance(record, WalExpand):
         enc.uvarint(_KIND_EXPAND)
         enc.uvarint(record.n_nodes)
+    elif isinstance(record, WalIdentity):
+        enc.uvarint(_KIND_IDENTITY)
+        enc.uvarint(record.node_id)
+        enc.bytes_(record.schema_digest)
+    else:
+        raise TypeError(
+            f"{type(record).__name__} is journaled as received: use encode_accept"
+        )
     return bytes(enc.buf)
 
 
-def decode_record(body: bytes) -> tuple[int, WalRecord]:
-    """Decode one CRC-valid record body back to ``(lsn, record)``.
+def encode_accept(lsn: int, payload: bytes | memoryview) -> bytearray:
+    """An accept record: ``payload`` is a ``PropagationReply``'s frame
+    payload (type id and body, no length prefix), as it was decoded."""
+    body = bytearray()
+    write_uvarint(body, lsn)
+    body.append(_KIND_ACCEPT)
+    body += payload
+    return body
+
+
+def decode_record(codec: WireCodec, body: bytes) -> tuple[int, WalRecord]:
+    """Decode one CRC-valid record body back to ``(lsn, record)`` with
+    the codec of the journal that wrote it.
 
     The WAL layer's CRC already vouches for the bytes, so a decode
     failure here is semantic corruption (or a version skew), never a
     torn tail — it raises :class:`~repro.errors.WALError` and recovery
     stops instead of replaying a guess.
     """
-    dec = Decoder(_CODEC, 0, 0, body)
+    dec = Decoder(codec, 0, 0, body)
     try:
         lsn = dec.uvarint()
         kind = dec.uvarint()
         record: WalRecord
         if kind == _KIND_UPDATE:
-            record = WalUpdate(dec.string(), decode_wire_op(dec))
+            record = WalUpdate(dec.item(), decode_wire_op(dec))
         elif kind == _KIND_ACCEPT:
             message = dec.message()
             if not isinstance(message, PropagationReply):
@@ -201,16 +245,17 @@ def decode_record(body: bytes) -> tuple[int, WalRecord]:
                 )
             record = WalOob(message)
         elif kind == _KIND_RESOLVE:
-            record = WalResolve(dec.string(), dec.bytes_(), dec.vv("lineage"))
-        elif kind == _KIND_RESOLVE_RETIRED:
-            raise WALError(
-                f"retired WAL record kind {kind}: a conflict resolution "
-                "journaled without its lineage by an earlier release; "
-                "fold that journal with a clean shutdown of the release "
-                "that wrote it, then start this one"
-            )
+            record = WalResolve(dec.item(), dec.bytes_(), dec.vv("lineage"))
         elif kind == _KIND_EXPAND:
             record = WalExpand(dec.uvarint())
+        elif kind == _KIND_IDENTITY:
+            record = WalIdentity(dec.uvarint(), dec.bytes_())
+        elif kind in _RETIRED_KINDS:
+            raise WALError(
+                f"retired WAL record kind {kind}: {_RETIRED_KINDS[kind]}, "
+                "by an earlier release; fold that journal with a clean "
+                "shutdown of the release that wrote it, then start this one"
+            )
         else:
             raise WALError(f"unknown WAL record kind {kind}")
     except WireFormatError as exc:
@@ -273,7 +318,8 @@ def validate_record(record: WalRecord, node: EpidemicNode) -> WalRecord:
 
 
 def apply_record(node: EpidemicNode, record: WalRecord) -> None:
-    """Replay one record against ``node`` (recovery path)."""
+    """Replay one record against ``node`` (recovery path).  An identity
+    record changes nothing: ``NodeJournal.recover`` checks it."""
     if isinstance(record, WalUpdate):
         node.update(record.item, record.op)
     elif isinstance(record, WalAccept):
@@ -282,5 +328,5 @@ def apply_record(node: EpidemicNode, record: WalRecord) -> None:
         node.accept_oob(record.reply)
     elif isinstance(record, WalResolve):
         node.resolve_conflict(record.item, record.value, record.lineage)
-    else:
+    elif isinstance(record, WalExpand):
         node.expand_replica_set(record.n_nodes)

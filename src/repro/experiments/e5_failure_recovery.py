@@ -133,7 +133,7 @@ def run_oracle_arm(
     """Deferred push: originator crashes mid-push, survivors can't help."""
     items = make_items(n_items)
     counters = [OverheadCounters() for _ in range(n_nodes)]
-    network = SimulatedNetwork(n_nodes, counters=OverheadCounters())
+    network = SimulatedNetwork(n_nodes, items, counters=OverheadCounters())
     nodes = [
         OraclePushNode(k, n_nodes, items, counters=counters[k])
         for k in range(n_nodes)
@@ -173,7 +173,7 @@ def run_dbvv_arm(
     """Epidemic anti-entropy: survivors forward around the failure."""
     items = make_items(n_items)
     counters = [OverheadCounters() for _ in range(n_nodes)]
-    network = SimulatedNetwork(n_nodes, counters=OverheadCounters())
+    network = SimulatedNetwork(n_nodes, items, counters=OverheadCounters())
     nodes = [
         DBVVProtocolNode(k, n_nodes, items, counters=counters[k])
         for k in range(n_nodes)

@@ -191,7 +191,9 @@ class ProtocolWorld:
         self.protocol = protocol if protocol is not None else config.protocol
         self.spec = PROTOCOL_REGISTRY[self.protocol]
         self.counters = OverheadCounters()
-        self.network = SimulatedNetwork(config.n_nodes, counters=self.counters)
+        self.network = SimulatedNetwork(
+            config.n_nodes, config.items, counters=self.counters
+        )
         self.nodes: list[ProtocolNode] = [
             self.spec.factory(node_id, config.n_nodes, config.items, self.counters)
             for node_id in range(config.n_nodes)

@@ -7,8 +7,10 @@ The wire format is exactly :mod:`repro.wire`'s frame layout —
 This module only moves the bytes; it never looks inside a payload.
 
 Each peer connection opens with a fixed **preamble** (three raw
-uvarints — magic, protocol version, sender's node id) so the serving
-side knows which replica is talking before any frame arrives.  The
+uvarints — magic, protocol version, sender's node id — then the eight
+bytes of the sender's item-schema digest) so the serving side knows
+which replica is talking, and that both hold the same items in the same
+order, before any frame arrives.  The
 preamble is deliberately *outside* the message registry: it is
 connection plumbing, not a protocol message, and it must stay readable
 even when the registry evolves.
@@ -39,6 +41,7 @@ from repro.wire.varint import write_uvarint
 __all__ = [
     "MAGIC",
     "PROTOCOL_VERSION",
+    "SCHEMA_DIGEST_BYTES",
     "MAX_FRAME_BYTES",
     "ConnectionClosed",
     "BufferedReader",
@@ -54,9 +57,12 @@ __all__ = [
 #: First uvarint of every peer connection; "EP" for epidemic.
 MAGIC = 0xE95
 #: Bumped on any incompatible change to framing, the preamble, or a
-#: frame body a peer connection carries (2: the v2 ``PropagationReply``,
-#: type id 9 — see :mod:`repro.wire.codecs`).
-PROTOCOL_VERSION = 2
+#: frame body a peer connection carries (3: items as schema positions,
+#: the schema digest in the preamble, and the self-contained v3
+#: ``PropagationReply``, type id 10 — see :mod:`repro.wire.codecs`).
+PROTOCOL_VERSION = 3
+#: Bytes of the item-schema digest that closes the preamble.
+SCHEMA_DIGEST_BYTES = 8
 #: Upper bound on a single frame/blob; a malformed length prefix must
 #: not make the reader allocate gigabytes.  Aliases the codec-level cap
 #: so the stream reader and :meth:`WireCodec.decode` reject the same
@@ -262,12 +268,16 @@ async def write_blob(writer: asyncio.StreamWriter, *payloads: bytes) -> None:
         raise ConnectionClosed("connection closed while writing") from None
 
 
-async def send_preamble(writer: asyncio.StreamWriter, node_id: int) -> None:
-    """Open a peer connection: magic, protocol version, our node id."""
+async def send_preamble(
+    writer: asyncio.StreamWriter, node_id: int, schema_digest: bytes
+) -> None:
+    """Open a peer connection: magic, protocol version, our node id and
+    our item-schema digest."""
     buf = bytearray()
     write_uvarint(buf, MAGIC)
     write_uvarint(buf, PROTOCOL_VERSION)
     write_uvarint(buf, node_id)
+    buf += schema_digest
     writer.write(bytes(buf))
     try:
         await writer.drain()
@@ -275,8 +285,11 @@ async def send_preamble(writer: asyncio.StreamWriter, node_id: int) -> None:
         raise ConnectionClosed("connection closed during handshake") from None
 
 
-async def receive_preamble(reader: asyncio.StreamReader | BufferedReader) -> int:
-    """Validate the peer's preamble; returns the peer's node id."""
+async def receive_preamble(
+    reader: asyncio.StreamReader | BufferedReader,
+) -> tuple[int, bytes]:
+    """Validate the peer's preamble; returns the peer's node id and its
+    item-schema digest (comparing digests is the caller's call)."""
     magic, _ = await read_stream_uvarint(reader)
     if magic != MAGIC:
         raise WireFormatError(
@@ -290,4 +303,8 @@ async def receive_preamble(reader: asyncio.StreamReader | BufferedReader) -> int
             f"this node speaks {PROTOCOL_VERSION}"
         )
     node_id, _ = await read_stream_uvarint(reader)
-    return node_id
+    try:
+        digest = await reader.readexactly(SCHEMA_DIGEST_BYTES)
+    except asyncio.IncompleteReadError:
+        raise ConnectionClosed("connection closed during handshake") from None
+    return node_id, digest

@@ -19,6 +19,12 @@ edges:
 * an optional **anti-entropy scheduler** pulling from a uniformly
   random other peer every ``anti_entropy_period`` seconds.
 
+**One item schema.**  Items travel as positions in the node's
+``--items`` schema (:class:`~repro.wire.Schema`), built once and shared
+by every connection's codec; the handshake compares schema digests,
+so two replicas that name or order their items differently refuse
+each other before any frame is exchanged.
+
 **Connection-scoped delta-VV caches.**  Every TCP connection gets its
 own :class:`~repro.wire.WireCodec`: both endpoints create the codec at
 connect/accept time and retire it with the connection, so the sender
@@ -29,7 +35,9 @@ is the networked analogue of the simulator's
 any tear in the stream (process crash, reset, clean close) destroys
 exactly the caches that could have desynchronised, and the next
 connection restarts from full vectors.  No cross-connection cache can
-desync because no cache outlives its connection.
+desync because no cache outlives its connection.  A propagation reply
+reads no cache at all, so a durable pull journals the payload it
+decoded as it is.
 """
 
 from __future__ import annotations
@@ -70,7 +78,8 @@ from repro.net.framing import (
 )
 from repro.net.tasks import TaskTracker, cancel_and_wait
 from repro.substrate.operations import Put
-from repro.wire import WireCodec
+from repro.wire import Schema, WireCodec
+from repro.wire.varint import read_uvarint
 
 __all__ = ["NetNode"]
 
@@ -110,6 +119,7 @@ class NetNode:
         self.config = config
         self.node_id = config.node_id
         self.n_nodes = config.n_nodes
+        self.schema = Schema(config.items)
         self.journal: NodeJournal | None = None
         if config.data_dir is not None:
             # Durable mode: recover from whatever the directory holds
@@ -216,13 +226,20 @@ class NetNode:
         peer_id = -1
         stream = BufferedReader(reader)
         try:
-            peer_id = await receive_preamble(stream)
+            peer_id, digest = await receive_preamble(stream)
             if not 0 <= peer_id < self.n_nodes or peer_id == self.node_id:
                 raise WireFormatError(
                     f"peer handshake announced illegal node id {peer_id}"
                 )
-            await send_preamble(writer, self.node_id)
-            codec = WireCodec()
+            # Answered before the schema check, so the dialer sees the
+            # mismatch itself and refuses too.
+            await send_preamble(writer, self.node_id, self.schema.digest)
+            if digest != self.schema.digest:
+                raise WireFormatError(
+                    f"peer {peer_id} holds another item schema (digest "
+                    f"{digest.hex()}, this node's {self.schema.digest.hex()})"
+                )
+            codec = WireCodec(self.schema)
             while True:
                 frame = await read_frame(stream)
                 message = codec.decode(peer_id, self.node_id, frame)
@@ -319,7 +336,12 @@ class NetNode:
                     # between (R12): the journal can never hold an
                     # adoption a concurrent coroutine hasn't seen yet.
                     # A YouAreCurrent changed nothing, nothing to log.
-                    self.journal.record_accept(answer)
+                    # The reply reads no link cache, so the payload just
+                    # decoded and validated is the record, as it arrived
+                    # (the skip: these bytes are the answer validated above).
+                    _length, start = read_uvarint(answer_frame, 0)
+                    payload = memoryview(answer_frame)[start:]
+                    self.journal.record_accept(payload)  # lint: skip=R13
                     self.journal.commit(self.node)
                 return outcome
             raise NetworkSessionError(
@@ -344,8 +366,8 @@ class NetNode:
             ) from None
         reader = BufferedReader(raw_reader)
         try:
-            await send_preamble(writer, self.node_id)
-            served_by = await receive_preamble(reader)
+            await send_preamble(writer, self.node_id, self.schema.digest)
+            served_by, digest = await receive_preamble(reader)
         except (ConnectionClosed, WireFormatError) as exc:
             writer.close()
             raise NetworkSessionError(
@@ -357,7 +379,14 @@ class NetNode:
                 f"dialed peer {peer_id} but node {served_by} answered — "
                 "the seed list and the deployment disagree"
             )
-        link = _PeerLink(reader, writer, WireCodec())
+        if digest != self.schema.digest:
+            writer.close()
+            raise NetworkSessionError(
+                f"handshake with peer {peer_id} failed: it holds another "
+                f"item schema (digest {digest.hex()}, this node's "
+                f"{self.schema.digest.hex()})"
+            )
+        link = _PeerLink(reader, writer, WireCodec(self.schema))
         self._links[peer_id] = link
         return link
 

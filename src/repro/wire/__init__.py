@@ -10,26 +10,27 @@ back at receive, and ``bytes_sent`` counts ``len(frame)``.
 
 Encoded mode is off by default (the modelled sizes stay the tier-1
 contract) and enabled per run with ``ClusterSimulation(wire=True)`` /
-``SimulatedNetwork(wire=True)`` or globally with ``REPRO_WIRE=1``,
+``SimulatedNetwork(n, items, wire=True)`` or globally with ``REPRO_WIRE=1``,
 mirroring the sanitizer's ``REPRO_SANITIZE`` toggle.
 
 Layout: :mod:`~repro.wire.varint` (the number format),
 :mod:`~repro.wire.registry` (type-id table contract, audited by lint
-rule R8), :mod:`~repro.wire.codec` (frames, field primitives, and
-delta-compressed version vectors), :mod:`~repro.wire.codecs` (the
-core protocol's encode/decode pairs, type ids 1–9 less the retired 4 —
-the whole registry of a real replica) and :mod:`~repro.wire.baseline_codecs` (ids 16–50,
+rule R8), :mod:`~repro.wire.codec` (frames, field primitives, the item
+schema, and delta-compressed version vectors), :mod:`~repro.wire.codecs`
+(the core protocol's encode/decode pairs, type ids 1–10 less the
+retired 4 and 9 — the whole registry of a real replica) and :mod:`~repro.wire.baseline_codecs` (ids 16–50,
 registered by importing :mod:`repro.baselines`, never by this package).
 """
 
 from __future__ import annotations
 
-import repro.wire.codecs  # noqa: F401  (populates the registry, ids 1-9)
+import repro.wire.codecs  # noqa: F401  (populates the registry, ids 1-10)
 from repro.wire.codec import (
     MAX_FRAME_LEN,
     MAX_SEQUENCE_ITEMS,
     Decoder,
     Encoder,
+    Schema,
     WireCodec,
 )
 from repro.wire.registry import (
@@ -45,6 +46,7 @@ __all__ = [
     "MAX_FRAME_LEN",
     "MAX_SEQUENCE_ITEMS",
     "MessageCodec",
+    "Schema",
     "WireCodec",
     "codec_for_class",
     "codec_for_id",

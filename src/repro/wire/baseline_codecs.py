@@ -3,9 +3,11 @@
 Imported by :mod:`repro.baselines` — "a baseline class is importable"
 implies "its codec is registered" — and never by :mod:`repro.wire`, so
 a :mod:`repro.net` replica cannot decode a baseline frame.  The rules
-of :mod:`repro.wire.codecs` apply; particular to this file: Lotus
-``last_writer`` ids may be ``-1`` ("never written") → zigzag varints,
-and the per-item baseline's advertised IVVs use stream ``"pivv:<name>"``.
+of :mod:`repro.wire.codecs` apply — an item is its schema position
+here too, so encoded-mode traffic compares like with like; particular
+to this file: Lotus ``last_writer`` ids may be ``-1`` ("never
+written") → zigzag varints, and the per-item baseline's advertised
+IVVs use stream ``"pivv:<name>"``.
 """
 
 from __future__ import annotations
@@ -43,14 +45,14 @@ from repro.wire.registry import register
 
 
 def _encode_update_record(enc: Encoder, msg: UpdateRecord) -> None:
-    enc.string(msg.item)
+    enc.item(msg.item)
     enc.bytes_(msg.value)
     enc.uvarint(msg.seqno)
     enc.uvarint(msg.origin)
 
 
 def _decode_update_record(dec: Decoder) -> UpdateRecord:
-    return UpdateRecord(dec.string(), dec.bytes_(), dec.uvarint(), dec.uvarint())
+    return UpdateRecord(dec.item(), dec.bytes_(), dec.uvarint(), dec.uvarint())
 
 
 def _encode_push_batch(enc: Encoder, msg: _PushBatch) -> None:
@@ -70,14 +72,14 @@ def _decode_push_batch(dec: Decoder) -> _PushBatch:
 
 
 def _encode_am_record(enc: Encoder, msg: AMRecord) -> None:
-    enc.string(msg.item)
+    enc.item(msg.item)
     enc.bytes_(msg.value)
     enc.uvarint(msg.seqno)
     enc.uvarint(msg.origin)
 
 
 def _decode_am_record(dec: Decoder) -> AMRecord:
-    return AMRecord(dec.string(), dec.bytes_(), dec.uvarint(), dec.uvarint())
+    return AMRecord(dec.item(), dec.bytes_(), dec.uvarint(), dec.uvarint())
 
 
 def _encode_log_push(enc: Encoder, msg: _LogPush) -> None:
@@ -137,7 +139,7 @@ def _encode_ivv_list_reply(enc: Encoder, msg: _IVVListReply) -> None:
     enc.uvarint(msg.source)
     enc.uvarint(len(msg.ivvs))
     for name, ivv in msg.ivvs:
-        enc.string(name)
+        enc.item(name)
         enc.vv(f"pivv:{name}", ivv)
 
 
@@ -145,7 +147,7 @@ def _decode_ivv_list_reply(dec: Decoder) -> _IVVListReply:
     source = dec.uvarint()
     ivvs = []
     for _ in range(dec.count()):
-        name = dec.string()
+        name = dec.item()
         ivvs.append((name, dec.vv(f"pivv:{name}")))
     return _IVVListReply(source, tuple(ivvs))
 
@@ -154,12 +156,12 @@ def _encode_item_fetch(enc: Encoder, msg: _ItemFetch) -> None:
     enc.uvarint(msg.requester)
     enc.uvarint(len(msg.names))
     for name in msg.names:
-        enc.string(name)
+        enc.item(name)
 
 
 def _decode_item_fetch(dec: Decoder) -> _ItemFetch:
     requester = dec.uvarint()
-    names = tuple(dec.string() for _ in range(dec.count()))
+    names = tuple(dec.item() for _ in range(dec.count()))
     return _ItemFetch(requester, names)
 
 
@@ -191,7 +193,7 @@ def _encode_change_list(enc: Encoder, msg: _ChangeList) -> None:
     enc.uvarint(msg.source)
     enc.uvarint(len(msg.entries))
     for name, seqno, writer in msg.entries:
-        enc.string(name)
+        enc.item(name)
         enc.uvarint(seqno)
         enc.svarint(writer)  # -1 means "never written"
 
@@ -199,7 +201,7 @@ def _encode_change_list(enc: Encoder, msg: _ChangeList) -> None:
 def _decode_change_list(dec: Decoder) -> _ChangeList:
     source = dec.uvarint()
     entries = tuple(
-        (dec.string(), dec.uvarint(), dec.svarint())
+        (dec.item(), dec.uvarint(), dec.svarint())
         for _ in range(dec.count())
     )
     return _ChangeList(source, entries)
@@ -209,12 +211,12 @@ def _encode_doc_fetch(enc: Encoder, msg: _DocFetch) -> None:
     enc.uvarint(msg.requester)
     enc.uvarint(len(msg.names))
     for name in msg.names:
-        enc.string(name)
+        enc.item(name)
 
 
 def _decode_doc_fetch(dec: Decoder) -> _DocFetch:
     requester = dec.uvarint()
-    names = tuple(dec.string() for _ in range(dec.count()))
+    names = tuple(dec.item() for _ in range(dec.count()))
     return _DocFetch(requester, names)
 
 
@@ -222,7 +224,7 @@ def _encode_doc_shipment(enc: Encoder, msg: _DocShipment) -> None:
     enc.uvarint(msg.source)
     enc.uvarint(len(msg.docs))
     for name, value, seqno, writer in msg.docs:
-        enc.string(name)
+        enc.item(name)
         enc.bytes_(value)
         enc.uvarint(seqno)
         enc.svarint(writer)
@@ -231,7 +233,7 @@ def _encode_doc_shipment(enc: Encoder, msg: _DocShipment) -> None:
 def _decode_doc_shipment(dec: Decoder) -> _DocShipment:
     source = dec.uvarint()
     docs = tuple(
-        (dec.string(), dec.bytes_(), dec.uvarint(), dec.svarint())
+        (dec.item(), dec.bytes_(), dec.uvarint(), dec.svarint())
         for _ in range(dec.count())
     )
     return _DocShipment(source, docs)
@@ -241,14 +243,14 @@ def _decode_doc_shipment(dec: Decoder) -> _DocShipment:
 
 
 def _encode_gossip_record(enc: Encoder, msg: GossipRecord) -> None:
-    enc.string(msg.item)
+    enc.item(msg.item)
     enc.bytes_(msg.value)
     enc.uvarint(msg.seqno)
     enc.uvarint(msg.origin)
 
 
 def _decode_gossip_record(dec: Decoder) -> GossipRecord:
-    return GossipRecord(dec.string(), dec.bytes_(), dec.uvarint(), dec.uvarint())
+    return GossipRecord(dec.item(), dec.bytes_(), dec.uvarint(), dec.uvarint())
 
 
 def _encode_gossip_message(enc: Encoder, msg: _GossipMessage) -> None:

@@ -1,4 +1,4 @@
-"""Frames, field primitives, and the delta-VV cache protocol.
+"""Frames, field primitives, the item schema, and the delta-VV caches.
 
 Frame layout (all numbers LEB128 varints, see :mod:`repro.wire.varint`)::
 
@@ -10,6 +10,13 @@ per-class codec functions in :mod:`repro.wire.codecs`; a
 :class:`Decoder` mirrors every primitive.  A frame must decode to
 *exactly* its declared length — leftover or missing body bytes raise
 :class:`~repro.errors.WireFormatError`.
+
+**Items travel as schema positions.**  Both ends of a link hold the
+same ordered item names (a :class:`Schema`; a ``repro.net`` peer
+compares digests at the handshake), so :meth:`Encoder.item` writes an
+item as ``uvarint(position)`` and :meth:`Decoder.item` hands back the
+schema's own ``str``.  A position past the schema, or a name outside
+it, is a :class:`~repro.errors.WireFormatError`.
 
 **Delta-compressed version vectors.**  Anti-entropy partners exchange
 near-identical vectors over and over (the quiescent steady state probes
@@ -33,11 +40,23 @@ explicitly invalidate (:meth:`WireCodec.invalidate_link`,
 :meth:`WireCodec.invalidate_node`; the simulated network calls both).
 A delta frame arriving without a cached base raises
 :class:`WireFormatError` rather than guessing.
+
+A *self-contained* vector (:meth:`Encoder.bare_vv`, the per-item IVVs
+of a propagation reply) reads and advances no cache::
+
+    bare_vv  := 0x00 uvarint(n) n*uvarint(component)         # full
+              | 0x02 uvarint(n) uvarint(nonzero) nonzero*(gap value)
+    value    := uvarint(component)                           # > 0
+
+whichever is shorter (full on a tie); the cached delta tag there is a
+:class:`WireFormatError`.
 """
 
 from __future__ import annotations
 
-from typing import Any
+import hashlib
+import json
+from typing import Any, Iterable
 
 from repro.core.version_vector import VersionVector
 from repro.errors import WireFormatError
@@ -55,10 +74,18 @@ from repro.wire.varint import (
     write_uvarint,
 )
 
-__all__ = ["Decoder", "Encoder", "MAX_FRAME_LEN", "MAX_SEQUENCE_ITEMS", "WireCodec"]
+__all__ = [
+    "Decoder",
+    "Encoder",
+    "MAX_FRAME_LEN",
+    "MAX_SEQUENCE_ITEMS",
+    "Schema",
+    "WireCodec",
+]
 
 _FULL_VV = 0x00
 _DELTA_VV = 0x01
+_SPARSE_VV = 0x02
 
 #: Hard cap on a single frame's declared payload length.  A forged
 #: length prefix is rejected *before* anything is sized from it — a
@@ -80,6 +107,26 @@ MAX_SEQUENCE_ITEMS = 1 << 20
 _LEN_RESERVE = 4
 
 
+class Schema:
+    """The ordered item names both ends of a link hold.
+
+    ``digest`` is eight bytes of BLAKE2b over the names as a JSON array
+    (``json.dumps``, ASCII-escaped), so two schemas with the same names
+    in a different order differ.  Built once per replica and shared by
+    its codecs.
+    """
+
+    __slots__ = ("names", "index", "digest")
+
+    def __init__(self, names: Iterable[str]) -> None:
+        self.names: tuple[str, ...] = tuple(names)
+        self.index: dict[str, int] = dict(zip(self.names, range(len(self.names))))
+        if len(self.index) != len(self.names):
+            raise ValueError("a schema names an item twice")
+        text = json.dumps(self.names)
+        self.digest = hashlib.blake2b(text.encode("ascii"), digest_size=8).digest()
+
+
 class Encoder:
     """Writes one message body; leased per frame from :class:`WireCodec`.
 
@@ -88,11 +135,12 @@ class Encoder:
     allocates nothing but the final immutable ``bytes`` frame.
     """
 
-    __slots__ = ("buf", "_codec", "_src", "_dst", "_streams")
+    __slots__ = ("buf", "_codec", "_src", "_dst", "_streams", "_index")
 
     def __init__(self, codec: "WireCodec", src: int, dst: int) -> None:
         self.buf = bytearray()
         self._codec = codec
+        self._index = codec.schema.index
         self._src = src
         self._dst = dst
         # The sender-side stream cache for this directed link, resolved
@@ -123,8 +171,15 @@ class Encoder:
             write_uvarint(buf, length)
         buf += value
 
-    def string(self, value: str) -> None:
-        self.bytes_(value.encode("utf-8"))
+    def item(self, name: str) -> None:
+        """An item, as its position in the schema."""
+        position = self._index.get(name)
+        if position is None:
+            raise WireFormatError(f"item {name!r} is not in the schema")
+        if position < 0x80:
+            self.buf.append(position)
+        else:
+            write_uvarint(self.buf, position)
 
     def message(self, message: Any) -> None:
         """A nested registered message: its type id plus its body (no
@@ -161,10 +216,63 @@ class Encoder:
                 write_svarint(buf, counts[k] - base[k])
                 previous = k
         else:
-            buf.append(_FULL_VV)
-            write_uvarint(buf, len(counts))
-            for component in counts:
-                write_uvarint(buf, component)
+            _write_full(buf, counts)
+
+    def bare_vv(self, vv: VersionVector) -> None:
+        """A self-contained vector: full, or sparse against zero when
+        that is shorter (see the module docstring); no cache is read or
+        advanced."""
+        counts = vv.as_tuple()
+        buf = self.buf
+        n = len(counts)
+        zeros = counts.count(0)
+        if zeros > n - zeros:
+            # Sparse leaves out a byte per zero and pays the count plus
+            # one gap per nonzero component; the values cost the same.
+            present = [k for k in range(n) if counts[k]]
+            gaps = [k - previous - 1 for previous, k in zip([-1, *present], present)]
+            if _uvarint_len(len(present)) + sum(map(_uvarint_len, gaps)) < zeros:
+                buf.append(_SPARSE_VV)
+                write_uvarint(buf, n)
+                write_uvarint(buf, len(present))
+                for gap, k in zip(gaps, present):
+                    write_uvarint(buf, gap)
+                    write_uvarint(buf, counts[k])
+                return
+        _write_full(buf, counts)
+
+
+def _write_full(buf: bytearray, counts: tuple[int, ...]) -> None:
+    """A full-form vector: ``0x00 uvarint(n) n*uvarint(component)``."""
+    buf.append(_FULL_VV)
+    write_uvarint(buf, len(counts))
+    if max(counts, default=0) < 0x80:
+        buf += bytes(counts)  # one byte per component
+    else:
+        for component in counts:
+            write_uvarint(buf, component)
+
+
+def _read_full(data: bytes, pos: int) -> tuple[tuple[int, ...], int]:
+    """The components of a full-form vector whose tag ends before
+    ``pos``, and the position after them."""
+    n, pos = read_uvarint(data, pos)
+    if n > MAX_SEQUENCE_ITEMS:
+        raise WireFormatError(
+            f"declared element count {n} exceeds the {MAX_SEQUENCE_ITEMS} cap"
+        )
+    end = pos + n
+    if end <= len(data) and max(data[pos:end], default=0) < 0x80:
+        return tuple(data[pos:end]), end  # one byte per component
+    components = []
+    for _ in range(n):
+        component, pos = read_uvarint(data, pos)
+        components.append(component)
+    return tuple(components), pos
+
+
+def _uvarint_len(value: int) -> int:
+    return max(1, (value.bit_length() + 6) // 7)
 
 
 _ZERO_RESERVE = bytes(_LEN_RESERVE)
@@ -220,7 +328,7 @@ def _assemble_frame(encoder: Encoder, message: Any) -> bytes:
 class Decoder:
     """Reads one message body; mirror image of :class:`Encoder`."""
 
-    __slots__ = ("data", "pos", "_codec", "_src", "_dst", "_streams")
+    __slots__ = ("data", "pos", "_codec", "_src", "_dst", "_streams", "_names", "_implied")
 
     def __init__(
         self, codec: "WireCodec", src: int, dst: int, data: bytes, pos: int = 0
@@ -228,6 +336,11 @@ class Decoder:
         self.data = data
         self.pos = pos
         self._codec = codec
+        self._names = codec.schema.names
+        # Zero components sparse vectors may still imply in this frame:
+        # a few bytes can claim a vector of 2**20 zeros, so the total
+        # is capped per frame rather than per vector.
+        self._implied = MAX_SEQUENCE_ITEMS
         self._src = src
         self._dst = dst
         # Receiver-side stream cache for this directed link, resolved on
@@ -294,19 +407,21 @@ class Decoder:
         self.pos = end
         return data[pos:end]
 
-    def string(self) -> str:
+    def item(self) -> str:
+        """An item position, as the schema's own name."""
         data = self.data
-        length, pos = read_uvarint(data, self.pos)
-        end = pos + length
-        if end > len(data):
+        pos = self.pos
+        if pos < len(data) and data[pos] < 0x80:
+            position: int = data[pos]
+            self.pos = pos + 1
+        else:
+            position, self.pos = read_uvarint(data, pos)
+        names = self._names
+        if position >= len(names):
             raise WireFormatError(
-                f"truncated frame: {length}-byte field overruns the payload"
+                f"item position {position} is past the {len(names)}-item schema"
             )
-        self.pos = end
-        try:
-            return data[pos:end].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise WireFormatError(f"invalid UTF-8 in string field: {exc}") from None
+        return names[position]
 
     def message(self) -> Any:
         """A nested registered message (type id plus body)."""
@@ -388,18 +503,7 @@ class Decoder:
                     )
             counts = tuple(mutable)
         elif tag == _FULL_VV:
-            n, pos = read_uvarint(data, pos)
-            if n > MAX_SEQUENCE_ITEMS:
-                raise WireFormatError(
-                    f"declared element count {n} exceeds the "
-                    f"{MAX_SEQUENCE_ITEMS} cap"
-                )
-            components = []
-            append = components.append
-            for _ in range(n):
-                component, pos = read_uvarint(data, pos)
-                append(component)
-            counts = tuple(components)
+            counts, pos = _read_full(data, pos)
         else:
             raise WireFormatError(f"unknown version-vector tag {tag:#x}")
         self.pos = pos
@@ -410,20 +514,69 @@ class Decoder:
             streams[stream_key] = counts
         return VersionVector.from_counts(counts)
 
+    def bare_vv(self) -> VersionVector:
+        """A self-contained vector, full or sparse against zero; the
+        cached delta tag is a :class:`WireFormatError` here."""
+        data = self.data
+        pos = self.pos
+        if pos >= len(data):
+            raise WireFormatError("truncated frame: missing version-vector tag")
+        tag = data[pos]
+        if tag == _FULL_VV:
+            counts, pos = _read_full(data, pos + 1)
+        elif tag == _SPARSE_VV:
+            n, pos = read_uvarint(data, pos + 1)
+            if n > MAX_SEQUENCE_ITEMS:
+                raise WireFormatError(
+                    f"declared element count {n} exceeds the {MAX_SEQUENCE_ITEMS} cap"
+                )
+            self.pos = pos
+            present = self.count(n)
+            pos = self.pos
+            self._implied -= n - present
+            if self._implied < 0:
+                raise WireFormatError(
+                    "sparse version vectors imply more than "
+                    f"{MAX_SEQUENCE_ITEMS} components in one frame"
+                )
+            mutable = [0] * n
+            index = -1
+            for _ in range(present):
+                gap, pos = read_uvarint(data, pos)
+                index += gap + 1
+                if index >= n:
+                    raise WireFormatError(
+                        f"sparse version vector component {index} outside "
+                        f"its length {n}"
+                    )
+                mutable[index], pos = read_uvarint(data, pos)
+            counts = tuple(mutable)
+        elif tag == _DELTA_VV:
+            raise WireFormatError(
+                "a link-cached delta version vector inside a self-contained body"
+            )
+        else:
+            raise WireFormatError(f"unknown version-vector tag {tag:#x}")
+        self.pos = pos
+        return VersionVector.from_counts(counts)
+
 
 class WireCodec:
     """Encodes and decodes whole frames for one message fabric.
 
     One instance belongs to one :class:`~repro.cluster.network.
-    SimulatedNetwork` (or, eventually, one real socket endpoint pair)
-    and owns the per-link delta-VV caches.  ``delta_vv=False`` disables
-    the caches entirely — every vector travels in full form — which is
-    the comparison arm of the wire benchmark.
+    SimulatedNetwork`, one ``repro.net`` connection, or one journal, and
+    owns the per-link delta-VV caches.  ``schema`` is the item names
+    both ends hold, in order (a :class:`Schema` or the names
+    themselves).  ``delta_vv=False`` disables the caches entirely —
+    every vector travels in full form — which is what a log record and
+    the comparison arm of the wire benchmark need.
     """
 
-    __slots__ = ("delta_vv", "_sent", "_seen", "_pool", "_dpool")
+    __slots__ = ("schema", "delta_vv", "_sent", "_seen", "_pool", "_dpool")
 
-    def __init__(self, delta_vv: bool = True) -> None:
+    def __init__(self, schema: Schema | Iterable[str], delta_vv: bool = True) -> None:
+        self.schema = schema if isinstance(schema, Schema) else Schema(schema)
         self.delta_vv = delta_vv
         # Free lists of reusable Encoders (each keeps its grown buffer)
         # and Decoders, so steady-state encoding allocates only the
@@ -451,6 +604,18 @@ class WireCodec:
             return _assemble_frame(encoder, message)
         finally:
             self._pool.append(encoder)
+
+    def encode_payload(self, message: Any) -> bytes:
+        """``message`` as a frame payload (type id and body, no length
+        prefix) that reads and advances no delta cache — what a journal
+        records for a reply that arrived without a frame."""
+        encoder = self._acquire(0, 0)
+        encoder._streams = None
+        try:
+            frame = _assemble_frame(encoder, message)
+        finally:
+            self._pool.append(encoder)
+        return frame[read_uvarint(frame, 0)[1]:]
 
     def _acquire(self, src: int, dst: int) -> Encoder:
         """Lease a pooled encoder retargeted at ``src -> dst``."""
@@ -488,6 +653,7 @@ class WireCodec:
             decoder._src = src
             decoder._dst = dst
             decoder._streams = None
+            decoder._implied = MAX_SEQUENCE_ITEMS
         else:
             decoder = Decoder(self, src, dst, frame, start)
         try:
@@ -522,16 +688,3 @@ class WireCodec:
             stale = [link for link in cache if node in link]
             for link in stale:
                 del cache[link]
-
-    def cache_size(self) -> int:
-        """Total cached vector streams, both directions (test aid)."""
-        return sum(len(streams) for streams in self._sent.values()) + sum(
-            len(streams) for streams in self._seen.values()
-        )
-
-    def link_cache_size(self, src: int, dst: int) -> int:
-        """Cached vector streams on the directed link ``src -> dst``,
-        sender and receiver sides combined (test aid)."""
-        return len(self._sent.get((src, dst), {})) + len(
-            self._seen.get((src, dst), {})
-        )

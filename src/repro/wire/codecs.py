@@ -1,4 +1,4 @@
-"""The core protocol's codecs and the stable type-id table (ids 1–3, 5–9).
+"""The core protocol's codecs and the stable type-id table (ids 1–3, 5–8, 10).
 
 Importing this module registers an encode/decode pair for every
 ``wire_size`` class of the DBVV protocol itself — the session and
@@ -9,45 +9,56 @@ new message class without a registration (or a registration whose
 class lost its ``wire_size``) fails ``python -m repro.lint``.
 
 Type ids are stable protocol constants grouped by module (core protocol
-``1–9`` here; oracle ``16+``, agrawal-malpani ``24+``, per-item-vv
+``1–10`` here; oracle ``16+``, agrawal-malpani ``24+``, per-item-vv
 ``32+``, lotus ``40+``, wuu-bernstein ``48+`` in the baseline file);
-never renumber an existing id, and never reuse a retired one:
+never renumber an existing id, and never reuse a retired one.  An item
+is always its schema position (:meth:`Encoder.item
+<repro.wire.codec.Encoder.item>`), here and in the baselines:
 
 == ======================= ==============================================
 id class                   body
 == ======================= ==============================================
-1  ``ItemPayload``         name · value · vv(``ivv:<name>``)
+1  ``ItemPayload``         item · value · vv(``ivv:<name>``)
 2  ``PropagationRequest``  recipient · vv(``dbvv``)
 3  ``YouAreCurrent``       source
 4  *retired*               the v1 ``PropagationReply`` (names twice,
                            absolute seqnos); a frame or WAL record that
                            carries it is an *unknown type id*
 5  ``OutOfBoundRequest``   requester · item
-6  ``OutOfBoundReply``     source · item · value · vv(``oob:<item>``)
+6  ``OutOfBoundReply``     source · item · value · vv(``oob:<name>``)
 7  ``OpChainEntry``        origin · m · op
-8  ``DeltaPayload``        name · vv(``ivv:<name>``) · count · entries
-9  ``PropagationReply``    see below
+8  ``DeltaPayload``        item · vv(``ivv:<name>``) · count · entries
+9  *retired*               the v2 ``PropagationReply`` (items by name,
+                           item IVVs as link-cached deltas); refused like 4
+10 ``PropagationReply``    see below
 == ======================= ==============================================
 
-**The reply body (v2).**  The paper's tail vector D names exactly the
-items of the shipped set S (Fig. 2), so a name crosses the wire once,
-in S; D refers to it by position, and a tail's seqnos — which climb —
-travel as differences::
+**The reply body (v3).**  The paper's tail vector D names exactly the
+items of the shipped set S (Fig. 2), so an item crosses the wire once,
+in S, as its schema position; D refers to it by its index in S, and a
+tail's seqnos — which climb — travel as differences::
 
     reply   := source count payload* count tail*
-    payload := uvarint(1) ItemPayload-body | uvarint(8) DeltaPayload-body
+    payload := uvarint(0) item value bare_vv               # whole value
+             | uvarint(1) item bare_vv count op-entry*     # op chain
     tail    := count record*
     record  := uvarint(index into S) svarint(seqno - previous seqno of
                this tail, the first from 0)
 
-The decoder accepts the two payload type ids and nothing else (no
-registered message nests, so no frame can make a codec recurse), checks
-``index < len(S)``, and hands each record its payload's own ``str``.
-The encoder refuses (:class:`WireFormatError`) a reply whose tail names
-an item it does not ship — ``send_propagation`` cannot build one.  The
-in-memory :class:`PropagationReply` and its ``wire_size()`` model are
-what they were; whether seqnos *climb* is the recipient's validator's
-call (:mod:`repro.core.validate`), which is why the difference is signed.
+The payload tags are local to the reply body.  Every item IVV is a
+``bare_vv`` — full, or sparse against zero, whichever is shorter — so
+the reply reads and advances no link cache: the bytes that arrived are
+a self-contained record, and a durable recipient journals them as they
+are (:mod:`repro.durable.records`).  A cached delta tag inside a reply
+is a :class:`WireFormatError`.  The decoder accepts the two payload
+tags and nothing else (no registered message nests, so no frame can
+make a codec recurse), checks ``index < len(S)``, and hands each record
+its payload's own ``str``.  The encoder refuses
+(:class:`WireFormatError`) a reply whose tail names an item it does not
+ship — ``send_propagation`` cannot build one.  The in-memory
+:class:`PropagationReply` and its ``wire_size()`` model are what they
+were; whether seqnos *climb* is the recipient's validator's call
+(:mod:`repro.core.validate`), which is why the difference is signed.
 
 Field-domain notes the encoders rely on:
 
@@ -60,10 +71,10 @@ Field-domain notes the encoders rely on:
   table below.
 
 Version-vector *stream keys* (the delta-cache granularity, see
-:mod:`repro.wire.codec`): the database vector is stream ``"dbvv"``;
-an item's IVV is ``"ivv:<name>"`` whether it ships whole or as an op
-chain; out-of-bound replies use ``"oob:<name>"`` (auxiliary copies may
-run ahead of the regular IVV).
+:mod:`repro.wire.codec`): the database vector is stream ``"dbvv"``; a
+standalone item payload's IVV is ``"ivv:<name>"``; out-of-bound replies
+use ``"oob:<name>"`` (auxiliary copies may run ahead of the regular
+IVV).  A reply's item IVVs have no stream.
 """
 
 from __future__ import annotations
@@ -146,23 +157,22 @@ encode_wire_op = _encode_op
 decode_wire_op = _decode_op
 
 
-# -- core protocol (ids 1-3, 5-9) ---------------------------------------------
+# -- core protocol (ids 1-3, 5-8, 10) -----------------------------------------
 
-#: The two ids a reply's item set S may carry; the reply codec writes
-#: and accepts exactly these (see the module docstring).
-_ITEM_PAYLOAD_ID = 1
-_DELTA_PAYLOAD_ID = 8
+#: The reply body's own payload tags (see the module docstring).
+_WHOLE_VALUE = 0
+_OP_CHAIN = 1
 
 
 def _encode_item_payload(enc: Encoder, msg: ItemPayload) -> None:
     name = msg.name
-    enc.string(name)
+    enc.item(name)
     enc.bytes_(msg.value)
     enc.vv("ivv:" + name, msg.ivv)
 
 
 def _decode_item_payload(dec: Decoder) -> ItemPayload:
-    name = dec.string()
+    name = dec.item()
     value = dec.bytes_()
     return ItemPayload(name, value, dec.vv("ivv:" + name))
 
@@ -189,18 +199,18 @@ def _encode_propagation_reply(enc: Encoder, msg: PropagationReply) -> None:
     uvarint(msg.source)
     uvarint(len(msg.items))
     index_of: dict[str, int] = {}
-    string, bytes_, vv = enc.string, enc.bytes_, enc.vv
+    item, bytes_, bare_vv = enc.item, enc.bytes_, enc.bare_vv
     for index, payload in enumerate(msg.items):
         if type(payload) is ItemPayload:
-            # _encode_item_payload's body: one call fewer per item.
-            name = payload.name
-            uvarint(_ITEM_PAYLOAD_ID)
-            string(name)
+            uvarint(_WHOLE_VALUE)
+            item(payload.name)
             bytes_(payload.value)
-            vv("ivv:" + name, payload.ivv)
+            bare_vv(payload.ivv)
         elif type(payload) is DeltaPayload:
-            uvarint(_DELTA_PAYLOAD_ID)
-            _encode_delta_payload(enc, payload)
+            uvarint(_OP_CHAIN)
+            item(payload.name)
+            bare_vv(payload.ivv)
+            _encode_ops(enc, payload.ops)
         else:
             raise WireFormatError(
                 f"a reply ships ItemPayload or DeltaPayload, "
@@ -213,11 +223,11 @@ def _encode_propagation_reply(enc: Encoder, msg: PropagationReply) -> None:
     for tail in msg.tails:
         uvarint(len(tail))
         previous = 0
-        for item, seqno in tail:
-            index = index_for(item)
+        for name, seqno in tail:
+            index = index_for(name)
             if index is None:
                 raise WireFormatError(
-                    f"reply tail names item {item!r} that the reply "
+                    f"reply tail names item {name!r} that the reply "
                     "does not ship"
                 )
             uvarint(index)
@@ -229,21 +239,21 @@ def _decode_propagation_reply(dec: Decoder) -> PropagationReply:
     uvarint = dec.uvarint
     source = uvarint()
     items: list[ItemPayload | DeltaPayload] = []
-    string, bytes_, vv = dec.string, dec.bytes_, dec.vv
+    item, bytes_, bare_vv = dec.item, dec.bytes_, dec.bare_vv
     for _ in range(dec.count()):
-        type_id = uvarint()
-        if type_id == _ITEM_PAYLOAD_ID:
-            # _decode_item_payload's body (see the encoder).
-            name = string()
+        tag = uvarint()
+        if tag == _WHOLE_VALUE:
+            name = item()
             value = bytes_()
-            items.append(ItemPayload(name, value, vv("ivv:" + name)))
-        elif type_id == _DELTA_PAYLOAD_ID:
-            items.append(_decode_delta_payload(dec))
+            items.append(ItemPayload(name, value, bare_vv()))
+        elif tag == _OP_CHAIN:
+            name = item()
+            ivv = bare_vv()
+            items.append(DeltaPayload(name, ivv, _decode_ops(dec)))
         else:
             raise WireFormatError(
-                f"reply item has type id {type_id}; only ItemPayload "
-                f"({_ITEM_PAYLOAD_ID}) and DeltaPayload "
-                f"({_DELTA_PAYLOAD_ID}) are shipped"
+                f"reply item has payload tag {tag}; only a whole value "
+                f"({_WHOLE_VALUE}) or an op chain ({_OP_CHAIN}) is shipped"
             )
     names = [payload.name for payload in items]
     shipped = len(names)
@@ -266,23 +276,23 @@ def _decode_propagation_reply(dec: Decoder) -> PropagationReply:
 
 def _encode_oob_request(enc: Encoder, msg: OutOfBoundRequest) -> None:
     enc.uvarint(msg.requester)
-    enc.string(msg.item)
+    enc.item(msg.item)
 
 
 def _decode_oob_request(dec: Decoder) -> OutOfBoundRequest:
-    return OutOfBoundRequest(dec.uvarint(), dec.string())
+    return OutOfBoundRequest(dec.uvarint(), dec.item())
 
 
 def _encode_oob_reply(enc: Encoder, msg: OutOfBoundReply) -> None:
     enc.uvarint(msg.source)
-    enc.string(msg.item)
+    enc.item(msg.item)
     enc.bytes_(msg.value)
     enc.vv(f"oob:{msg.item}", msg.ivv)
 
 
 def _decode_oob_reply(dec: Decoder) -> OutOfBoundReply:
     source = dec.uvarint()
-    item = dec.string()
+    item = dec.item()
     value = dec.bytes_()
     return OutOfBoundReply(source, item, value, dec.vv(f"oob:{item}"))
 
@@ -297,28 +307,35 @@ def _decode_op_chain_entry(dec: Decoder) -> OpChainEntry:
     return OpChainEntry(dec.uvarint(), dec.uvarint(), _decode_op(dec))
 
 
-def _encode_delta_payload(enc: Encoder, msg: DeltaPayload) -> None:
-    enc.string(msg.name)
-    enc.vv("ivv:" + msg.name, msg.ivv)
-    enc.uvarint(len(msg.ops))
-    for entry in msg.ops:
+def _encode_ops(enc: Encoder, ops: tuple[OpChainEntry, ...]) -> None:
+    enc.uvarint(len(ops))
+    for entry in ops:
         _encode_op_chain_entry(enc, entry)
 
 
+def _decode_ops(dec: Decoder) -> tuple[OpChainEntry, ...]:
+    return tuple(_decode_op_chain_entry(dec) for _ in range(dec.count()))
+
+
+def _encode_delta_payload(enc: Encoder, msg: DeltaPayload) -> None:
+    enc.item(msg.name)
+    enc.vv("ivv:" + msg.name, msg.ivv)
+    _encode_ops(enc, msg.ops)
+
+
 def _decode_delta_payload(dec: Decoder) -> DeltaPayload:
-    name = dec.string()
+    name = dec.item()
     ivv = dec.vv("ivv:" + name)
-    ops = tuple(_decode_op_chain_entry(dec) for _ in range(dec.count()))
-    return DeltaPayload(name, ivv, ops)
+    return DeltaPayload(name, ivv, _decode_ops(dec))
 
 
-# -- the type-id table (4 is retired: the v1 reply; never reuse it) -----------
+# -- the type-id table (4 and 9 are retired replies; never reuse them) --------
 
-register(_ITEM_PAYLOAD_ID, ItemPayload, _encode_item_payload, _decode_item_payload)
+register(1, ItemPayload, _encode_item_payload, _decode_item_payload)
 register(2, PropagationRequest, _encode_propagation_request, _decode_propagation_request)
 register(3, YouAreCurrent, _encode_you_are_current, _decode_you_are_current)
 register(5, OutOfBoundRequest, _encode_oob_request, _decode_oob_request)
 register(6, OutOfBoundReply, _encode_oob_reply, _decode_oob_reply)
 register(7, OpChainEntry, _encode_op_chain_entry, _decode_op_chain_entry)
-register(_DELTA_PAYLOAD_ID, DeltaPayload, _encode_delta_payload, _decode_delta_payload)
-register(9, PropagationReply, _encode_propagation_reply, _decode_propagation_reply)
+register(8, DeltaPayload, _encode_delta_payload, _decode_delta_payload)
+register(10, PropagationReply, _encode_propagation_reply, _decode_propagation_reply)

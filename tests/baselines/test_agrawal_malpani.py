@@ -73,7 +73,7 @@ class TestVectorExchange:
         """The signature scenario: a push is lost (recipient down); the
         cheap path never retries, the vector exchange repairs."""
         n = 2
-        network = SimulatedNetwork(n)
+        network = SimulatedNetwork(n, ITEMS)
         a = AgrawalMalpaniNode(0, n, ITEMS, vector_exchange_every=3)
         b = AgrawalMalpaniNode(1, n, ITEMS, vector_exchange_every=3)
         a.user_update("item-0", Put(b"v"))

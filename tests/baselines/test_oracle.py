@@ -87,7 +87,7 @@ class TestCrashMidPush:
     def test_partial_push_strands_remaining_peers(self):
         """Paper section 8.2's failure scenario, at protocol level."""
         n = 4
-        network = SimulatedNetwork(n)
+        network = SimulatedNetwork(n, ITEMS)
         nodes = [OraclePushNode(k, n, ITEMS) for k in range(n)]
         nodes[0].user_update("item-0", Put(b"v"))
         crash = CrashAfterPartialPush(node=0, after_peers=1)

@@ -57,7 +57,7 @@ def make_pair(protocol):
             for k in range(2)
         )
         a.user_update(ITEMS[0], Put(b"lost"))
-        lossy = SimulatedNetwork(2)
+        lossy = SimulatedNetwork(2, ITEMS)
         lossy.arm_message_drop(1)
         assert a.sync_with(b, lossy).failed  # cursor advanced, push lost
         a.user_update(ITEMS[1], Put(b"out-of-order"))
@@ -76,7 +76,7 @@ def leg_phase(leg):
 
 
 def reference_legs(protocol):
-    net = LegRecordingNetwork(2)
+    net = LegRecordingNetwork(2, ITEMS)
     a, b = make_pair(protocol)
     stats = a.sync_with(b, net)
     assert not stats.failed
@@ -111,7 +111,7 @@ def fault_cases():
 @pytest.mark.parametrize("protocol,fault,k,node", list(fault_cases()))
 def test_fault_reports_its_leg_and_traffic(protocol, fault, k, node):
     legs = reference_legs(protocol)
-    net = SimulatedNetwork(2)
+    net = SimulatedNetwork(2, ITEMS)
     if fault == "drop":
         net.arm_message_drop(k)
         failed_leg = legs[k - 1]        # message k left, then was lost
@@ -153,7 +153,7 @@ def test_agrawal_malpani_peer_repair_travels_the_reply_leg_first():
         SessionPhase.REPLY_IN_FLIGHT,   # the peer's repair request
         SessionPhase.REQUEST_SENT,      # my repair of the peer
     ]
-    net = SimulatedNetwork(2)
+    net = SimulatedNetwork(2, ITEMS)
     net.arm_message_drop(6)
     a, b = make_pair("agrawal-malpani")
     assert a.sync_with(b, net).aborted_phase is SessionPhase.REPLY_IN_FLIGHT

@@ -22,7 +22,7 @@ MSG = YouAreCurrent(0)
 class TestFailurePlan:
     def test_crash_and_recover_fire_at_their_rounds(self):
         plan = FailurePlan([Crash(node=1, at_round=2), Recover(node=1, at_round=4)])
-        net = SimulatedNetwork(3)
+        net = SimulatedNetwork(3, ())
         assert plan.apply_round(1, net) == []
         assert net.is_up(1)
         plan.apply_round(2, net)
@@ -37,7 +37,7 @@ class TestFailurePlan:
             PartitionEvent(groups=((0, 1), (2,)), at_round=1),
             HealEvent(at_round=3),
         ])
-        net = SimulatedNetwork(3)
+        net = SimulatedNetwork(3, ())
         plan.apply_round(1, net)
         assert net.can_reach(0, 1)
         assert not net.can_reach(0, 2)
@@ -57,7 +57,7 @@ class TestFailurePlan:
 
     def test_multiple_events_same_round(self):
         plan = FailurePlan([Crash(node=0, at_round=1), Crash(node=1, at_round=1)])
-        net = SimulatedNetwork(3)
+        net = SimulatedNetwork(3, ())
         fired = plan.apply_round(1, net)
         assert len(fired) == 2
         assert not net.is_up(0) and not net.is_up(1)
@@ -110,7 +110,7 @@ class TestCrashedThroughEdgeCases:
 class TestMidSessionEvents:
     def test_crash_mid_session_arms_the_network(self):
         plan = FailurePlan([CrashMidSession(node=1, at_round=2)])
-        net = SimulatedNetwork(2)
+        net = SimulatedNetwork(2, ())
         plan.apply_round(1, net)
         assert net.armed_fault_count() == 0
         plan.apply_round(2, net)
@@ -124,7 +124,7 @@ class TestMidSessionEvents:
         plan = FailurePlan([
             LossyWindow(rate=0.999, at_round=2, until_round=4, seed=5),
         ])
-        net = SimulatedNetwork(2)
+        net = SimulatedNetwork(2, ())
         plan.apply_round(1, net)
         net.deliver(0, 1, MSG)                   # before the window
         fired = plan.apply_round(2, net)
@@ -166,7 +166,7 @@ class TestMidSessionEvents:
 
 class TestCrashAfterPartialPush:
     def test_crashes_after_quota(self):
-        net = SimulatedNetwork(4)
+        net = SimulatedNetwork(4, ())
         hook = CrashAfterPartialPush(node=0, after_peers=2)
         hook.note_push(0)
         assert not hook.should_crash_now(0, net)
@@ -176,14 +176,14 @@ class TestCrashAfterPartialPush:
         assert not net.is_up(0)
 
     def test_ignores_other_nodes(self):
-        net = SimulatedNetwork(4)
+        net = SimulatedNetwork(4, ())
         hook = CrashAfterPartialPush(node=0, after_peers=1)
         hook.note_push(2)
         assert not hook.should_crash_now(2, net)
         assert not hook.fired
 
     def test_fires_only_once(self):
-        net = SimulatedNetwork(4)
+        net = SimulatedNetwork(4, ())
         hook = CrashAfterPartialPush(node=0, after_peers=1)
         hook.note_push(0)
         assert hook.should_crash_now(0, net)
@@ -203,7 +203,7 @@ class TestOverlappingLossyWindows:
     """
 
     def rates_by_round(self, plan, last_round, n_nodes=2):
-        net = SimulatedNetwork(n_nodes)
+        net = SimulatedNetwork(n_nodes, ())
         rates = {}
         for round_no in range(last_round + 1):
             plan.apply_round(round_no, net)

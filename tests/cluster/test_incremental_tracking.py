@@ -282,7 +282,7 @@ class TestDropCrashComposition:
     MSG = YouAreCurrent(0)
 
     def test_crash_fires_even_when_trigger_message_drops(self):
-        net = SimulatedNetwork(2)
+        net = SimulatedNetwork(2, ITEMS)
         net.arm_message_drop(nth_message=1)
         net.arm_mid_session_crash(1, after_messages=1)
         net.open_session(0, 1)
@@ -294,7 +294,7 @@ class TestDropCrashComposition:
         assert net.armed_fault_count() == 0
 
     def test_drop_alone_still_drops(self):
-        net = SimulatedNetwork(2)
+        net = SimulatedNetwork(2, ITEMS)
         net.arm_message_drop(nth_message=1)
         net.open_session(0, 1)
         with pytest.raises(MessageLostError):

@@ -16,13 +16,14 @@ from repro.errors import (
     UnknownNodeError,
 )
 from repro.obs import OverheadCounters
+from tests.wire_caches import cache_size, link_cache_size
 
 # Most of this module asserts the *modelled* accounting semantics —
 # deliver() returning the identical object and charging wire_size() —
 # which encoded mode intentionally replaces.  Pin wire=False so the
 # assertions hold under REPRO_WIRE=1 too; TestWireMode exercises the
 # encoded path explicitly.
-SimulatedNetwork = functools.partial(_SimulatedNetwork, wire=False)
+SimulatedNetwork = functools.partial(_SimulatedNetwork, items=(), wire=False)
 
 MSG = YouAreCurrent(0)  # any sized message
 
@@ -301,7 +302,7 @@ class TestWireMode:
 
     @staticmethod
     def make_wire_net(n=3, **kwargs):
-        return _SimulatedNetwork(n, wire=True, **kwargs)
+        return _SimulatedNetwork(n, (), wire=True, **kwargs)
 
     def test_deliver_returns_decoded_equal_message(self):
         net = self.make_wire_net()
@@ -345,9 +346,9 @@ class TestWireMode:
         net = self.make_wire_net()
         request = PropagationRequest(1, VersionVector.from_counts((1, 1, 1)))
         net.deliver(0, 1, request)
-        assert net._codec.cache_size() > 0
+        assert cache_size(net._codec) > 0
         net.set_down(1)
-        assert net._codec.cache_size() == 0
+        assert cache_size(net._codec) == 0
         net.set_up(1)
         # The next exchange must fall back to a full vector and succeed.
         delivered = net.deliver(0, 1, request)
@@ -362,7 +363,7 @@ class TestWireMode:
         net.arm_message_drop(nth_message=1)
         with pytest.raises(MessageLostError):
             net.deliver(0, 1, request)
-        assert net._codec.link_cache_size(0, 1) == 0, (
+        assert link_cache_size(net._codec, 0, 1) == 0, (
             "dropped frame must wipe the link's caches"
         )
         # Delivery after the drop re-sends a full vector cleanly.
@@ -388,12 +389,12 @@ class TestWireMode:
 
     def test_wire_false_overrides_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_WIRE", "1")
-        net = _SimulatedNetwork(2, wire=False)
+        net = _SimulatedNetwork(2, (), wire=False)
         assert net.deliver(0, 1, MSG) is MSG
 
     def test_env_var_enables_wire(self, monkeypatch):
         monkeypatch.setenv("REPRO_WIRE", "1")
-        net = _SimulatedNetwork(2)
+        net = _SimulatedNetwork(2, ())
         assert net.wire is True
 
 

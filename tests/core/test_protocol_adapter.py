@@ -22,7 +22,7 @@ def make_pair():
 def make_networked_pair():
     a = DBVVProtocolNode(0, 2, ITEMS, counters=OverheadCounters())
     b = DBVVProtocolNode(1, 2, ITEMS, counters=OverheadCounters())
-    return a, b, SimulatedNetwork(2, counters=OverheadCounters())
+    return a, b, SimulatedNetwork(2, ITEMS, counters=OverheadCounters())
 
 
 class TestSyncWith:

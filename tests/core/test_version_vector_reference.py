@@ -245,8 +245,8 @@ def test_wire_roundtrip_preserves_vectors(vector_batch):
     # Successive requests on one directed link exercise both the full
     # and the delta vector encodings against the same cache state.
     for delta in (False, True):
-        sender = WireCodec(delta_vv=delta)
-        receiver = WireCodec(delta_vv=delta)
+        sender = WireCodec((), delta_vv=delta)
+        receiver = WireCodec((), delta_vv=delta)
         for counts in vector_batch:
             message = PropagationRequest(1, VersionVector.from_counts(counts))
             decoded = receiver.decode(0, 1, sender.encode(0, 1, message))

@@ -70,7 +70,7 @@ SIX = [f"item-{k}" for k in range(6)]
 def small_checkpointed_journal(directory: Path) -> EpidemicNode:
     """A 6-item node checkpointed, then two more records in the WAL."""
     journal = NodeJournal(directory, fsync=False, checkpoint_every=0)
-    node = EpidemicNode(0, 2, SIX)
+    node = journal.recover(EpidemicNode, 0, 2, SIX)
     peer = EpidemicNode(1, 2, SIX)
     for name in SIX:
         node.update(name, Put(name.encode()))
@@ -78,7 +78,7 @@ def small_checkpointed_journal(directory: Path) -> EpidemicNode:
     peer.update(SIX[0], Put(b"peer"))
     reply = peer.send_propagation(node.make_propagation_request())
     node.accept_propagation(reply)
-    journal.record_accept(reply)
+    journal.record_accept(journal.codec.encode_payload(reply))
     journal.commit()
     journal.checkpoint(node)
     for name in SIX[:2]:
@@ -118,7 +118,7 @@ class TestEveryCutAndFlip:
         (crash / "checkpoint.snap").write_bytes(good)
         journal = NodeJournal(crash, fsync=False)
         assert node_state(journal.recover(EpidemicNode, 0, 2, SIX)) == node_state(node)
-        assert journal.records_replayed == 2
+        assert journal.records_replayed == 3  # the identity record, two updates
 
 
 N_NODES = 3
@@ -187,7 +187,12 @@ def run(node_class, program, journals=None, folds=frozenset()):
         if journals is None:
             continue
         for who, record in records:
-            journals[who].record(record)
+            if isinstance(record, WalAccept):
+                # An adoption is journaled as the reply's payload bytes.
+                payload = journals[who].codec.encode_payload(record.reply)
+                journals[who].record_accept(payload)
+            else:
+                journals[who].record(record)
             journals[who].commit()
         if index in folds:
             for journal, node in zip(journals, nodes):
@@ -263,6 +268,8 @@ def test_fold_anywhere_then_recover_reproduces_the_journaled_node(
             NodeJournal(Path(tmp) / str(k), fsync=False, checkpoint_every=0)
             for k in range(N_NODES)
         ]
+        for k, journal in enumerate(journals):
+            journal.bind(k, ITEMS)
         nodes = run(node_class, program, journals, folds)
         for journal, node in zip(journals, nodes):
             journal.close()
@@ -430,6 +437,7 @@ class TestUpgradePath:
     def test_text_checkpoint_is_refused_with_the_remedy(self, tmp_path):
         (tmp_path / "checkpoint.snap").write_text(PARENT_TEXT_CHECKPOINT)
         journal = NodeJournal(tmp_path, fsync=False)
+        journal.bind(0, ["a", "b"])
         journal.record_update("a", Put(b"later"))
         journal.close()
         wal = (tmp_path / "wal.log").read_bytes()

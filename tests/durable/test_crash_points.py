@@ -61,7 +61,7 @@ def run_workload(journal, actions) -> tuple[EpidemicNode, list[int]]:
     """Drive (node, peer) through ``actions``, journaling the node's
     inputs; returns the node and the record count at each group-commit
     boundary (every acknowledged batch)."""
-    node = EpidemicNode(0, 3, ITEMS)
+    node = journal.recover(EpidemicNode, 0, 3, ITEMS)
     peer = EpidemicNode(1, 3, ITEMS)
     committed_counts = []
     recorded = 0
@@ -82,7 +82,7 @@ def run_workload(journal, actions) -> tuple[EpidemicNode, list[int]]:
             pull.conclude(answer)
             if not isinstance(answer, PropagationReply):
                 continue  # YouAreCurrent: nothing adopted, nothing logged
-            journal.record_accept(answer)
+            journal.record_accept(journal.codec.encode_payload(answer))
         else:  # oob
             reply = peer.handle_oob_request(node.make_oob_request(action[1] if len(action) > 1 else "a"))
             node.accept_oob(reply)
@@ -135,7 +135,7 @@ def test_recovery_is_prefix_consistent_at_every_truncation_point(actions):
         reference = EpidemicNode(0, 3, ITEMS)
         dumps = [node_state(reference)]
         for body in bodies:
-            _, record = decode_record(body)
+            _, record = decode_record(journal.codec, body)
             apply_record(reference, record)
             dumps.append(node_state(reference))
 
@@ -176,7 +176,7 @@ def test_recovery_from_checkpoint_plus_suffix_at_every_truncation_point(
     with tempfile.TemporaryDirectory(prefix="crashpoints-ckpt-") as tmp:
         base = Path(tmp)
         journal = NodeJournal(base / "node", fsync=False, checkpoint_every=0)
-        node = EpidemicNode(0, 3, ITEMS)
+        node = journal.recover(EpidemicNode, 0, 3, ITEMS)
         peer = EpidemicNode(1, 3, ITEMS)
         base_lsn, base_node = 0, EpidemicNode(0, 3, ITEMS)
         for index, action in enumerate(actions):
@@ -200,7 +200,7 @@ def test_recovery_from_checkpoint_plus_suffix_at_every_truncation_point(
                 pull.conclude(answer)
                 if not isinstance(answer, PropagationReply):
                     continue
-                journal.record_accept(answer)
+                journal.record_accept(journal.codec.encode_payload(answer))
             else:
                 reply = peer.handle_oob_request(node.make_oob_request("a"))
                 node.accept_oob(reply)
@@ -232,7 +232,7 @@ def test_recovery_from_checkpoint_plus_suffix_at_every_truncation_point(
 
             expected = copy.deepcopy(base_node)
             for body in bodies[:survived]:
-                lsn, record = decode_record(body)
+                lsn, record = decode_record(journal.codec, body)
                 if lsn > base_lsn:
                     apply_record(expected, record)
             assert node_state(recovered) == node_state(expected), f"cut {cut}"

@@ -11,28 +11,31 @@ from repro.core.version_vector import VersionVector
 from repro.durable import (
     NodeJournal,
     WalAccept,
+    WalIdentity,
     WalResolve,
     WalUpdate,
     decode_record,
+    encode_accept,
     encode_record,
 )
 from repro.durable import journal as journal_module
 from repro.durable.checkpoint import SnapshotError
 from repro.durable.wal import frame_record
-from repro.errors import ValidationError, WALError
+from repro.errors import DurabilityError, ValidationError, WALError
 from repro.substrate.operations import Append, Put
 from repro.wire import WireCodec
-from repro.wire.varint import write_uvarint
 from tests.node_state import node_state
 
 ITEMS = ["a", "b"]
+#: A journal's record codec over ``ITEMS`` (what ``bind`` builds).
+CODEC = WireCodec(ITEMS, delta_vv=False)
 #: The bytes trigger's floor (``repro.durable.journal``).
 FLOOR = 64 * 1024
 
 
 def journaled_workload(journal: NodeJournal) -> EpidemicNode:
     """Drive a node through all five record kinds, journaling each."""
-    node = EpidemicNode(0, 3, ITEMS)
+    node = journal.recover(EpidemicNode, 0, 3, ITEMS)
     peer = EpidemicNode(1, 3, ITEMS)
 
     node.update("a", Put(b"hello"))
@@ -44,7 +47,7 @@ def journaled_workload(journal: NodeJournal) -> EpidemicNode:
     answer = respond(peer, pull.request())
     pull.conclude(answer)
     assert isinstance(answer, PropagationReply)
-    journal.record_accept(answer)
+    journal.record_accept(journal.codec.encode_payload(answer))
     journal.commit(node)
 
     peer.update("a", Put(b"hot"))
@@ -62,8 +65,8 @@ def journaled_workload(journal: NodeJournal) -> EpidemicNode:
 
 class TestRecordCodec:
     def test_roundtrip_carries_the_lsn(self):
-        body = encode_record(42, WalUpdate("a", Put(b"v")))
-        lsn, record = decode_record(body)
+        body = encode_record(CODEC, 42, WalUpdate("a", Put(b"v")))
+        lsn, record = decode_record(CODEC, body)
         assert lsn == 42
         assert record == WalUpdate("a", Put(b"v"))
 
@@ -77,23 +80,26 @@ class TestRecordCodec:
             fresh.recover(EpidemicNode, 0, 3, ITEMS)
 
     def test_trailing_bytes_in_body_raise_walerror(self):
-        body = encode_record(1, WalUpdate("a", Put(b"v"))) + b"\x00"
+        body = encode_record(CODEC, 1, WalUpdate("a", Put(b"v"))) + b"\x00"
         with pytest.raises(WALError, match="trailing"):
-            decode_record(body)
+            decode_record(CODEC, body)
 
-    def test_accept_record_embeds_the_v2_reply_body(self):
-        """LSN · kind 2 · type id 9 · the reply exactly as a delta-free
-        link would frame it: the record shrank with the wire format."""
+    def test_accept_record_is_the_reply_payload_as_received(self):
+        """LSN · kind 2 · the payload of the reply frame a link codec —
+        delta caches on — put on the wire (type id 10 and the v3 body),
+        byte for byte: a reply reads no cache, so the frame a node
+        decoded is the record it journals, and the record shrank with
+        the format."""
         node, peer = EpidemicNode(0, 2, ITEMS), EpidemicNode(1, 2, ITEMS)
         for name, value in (("a", b"xy"), ("b", b"z"), ("a", b"xyz")):
             peer.update(name, Put(value))
         reply = respond(peer, PullSession(node).request())
-        body = encode_record(2, WalAccept(reply))
-        frame = WireCodec(delta_vv=False).encode(1, 0, reply)
+        frame = WireCodec(ITEMS).encode(1, 0, reply)
+        body = encode_accept(2, CODEC.encode_payload(reply))
         assert body == bytes([2, 2]) + frame[1:]
-        assert body[2] == 9
-        assert len(body) < len(PARENT_ACCEPT_RECORD)
-        assert decode_record(body) == (2, WalAccept(reply))
+        assert body[2] == 10
+        assert len(body) < len(V2_ACCEPT_RECORD) < len(PARENT_ACCEPT_RECORD)
+        assert decode_record(CODEC, body) == (2, WalAccept(reply))
 
 
 #: LSN 2's body as the parent commit journaled it: the adoption, by
@@ -102,6 +108,13 @@ class TestRecordCodec:
 PARENT_ACCEPT_RECORD = bytes.fromhex(
     "0202040102000201620201610302010162017a000200010101610378797a00020002"
 )
+#: The same record as the v2 journal wrote it (type id 9: items by
+#: name), and that journal's ``record_update("b", Put(b"before"))`` at
+#: LSN 1 (kind 1: the item by name).
+V2_ACCEPT_RECORD = bytes.fromhex(
+    "0202090102010162017a000200010101610378797a0002000202000200040102"
+)
+V2_UPDATE_RECORD = bytes.fromhex("0101016200066265666f7265")
 
 
 class TestParentWrittenJournal:
@@ -110,12 +123,13 @@ class TestParentWrittenJournal:
 
     def test_parent_accept_record_is_an_unknown_type_id(self):
         with pytest.raises(WALError, match="unknown wire message type id 4"):
-            decode_record(PARENT_ACCEPT_RECORD)
+            decode_record(CODEC, PARENT_ACCEPT_RECORD)
 
     def test_recovery_stops_at_it_and_replays_nothing_after(
         self, tmp_path, monkeypatch
     ):
         journal = NodeJournal(tmp_path, checkpoint_every=0)
+        journal.bind(0, ITEMS)
         journal.record_update("b", Put(b"before"))
         journal.wal.append(PARENT_ACCEPT_RECORD)
         journal._next_lsn += 1
@@ -136,6 +150,111 @@ class TestParentWrittenJournal:
         fresh.close()
 
 
+class TestV2Journal:
+    """A journal written before items were schema positions is refused
+    at its first record, naming the retired type id or record kind."""
+
+    def test_its_records_name_the_retired_id_and_kind(self):
+        with pytest.raises(WALError, match="unknown wire message type id 9"):
+            decode_record(CODEC, V2_ACCEPT_RECORD)
+        with pytest.raises(WALError, match="retired WAL record kind 1"):
+            decode_record(CODEC, V2_UPDATE_RECORD)
+
+    @pytest.mark.parametrize("first", [V2_UPDATE_RECORD, V2_ACCEPT_RECORD])
+    def test_recovery_refuses_it_before_any_record_applies(self, tmp_path, first):
+        records = [first, V2_ACCEPT_RECORD if first is V2_UPDATE_RECORD else V2_UPDATE_RECORD]
+        (tmp_path / "wal.log").write_bytes(b"".join(map(bytes, map(frame_record, records))))
+        journal = NodeJournal(tmp_path, fsync=False)
+        with pytest.raises(WALError, match="type id 9|record kind 1"):
+            journal.recover(EpidemicNode, 0, 2, ITEMS)
+        assert journal.records_replayed == 0
+
+
+class TestIdentity:
+    """A data directory belongs to one replica: node id and the ordered
+    item names.  Recovering it as another is refused before any record
+    applies."""
+
+    def folded_node_zero(self, tmp_path) -> NodeJournal:
+        journal = NodeJournal(tmp_path, fsync=False)
+        node = journal.recover(EpidemicNode, 0, 2, ["a", "b"])
+        node.update("a", Put(b"v"))
+        journal.record_update("a", Put(b"v"))
+        journal.checkpoint(node)
+        journal.close()
+        return journal
+
+    def test_a_checkpoint_is_not_recovered_as_another_replica(self, tmp_path):
+        """The parent returned node 0, n = 2, items a, b here, silently:
+        a data directory reused under another ``--node-id`` ran as a
+        second node 0 and reused its seqnos."""
+        self.folded_node_zero(tmp_path)
+        with pytest.raises(SnapshotError, match="node 0 of 2 over 2 items"):
+            NodeJournal(tmp_path).recover(EpidemicNode, 1, 3, ["c", "d", "e"])
+
+    @pytest.mark.parametrize(
+        "node_id, n_nodes, items",
+        [(1, 2, ["a", "b"]), (0, 2, ["b", "a"]), (0, 2, ["a", "c"]), (0, 3, ["a", "b"])],
+        ids=["node-id", "order", "names", "fewer-replicas"],
+    )
+    def test_each_part_of_the_identity_is_checked(self, tmp_path, node_id, n_nodes, items):
+        self.folded_node_zero(tmp_path)
+        journal = NodeJournal(tmp_path)
+        with pytest.raises(SnapshotError, match="belongs to one replica"):
+            journal.recover(EpidemicNode, node_id, n_nodes, items)
+        assert journal.records_replayed == 0
+
+    def test_more_replicas_than_configured_is_an_expansion(self, tmp_path):
+        journal = NodeJournal(tmp_path, fsync=False)
+        node = journal.recover(EpidemicNode, 0, 2, ITEMS)
+        node.expand_replica_set(3)
+        journal.record_expand(3)
+        journal.checkpoint(node)
+        journal.close()
+        recovered = NodeJournal(tmp_path).recover(EpidemicNode, 0, 2, ITEMS)
+        assert node_state(recovered) == node_state(node)
+
+    @pytest.mark.parametrize(
+        "node_id, items", [(1, ITEMS), (0, ["b", "a"])], ids=["node-id", "order"]
+    )
+    def test_a_wal_is_not_recovered_as_another_replica(self, tmp_path, node_id, items):
+        journal = NodeJournal(tmp_path, fsync=False, checkpoint_every=0)
+        node = journal.recover(EpidemicNode, 0, 2, ITEMS)
+        node.update("a", Put(b"v"))
+        journal.record_update("a", Put(b"v"))
+        journal.close()
+        fresh = NodeJournal(tmp_path)
+        with pytest.raises(WALError, match="belongs to node 0"):
+            fresh.recover(EpidemicNode, node_id, 2, items)
+        assert fresh.records_replayed == 0
+
+    def test_a_wal_without_its_identity_record_is_refused(self, tmp_path):
+        body = encode_record(CODEC, 1, WalUpdate("a", Put(b"v")))
+        (tmp_path / "wal.log").write_bytes(bytes(frame_record(body)))
+        with pytest.raises(WALError, match="does not open with an identity record"):
+            NodeJournal(tmp_path).recover(EpidemicNode, 0, 2, ITEMS)
+
+    def test_every_wal_file_opens_with_it(self, tmp_path):
+        journal = NodeJournal(tmp_path, fsync=False, checkpoint_every=2)
+        node = journal.recover(EpidemicNode, 0, 2, ITEMS)
+        for k in range(3):
+            node.update("a", Put(bytes([k])))
+            journal.record_update("a", Put(bytes([k])))
+            journal.commit(node)
+        journal.close()
+        bodies, _ = journal.wal.scan(journal.wal_path.read_bytes())
+        # The first WAL held identity (LSN 1) and two updates and was
+        # folded; the fresh one opens with identity again (LSN 4).
+        assert [decode_record(CODEC, body) for body in bodies] == [
+            (4, WalIdentity(0, CODEC.schema.digest)),
+            (5, WalUpdate("a", Put(b"\x02"))),
+        ]
+
+    def test_an_unbound_journal_refuses_to_record(self, tmp_path):
+        with pytest.raises(DurabilityError, match="not bound"):
+            NodeJournal(tmp_path).record_update("a", Put(b"v"))
+
+
 class TestForgedAcceptRecord:
     """The log is disk state: an accept record whose reply ships an item
     twice (S is not a set) parses and passes its CRC, and must still be
@@ -150,8 +269,9 @@ class TestForgedAcceptRecord:
         forged = dataclasses.replace(reply, items=reply.items * 2)
 
         journal = NodeJournal(tmp_path, checkpoint_every=0)
+        journal.bind(0, ITEMS)
         journal.record_update("b", Put(b"before"))
-        journal.record_accept(forged)
+        journal.record_accept(journal.codec.encode_payload(forged))
         journal.record_update("b", Put(b"after"))
         journal.commit()
         journal.close()
@@ -178,7 +298,7 @@ class TestRecovery:
         recovered = fresh.recover(EpidemicNode, 0, 3, ITEMS)
         assert node_state(recovered) == node_state(node)
         recovered.check_invariants()
-        assert fresh.records_replayed == 4
+        assert fresh.records_replayed == 5  # the identity record, then four
         assert fresh.records_skipped == 0
 
     def test_empty_directory_recovers_a_fresh_node(self, tmp_path):
@@ -189,6 +309,8 @@ class TestRecovery:
 
     def test_has_state_after_first_commit(self, tmp_path):
         journal = NodeJournal(tmp_path)
+        journal.bind(0, ITEMS)
+        assert not journal.has_state
         journal.record_update("a", Put(b"v"))
         journal.commit()
         assert journal.has_state
@@ -222,7 +344,7 @@ class TestCheckpointing:
 
     def test_auto_checkpoint_cadence(self, tmp_path):
         journal = NodeJournal(tmp_path, checkpoint_every=2)
-        node = EpidemicNode(0, 2, ITEMS)
+        node = journal.recover(EpidemicNode, 0, 2, ITEMS)
         for k in range(5):
             node.update("a", Put(f"v{k}".encode()))
             journal.record_update("a", Put(f"v{k}".encode()))
@@ -235,6 +357,7 @@ class TestCheckpointing:
 
     def test_commit_without_node_never_checkpoints(self, tmp_path):
         journal = NodeJournal(tmp_path, checkpoint_every=1)
+        journal.bind(0, ITEMS)
         journal.record_update("a", Put(b"v"))
         journal.commit()
         assert journal.checkpoints == 0
@@ -253,7 +376,7 @@ class TestCheckpointing:
         journal.wal_path.write_bytes(stale_wal)
         fresh = NodeJournal(tmp_path)
         recovered = fresh.recover(EpidemicNode, 0, 3, ITEMS)
-        assert fresh.records_skipped == 4
+        assert fresh.records_skipped == 5  # the identity record, then four
         assert fresh.records_replayed == 0
         assert node_state(recovered) == node_state(node)
 
@@ -301,7 +424,7 @@ class TestAtomicCheckpointWrite:
         ]
         fresh = NodeJournal(tmp_path)
         recovered = fresh.recover(EpidemicNode, 0, 3, ITEMS)
-        assert fresh.records_replayed == 1
+        assert fresh.records_replayed == 2  # the identity record, the update
         assert node_state(recovered) == node_state(node)
 
     def test_failed_write_leaves_no_temp_file(
@@ -324,13 +447,13 @@ def conflicted_pair(journal: NodeJournal) -> EpidemicNode:
     """Replica 0 of a two-node {a, b} database, holding ``a`` in
     conflict after pulling replica 1's concurrent write; every input of
     replica 0 journaled."""
-    node, peer = EpidemicNode(0, 2, ITEMS), EpidemicNode(1, 2, ITEMS)
+    node, peer = journal.recover(EpidemicNode, 0, 2, ITEMS), EpidemicNode(1, 2, ITEMS)
     node.update("a", Put(b"mine"))
     journal.record_update("a", Put(b"mine"))
     peer.update("a", Put(b"theirs"))
     answer = respond(peer, PullSession(node).request())
     node.accept_propagation(answer)
-    journal.record_accept(answer)
+    journal.record_accept(journal.codec.encode_payload(answer))
     journal.commit()
     assert node.store["a"].in_conflict
     return node
@@ -353,12 +476,13 @@ def assert_recovers_as(tmp_path, node: EpidemicNode) -> None:
 
 
 def resolve_record(lineage_bytes: bytes) -> bytes:
-    """A kind-6 body resolving ``a`` to ``r``, its lineage laid out by
-    hand (full-form tag, count, components)."""
-    body = bytearray()
-    for field in (1, 6, 1):  # lsn, kind, len("a")
-        write_uvarint(body, field)
-    return bytes(body) + b"a" + b"\x01r" + lineage_bytes
+    """A kind-9 body at LSN 2 resolving ``a`` (position 0) to ``r``, its
+    lineage laid out by hand (full-form tag, count, components)."""
+    return bytes([2, 9, 0]) + b"\x01r" + lineage_bytes
+
+
+#: What opens the WAL of replica 0 over ``ITEMS``: its identity record.
+IDENTITY_RECORD = encode_record(CODEC, 1, WalIdentity(0, CODEC.schema.digest))
 
 
 class TestResolveRecord:
@@ -386,8 +510,8 @@ class TestResolveRecord:
 
     def test_record_round_trips_with_its_lineage(self):
         record = WalResolve("a", b"r", VersionVector.from_counts((3, 1)))
-        assert decode_record(encode_record(1, record)) == (1, record)
-        assert encode_record(1, record) == resolve_record(b"\x00\x02\x03\x01")
+        assert decode_record(CODEC, encode_record(CODEC, 2, record)) == (2, record)
+        assert encode_record(CODEC, 2, record) == resolve_record(b"\x00\x02\x03\x01")
 
     @pytest.mark.parametrize(
         "lineage, error, match",
@@ -399,7 +523,9 @@ class TestResolveRecord:
         ids=["wide", "past-2^64", "short"],
     )
     def test_forged_lineage_is_refused_at_recovery(self, tmp_path, lineage, error, match):
-        (tmp_path / "wal.log").write_bytes(bytes(frame_record(resolve_record(lineage))))
+        (tmp_path / "wal.log").write_bytes(
+            bytes(frame_record(IDENTITY_RECORD) + frame_record(resolve_record(lineage)))
+        )
         journal = NodeJournal(tmp_path, fsync=False)
         with pytest.raises(error, match=match):
             journal.recover(EpidemicNode, 0, 2, ITEMS)
@@ -436,8 +562,9 @@ class TestBytesTrigger:
     ):
         node, _peer, answer = adopted_store(1200)
         journal = NodeJournal(tmp_path, fsync=False)
+        journal.bind(0, list(node.store.names()))
         node.accept_propagation(answer)
-        journal.record_accept(answer)
+        journal.record_accept(journal.codec.encode_payload(answer))
         assert journal.wal_bytes_since_checkpoint > FLOOR
         journal.commit(node)
         assert journal.checkpoints == 1
@@ -461,6 +588,7 @@ class TestBytesTrigger:
     def test_the_wal_never_outweighs_the_bound_by_more_than_one_batch(self, tmp_path):
         node, peer, answer = adopted_store(1200)
         journal = NodeJournal(tmp_path, fsync=False)
+        journal.bind(0, list(node.store.names()))
         batches = [("accept", answer)] + [("update", k) for k in range(900)]
         for round_no in range(3):
             batches.append(("pull", round_no))
@@ -478,7 +606,7 @@ class TestBytesTrigger:
                         peer.update(name, Put(bytes([what]) * 64))
                     what = respond(peer, PullSession(node).request())
                 node.accept_propagation(what)
-                journal.record_accept(what)
+                journal.record_accept(journal.codec.encode_payload(what))
             batch = journal.wal_bytes_since_checkpoint - before
             assert journal.wal_bytes_since_checkpoint <= bound + batch
             journal.commit(node)
@@ -493,8 +621,9 @@ class TestBytesTrigger:
     def test_checkpoint_every_zero_disables_both_triggers(self, tmp_path):
         node, _peer, answer = adopted_store(1200)
         journal = NodeJournal(tmp_path, fsync=False, checkpoint_every=0)
+        journal.bind(0, list(node.store.names()))
         node.accept_propagation(answer)
-        journal.record_accept(answer)
+        journal.record_accept(journal.codec.encode_payload(answer))
         journal.commit(node)
         assert journal.checkpoints == 0
         assert journal.wal_bytes_since_checkpoint > FLOOR
@@ -503,7 +632,7 @@ class TestBytesTrigger:
         """Below the floor only the count folds: 256 updates of a
         two-item store weigh a few KiB, well under 64 KiB."""
         journal = NodeJournal(tmp_path, fsync=False)
-        node = EpidemicNode(0, 2, ITEMS)
+        node = journal.recover(EpidemicNode, 0, 2, ITEMS)
         for k in range(600):
             node.update("a", Put(b"x" * 8))
             journal.record_update("a", Put(b"x" * 8))

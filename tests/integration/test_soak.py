@@ -28,7 +28,7 @@ STEPS = 400
 def run_soak(protocol_class, seed: int, allow_expand: bool) -> None:
     rng = random.Random(seed)
     n = 4
-    network = SimulatedNetwork(n, counters=OverheadCounters())
+    network = SimulatedNetwork(n, ITEMS, counters=OverheadCounters())
     nodes = [protocol_class(k, n, ITEMS) for k in range(n)]
     truth = {name: b"" for name in ITEMS}
     counter = 0

@@ -34,7 +34,7 @@ from repro.net.framing import (
 from repro.net.harness import _free_ports
 from repro.net.node import NetNode
 from repro.substrate.operations import Put
-from repro.wire import WireCodec
+from repro.wire import Schema, WireCodec
 from repro.wire.varint import read_uvarint, write_uvarint
 from tests.net.test_node import (
     ITEMS,
@@ -47,6 +47,7 @@ from tests.net.test_node import (
 from tests.node_state import node_state
 
 CORPUS = Path(__file__).parents[1] / "wire" / "corpus"
+SCHEMA = Schema(ITEMS)
 
 
 def _corpus(name):
@@ -57,7 +58,7 @@ def _preamble(version, node_id):
     out = bytearray()
     for field in (MAGIC, version, node_id):
         write_uvarint(out, field)
-    return bytes(out)
+    return bytes(out) + SCHEMA.digest
 
 
 class ScriptedPeer:
@@ -88,9 +89,9 @@ class ScriptedPeer:
     async def _serve(self, reader, writer):
         self.connections += 1
         try:
-            assert await receive_preamble(reader) == 0
+            assert await receive_preamble(reader) == (0, SCHEMA.digest)
             writer.write(_preamble(self.version, node_id=1))
-            codec = WireCodec()
+            codec = WireCodec(SCHEMA)
             while True:
                 frame = await read_frame(reader)
                 self.full_dbvvs += frame[3] == 0  # id · recipient · vv tag
@@ -131,7 +132,7 @@ def _forged(request, **lies):
     reply = respond(peer, request)
     assert isinstance(reply, PropagationReply)
     lies = {field: lie(reply) for field, lie in lies.items()}
-    return WireCodec().encode(1, 0, dataclasses.replace(reply, **lies))
+    return WireCodec(SCHEMA).encode(1, 0, dataclasses.replace(reply, **lies))
 
 
 def _wrong_source(request, codec):
@@ -167,6 +168,8 @@ BAD_ANSWERS = {
     "nested-reply-v1": (_corpus("nested_reply_v1"), WireFormatError),
     "nested-reply": (_corpus("nested_reply"), WireFormatError),
     "parent-written-reply": (_corpus("reply_v1_parent_written"), WireFormatError),
+    "v2-reply": (_corpus("reply_v2_parent_written"), WireFormatError),
+    "delta-ivv-in-a-reply": (_corpus("reply_delta_ivv"), WireFormatError),
     "wrong-source": (_wrong_source, ValidationError),
     "forged-body": (_forged_body, ValidationError),
 }
@@ -264,10 +267,9 @@ def test_a_bad_answer_does_not_kill_the_scheduler():
 
 
 def test_a_failed_decode_does_not_leave_torn_caches_behind():
-    """Two shipped items, the frame cut inside the second: its IVV
-    stream advanced at the peer's end only.  Were the link kept, the
-    peer's next reply would delta-encode it against a vector this end
-    never stored."""
+    """Two shipped items, the frame cut inside the second.  A reply
+    reads no cache, but the peer's request stream and this end's do:
+    the link goes, and the next pull redials with full vectors."""
 
     async def run():
         node, peer = await _dialler_and_peer()
@@ -304,7 +306,7 @@ def test_version_1_preamble_is_refused_naming_both_versions():
             try:
                 with pytest.raises(
                     NetworkSessionError,
-                    match="peer speaks protocol version 1, this node speaks 2",
+                    match="peer speaks protocol version 1, this node speaks 3",
                 ):
                     await node.sync_with(1)
                 assert 1 not in node._links
@@ -334,7 +336,42 @@ def test_a_version_1_dialler_is_hung_up_on_before_any_frame(caplog):
 
     with caplog.at_level("WARNING", logger="repro.net"):
         assert asyncio.run(run()) == 0
-    assert "peer speaks protocol version 1, this node speaks 2" in caplog.text
+    assert "peer speaks protocol version 1, this node speaks 3" in caplog.text
+
+
+def test_replicas_with_reordered_items_refuse_each_other(caplog):
+    """Same item names, same count, another order: positions would name
+    different items, so the handshake refuses on both ends and no frame
+    is exchanged."""
+
+    async def run():
+        ports = _free_ports(2)
+        nodes = [
+            NetNode(
+                NodeConfig(
+                    node_id=node_id,
+                    items=items,
+                    peer_port=ports[node_id],
+                    peers=(PeerAddress(1 - node_id, "127.0.0.1", ports[1 - node_id]),),
+                    reconnect_attempts=0,
+                )
+            )
+            for node_id, items in ((0, ("a", "b")), (1, ("b", "a")))
+        ]
+        for node in nodes:
+            await node.start()
+        try:
+            with pytest.raises(NetworkSessionError, match="another item schema"):
+                await nodes[0].sync_with(1)
+            assert 1 not in nodes[0]._links
+            return [(node.frames_sent, node.sessions_served) for node in nodes]
+        finally:
+            for node in nodes:
+                await node.stop()
+
+    with caplog.at_level("WARNING", logger="repro.net"):
+        assert asyncio.run(run()) == [(0, 0), (0, 0)]
+    assert "peer 0 holds another item schema" in caplog.text
 
 
 def test_the_reply_body_is_validated_once_per_pull(monkeypatch):

@@ -10,7 +10,7 @@ from repro.baselines.oracle import _PushBatch
 from repro.errors import NetworkSessionError
 from repro.net.framing import MAGIC, PROTOCOL_VERSION
 from repro.net.harness import LocalCluster
-from repro.wire import WireCodec
+from repro.wire import Schema, WireCodec
 from repro.wire.varint import write_uvarint
 
 ITEMS = ("a", "b")
@@ -59,23 +59,29 @@ class TestLocalCluster:
 
 class TestForeignFrames:
     def test_baseline_frame_is_refused_undecoded(self, cluster):
-        """A replica's registry is the core protocol's (type ids 1-9):
+        """A replica's registry is the core protocol's (type ids 1-10):
         a well-formed Oracle push batch (id 17) on a peer connection is
         an *unknown type id* — dropped before any decode — and the node
         keeps serving everyone else."""
         # This process imported repro.baselines, so it can encode the
         # frame; the spawned node never did, so it cannot decode it.
-        frame = WireCodec().encode(1, 0, _PushBatch(1, ()))
+        schema = Schema(ITEMS)
+        frame = WireCodec(schema).encode(1, 0, _PushBatch(1, ()))
         preamble = bytearray()
         for field in (MAGIC, PROTOCOL_VERSION, 1):
             write_uvarint(preamble, field)
+        preamble += schema.digest
         with socket.create_connection(
             ("127.0.0.1", cluster.peer_ports[0]), timeout=10.0
         ) as sock:
             sock.sendall(preamble)
-            terminators = 0  # node 0's preamble: three uvarints
+            terminators = 0  # node 0's preamble: three uvarints...
             while terminators < 3:
                 terminators += not sock.recv(1)[0] & 0x80
+            digest = b""  # ...and its schema digest
+            while len(digest) < len(schema.digest):
+                digest += sock.recv(len(schema.digest) - len(digest))
+            assert digest == schema.digest
             sock.sendall(frame)
             assert sock.recv(1) == b""  # dropped, no answer
 

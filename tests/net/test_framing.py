@@ -136,8 +136,8 @@ class TestFrames:
     def test_codec_frame_round_trips_the_socket(self):
         """A frame off the socket is byte-identical to what the codec
         produced — prefix included — so decode() works unchanged."""
-        codec_out = WireCodec()
-        codec_in = WireCodec()
+        codec_out = WireCodec(())
+        codec_in = WireCodec(())
         message = PropagationRequest(1, VersionVector.from_counts((3, 0, 7)))
         frame = codec_out.encode(0, 1, message)
 
@@ -153,8 +153,8 @@ class TestFrames:
     def test_delta_frames_survive_the_stream(self):
         """Consecutive frames on one connection decode through the
         connection-scoped delta caches in order."""
-        sender = WireCodec()
-        receiver = WireCodec()
+        sender = WireCodec(())
+        receiver = WireCodec(())
         first = PropagationRequest(
             1, VersionVector.from_counts((1, 0, 0, 0, 0, 0, 0, 0))
         )
@@ -180,14 +180,31 @@ class TestFrames:
         assert len(frames[1]) < len(frames[0])
 
 
+DIGEST = bytes(range(8))
+
+
 class TestPreamble:
     def test_round_trip_returns_node_id(self):
         async def run():
             async with _Pipe() as pipe:
-                await send_preamble(pipe.client_writer, 3)
+                await send_preamble(pipe.client_writer, 3, DIGEST)
                 return await receive_preamble(pipe.server_reader)
 
-        assert asyncio.run(run()) == 3
+        assert asyncio.run(run()) == (3, DIGEST)
+
+    def test_a_cut_digest_is_connection_closed(self):
+        preamble = bytearray()
+        for field in (framing.MAGIC, framing.PROTOCOL_VERSION, 3):
+            write_uvarint(preamble, field)
+
+        async def run():
+            async with _Pipe() as pipe:
+                pipe.client_writer.write(bytes(preamble) + DIGEST[:4])
+                pipe.client_writer.close()
+                await receive_preamble(pipe.server_reader)
+
+        with pytest.raises(ConnectionClosed, match="during handshake"):
+            asyncio.run(run())
 
     def test_bad_magic_rejected(self):
         async def run():
@@ -203,7 +220,7 @@ class TestPreamble:
         async def run():
             async with _Pipe() as pipe:
                 monkeypatch.setattr(framing, "PROTOCOL_VERSION", 99)
-                await send_preamble(pipe.client_writer, 0)
+                await send_preamble(pipe.client_writer, 0, DIGEST)
                 monkeypatch.undo()
                 await receive_preamble(pipe.server_reader)
 
@@ -345,13 +362,13 @@ class TestBufferedReader:
                 assert promised == handed_out, (split, wanted)
 
     def test_frames_and_preamble_read_through_it(self):
-        frame = WireCodec().encode(
+        frame = WireCodec(()).encode(
             0, 1, PropagationRequest(1, VersionVector.from_counts((3, 0, 7)))
         )
 
         async def run():
             async with _Pipe() as pipe:
-                await send_preamble(pipe.client_writer, 2)
+                await send_preamble(pipe.client_writer, 2, DIGEST)
                 await write_frame(pipe.client_writer, frame)
                 buffered = BufferedReader(pipe.server_reader)
                 return (
@@ -359,7 +376,7 @@ class TestBufferedReader:
                     await read_frame(buffered),
                 )
 
-        assert asyncio.run(run()) == (2, frame)
+        assert asyncio.run(run()) == ((2, DIGEST), frame)
 
     @pytest.mark.parametrize(
         "arrived", [b"", b"\x80", bytes([10]) + b"abc", b"\xc8"]

@@ -51,7 +51,7 @@ def test_node_entry_point_closure():
     ]
     assert leaked == []
     assert len([m for m in loaded if m.split(".")[0] == "repro"]) <= 35
-    assert type_ids == [1, 2, 3, 5, 6, 7, 8, 9]  # 4 is retired (the v1 reply)
+    assert type_ids == [1, 2, 3, 5, 6, 7, 8, 10]  # 4 and 9 are retired replies
 
 
 def test_every_module_imports_with_the_standard_library_alone():

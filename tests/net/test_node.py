@@ -12,11 +12,16 @@ import dataclasses
 import json
 import random
 import shutil
+import tempfile
 import types
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.core.node import EpidemicNode
+from repro.durable import NodeJournal, WalAccept, decode_record
+from repro.durable.wal import WriteAheadLog
 from repro.errors import NetworkSessionError
 from repro.net import node as node_module
 from repro.net.config import NodeConfig, PeerAddress
@@ -25,7 +30,9 @@ from repro.net.framing import BufferedReader, read_blob, write_blob
 from repro.net.harness import _free_ports
 from repro.net.node import NetNode
 from repro.substrate.operations import Put
-from repro.wire.varint import write_uvarint
+from repro.wire.varint import read_uvarint, write_uvarint
+from tests.node_state import node_state
+from tests.wire_caches import cache_size
 
 ITEMS = ("a", "b")
 
@@ -160,11 +167,11 @@ class TestReconnects:
             try:
                 await nodes[1].sync_with(0)
                 old_codec = nodes[1]._links[0].codec
-                assert old_codec.cache_size() > 0
+                assert cache_size(old_codec) > 0
                 nodes[1]._drop_link(0)
                 await nodes[1].sync_with(0)
                 new_codec = nodes[1]._links[0].codec
-                return old_codec is new_codec, new_codec.cache_size()
+                return old_codec is new_codec, cache_size(new_codec)
             finally:
                 await stop_nodes(nodes)
 
@@ -472,7 +479,7 @@ class TestWritePathNeverHashes:
                 )
             )
             killed.journal.close()
-            assert killed.journal.records_replayed == 3
+            assert killed.journal.records_replayed == 4  # identity, then three
             assert killed.node.read("a") == b"remote-2"
             # The clean stop checkpointed; this start loads the snapshot.
             nodes = await start_nodes(2, data_dir=data_dir)
@@ -489,6 +496,80 @@ class TestWritePathNeverHashes:
         if durable:
             assert bytes.fromhex(replies[-1]["value"]) == b"remote-2"
         assert calls == []
+
+
+@st.composite
+def schemas_and_bursts(draw):
+    """An item schema and up to three bursts of puts at either replica,
+    each burst followed by replica 1 pulling from replica 0."""
+    names = draw(
+        st.lists(
+            st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=5),
+            min_size=1,
+            max_size=6,
+            unique=True,
+        )
+    )
+    put = st.tuples(st.sampled_from((0, 1)), st.sampled_from(names), st.binary(max_size=6))
+    return names, draw(st.lists(st.lists(put, max_size=6), min_size=1, max_size=3))
+
+
+class TestVerbatimJournal:
+    """A durable pull journals the reply payload it decoded, byte for
+    byte, and those bytes alone rebuild the node that adopted it."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(schemas_and_bursts())
+    def test_the_journaled_payload_recovers_the_adopting_node(self, case):
+        names, bursts = case
+        arrived: list[bytes] = []
+        read_frame = node_module.read_frame
+
+        async def recording_read_frame(reader):
+            frame = await read_frame(reader)
+            arrived.append(frame)
+            return frame
+
+        async def run(tmp):
+            nodes = await start_nodes(2, items=tuple(names), data_dir=tmp)
+            journaled: list[bytes] = []
+            record_accept = nodes[1].journal.record_accept
+            nodes[1].journal.record_accept = lambda payload: (
+                journaled.append(bytes(payload)) or record_accept(payload)
+            )
+            try:
+                for burst in bursts:
+                    for who, name, value in burst:
+                        put = {"op": "put", "item": name, "value": value.hex()}
+                        await nodes[who]._handle_client_op(put)
+                    await nodes[1].sync_with(0)
+                # What a kill -9 would leave behind.
+                shutil.copytree(tmp / "node-1", tmp / "killed")
+                return journaled, node_state(nodes[1].node)
+            finally:
+                await stop_nodes(nodes)
+
+        node_module.read_frame = recording_read_frame
+        try:
+            with tempfile.TemporaryDirectory(prefix="verbatim-") as tmp:
+                journaled, adopted = asyncio.run(run(Path(tmp)))
+                journal = NodeJournal(Path(tmp) / "killed", fsync=False)
+                recovered = journal.recover(EpidemicNode, 1, 2, names)
+                # A run that journaled nothing never created the file.
+                wal = journal.wal_path.read_bytes() if journal.wal_path.exists() else b""
+        finally:
+            node_module.read_frame = read_frame
+
+        assert node_state(recovered) == adopted
+        payloads = {frame[read_uvarint(frame, 0)[1]:] for frame in arrived}
+        assert all(payload in payloads for payload in journaled)
+        bodies, _ = WriteAheadLog.scan(wal)
+        accepts = [
+            body[read_uvarint(body, 0)[1] + 1:]
+            for body in bodies
+            if isinstance(decode_record(journal.codec, body)[1], WalAccept)
+        ]
+        assert accepts == journaled
 
 
 class TestScheduler:

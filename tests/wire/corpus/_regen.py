@@ -27,11 +27,21 @@ from repro.wire.varint import write_uvarint
 
 CORPUS = Path(__file__).parent
 
+#: The item schema the corpus is written and replayed with
+#: (``tests/wire/test_corpus.py`` holds the same three names).
+SCHEMA = ("a", "b", "x")
+
 #: What the parent commit's codec wrote for node 1's answer to node 0
 #: after ``b.update("a", Put(b"xy")); b.update("b", Put(b"z"));
 #: b.update("a", Put(b"xyz"))`` on a two-node, two-item database.
 V1_REPLY_FRAME = bytes.fromhex(
     "20040102000201620201610302010162017a000200010101610378797a00020002"
+)
+#: The same answer as the v2 codec wrote it (type id 9: items by name,
+#: item IVVs against the link's delta cache), kept from the parent of
+#: the v3 reply.
+V2_REPLY_FRAME = bytes.fromhex(
+    "1e090102010162017a000200010101610378797a0002000202000200040102"
 )
 
 
@@ -57,7 +67,7 @@ def main() -> None:
     request = PropagationRequest(1, vv)
 
     # 1. Valid frame with its last byte removed.
-    valid = WireCodec(delta_vv=False).encode(0, 1, request)
+    valid = WireCodec(SCHEMA, delta_vv=False).encode(0, 1, request)
     _write("truncated_frame", valid[:-1])
 
     # 2. Length prefix one larger than the actual payload.
@@ -76,26 +86,29 @@ def main() -> None:
     #    terminator byte).
     _write("unterminated_varint", _frame(b"\x80"))
 
-    # 6. ItemPayload whose name field is not valid UTF-8 (0xff can start
-    #    no UTF-8 sequence).
-    item = WireCodec(delta_vv=False).encode(
-        0, 1, ItemPayload("a", b"xy", vv)
+    # 6. An ItemPayload whose item position is one past the schema.
+    item = WireCodec(SCHEMA, delta_vv=False).encode(
+        0, 1, ItemPayload("x", b"xy", vv)
     )
-    assert item.count(b"\x61") == 1
-    _write("bad_utf8_string", item.replace(b"\x61", b"\xff"))
+    assert item[2] == SCHEMA.index("x")
+    _write(
+        "item_past_schema",
+        item[:2] + _uvarint(len(SCHEMA)) + item[3:],
+    )
 
     # 7. Delta-form version vector with no cached base at the receiver:
     #    encode the same request twice on one delta-caching codec and
     #    keep the second (delta) frame — a fresh codec must refuse it.
-    delta_codec = WireCodec(delta_vv=True)
+    delta_codec = WireCodec(SCHEMA, delta_vv=True)
     delta_codec.encode(0, 1, request)
     _write("delta_without_base", delta_codec.encode(0, 1, request))
 
     # 8. bytes_ field whose length prefix overruns the payload:
-    #    ItemPayload(name="a") with a value field claiming 0x7f bytes.
+    #    ItemPayload(item "a", position 0) with a value field claiming
+    #    0x7f bytes.
     _write(
         "bytes_field_overrun",
-        _frame(_uvarint(1) + b"\x01\x61" + b"\x7f" + b"\x78\x79"),
+        _frame(_uvarint(1) + b"\x00" + b"\x7f" + b"\x78\x79"),
     )
 
     # 9. Full-form version vector declaring one component more than
@@ -113,7 +126,7 @@ def main() -> None:
 
     # 10. Valid body followed by garbage the length prefix *does* cover:
     #     decode succeeds, then the unconsumed-bytes check fires.
-    you = WireCodec(delta_vv=False).encode(0, 1, YouAreCurrent(2))
+    you = WireCodec(SCHEMA, delta_vv=False).encode(0, 1, YouAreCurrent(2))
     _write("trailing_bytes", _frame(you[1:] + b"\xde\xad"))
 
     # 11. Unknown version-vector tag byte (neither full 0x00 nor delta
@@ -138,36 +151,52 @@ def main() -> None:
     #     (id 4 · source 0 · 0 tails · 1 item), a YouAreCurrent inside.
     _write("nested_reply_v1", _frame(bytes([4, 0, 0, 1]) * 3000 + bytes([3, 0])))
 
-    # 15. The same attack spelled in v2 (id 9 · source 0 · 1 item): the
-    #     reply decoder takes ItemPayload/DeltaPayload ids only, so the
-    #     first nested 9 is refused and nothing recurses.
-    _write("nested_reply", _frame(bytes([9, 0, 1]) * 3000 + bytes([3, 0])))
+    # 15. The same attack spelled in v3 (id 10 · source 0 · 1 item):
+    #     the reply decoder takes its two payload tags only, so the
+    #     first nested 10 is refused and nothing recurses.
+    _write("nested_reply", _frame(bytes([10, 0, 1]) * 3000 + bytes([3, 0])))
 
-    # 16. A well-formed YouAreCurrent in a reply's item position.
-    _write("reply_item_not_a_payload", _frame(bytes([9, 1, 1, 3, 1, 0])))
+    # 16. A well-formed YouAreCurrent (id 3, source 1, no tails) where
+    #     a reply's payload tag belongs.
+    _write("reply_item_not_a_payload", _frame(bytes([10, 1, 1, 3, 1, 0])))
 
     # 17. A tail record pointing one past the shipped set: a valid
     #     one-item reply whose record index 0 is rewritten to 1.
-    reply = WireCodec(delta_vv=False).encode(
+    reply = WireCodec(SCHEMA, delta_vv=False).encode(
         1, 0, PropagationReply(1, ((("a", 5),),), (ItemPayload("a", b"xy", vv),))
     )
     assert reply[-2:] == bytes([0, 10])  # index 0, svarint(+5)
     _write("reply_tail_index_out_of_range", reply[:-2] + bytes([1, 10]))
 
-    # 18. A reply that ships item "x" twice in one frame: first with a
-    #     full IVV whose component 0 is 2**64 - 1, then with a delta of
-    #     +1 on that same stream.  The delta branch must bound the sum —
-    #     it used to reach the component array as a bare ValueError.
-    item = bytes([1, 1]) + b"x" + bytes([1]) + b"A"  # id 1 · "x" · b"A"
+    # 18. A per-item baseline shipment (id 35) carrying item "x" twice
+    #     in one frame: first with a full IVV whose component 0 is
+    #     2**64 - 1, then with a delta of +1 on that same stream.  The
+    #     delta branch must bound the sum — it used to reach the
+    #     component array as a bare ValueError.
+    item = bytes([SCHEMA.index("x"), 1]) + b"A"  # item "x" · value b"A"
     _write(
         "delta_vv_overflows_u64",
         _frame(
-            bytes([9, 0, 2])  # reply · source 0 · 2 items
+            bytes([35, 0, 2])  # shipment · source 0 · 2 payloads
             + item + b"\x00\x02" + _uvarint(2**64 - 1) + b"\x00"
             + item + bytes([0x01, 1, 0, 2])  # delta · 1 change · gap 0 · +1
-            + bytes([2, 0, 0])  # two empty tails
         ),
     )
+
+    # 19. A reply frame written by the v2 codec (type id 9), bytes kept
+    #     from the parent of the v3 reply.  Id 9 is retired like 4.
+    _write("reply_v2_parent_written", V2_REPLY_FRAME)
+
+    # 20. A v3 reply whose item IVV is a link-cached delta (tag 0x01):
+    #     a reply reads no cache, so the tag itself is refused, cached
+    #     base or not.
+    reply = WireCodec(SCHEMA, delta_vv=False).encode(
+        1, 0, PropagationReply(1, (), (ItemPayload("a", b"xy", vv),))
+    )
+    full_ivv = bytes([0x00, 3, 3, 0, 7])
+    assert reply.count(full_ivv) == 1
+    delta = _frame(reply[1:].replace(full_ivv, bytes([0x01, 0])))
+    _write("reply_delta_ivv", delta)
 
 
 if __name__ == "__main__":

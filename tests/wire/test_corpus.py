@@ -13,10 +13,13 @@ from pathlib import Path
 
 import pytest
 
+import repro.baselines  # noqa: F401  (registers the shipment of delta_vv_overflows_u64)
 from repro.errors import WireFormatError
 from repro.wire.codec import MAX_FRAME_LEN, WireCodec
 
 CORPUS = Path(__file__).parent / "corpus"
+#: The item schema ``corpus/_regen.py`` writes the frames with.
+SCHEMA = ("a", "b", "x")
 
 
 def _load(path: Path) -> bytes:
@@ -37,7 +40,7 @@ def test_corpus_is_present():
 def test_malformed_frame_is_rejected(path):
     frame = _load(path)
     with pytest.raises(WireFormatError):
-        WireCodec(delta_vv=True).decode(0, 1, frame)
+        WireCodec(SCHEMA, delta_vv=True).decode(0, 1, frame)
 
 
 def test_over_cap_length_prefix_rejected_without_allocation():
@@ -48,7 +51,7 @@ def test_over_cap_length_prefix_rejected_without_allocation():
     tracemalloc.start()
     try:
         with pytest.raises(WireFormatError, match="exceeds the"):
-            WireCodec().decode(0, 1, frame)
+            WireCodec(SCHEMA).decode(0, 1, frame)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -61,7 +64,7 @@ def test_over_cap_count_rejected_without_allocation():
     tracemalloc.start()
     try:
         with pytest.raises(WireFormatError, match="element count"):
-            WireCodec().decode(0, 1, frame)
+            WireCodec(SCHEMA).decode(0, 1, frame)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -72,12 +75,27 @@ def test_retired_reply_id_is_unknown_not_half_read():
     """A v1 reply — honest or nested 3000 deep — stops at its type id."""
     for name in ("reply_v1_parent_written", "nested_reply_v1"):
         with pytest.raises(WireFormatError, match="unknown wire message type id 4"):
-            WireCodec().decode(1, 0, _load(CORPUS / f"{name}.hex"))
+            WireCodec(SCHEMA).decode(1, 0, _load(CORPUS / f"{name}.hex"))
+
+
+def test_retired_v2_reply_id_is_unknown():
+    with pytest.raises(WireFormatError, match="unknown wire message type id 9"):
+        WireCodec(SCHEMA).decode(1, 0, _load(CORPUS / "reply_v2_parent_written.hex"))
 
 
 def test_nested_reply_is_refused_at_the_first_level():
-    with pytest.raises(WireFormatError, match="reply item has type id 9"):
-        WireCodec().decode(1, 0, _load(CORPUS / "nested_reply.hex"))
+    with pytest.raises(WireFormatError, match="reply item has payload tag 10"):
+        WireCodec(SCHEMA).decode(1, 0, _load(CORPUS / "nested_reply.hex"))
+
+
+def test_item_past_the_schema_is_refused():
+    with pytest.raises(WireFormatError, match="past the 3-item schema"):
+        WireCodec(SCHEMA).decode(0, 1, _load(CORPUS / "item_past_schema.hex"))
+
+
+def test_a_delta_ivv_in_a_reply_is_refused_by_its_tag():
+    with pytest.raises(WireFormatError, match="delta version vector inside"):
+        WireCodec(SCHEMA).decode(1, 0, _load(CORPUS / "reply_delta_ivv.hex"))
 
 
 def test_corpus_frames_match_their_regeneration():

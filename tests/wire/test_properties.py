@@ -13,7 +13,7 @@ Three families:
 * **hostile frames** — truncation and byte corruption must surface as
   :class:`WireFormatError` (or a clean decode), never as
   ``struct.error`` / ``IndexError`` / ``UnicodeDecodeError`` from the
-  decoder's guts; for the v2 reply, exhaustively: every prefix and
+  decoder's guts; for the v3 reply, exhaustively: every prefix and
   every single-bit flip of a frame.
 """
 
@@ -63,15 +63,22 @@ from repro.substrate.operations import (
     Put,
     Truncate,
 )
-from repro.wire import WireCodec, registered_codecs
+from repro.wire import Schema, WireCodec, registered_codecs
+
+#: The item schema every codec here holds: odd names, and enough of
+#: them that positions past 127 take two bytes.  Built once: the loops
+#: below make a codec per frame.
+SCHEMA = Schema(("", "a", "ü-ñ", "x" * 40, *(f"item-{k}" for k in range(300))))
 
 node_ids = st.integers(0, 40)
 seqnos = st.integers(0, 2**48)
-names = st.text(min_size=0, max_size=12)
+names = st.sampled_from(SCHEMA.names)
 values = st.binary(max_size=48)
-vectors = st.lists(st.integers(0, 2**48), min_size=1, max_size=8).map(
-    VersionVector.from_counts
-)
+#: Zero-heavy as often as not, so a reply's item vectors take the
+#: sparse form as well as the full one.
+vectors = st.lists(
+    st.one_of(st.just(0), st.integers(0, 2**48)), min_size=1, max_size=8
+).map(VersionVector.from_counts)
 operations = st.one_of(
     st.builds(Put, values),
     st.builds(Append, values),
@@ -205,7 +212,7 @@ def test_strategy_table_covers_every_registered_class():
 @settings(max_examples=40)
 @given(st.data())
 def test_every_registered_class_roundtrips(data):
-    codec = WireCodec()
+    codec = WireCodec(SCHEMA)
     for cls, strategy in MESSAGE_STRATEGIES.items():
         message = data.draw(strategy, label=cls.__qualname__)
         frame = codec.encode(0, 1, message)
@@ -214,7 +221,7 @@ def test_every_registered_class_roundtrips(data):
 
 @given(st.lists(any_message, min_size=1, max_size=8))
 def test_streamed_messages_roundtrip_through_shared_caches(messages):
-    codec = WireCodec()
+    codec = WireCodec(SCHEMA)
     for message in messages:
         assert codec.decode(2, 3, codec.encode(2, 3, message)) == message
 
@@ -233,7 +240,7 @@ def test_delta_streams_survive_crashes_and_drops(events):
     """Any interleaving of sends, node crashes, and in-flight drops
     decodes exactly, provided the two invalidation hooks the network
     calls are honoured."""
-    codec = WireCodec()
+    codec = WireCodec(SCHEMA)
     for counts, event in events:
         message = PropagationRequest(1, VersionVector.from_counts(counts))
         if event == "crash":
@@ -250,7 +257,7 @@ def test_delta_streams_survive_crashes_and_drops(events):
 @settings(max_examples=60)
 @given(any_message, st.integers(0, 200))
 def test_truncated_frames_raise_typed_error(message, cut):
-    codec = WireCodec()
+    codec = WireCodec(SCHEMA)
     frame = codec.encode(0, 1, message)
     cut = min(cut, len(frame) - 1)
     try:
@@ -264,7 +271,7 @@ def test_truncated_frames_raise_typed_error(message, cut):
 @settings(max_examples=60)
 @given(any_message, st.integers(0, 200), st.integers(1, 255))
 def test_corrupt_frames_never_raise_untyped_errors(message, index, flip):
-    codec = WireCodec()
+    codec = WireCodec(SCHEMA)
     frame = bytearray(codec.encode(0, 1, message))
     frame[index % len(frame)] ^= flip
     try:
@@ -277,16 +284,16 @@ def test_corrupt_frames_never_raise_untyped_errors(message, index, flip):
     # never do is leak struct.error / IndexError / UnicodeDecodeError.
 
 
-# -- the v2 reply (type id 9), exhaustively ----------------------------------
+# -- the v3 reply (type id 10), exhaustively ---------------------------------
 
 
 @settings(max_examples=40)
 @given(replies())
 def test_every_prefix_of_a_reply_frame_is_a_typed_error(reply):
-    frame = WireCodec().encode(0, 1, reply)
+    frame = WireCodec(SCHEMA).encode(0, 1, reply)
     for cut in range(len(frame)):
         with pytest.raises(WireFormatError):
-            WireCodec().decode(0, 1, frame[:cut])
+            WireCodec(SCHEMA).decode(0, 1, frame[:cut])
 
 
 @settings(max_examples=40)
@@ -295,13 +302,13 @@ def test_every_bit_flip_of_a_reply_frame_decodes_or_is_a_typed_error(reply):
     """Nothing but :class:`WireFormatError` may escape — no
     ``IndexError`` from a tail index, no ``RecursionError`` from an item
     type id flipped into a nesting message, no ``OverflowError``."""
-    frame = WireCodec().encode(0, 1, reply)
+    frame = WireCodec(SCHEMA).encode(0, 1, reply)
     for position in range(len(frame)):
         for bit in range(8):
             forged = bytearray(frame)
             forged[position] ^= 1 << bit
             try:
-                WireCodec().decode(0, 1, bytes(forged))
+                WireCodec(SCHEMA).decode(0, 1, bytes(forged))
             except WireFormatError:
                 pass
 
@@ -317,10 +324,10 @@ def test_a_tail_naming_an_unshipped_item_does_not_encode(
     tails[origin] += ((stranger, seqno),)
     forged = PropagationReply(reply.source, tuple(tails), reply.items)
     with pytest.raises(WireFormatError, match="does not ship"):
-        WireCodec().encode(0, 1, forged)
+        WireCodec(SCHEMA).encode(0, 1, forged)
 
 
 def test_a_reply_ships_payloads_only():
     for stowaway in (YouAreCurrent(1), PropagationReply(1, (), ())):
         with pytest.raises(WireFormatError, match="ItemPayload or DeltaPayload"):
-            WireCodec().encode(0, 1, PropagationReply(1, (), (stowaway,)))
+            WireCodec(SCHEMA).encode(0, 1, PropagationReply(1, (), (stowaway,)))
