@@ -153,9 +153,7 @@ class AgrawalMalpaniNode(ProtocolNode):
         """LWW-apply; True when the item's value actually changed hands."""
         self.counters.seqno_comparisons += 1
         if record.stamp() > self._stamps[record.item]:
-            self._digest.replace(
-                record.item, self._values[record.item], record.value
-            )
+            self._digest.mark(record.item)
             self._values[record.item] = record.value
             self._stamps[record.item] = record.stamp()
             self.counters.items_copied += 1
@@ -178,21 +176,17 @@ class AgrawalMalpaniNode(ProtocolNode):
         advanced — decoupling means the cheap path carries no
         acknowledgement state); the vector exchange repairs the gap
         later.  The abort is still a failed session for accounting
-        purposes."""
+        purposes.  Adoptions are reported as they happen: a fault in the
+        vector exchange must not hide what the push already changed."""
         if not isinstance(peer, AgrawalMalpaniNode):
             raise ProtocolStateError("AgrawalMalpaniNode", peer)
         self._sync_calls += 1
         applied, pushed_names = self._log_push(peer, transport, stats)
-        adopted = [(peer.node_id, name) for name in pushed_names]
+        stats.adopted_items = tuple((peer.node_id, name) for name in pushed_names)
         if self._sync_calls % self.vector_exchange_every == 0:
-            repaired, repair_adopted = self._vector_exchange(
-                peer, transport, stats
-            )
-            applied += repaired
-            adopted.extend(repair_adopted)
+            applied += self._vector_exchange(peer, transport, stats)
         stats.items_transferred = applied
         stats.identical = applied == 0
-        stats.adopted_items = tuple(adopted)
 
     def _log_push(
         self,
@@ -245,11 +239,12 @@ class AgrawalMalpaniNode(ProtocolNode):
         peer: "AgrawalMalpaniNode",
         transport: Transport,
         stats: SyncStats,
-    ) -> tuple[int, list[tuple[int, str]]]:
+    ) -> int:
         """Compare received-vectors both ways and repair gaps: I repair
         from the peer, then the peer from me (symmetric exchange; the
         peer's request travels the reply leg, its repair the request
-        leg)."""
+        leg).  Returns the records accepted; each repair's changed
+        items join ``stats.adopted_items``."""
         self.vector_exchanges += 1
         mine = transport.deliver(
             self.node_id, peer.node_id,
@@ -261,7 +256,6 @@ class AgrawalMalpaniNode(ProtocolNode):
         )
         stats.messages += 2
         applied = 0
-        adopted: list[tuple[int, str]] = []
         for needy, server, have, other in (
             (self, peer, mine, theirs), (peer, self, theirs, mine)
         ):
@@ -273,8 +267,10 @@ class AgrawalMalpaniNode(ProtocolNode):
             if gaps:
                 accepted, changed = needy._repair(server, gaps, transport, stats)
                 applied += accepted
-                adopted.extend((needy.node_id, name) for name in changed)
-        return applied, adopted
+                stats.adopted_items += tuple(
+                    (needy.node_id, name) for name in changed
+                )
+        return applied
 
     def _repair(
         self,
@@ -309,7 +305,9 @@ class AgrawalMalpaniNode(ProtocolNode):
         return dict(self._values)
 
     def state_version(self) -> StateVersion:
-        return StateVersion(self.protocol_name, self._digest.token())
+        return StateVersion(
+            self.protocol_name, self._digest.token(self.fingerprint_value)
+        )
 
     def fingerprint_value(self, item: str) -> bytes:
         return self._values.get(item, b"")

@@ -148,7 +148,7 @@ class LotusNode(ProtocolNode):
         self._clock += 1
         old = doc.value
         doc.value = op.apply(doc.value)
-        self._digest.replace(item, old, doc.value)
+        self._digest.mark(item)
         doc.seqno += 1
         doc.last_modified = self._clock
         doc.last_writer = self.node_id
@@ -213,7 +213,7 @@ class LotusNode(ProtocolNode):
             # Blind adoption by sequence number: this is where Lotus can
             # silently overwrite a conflicting concurrent update (E4b).
             self._clock += 1
-            self._digest.replace(name, doc.value, value)
+            self._digest.mark(name)
             doc.value = value
             doc.seqno = seqno
             doc.last_writer = writer
@@ -258,12 +258,10 @@ class LotusNode(ProtocolNode):
         return {name: doc.value for name, doc in self._docs.items()}
 
     def state_version(self) -> StateVersion:
-        return StateVersion(self.protocol_name, self._digest.token())
+        return StateVersion(
+            self.protocol_name, self._digest.token(self.fingerprint_value)
+        )
 
     def fingerprint_value(self, item: str) -> bytes:
         doc = self._docs.get(item)
         return doc.value if doc is not None else b""
-
-    def seqno_of(self, item: str) -> int:
-        """The item's Lotus sequence number (test aid)."""
-        return self._doc(item).seqno

@@ -111,7 +111,7 @@ class OraclePushNode(ProtocolNode):
             raise UnknownItemError(item)
         new_value = op.apply(self._values[item])
         self._own_seq += 1
-        self._digest.replace(item, self._values[item], new_value)
+        self._digest.mark(item)
         self._values[item] = new_value
         self._stamps[item] = (self._own_seq, self.node_id)
         self._queue.append(
@@ -184,9 +184,7 @@ class OraclePushNode(ProtocolNode):
         for record in batch.records:
             self.counters.seqno_comparisons += 1
             if record.stamp() > self._stamps[record.item]:
-                self._digest.replace(
-                    record.item, self._values[record.item], record.value
-                )
+                self._digest.mark(record.item)
                 self._values[record.item] = record.value
                 self._stamps[record.item] = record.stamp()
                 self.counters.items_copied += 1
@@ -200,11 +198,9 @@ class OraclePushNode(ProtocolNode):
         return dict(self._values)
 
     def state_version(self) -> StateVersion:
-        return StateVersion(self.protocol_name, self._digest.token())
+        return StateVersion(
+            self.protocol_name, self._digest.token(self.fingerprint_value)
+        )
 
     def fingerprint_value(self, item: str) -> bytes:
         return self._values.get(item, b"")
-
-    def pending_for(self, peer_id: int) -> int:
-        """Queue entries not yet acknowledged by ``peer_id`` (test aid)."""
-        return len(self._queue) - self._acked[peer_id]

@@ -115,7 +115,7 @@ class PerItemVVNode(ProtocolNode):
             raise UnknownItemError(item)
         old = self._values[item]
         self._values[item] = op.apply(old)
-        self._digest.replace(item, old, self._values[item])
+        self._digest.mark(item)
         self._ivvs[item].increment(self.node_id)
 
     def read(self, item: str) -> bytes:
@@ -174,9 +174,7 @@ class PerItemVVNode(ProtocolNode):
         )
         stats.messages += 2
         for payload in shipment.payloads:
-            self._digest.replace(
-                payload.name, self._values[payload.name], payload.value
-            )
+            self._digest.mark(payload.name)
             self._values[payload.name] = payload.value
             self._ivvs[payload.name] = payload.ivv.copy()
             self.counters.items_copied += 1
@@ -206,7 +204,9 @@ class PerItemVVNode(ProtocolNode):
         return dict(self._values)
 
     def state_version(self) -> StateVersion:
-        return StateVersion(self.protocol_name, self._digest.token())
+        return StateVersion(
+            self.protocol_name, self._digest.token(self.fingerprint_value)
+        )
 
     def fingerprint_value(self, item: str) -> bytes:
         return self._values.get(item, b"")

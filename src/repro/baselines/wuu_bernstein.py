@@ -135,7 +135,7 @@ class WuuBernsteinNode(ProtocolNode):
             self._table[self.node_id][self.node_id], self._stamps[item][0]
         ) + 1
         self._table[self.node_id][self.node_id] = seqno
-        self._digest.replace(item, self._values[item], new_value)
+        self._digest.mark(item)
         self._values[item] = new_value
         self._stamps[item] = (seqno, self.node_id)
         self._log.append(GossipRecord(item, new_value, seqno, self.node_id))
@@ -174,9 +174,7 @@ class WuuBernsteinNode(ProtocolNode):
                 # Unseen update: log it and LWW-apply it.
                 self._log.append(record)
                 if record.stamp() > self._stamps[record.item]:
-                    self._digest.replace(
-                        record.item, self._values[record.item], record.value
-                    )
+                    self._digest.mark(record.item)
                     self._values[record.item] = record.value
                     self._stamps[record.item] = record.stamp()
                     self.counters.items_copied += 1
@@ -236,15 +234,12 @@ class WuuBernsteinNode(ProtocolNode):
         return dict(self._values)
 
     def state_version(self) -> StateVersion:
-        return StateVersion(self.protocol_name, self._digest.token())
+        return StateVersion(
+            self.protocol_name, self._digest.token(self.fingerprint_value)
+        )
 
     def fingerprint_value(self, item: str) -> bytes:
         return self._values.get(item, b"")
-
-    @property
-    def log_size(self) -> int:
-        """Current log length (grows with update volume until GC)."""
-        return len(self._log)
 
     def exploration_key(self) -> tuple:
         """Values/stamps in schema order, the log as a sorted record
@@ -271,7 +266,3 @@ class WuuBernsteinNode(ProtocolNode):
         for name, (seqno, origin) in self._stamps.items():
             vectors[f"stamp:{name}"] = (seqno * (self.n_nodes + 1) + origin + 1,)
         return vectors
-
-    def time_table(self) -> list[list[int]]:
-        """A copy of the n×n time-table (test aid)."""
-        return [list(row) for row in self._table]

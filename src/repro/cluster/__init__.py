@@ -16,7 +16,6 @@
 from repro.cluster.convergence import (
     GroundTruth,
     StalenessSample,
-    divergence_report,
     fingerprints_equal,
 )
 from repro.cluster.event_sim import EventDrivenSimulation, NodeSchedule
@@ -29,7 +28,7 @@ from repro.cluster.failures import (
     PartitionEvent,
     Recover,
 )
-from repro.cluster.network import LinkStats, SimulatedNetwork
+from repro.cluster.network import SimulatedNetwork
 from repro.cluster.scheduler import (
     PeerSelector,
     RandomSelector,
@@ -42,7 +41,6 @@ from repro.cluster.simulation import ClusterSimulation, RoundStats
 __all__ = [
     "GroundTruth",
     "StalenessSample",
-    "divergence_report",
     "fingerprints_equal",
     "EventDrivenSimulation",
     "NodeSchedule",
@@ -54,7 +52,6 @@ __all__ = [
     "HealEvent",
     "PartitionEvent",
     "Recover",
-    "LinkStats",
     "SimulatedNetwork",
     "PeerSelector",
     "RandomSelector",

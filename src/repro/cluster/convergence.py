@@ -2,15 +2,13 @@
 
 Two protocol-agnostic instruments:
 
-* :func:`fingerprints_equal` / :func:`divergence_report` compare replica
-  snapshots — the test-suite's definition of "converged" (correctness
-  criterion C3: when update activity stops, all replicas catch up).
-  When every node exposes a :class:`~repro.interfaces.StateVersion`
-  (all concrete protocols do), the comparison is O(n) over the cheap
-  versions instead of O(n·N) over materialized snapshot dicts; ad-hoc
-  nodes without versions fall back to the full comparison, and
-  sanitizer mode (``crosscheck=True``) runs both and insists they
-  agree.
+* :func:`fingerprints_equal` compares replicas — the test-suite's
+  definition of "converged" (correctness criterion C3: when update
+  activity stops, all replicas catch up).  Every node exposes a
+  :class:`~repro.interfaces.StateVersion`, so the comparison is O(n)
+  over the cheap versions instead of O(n·N) over materialized snapshot
+  dicts; sanitizer mode (``crosscheck=True``) also compares the full
+  snapshots and insists the two answers agree.
 
 * :class:`GroundTruth` maintains the would-be state of a hypothetical
   replica that saw every user update instantly, in global order.  A
@@ -37,11 +35,11 @@ Two protocol-agnostic instruments:
   set.  :meth:`apply` dirties the item for *all* tracked nodes (the
   truth moved under everyone, including the updater — a non-Put update
   applied to a stale base can itself diverge from the truth),
-  :meth:`note_adoptions` dirties reported pairs, :meth:`note_node_added`
-  dirties the whole schema for a newcomer, and
-  :meth:`note_node_refresh` re-examines a node wholesale when a session
-  moved data without reporting which items (ad-hoc protocol
-  implementations).
+  :meth:`note_adoptions` dirties reported pairs (every protocol names
+  each pair a session changed), :meth:`note_node_added` dirties the
+  whole schema for a newcomer, and :meth:`note_node_refresh`
+  re-examines a node wholesale after a durable node was rebuilt from
+  its journal.
 """
 
 from __future__ import annotations
@@ -56,75 +54,42 @@ from repro.substrate.operations import UpdateOperation
 
 __all__ = [
     "fingerprints_equal",
-    "divergence_report",
     "GroundTruth",
     "StalenessSample",
 ]
 
 
-def _fingerprints_equal_full(nodes: Sequence[ProtocolNode]) -> bool:
-    """The from-scratch comparison over full snapshot dicts."""
-    reference = nodes[0].state_fingerprint()
-    return all(node.state_fingerprint() == reference for node in nodes[1:])
-
-
 def fingerprints_equal(
     nodes: Sequence[ProtocolNode],
     *,
-    use_versions: bool = True,
     crosscheck: bool = False,
     counters: OverheadCounters = NULL_COUNTERS,
 ) -> bool:
-    """True when every replica's durable snapshot is identical.
+    """True when every replica's durable state is identical, compared
+    as n compact :class:`~repro.interfaces.StateVersion` values instead
+    of n materialized ``state_fingerprint()`` dicts.
 
-    With ``use_versions`` (the default) and every node reporting a
-    :class:`~repro.interfaces.StateVersion` of one kind, the check
-    compares n compact versions instead of materializing n full
-    ``state_fingerprint()`` dicts.  Any node without a version (ad-hoc
-    test doubles) drops the whole check back to full fingerprints —
-    correctness never depends on the fast path.
-
-    ``crosscheck`` is the sanitizer mode: when the fast path produced
-    an answer, recompute from full fingerprints and raise
+    ``crosscheck`` is the sanitizer mode: also compare the full
+    snapshots — the reference — and raise
     :class:`~repro.errors.InvariantViolation` on disagreement (each
     verification is counted in ``counters.tracking_crosschecks``).
     """
     if len(nodes) < 2:
         return True
-    if use_versions:
-        versions = [node.state_version() for node in nodes]
-        first = versions[0]
-        if first is not None and all(
-            v is not None and v.kind == first.kind for v in versions[1:]
-        ):
-            fast = all(
-                v is not None and first.matches(v) for v in versions[1:]
+    first = nodes[0].state_version()
+    fast = all(first.matches(node.state_version()) for node in nodes[1:])
+    if crosscheck:
+        counters.tracking_crosschecks += 1
+        reference = nodes[0].state_fingerprint()
+        full = all(node.state_fingerprint() == reference for node in nodes[1:])
+        if full != fast:
+            raise InvariantViolation(
+                "state_version comparison disagrees with full "
+                f"fingerprints: versions say converged={fast}, "
+                f"snapshots say converged={full} "
+                f"(kind={first.kind!r}, n={len(nodes)})"
             )
-            if crosscheck:
-                counters.tracking_crosschecks += 1
-                full = _fingerprints_equal_full(nodes)
-                if full != fast:
-                    raise InvariantViolation(
-                        "state_version comparison disagrees with full "
-                        f"fingerprints: versions say converged={fast}, "
-                        f"snapshots say converged={full} "
-                        f"(kind={first.kind!r}, n={len(nodes)})"
-                    )
-            return fast
-    return _fingerprints_equal_full(nodes)
-
-
-def divergence_report(nodes: list[ProtocolNode]) -> dict[str, int]:
-    """``{item: number of distinct values across replicas}`` for every
-    item that has more than one distinct value — empty means converged.
-    """
-    by_item: dict[str, set[bytes]] = {}
-    for node in nodes:
-        for item, value in node.state_fingerprint().items():
-            by_item.setdefault(item, set()).add(value)
-    return {
-        item: len(values) for item, values in by_item.items() if len(values) > 1
-    }
+    return fast
 
 
 @dataclass(frozen=True)
@@ -188,7 +153,8 @@ class GroundTruth:
 
         The caller contracts to report every subsequent mutation:
         updates via :meth:`apply`, session adoptions via
-        :meth:`note_adoptions` / :meth:`note_node_refresh`, membership
+        :meth:`note_adoptions`, rebuilt nodes via
+        :meth:`note_node_refresh`, membership
         growth via :meth:`note_node_added`.  Everything starts dirty, so
         no assumption is made about the nodes' state at track time; the
         first query pays one full examination and later ones only the
@@ -212,8 +178,8 @@ class GroundTruth:
             self._dirty[node_index].add(item)
 
     def note_node_refresh(self, node_index: int) -> None:
-        """Re-examine everything at one node (a session moved data but
-        did not say which items — ad-hoc protocol implementations)."""
+        """Re-examine everything at one node (a durable node rebuilt
+        from its journal is a new object with unreported changes)."""
         if self._tracked is None:
             return
         self._dirty[node_index].update(self.items)

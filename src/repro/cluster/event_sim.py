@@ -33,6 +33,10 @@ from repro.substrate.operations import UpdateOperation
 
 __all__ = ["NodeSchedule", "EventDrivenSimulation"]
 
+#: Simulated time between two convergence checks of
+#: :meth:`EventDrivenSimulation.run_until_converged`.
+_CHECK_INTERVAL = 5.0
+
 
 @dataclass(frozen=True)
 class NodeSchedule:
@@ -92,7 +96,6 @@ class EventDrivenSimulation:
         self.node_counters = cluster.node_counters
         self.nodes = cluster.nodes
         self.ground_truth = cluster.ground_truth
-        self.coverage = cluster.coverage
         self.loop = EventLoop()
         if self.schedules is None:
             self.schedules = [NodeSchedule() for _ in range(self.n_nodes)]
@@ -130,7 +133,7 @@ class EventDrivenSimulation:
             peer = self.selector.peer_for(
                 node_id, self.n_nodes, self.sessions_run, self.rng
             )
-            if self.cluster.session_step(node_id, peer, self.now).failed:
+            if self.cluster.session_step(node_id, peer).failed:
                 self.sessions_failed += 1
         self._arm_next_session(node_id)
 
@@ -194,16 +197,14 @@ class EventDrivenSimulation:
         """Advance simulated time; returns the number of events fired."""
         return self.loop.run_until(time)
 
-    def run_until_converged(
-        self, check_interval: float = 5.0, deadline: float = 10_000.0
-    ) -> float:
+    def run_until_converged(self, deadline: float = 10_000.0) -> float:
         """Advance time until live replicas converge; returns the
         simulated time of the first passing check.  Convergence is not
         declared while crash/recovery events are still pending — a
         scheduled recovery can reintroduce divergence.  Raises when the
         deadline passes without convergence."""
         while self.now < deadline:
-            self.run_until(self.now + check_interval)
+            self.run_until(self.now + _CHECK_INTERVAL)
             if self._pending_failure_events == 0 and self.converged():
                 return self.now
         raise ConvergenceError(

@@ -108,9 +108,10 @@ class CrashMidSession:
 @dataclass(frozen=True)
 class LossyWindow:
     """Raise the network's drop probability to ``rate`` for the rounds
-    ``at_round .. until_round - 1``; at ``until_round`` the
-    constructor-time rate is restored.  ``seed`` makes the window's
-    drops reproducible when the network has no RNG of its own.
+    ``at_round .. until_round - 1``; at ``until_round`` the rate and
+    RNG in force before it opened are restored.  The window draws its
+    drops from its own RNG seeded with ``seed``, so they are the same
+    whatever windows ran before it.
     """
 
     rate: float
@@ -160,7 +161,7 @@ class FailurePlan:
                 if round_no == event.at_round:
                     self._window_tokens[index] = network.push_loss_rate(
                         event.rate,
-                        rng=network.rng or random.Random(event.seed),
+                        rng=random.Random(event.seed),
                     )
                     fired.append(event)
                 elif round_no == event.until_round:
@@ -195,34 +196,6 @@ class FailurePlan:
         scheduled recovery (or window close) can still change the
         network, so callers must not treat the system as settled."""
         return any(self.final_round(event) > round_no for event in self.events)
-
-    def crashed_through(self, round_no: int) -> set[int]:
-        """Nodes that are down as of (the start of) ``round_no``.
-
-        A :class:`Crash` at round ``r`` takes effect at the start of
-        ``r``; a :class:`CrashMidSession` at round ``r`` fires *during*
-        ``r``, so the node counts as down only from round ``r + 1`` on
-        (assuming it fired — this static view cannot know whether a
-        session actually touched the node).  Events sharing a round
-        apply in list order, matching :meth:`apply_round`.
-        """
-        timeline: list[tuple[float, int, FailureEvent]] = []
-        for idx, event in enumerate(self.events):
-            if isinstance(event, Crash) or isinstance(event, Recover):
-                timeline.append((float(event.at_round), idx, event))
-            elif isinstance(event, CrashMidSession):
-                # Fires mid-round: after round at_round's start events,
-                # before round at_round + 1's.
-                timeline.append((event.at_round + 0.5, idx, event))
-        down: set[int] = set()
-        for when, _idx, event in sorted(timeline, key=lambda t: (t[0], t[1])):
-            if when > round_no:
-                break
-            if isinstance(event, Recover):
-                down.discard(event.node)
-            else:
-                down.add(event.node)
-        return down
 
 
 @dataclass

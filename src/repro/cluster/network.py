@@ -19,12 +19,12 @@ properties the experiments need:
   **mid-session faults**: crash a participant between two messages of a
   session (:meth:`arm_mid_session_crash`) or drop the N-th message of a
   session (:meth:`arm_message_drop`);
-* **accounting** — global and per-link message/byte counters, plus the
-  per-protocol counters sink, so traffic experiments (E8) can attribute
-  every byte.  Messages dropped *in flight* (loss model or scripted
-  drop) are charged like delivered ones — they left the sender — and
-  additionally tracked in the drop counters; only a connect-time
-  failure (dead or partitioned endpoint) is free;
+* **accounting** — every message that leaves a sender is charged to
+  the network's counters sink (``messages_sent`` / ``bytes_sent``) and
+  to the frame census, so traffic experiments (E8) can attribute every
+  byte.  Messages dropped *in flight* (loss model or scripted drop) are
+  charged like delivered ones — they left the sender; only a
+  connect-time failure (dead or partitioned endpoint) is free;
 * **encoded mode** — with ``wire=True`` (or ``REPRO_WIRE=1``) every
   delivery is encoded to a real binary frame by
   :class:`~repro.wire.WireCodec` at send and decoded back at receive,
@@ -60,30 +60,7 @@ from repro.interfaces import SessionPhase, SessionScope, _SizedMessage
 from repro.obs import NULL_COUNTERS, OverheadCounters
 from repro.wire import WireCodec
 
-__all__ = ["LinkStats", "SimulatedNetwork"]
-
-
-@dataclass
-class LinkStats:
-    """Traffic totals for one directed link.
-
-    ``messages`` / ``bytes`` count everything that left the sender on
-    this link, including messages later dropped in flight; ``dropped``
-    and ``bytes_dropped`` count the in-flight losses among them.  Use
-    :attr:`bytes_delivered` for the traffic that actually reached the
-    receiver — ``bytes`` alone conflates delivered and lost bytes, and
-    per-link usefulness analysis (E8) must not overstate useful traffic.
-    """
-
-    messages: int = 0
-    bytes: int = 0
-    dropped: int = 0
-    bytes_dropped: int = 0
-
-    @property
-    def bytes_delivered(self) -> int:
-        """Bytes that actually arrived on this link."""
-        return self.bytes - self.bytes_dropped
+__all__ = ["SimulatedNetwork"]
 
 
 @dataclass
@@ -139,14 +116,11 @@ class SimulatedNetwork:
         self._check_loss_rate(self.loss_rate)
         if self.loss_rate > 0.0 and self.rng is None:
             raise ValueError("loss_rate > 0 requires an explicit rng")
-        self._base_loss_rate = self.loss_rate
+        self._base_loss = (self.loss_rate, self.rng)
         self._up = [True] * self.n_nodes
         # Partition groups: equal group ids can reach each other.  All
         # nodes start in one group (no partitions).
         self._group_of = [0] * self.n_nodes
-        self._links: dict[tuple[int, int], LinkStats] = {}
-        self.messages_dropped = 0
-        self.bytes_dropped = 0
         #: Messages that left a sender, keyed by message class name —
         #: the frame-type traffic census the networked mode's parity
         #: harness compares against a real multi-process cluster.
@@ -154,10 +128,11 @@ class SimulatedNetwork:
         self._session: SessionScope | None = None
         self._armed_crashes: list[_ArmedCrash] = []
         self._armed_drops: list[int] = []
-        # Stacked lossy windows: (token, rate) in open order.  The most
-        # recently opened window's rate is active; closing it falls back
-        # to the previous still-open window, or the constructor rate.
-        self._loss_windows: list[tuple[int, float]] = []
+        # Stacked lossy windows: (token, rate, rng) in open order.  The
+        # most recently opened window's rate and RNG are active; closing
+        # it falls back to the previous still-open window's, or the
+        # constructor's.
+        self._loss_windows: list[tuple[int, float, random.Random | None]] = []
         self._next_loss_token = 0
 
     @staticmethod
@@ -247,31 +222,31 @@ class SimulatedNetwork:
     # -- loss ------------------------------------------------------------------
 
     def push_loss_rate(self, rate: float, rng: random.Random | None = None) -> int:
-        """Open a stacked lossy window at ``rate``; returns a token for
+        """Open a stacked lossy window at ``rate`` that draws its drops
+        from ``rng`` (by default the active RNG); returns a token for
         :meth:`pop_loss_rate`.
 
-        Windows stack: the most recently opened window's rate is the
-        active one, and closing any window re-activates the most recent
-        *still-open* window (or the constructor-time rate when none
-        remain) — so overlapping or nested failure events cannot clobber
-        each other's saved rate.
+        Windows stack: the most recently opened window's rate and RNG
+        are the active ones, and closing any window re-activates the
+        most recent *still-open* window (or the constructor-time rate
+        and RNG when none remain) — so overlapping or nested failure
+        events cannot clobber each other's saved rate or RNG.
         """
         self._check_loss_rate(rate)
-        if rng is not None:
-            self.rng = rng
-        if rate > 0.0 and self.rng is None:
+        rng = rng or self.rng
+        if rate > 0.0 and rng is None:
             raise ValueError("loss_rate > 0 requires an explicit rng")
         token = self._next_loss_token
         self._next_loss_token += 1
-        self._loss_windows.append((token, rate))
-        self.loss_rate = rate
+        self._loss_windows.append((token, rate, rng))
+        self.loss_rate, self.rng = rate, rng
         return token
 
     def pop_loss_rate(self, token: int) -> None:
         """Close the stacked lossy window identified by ``token``; the
-        active rate falls back to the most recently opened still-open
-        window, or the constructor-time rate when none remain."""
-        for index, (open_token, _rate) in enumerate(self._loss_windows):
+        active rate and RNG fall back to the most recently opened
+        still-open window's, or the constructor's when none remain."""
+        for index, (open_token, _rate, _rng) in enumerate(self._loss_windows):
             if open_token == token:
                 del self._loss_windows[index]
                 break
@@ -281,13 +256,9 @@ class SimulatedNetwork:
                 "lossy window"
             )
         if self._loss_windows:
-            self.loss_rate = self._loss_windows[-1][1]
+            _token, self.loss_rate, self.rng = self._loss_windows[-1]
         else:
-            self.loss_rate = self._base_loss_rate
-
-    def open_loss_windows(self) -> int:
-        """Stacked lossy windows currently open (test/experiment aid)."""
-        return len(self._loss_windows)
+            self.loss_rate, self.rng = self._base_loss
 
     # -- sessions and scripted faults -----------------------------------------
 
@@ -354,9 +325,8 @@ class SimulatedNetwork:
         before bytes flow, so nothing is charged (sessions are
         connection-oriented, as a dial-up link would be).  A message
         dropped *in flight* (the loss model or a scripted drop) did
-        leave the sender: it is charged to the global and per-link
-        counters like a delivered message, counted in the drop
-        counters, and raises :class:`MessageLostError`.
+        leave the sender: it is charged to the counters like a
+        delivered message and raises :class:`MessageLostError`.
 
         In encoded mode the message is encoded to a binary frame before
         the drop decision (the sender serialized it either way), every
@@ -390,9 +360,6 @@ class SimulatedNetwork:
         self.counters.bytes_sent += size
         kind = type(message).__name__
         self.frame_census[kind] = self.frame_census.get(kind, 0) + 1
-        link = self._links.setdefault((src, dst), LinkStats())
-        link.messages += 1
-        link.bytes += size
         if session is not None:
             session.note_message(size)
         dropped = False
@@ -439,33 +406,10 @@ class SimulatedNetwork:
                 # caches for a frame the receiver will never decode; the
                 # link's caches must restart from full vectors.
                 self._codec.invalidate_link(src, dst)
-            self._drop(link, size, src, dst)
+            raise MessageLostError(src, dst)
         if decoded is not None:
             return decoded
         return message
-
-    def _drop(self, link: LinkStats, size: int, src: int, dst: int) -> None:
-        self.messages_dropped += 1
-        self.bytes_dropped += size
-        link.dropped += 1
-        link.bytes_dropped += size
-        raise MessageLostError(src, dst)
-
-    # -- accounting ------------------------------------------------------------
-
-    def link_stats(self, src: int, dst: int) -> LinkStats:
-        """Traffic totals for the directed link ``src -> dst``."""
-        return self._links.get((src, dst), LinkStats())
-
-    def total_messages(self) -> int:
-        return sum(link.messages for link in self._links.values())
-
-    def total_bytes(self) -> int:
-        return sum(link.bytes for link in self._links.values())
-
-    def total_bytes_delivered(self) -> int:
-        """Bytes that actually reached a receiver, across all links."""
-        return sum(link.bytes_delivered for link in self._links.values())
 
     def _check_node(self, node: int) -> None:
         if not 0 <= node < self.n_nodes:

@@ -35,7 +35,6 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from repro.cluster.convergence import GroundTruth, fingerprints_equal
-from repro.cluster.coverage import TransitiveCoverageTracker
 from repro.cluster.failures import FailurePlan, Recover
 from repro.cluster.network import SimulatedNetwork
 from repro.cluster.sanitizer import (
@@ -211,7 +210,6 @@ class ClusterSimulation:
         ]
         self.ground_truth = GroundTruth(tuple(self.items))
         self.ground_truth.track(self.nodes, self.network_counters)
-        self.coverage = TransitiveCoverageTracker(self.n_nodes)
         self.round_no = 0
         self.history: list[RoundStats] = []
         self._pending_retries: list[_PendingRetry] = []
@@ -319,9 +317,6 @@ class ClusterSimulation:
         # whole schema starts dirty (an all-zero replica lags every
         # non-empty truth value).
         self.ground_truth.note_node_added()
-        # Theorem 5 coverage restarts: the premise must be re-satisfied
-        # over the enlarged replica set.
-        self.coverage = TransitiveCoverageTracker(new_n)
         return new_id
 
     # -- round execution ---------------------------------------------------------
@@ -438,7 +433,7 @@ class ClusterSimulation:
         """The round clock's view of one session: its :class:`RoundStats`
         and, for a failed attempt, the retry."""
         stats.sessions += 1
-        session = self.session_step(node_id, peer, float(self.round_no))
+        session = self.session_step(node_id, peer)
         if session.failed:
             stats.failed_sessions += 1
             phase = _abort_phase(session)
@@ -454,12 +449,12 @@ class ClusterSimulation:
         stats.items_transferred += session.items_transferred
         stats.conflicts += session.conflicts
 
-    def session_step(self, node_id: int, peer: int, time: float) -> SyncStats:
-        """One session ``node_id`` → ``peer`` at simulated ``time``, as
-        both clocks run it: reachability (an unreachable peer fails the
-        session without a message), ``sync_with``, the sanitizer sweep,
-        the observer, then abort accounting and the fault-path invariant
-        check, or Theorem 5 coverage and ground-truth adoptions."""
+    def session_step(self, node_id: int, peer: int) -> SyncStats:
+        """One session ``node_id`` → ``peer``, as both clocks run it:
+        reachability (an unreachable peer fails the session without a
+        message), ``sync_with``, the sanitizer sweep, the observer, the
+        ground truth's adoptions, then for a failed session abort
+        accounting and the fault-path invariant check."""
         if not self.network.can_reach(node_id, peer):
             session = SyncStats(failed=True)
             if self.session_observer is not None:
@@ -472,19 +467,10 @@ class ClusterSimulation:
             )
         if self.session_observer is not None:
             self.session_observer(node_id, peer, session)
+        # A failed session may have changed values before its fault.
+        self.ground_truth.note_adoptions(session.adopted_items)
         if session.failed:
             self._note_abort(node_id, peer, session)
-            return session
-        # Successful sessions (including you-are-current answers) build
-        # Theorem 5's transitive coverage: data and knowledge flowed.
-        self.coverage.record_session(node_id, peer, time=time)
-        if session.adopted_items:
-            self.ground_truth.note_adoptions(session.adopted_items)
-        elif session.items_transferred > 0:
-            # An ad-hoc protocol moved data without naming the items:
-            # conservatively re-examine both endpoints wholesale.
-            self.ground_truth.note_node_refresh(node_id)
-            self.ground_truth.note_node_refresh(peer)
         return session
 
     def _schedule_retry(self, node_id: int, peer: int, attempt: int) -> None:
@@ -536,13 +522,12 @@ class ClusterSimulation:
         must not be declared before the plan has fully played out."""
         return self.failure_plan.pending_after(self.round_no)
 
-    def run_until_converged(self, max_rounds: int = 1000, quiesce: bool = True) -> int:
+    def run_until_converged(self, max_rounds: int = 1000) -> int:
         """Run rounds until live replicas converge; returns the count.
 
-        ``quiesce`` asserts the workload has stopped (criterion C3 is
-        about convergence after update activity stops); a non-converged
-        state after ``max_rounds`` raises, because silent non-convergence
-        is exactly the failure mode the experiments must catch.
+        A non-converged state after ``max_rounds`` raises, because
+        silent non-convergence is exactly the failure mode the
+        experiments must catch.
         """
         for _ in range(max_rounds):
             if not self._plan_pending() and self.converged():

@@ -112,15 +112,6 @@ class AuxiliaryLog:
         """True while any replayable update for ``item`` is pending."""
         return item in self._item_head
 
-    def pending_count(self, item: str) -> int:
-        """Number of pending records for ``item`` (O(k) walk; test aid)."""
-        count = 0
-        node = self._item_head.get(item)
-        while node is not None:
-            count += 1
-            node = node.item_next
-        return count
-
     def pop_earliest(self, item: str) -> AuxLogRecord:
         """Remove and return ``Earliest(item)`` in O(1).
 

@@ -46,14 +46,6 @@ class DatabaseVersionVector(VersionVector):
 
     __slots__ = ()
 
-    def record_local_update(self) -> None:
-        """Rule 2 requires the node id; nodes call
-        :meth:`record_local_update_by` — kept separate so misuse is loud.
-        """
-        raise TypeError(
-            "use record_local_update_by(node) — a DBVV does not know its owner"
-        )
-
     def record_local_update_by(self, node: int) -> None:
         """Rule 2: ``V_ii += 1`` when node ``i`` updates any regular item."""
         self.increment(node)

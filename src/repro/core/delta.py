@@ -197,8 +197,6 @@ class DeltaEpidemicNode(EpidemicNode):
         # Items whole-value-adopted during the current accept_propagation
         # whose history floors still await the session-final DBVV.
         self._pending_floor_items: set[str] = set()
-        self.deltas_shipped = 0
-        self.full_copies_shipped = 0
 
     # -- hook overrides -------------------------------------------------------
 
@@ -213,11 +211,9 @@ class DeltaEpidemicNode(EpidemicNode):
     ) -> DeltaPayload | ItemPayload:
         history = self._histories[entry.name]
         if history.covers(remote_dbvv):
-            self.deltas_shipped += 1
             return DeltaPayload(
                 entry.name, entry.ivv.copy(), history.chain_for(remote_dbvv)
             )
-        self.full_copies_shipped += 1
         return ItemPayload(entry.name, entry.value, entry.ivv.copy())
 
     def _install_payload(self, entry: DataItem, payload) -> None:
@@ -285,9 +281,3 @@ class DeltaEpidemicNode(EpidemicNode):
         super().after_restore()
         for history in self._histories.values():
             history.forget_through(self.dbvv)
-
-    # -- introspection -----------------------------------------------------------
-
-    def history_of(self, item: str) -> OpHistory:
-        """The item's bounded op history (test aid)."""
-        return self._histories[item]

@@ -112,10 +112,6 @@ class LogComponent:
         """Sequence number of the newest record, or 0 when empty."""
         return self._tail.seqno if self._tail is not None else 0
 
-    def record_for(self, item: str) -> LogRecord | None:
-        """The component's record for ``item``, if any (the ``P`` lookup)."""
-        return self._by_item.get(item)
-
     def add(
         self,
         item: str,

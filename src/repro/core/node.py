@@ -41,7 +41,7 @@ from repro.core.messages import (
 )
 from repro.core.version_vector import Ordering, VersionVector
 from repro.errors import InvariantViolation, UnknownItemError
-from repro.interfaces import value_digest
+from repro.interfaces import ContentDigest
 from repro.obs import NULL_COUNTERS, OverheadCounters
 from repro.substrate.operations import UpdateOperation
 
@@ -122,16 +122,9 @@ class EpidemicNode:
         # when later sessions or a conflict resolution push the DBVV
         # component past the recorded seqno.
         self.log_gaps: dict[int, int] = {}
-        # Lazy digest of the regular {item: value} state.  A regular-copy
-        # write only *marks* the item (``_mark_value_changed``: O(1), no
-        # hash); ``content_digest`` folds the marked items when somebody
-        # asks.  ``_digest_folded`` is each item's contribution to
-        # ``_digest_acc`` as of the last fold; the stale names live in an
-        # insertion-ordered dict used as a set so the fold iterates
-        # deterministically.
-        self._digest_acc = 0
-        self._digest_folded: dict[str, int] = {}
-        self._digest_stale: dict[str, None] = {}
+        # Digest of the regular {item: value} state: every regular-copy
+        # value write marks the item; ``content_digest`` folds.
+        self._digest = ContentDigest()
 
     # ------------------------------------------------------------------
     # User operations (paper section 5.3)
@@ -166,7 +159,7 @@ class EpidemicNode:
             entry.aux_ivv.increment(self.node_id)
         else:
             entry.value = op.apply(entry.value)
-            self._mark_value_changed(entry.name)
+            self._digest.mark(entry.name)
             entry.ivv.increment(self.node_id)
             self.dbvv.record_local_update_by(self.node_id)
             self.log.add(
@@ -215,13 +208,9 @@ class EpidemicNode:
         a snapshot; derived (non-persisted) state must assume nothing
         about the pre-crash history.  The restore path writes item
         values directly, so the content digest starts over with every
-        non-empty item marked stale (nothing is hashed until somebody
-        reads it); variants overriding this must call ``super()``."""
-        self._digest_acc = 0
-        self._digest_folded.clear()
-        self._digest_stale = dict.fromkeys(
-            entry.name for entry in self.store if entry.value
-        )
+        non-empty item marked (nothing is hashed until somebody reads
+        it); variants overriding this must call ``super()``."""
+        self._digest.reset(entry.name for entry in self.store if entry.value)
         # ``log_gaps`` is derived bookkeeping, not durable state: any
         # component running ahead of the restored DBVV was a recorded
         # gap in the pre-crash node (the snapshot was taken from a
@@ -316,7 +305,7 @@ class EpidemicNode:
         # Per-session lookups (see ``ItemStore.lookup``: never kept).
         entry_of = self.store.lookup()
         install = self._install_payload
-        mark_changed = self._mark_value_changed
+        mark_changed = self._digest.mark
 
         for payload in reply.items:
             name = payload.name
@@ -442,7 +431,7 @@ class EpidemicNode:
             ordering = entry.ivv.compare(record.pre_ivv)
             if ordering is Ordering.EQUAL:
                 entry.value = record.op.apply(entry.value)
-                self._mark_value_changed(entry.name)
+                self._digest.mark(entry.name)
                 entry.ivv.increment(self.node_id)
                 self.dbvv.record_local_update_by(self.node_id)
                 self.log.add(
@@ -623,7 +612,7 @@ class EpidemicNode:
         merged = entry.ivv.copy()
         merged.merge_from(lineage)
         entry.value = value
-        self._mark_value_changed(entry.name)
+        self._digest.mark(entry.name)
         entry.ivv = merged
         entry.drop_auxiliary()
         self.aux_log.discard_item(item)
@@ -637,39 +626,21 @@ class EpidemicNode:
         self._on_full_rewrite(entry)
         return lineage
 
-    def _mark_value_changed(self, name: str) -> None:
-        """The one thing every regular-copy value write does for the
-        content digest: remember the item as stale (O(1), no hash, the
-        old value is not kept).  See :attr:`content_digest`."""
-        self._digest_stale[name] = None
-
     @property
     def content_digest(self) -> int:
         """The 64-bit digest of the regular ``{item: value}`` state:
-        exactly the token :meth:`ContentDigest.recompute
-        <repro.interfaces.ContentDigest.recompute>` yields over the
-        store (sum mod 2^64 of :func:`~repro.interfaces.value_digest`
-        over the non-empty values).
+        exactly :meth:`ContentDigest.recompute
+        <repro.interfaces.ContentDigest.recompute>` over the store.
 
-        Maintained lazily — *marked* on write, *folded* on read.  Each
-        item written since the last read is hashed once here, however
-        often it was written, and its previous contribution is
-        subtracted; a process that never asks (every ``repro.net``
-        node) never hashes.  Only the simulator's
-        ``DBVVProtocolNode.state_version`` reads it.
+        Maintained lazily — *marked* on write, *folded* on read — so a
+        process that never asks (every ``repro.net`` node) never
+        hashes.  Only the simulator's ``DBVVProtocolNode.state_version``
+        reads it.
         """
-        stale = self._digest_stale
-        if stale:
-            folded = self._digest_folded
-            acc = self._digest_acc
-            for name in stale:
-                value = self.store[name].value
-                contribution = value_digest(name, value) if value else 0
-                acc += contribution - folded.get(name, 0)
-                folded[name] = contribution
-            self._digest_acc = acc % (1 << 64)
-            stale.clear()
-        return self._digest_acc
+        return self._digest.token(self._regular_value)
+
+    def _regular_value(self, name: str) -> bytes:
+        return self.store[name].value
 
     def state_fingerprint(self) -> dict[str, tuple[bytes, tuple[int, ...]]]:
         """Regular-copy snapshot ``{item: (value, ivv)}`` used by the

@@ -46,9 +46,7 @@ from repro.errors import ReplicaSetMismatchError, UnknownNodeError
 __all__ = [
     "Ordering",
     "VersionVector",
-    "compare",
     "merge",
-    "dominates",
     "pack_vectors",
 ]
 
@@ -71,14 +69,6 @@ class Ordering(enum.Enum):
     DOMINATES = "dominates"
     DOMINATED = "dominated"
     CONCURRENT = "concurrent"
-
-    def flipped(self) -> "Ordering":
-        """The ordering as seen from the other operand's point of view."""
-        if self is Ordering.DOMINATES:
-            return Ordering.DOMINATED
-        if self is Ordering.DOMINATED:
-            return Ordering.DOMINATES
-        return self
 
 
 def _as_component_array(counts: Sequence[int]) -> array[int]:
@@ -347,10 +337,6 @@ class VersionVector:
             return Ordering.CONCURRENT if some_greater else Ordering.DOMINATED
         return Ordering.DOMINATES
 
-    def dominates(self, other: "VersionVector") -> bool:
-        """True iff ``self`` strictly dominates ``other`` (corollary 3)."""
-        return self.compare(other) is Ordering.DOMINATES
-
     def dominates_or_equal(self, other: "VersionVector") -> bool:
         """True iff ``self >= other`` component-wise.
 
@@ -366,27 +352,6 @@ class VersionVector:
             return True
         return not any(map(operator.lt, mine, theirs))
 
-    def concurrent_with(self, other: "VersionVector") -> bool:
-        """True iff the vectors are inconsistent (corollary 4)."""
-        return self.compare(other) is Ordering.CONCURRENT
-
-    def missing_from(self, other: "VersionVector") -> dict[int, int]:
-        """Per-origin counts of updates ``other`` reflects but ``self``
-        does not: ``{k: other[k] - self[k]}`` for components where other
-        is ahead.  By Theorem 3 corollary 2, these are exactly the *last*
-        ``other[k] - self[k]`` updates from origin ``k`` applied to the
-        other replica.
-        """
-        self._check_compatible(other)
-        mine, theirs = self._counts, other._counts
-        if theirs is mine or mine == theirs:
-            return {}
-        return {
-            k: b - a
-            for k, (a, b) in enumerate(zip(mine, theirs))
-            if b > a
-        }
-
     # -- internals ---------------------------------------------------------
 
     def _check_compatible(self, other: "VersionVector") -> None:
@@ -397,21 +362,11 @@ class VersionVector:
             )
 
 
-def compare(a: VersionVector, b: VersionVector) -> Ordering:
-    """Module-level alias of :meth:`VersionVector.compare`."""
-    return a.compare(b)
-
-
 def merge(a: VersionVector, b: VersionVector) -> VersionVector:
     """The join of two vectors as a new vector (neither operand changes)."""
     result = a.copy()
     result.merge_from(b)
     return result
-
-
-def dominates(a: VersionVector, b: VersionVector) -> bool:
-    """Module-level alias of :meth:`VersionVector.dominates`."""
-    return a.dominates(b)
 
 
 _COUNTS = operator.attrgetter("_counts")

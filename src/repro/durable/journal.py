@@ -151,13 +151,6 @@ class NodeJournal:
         fold, stale LSN-gated ones included (recovery scans them too)."""
         return self.wal.size
 
-    @property
-    def has_state(self) -> bool:
-        """True when the data directory holds anything to recover from."""
-        return self.checkpoint_path.exists() or (
-            self.wal_path.exists() and self.wal_path.stat().st_size > 0
-        )
-
     # -- journaling -----------------------------------------------------------
 
     def bind(self, node_id: int, items: Sequence[str]) -> None:

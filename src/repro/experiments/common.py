@@ -30,7 +30,6 @@ __all__ = [
     "make_factory",
     "make_items",
     "fresh_pair",
-    "reset_all_counters",
 ]
 
 #: name -> ProtocolNode subclass, in canonical table order.
@@ -115,9 +114,3 @@ def fresh_pair(name: str, items: Sequence[str], n_nodes: int = 2) -> NodePair:
     recipient = cls(0, n_nodes, list(items), counters=rc)  # type: ignore[call-arg]
     source = cls(1, n_nodes, list(items), counters=sc)  # type: ignore[call-arg]
     return NodePair(recipient, source, rc, sc, tc, DirectTransport(tc))
-
-
-def reset_all_counters(counters: Sequence[OverheadCounters]) -> None:
-    """Zero a batch of counter bundles between measurement phases."""
-    for bundle in counters:
-        bundle.reset()

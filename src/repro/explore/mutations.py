@@ -92,7 +92,7 @@ def _accept_adopt_any(
         if ordering is Ordering.DOMINATES or ordering is Ordering.CONCURRENT:
             old_ivv = entry.ivv
             self._install_payload(entry, payload)
-            self._mark_value_changed(entry.name)
+            self._digest.mark(entry.name)
             # BUG: a concurrent copy silently wins; joining the IVVs
             # hides the lost update from all vector bookkeeping.
             entry.ivv = merge(payload.ivv, old_ivv)  # lint: skip=R4

@@ -119,15 +119,16 @@ def value_digest(item: str, value: bytes) -> int:
 
 
 class ContentDigest:
-    """An incrementally maintained commutative digest of a replica's
+    """A lazily maintained commutative digest of a replica's
     ``{item: value}`` state.
 
     The token is the sum (mod 2^64) of :func:`value_digest` over every
     item whose value is non-empty, so:
 
-    * a value write updates it in O(1) — subtract the old binding's
-      hash, add the new one (:meth:`replace`) — instead of O(N) full
-      snapshot materialization;
+    * a value write only *marks* the item (:meth:`mark`: O(1), no hash,
+      the old value is not kept); :meth:`token` folds the marked items,
+      hashing each once however often it was written and subtracting
+      its previous contribution — a replica nobody asks never hashes;
     * two replicas over the same schema have equal tokens iff their
       value maps are equal, up to 64-bit hash collisions (the same
       with-high-probability caveat any fingerprint scheme carries);
@@ -136,44 +137,58 @@ class ContentDigest:
 
     Order never matters (addition commutes), which is what lets every
     protocol maintain the digest at its own write sites without any
-    coordination of update order across nodes.
-
-    This class is the *eager* form — two hashes per write — used by the
-    baselines, which exist only in the simulator where the token is
-    read every round.  :class:`~repro.core.node.EpidemicNode` also runs
-    as a real node that never reads it, so it keeps the same token
-    lazily (marked per write, folded at read; see
-    ``EpidemicNode.content_digest``); :meth:`recompute` is the
-    reference both forms are tested against.
+    coordination of update order across nodes.  :meth:`recompute` is
+    the from-scratch reference the token is tested against.
     """
 
-    __slots__ = ("_acc",)
+    __slots__ = ("_acc", "_folded", "_stale")
 
     def __init__(self) -> None:
         self._acc = 0
+        # Each item's contribution to ``_acc`` as of the last fold, and
+        # the items written since, in an insertion-ordered dict used as
+        # a set so the fold iterates deterministically.
+        self._folded: dict[str, int] = {}
+        self._stale: dict[str, None] = {}
 
-    def replace(self, item: str, old: bytes, new: bytes) -> None:
-        """Account one value write: ``item`` went from ``old`` to ``new``."""
-        if old == new:
-            return
-        if old:
-            self._acc = (self._acc - value_digest(item, old)) & _DIGEST_MASK
-        if new:
-            self._acc = (self._acc + value_digest(item, new)) & _DIGEST_MASK
+    def mark(self, item: str) -> None:
+        """Account one value write to ``item``."""
+        self._stale[item] = None
 
-    def recompute(self, pairs: Iterable[tuple[str, bytes]]) -> None:
-        """Rebuild the token from scratch (snapshot restore paths)."""
+    def reset(self, items: Iterable[str]) -> None:
+        """Start over with ``items`` marked (a restore wrote the values
+        directly): nothing is hashed until the next :meth:`token`."""
+        self._acc = 0
+        self._folded.clear()
+        self._stale = dict.fromkeys(items)
+
+    def token(self, value_of: Callable[[str], bytes]) -> int:
+        """The digest, folding every marked item's current value
+        ``value_of(item)`` first."""
+        stale = self._stale
+        if stale:
+            folded = self._folded
+            acc = self._acc
+            for item in stale:
+                value = value_of(item)
+                contribution = value_digest(item, value) if value else 0
+                acc += contribution - folded.get(item, 0)
+                folded[item] = contribution
+            self._acc = acc & _DIGEST_MASK
+            stale.clear()
+        return self._acc
+
+    @staticmethod
+    def recompute(pairs: Iterable[tuple[str, bytes]]) -> int:
+        """The token of ``pairs`` computed from scratch."""
         acc = 0
         for item, value in pairs:
             if value:
                 acc = (acc + value_digest(item, value)) & _DIGEST_MASK
-        self._acc = acc
-
-    def token(self) -> int:
-        return self._acc
+        return acc
 
     def __repr__(self) -> str:
-        return f"ContentDigest(token={self._acc:#018x})"
+        return f"ContentDigest(token={self._acc:#018x}, marked={len(self._stale)})"
 
 
 @dataclass(frozen=True, slots=True)
@@ -223,7 +238,8 @@ class SyncStats:
                             died on (None while ``failed`` is False, or
                             when the transport tracks no sessions).
     ``adopted_items``     — ``(node_id, item)`` pairs whose durable value
-                            may have changed during the session, reported
+                            may have changed during the session (every
+                            pair that did change is among them), reported
                             by the protocol so staleness trackers can
                             re-examine exactly the dirty frontier instead
                             of rescanning every replica (push protocols
@@ -382,27 +398,22 @@ class ProtocolNode(abc.ABC):
         full convergence implies auxiliary copies were discarded.
         """
 
-    def state_version(self) -> StateVersion | None:
-        """An O(1) summary of the durable state, or ``None``.
+    @abc.abstractmethod
+    def state_version(self) -> StateVersion:
+        """A cheap summary of the durable state: its
+        :class:`ContentDigest` token, equal to
+        ``ContentDigest.recompute(state_fingerprint().items())``.
 
-        When every node of a cluster reports a version of the same kind,
         ``fingerprints_equal`` compares versions instead of
         materializing full ``state_fingerprint()`` snapshots — the
-        de-quadratization of the round loop.  The default ``None`` opts
-        out (ad-hoc test nodes fall back to full fingerprints); the
-        DBVV adapter and all baselines maintain a
-        :class:`ContentDigest` and override this.
+        de-quadratization of the round loop.
         """
-        return None
 
+    @abc.abstractmethod
     def fingerprint_value(self, item: str) -> bytes:
-        """One item's durable value, as ``state_fingerprint()[item]``.
-
-        Staleness trackers probe single (node, item) pairs from a dirty
-        frontier; the default materializes the full snapshot, concrete
-        protocols override with an O(1) lookup.
-        """
-        return self.state_fingerprint().get(item, b"")
+        """One item's durable value, as ``state_fingerprint()[item]``,
+        in O(1): staleness trackers probe single (node, item) pairs
+        from a dirty frontier."""
 
     def conflict_count(self) -> int:
         """Conflicts this node has detected so far (0 for protocols that

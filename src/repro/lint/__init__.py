@@ -33,7 +33,6 @@ from repro.lint.engine import (
     Violation,
     lint_file,
     lint_paths,
-    lint_source,
     make_scope,
 )
 from repro.lint.rules import ALL_RULES, rules_by_id
@@ -45,7 +44,6 @@ __all__ = [
     "Violation",
     "lint_file",
     "lint_paths",
-    "lint_source",
     "make_scope",
     "rules_by_id",
 ]

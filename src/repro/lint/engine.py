@@ -27,11 +27,9 @@ __all__ = [
     "FileScope",
     "LintRule",
     "Violation",
-    "audit_pragmas",
     "collect_files",
     "lint_file",
     "lint_paths",
-    "lint_source",
     "make_scope",
 ]
 
@@ -168,7 +166,7 @@ def _comments_by_line(source: str) -> dict[int, str]:
             if token.type == tokenize.COMMENT:
                 comments[token.start[0]] = token.string
     except (tokenize.TokenError, IndentationError, SyntaxError):
-        pass  # unparseable files are reported as PARSE by lint_source
+        pass  # unparseable files are reported as PARSE by _check
     return comments
 
 
@@ -231,21 +229,19 @@ def _check(
     return kept, _audit(raw, comments, skip_file, scope, rules)
 
 
-def lint_source(
-    source: str,
-    path: str | Path,
-    rules: Sequence[LintRule],
-    scope: FileScope | None = None,
-) -> list[Violation]:
-    """Lint one file's text; ``scope`` defaults to :func:`make_scope`."""
-    return _check(source, scope or make_scope(path), rules)[0]
-
-
 def lint_file(
     path: str | Path, rules: Sequence[LintRule], audit: bool = False
 ) -> list[Violation]:
     """Lint one file from disk; with ``audit``, the stale-pragma
-    findings (:func:`audit_pragmas`) follow the lint findings."""
+    findings follow the lint findings.
+
+    A stale pragma is one whose line no longer produces the finding it
+    suppresses — residue from refactored code that reads as "this line
+    is exempt" while exempting nothing today and, worse, silently
+    re-arms if the violation ever comes back on a *different* line.
+    Its findings use the pseudo rule id ``PRAGMA``.  Pragmas for rules
+    outside ``rules`` are not judged (a ``--select`` run cannot know
+    whether an unselected rule still fires)."""
     text = Path(path).read_text(encoding="utf-8")
     kept, stale = _check(text, make_scope(path), rules)
     return kept + stale if audit else kept
@@ -269,25 +265,6 @@ def collect_files(paths: Iterable[str | Path]) -> list[Path]:
         elif path.suffix == ".py":
             collected.add(path)
     return sorted(collected)
-
-
-def audit_pragmas(
-    source: str,
-    path: str | Path,
-    rules: Sequence[LintRule],
-    scope: FileScope | None = None,
-) -> list[Violation]:
-    """Flag stale suppressions: pragmas whose line no longer produces
-    the finding they suppress.
-
-    A pragma that suppresses nothing is residue from refactored code —
-    it reads as "this line is exempt" while exempting nothing today and,
-    worse, silently re-arming if the violation ever comes back on a
-    *different* line.  Findings use the pseudo rule id ``PRAGMA``.
-    Pragmas for rules outside ``rules`` are not judged (a ``--select``
-    run cannot know whether an unselected rule still fires).
-    """
-    return _check(source, scope or make_scope(path), rules)[1]
 
 
 def _audit(

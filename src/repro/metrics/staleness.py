@@ -43,11 +43,6 @@ class StalenessSummary:
     peak_stale_pairs: int
     samples: int
 
-    @property
-    def recovered(self) -> bool:
-        """True when staleness appeared and later fully cleared."""
-        return self.first_stale_time is not None and self.fresh_time is not None
-
 
 def summarize_staleness(samples: list[StalenessSample]) -> StalenessSummary:
     """Collapse a sample series into a :class:`StalenessSummary`.

@@ -102,9 +102,6 @@ class NodeConfig:
     def n_nodes(self) -> int:
         return len(self.peers) + 1
 
-    def peer_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(peer.node_id for peer in self.peers))
-
     def address_of(self, node_id: int) -> PeerAddress:
         for peer in self.peers:
             if peer.node_id == node_id:

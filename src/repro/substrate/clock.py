@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from repro.errors import SimulationError
 
-__all__ = ["SimClock", "ManualClock"]
+__all__ = ["SimClock"]
 
 
 class SimClock:
@@ -35,22 +35,3 @@ class SimClock:
                 f"clock cannot run backwards: {t} < {self._now}"
             )
         self._now = t
-
-    def advance_by(self, dt: float) -> None:
-        """Move time forward by ``dt >= 0``."""
-        if dt < 0:
-            raise SimulationError(f"negative clock advance: {dt}")
-        self._now += dt
-
-
-class ManualClock(SimClock):
-    """A :class:`SimClock` whose tests may also ``tick()`` in unit steps."""
-
-    __slots__ = ()
-
-    def tick(self, steps: int = 1) -> float:
-        """Advance ``steps`` whole time units and return the new time."""
-        if steps < 0:
-            raise SimulationError(f"negative tick count: {steps}")
-        self.advance_by(float(steps))
-        return self.now()

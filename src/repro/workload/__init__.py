@@ -1,38 +1,30 @@
 """Reproducible workloads: generators and traces.
 
 Generators (:mod:`repro.workload.generators`) produce seeded update
-streams with tunable skew — uniform, hot/cold, Zipf, single-writer,
-deliberately conflicting — plus out-of-bound request streams; traces
+streams with tunable skew — hot/cold, single-writer, deliberately
+conflicting, and a read/write mix; traces
 (:mod:`repro.workload.traces`) freeze a stream so every protocol in a
 comparison replays the identical history.
 """
 
 from repro.workload.generators import (
-    BurstWorkload,
     ConflictingWorkload,
     HotColdWorkload,
-    OutOfBoundStream,
     ReadEvent,
     ReadWriteMix,
     SingleWriterWorkload,
-    UniformWorkload,
     UpdateEvent,
     WorkloadGenerator,
-    ZipfWorkload,
 )
 from repro.workload.traces import Trace
 
 __all__ = [
-    "BurstWorkload",
     "ConflictingWorkload",
     "HotColdWorkload",
-    "OutOfBoundStream",
     "ReadEvent",
     "ReadWriteMix",
     "SingleWriterWorkload",
-    "UniformWorkload",
     "UpdateEvent",
     "WorkloadGenerator",
-    "ZipfWorkload",
     "Trace",
 ]

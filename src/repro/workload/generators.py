@@ -6,12 +6,8 @@ small" and "relatively few data items are copied out-of-bound"
 (section 2).  The generators below produce update streams with exactly
 those tunable properties, deterministically from a seed:
 
-* :class:`UniformWorkload` — every item equally likely (the worst case
-  for the paper's protocol: m approaches N fast).
 * :class:`HotColdWorkload` — a small hot set absorbs most updates (the
   paper's target case: m << N).
-* :class:`ZipfWorkload` — power-law popularity, the standard database
-  skew model.
 * :class:`SingleWriterWorkload` — items statically owned by nodes, so
   histories are conflict-free by construction (matches the paper's
   token-based pessimistic mode without simulating token traffic).
@@ -26,7 +22,7 @@ distinct values — convergence checks can't pass by accident.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from repro.substrate.operations import Put, UpdateOperation
@@ -34,15 +30,11 @@ from repro.substrate.operations import Put, UpdateOperation
 __all__ = [
     "UpdateEvent",
     "WorkloadGenerator",
-    "UniformWorkload",
     "HotColdWorkload",
-    "ZipfWorkload",
     "SingleWriterWorkload",
     "ConflictingWorkload",
-    "BurstWorkload",
     "ReadEvent",
     "ReadWriteMix",
-    "OutOfBoundStream",
 ]
 
 
@@ -106,20 +98,6 @@ class WorkloadGenerator:
         """The next ``count`` events as a list."""
         return list(self.events(count))
 
-    def touched_items(self) -> set[str]:
-        """Items updated at least once so far — the workload's actual m."""
-        return set(self._update_counts)
-
-
-class UniformWorkload(WorkloadGenerator):
-    """Uniform item popularity, uniform originating node."""
-
-    def _pick(self) -> tuple[int, str]:
-        return (
-            self.rng.randrange(self.n_nodes),
-            self.items[self.rng.randrange(len(self.items))],
-        )
-
 
 class HotColdWorkload(WorkloadGenerator):
     """``hot_fraction`` of the items receive ``hot_weight`` of the
@@ -154,42 +132,6 @@ class HotColdWorkload(WorkloadGenerator):
             self.rng.randrange(self.n_nodes),
             pool[self.rng.randrange(len(pool))],
         )
-
-
-class ZipfWorkload(WorkloadGenerator):
-    """Zipf(s) item popularity over the item list order."""
-
-    def __init__(
-        self,
-        items: Sequence[str],
-        n_nodes: int,
-        seed: int = 0,
-        value_size: int = 64,
-        s: float = 1.2,
-    ):
-        super().__init__(items, n_nodes, seed, value_size)
-        if s <= 0:
-            raise ValueError(f"zipf exponent must be positive, got {s}")
-        weights = [1.0 / (rank ** s) for rank in range(1, len(self.items) + 1)]
-        total = sum(weights)
-        self._cdf: list[float] = []
-        acc = 0.0
-        for w in weights:
-            acc += w / total
-            self._cdf.append(acc)
-        self._cdf[-1] = 1.0
-
-    def _pick(self) -> tuple[int, str]:
-        u = self.rng.random()
-        # Binary search over the CDF.
-        lo, hi = 0, len(self._cdf) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._cdf[mid] < u:
-                lo = mid + 1
-            else:
-                hi = mid
-        return (self.rng.randrange(self.n_nodes), self.items[lo])
 
 
 class SingleWriterWorkload(WorkloadGenerator):
@@ -254,54 +196,6 @@ class ConflictingWorkload(WorkloadGenerator):
         )
 
 
-class BurstWorkload(WorkloadGenerator):
-    """Quiet background traffic punctuated by bursts on one item.
-
-    Between bursts, updates are uniform and sparse; every
-    ``burst_every`` events a burst of ``burst_length`` consecutive
-    updates hammers a single randomly chosen item.  Bursts are the
-    regime the one-record-per-item log rule exists for: a thousand
-    updates to one item still cost one record per log component.
-    """
-
-    def __init__(
-        self,
-        items: Sequence[str],
-        n_nodes: int,
-        seed: int = 0,
-        value_size: int = 64,
-        burst_every: int = 20,
-        burst_length: int = 10,
-    ):
-        super().__init__(items, n_nodes, seed, value_size)
-        if burst_every < 1 or burst_length < 1:
-            raise ValueError("burst parameters must be positive")
-        self.burst_every = burst_every
-        self.burst_length = burst_length
-        self._since_burst = 0
-        self._burst_remaining = 0
-        self._burst_target: tuple[int, str] | None = None
-
-    def _pick(self) -> tuple[int, str]:
-        if self._burst_remaining > 0:
-            assert self._burst_target is not None
-            self._burst_remaining -= 1
-            return self._burst_target
-        self._since_burst += 1
-        if self._since_burst >= self.burst_every:
-            self._since_burst = 0
-            self._burst_remaining = self.burst_length - 1
-            self._burst_target = (
-                self.rng.randrange(self.n_nodes),
-                self.items[self.rng.randrange(len(self.items))],
-            )
-            return self._burst_target
-        return (
-            self.rng.randrange(self.n_nodes),
-            self.items[self.rng.randrange(len(self.items))],
-        )
-
-
 @dataclass(frozen=True)
 class ReadEvent:
     """One user read: which node serves which item."""
@@ -349,31 +243,3 @@ class ReadWriteMix:
 
     def generate(self, count: int) -> list:
         return list(self.events(count))
-
-
-@dataclass
-class OutOfBoundStream:
-    """A stream of out-of-bound fetch requests ``(node, item, source)``.
-
-    Models users demanding fresh copies of key items between scheduled
-    propagations (paper section 5.2), biased toward ``hot_items``.
-    """
-
-    items: Sequence[str]
-    n_nodes: int
-    seed: int = 0
-    hot_items: Sequence[str] = field(default_factory=tuple)
-
-    def __post_init__(self) -> None:
-        self.rng = random.Random(self.seed)
-        self._pool = list(self.hot_items) or list(self.items)
-
-    def requests(self, count: int) -> list[tuple[int, str, int]]:
-        """``count`` tuples (requesting node, item, source node)."""
-        out = []
-        for _ in range(count):
-            node = self.rng.randrange(self.n_nodes)
-            source = (node + 1 + self.rng.randrange(self.n_nodes - 1)) % self.n_nodes
-            item = self._pool[self.rng.randrange(len(self._pool))]
-            out.append((node, item, source))
-        return out

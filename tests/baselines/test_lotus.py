@@ -23,7 +23,7 @@ class TestBasicReplication:
         stats = a.sync_with(b, transport)
         assert stats.items_transferred == 1
         assert a.read("item-1") == b"v"
-        assert a.seqno_of("item-1") == 1
+        assert a._doc("item-1").seqno == 1
 
     def test_nothing_changed_is_constant_time(self):
         """The one case Lotus detects cheaply: nothing modified at the

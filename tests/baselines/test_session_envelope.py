@@ -76,7 +76,7 @@ def leg_phase(leg):
 
 
 def reference_legs(protocol):
-    net = LegRecordingNetwork(2, ITEMS)
+    net = LegRecordingNetwork(2, ITEMS, counters=OverheadCounters())
     a, b = make_pair(protocol)
     stats = a.sync_with(b, net)
     assert not stats.failed
@@ -86,7 +86,7 @@ def reference_legs(protocol):
 
 
 def link_bytes(net):
-    return net.link_stats(0, 1).bytes + net.link_stats(1, 0).bytes
+    return net.counters.bytes_sent
 
 
 def assert_clean(*nodes):
@@ -111,7 +111,7 @@ def fault_cases():
 @pytest.mark.parametrize("protocol,fault,k,node", list(fault_cases()))
 def test_fault_reports_its_leg_and_traffic(protocol, fault, k, node):
     legs = reference_legs(protocol)
-    net = SimulatedNetwork(2, ITEMS)
+    net = SimulatedNetwork(2, ITEMS, counters=OverheadCounters())
     if fault == "drop":
         net.arm_message_drop(k)
         failed_leg = legs[k - 1]        # message k left, then was lost

@@ -35,7 +35,7 @@ class TestGossip:
         (a, b, _c), _, transport = make_nodes()
         a.user_update("item-0", Put(b"v"))
         b.sync_with(a, transport)
-        table = b.time_table()
+        table = b._table
         assert table[b.node_id][a.node_id] == 1   # b knows a's update
         assert table[a.node_id][a.node_id] == 1   # and knows a knows it
 
@@ -57,7 +57,7 @@ class TestLogGrowthAndGC:
         (a, _b, _c), _, _t = make_nodes()
         for k in range(20):
             a.user_update(ITEMS[k % len(ITEMS)], Put(f"v{k}".encode()))
-        assert a.log_size == 20  # unlike the paper's bounded log
+        assert len(a._log) == 20  # unlike the paper's bounded log
 
     def test_gc_drops_universally_known_records(self):
         (a, b, c), _, transport = make_nodes()
@@ -67,7 +67,7 @@ class TestLogGrowthAndGC:
             b.sync_with(a, transport)
             c.sync_with(b, transport)
             a.sync_with(c, transport)
-        assert a.log_size == 0
+        assert len(a._log) == 0
 
     def test_gossip_scan_cost_is_linear_in_log(self):
         """The paper's footnote 4: every send scans the whole log."""

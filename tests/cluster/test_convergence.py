@@ -1,6 +1,6 @@
 """Unit tests for convergence checking and ground-truth staleness."""
 
-from repro.cluster.convergence import GroundTruth, divergence_report, fingerprints_equal
+from repro.cluster.convergence import GroundTruth, fingerprints_equal
 from repro.core.protocol import DBVVProtocolNode
 from repro.substrate.operations import Put
 
@@ -19,17 +19,10 @@ class TestFingerprints:
         nodes = make_nodes()
         nodes[0].user_update("x", Put(b"v"))
         assert not fingerprints_equal(nodes)
-        assert divergence_report(nodes) == {"x": 2}
 
     def test_single_node_is_trivially_converged(self):
         assert fingerprints_equal(make_nodes()[:1])
         assert fingerprints_equal([])
-
-    def test_divergence_report_counts_distinct_values(self):
-        nodes = make_nodes()
-        nodes[0].user_update("x", Put(b"a"))
-        nodes[1].user_update("x", Put(b"b"))
-        assert divergence_report(nodes)["x"] == 3  # a, b, empty
 
 
 class TestGroundTruth:

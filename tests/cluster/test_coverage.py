@@ -1,13 +1,16 @@
-"""Tests for transitive-coverage tracking (paper section 7, Theorem 5)."""
+"""Tests for transitive-coverage tracking (paper section 7, Theorem 5).
+
+The tracker is the ``tests/coverage.py`` oracle, fed through the
+simulation's ``session_observer``."""
 
 import pytest
 
-from repro.cluster.coverage import TransitiveCoverageTracker
 from repro.cluster.scheduler import RingSelector
 from repro.cluster.simulation import ClusterSimulation
 from repro.errors import UnknownNodeError
 from repro.experiments.common import make_factory, make_items
 from repro.substrate.operations import Put
+from tests.coverage import TransitiveCoverageTracker, observe_coverage
 
 
 class TestDefinition4:
@@ -95,15 +98,18 @@ class TestTheorem5EndToEnd:
     def test_simulation_tracks_coverage(self):
         items = make_items(10)
         sim = ClusterSimulation(make_factory("dbvv", 4, items), 4, items, seed=1)
+        coverage = observe_coverage(sim, lambda: sim.round_no)
         sim.run_round()
-        assert len(sim.coverage.history) == 4
+        assert len(coverage.history) == 4
+        assert {record.time for record in coverage.history} == {1}
 
     def test_coverage_implies_convergence(self):
         items = make_items(30)
         sim = ClusterSimulation(make_factory("dbvv", 5, items), 5, items, seed=2)
+        coverage = observe_coverage(sim, lambda: sim.round_no)
         for k in range(5):
             sim.apply_update(k, items[k], Put(f"v{k}".encode()))
-        while not sim.coverage.is_fully_covered():
+        while not coverage.is_fully_covered():
             sim.run_round()
             assert sim.round_no < 200
         # Premise satisfied ⇒ conclusion must hold: replicas converged.
@@ -118,18 +124,19 @@ class TestTheorem5EndToEnd:
             sim = ClusterSimulation(
                 make_factory("dbvv", 4, items), 4, items, seed=seed
             )
+            coverage = observe_coverage(sim, lambda sim=sim: sim.round_no)
             for k in range(4):
                 sim.apply_update(k, items[k], Put(f"origin-{k}".encode()))
             for _ in range(50):
                 sim.run_round()
-                for i, j in sim.coverage.uncovered_pairs():
+                for i, j in coverage.uncovered_pairs():
                     assert sim.nodes[i].read(items[j]) == b"", (
                         f"node {i} has node {j}'s update without having "
                         f"transitively propagated from it (seed {seed})"
                     )
-                if sim.coverage.is_fully_covered():
+                if coverage.is_fully_covered():
                     break
-            assert sim.coverage.is_fully_covered()
+            assert coverage.is_fully_covered()
 
     def test_ring_coverage_time_matches_theory(self):
         """A deterministic ring needs at most 2n sessions-per-node laps;
@@ -139,6 +146,7 @@ class TestTheorem5EndToEnd:
             make_factory("dbvv", 6, items), 6, items,
             selector=RingSelector(), seed=3,
         )
-        while not sim.coverage.is_fully_covered():
+        coverage = observe_coverage(sim, lambda: sim.round_no)
+        while not coverage.is_fully_covered():
             sim.run_round()
             assert sim.round_no <= 4 * 6

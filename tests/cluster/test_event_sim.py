@@ -5,6 +5,7 @@ import pytest
 from repro.cluster.event_sim import EventDrivenSimulation, NodeSchedule
 from repro.experiments.common import make_factory, make_items
 from repro.substrate.operations import Put
+from tests.coverage import observe_coverage
 
 ITEMS = make_items(20)
 
@@ -108,22 +109,24 @@ class TestFailuresInTime:
 class TestCoverageInEventTime:
     def test_coverage_builds_over_simulated_time(self):
         sim = make_sim(n_nodes=4, seed=12)
+        coverage = observe_coverage(sim.cluster, lambda: sim.now)
         sim.run_until_converged(deadline=1000.0)
         # Convergence of a fresh cluster is trivial; keep going until
         # the Theorem 5 premise is satisfied in event time too.
-        while not sim.coverage.is_fully_covered():
+        while not coverage.is_fully_covered():
             sim.run_until(sim.now + 10.0)
             assert sim.now < 2_000.0
-        assert sim.coverage.coverage_time is not None
-        assert sim.coverage.coverage_time <= sim.now
+        assert coverage.coverage_time is not None
+        assert coverage.coverage_time <= sim.now
 
     def test_failed_sessions_do_not_count_as_coverage(self):
         sim = make_sim(n_nodes=2, seed=13)
+        coverage = observe_coverage(sim.cluster, lambda: sim.now)
         sim.schedule_crash(0.5, 1)
         sim.run_until(100.0)
         # Every session node 0 attempted targeted the dead node 1.
         assert sim.sessions_failed == sim.sessions_run
-        assert not sim.coverage.has_propagated_from(0, 1)
+        assert not coverage.has_propagated_from(0, 1)
 
 
 class TestComposedCluster:

@@ -19,6 +19,13 @@ from repro.errors import MessageLostError
 MSG = YouAreCurrent(0)
 
 
+def down_through(plan, net, first_round, last_round):
+    """Apply rounds ``first_round .. last_round``; the nodes then down."""
+    for round_no in range(first_round, last_round + 1):
+        plan.apply_round(round_no, net)
+    return {node for node in range(net.n_nodes) if not net.is_up(node)}
+
+
 class TestFailurePlan:
     def test_crash_and_recover_fire_at_their_rounds(self):
         plan = FailurePlan([Crash(node=1, at_round=2), Recover(node=1, at_round=4)])
@@ -50,10 +57,11 @@ class TestFailurePlan:
             Crash(node=1, at_round=3),
             Recover(node=0, at_round=5),
         ])
-        assert plan.crashed_through(0) == set()
-        assert plan.crashed_through(2) == {0}
-        assert plan.crashed_through(4) == {0, 1}
-        assert plan.crashed_through(5) == {1}
+        net = SimulatedNetwork(3, ())
+        assert down_through(plan, net, 0, 0) == set()
+        assert down_through(plan, net, 1, 2) == {0}
+        assert down_through(plan, net, 3, 4) == {0, 1}
+        assert down_through(plan, net, 5, 5) == {1}
 
     def test_multiple_events_same_round(self):
         plan = FailurePlan([Crash(node=0, at_round=1), Crash(node=1, at_round=1)])
@@ -64,15 +72,19 @@ class TestFailurePlan:
 
 
 class TestCrashedThroughEdgeCases:
+    """The nodes down at each round, as ``apply_round`` and the
+    network's ``is_up`` report them."""
+
     def test_same_round_crash_then_recover_applies_in_list_order(self):
         plan = FailurePlan([
             Crash(node=0, at_round=2),
             Recover(node=0, at_round=2),
         ])
+        net = SimulatedNetwork(2, ())
         # Both fire at round 2 in list order: crash, then recover — the
         # node ends round 2's start up.
-        assert plan.crashed_through(2) == set()
-        assert plan.crashed_through(3) == set()
+        assert down_through(plan, net, 1, 2) == set()
+        assert down_through(plan, net, 3, 3) == set()
 
     def test_same_round_recover_then_crash_leaves_node_down(self):
         plan = FailurePlan([
@@ -80,31 +92,38 @@ class TestCrashedThroughEdgeCases:
             Recover(node=0, at_round=3),
             Crash(node=0, at_round=3),
         ])
-        assert plan.crashed_through(2) == {0}
+        net = SimulatedNetwork(2, ())
+        assert down_through(plan, net, 1, 2) == {0}
         # Round 3: recover fires first (list order), then the crash.
-        assert plan.crashed_through(3) == {0}
+        assert down_through(plan, net, 3, 3) == {0}
 
     def test_mid_session_crash_counts_from_the_next_round(self):
         plan = FailurePlan([
             CrashMidSession(node=1, at_round=4),
             Recover(node=1, at_round=9),
         ])
+        net = SimulatedNetwork(2, ())
         # The crash fires *during* round 4, so at the start of round 4
-        # the node is still up; from round 5 on it is down.
-        assert plan.crashed_through(4) == set()
-        assert plan.crashed_through(5) == {1}
-        assert plan.crashed_through(8) == {1}
-        assert plan.crashed_through(9) == set()
+        # the node is still up; once a session has touched it, it is
+        # down until its recovery.
+        assert down_through(plan, net, 1, 4) == set()
+        net.open_session(0, 1)
+        net.deliver(0, 1, MSG)
+        assert down_through(plan, net, 5, 8) == {1}
+        assert down_through(plan, net, 9, 9) == set()
 
     def test_mid_session_crash_same_round_as_plain_crash(self):
         plan = FailurePlan([
             CrashMidSession(node=0, at_round=2),
             Crash(node=1, at_round=2),
         ])
+        net = SimulatedNetwork(3, ())
         # The start-of-round crash is visible at round 2; the
-        # mid-session one only afterwards.
-        assert plan.crashed_through(2) == {1}
-        assert plan.crashed_through(3) == {0, 1}
+        # mid-session one only after a session touched node 0.
+        assert down_through(plan, net, 1, 2) == {1}
+        net.open_session(0, 2)
+        net.deliver(0, 2, MSG)
+        assert down_through(plan, net, 3, 3) == {0, 1}
 
 
 class TestMidSessionEvents:
@@ -162,6 +181,36 @@ class TestMidSessionEvents:
         ])
         assert plan.pending_after(3)
         assert not plan.pending_after(4)
+
+
+    def test_a_window_draws_from_its_own_seed(self):
+        """A window's drops depend on its seed alone, not on windows
+        that ran before it, and a closed window leaves no RNG behind."""
+
+        def drops_in_round_5(events):
+            plan = FailurePlan(events)
+            net = SimulatedNetwork(2, ())
+            for round_no in range(1, 6):
+                plan.apply_round(round_no, net)
+            pattern = ""
+            for _ in range(20):
+                try:
+                    net.deliver(0, 1, MSG)
+                    pattern += "0"
+                except MessageLostError:
+                    pattern += "1"
+            plan.apply_round(6, net)
+            assert net.loss_rate == 0.0
+            assert net.rng is None
+            return pattern
+
+        alone = drops_in_round_5([LossyWindow(0.5, 5, 6, seed=2)])
+        after_another = drops_in_round_5([
+            LossyWindow(0.5, 1, 2, seed=1),
+            LossyWindow(0.5, 5, 6, seed=2),
+        ])
+        assert "1" in alone
+        assert after_another == alone
 
 
 class TestCrashAfterPartialPush:

@@ -5,6 +5,7 @@ import copy
 from repro.core.conflicts import ConflictSite
 from repro.core.messages import PropagationReply, YouAreCurrent
 from repro.core.node import EpidemicNode
+from repro.core.version_vector import Ordering
 from repro.substrate.operations import Put
 
 ITEMS = [f"item-{k}" for k in range(10)]
@@ -166,7 +167,7 @@ class TestResolution:
         assert a.read("item-1") == b"merged"
         assert not a.store["item-1"].in_conflict
         # Resolved copy dominates both originals, so it propagates.
-        assert a.store["item-1"].ivv.dominates(b.store["item-1"].ivv)
+        assert a.store["item-1"].ivv.compare(b.store["item-1"].ivv) is Ordering.DOMINATES
 
     def test_resolution_propagates_to_other_replica(self):
         a, b = make_pair()

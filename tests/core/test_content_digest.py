@@ -1,9 +1,8 @@
 """The lazy content digest: marked on write, folded on read.
 
-``EpidemicNode.content_digest`` must be indistinguishable from an
-eagerly maintained :class:`~repro.interfaces.ContentDigest` — every
-read equals a from-scratch recomputation over the store at that moment
-— while the write path hashes nothing.  The second half is the point:
+Every read of ``EpidemicNode.content_digest`` must equal
+:meth:`~repro.interfaces.ContentDigest.recompute` over the store at
+that moment, while the write path hashes nothing.  The second half is the point:
 a process that never reads the digest (every ``repro.net`` node; pinned
 there by ``tests/net/test_node.py::TestWritePathNeverHashes``) never
 calls ``value_digest``.
@@ -11,7 +10,7 @@ calls ``value_digest``.
 
 from hypothesis import example, given, settings, strategies as st
 
-from repro.core import node as node_module
+import repro.interfaces
 from repro.core.node import EpidemicNode
 from repro.durable.checkpoint import encode_checkpoint, load_node
 from repro.errors import OperationError
@@ -23,21 +22,19 @@ ITEMS = [f"item-{k}" for k in range(4)]
 
 
 def recomputed(node):
-    digest = ContentDigest()
-    digest.recompute((entry.name, entry.value) for entry in node.store)
-    return digest.token()
+    return ContentDigest.recompute((entry.name, entry.value) for entry in node.store)
 
 
 def spy_on_value_digest(monkeypatch):
-    """Route the node's only hashing call through a list of its args."""
+    """Route the digest's only hashing call through a list of its args."""
     calls = []
-    inner = node_module.value_digest
+    inner = repro.interfaces.value_digest
 
     def spy(item, value):
         calls.append((item, value))
         return inner(item, value)
 
-    monkeypatch.setattr(node_module, "value_digest", spy)
+    monkeypatch.setattr(repro.interfaces, "value_digest", spy)
     return calls
 
 
@@ -126,8 +123,9 @@ def test_writes_hash_nothing_and_a_read_hashes_each_dirty_item_once(monkeypatch)
 
     node.update(ITEMS[0], Put(b""))
     assert calls == []
-    assert node.content_digest == recomputed(node) != token
+    emptied = node.content_digest
     assert calls == []  # an emptied item is subtracted, not hashed
+    assert emptied == recomputed(node) != token
 
 
 def test_restore_marks_instead_of_hashing(monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.dbvv import DatabaseVersionVector
-from repro.core.version_vector import VersionVector
+from repro.core.version_vector import Ordering, VersionVector
 from repro.obs import OverheadCounters
 
 
@@ -19,11 +19,6 @@ class TestMaintenanceRules:
         dbvv.record_local_update_by(1)
         dbvv.record_local_update_by(2)
         assert dbvv.as_tuple() == (0, 2, 1)
-
-    def test_record_local_update_without_node_is_rejected(self):
-        dbvv = DatabaseVersionVector(2)
-        with pytest.raises(TypeError):
-            dbvv.record_local_update()
 
     def test_rule3_adds_per_origin_deltas(self):
         """V_il += v_jl(x) - v_il(x) for every l (the paper's formula)."""
@@ -149,4 +144,4 @@ class TestInheritedAlgebra:
         b = DatabaseVersionVector(2)
         b.record_local_update_by(1)
         assert not a.dominates_or_equal(b)
-        assert a.missing_from(b) == {1: 1}
+        assert b.compare(a) is Ordering.DOMINATES

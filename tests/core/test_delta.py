@@ -88,7 +88,6 @@ class TestDeltaPropagation:
         reply = b.send_propagation(request)
         (payload,) = reply.items
         assert isinstance(payload, DeltaPayload)
-        assert b.deltas_shipped == 1
 
     def test_full_fallback_when_history_evicted(self):
         a, b = make_pair(history_limit=2)
@@ -98,7 +97,6 @@ class TestDeltaPropagation:
         reply = b.send_propagation(a.make_propagation_request())
         (payload,) = reply.items
         assert isinstance(payload, ItemPayload)
-        assert b.full_copies_shipped == 1
         outcome, _ = a.pull_from(b)
         assert a.read("item-0") == b.read("item-0")
 

@@ -8,7 +8,7 @@ shift more payloads to the whole-value fallback.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.delta import DeltaEpidemicNode
+from repro.core.delta import DeltaEpidemicNode, DeltaPayload
 from repro.core.node import EpidemicNode
 from repro.substrate.operations import Append
 
@@ -21,6 +21,17 @@ steps = st.one_of(
 )
 programs = st.lists(steps, max_size=40)
 limits = st.sampled_from([0, 1, 3, 64])
+
+
+class CountingDeltaNode(DeltaEpidemicNode):
+    """Counts the operation-shipping payloads it builds."""
+
+    deltas_shipped = 0
+
+    def _payload_for(self, entry, remote_dbvv):
+        payload = super()._payload_for(entry, remote_dbvv)
+        self.deltas_shipped += isinstance(payload, DeltaPayload)
+        return payload
 
 
 def run(cluster, program):
@@ -65,7 +76,7 @@ def test_delta_mode_is_state_equivalent(program, limit):
 @given(programs)
 def test_zero_history_limit_always_falls_back_and_still_converges(program):
     cluster = run(
-        [DeltaEpidemicNode(k, N_NODES, ITEMS, history_limit=0) for k in range(N_NODES)],
+        [CountingDeltaNode(k, N_NODES, ITEMS, history_limit=0) for k in range(N_NODES)],
         program,
     )
     reference = cluster[0].state_fingerprint()

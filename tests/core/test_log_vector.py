@@ -72,8 +72,8 @@ class TestAddLogRecord:
         log = LogComponent(origin=0)
         log.add("x", 1)
         record = log.add("x", 2)
-        assert log.record_for("x") is record
-        assert log.record_for("missing") is None
+        assert list(log) == [record]
+        assert not log.discard_item("missing")
 
     def test_max_seqno_tracks_tail(self):
         log = LogComponent(origin=0)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.version_vector import Ordering, VersionVector, compare, dominates, merge
+from repro.core.version_vector import Ordering, VersionVector, merge
 from repro.errors import ReplicaSetMismatchError, UnknownNodeError
 
 
@@ -111,13 +111,13 @@ class TestComparison:
     def test_dominates_when_ahead_in_one_component(self):
         a = VersionVector.from_counts([1, 3])
         b = VersionVector.from_counts([1, 2])
-        assert a.dominates(b)
+        assert a.compare(b) is Ordering.DOMINATES
 
     def test_concurrent_when_each_side_ahead_somewhere(self):
         a = VersionVector.from_counts([2, 0])
         b = VersionVector.from_counts([0, 2])
         assert a.compare(b) is Ordering.CONCURRENT
-        assert a.concurrent_with(b)
+        assert b.compare(a) is Ordering.CONCURRENT
 
     def test_dominates_or_equal_accepts_equality(self):
         a = VersionVector.from_counts([1, 2])
@@ -130,23 +130,30 @@ class TestComparison:
 
     def test_strict_domination_is_not_reflexive(self):
         a = VersionVector.from_counts([1, 1])
-        assert not a.dominates(a.copy())
+        assert a.compare(a.copy()) is not Ordering.DOMINATES
 
     def test_mismatched_sizes_raise(self):
         with pytest.raises(ReplicaSetMismatchError):
             VersionVector.zero(2).compare(VersionVector.zero(3))
 
     def test_flipped_ordering(self):
-        assert Ordering.DOMINATES.flipped() is Ordering.DOMINATED
-        assert Ordering.DOMINATED.flipped() is Ordering.DOMINATES
-        assert Ordering.EQUAL.flipped() is Ordering.EQUAL
-        assert Ordering.CONCURRENT.flipped() is Ordering.CONCURRENT
+        """Swapping the operands mirrors the ordering."""
+        a = VersionVector.from_counts([2, 1])
+        b = VersionVector.from_counts([1, 1])
+        assert (a.compare(b), b.compare(a)) == (
+            Ordering.DOMINATES, Ordering.DOMINATED
+        )
+        assert b.compare(b.copy()) is Ordering.EQUAL
 
     def test_module_level_helpers(self):
-        a = VersionVector.from_counts([2, 2])
+        """``merge``, the one module-level helper, is ``merge_from`` on
+        a copy."""
+        a = VersionVector.from_counts([2, 0])
         b = VersionVector.from_counts([1, 1])
-        assert compare(a, b) is Ordering.DOMINATES
-        assert dominates(a, b)
+        joined = a.copy()
+        joined.merge_from(b)
+        assert merge(a, b) == joined
+        assert merge(a, b).compare(a) is Ordering.DOMINATES
 
 
 class TestMerge:
@@ -177,22 +184,3 @@ class TestMerge:
     def test_merge_mismatched_sizes_raise(self):
         with pytest.raises(ReplicaSetMismatchError):
             merge(VersionVector.zero(2), VersionVector.zero(4))
-
-
-class TestMissingFrom:
-    """Theorem 3 corollary 2: per-origin missing-update counts."""
-
-    def test_reports_components_where_other_is_ahead(self):
-        a = VersionVector.from_counts([1, 5, 0])
-        b = VersionVector.from_counts([4, 5, 2])
-        assert a.missing_from(b) == {0: 3, 2: 2}
-
-    def test_empty_when_self_is_newer(self):
-        a = VersionVector.from_counts([4, 5])
-        b = VersionVector.from_counts([1, 2])
-        assert a.missing_from(b) == {}
-
-    def test_concurrent_vectors_report_only_their_gaps(self):
-        a = VersionVector.from_counts([3, 0])
-        b = VersionVector.from_counts([0, 3])
-        assert a.missing_from(b) == {1: 3}

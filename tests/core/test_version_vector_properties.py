@@ -21,7 +21,10 @@ vectors = st.builds(
 
 @given(vectors, vectors)
 def test_comparison_is_antisymmetric(a, b):
-    assert a.compare(b) is b.compare(a).flipped()
+    mirror = {Ordering.DOMINATES: Ordering.DOMINATED,
+              Ordering.DOMINATED: Ordering.DOMINATES}
+    ordering = b.compare(a)
+    assert a.compare(b) is mirror.get(ordering, ordering)
 
 
 @given(vectors)
@@ -74,25 +77,18 @@ def test_exactly_one_ordering_holds(a, b):
     ordering = a.compare(b)
     checks = {
         Ordering.EQUAL: a == b,
-        Ordering.DOMINATES: a.dominates(b),
-        Ordering.DOMINATED: b.dominates(a),
-        Ordering.CONCURRENT: a.concurrent_with(b),
+        Ordering.DOMINATES: a.dominates_or_equal(b) and a != b,
+        Ordering.DOMINATED: b.dominates_or_equal(a) and a != b,
+        Ordering.CONCURRENT: not (
+            a.dominates_or_equal(b) or b.dominates_or_equal(a)
+        ),
     }
     assert checks[ordering]
     assert sum(bool(v) for v in checks.values()) == 1
-
-
-@given(vectors, vectors)
-def test_missing_from_matches_merge_delta(a, b):
-    """The per-origin gaps are exactly what merging would add."""
-    gaps = a.missing_from(b)
-    merged = merge(a, b)
-    for k in range(N_NODES):
-        assert merged[k] - a[k] == gaps.get(k, 0)
 
 
 @given(vectors, st.integers(min_value=0, max_value=N_NODES - 1))
 def test_increment_strictly_dominates(a, node):
     bumped = a.copy()
     bumped.increment(node)
-    assert bumped.dominates(a)
+    assert bumped.compare(a) is Ordering.DOMINATES

@@ -34,7 +34,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.core.delta import DeltaEpidemicNode
-from repro.core.messages import PropagationReply
+from repro.core.messages import ItemPayload, PropagationReply
 from repro.core.node import EpidemicNode
 from repro.core.validate import MAX_REPLICA_SET
 from repro.durable import (
@@ -325,9 +325,10 @@ class TestRestoredNode:
         # Operation histories are not kept: the restored node ships
         # whole values until new updates rebuild them.
         recipient = DeltaEpidemicNode(1, 2, ITEMS)
+        reply = copy.send_propagation(recipient.make_propagation_request())
+        assert [type(payload) for payload in reply.items] == [ItemPayload]
         recipient.pull_from(copy)
         assert recipient.read("a") == b"v"
-        assert copy.full_copies_shipped == 1
 
     def test_half_present_auxiliary_copy_rejected(self):
         """An auxiliary IVV without its value is internal corruption: the

@@ -63,6 +63,13 @@ def journaled_workload(journal: NodeJournal) -> EpidemicNode:
     return node
 
 
+def holds_state(journal):
+    """True when the journal's directory holds anything to recover from."""
+    return journal.checkpoint_path.exists() or (
+        journal.wal_path.exists() and journal.wal_path.stat().st_size > 0
+    )
+
+
 class TestRecordCodec:
     def test_roundtrip_carries_the_lsn(self):
         body = encode_record(CODEC, 42, WalUpdate("a", Put(b"v")))
@@ -303,17 +310,17 @@ class TestRecovery:
 
     def test_empty_directory_recovers_a_fresh_node(self, tmp_path):
         journal = NodeJournal(tmp_path)
-        assert not journal.has_state
+        assert not holds_state(journal)
         recovered = journal.recover(EpidemicNode, 2, 5, ITEMS)
         assert node_state(recovered) == node_state(EpidemicNode(2, 5, ITEMS))
 
     def test_has_state_after_first_commit(self, tmp_path):
         journal = NodeJournal(tmp_path)
         journal.bind(0, ITEMS)
-        assert not journal.has_state
+        assert not holds_state(journal)
         journal.record_update("a", Put(b"v"))
         journal.commit()
-        assert journal.has_state
+        assert holds_state(journal)
 
     def test_recovered_journal_resumes_the_lsn_sequence(self, tmp_path):
         journal = NodeJournal(tmp_path, checkpoint_every=0)

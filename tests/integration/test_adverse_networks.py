@@ -35,14 +35,16 @@ class TestMessageLoss:
         for event in workload.generate(60):
             nodes[event.node].user_update(event.item, event.op)
         selector_rng = random.Random(8)
+        lost_sessions = 0
         for _round in range(200):
             for node_id in range(n_nodes):
                 peer = selector_rng.randrange(n_nodes - 1)
                 peer = peer if peer < node_id else peer + 1
                 try:
-                    nodes[node_id].sync_with(nodes[peer], network)
+                    stats = nodes[node_id].sync_with(nodes[peer], network)
                 except (MessageLostError, NodeDownError):
                     continue
+                lost_sessions += stats.failed
             if all(
                 nodes[k].state_fingerprint() == nodes[0].state_fingerprint()
                 for k in range(n_nodes)
@@ -50,7 +52,7 @@ class TestMessageLoss:
                 break
         else:
             pytest.fail(f"no convergence at loss rate {loss_rate}")
-        assert network.messages_dropped > 0
+        assert lost_sessions > 0
         for node in nodes:
             node.check_invariants()
 

@@ -17,7 +17,8 @@ from repro.cluster.scheduler import RandomSelector, RingSelector, StarSelector, 
 from repro.cluster.simulation import ClusterSimulation
 from repro.experiments.common import make_factory, make_items
 from repro.substrate.operations import Put
-from repro.workload.generators import SingleWriterWorkload, UniformWorkload
+from repro.workload.generators import SingleWriterWorkload
+from tests.workloads import UniformWorkload
 from repro.workload.traces import Trace
 
 

@@ -13,7 +13,7 @@ from repro.cluster.simulation import ClusterSimulation
 from repro.core.delta import DeltaEpidemicNode
 from repro.core.node import EpidemicNode
 from repro.core.protocol import DBVVProtocolNode
-from repro.core.version_vector import VersionVector
+from repro.core.version_vector import Ordering, VersionVector
 from repro.experiments.common import make_factory, make_items
 from repro.substrate.operations import Append, Put
 
@@ -40,7 +40,7 @@ class TestVectorExtension:
         b = VersionVector.from_counts([1, 1])
         a.extend_to(3)
         b.extend_to(3)
-        assert a.dominates(b)
+        assert a.compare(b) is Ordering.DOMINATES
 
 
 class TestNodeExpansion:
@@ -111,7 +111,7 @@ class TestNodeExpansion:
         newcomer = DeltaEpidemicNode(2, 3, ITEMS)
         newcomer.pull_from(a)
         assert newcomer.read(ITEMS[0]) == b"v"
-        assert a.history_of(ITEMS[0]).floor == (0, 0, 0)
+        assert a._histories[ITEMS[0]].floor == (0, 0, 0)
 
 
 class TestClusterGrowth:

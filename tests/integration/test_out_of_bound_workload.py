@@ -8,11 +8,13 @@ auxiliary state drains, and no conflicts appear for the conflict-free
 workload.
 """
 
+import random
+
 from repro.cluster.simulation import ClusterSimulation
 from repro.core.protocol import DBVVProtocolNode
 from repro.experiments.common import make_factory, make_items
 from repro.substrate.operations import Append
-from repro.workload.generators import OutOfBoundStream, SingleWriterWorkload
+from repro.workload.generators import SingleWriterWorkload
 
 ITEMS = make_items(40)
 
@@ -21,8 +23,14 @@ def test_mixed_oob_and_scheduled_propagation_converges():
     n_nodes = 4
     sim = ClusterSimulation(make_factory("dbvv", n_nodes, ITEMS), n_nodes, ITEMS, seed=6)
     workload = SingleWriterWorkload(ITEMS, n_nodes, seed=6)
-    oob = OutOfBoundStream(ITEMS, n_nodes, seed=6, hot_items=ITEMS[:5])
-    oob_requests = oob.requests(30)
+    # Users demanding fresh copies of the five hot items from a peer:
+    # (requesting node, item, source node).
+    rng = random.Random(6)
+    oob_requests = []
+    for _ in range(30):
+        node_id = rng.randrange(n_nodes)
+        source_id = (node_id + 1 + rng.randrange(n_nodes - 1)) % n_nodes
+        oob_requests.append((node_id, ITEMS[rng.randrange(5)], source_id))
 
     events = workload.generate(120)
     for step, event in enumerate(events):

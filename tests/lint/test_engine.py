@@ -4,8 +4,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.lint import ALL_RULES, LintRule, lint_source, make_scope
-from repro.lint.engine import audit_pragmas, collect_files
+from repro.lint import ALL_RULES, LintRule, make_scope
+from repro.lint.engine import collect_files
+from tests.lint.source import audit_pragmas, lint_source
 from repro.lint.rules import rules_by_id
 
 REPO_ROOT = Path(__file__).resolve().parents[2]

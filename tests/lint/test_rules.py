@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import ALL_RULES, lint_file, lint_source, make_scope
+from repro.lint import ALL_RULES, lint_file, make_scope
+from tests.lint.source import audit_pragmas, lint_source
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -384,8 +385,6 @@ class TestBlockingPragma:
         assert any(v.rule_id == "R11" for v in findings)
 
     def test_stale_blocking_pragma_is_audited(self):
-        from repro.lint.engine import audit_pragmas
-
         source = (
             "import asyncio\n"
             "async def serve():\n"
@@ -398,8 +397,6 @@ class TestBlockingPragma:
         )
 
     def test_bare_blocking_pragma_is_audited(self):
-        from repro.lint.engine import audit_pragmas
-
         source = (
             "async def serve(stopped):\n"
             "    await stopped.wait()  # pragma: blocking\n"
@@ -411,8 +408,6 @@ class TestBlockingPragma:
         )
 
     def test_live_blocking_pragma_is_not_audited(self):
-        from repro.lint.engine import audit_pragmas
-
         source = (
             "async def serve(stopped):\n"
             "    await stopped.wait()  # pragma: blocking lifetime wait\n"

@@ -23,7 +23,8 @@ from pathlib import Path
 import pytest
 
 import repro.core.validate as validate_module
-from repro.lint import ALL_RULES, lint_source, make_scope, rules_by_id
+from repro.lint import ALL_RULES, make_scope, rules_by_id
+from tests.lint.source import lint_source
 from repro.lint.taint import (
     CAPPED,
     CLEAN,

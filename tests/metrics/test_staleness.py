@@ -14,7 +14,6 @@ class TestSummaries:
         assert summary.first_stale_time is None
         assert summary.fresh_time is None
         assert summary.stale_duration is None
-        assert not summary.recovered
         assert summary.peak_stale_pairs == 0
 
     def test_stale_then_recovered(self):
@@ -22,14 +21,13 @@ class TestSummaries:
         assert summary.first_stale_time == 2.0
         assert summary.fresh_time == 4.0
         assert summary.stale_duration == 2.0
-        assert summary.recovered
         assert summary.peak_stale_pairs == 5
 
     def test_stale_never_recovered(self):
         summary = summarize_staleness(samples((1, 3), (2, 3)))
         assert summary.first_stale_time == 1.0
         assert summary.fresh_time is None
-        assert not summary.recovered
+        assert summary.stale_duration is None
 
     def test_relapse_resets_recovery(self):
         """Staleness that returns after a recovery: only a final,
@@ -44,4 +42,4 @@ class TestSummaries:
     def test_empty_series(self):
         summary = summarize_staleness([])
         assert summary.samples == 0
-        assert not summary.recovered
+        assert summary.first_stale_time is None

@@ -443,7 +443,6 @@ class TestWritePathNeverHashes:
             return 0
 
         monkeypatch.setattr("repro.interfaces.value_digest", spy)
-        monkeypatch.setattr("repro.core.node.value_digest", spy)
         data_dir = tmp_path if durable else None
 
         async def drive(nodes, *requests):

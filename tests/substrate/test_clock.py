@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.substrate.clock import ManualClock, SimClock
+from repro.substrate.clock import SimClock
 
 
 class TestSimClock:
@@ -27,22 +27,14 @@ class TestSimClock:
             clock.advance_to(1.0)
 
     def test_advance_by(self):
+        """A relative step is ``advance_to(now() + dt)``."""
         clock = SimClock()
-        clock.advance_by(1.5)
-        clock.advance_by(0.0)
+        clock.advance_to(clock.now() + 1.5)
+        clock.advance_to(clock.now() + 0.0)
         assert clock.now() == 1.5
 
     def test_negative_advance_rejected(self):
+        clock = SimClock()
         with pytest.raises(SimulationError):
-            SimClock().advance_by(-1.0)
+            clock.advance_to(clock.now() - 1.0)
 
-
-class TestManualClock:
-    def test_tick_advances_in_unit_steps(self):
-        clock = ManualClock()
-        assert clock.tick() == 1.0
-        assert clock.tick(3) == 4.0
-
-    def test_negative_tick_rejected(self):
-        with pytest.raises(SimulationError):
-            ManualClock().tick(-1)

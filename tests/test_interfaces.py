@@ -6,6 +6,7 @@ from repro.interfaces import (
     DIRECT_TRANSPORT,
     DirectTransport,
     ProtocolNode,
+    StateVersion,
     SyncStats,
     Transport,
 )
@@ -46,6 +47,12 @@ class TestProtocolNodeBase:
         def state_fingerprint(self):
             return {}
 
+        def state_version(self):
+            return StateVersion(self.protocol_name, 0)
+
+        def fingerprint_value(self, item):
+            return b""
+
     def test_node_id_bounds_checked(self):
         with pytest.raises(ValueError):
             self._Minimal(5, 3)
@@ -62,6 +69,16 @@ class TestProtocolNodeBase:
     def test_abstract_base_cannot_instantiate(self):
         with pytest.raises(TypeError):
             ProtocolNode(0, 2)  # type: ignore[abstract]
+
+    @pytest.mark.parametrize("hook", ["state_version", "fingerprint_value"])
+    def test_every_node_states_its_version_and_values(self, hook):
+        """No fallback stands in for a node without a digest or an
+        O(1) value probe: leaving either out is a TypeError."""
+        partial = type(
+            "Partial", (self._Minimal,), {hook: ProtocolNode.__dict__[hook]}
+        )
+        with pytest.raises(TypeError):
+            partial(0, 2)
 
 
 class TestSyncStats:

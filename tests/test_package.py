@@ -43,7 +43,7 @@ class TestSubpackagesImportCleanly:
             "repro.cluster", "repro.cluster.events", "repro.cluster.network",
             "repro.cluster.scheduler", "repro.cluster.topologies",
             "repro.cluster.failures", "repro.cluster.convergence",
-            "repro.cluster.coverage", "repro.cluster.simulation",
+            "repro.cluster.simulation",
             "repro.cluster.event_sim",
             "repro.baselines", "repro.baselines.per_item",
             "repro.baselines.lotus", "repro.baselines.oracle",

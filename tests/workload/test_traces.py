@@ -5,7 +5,8 @@ import pytest
 from repro.cluster.simulation import ClusterSimulation
 from repro.experiments.common import make_factory, make_items
 from repro.substrate.operations import Append, Put
-from repro.workload.generators import UniformWorkload, UpdateEvent
+from repro.workload.generators import UpdateEvent
+from tests.workloads import UniformWorkload
 from repro.workload.traces import Trace
 
 ITEMS = make_items(10)
