@@ -55,7 +55,7 @@ def test_bench_delta_request_quiescent(benchmark):
     benchmark(lambda: codec.decode(0, 1, codec.encode(0, 1, message)))
 
 
-def test_stage_profile_reports_the_five_stages():
+def test_stage_profile_reports_the_six_stages():
     """``wire_harness.py --stages`` (printed only, nothing gated): every
     stage of the replayed pull is reported, per shipped item, and took
     some time."""
@@ -64,7 +64,7 @@ def test_stage_profile_reports_the_five_stages():
     (row,) = wire_harness.bench_stages(shapes=((32, 16, 2),))
     assert row["items"] == 32 and row["value_bytes"] == 16
     assert [stage for stage in row if stage in wire_harness.STAGES] == [
-        "respond", "encode", "decode", "conclude", "wal-record",
+        "respond", "encode", "decode", "validate", "accept", "wal-record",
     ]
     assert all(row[stage] > 0 for stage in wire_harness.STAGES)
 

@@ -52,6 +52,7 @@ from repro.core.messages import (  # noqa: E402
 )
 from repro.core.node import EpidemicNode  # noqa: E402
 from repro.core.session import PullSession, respond  # noqa: E402
+from repro.core.validate import validate_propagation_reply  # noqa: E402
 from repro.core.version_vector import VersionVector  # noqa: E402
 from repro.durable.checkpoint import encode_checkpoint, load_node  # noqa: E402
 from repro.durable.records import (  # noqa: E402
@@ -297,7 +298,7 @@ def bench_simulation_drift(
 
 # -- the pull path, stage by stage (printed only) -----------------------------
 
-STAGES = ("respond", "encode", "decode", "conclude", "wal-record")
+STAGES = ("respond", "encode", "decode", "validate", "accept", "wal-record")
 #: (items per burst, value bytes, timed repetitions): the burst shapes of
 #: ``mem_small_kv``, ``durable_two_writers`` and ``propagate_bulk_values``.
 STAGE_SHAPES = ((256, 16, 60), (256, 256, 60), (1024, 1024, 15))
@@ -322,11 +323,12 @@ def bench_stages(
     shapes: tuple[tuple[int, int, int], ...] = STAGE_SHAPES,
 ) -> list[dict[str, Any]]:
     """Replay burst pulls in process — no sockets, no event loop — and
-    attribute each to the five stages a ``repro.net`` pull runs between
+    attribute each to the six stages a ``repro.net`` pull runs between
     the two socket reads: ``respond`` (source builds the reply),
-    ``encode``, ``decode``, ``conclude`` (validate + AcceptPropagation)
-    and ``wal-record`` (the accept record a durable recipient journals:
-    the payload it decoded, behind the record head).
+    ``encode``, ``decode``, ``validate`` and ``accept`` (the two halves
+    of ``PullSession.conclude``: ``validate_propagation_reply``, then
+    AcceptPropagation) and ``wal-record`` (the accept record a durable
+    recipient journals: the payload it decoded, behind the record head).
 
     Every repetition rewrites all ``m`` items at the source and pulls
     them over the same pair of link codecs, as the second and later
@@ -349,8 +351,7 @@ def bench_stages(
             value = bytes([repetition % 251]) * value_bytes
             for name in names:
                 source.update(name, Put(value))
-            session = PullSession(recipient)
-            request = session.request()
+            request = PullSession(recipient).request()
             before = _calibration_unit()
             t0 = clock()
             reply = respond(source, request)
@@ -359,17 +360,20 @@ def bench_stages(
             t2 = clock()
             decoded = receiver.decode(0, 1, frame)
             t3 = clock()
-            outcome = session.conclude(decoded)
+            checked = validate_propagation_reply(decoded, recipient)
             t4 = clock()
+            outcome, _intra = recipient.accept_propagation(checked)
+            t5 = clock()
             _length, start = read_uvarint(frame, 0)
             encode_accept(repetition + 1, memoryview(frame)[start:])
-            t5 = clock()
+            t6 = clock()
             unit = (before + _calibration_unit()) / 2
             assert len(outcome.adopted) == m
             if repetition == 0:
                 continue
-            for stage, spent in zip(STAGES, (t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4)):
-                samples[stage].append(spent / m / unit)
+            marks = (t0, t1, t2, t3, t4, t5, t6)
+            for stage, start_mark, stop_mark in zip(STAGES, marks, marks[1:]):
+                samples[stage].append((stop_mark - start_mark) / m / unit)
         row: dict[str, Any] = {"items": m, "value_bytes": value_bytes}
         for stage in STAGES:
             row[stage] = round(statistics.median(samples[stage]), 3)

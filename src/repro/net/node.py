@@ -167,11 +167,11 @@ class NetNode:
         """Bind both listeners (resolving port 0 to real ports) and, if
         configured, start the anti-entropy scheduler."""
         self._peer_server = await asyncio.start_server(
-            self._serve_peer, self.config.host, self.config.peer_port
+            self._accept_peer, self.config.host, self.config.peer_port
         )
         self.peer_port = self._peer_server.sockets[0].getsockname()[1]
         self._client_server = await asyncio.start_server(
-            self._serve_client, self.config.host, self.config.client_port
+            self._accept_client, self.config.host, self.config.client_port
         )
         self.client_port = self._client_server.sockets[0].getsockname()[1]
         if self.config.anti_entropy_period > 0:
@@ -192,17 +192,26 @@ class NetNode:
         await self._stopped.wait()  # pragma: blocking lifetime wait for the shutdown signal
 
     async def stop(self) -> None:
-        """Tear down listeners, outbound links, and the scheduler."""
+        """Tear down listeners, inbound connections, outbound links, and
+        the scheduler."""
         if self._anti_entropy_task is not None:
             await cancel_and_wait(self._anti_entropy_task)
             self._anti_entropy_task = None
-        for server in (self._peer_server, self._client_server):
-            if server is not None:
-                server.close()
-                await server.wait_closed()
+        servers = [
+            server
+            for server in (self._peer_server, self._client_server)
+            if server is not None
+        ]
+        for server in servers:
+            server.close()
         for peer_id in sorted(self._links):
             self._drop_link(peer_id)
+        # Every inbound connection's handler is a tracked task: cancelled
+        # and awaited here, it closes its own writer, so no handler
+        # outlives the node to be cancelled by the event loop's teardown.
         await self._tasks.aclose()
+        for server in servers:
+            await server.wait_closed()
         if self.journal is not None:
             # A clean shutdown folds the WAL into a checkpoint so the
             # next start replays nothing; recovery does not depend on
@@ -212,6 +221,13 @@ class NetNode:
         self._stopped.set()
 
     # -- peer service (the SendPropagation side) ------------------------------
+
+    def _accept_peer(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """Serve a new inbound peer connection on a tracked task (R11),
+        which :meth:`stop` cancels and awaits."""
+        self._tasks.spawn(self._serve_peer(reader, writer), name="serve-peer")
 
     async def _serve_peer(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -435,6 +451,13 @@ class NetNode:
             )
 
     # -- client API -----------------------------------------------------------
+
+    def _accept_client(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """Serve a new client connection on a tracked task, like
+        :meth:`_accept_peer`."""
+        self._tasks.spawn(self._serve_client(reader, writer), name="serve-client")
 
     async def _serve_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter

@@ -87,6 +87,10 @@ _FULL_VV = 0x00
 _DELTA_VV = 0x01
 _SPARSE_VV = 0x02
 
+#: What a full vector's components are checked as when one is past 255:
+#: not ASCII, so not one byte each.
+_NOT_ONE_BYTE = b"\x80"
+
 #: Hard cap on a single frame's declared payload length.  A forged
 #: length prefix is rejected *before* anything is sized from it — a
 #: ten-byte frame claiming 2**60 payload bytes must cost nothing.  The
@@ -246,8 +250,12 @@ def _write_full(buf: bytearray, counts: tuple[int, ...]) -> None:
     """A full-form vector: ``0x00 uvarint(n) n*uvarint(component)``."""
     buf.append(_FULL_VV)
     write_uvarint(buf, len(counts))
-    if max(counts, default=0) < 0x80:
-        buf += bytes(counts)  # one byte per component
+    try:
+        components = bytes(counts)
+    except ValueError:  # a component past 255
+        components = _NOT_ONE_BYTE
+    if components.isascii():
+        buf += components  # one byte per component
     else:
         for component in counts:
             write_uvarint(buf, component)
@@ -262,8 +270,10 @@ def _read_full(data: bytes, pos: int) -> tuple[tuple[int, ...], int]:
             f"declared element count {n} exceeds the {MAX_SEQUENCE_ITEMS} cap"
         )
     end = pos + n
-    if end <= len(data) and max(data[pos:end], default=0) < 0x80:
-        return tuple(data[pos:end]), end  # one byte per component
+    if end <= len(data):
+        raw = data[pos:end]
+        if raw.isascii():
+            return tuple(raw), end  # one byte per component
     components = []
     for _ in range(n):
         component, pos = read_uvarint(data, pos)

@@ -60,6 +60,20 @@ ship — ``send_propagation`` cannot build one.  The in-memory
 were; whether seqnos *climb* is the recipient's validator's call
 (:mod:`repro.core.validate`), which is why the difference is signed.
 
+Every other message here is written and read field by field through the
+:class:`~repro.wire.codec.Encoder`/:class:`~repro.wire.codec.Decoder`
+primitives.  The reply — most of a loaded session's bytes — is written
+and read in one loop per section (the payloads, then the tails) over the
+encoder's buffer or the decoder's data and position, with the one- and
+two-byte varints and a full IVV of fewer than 128 one-byte components
+inline; the primitives serve its rare forms: an op-chain payload, a
+sparse or wide IVV, a component past 127 and a varint of three bytes or
+more.  The bytes and the refusals are the field-by-field codec's
+(``tests/wire/golden``, ``tests/wire/test_reply_oracle.py``): every loop
+count is a :meth:`Decoder.count <repro.wire.codec.Decoder.count>`, a
+sparse IVV draws on the frame's zero budget, and a read past the end is
+a :class:`WireFormatError`.
+
 Field-domain notes the encoders rely on:
 
 * node ids, sequence numbers, counts, and offsets are non-negative →
@@ -88,6 +102,7 @@ from repro.core.messages import (
     PropagationRequest,
     YouAreCurrent,
 )
+from repro.core.version_vector import VersionVector
 from repro.errors import WireFormatError
 from repro.substrate.operations import (
     Append,
@@ -97,8 +112,9 @@ from repro.substrate.operations import (
     Truncate,
     UpdateOperation,
 )
-from repro.wire.codec import Decoder, Encoder
+from repro.wire.codec import _FULL_VV, _NOT_ONE_BYTE, Decoder, Encoder, _write_full
 from repro.wire.registry import register
+from repro.wire.varint import read_uvarint, write_svarint, write_uvarint
 
 __all__ = ["OP_TAGS", "decode_wire_op", "encode_wire_op"]
 
@@ -195,33 +211,80 @@ def _decode_you_are_current(dec: Decoder) -> YouAreCurrent:
 
 
 def _encode_propagation_reply(enc: Encoder, msg: PropagationReply) -> None:
-    uvarint = enc.uvarint
-    uvarint(msg.source)
-    uvarint(len(msg.items))
+    # One loop per section over the encoder's own buffer: the one- and
+    # two-byte varints and a full one-byte item IVV are written inline;
+    # an op chain, a sparse or wide IVV, a component past 127 and a long
+    # varint go through the Encoder primitives (and _write_full).
+    enc.uvarint(msg.source)
+    enc.uvarint(len(msg.items))
+    buf = enc.buf
+    append = buf.append
+    position_of = enc._index.get
     index_of: dict[str, int] = {}
-    item, bytes_, bare_vv = enc.item, enc.bytes_, enc.bare_vv
     for index, payload in enumerate(msg.items):
-        if type(payload) is ItemPayload:
-            uvarint(_WHOLE_VALUE)
-            item(payload.name)
-            bytes_(payload.value)
-            bare_vv(payload.ivv)
-        elif type(payload) is DeltaPayload:
-            uvarint(_OP_CHAIN)
-            item(payload.name)
-            bare_vv(payload.ivv)
+        kind = type(payload)
+        if kind is DeltaPayload:
+            append(_OP_CHAIN)
+            enc.item(payload.name)
+            enc.bare_vv(payload.ivv)
             _encode_ops(enc, payload.ops)
-        else:
+            index_of[payload.name] = index
+            continue
+        if kind is not ItemPayload:
             raise WireFormatError(
                 f"a reply ships ItemPayload or DeltaPayload, "
-                f"not {type(payload).__qualname__}"
+                f"not {kind.__qualname__}"
             )
-        index_of[payload.name] = index
-    uvarint(len(msg.tails))
-    svarint = enc.svarint
+        name = payload.name
+        position = position_of(name)
+        if position is None:
+            raise WireFormatError(f"item {name!r} is not in the schema")
+        append(_WHOLE_VALUE)
+        if position < 0x80:
+            append(position)
+        elif position < 0x4000:
+            append(position & 0x7F | 0x80)
+            append(position >> 7)
+        else:
+            write_uvarint(buf, position)
+        value = payload.value
+        length = len(value)
+        if length < 0x80:
+            append(length)
+        elif length < 0x4000:
+            append(length & 0x7F | 0x80)
+            append(length >> 7)
+        else:
+            write_uvarint(buf, length)
+        buf += value
+        counts = payload.ivv.as_tuple()
+        n = len(counts)
+        # Below 128 components every sparse gap and count is one byte,
+        # so bare_vv's choice reduces to: full unless zeros outnumber
+        # the nonzero components by two or more.
+        if n < 0x80 and 2 * counts.count(0) <= n + 1:
+            try:
+                components = bytes(counts)
+            except ValueError:  # a component past 255: not one byte each
+                components = _NOT_ONE_BYTE
+            if components.isascii():
+                append(_FULL_VV)
+                append(n)
+                buf += components
+            else:
+                _write_full(buf, counts)
+        else:
+            enc.bare_vv(payload.ivv)
+        index_of[name] = index
+    tails = msg.tails
+    enc.uvarint(len(tails))
     index_for = index_of.get
-    for tail in msg.tails:
-        uvarint(len(tail))
+    for tail in tails:
+        records = len(tail)
+        if records < 0x80:
+            append(records)
+        else:
+            write_uvarint(buf, records)
         previous = 0
         for name, seqno in tail:
             index = index_for(name)
@@ -230,47 +293,127 @@ def _encode_propagation_reply(enc: Encoder, msg: PropagationReply) -> None:
                     f"reply tail names item {name!r} that the reply "
                     "does not ship"
                 )
-            uvarint(index)
-            svarint(seqno - previous)
+            if index < 0x80:
+                append(index)
+            elif index < 0x4000:
+                append(index & 0x7F | 0x80)
+                append(index >> 7)
+            else:
+                write_uvarint(buf, index)
+            step = seqno - previous
+            if -0x40 <= step < 0x40:
+                append((step << 1) ^ (step >> 63))
+            else:
+                write_svarint(buf, step)
             previous = seqno
 
 
 def _decode_propagation_reply(dec: Decoder) -> PropagationReply:
-    uvarint = dec.uvarint
-    source = uvarint()
+    # The mirror image: one loop per section over local data/pos, and
+    # the Decoder primitives for the rare forms (dec.pos is synced
+    # around each).  Every loop count is a Decoder.count(); a byte read
+    # past the end of the data is a truncated frame.
+    source = dec.uvarint()
+    data = dec.data
+    end = len(data)
+    names = dec._names
+    from_counts = VersionVector.from_counts
     items: list[ItemPayload | DeltaPayload] = []
-    item, bytes_, bare_vv = dec.item, dec.bytes_, dec.bare_vv
-    for _ in range(dec.count()):
-        tag = uvarint()
-        if tag == _WHOLE_VALUE:
-            name = item()
-            value = bytes_()
-            items.append(ItemPayload(name, value, bare_vv()))
-        elif tag == _OP_CHAIN:
-            name = item()
-            ivv = bare_vv()
-            items.append(DeltaPayload(name, ivv, _decode_ops(dec)))
-        else:
-            raise WireFormatError(
-                f"reply item has payload tag {tag}; only a whole value "
-                f"({_WHOLE_VALUE}) or an op chain ({_OP_CHAIN}) is shipped"
-            )
-    names = [payload.name for payload in items]
-    shipped = len(names)
-    tails = []
-    svarint = dec.svarint
-    for _ in range(dec.count()):
-        tail = []
-        seqno = 0
+    shipped: list[str] = []
+    try:
         for _ in range(dec.count()):
-            index = uvarint()
-            if index >= shipped:
+            pos = dec.pos
+            tag = data[pos]
+            if tag < 0x80:
+                pos += 1
+            else:
+                tag, pos = read_uvarint(data, pos)
+            if tag == _OP_CHAIN:
+                dec.pos = pos
+                name = dec.item()
+                ivv = dec.bare_vv()
+                items.append(DeltaPayload(name, ivv, _decode_ops(dec)))
+                shipped.append(name)
+                continue
+            if tag != _WHOLE_VALUE:
                 raise WireFormatError(
-                    f"reply tail record points at item {index} of {shipped}"
+                    f"reply item has payload tag {tag}; only a whole value "
+                    f"({_WHOLE_VALUE}) or an op chain ({_OP_CHAIN}) is shipped"
                 )
-            seqno += svarint()
-            tail.append((names[index], seqno))
-        tails.append(tuple(tail))
+            byte = data[pos]
+            if byte < 0x80:
+                position = byte
+                pos += 1
+            elif data[pos + 1] < 0x80:
+                position = (byte & 0x7F) | (data[pos + 1] << 7)
+                pos += 2
+            else:
+                position, pos = read_uvarint(data, pos)
+            if position >= len(names):
+                raise WireFormatError(
+                    f"item position {position} is past the {len(names)}-item schema"
+                )
+            byte = data[pos]
+            if byte < 0x80:
+                length = byte
+                pos += 1
+            elif data[pos + 1] < 0x80:
+                length = (byte & 0x7F) | (data[pos + 1] << 7)
+                pos += 2
+            else:
+                length, pos = read_uvarint(data, pos)
+            stop = pos + length
+            if stop > end:
+                raise WireFormatError(
+                    f"truncated frame: {length}-byte field overruns the payload"
+                )
+            value = data[pos:stop]
+            pos = stop
+            # A full IVV of fewer than 128 one-byte components, inline.
+            n = data[pos + 1] if data[pos] == _FULL_VV else 0x80
+            stop = pos + 2 + n
+            components = data[pos + 2 : stop]
+            if n < 0x80 and stop <= end and components.isascii():
+                ivv = from_counts(tuple(components))
+                dec.pos = stop
+            else:
+                dec.pos = pos
+                ivv = dec.bare_vv()
+            name = names[position]
+            items.append(ItemPayload(name, value, ivv))
+            shipped.append(name)
+        count = len(shipped)
+        tails = []
+        for _ in range(dec.count()):
+            tail = []
+            seqno = 0
+            records = dec.count()
+            pos = dec.pos
+            for _ in range(records):
+                byte = data[pos]
+                if byte < 0x80:
+                    index = byte
+                    pos += 1
+                elif data[pos + 1] < 0x80:
+                    index = (byte & 0x7F) | (data[pos + 1] << 7)
+                    pos += 2
+                else:
+                    index, pos = read_uvarint(data, pos)
+                if index >= count:
+                    raise WireFormatError(
+                        f"reply tail record points at item {index} of {count}"
+                    )
+                byte = data[pos]
+                if byte < 0x80:
+                    pos += 1
+                else:
+                    byte, pos = read_uvarint(data, pos)
+                seqno += (byte >> 1) ^ -(byte & 1)
+                tail.append((shipped[index], seqno))
+            dec.pos = pos
+            tails.append(tuple(tail))
+    except IndexError:
+        raise WireFormatError("truncated frame: the reply ends mid-field") from None
     return PropagationReply(source, tuple(tails), tuple(items))
 
 

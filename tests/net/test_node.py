@@ -192,6 +192,45 @@ class TestReconnects:
         asyncio.run(run())
 
 
+def _pending_handlers(node):
+    """The tasks still serving one of ``node``'s inbound connections."""
+    handlers = ("NetNode._serve_peer", "NetNode._serve_client")
+    pending = []
+    for task in asyncio.all_tasks():
+        coro = task.get_coro()
+        frame = getattr(coro, "cr_frame", None)
+        if getattr(coro, "__qualname__", "") in handlers and frame is not None:
+            if frame.f_locals.get("self") is node:
+                pending.append(task)
+    return pending
+
+
+class TestShutdown:
+    def test_stop_closes_the_inbound_connections_it_serves(self):
+        """After ``stop()`` no handler of an inbound peer or client
+        connection is left for the event loop's teardown to cancel."""
+
+        async def run():
+            nodes = await start_nodes(2)
+            try:
+                # Node 1's link to node 0 stays open after the session.
+                await nodes[1].sync_with(0)
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", nodes[0].client_port
+                )
+                await write_blob(writer, b'{"op": "ping"}')
+                assert json.loads(await read_blob(reader))["ok"] is True
+                assert len(_pending_handlers(nodes[0])) == 2
+                await nodes[0].stop()
+                assert _pending_handlers(nodes[0]) == []
+                assert await reader.read() == b""  # closed by the node
+                writer.close()
+            finally:
+                await stop_nodes(nodes[1:])
+
+        asyncio.run(run())
+
+
 class TestClientOps:
     def test_put_get_status_ping(self):
         async def run():

@@ -26,6 +26,12 @@ def test_parity_quick(seed, tmp_path):
     assert report.ok, report.summary()
     assert report.sessions > 0
     assert report.net_census.get("PropagationRequest", 0) == report.sessions
+    # A clean shutdown cancels nothing behind the node's back: no node
+    # log holds a traceback (Python 3.11's asyncio logged one for every
+    # inbound connection still being served when the node stopped).
+    logs = sorted(tmp_path.glob("node-*.log"))
+    assert logs
+    assert [log.name for log in logs if "Traceback" in log.read_text()] == []
 
 
 def test_parity_census_shape(tmp_path):

@@ -198,6 +198,26 @@ def main() -> None:
     delta = _frame(reply[1:].replace(full_ivv, bytes([0x01, 0])))
     _write("reply_delta_ivv", delta)
 
+    # 21-24. The bounds of the reply decoder's inline loop: each frame
+    #     is a v3 reply payload cut short (or lying) and framed again,
+    #     so the exact-length frame check passes and the reply decoder
+    #     itself meets the end.  ``payload`` is the same one-item reply:
+    #     id 10 · source 1 · 1 item · tag 0 · item "a" · value b"xy" ·
+    #     full IVV (3, 0, 7) · 0 tails.
+    payload = reply[1:]
+    assert payload == bytes([10, 1, 1, 0, 0, 2]) + b"xy" + full_ivv + b"\x00"
+    value_at = payload.index(b"xy")
+    ivv_at = payload.index(full_ivv)
+    _write("reply_ends_in_value", _frame(payload[: value_at + 1]))
+    _write("reply_ends_in_full_ivv", _frame(payload[: ivv_at + 3]))
+    # A two-byte item position whose second byte never comes.
+    _write("reply_ends_in_item_position", _frame(bytes([10, 1, 1, 0, 0x81])))
+    # A full IVV declaring 127 one-byte components, holding 3.
+    _write(
+        "reply_full_ivv_overruns_frame",
+        _frame(payload[:ivv_at] + bytes([0x00, 0x7F, 3, 0, 7])),
+    )
+
 
 if __name__ == "__main__":
     main()

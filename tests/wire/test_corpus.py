@@ -14,8 +14,10 @@ from pathlib import Path
 import pytest
 
 import repro.baselines  # noqa: F401  (registers the shipment of delta_vv_overflows_u64)
-from repro.errors import WireFormatError
+from repro.durable.records import decode_record, encode_accept
+from repro.errors import WALError, WireFormatError
 from repro.wire.codec import MAX_FRAME_LEN, WireCodec
+from repro.wire.varint import read_uvarint
 
 CORPUS = Path(__file__).parent / "corpus"
 #: The item schema ``corpus/_regen.py`` writes the frames with.
@@ -33,7 +35,7 @@ def _corpus_files() -> list[Path]:
 def test_corpus_is_present():
     # The corpus only protects anything while it exists; a refactor that
     # drops the directory must fail loudly.
-    assert len(_corpus_files()) >= 18
+    assert len(_corpus_files()) >= 24
 
 
 @pytest.mark.parametrize("path", _corpus_files(), ids=lambda p: p.stem)
@@ -96,6 +98,31 @@ def test_item_past_the_schema_is_refused():
 def test_a_delta_ivv_in_a_reply_is_refused_by_its_tag():
     with pytest.raises(WireFormatError, match="delta version vector inside"):
         WireCodec(SCHEMA).decode(1, 0, _load(CORPUS / "reply_delta_ivv.hex"))
+
+
+#: The frames that end (or claim more than they hold) inside the reply
+#: decoder's inline loop rather than in a Decoder primitive.
+REPLY_LOOP_BOUNDS = (
+    "reply_ends_in_value",
+    "reply_ends_in_full_ivv",
+    "reply_ends_in_item_position",
+    "reply_full_ivv_overruns_frame",
+)
+
+
+@pytest.mark.parametrize("name", REPLY_LOOP_BOUNDS)
+def test_a_reply_cut_short_is_a_wire_format_error_not_an_index_error(name):
+    with pytest.raises(WireFormatError, match="truncated"):
+        WireCodec(SCHEMA).decode(1, 0, _load(CORPUS / f"{name}.hex"))
+
+
+@pytest.mark.parametrize("name", REPLY_LOOP_BOUNDS)
+def test_a_journaled_reply_cut_short_is_a_wal_error(name):
+    frame = _load(CORPUS / f"{name}.hex")
+    _length, start = read_uvarint(frame, 0)
+    body = bytes(encode_accept(7, frame[start:]))
+    with pytest.raises(WALError, match="failed to decode"):
+        decode_record(WireCodec(SCHEMA, delta_vv=False), body)
 
 
 def test_corpus_frames_match_their_regeneration():
