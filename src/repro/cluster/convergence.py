@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from repro.errors import InvariantViolation
-from repro.interfaces import ProtocolNode
+from repro.interfaces import ContentDigest, ProtocolNode
 from repro.obs import NULL_COUNTERS, OverheadCounters
 from repro.substrate.operations import UpdateOperation
 
@@ -155,15 +155,23 @@ class GroundTruth:
         updates via :meth:`apply`, session adoptions via
         :meth:`note_adoptions`, rebuilt nodes via
         :meth:`note_node_refresh`, membership
-        growth via :meth:`note_node_added`.  Everything starts dirty, so
-        no assumption is made about the nodes' state at track time; the
-        first query pays one full examination and later ones only the
-        frontier.  Queries passing any *other* list (subsets, ad-hoc
-        node groups) keep using the from-scratch path.
+        growth via :meth:`note_node_added`.  A node whose
+        :class:`~repro.interfaces.StateVersion` digest equals the
+        truth's holds the truth's values (up to the 64-bit collision
+        caveat :func:`fingerprints_equal` already accepts), so it starts
+        clean — a fresh cluster over a fresh truth costs the first query
+        nothing; every other node starts wholly dirty and the first query
+        examines it in full.  Later queries examine only the frontier.
+        Queries passing any *other* list (subsets, ad-hoc node groups)
+        keep using the from-scratch path.
         """
         self._tracked = nodes
         self._counters = counters
-        self._dirty = [set(self.items) for _ in nodes]
+        truth = ContentDigest.recompute(self._values.items())
+        self._dirty = [
+            set() if node.state_version().digest == truth else set(self.items)
+            for node in nodes
+        ]
         self._stale = [set() for _ in nodes]
 
     def tracking(self, nodes: Sequence[ProtocolNode]) -> bool:

@@ -442,7 +442,13 @@ class EpidemicNode:
                 self.counters.aux_records_replayed += 1
                 outcome.replayed += 1
                 record = self.aux_log.earliest(entry.name)
-            elif ordering is Ordering.CONCURRENT:
+            elif ordering is not Ordering.DOMINATED:
+                # CONCURRENT, or DOMINATES: the regular copy moved past
+                # the version the record was applied to without it (a
+                # pull adopted a newer copy that lacks the local
+                # out-of-bound update), so the regular and auxiliary
+                # histories have forked.  Paper Fig. 4 says DOMINATES
+                # cannot happen; see docs/PROTOCOL.md section 5.
                 self.conflicts.declare(
                     entry.name,
                     self.node_id,
@@ -456,9 +462,6 @@ class EpidemicNode:
             else:
                 # The regular copy is still behind the record's pre-state
                 # (DOMINATED); a later propagation will close the gap.
-                # DOMINATES cannot happen (paper Fig. 4: "v_i(x) can
-                # never dominate a version vector of an auxiliary
-                # record").
                 return
         # Auxiliary log drained for this item: drop the auxiliary copy
         # once the regular copy has caught up (Fig. 4 defers conflict

@@ -207,13 +207,31 @@ class TestGroundTruthTracking:
 
     def test_reexaminations_are_frontier_sized(self):
         sim = make_sim(n_nodes=4)
-        sim.run_round()  # drain the everything-starts-dirty frontier
+        sim.run_round()  # drain whatever the first round left dirty
         before = sim.network_counters.staleness_reexaminations
         sim.apply_update(0, ITEMS[0], Put(b"v"))
         sim.ground_truth.stale_pairs(sim.nodes)
         examined = sim.network_counters.staleness_reexaminations - before
         # One item dirtied at each of 4 nodes — nowhere near n*N = 48.
         assert examined == 4
+
+    def test_a_fresh_cluster_starts_clean(self):
+        sim = make_sim(n_nodes=4)
+        sim.apply_update(0, ITEMS[0], Put(b"v"))
+        assert sim.ground_truth.stale_pairs(sim.nodes) == 3
+        # The update's item at each node, not all n*N = 48 pairs.
+        assert sim.network_counters.staleness_reexaminations == 4
+
+    def test_a_node_unlike_the_truth_starts_fully_dirty(self):
+        sim = make_sim(n_nodes=2)
+        sim.nodes[1].user_update(ITEMS[3], Put(b"w"))  # behind the truth's back
+        truth = GroundTruth(tuple(ITEMS))
+        counters = OverheadCounters()
+        truth.track(sim.nodes, counters)
+        assert truth.stale_pairs(sim.nodes) == 1
+        assert truth.recompute_stale_pairs(sim.nodes) == 1
+        # Node 0 matches the (empty) truth; node 1 is examined in full.
+        assert counters.staleness_reexaminations == len(ITEMS)
 
     def test_add_node_starts_fully_dirty(self):
         sim = make_sim(n_nodes=2)
