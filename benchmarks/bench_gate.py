@@ -10,7 +10,7 @@ lint or type error does.
 
 Metrics come in three kinds, inferred from the metric name:
 
-* ``exact``  — deterministic counters and modelled byte totals
+* ``exact``  — deterministic counters and byte counts
   (``messages_sent``, ``converge_round``, ``*_bytes_per_session``...).
   Seeded runs make these machine-independent, so *any* drift is a
   behaviour change: either a regression, or an intentional protocol
@@ -76,7 +76,6 @@ _EXACT_SUFFIXES = (
     "messages_sent",
     "converge_round",
     "bytes_per_session",
-    "bytes_sent",
     "wire_bytes_per_item",
     "wire_bytes_per_idle_sync",
 )
@@ -134,14 +133,6 @@ def collect_wire_metrics(report: dict[str, Any]) -> dict[str, Any]:
         metrics[f"session_bytes.{arm}.full_vv_bytes_per_session"] = (
             bytes_arm["full_vv_bytes_per_session"]
         )
-    simulation = report["simulation"]
-    metrics["simulation.messages_sent"] = simulation["messages"]
-    metrics["simulation.encoded_bytes_sent"] = simulation[
-        "encoded_bytes_sent"
-    ]
-    metrics["simulation.modelled_bytes_sent"] = simulation[
-        "modelled_bytes_sent"
-    ]
     return metrics
 
 
@@ -266,7 +257,7 @@ def _collect(
         if scale_report is not None:
             scale_harness.write_report(report, scale_report)
         return collect_scale_metrics(report)
-    os.environ["REPRO_WIRE_SMOKE"] = "1"
+    os.environ["REPRO_CODEC_SMOKE"] = "1"
     import wire_harness
 
     return collect_wire_metrics(wire_harness.run_all())

@@ -25,11 +25,11 @@ regression in either is invisible in the blended average once the
 other dominates.
 
 ``run_quiescent_suite`` is the dedicated quiescent-heavy configuration
-(n=128 on a deterministic ring): a converged, idle cluster, one arm per
-byte-accounting mode.  Every session in its timed window is the paper's
-O(1) identical-replica exchange — one DBVV comparison, one
-``YouAreCurrent`` — so ``quiescent.{modelled,wire}.per_round_ms`` is
-what 128 of those cost, and CI's bench gate guards it.
+(n=128 on a deterministic ring): a converged, idle cluster.  Every
+session in its timed window is the paper's O(1) identical-replica
+exchange — one DBVV comparison, one ``YouAreCurrent`` — so
+``quiescent.modelled.per_round_ms`` is what 128 of those cost, and CI's
+bench gate guards it.
 
 ``python benchmarks/scale_harness.py`` (or the driver test in
 ``test_scale.py``) writes ``BENCH_scale.json`` at the repo root.  Set
@@ -232,7 +232,6 @@ def _build_quiescent_sim(
     n_items: int,
     protocol: str,
     seed: int,
-    wire: bool,
 ) -> ClusterSimulation:
     items = make_items(n_items)
     sim = ClusterSimulation(
@@ -242,7 +241,6 @@ def _build_quiescent_sim(
         selector=RingSelector(),
         seed=seed,
         sanitize=False,
-        wire=wire,
     )
     burst = min(BURST_UPDATES, n_items)
     for k in range(burst):
@@ -256,15 +254,12 @@ def run_quiescent_config(
     n_items: int = QUIESCENT_ITEMS,
     protocol: str = "dbvv",
     seed: int = 7,
-    wire: bool = False,
     timed_rounds: int | None = None,
 ) -> dict[str, Any]:
-    """One arm of the quiescent-heavy configuration.
+    """The quiescent-heavy configuration, run once.
 
-    Burst, converge (timed as its own phase), a short warm-up window
-    (in wire mode a link's first identical exchange still ships a full
-    version vector; every later one the same zero-change delta), then
-    ``timed_rounds`` of pure quiescence.  The quiescent figure is the
+    Burst, converge (timed as its own phase), a short warm-up window,
+    then ``timed_rounds`` of pure quiescence.  The quiescent figure is the
     steady state of every long staleness experiment; the warm-up is
     excluded from it the same way a cache benchmark excludes its first
     pass.
@@ -273,8 +268,7 @@ def run_quiescent_config(
         active_quiescent_rounds() if timed_rounds is None else timed_rounds
     )
     sim = _build_quiescent_sim(
-        n_nodes=n_nodes, n_items=n_items, protocol=protocol,
-        seed=seed, wire=wire,
+        n_nodes=n_nodes, n_items=n_items, protocol=protocol, seed=seed
     )
 
     def tick() -> None:
@@ -299,7 +293,6 @@ def run_quiescent_config(
         tick()
     quiescent_s = time.perf_counter() - t0
     return {
-        "wire": wire,
         "phases": {
             "converge": {
                 "rounds": converge_rounds,
@@ -317,31 +310,29 @@ def run_quiescent_config(
 
 
 def run_quiescent_suite(*, protocol: str = "dbvv", seed: int = 7) -> dict[str, Any]:
-    """The quiescent-heavy configuration, one arm per byte-accounting
-    mode: what an idle n=128 round of real O(1) sessions costs."""
+    """The quiescent-heavy configuration: what an idle n=128 round of
+    real O(1) sessions costs.  Its one arm charges modelled bytes, as
+    every simulation does."""
     return {
         "n_nodes": QUIESCENT_NODES,
         "n_items": QUIESCENT_ITEMS,
         "selector": "ring",
         "warm_rounds": QUIESCENT_WARM_ROUNDS,
         "timed_rounds": active_quiescent_rounds(),
-        "arms": {
-            mode: run_quiescent_config(protocol=protocol, seed=seed, wire=wire)
-            for mode, wire in (("modelled", False), ("wire", True))
-        },
+        "arms": {"modelled": run_quiescent_config(protocol=protocol, seed=seed)},
     }
 
 
 def profile_quiescent(top: int = 25) -> None:
-    """``--profile``: cProfile the quiescent round loop (modelled
-    bytes) and print the top functions by internal time."""
+    """``--profile``: cProfile the quiescent round loop and print the
+    top functions by internal time."""
     import cProfile
     import io
     import pstats
 
     sim = _build_quiescent_sim(
         n_nodes=QUIESCENT_NODES, n_items=QUIESCENT_ITEMS,
-        protocol="dbvv", seed=7, wire=False,
+        protocol="dbvv", seed=7
     )
     while not sim.converged():
         sim.run_round()

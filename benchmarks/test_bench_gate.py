@@ -84,11 +84,11 @@ class TestCompare:
     def test_missing_and_unbaselined_metrics_fail(self):
         baseline = _load("wire")
         current = dict(baseline)
-        current.pop("simulation.messages_sent")
+        current.pop("session_bytes.quiescent.delta_vv_bytes_per_session")
         current["brand.new.messages_sent"] = 1
         kinds = {v["metric"]: v["kind"] for v in compare(current, baseline, TOLERANCE)}
         assert kinds == {
-            "simulation.messages_sent": "missing",
+            "session_bytes.quiescent.delta_vv_bytes_per_session": "missing",
             "brand.new.messages_sent": "unbaselined",
         }
 
@@ -117,7 +117,7 @@ class TestBaselinesMatchHarnessShape:
             "quiescent": {
                 "arms": {
                     mode: {"phases": {"quiescent": {"per_round_ms": 1.0}}}
-                    for mode in ("modelled", "wire")
+                    for mode in ("modelled",)
                 }
             },
         }
@@ -136,11 +136,6 @@ class TestBaselinesMatchHarnessShape:
                     "full_vv_bytes_per_session": 1.0,
                 }
                 for arm in ("quiescent", "propagating")
-            },
-            "simulation": {
-                "messages": 1,
-                "encoded_bytes_sent": 1,
-                "modelled_bytes_sent": 1,
             },
         }
         assert set(collect_wire_metrics(report)) == set(_load("wire"))

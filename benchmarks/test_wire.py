@@ -111,15 +111,6 @@ class TestWireReport:
             session["quiescent"]["delta_vv_bytes_per_session"]
         )
 
-        sim = report["simulation"]
-        # Encoded mode counts frame bytes; the same deterministic run in
-        # default mode charges the model.  Both arms exist and the
-        # encoded arm records its own drift.
-        assert sim["encoded_bytes_sent"] > 0
-        assert sim["modelled_bytes_sent"] == sim["default_mode_bytes_sent"]
-        # Varints + delta vectors undercut the word-per-field model.
-        assert sim["encoded_bytes_sent"] < sim["modelled_bytes_sent"]
-
         throughput = report["throughput"]
         assert throughput["small_frames_per_sec"] > 0
         if not report["smoke"]:

@@ -1,6 +1,6 @@
 """Microbenchmark for the binary wire codec (``repro.wire``).
 
-Three measurements back the codec's two headline claims — that delta
+Two measurements back the codec's two headline claims — that delta
 compression shrinks the quiescent-session vectors the protocol leans on,
 and that encoding is cheap enough to leave on everywhere:
 
@@ -10,14 +10,11 @@ and that encoding is cheap enough to leave on everywhere:
   on small metadata-only frames where per-field overhead dominates;
 * **session bytes** — an E8-style quiescent and propagating session at
   n=32 encoded under ``WireCodec(delta_vv=True)`` vs ``delta_vv=False``,
-  reporting the percentage saved by delta-compressed version vectors;
-* **simulation drift** — a real ``ClusterSimulation(wire=True)`` run to
-  convergence, comparing the byte-exact ``bytes_sent`` (frame lengths)
-  against the modelled sizes the default mode charges.
+  reporting the percentage saved by delta-compressed version vectors.
 
 ``python benchmarks/wire_harness.py`` (or the driver test in
 ``test_wire.py``) writes ``BENCH_wire.json`` at the repo root.  Set
-``REPRO_WIRE_SMOKE=1`` for the CI-sized run.
+``REPRO_CODEC_SMOKE=1`` for the CI-sized run.
 
 ``python benchmarks/wire_harness.py --stages`` is a separate, printed-only
 tool: a five-second per-stage profile of one burst pull replayed in
@@ -43,7 +40,6 @@ _SRC = str(Path(__file__).resolve().parent.parent / "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
-from repro.cluster.simulation import ClusterSimulation  # noqa: E402
 from repro.core.messages import (  # noqa: E402
     ItemPayload,
     PropagationReply,
@@ -61,7 +57,6 @@ from repro.durable.records import (  # noqa: E402
     encode_accept,
     validate_record,
 )
-from repro.experiments.common import make_factory, make_items  # noqa: E402
 from repro.substrate.operations import Put  # noqa: E402
 from repro.wire import Schema, WireCodec  # noqa: E402
 from repro.wire.varint import read_uvarint  # noqa: E402
@@ -70,7 +65,6 @@ __all__ = [
     "REPORT_NAME",
     "bench_checkpoint",
     "bench_session_bytes",
-    "bench_simulation_drift",
     "bench_stages",
     "bench_throughput",
     "bench_wal_replay",
@@ -93,9 +87,6 @@ SMOKE_THROUGHPUT_FRAMES = 60
 PAYLOAD_VALUE_SIZE = 4096
 PAYLOADS_PER_REPLY = 4
 
-FULL_SIM = (8, 200, 160)  # (n_nodes, n_items, burst updates)
-SMOKE_SIM = (6, 60, 48)
-
 #: The items the throughput and session frames name, as both ends'
 #: schema: an item travels as its position in it.
 FRAME_SCHEMA = Schema(
@@ -104,7 +95,7 @@ FRAME_SCHEMA = Schema(
 
 
 def smoke_mode() -> bool:
-    return os.environ.get("REPRO_WIRE_SMOKE", "") not in ("", "0")
+    return os.environ.get("REPRO_CODEC_SMOKE", "") not in ("", "0")
 
 
 def _vector(n: int, salt: int) -> VersionVector:
@@ -243,56 +234,6 @@ def bench_session_bytes() -> dict[str, Any]:
         "sessions": SESSION_SAMPLES,
         "quiescent": arm(propagating=False),
         "propagating": arm(propagating=True),
-    }
-
-
-def bench_simulation_drift(
-    n_nodes: int | None = None,
-    n_items: int | None = None,
-    burst: int | None = None,
-    *,
-    seed: int = 11,
-) -> dict[str, Any]:
-    """A real encoded-mode run: byte-exact counters vs the model.
-
-    Runs the identical deterministic simulation twice — once encoded,
-    once modelled — and reports both byte totals plus the encoded arm's
-    internal drift (``bytes_sent`` vs its own ``modelled_bytes_sent``).
-    """
-    defaults = SMOKE_SIM if smoke_mode() else FULL_SIM
-    n_nodes = n_nodes or defaults[0]
-    n_items = n_items or defaults[1]
-    burst = burst or defaults[2]
-    items = make_items(n_items)
-
-    def run(wire: bool) -> Any:
-        sim = ClusterSimulation(
-            make_factory("dbvv", n_nodes, items),
-            n_nodes,
-            items,
-            seed=seed,
-            wire=wire,
-            sanitize=False,
-        )
-        for k in range(burst):
-            sim.apply_update(k % n_nodes, items[k % n_items], Put(f"v{k}".encode()))
-        sim.run_until_converged(max_rounds=40 * n_nodes)
-        return sim.total_counters
-
-    encoded = run(wire=True)
-    modelled = run(wire=False)
-    assert encoded.messages_sent == modelled.messages_sent
-    return {
-        "n_nodes": n_nodes,
-        "n_items": n_items,
-        "burst_updates": burst,
-        "messages": encoded.messages_sent,
-        "encoded_bytes_sent": encoded.bytes_sent,
-        "modelled_bytes_sent": encoded.modelled_bytes_sent,
-        "default_mode_bytes_sent": modelled.bytes_sent,
-        "encoded_vs_model_pct": round(
-            100 * encoded.bytes_sent / encoded.modelled_bytes_sent, 1
-        ),
     }
 
 
@@ -499,7 +440,6 @@ def run_all() -> dict[str, Any]:
         "smoke": smoke_mode(),
         "throughput": bench_throughput(),
         "session_bytes": bench_session_bytes(),
-        "simulation": bench_simulation_drift(),
     }
 
 
@@ -517,18 +457,12 @@ def main() -> None:
     path = write_report(report)
     session = report["throughput"]["session_frames"]
     quiescent = report["session_bytes"]["quiescent"]
-    sim = report["simulation"]
     print(f"roundtrip: {session['roundtrip_mb_s']} MB/s over {session['total_mb']} MB")
     print(
         f"quiescent session (n={report['session_bytes']['n_nodes']}): "
         f"{quiescent['delta_vv_bytes_per_session']} B delta vs "
         f"{quiescent['full_vv_bytes_per_session']} B full "
         f"({quiescent['savings_pct']}% saved)"
-    )
-    print(
-        f"simulation: encoded {sim['encoded_bytes_sent']} B = "
-        f"{sim['encoded_vs_model_pct']}% of modelled "
-        f"{sim['modelled_bytes_sent']} B"
     )
     print(f"wrote {path}")
 

@@ -22,9 +22,6 @@ from repro.baselines.oracle import OraclePushNode, UpdateRecord
 from repro.baselines.per_item import PerItemVVNode
 from repro.baselines.wuu_bernstein import GossipRecord, WuuBernsteinNode
 
-# Importing a baseline registers its codec; needs the five modules above.
-import repro.wire.baseline_codecs  # noqa: F401
-
 __all__ = [
     "AgrawalMalpaniNode",
     "AMRecord",

@@ -28,7 +28,6 @@ protocol matches the no-failure traffic while keeping epidemic repair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.core.messages import (
     WORD_SIZE,
@@ -45,9 +44,6 @@ from repro.interfaces import (
 )
 from repro.obs import NULL_COUNTERS, OverheadCounters
 from repro.substrate.operations import UpdateOperation
-
-if TYPE_CHECKING:
-    from repro.cluster.failures import CrashAfterPartialPush
 
 __all__ = ["UpdateRecord", "OraclePushNode"]
 
@@ -155,26 +151,13 @@ class OraclePushNode(ProtocolNode):
         self,
         peers: list["OraclePushNode"],
         transport: Transport,
-        partial_crash: CrashAfterPartialPush | None = None,
     ) -> list[SyncStats]:
-        """One full push round: ship pending updates to every peer.
-
-        ``partial_crash`` models the paper's failure scenario: after
-        each completed per-peer transfer the hook may crash this node,
-        aborting the rest of the round and stranding the remaining
-        peers without the updates.
-        """
-        results: list[SyncStats] = []
-        for peer in peers:
-            if peer.node_id == self.node_id:
-                continue
-            stats = self.sync_with(peer, transport)
-            results.append(stats)
-            if partial_crash is not None and not stats.failed:
-                partial_crash.note_push(self.node_id)
-                if partial_crash.should_crash_now(self.node_id, transport):  # type: ignore[arg-type]
-                    break
-        return results
+        """One full push round: ship pending updates to every peer."""
+        return [
+            self.sync_with(peer, transport)
+            for peer in peers
+            if peer.node_id != self.node_id
+        ]
 
     def _apply_batch(self, batch: _PushBatch) -> tuple[int, tuple[str, ...]]:
         """Apply received records under LWW; returns the adoption count

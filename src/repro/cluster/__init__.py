@@ -22,7 +22,6 @@ from repro.cluster.event_sim import EventDrivenSimulation, NodeSchedule
 from repro.cluster.events import EventHandle, EventLoop
 from repro.cluster.failures import (
     Crash,
-    CrashAfterPartialPush,
     FailurePlan,
     HealEvent,
     PartitionEvent,
@@ -47,7 +46,6 @@ __all__ = [
     "EventHandle",
     "EventLoop",
     "Crash",
-    "CrashAfterPartialPush",
     "FailurePlan",
     "HealEvent",
     "PartitionEvent",

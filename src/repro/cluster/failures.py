@@ -28,11 +28,6 @@ Two granularities coexist:
   interrupted-session arm stresses — the session is half done, one
   endpoint has already processed state), and :class:`LossyWindow` raises
   the per-message drop probability for a span of rounds.
-
-The E5 experiment's signature scenario — the originator crashing
-*mid-push*, after only some recipients got the new data — is modelled
-by :class:`CrashAfterPartialPush`, which the Oracle baseline consults
-between per-peer transfers.
 """
 
 from __future__ import annotations
@@ -50,7 +45,6 @@ __all__ = [
     "CrashMidSession",
     "LossyWindow",
     "FailurePlan",
-    "CrashAfterPartialPush",
 ]
 
 
@@ -196,34 +190,3 @@ class FailurePlan:
         scheduled recovery (or window close) can still change the
         network, so callers must not treat the system as settled."""
         return any(self.final_round(event) > round_no for event in self.events)
-
-
-@dataclass
-class CrashAfterPartialPush:
-    """Crash ``node`` after it has pushed to ``after_peers`` recipients.
-
-    The Oracle-style baseline checks :meth:`should_crash_now` after each
-    per-peer transfer of a push round; when it fires, the injector takes
-    the node down on the spot, leaving the remaining recipients without
-    the update — the exact vulnerability of paper section 8.2.
-    """
-
-    node: int
-    after_peers: int
-    _pushes_seen: int = field(default=0, init=False)
-    fired: bool = field(default=False, init=False)
-
-    def note_push(self, src: int) -> None:
-        """Record one completed per-peer transfer by ``src``."""
-        if src == self.node and not self.fired:
-            self._pushes_seen += 1
-
-    def should_crash_now(self, src: int, network: SimulatedNetwork) -> bool:
-        """Crash the node when its transfer quota is reached."""
-        if src != self.node or self.fired:
-            return False
-        if self._pushes_seen >= self.after_peers:
-            network.set_down(self.node)
-            self.fired = True
-            return True
-        return False

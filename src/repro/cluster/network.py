@@ -19,23 +19,15 @@ properties the experiments need:
   **mid-session faults**: crash a participant between two messages of a
   session (:meth:`arm_mid_session_crash`) or drop the N-th message of a
   session (:meth:`arm_message_drop`);
-* **accounting** — every message that leaves a sender is charged to
-  the network's counters sink (``messages_sent`` / ``bytes_sent``) and
-  to the frame census, so traffic experiments (E8) can attribute every
-  byte.  Messages dropped *in flight* (loss model or scripted drop) are
+* **accounting** — every message that leaves a sender is charged its
+  modelled ``wire_size()`` to the network's counters sink
+  (``messages_sent`` / ``bytes_sent``) and counted in the frame
+  census, so traffic experiments (E8) can attribute every byte.
+  Messages dropped *in flight* (loss model or scripted drop) are
   charged like delivered ones — they left the sender; only a
-  connect-time failure (dead or partitioned endpoint) is free;
-* **encoded mode** — with ``wire=True`` (or ``REPRO_WIRE=1``) every
-  delivery is encoded to a real binary frame by
-  :class:`~repro.wire.WireCodec` at send and decoded back at receive,
-  and all byte counters charge ``len(frame)`` instead of the modelled
-  ``wire_size()`` (which is still accumulated, in
-  ``modelled_bytes_sent``, so the model's drift is measurable).  The
-  codec's delta-compressed version vectors make the caches part of the
-  link state, so the network invalidates them on crash and recovery
-  (:meth:`set_down` / :meth:`set_up`) and on in-flight drops.  With the
-  sanitizer on as well, every delivery cross-checks
-  ``decode(encode(message)) == message``.
+  connect-time failure (dead or partitioned endpoint) is free.  The
+  recipient gets the sender's object: the bytes a deployed replica
+  sends are measured on :mod:`repro.net`'s sockets, not here.
 
 Latency is not modelled: messages within a session are delivered in
 program order, which matches the paper's round-level reasoning — the
@@ -46,9 +38,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Sequence
 
-from repro.cluster.sanitizer import SANITIZE_ENV_VAR, WIRE_ENV_VAR, env_flag
 from repro.errors import (
     InvariantViolation,
     MessageLostError,
@@ -58,7 +48,6 @@ from repro.errors import (
 )
 from repro.interfaces import SessionPhase, SessionScope, _SizedMessage
 from repro.obs import NULL_COUNTERS, OverheadCounters
-from repro.wire import WireCodec
 
 __all__ = ["SimulatedNetwork"]
 
@@ -80,9 +69,6 @@ class SimulatedNetwork:
     ----------
     n_nodes:
         Size of the replica set.
-    items:
-        The item schema the replicas share, in store order: in encoded
-        mode an item travels as its position in it.
     counters:
         Global sink charged for every message that leaves a sender.
     loss_rate:
@@ -90,29 +76,16 @@ class SimulatedNetwork:
     rng:
         Randomness source for loss; required when ``loss_rate > 0`` so
         experiments stay reproducible.
-    wire:
-        Encoded mode: ``True``/``False`` wins, ``None`` defers to the
-        ``REPRO_WIRE`` environment variable.
-    sanitize:
-        With encoded mode on, additionally verify on every delivery
-        that the frame decodes back to a message equal to the original
-        (``None`` defers to ``REPRO_SANITIZE``).
     """
 
     n_nodes: int
-    items: Sequence[str]
     counters: OverheadCounters = field(default_factory=lambda: NULL_COUNTERS)
     loss_rate: float = 0.0
     rng: random.Random | None = None
-    wire: bool | None = None
-    sanitize: bool | None = None
 
     def __post_init__(self) -> None:
         if self.n_nodes <= 0:
             raise ValueError(f"n_nodes must be positive, got {self.n_nodes}")
-        self.wire = env_flag(WIRE_ENV_VAR, self.wire)
-        self.sanitize = env_flag(SANITIZE_ENV_VAR, self.sanitize)
-        self._codec: WireCodec | None = WireCodec(self.items) if self.wire else None
         self._check_loss_rate(self.loss_rate)
         if self.loss_rate > 0.0 and self.rng is None:
             raise ValueError("loss_rate > 0 requires an explicit rng")
@@ -147,23 +120,14 @@ class SimulatedNetwork:
         return self._up[node]
 
     def set_down(self, node: int) -> None:
-        """Crash ``node``: no messages flow to or from it.  In encoded
-        mode the crash also wipes the node's delta-VV caches — a real
-        implementation loses its in-memory codec state with the
-        process."""
+        """Crash ``node``: no messages flow to or from it."""
         self._check_node(node)
         self._up[node] = False
-        if self._codec is not None:
-            self._codec.invalidate_node(node)
 
     def set_up(self, node: int) -> None:
-        """Recover ``node``.  The delta-VV caches are invalidated again,
-        defensively: peers that cached vectors *about* the crashed node
-        must resend in full after it returns."""
+        """Recover ``node``."""
         self._check_node(node)
         self._up[node] = True
-        if self._codec is not None:
-            self._codec.invalidate_node(node)
 
     def add_node(self) -> int:
         """Grow the fabric by one node (dynamic-membership extension);
@@ -327,12 +291,6 @@ class SimulatedNetwork:
         dropped *in flight* (the loss model or a scripted drop) did
         leave the sender: it is charged to the counters like a
         delivered message and raises :class:`MessageLostError`.
-
-        In encoded mode the message is encoded to a binary frame before
-        the drop decision (the sender serialized it either way), every
-        byte counter charges ``len(frame)``, and the *decoded* message
-        is what reaches the caller — the original never crosses the
-        simulated wire.
         """
         self._check_node(src)
         self._check_node(dst)
@@ -349,13 +307,7 @@ class SimulatedNetwork:
             raise NodeDownError(src)
         if not self._up[dst] or self._group_of[src] != self._group_of[dst]:
             raise NodeDownError(dst)
-        frame: bytes | None = None
-        if self._codec is not None:
-            frame = self._codec.encode(src, dst, message)
-            size = len(frame)
-            self.counters.modelled_bytes_sent += message.wire_size()
-        else:
-            size = message.wire_size()
+        size = message.wire_size()
         self.counters.messages_sent += 1
         self.counters.bytes_sent += size
         kind = type(message).__name__
@@ -374,18 +326,6 @@ class SimulatedNetwork:
                 )
             if self.rng.random() < self.loss_rate:
                 dropped = True
-        decoded: _SizedMessage | None = None
-        if not dropped and self._codec is not None and frame is not None:
-            # Decode before the armed-crash sweep below: the scripted
-            # crash fires after this message *arrived*, and decoding
-            # must advance the receiver's delta-VV caches before a
-            # crash of either endpoint wipes them.
-            decoded = self._codec.decode(src, dst, frame)
-            if self.sanitize and decoded != message:
-                raise InvariantViolation(
-                    f"wire codec round-trip mismatch on {src}->{dst}: "
-                    f"sent {message!r}, decoded {decoded!r}"
-                )
         # Scripted crash *between* messages: fires after this message
         # left the sender, so the session's next message finds the node
         # dead mid-exchange.  The sweep runs before a drop is raised —
@@ -401,14 +341,7 @@ class SimulatedNetwork:
                     self._armed_crashes.remove(armed)
                     self.set_down(armed.node)
         if dropped:
-            if self._codec is not None:
-                # The encode above advanced the sender-side delta-VV
-                # caches for a frame the receiver will never decode; the
-                # link's caches must restart from full vectors.
-                self._codec.invalidate_link(src, dst)
             raise MessageLostError(src, dst)
-        if decoded is not None:
-            return decoded
         return message
 
     def _check_node(self, node: int) -> None:

@@ -30,9 +30,9 @@ introduced it.
 A failed sweep raises :class:`~repro.errors.InvariantViolation` (which
 survives ``python -O`` — see ``docs/DEVELOPING.md``).
 
-:func:`env_flag` reads all three run-wide switches — ``REPRO_SANITIZE``
-here, ``REPRO_WIRE`` for the network's encoded mode and
-``REPRO_DURABLE`` for the simulation's durable mode — the same way.
+:func:`env_flag` reads both run-wide switches — ``REPRO_SANITIZE``
+here and ``REPRO_DURABLE`` for the simulation's durable mode — the
+same way.
 """
 
 from __future__ import annotations
@@ -46,14 +46,12 @@ from repro.obs import OverheadCounters
 __all__ = [
     "DURABLE_ENV_VAR",
     "SANITIZE_ENV_VAR",
-    "WIRE_ENV_VAR",
     "env_flag",
     "sanitize_endpoints",
 ]
 
 #: The run-wide switches: CI re-runs the unmodified suite with each on.
 SANITIZE_ENV_VAR = "REPRO_SANITIZE"
-WIRE_ENV_VAR = "REPRO_WIRE"
 DURABLE_ENV_VAR = "REPRO_DURABLE"
 
 _TRUTHY = frozenset({"1", "true", "yes", "on"})

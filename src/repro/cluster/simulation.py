@@ -134,14 +134,6 @@ class ClusterSimulation:
         from-scratch recomputation.  ``None`` (the default) defers to
         the ``REPRO_SANITIZE`` environment variable.  Needed by CI job
         ``test-sanitized`` and ``tests/cluster/test_sanitizer.py``.
-    wire:
-        Run the network in encoded mode: every delivery round-trips
-        through the binary codec in :mod:`repro.wire` and byte counters
-        become byte-exact frame lengths (with the sanitizer on, each
-        delivery also verifies ``decode(encode(m)) == m``).  ``None``
-        defers to the ``REPRO_WIRE`` environment variable.  Needed by
-        experiment E8 (byte-exact traffic), CI job ``test-wire`` and
-        ``tests/cluster/test_wire_cache_property.py``.
     durable:
         Run the cluster on the durable substrate (:mod:`repro.durable`):
         every node exposing ``attach_journal`` (the DBVV protocol
@@ -180,7 +172,6 @@ class ClusterSimulation:
     failure_plan: FailurePlan = field(default_factory=FailurePlan)
     retry_attempts: int = 1
     sanitize: bool | None = None
-    wire: bool | None = None
     durable: bool | None = None
     data_dir: str | None = None
     session_observer: Callable[[int, int, SyncStats], None] | None = None
@@ -195,14 +186,7 @@ class ClusterSimulation:
         self.durable = env_flag(DURABLE_ENV_VAR, self.durable)
         self.rng = random.Random(self.seed)
         self.network_counters = OverheadCounters()
-        self.network = SimulatedNetwork(
-            self.n_nodes,
-            self.items,
-            counters=self.network_counters,
-            wire=self.wire,
-            sanitize=self.sanitize,
-        )
-        self.wire = self.network.wire
+        self.network = SimulatedNetwork(self.n_nodes, counters=self.network_counters)
         self.node_counters = [OverheadCounters() for _ in range(self.n_nodes)]
         self.nodes: list[ProtocolNode] = [
             self.factory(node_id, self.node_counters[node_id])

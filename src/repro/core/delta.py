@@ -26,10 +26,11 @@ How it works:
   complete, with a whole-value fallback otherwise (also after a
   whole-value adoption or an administrative rewrite, which leave a gap
   in the history);
-* the recipient applies the chain in order and verifies the resulting
-  IVV equals the shipped IVV — the prefix property guarantees it, and
-  the check turns any violation into a loud error instead of silent
-  divergence.
+* the recipient applies the chain in order, skipping every entry its
+  copy already reflects (a conflict on another item can leave its DBVV
+  behind the item's IVV, so the cut may repeat them), and verifies the
+  resulting IVV equals the shipped IVV — the check turns any violation
+  into a loud error instead of silent divergence.
 
 When updates are small relative to item size (the byte-range patches of
 the paper's auxiliary-log example), shipping operations cuts propagation
@@ -38,7 +39,7 @@ bytes dramatically; the ablation benchmark quantifies it.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Any
 
@@ -219,11 +220,23 @@ class DeltaEpidemicNode(EpidemicNode):
     def _install_payload(self, entry: DataItem, payload) -> None:
         history = self._histories[entry.name]
         if isinstance(payload, DeltaPayload):
+            # A chain is cut at the recipient's DBVV, which can lag the
+            # item's own IVV: after a conflict on another item the
+            # prefix property no longer holds, and the chain may repeat
+            # updates this copy already reflects.  An entry's position
+            # in its origin's lineage of the item is payload.ivv[origin]
+            # minus the entries from that origin after it; skip every
+            # position the local IVV already counts.
+            later = Counter(chain_entry.origin for chain_entry in payload.ops)
             value = entry.value
             computed = entry.ivv.copy()
             for chain_entry in payload.ops:
+                origin = chain_entry.origin
+                later[origin] -= 1
+                if payload.ivv[origin] - later[origin] <= entry.ivv[origin]:
+                    continue
                 value = chain_entry.op.apply(value)
-                computed.increment(chain_entry.origin)
+                computed.increment(origin)
                 history.record(chain_entry)
             if computed != payload.ivv:
                 raise DeltaChainError(

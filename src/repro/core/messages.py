@@ -17,9 +17,8 @@ core protocol and all baselines):
 These are simulation constants, not a serialization format: the paper's
 claims are about asymptotics (constant metadata per shipped item), which
 any reasonable constant preserves.  The binary codec in
-:mod:`repro.wire` is the actual serialization; running the network in
-encoded mode (``REPRO_WIRE=1``) replaces these modelled charges with
-``len(frame)`` and reports the modelled-vs-encoded drift.
+:mod:`repro.wire` is the actual serialization, and a :mod:`repro.net`
+cluster's frames are where deployed bytes are measured.
 
 The list-summing helpers below (:func:`name_list_wire_size`,
 :func:`named_vv_list_wire_size`, :func:`payload_list_wire_size`,

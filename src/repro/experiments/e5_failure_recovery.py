@@ -32,7 +32,6 @@ from typing import Callable
 from repro.baselines.oracle import OraclePushNode
 from repro.cluster.convergence import GroundTruth
 from repro.cluster.failures import (
-    CrashAfterPartialPush,
     CrashMidSession,
     FailurePlan,
     Recover,
@@ -133,7 +132,7 @@ def run_oracle_arm(
     """Deferred push: originator crashes mid-push, survivors can't help."""
     items = make_items(n_items)
     counters = [OverheadCounters() for _ in range(n_nodes)]
-    network = SimulatedNetwork(n_nodes, items, counters=OverheadCounters())
+    network = SimulatedNetwork(n_nodes, counters=OverheadCounters())
     nodes = [
         OraclePushNode(k, n_nodes, items, counters=counters[k])
         for k in range(n_nodes)
@@ -142,9 +141,9 @@ def run_oracle_arm(
     _seed_updates(nodes[0], truth, items, updates)
 
     # The fatal push round: node 0 reaches `reached` peers, then dies.
-    crash = CrashAfterPartialPush(node=0, after_peers=reached)
-    nodes[0].push_to_all(nodes, network, partial_crash=crash)
-    assert crash.fired, "originator should have crashed mid-push"
+    for peer in range(1, reached + 1):
+        nodes[0].sync_with(nodes[peer], network)
+    network.set_down(0)
 
     def push_round(round_no: int) -> None:
         if round_no == repair_round:
@@ -173,7 +172,7 @@ def run_dbvv_arm(
     """Epidemic anti-entropy: survivors forward around the failure."""
     items = make_items(n_items)
     counters = [OverheadCounters() for _ in range(n_nodes)]
-    network = SimulatedNetwork(n_nodes, items, counters=OverheadCounters())
+    network = SimulatedNetwork(n_nodes, counters=OverheadCounters())
     nodes = [
         DBVVProtocolNode(k, n_nodes, items, counters=counters[k])
         for k in range(n_nodes)

@@ -61,14 +61,8 @@ def run(
     updates_per_round: int = DEFAULT_UPDATES_PER_ROUND,
     seed: int = DEFAULT_SEED,
     protocols: tuple[str, ...] = tuple(PROTOCOLS),
-    wire: bool | None = None,
 ) -> list[E8Row]:
-    """Replay the same trace through every protocol, to convergence.
-
-    ``wire=True`` runs the network in encoded mode, making every
-    byte figure the exact length of the binary frames exchanged
-    (``None`` defers to ``REPRO_WIRE``).
-    """
+    """Replay the same trace through every protocol, to convergence."""
     items = make_items(n_items)
     workload = SingleWriterWorkload(items, n_nodes, seed=seed)
     trace = Trace.from_events(workload.generate(updates))
@@ -80,7 +74,6 @@ def run(
             n_nodes,
             items,
             seed=seed,
-            wire=wire,
         )
         trace.replay(sim, updates_per_round=updates_per_round)
         converged = True

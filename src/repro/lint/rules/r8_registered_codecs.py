@@ -1,13 +1,15 @@
 """R8 — every wire message must have a registered binary codec.
 
-Inside ``repro.core`` and ``repro.baselines`` (where every real
-message class lives), each non-``Protocol`` class defining
-``wire_size`` must be registered in :func:`repro.wire.registry.
-registered_codecs` under this module's name, and every registration
-claiming this module must match such a class in the file.  Otherwise
-encoded mode (``REPRO_WIRE=1``) dies with ``WireFormatError`` the first
-time the message ships, or a stale registration holds a type id
-hostage.  The check is per file, AST against the live registry.
+Inside ``repro.core`` (where every message a replica ships lives),
+each non-``Protocol`` class defining ``wire_size`` must be registered
+in :func:`repro.wire.registry.registered_codecs` under this module's
+name, and every registration claiming this module must match such a
+class in the file.  Otherwise a :mod:`repro.net` replica dies with
+``WireFormatError`` the first time the message ships, or a stale
+registration holds a type id hostage.  The check is per file, AST
+against the live registry.  The baselines' messages run in the
+simulator only, which charges their modelled ``wire_size()``; they
+have no codec, so the rule does not audit ``repro.baselines``.
 """
 
 from __future__ import annotations
@@ -45,11 +47,10 @@ class RegisteredCodecRule(LintRule):
     )
 
     def applies_to(self, scope: FileScope) -> bool:
-        # Every real message class lives in repro.core or
-        # repro.baselines; scoping matches R7 and keeps the other
-        # rules' fixtures (which define wire_size classes elsewhere)
-        # out of R8's blast radius.
-        return scope.in_subpackage("core", "baselines")
+        # Every shipped message class lives in repro.core; scoping keeps
+        # the other rules' fixtures (which define wire_size classes
+        # elsewhere) out of R8's blast radius.
+        return scope.in_subpackage("core")
 
     def check(self, tree: ast.Module, scope: FileScope) -> Iterator[Violation]:
         module = _module_name(scope)
@@ -57,9 +58,6 @@ class RegisteredCodecRule(LintRule):
             return
         # Imported lazily so `python -m repro.lint` only pays for (and
         # only requires) the protocol packages when R8 actually runs.
-        # repro.wire registers the core's codecs, repro.baselines its own.
-        if scope.in_subpackage("baselines"):
-            import repro.baselines  # noqa: F401
         from repro.wire import registered_codecs
 
         registered_here = {
@@ -74,9 +72,8 @@ class RegisteredCodecRule(LintRule):
                     scope,
                     node,
                     f"message class {name} defines wire_size but has no "
-                    "codec in repro.wire — encoded mode "
-                    "(REPRO_WIRE=1) would raise WireFormatError the "
-                    "first time it ships",
+                    "codec in repro.wire — a repro.net replica would "
+                    "raise WireFormatError the first time it ships",
                 )
         for name, codec in registered_here.items():
             if name not in defined_here:

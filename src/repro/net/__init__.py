@@ -18,7 +18,7 @@ stays in :mod:`repro.core`, shared with the simulator):
   (the R11/R12 concurrency discipline primitives);
 * :mod:`~repro.net.client` — blocking client for the JSON API;
 * :mod:`~repro.net.harness` — spawn/reap localhost clusters and run
-  differential parity against ``ClusterSimulation(wire=True)``;
+  differential parity against ``ClusterSimulation``;
 * ``python -m repro.net`` — the CLI entry point.
 """
 

@@ -2,7 +2,7 @@
 
 The strongest check the networked mode can offer is that it is *the
 same protocol*: a seeded workload run through
-``ClusterSimulation(wire=True)`` and replayed against a multi-process
+``ClusterSimulation`` and replayed against a multi-process
 localhost cluster must end in identical state.  This module provides
 the three pieces:
 
@@ -89,7 +89,6 @@ def record_script(
         ),
         n_nodes=n_nodes,
         items=items,
-        wire=True,
         sanitize=True,
         session_observer=observe,
         seed=seed,

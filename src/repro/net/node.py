@@ -29,10 +29,8 @@ each other before any frame is exchanged.
 own :class:`~repro.wire.WireCodec`: both endpoints create the codec at
 connect/accept time and retire it with the connection, so the sender
 and receiver delta caches are born empty together, advance in lockstep
-on the ordered byte stream, and vanish together on disconnect.  This
-is the networked analogue of the simulator's
-``invalidate_link``/``invalidate_node`` calls on drops and crashes —
-any tear in the stream (process crash, reset, clean close) destroys
+on the ordered byte stream, and vanish together on disconnect: any
+tear in the stream (process crash, reset, clean close) destroys
 exactly the caches that could have desynchronised, and the next
 connection restarts from full vectors.  No cross-connection cache can
 desync because no cache outlives its connection.  A propagation reply

@@ -32,15 +32,10 @@ baselines, and the experiment harness:
 ``seqno_comparisons``
     Scalar sequence-number comparisons (Lotus-style protocols).
 ``messages_sent`` / ``bytes_sent``
-    Network traffic, charged by the message layer.  In the network's
-    encoded mode (``REPRO_WIRE=1`` / ``wire=True``) ``bytes_sent`` is
-    byte-exact — the length of the actual binary frame each message
-    encoded to.
-``modelled_bytes_sent``
-    The ``wire_size()`` model's charge for the same messages, kept in
-    parallel by encoded mode only (zero otherwise, when ``bytes_sent``
-    *is* the modelled figure).  ``bytes_sent - modelled_bytes_sent`` is
-    the model drift the wire benchmark reports.
+    Network traffic, charged by the message layer: each message's
+    modelled ``wire_size()``.  The bytes a deployed replica sends are
+    counted on its sockets (:mod:`repro.net`, ``BENCHMARK.json``'s
+    ``wire_bytes_*`` metrics).
 ``conflicts_detected``
     Conflicts flagged to the conflict reporter.
 ``aux_records_replayed``
@@ -95,7 +90,6 @@ class OverheadCounters:
     seqno_comparisons: int = 0
     messages_sent: int = 0
     bytes_sent: int = 0
-    modelled_bytes_sent: int = 0
     conflicts_detected: int = 0
     aux_records_replayed: int = 0
     sessions_retried: int = 0

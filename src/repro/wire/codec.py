@@ -33,13 +33,12 @@ The delta form is *sparse*: an unchanged vector costs two bytes
 regardless of ``n``, which is what turns the paper's O(1)
 identical-replica detection into measured bytes.  The full form is the
 fallback whenever no cached base exists or the replica set grew (vector
-lengths differ); the sender's and receiver's caches advance
-independently, so the two fallback triggers that desynchronise them —
-an in-flight drop after encoding, and a crash/recovery — must
-explicitly invalidate (:meth:`WireCodec.invalidate_link`,
-:meth:`WireCodec.invalidate_node`; the simulated network calls both).
-A delta frame arriving without a cached base raises
-:class:`WireFormatError` rather than guessing.
+lengths differ).  The sender's and receiver's caches advance
+independently and stay in step only over an ordered, lossless stream:
+a :mod:`repro.net` connection owns one codec and drops it on any tear
+(a lost frame, a crash, a reset), so both ends start the next
+connection from full vectors.  A delta frame arriving without a cached
+base raises :class:`WireFormatError` rather than guessing.
 
 A *self-contained* vector (:meth:`Encoder.bare_vv`, the per-item IVVs
 of a propagation reply) reads and advances no cache::
@@ -574,10 +573,9 @@ class Decoder:
 class WireCodec:
     """Encodes and decodes whole frames for one message fabric.
 
-    One instance belongs to one :class:`~repro.cluster.network.
-    SimulatedNetwork`, one ``repro.net`` connection, or one journal, and
-    owns the per-link delta-VV caches.  ``schema`` is the item names
-    both ends hold, in order (a :class:`Schema` or the names
+    One instance belongs to one ``repro.net`` connection or one
+    journal, and owns the per-link delta-VV caches.  ``schema`` is the
+    item names both ends hold, in order (a :class:`Schema` or the names
     themselves).  ``delta_vv=False`` disables the caches entirely —
     every vector travels in full form — which is what a log record and
     the comparison arm of the wire benchmark need.
@@ -597,12 +595,7 @@ class WireCodec:
         self._dpool: list[Decoder] = []
         # (src, dst) -> {stream -> last vector encoded on / decoded from
         # that directed link}.  Sender and receiver sides are separate
-        # maps: they advance at different times (encode vs decode), and
-        # an in-flight drop advances one without the other.  Indexing by
-        # link (not by flat (src, dst, stream) triples) makes
-        # invalidation O(streams on that link): the networked mode
-        # invalidates on *every* disconnect, and a flat map would charge
-        # each disconnect a scan of every cached stream in the process.
+        # maps: they advance at different times (encode vs decode).
         self._sent: dict[tuple[int, int], dict[str, tuple[int, ...]]] = {}
         self._seen: dict[tuple[int, int], dict[str, tuple[int, ...]]] = {}
 
@@ -677,24 +670,3 @@ class WireCodec:
         finally:
             decoder.data = b""  # do not pin the frame from the pool
             dpool.append(decoder)
-
-    # -- cache invalidation ---------------------------------------------------
-
-    def invalidate_link(self, src: int, dst: int) -> None:
-        """Forget the caches of the directed link ``src -> dst`` — called
-        when a frame is dropped in flight *after* encoding advanced the
-        sender cache the receiver will never see, and by the networked
-        mode on every disconnect.  O(streams on that link): other links'
-        caches are never visited."""
-        self._sent.pop((src, dst), None)
-        self._seen.pop((src, dst), None)
-
-    def invalidate_node(self, node: int) -> None:
-        """Forget every cache touching ``node`` — called on crash *and*
-        on recovery, so faulted sessions restart from full vectors.
-        O(links touching the node), independent of how many streams the
-        *other* links have cached."""
-        for cache in (self._sent, self._seen):
-            stale = [link for link in cache if node in link]
-            for link in stale:
-                del cache[link]

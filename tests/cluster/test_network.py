@@ -1,11 +1,10 @@
 """Unit tests for the simulated network."""
 
-import functools
 import random
 
 import pytest
 
-from repro.cluster.network import SimulatedNetwork as _SimulatedNetwork
+from repro.cluster.network import SimulatedNetwork
 from repro.core.messages import PropagationRequest, YouAreCurrent
 from repro.core.version_vector import VersionVector
 from repro.errors import (
@@ -16,14 +15,6 @@ from repro.errors import (
     UnknownNodeError,
 )
 from repro.obs import OverheadCounters
-from tests.wire_caches import cache_size, link_cache_size
-
-# Most of this module asserts the *modelled* accounting semantics —
-# deliver() returning the identical object and charging wire_size() —
-# which encoded mode intentionally replaces.  Pin wire=False so the
-# assertions hold under REPRO_WIRE=1 too; TestWireMode exercises the
-# encoded path explicitly.
-SimulatedNetwork = functools.partial(_SimulatedNetwork, items=(), wire=False)
 
 MSG = YouAreCurrent(0)  # any sized message
 
@@ -282,107 +273,6 @@ class TestDynamicGrowth:
         net.heal()
         later_id = net.add_node()
         assert net.can_reach(2, later_id)
-
-
-class TestWireMode:
-    """The network's encoded mode: real frames, byte-exact counters."""
-
-    @staticmethod
-    def make_wire_net(n=3, **kwargs):
-        return _SimulatedNetwork(n, (), wire=True, **kwargs)
-
-    def test_deliver_returns_decoded_equal_message(self):
-        net = self.make_wire_net()
-        request = PropagationRequest(1, VersionVector.from_counts((2, 0, 5)))
-        delivered = net.deliver(0, 1, request)
-        assert delivered == request
-        assert delivered is not request  # it crossed the wire
-
-    def test_counters_charge_frame_length_and_track_model(self):
-        counters = OverheadCounters()
-        net = self.make_wire_net(counters=counters)
-        request = PropagationRequest(1, VersionVector.from_counts((2, 0, 5)))
-        net.deliver(0, 1, request)
-        frame_len = net._codec.encode(9 % 3, 2, request)  # fresh link
-        assert counters.bytes_sent < request.wire_size()  # varints shrink it
-        assert counters.modelled_bytes_sent == request.wire_size()
-        assert len(frame_len) == counters.bytes_sent
-
-    def test_repeated_vector_shrinks_via_delta(self):
-        counters = OverheadCounters()
-        net = self.make_wire_net(counters=counters)
-        request = PropagationRequest(1, VersionVector.from_counts((7, 3, 9)))
-        net.deliver(0, 1, request)
-        first = counters.bytes_sent
-        net.deliver(0, 1, request)
-        second = counters.bytes_sent - first
-        assert second < first  # unchanged vector went as an empty delta
-
-    def test_unregistered_message_cannot_ship(self):
-        from repro.errors import WireFormatError
-
-        class NotRegistered:
-            def wire_size(self):
-                return 8
-
-        net = self.make_wire_net()
-        with pytest.raises(WireFormatError):
-            net.deliver(0, 1, NotRegistered())
-
-    def test_crash_and_recovery_invalidate_caches(self):
-        net = self.make_wire_net()
-        request = PropagationRequest(1, VersionVector.from_counts((1, 1, 1)))
-        net.deliver(0, 1, request)
-        assert cache_size(net._codec) > 0
-        net.set_down(1)
-        assert cache_size(net._codec) == 0
-        net.set_up(1)
-        # The next exchange must fall back to a full vector and succeed.
-        delivered = net.deliver(0, 1, request)
-        assert delivered == request
-
-    def test_in_flight_drop_invalidates_link(self):
-        net = self.make_wire_net()
-        request = PropagationRequest(1, VersionVector.from_counts((4, 4, 4)))
-        net.open_session(0, 1)
-        net.deliver(0, 1, request)
-        net.open_session(0, 1)
-        net.arm_message_drop(nth_message=1)
-        with pytest.raises(MessageLostError):
-            net.deliver(0, 1, request)
-        assert link_cache_size(net._codec, 0, 1) == 0, (
-            "dropped frame must wipe the link's caches"
-        )
-        # Delivery after the drop re-sends a full vector cleanly.
-        assert net.deliver(0, 1, request) == request
-
-    def test_sanitize_crosschecks_roundtrip(self):
-        net = self.make_wire_net(sanitize=True)
-        request = PropagationRequest(1, VersionVector.from_counts((1, 2, 3)))
-        assert net.deliver(0, 1, request) == request
-
-    def test_sanitize_flags_codec_divergence(self):
-        """Force a sender/receiver cache divergence the protocol layer
-        would never produce, and check the cross-check catches the
-        resulting wrong decode."""
-        net = self.make_wire_net(sanitize=True)
-        request = PropagationRequest(1, VersionVector.from_counts((5, 5, 5)))
-        net.deliver(0, 1, request)
-        # Corrupt the receiver's cached base behind the codec's back.
-        net._codec._seen[(0, 1)]["dbvv"] = (0, 0, 0)
-        bumped = PropagationRequest(1, VersionVector.from_counts((6, 5, 5)))
-        with pytest.raises(InvariantViolation):
-            net.deliver(0, 1, bumped)
-
-    def test_wire_false_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WIRE", "1")
-        net = _SimulatedNetwork(2, (), wire=False)
-        assert net.deliver(0, 1, MSG) is MSG
-
-    def test_env_var_enables_wire(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WIRE", "1")
-        net = _SimulatedNetwork(2, ())
-        assert net.wire is True
 
 
 class TestStackedLossWindows:

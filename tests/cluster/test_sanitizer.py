@@ -7,7 +7,6 @@ import pytest
 from repro.cluster.sanitizer import (
     DURABLE_ENV_VAR,
     SANITIZE_ENV_VAR,
-    WIRE_ENV_VAR,
     env_flag,
     sanitize_endpoints,
 )
@@ -28,7 +27,7 @@ def make_sim(n_nodes=4, seed=3, **kwargs):
 
 #: Every run-wide switch reads the same way: "false" or "off" leaves
 #: each of them off, not just a missing or "0" value.
-SWITCHES = (SANITIZE_ENV_VAR, WIRE_ENV_VAR, DURABLE_ENV_VAR)
+SWITCHES = (SANITIZE_ENV_VAR, DURABLE_ENV_VAR)
 
 
 class TestToggleResolution:
@@ -59,7 +58,6 @@ class TestToggleResolution:
     def test_simulation_resolves_env_at_construction(self, monkeypatch):
         for var, attr in (
             (SANITIZE_ENV_VAR, "sanitize"),
-            (WIRE_ENV_VAR, "wire"),
             (DURABLE_ENV_VAR, "durable"),
         ):
             monkeypatch.setenv(var, "1")

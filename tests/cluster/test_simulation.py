@@ -36,7 +36,7 @@ def one_update_run(seed):
     return sim
 
 
-def stacked_faults_run(seed, wire):
+def stacked_faults_run(seed):
     """Node churn, partition/heal, a lossy window, a mid-session crash
     and a second update burst, all in one 60-round run of 12 nodes."""
     n_nodes = 12
@@ -51,7 +51,7 @@ def stacked_faults_run(seed, wire):
         CrashMidSession(node=2, at_round=28, after_messages=1),
         Recover(node=2, at_round=31),
     ])
-    sim = make_sim(n_nodes=n_nodes, seed=seed, wire=wire, failure_plan=plan)
+    sim = make_sim(n_nodes=n_nodes, seed=seed, failure_plan=plan)
     for k in range(16):
         sim.apply_update(k % n_nodes, ITEMS[k % len(ITEMS)], Put(b"v%d" % k))
     for _ in range(20):
@@ -128,9 +128,7 @@ class TestConvergence:
 
     def test_deterministic_under_seed(self):
         runs = [partial(one_update_run, 9)] + [
-            partial(stacked_faults_run, seed, wire)
-            for seed in (7, 11)
-            for wire in (False, True)
+            partial(stacked_faults_run, seed) for seed in (7, 11)
         ]
         for run in runs:
             assert observables(run()) == observables(run()), run

@@ -53,7 +53,7 @@ def build_pair(program):
         DBVVProtocolNode(k, N_NODES, ITEMS, counters=OverheadCounters())
         for k in range(N_NODES)
     ]
-    net = SimulatedNetwork(N_NODES, ITEMS, counters=OverheadCounters())
+    net = SimulatedNetwork(N_NODES, counters=OverheadCounters())
     for counter, (who, item_idx) in enumerate(program):
         nodes[who].user_update(ITEMS[item_idx], Append(f"{counter};".encode()))
     return nodes, net

@@ -28,7 +28,7 @@ class TestMessageLoss:
     def test_convergence_survives_heavy_loss(self, loss_rate):
         n_nodes = 4
         network = SimulatedNetwork(
-            n_nodes, ITEMS, loss_rate=loss_rate, rng=random.Random(7)
+            n_nodes, loss_rate=loss_rate, rng=random.Random(7)
         )
         nodes = [DBVVProtocolNode(k, n_nodes, ITEMS) for k in range(n_nodes)]
         workload = SingleWriterWorkload(ITEMS, n_nodes, seed=7)

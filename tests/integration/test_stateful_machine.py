@@ -41,7 +41,7 @@ item_ids = st.integers(min_value=0, max_value=len(ITEMS) - 1)
 class EpidemicMachine(RuleBasedStateMachine):
     @initialize()
     def setup(self):
-        self.network = SimulatedNetwork(N_NODES, ITEMS, counters=OverheadCounters())
+        self.network = SimulatedNetwork(N_NODES, counters=OverheadCounters())
         self.nodes = [DBVVProtocolNode(k, N_NODES, ITEMS) for k in range(N_NODES)]
         self.history = {item: b"" for item in ITEMS}
         self.counter = 0

@@ -2,8 +2,8 @@
 
 The class is a perfectly formed R6 message (frozen, slotted dataclass)
 — the *only* defect is that ``repro.wire.codecs`` knows nothing about
-it, so encoded mode would die with ``WireFormatError`` the first time
-the protocol ships one.
+it, so a ``repro.net`` replica would die with ``WireFormatError`` the
+first time the protocol ships one.
 """
 
 from dataclasses import dataclass

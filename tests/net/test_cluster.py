@@ -6,11 +6,10 @@ import time
 
 import pytest
 
-from repro.baselines.oracle import _PushBatch
 from repro.errors import NetworkSessionError
 from repro.net.framing import MAGIC, PROTOCOL_VERSION
 from repro.net.harness import LocalCluster
-from repro.wire import Schema, WireCodec
+from repro.wire import Schema
 from repro.wire.varint import write_uvarint
 
 ITEMS = ("a", "b")
@@ -60,13 +59,14 @@ class TestLocalCluster:
 class TestForeignFrames:
     def test_baseline_frame_is_refused_undecoded(self, cluster):
         """A replica's registry is the core protocol's (type ids 1-10):
-        a well-formed Oracle push batch (id 17) on a peer connection is
-        an *unknown type id* — dropped before any decode — and the node
-        keeps serving everyone else."""
-        # This process imported repro.baselines, so it can encode the
-        # frame; the spawned node never did, so it cannot decode it.
+        a well-formed Oracle push batch (id 17, retired with the
+        baselines' codecs) on a peer connection is an *unknown type id*
+        — dropped before any decode — and the node keeps serving
+        everyone else."""
         schema = Schema(ITEMS)
-        frame = WireCodec(schema).encode(1, 0, _PushBatch(1, ()))
+        # The frame the baselines' codec wrote for _PushBatch(1, ()):
+        # id 17 · source 1 · no records.
+        frame = bytes([3, 17, 1, 0])
         preamble = bytearray()
         for field in (MAGIC, PROTOCOL_VERSION, 1):
             write_uvarint(preamble, field)

@@ -1,7 +1,7 @@
 """Differential parity: the networked cluster vs the simulator.
 
 Each case records a seeded workload through ``ClusterSimulation(
-wire=True, sanitize=True)``, replays it through a real 4-process
+sanitize=True)``, replays it through a real 4-process
 localhost cluster, and requires identical converged stores, per-item
 version vectors, DBVVs, conflict counts, and (with zero reconnects)
 an identical frame-type traffic census.

@@ -168,18 +168,17 @@ def main() -> None:
     assert reply[-2:] == bytes([0, 10])  # index 0, svarint(+5)
     _write("reply_tail_index_out_of_range", reply[:-2] + bytes([1, 10]))
 
-    # 18. A per-item baseline shipment (id 35) carrying item "x" twice
-    #     in one frame: first with a full IVV whose component 0 is
-    #     2**64 - 1, then with a delta of +1 on that same stream.  The
-    #     delta branch must bound the sum — it used to reach the
-    #     component array as a bare ValueError.
-    item = bytes([SCHEMA.index("x"), 1]) + b"A"  # item "x" · value b"A"
+    # 18. A request whose DBVV is a delta of +1 on component 0, for a
+    #     link whose cached DBVV holds 2**64 - 1 there (the frame before
+    #     it on the link; ``tests/wire/test_corpus.py`` sends that
+    #     primer first).  The delta branch must bound the sum — it used
+    #     to reach the component array as a bare ValueError.
     _write(
         "delta_vv_overflows_u64",
         _frame(
-            bytes([35, 0, 2])  # shipment · source 0 · 2 payloads
-            + item + b"\x00\x02" + _uvarint(2**64 - 1) + b"\x00"
-            + item + bytes([0x01, 1, 0, 2])  # delta · 1 change · gap 0 · +1
+            _uvarint(2)  # PropagationRequest
+            + _uvarint(1)  # recipient
+            + bytes([0x01, 1, 0, 2])  # delta · 1 change · gap 0 · +1
         ),
     )
 

@@ -2,7 +2,6 @@
 
 import pytest
 
-import repro.baselines  # noqa: F401  (registers type ids 16-50)
 from repro.core.messages import (
     ItemPayload,
     OutOfBoundRequest,
@@ -71,8 +70,7 @@ class TestFraming:
         codecs = registered_codecs()
         ids = [codec.type_id for codec in codecs]
         assert ids == sorted(ids)
-        assert len(ids) == len(set(ids))
-        assert len(codecs) >= 25
+        assert ids == [1, 2, 3, 5, 6, 7, 8, 10]
 
 
 class TestDeltaVectors:
@@ -182,38 +180,21 @@ class TestDeltaVectors:
 
 
 class TestInvalidation:
-    def test_invalidate_link_clears_only_that_direction(self):
-        codec = WireCodec(SCHEMA)
-        message = PropagationRequest(1, vv(2, 2))
-        codec.decode(0, 1, codec.encode(0, 1, message))
-        codec.decode(2, 1, codec.encode(2, 1, message))
-        before = cache_size(codec)
-        codec.invalidate_link(0, 1)
-        assert cache_size(codec) == before - 2  # one _sent + one _seen
-        # The surviving link still delta-decodes fine.
-        assert codec.decode(2, 1, codec.encode(2, 1, message)) == message
-
-    def test_invalidate_node_clears_both_roles(self):
-        codec = WireCodec(SCHEMA)
-        message = PropagationRequest(1, vv(2, 2, 2))
-        codec.decode(0, 1, codec.encode(0, 1, message))
-        codec.decode(1, 2, codec.encode(1, 2, message))
-        codec.decode(0, 2, codec.encode(0, 2, message))
-        codec.invalidate_node(1)
-        remaining = set(codec._sent) | set(codec._seen)
-        assert all(1 not in key[:2] for key in remaining)
-        assert remaining  # 0->2 survived
+    """A codec's caches are invalidated by dropping the codec: a
+    ``repro.net`` connection owns one, and a torn connection's
+    successor starts both ends from empty caches."""
 
     def test_recovery_sequence_resynchronizes(self):
-        codec = WireCodec(SCHEMA)
+        sender, receiver = WireCodec(SCHEMA), WireCodec(SCHEMA)
         message = PropagationRequest(1, vv(3, 3))
-        codec.decode(0, 1, codec.encode(0, 1, message))
-        codec.invalidate_node(1)  # crash + recovery
+        receiver.decode(0, 1, sender.encode(0, 1, message))
+        sender, receiver = WireCodec(SCHEMA), WireCodec(SCHEMA)  # crash + redial
         # Next frame is full again; the stream then re-deltas normally.
-        assert codec.decode(0, 1, codec.encode(0, 1, message)) == message
-        delta = codec.encode(0, 1, message)
-        assert codec.decode(0, 1, delta) == message
-        assert len(delta) < 8
+        full = sender.encode(0, 1, message)
+        assert receiver.decode(0, 1, full) == message
+        delta = sender.encode(0, 1, message)
+        assert receiver.decode(0, 1, delta) == message
+        assert len(delta) < len(full) and len(delta) < 8
 
 
 class TestSchema:

@@ -13,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-import repro.baselines  # noqa: F401  (registers the shipment of delta_vv_overflows_u64)
+from repro.core.messages import PropagationRequest
+from repro.core.version_vector import VersionVector
 from repro.durable.records import decode_record, encode_accept
 from repro.errors import WALError, WireFormatError
 from repro.wire.codec import MAX_FRAME_LEN, WireCodec
@@ -88,6 +89,16 @@ def test_retired_v2_reply_id_is_unknown():
 def test_nested_reply_is_refused_at_the_first_level():
     with pytest.raises(WireFormatError, match="reply item has payload tag 10"):
         WireCodec(SCHEMA).decode(1, 0, _load(CORPUS / "nested_reply.hex"))
+
+
+def test_a_delta_past_64_bits_is_refused():
+    """``delta_vv_overflows_u64`` adds 1 to a DBVV component the link's
+    previous request left at 2**64 - 1."""
+    primer = PropagationRequest(1, VersionVector.from_counts((2**64 - 1, 0, 0)))
+    sender, receiver = WireCodec(SCHEMA), WireCodec(SCHEMA)
+    receiver.decode(0, 1, sender.encode(0, 1, primer))
+    with pytest.raises(WireFormatError, match="past the 64-bit range"):
+        receiver.decode(0, 1, _load(CORPUS / "delta_vv_overflows_u64.hex"))
 
 
 def test_item_past_the_schema_is_refused():

@@ -7,9 +7,9 @@ Three families:
   strategy table below is asserted complete against the registry, so
   registering a new message without extending it fails here);
 * **delta streams** — arbitrary vector sequences with interleaved
-  crash/drop invalidations must always decode exactly, because every
-  desync trigger either invalidates the caches or falls back to full
-  form;
+  crashes and drops must always decode exactly, because every desync
+  trigger tears the connection, retiring both ends' codecs, and the
+  next one starts from full form;
 * **hostile frames** — truncation and byte corruption must surface as
   :class:`WireFormatError` (or a clean decode), never as
   ``struct.error`` / ``IndexError`` / ``UnicodeDecodeError`` from the
@@ -21,30 +21,6 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from repro.baselines.agrawal_malpani import (
-    AMRecord,
-    _LogPush,
-    _RepairRequest,
-    _VectorExchange,
-)
-from repro.baselines.lotus import (
-    _ChangeList,
-    _DocFetch,
-    _DocShipment,
-    _PropagationProbe,
-)
-from repro.baselines.oracle import UpdateRecord, _PushBatch
-from repro.baselines.per_item import (
-    _ItemFetch,
-    _ItemShipment,
-    _IVVListReply,
-    _IVVListRequest,
-)
-from repro.baselines.wuu_bernstein import (
-    GossipRecord,
-    _GossipMessage,
-    _GossipRequest,
-)
 from repro.core.delta import DeltaPayload, OpChainEntry
 from repro.core.messages import (
     ItemPayload,
@@ -115,20 +91,6 @@ def replies(draw):
     return PropagationReply(draw(node_ids), tuple(tails), items)
 
 
-lww_fields = (names, values, seqnos, node_ids)
-writer_ids = st.integers(-1, 40)
-
-
-def _square_tables(draw_n=st.integers(0, 4)):
-    return draw_n.flatmap(
-        lambda n: st.lists(
-            st.lists(seqnos, min_size=n, max_size=n).map(tuple),
-            min_size=n,
-            max_size=n,
-        ).map(tuple)
-    )
-
-
 #: class -> instance strategy; asserted complete against the registry.
 MESSAGE_STRATEGIES = {
     ItemPayload: item_payloads,
@@ -139,62 +101,6 @@ MESSAGE_STRATEGIES = {
     OutOfBoundReply: st.builds(OutOfBoundReply, node_ids, names, values, vectors),
     OpChainEntry: op_entries,
     DeltaPayload: delta_payloads,
-    UpdateRecord: st.builds(UpdateRecord, *lww_fields),
-    _PushBatch: st.builds(
-        _PushBatch,
-        node_ids,
-        st.lists(st.builds(UpdateRecord, *lww_fields), max_size=4).map(tuple),
-    ),
-    AMRecord: st.builds(AMRecord, *lww_fields),
-    _LogPush: st.builds(
-        _LogPush,
-        node_ids,
-        st.lists(st.builds(AMRecord, *lww_fields), max_size=4).map(tuple),
-    ),
-    _VectorExchange: st.builds(
-        _VectorExchange, node_ids, st.lists(seqnos, max_size=8).map(tuple)
-    ),
-    _RepairRequest: st.builds(
-        _RepairRequest,
-        node_ids,
-        st.lists(st.tuples(node_ids, seqnos), max_size=4).map(tuple),
-    ),
-    _IVVListRequest: st.builds(_IVVListRequest, node_ids),
-    _IVVListReply: st.builds(
-        _IVVListReply,
-        node_ids,
-        st.lists(st.tuples(names, vectors), max_size=4).map(tuple),
-    ),
-    _ItemFetch: st.builds(
-        _ItemFetch, node_ids, st.lists(names, max_size=4).map(tuple)
-    ),
-    _ItemShipment: st.builds(
-        _ItemShipment, node_ids, st.lists(item_payloads, max_size=4).map(tuple)
-    ),
-    _PropagationProbe: st.builds(_PropagationProbe, node_ids),
-    _ChangeList: st.builds(
-        _ChangeList,
-        node_ids,
-        st.lists(st.tuples(names, seqnos, writer_ids), max_size=4).map(tuple),
-    ),
-    _DocFetch: st.builds(
-        _DocFetch, node_ids, st.lists(names, max_size=4).map(tuple)
-    ),
-    _DocShipment: st.builds(
-        _DocShipment,
-        node_ids,
-        st.lists(st.tuples(names, values, seqnos, writer_ids), max_size=4).map(
-            tuple
-        ),
-    ),
-    GossipRecord: st.builds(GossipRecord, *lww_fields),
-    _GossipMessage: st.builds(
-        _GossipMessage,
-        node_ids,
-        _square_tables(),
-        st.lists(st.builds(GossipRecord, *lww_fields), max_size=4).map(tuple),
-    ),
-    _GossipRequest: st.builds(_GossipRequest, node_ids),
 }
 
 any_message = st.one_of(*MESSAGE_STRATEGIES.values())
@@ -207,6 +113,7 @@ def test_strategy_table_covers_every_registered_class():
         f"registered wire messages without a round-trip strategy: "
         f"{sorted(cls.__qualname__ for cls in missing)}"
     )
+    assert set(MESSAGE_STRATEGIES) <= registered
 
 
 @settings(max_examples=40)
@@ -238,19 +145,18 @@ def test_streamed_messages_roundtrip_through_shared_caches(messages):
 )
 def test_delta_streams_survive_crashes_and_drops(events):
     """Any interleaving of sends, node crashes, and in-flight drops
-    decodes exactly, provided the two invalidation hooks the network
-    calls are honoured."""
-    codec = WireCodec(SCHEMA)
+    decodes exactly, provided each tears the connection and both ends
+    start the next one with fresh codecs, as ``repro.net`` does."""
+    sender, receiver = WireCodec(SCHEMA), WireCodec(SCHEMA)
     for counts, event in events:
         message = PropagationRequest(1, VersionVector.from_counts(counts))
-        if event == "crash":
-            codec.invalidate_node(1)
-        elif event == "drop":
-            # The frame left the sender (advancing _sent) but never
-            # reached the receiver: network calls invalidate_link.
-            codec.encode(0, 1, message)
-            codec.invalidate_link(0, 1)
-        decoded = codec.decode(0, 1, codec.encode(0, 1, message))
+        if event == "drop":
+            # The frame left the sender (advancing its cache) but never
+            # reached the receiver.
+            sender.encode(0, 1, message)
+        if event != "send":
+            sender, receiver = WireCodec(SCHEMA), WireCodec(SCHEMA)
+        decoded = receiver.decode(0, 1, sender.encode(0, 1, message))
         assert decoded.dbvv.as_tuple() == tuple(counts)
 
 
