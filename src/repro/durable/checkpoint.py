@@ -25,7 +25,8 @@ a text line per item::
                  uvarint(item index) vv(pre-update ivv) op
 
 Fixed-width integers are little-endian; ``vv``, ``bytes`` and ``op`` are
-the §12 wire primitives in full, delta-free form, as in WAL records.
+the §12 wire primitives, as in WAL records: a ``vv`` is self-contained,
+full or sparse against zero, whichever is shorter.
 ``lsn`` is the last WAL record the checkpoint covers (recovery's LSN
 gate).  ``aux`` and ``auxlog`` are empty unless out-of-bound copies are
 pending.
@@ -82,9 +83,9 @@ __all__ = [
 if array("I").itemsize != 4 or array("Q").itemsize != 8:
     raise ImportError("checkpoint columns need 4- and 8-byte array items")
 
-#: Stateless (no delta caches, no item schema — the body addresses
-#: items by store position itself): one instance serves every checkpoint.
-_CODEC = WireCodec((), delta_vv=False)
+#: No item schema (the body addresses items by store position itself)
+#: and no request to cache: one instance serves every checkpoint.
+_CODEC = WireCodec(())
 _BIG_ENDIAN = sys.byteorder == "big"
 #: How every checkpoint before the binary format began.
 _TEXT_HEADER = b"checkpoint lsn "
@@ -134,11 +135,11 @@ def encode_checkpoint(lsn: int, node: EpidemicNode) -> bytearray:
     entries = list(node.store)
     names = list(node.store.names())
     values = list(map(_VALUE, entries))
-    enc = Encoder(_CODEC, 0, 0)
+    enc = Encoder(_CODEC)
     enc.uvarint(lsn)
     enc.uvarint(node.node_id)
     enc.uvarint(node.n_nodes)
-    enc.vv("dbvv", node.dbvv)
+    enc.vv(node.dbvv)
     enc.uvarint(len(entries))
     body = enc.buf
     _block(body, _words("I", map(len, names)), "".join(names).encode("utf-8"))
@@ -154,7 +155,7 @@ def encode_checkpoint(lsn: int, node: EpidemicNode) -> bytearray:
         _words("I", map(index.__getitem__, map(_ITEM, records))),
         _words("Q", map(_SEQNO, records)),
     )
-    section = Encoder(_CODEC, 0, 0)
+    section = Encoder(_CODEC)
     copies = list(compress(count(), map(is_not, map(_AUX_IVV, entries), repeat(None))))
     section.uvarint(len(copies))
     for position in copies:
@@ -165,14 +166,16 @@ def encode_checkpoint(lsn: int, node: EpidemicNode) -> bytearray:
                 "auxiliary IVV or value is missing"
             )
         section.uvarint(position)
-        section.vv("aux", entry.aux_ivv)
+        section.vv(entry.aux_ivv)
         section.bytes_(entry.aux_value)
     _block(body, section.buf)
-    del section.buf[:]
+    # A fresh encoder: each section is one frame to the sparse-zero
+    # budget, as it is to the reader's.
+    section = Encoder(_CODEC)
     section.uvarint(len(node.aux_log))
     for record in node.aux_log:
         section.uvarint(index[record.item])
-        section.vv("auxlog", record.pre_ivv)
+        section.vv(record.pre_ivv)
         encode_wire_op(section, record.op)
     _block(body, section.buf)
     return frame_record(body)
@@ -341,11 +344,11 @@ def rebuild_node(
 
 
 def _decode_body(body: bytes) -> tuple[int, Snapshot]:
-    dec = Decoder(_CODEC, 0, 0, body)
+    dec = Decoder(_CODEC, body)
     lsn = dec.uvarint()
     node_id = dec.uvarint()
     n_nodes = dec.uvarint()
-    dbvv = dec.vv("dbvv")
+    dbvv = dec.vv()
     items = dec.uvarint()
     # Every count below is checked against the bytes of its own block
     # (``_column``) before anything is sized from it.
@@ -379,11 +382,11 @@ def _decode_body(body: bytes) -> tuple[int, Snapshot]:
             log.append((origin, indexes[start:end], seqnos[start:end]))
             start = end
     aux = _entries(
-        sections[0], lambda entry: (entry.uvarint(), entry.vv("aux"), entry.bytes_())
+        sections[0], lambda entry: (entry.uvarint(), entry.vv(), entry.bytes_())
     )
     aux_log = _entries(
         sections[1],
-        lambda entry: (entry.uvarint(), entry.vv("auxlog"), decode_wire_op(entry)),
+        lambda entry: (entry.uvarint(), entry.vv(), decode_wire_op(entry)),
     )
     return lsn, Snapshot(
         node_id, n_nodes, dbvv, names, ivvs, values, conflicts, log, aux, aux_log
@@ -424,7 +427,7 @@ def _split(blob: AnyStr, lengths: array[int], start: int) -> list[AnyStr]:
 def _entries(block: bytes, read: Callable[[Decoder], _Entry]) -> list[_Entry]:
     """A ``uvarint(count)``-prefixed section of ``read`` entries that
     fills ``block`` exactly."""
-    section = Decoder(_CODEC, 0, 0, block)
+    section = Decoder(_CODEC, block)
     n_entries = section.uvarint()
     if n_entries > len(block):
         raise SnapshotError(

@@ -158,7 +158,7 @@ class NodeJournal:
         item schema, in store order): records address items by their
         position in the schema, and every WAL file opens with this
         identity."""
-        codec = WireCodec(items, delta_vv=False)
+        codec = WireCodec(items)
         self._bound = (codec, WalIdentity(node_id, codec.schema.digest))
 
     def _open_record(self) -> tuple[WireCodec, int]:

@@ -28,10 +28,10 @@ field primitives and per-message codecs::
 An item is its position in the journal's item schema
 (:meth:`Encoder.item <repro.wire.codec.Encoder.item>`), as on the wire,
 so every record is read with the :class:`~repro.wire.WireCodec` of the
-journal that wrote it: one per journal, built over the node's items,
-with delta-VV caches off — a log record must be self-contained
-(replayable with no cross-record cache), so every version vector it
-holds is in full form.
+journal that wrote it: one per journal, built over the node's items.  A
+log record must be self-contained (replayable with no cross-record
+cache), and every version vector it holds is: full, or sparse against
+zero where that is shorter, as in a reply.
 
 An **accept record** (kind 2) is the reply's frame payload —
 ``uvarint(10)`` and the v3 reply body — byte for byte as it arrived:
@@ -174,7 +174,7 @@ def encode_record(codec: WireCodec, lsn: int, record: WalRecord) -> bytes:
     """Encode one record body (LSN + kind + payload) with the journal's
     codec.  An accept record is the payload that arrived
     (:func:`encode_accept`), never encoded here."""
-    enc = Encoder(codec, 0, 0)
+    enc = Encoder(codec)
     enc.uvarint(lsn)
     if isinstance(record, WalUpdate):
         enc.uvarint(_KIND_UPDATE)
@@ -187,7 +187,7 @@ def encode_record(codec: WireCodec, lsn: int, record: WalRecord) -> bytes:
         enc.uvarint(_KIND_RESOLVE)
         enc.item(record.item)
         enc.bytes_(record.value)
-        enc.vv("lineage", record.lineage)
+        enc.vv(record.lineage)
     elif isinstance(record, WalExpand):
         enc.uvarint(_KIND_EXPAND)
         enc.uvarint(record.n_nodes)
@@ -221,7 +221,7 @@ def decode_record(codec: WireCodec, body: bytes) -> tuple[int, WalRecord]:
     torn tail — it raises :class:`~repro.errors.WALError` and recovery
     stops instead of replaying a guess.
     """
-    dec = Decoder(codec, 0, 0, body)
+    dec = Decoder(codec, body)
     try:
         lsn = dec.uvarint()
         kind = dec.uvarint()
@@ -245,7 +245,7 @@ def decode_record(codec: WireCodec, body: bytes) -> tuple[int, WalRecord]:
                 )
             record = WalOob(message)
         elif kind == _KIND_RESOLVE:
-            record = WalResolve(dec.item(), dec.bytes_(), dec.vv("lineage"))
+            record = WalResolve(dec.item(), dec.bytes_(), dec.vv())
         elif kind == _KIND_EXPAND:
             record = WalExpand(dec.uvarint())
         elif kind == _KIND_IDENTITY:

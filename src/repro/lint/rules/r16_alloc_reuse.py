@@ -1,6 +1,6 @@
 """R16 — fresh allocations on per-round hot paths with a reuse API.
 
-The wire codec leases pooled encoder buffers (``WireCodec._acquire``)
+The wire codec leases pooled encoder buffers (``WireCodec._pool``)
 and :class:`~repro.core.version_vector.VersionVector` has in-place
 mutators, so steady-state rounds allocate nothing.  Inside the
 per-round hot-path functions of ``repro.cluster`` and ``repro.wire``
@@ -38,6 +38,7 @@ HOT_PATH_NAMES = frozenset(
         "encode",
         "_assemble_frame",
         "vv",
+        "cached_vv",
     }
 )
 
@@ -99,7 +100,7 @@ class AllocReuseRule(LintRule):
                         sub,
                         f"`{node.name}` allocates a fresh bytearray on "
                         "the encode hot path; lease a pooled encoder "
-                        "buffer (`WireCodec._acquire`) instead, or "
+                        "buffer (`WireCodec._pool`) instead, or "
                         "annotate an inherent allocation with "
                         "`# pragma: fresh-alloc <reason>`",
                     )

@@ -25,15 +25,15 @@ by every connection's codec; the handshake compares schema digests,
 so two replicas that name or order their items differently refuse
 each other before any frame is exchanged.
 
-**Connection-scoped delta-VV caches.**  Every TCP connection gets its
-own :class:`~repro.wire.WireCodec`: both endpoints create the codec at
-connect/accept time and retire it with the connection, so the sender
-and receiver delta caches are born empty together, advance in lockstep
-on the ordered byte stream, and vanish together on disconnect: any
-tear in the stream (process crash, reset, clean close) destroys
-exactly the caches that could have desynchronised, and the next
-connection restarts from full vectors.  No cross-connection cache can
-desync because no cache outlives its connection.  A propagation reply
+**A connection-scoped DBVV cache.**  Every TCP connection gets its own
+:class:`~repro.wire.WireCodec` at each end: both endpoints create it at
+connect/accept time and retire it with the connection.  The one vector
+it caches is the pull request's DBVV — the dialler's last sent, the
+server's last seen — so the two are born empty together, advance in
+lockstep on the ordered byte stream, and vanish together on
+disconnect: any tear in the stream (process crash, reset, clean close)
+destroys exactly the cache that could have desynchronised, and the
+next connection restarts from a full vector.  A propagation reply
 reads no cache at all, so a durable pull journals the payload it
 decoded as it is.
 """
@@ -234,8 +234,8 @@ class NetNode:
 
         The codec lives exactly as long as the connection (see the
         module docstring); a framing error or an illegal message tears
-        the connection down, which is also what invalidates the caches
-        on both ends.
+        the connection down, which is also what invalidates the cached
+        DBVV on both ends.
         """
         peer_id = -1
         stream = BufferedReader(reader)
@@ -256,7 +256,7 @@ class NetNode:
             codec = WireCodec(self.schema)
             while True:
                 frame = await read_frame(stream)
-                message = codec.decode(peer_id, self.node_id, frame)
+                message = codec.decode(frame)
                 if not isinstance(message, PropagationRequest):
                     raise WireFormatError(
                         "peer connection carried a "
@@ -265,7 +265,7 @@ class NetNode:
                     )
                 checked = validate_propagation_request(message, self.node)
                 answer = respond(self.node, checked)
-                out = codec.encode(self.node_id, peer_id, answer)
+                out = codec.encode(answer)
                 self._count_frame(answer, out)
                 # The served-session transition is complete *before* the
                 # answer write awaits (R10): a status snapshot taken by a
@@ -287,8 +287,8 @@ class NetNode:
 
         At most one session per peer is in flight (per-peer lock), so
         requests and answers strictly alternate on the connection and
-        the delta caches see a total order.  A connection that dies
-        mid-session is dropped (caches with it) and the session retried
+        the cached DBVV sees a total order.  A connection that dies
+        mid-session is dropped (its cache with it) and the session retried
         on a fresh connection, up to ``reconnect_attempts`` extra
         dials; the retry re-reads the node state, so an answer the peer
         computed for the lost session is never half-applied here.  An
@@ -305,9 +305,7 @@ class NetNode:
                     self.sync_retries += 1
                 link = await self._ensure_link(peer_id)
                 pull = PullSession(self.node)
-                frame = link.codec.encode(
-                    self.node_id, peer_id, pull.request()
-                )
+                frame = link.codec.encode(pull.request())
                 try:
                     self._count_frame_raw("PropagationRequest", frame)
                     await write_frame(link.writer, frame)
@@ -329,18 +327,14 @@ class NetNode:
                 # dialled peer — and the session driver deep-checks the
                 # body, once, before adopting any of it.
                 try:
-                    answer = link.codec.decode(
-                        peer_id, self.node_id, answer_frame
-                    )
+                    answer = link.codec.decode(answer_frame)
                     answer = validate_session_answer(answer, peer_id)
                     outcome = pull.conclude(answer)
                 except (WireFormatError, ValidationError):
-                    # A decode that failed part-way advanced this end's
-                    # delta caches for the items before the failure and
-                    # the sender's for all of them: the link is torn
-                    # like any other, and so is one whose peer forges.
+                    # A peer whose answer does not decode or does not
+                    # validate loses the link: the next pull redials.
                     # The node state is untouched (conclude validates
-                    # before it adopts); the next pull redials.
+                    # before it adopts).
                     self._drop_link(peer_id)
                     raise
                 if self.journal is not None and isinstance(
@@ -405,7 +399,7 @@ class NetNode:
         return link
 
     def _drop_link(self, peer_id: int) -> None:
-        """Close the outbound link; its codec (and caches) die with it."""
+        """Close the outbound link; its codec (and cache) die with it."""
         link = self._links.pop(peer_id, None)
         if link is not None:
             link.writer.close()

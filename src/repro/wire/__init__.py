@@ -9,7 +9,8 @@ self-describing frames, a stable message-type registry).
 Layout: :mod:`~repro.wire.varint` (the number format),
 :mod:`~repro.wire.registry` (type-id table contract, audited by lint
 rule R8), :mod:`~repro.wire.codec` (frames, field primitives, the item
-schema, and delta-compressed version vectors) and
+schema, self-contained version vectors, and the request DBVV delta
+against the connection's last one) and
 :mod:`~repro.wire.codecs` (the core protocol's encode/decode pairs,
 type ids 1–10 less the retired 4 and 9 — the whole registry of a real
 replica).

@@ -1,4 +1,4 @@
-"""Frames, field primitives, the item schema, and the delta-VV caches.
+"""Frames, field primitives, the item schema, and the request's cached DBVV.
 
 Frame layout (all numbers LEB128 varints, see :mod:`repro.wire.varint`)::
 
@@ -18,37 +18,44 @@ item as ``uvarint(position)`` and :meth:`Decoder.item` hands back the
 schema's own ``str``.  A position past the schema, or a name outside
 it, is a :class:`~repro.errors.WireFormatError`.
 
-**Delta-compressed version vectors.**  Anti-entropy partners exchange
-near-identical vectors over and over (the quiescent steady state probes
-with an unchanged DBVV every round), so :class:`WireCodec` keeps, per
-directed link and per *stream* (one logical vector — the DBVV, one
-item's IVV, ...), the last vector sent.  On the wire a vector is::
+**Version vectors are self-contained.**  :meth:`Encoder.vv` — an item
+payload's, an out-of-bound reply's, a reply's, a WAL record's or a
+checkpoint's vector — reads and advances no cache::
 
     vv       := 0x00 uvarint(n) n*uvarint(component)          # full
-              | 0x01 uvarint(changes) changes*(gap delta)     # delta
-    gap      := uvarint(index - previous_index - 1)
-    delta    := svarint(component - cached_component)
-
-The delta form is *sparse*: an unchanged vector costs two bytes
-regardless of ``n``, which is what turns the paper's O(1)
-identical-replica detection into measured bytes.  The full form is the
-fallback whenever no cached base exists or the replica set grew (vector
-lengths differ).  The sender's and receiver's caches advance
-independently and stay in step only over an ordered, lossless stream:
-a :mod:`repro.net` connection owns one codec and drops it on any tear
-(a lost frame, a crash, a reset), so both ends start the next
-connection from full vectors.  A delta frame arriving without a cached
-base raises :class:`WireFormatError` rather than guessing.
-
-A *self-contained* vector (:meth:`Encoder.bare_vv`, the per-item IVVs
-of a propagation reply) reads and advances no cache::
-
-    bare_vv  := 0x00 uvarint(n) n*uvarint(component)         # full
               | 0x02 uvarint(n) uvarint(nonzero) nonzero*(gap value)
+    gap      := uvarint(index - previous_index - 1)
     value    := uvarint(component)                           # > 0
 
 whichever is shorter (full on a tie); the cached delta tag there is a
-:class:`WireFormatError`.
+:class:`WireFormatError`.  The sparse vectors of one frame (one socket
+frame, WAL record or checkpoint section) may imply at most
+:data:`MAX_SEQUENCE_ITEMS` zero components in all, since a few bytes
+may not make the reader allocate more; the writer spends the same
+budget and writes a frame's later vectors full once it is spent, so
+every frame it writes is one the reader takes.
+
+**The one cached vector: a request's DBVV.**  A puller probes its
+partner with an unchanged DBVV every quiescent round, so
+:meth:`Encoder.cached_vv` writes the request's vector against the last
+one this codec sent, and :meth:`Decoder.cached_vv` reads it against the
+last one it decoded::
+
+    cached   := 0x00 uvarint(n) n*uvarint(component)          # full
+              | 0x01 uvarint(changes) changes*(gap delta)     # delta
+    delta    := svarint(component - cached_component)
+
+An unchanged vector costs two bytes regardless of ``n``: the paper's
+O(1) identical-replica detection as measured bytes.  The full form
+(never sparse) is the fallback whenever no cached base exists or the
+replica set grew (vector lengths differ).  A :class:`WireCodec` is one
+end of one connection, and its sent and seen vectors advance
+independently; they stay in step only over an ordered, lossless stream,
+so a :mod:`repro.net` connection owns one codec and drops it on any
+tear (a lost frame, a crash, a reset), and both ends start the next
+connection from full vectors.  A delta arriving without a cached base,
+or one that takes a component outside ``[0, 2**64)``, raises
+:class:`WireFormatError` rather than guessing.
 """
 
 from __future__ import annotations
@@ -138,19 +145,15 @@ class Encoder:
     allocates nothing but the final immutable ``bytes`` frame.
     """
 
-    __slots__ = ("buf", "_codec", "_src", "_dst", "_streams", "_index")
+    __slots__ = ("buf", "_codec", "_index", "_implied")
 
-    def __init__(self, codec: "WireCodec", src: int, dst: int) -> None:
+    def __init__(self, codec: "WireCodec") -> None:
         self.buf = bytearray()
         self._codec = codec
         self._index = codec.schema.index
-        self._src = src
-        self._dst = dst
-        # The sender-side stream cache for this directed link, resolved
-        # once per lease instead of per vector write.
-        self._streams: dict[str, tuple[int, ...]] | None = (
-            codec._sent.setdefault((src, dst), {}) if codec.delta_vv else None
-        )
+        # Zero components this frame's sparse vectors may still imply:
+        # the budget Decoder enforces, spent here first.
+        self._implied = MAX_SEQUENCE_ITEMS
 
     def uvarint(self, value: int) -> None:
         if 0 <= value < 0x80:
@@ -193,38 +196,9 @@ class Encoder:
         write_uvarint(self.buf, codec.type_id)
         codec.encode(self, message)
 
-    def vv(self, stream_key: str, vv: VersionVector) -> None:
-        """A version vector, delta-encoded against this link+stream's
-        last sent vector when possible (see the module docstring)."""
-        counts = vv.as_tuple()
-        streams = self._streams
-        base: tuple[int, ...] | None = None
-        if streams is not None:
-            base = streams.get(stream_key)
-            streams[stream_key] = counts
-        buf = self.buf
-        if base is not None and len(base) == len(counts):
-            if base is counts or base == counts:
-                # The quiescent steady state: an unchanged vector is two
-                # bytes, no per-component scan output at all.
-                buf.append(_DELTA_VV)
-                buf.append(0)
-                return
-            changed = [k for k in range(len(counts)) if counts[k] != base[k]]
-            buf.append(_DELTA_VV)
-            write_uvarint(buf, len(changed))
-            previous = -1
-            for k in changed:
-                write_uvarint(buf, k - previous - 1)
-                write_svarint(buf, counts[k] - base[k])
-                previous = k
-        else:
-            _write_full(buf, counts)
-
-    def bare_vv(self, vv: VersionVector) -> None:
+    def vv(self, vv: VersionVector) -> None:
         """A self-contained vector: full, or sparse against zero when
-        that is shorter (see the module docstring); no cache is read or
-        advanced."""
+        that is shorter (see the module docstring)."""
         counts = vv.as_tuple()
         buf = self.buf
         n = len(counts)
@@ -234,7 +208,11 @@ class Encoder:
             # one gap per nonzero component; the values cost the same.
             present = [k for k in range(n) if counts[k]]
             gaps = [k - previous - 1 for previous, k in zip([-1, *present], present)]
-            if _uvarint_len(len(present)) + sum(map(_uvarint_len, gaps)) < zeros:
+            if (
+                _uvarint_len(len(present)) + sum(map(_uvarint_len, gaps)) < zeros
+                and zeros <= self._implied
+            ):
+                self._implied -= zeros
                 buf.append(_SPARSE_VV)
                 write_uvarint(buf, n)
                 write_uvarint(buf, len(present))
@@ -243,6 +221,31 @@ class Encoder:
                     write_uvarint(buf, counts[k])
                 return
         _write_full(buf, counts)
+
+    def cached_vv(self, vv: VersionVector) -> None:
+        """A request's DBVV, as a delta against the last one this codec
+        sent when the lengths match, else in full form."""
+        counts = vv.as_tuple()
+        codec = self._codec
+        base = codec._sent
+        codec._sent = counts
+        buf = self.buf
+        if base is None or len(base) != len(counts):
+            _write_full(buf, counts)
+        elif base is counts or base == counts:
+            # The quiescent steady state: an unchanged vector is two
+            # bytes, no per-component scan output at all.
+            buf.append(_DELTA_VV)
+            buf.append(0)
+        else:
+            changed = [k for k in range(len(counts)) if counts[k] != base[k]]
+            buf.append(_DELTA_VV)
+            write_uvarint(buf, len(changed))
+            previous = -1
+            for k in changed:
+                write_uvarint(buf, k - previous - 1)
+                write_svarint(buf, counts[k] - base[k])
+                previous = k
 
 
 def _write_full(buf: bytearray, counts: tuple[int, ...]) -> None:
@@ -303,6 +306,7 @@ def _assemble_frame(encoder: Encoder, message: Any) -> bytes:
     buf = encoder.buf
     del buf[:]
     buf += _ZERO_RESERVE
+    encoder._implied = MAX_SEQUENCE_ITEMS
     type_id = codec.type_id
     if type_id < 0x80:
         buf.append(type_id)
@@ -337,11 +341,9 @@ def _assemble_frame(encoder: Encoder, message: Any) -> bytes:
 class Decoder:
     """Reads one message body; mirror image of :class:`Encoder`."""
 
-    __slots__ = ("data", "pos", "_codec", "_src", "_dst", "_streams", "_names", "_implied")
+    __slots__ = ("data", "pos", "_codec", "_names", "_implied")
 
-    def __init__(
-        self, codec: "WireCodec", src: int, dst: int, data: bytes, pos: int = 0
-    ) -> None:
+    def __init__(self, codec: "WireCodec", data: bytes, pos: int = 0) -> None:
         self.data = data
         self.pos = pos
         self._codec = codec
@@ -350,11 +352,6 @@ class Decoder:
         # a few bytes can claim a vector of 2**20 zeros, so the total
         # is capped per frame rather than per vector.
         self._implied = MAX_SEQUENCE_ITEMS
-        self._src = src
-        self._dst = dst
-        # Receiver-side stream cache for this directed link, resolved on
-        # the first vector read of the frame and reused for the rest.
-        self._streams: dict[str, tuple[int, ...]] | None = None
 
     def uvarint(self) -> int:
         data = self.data
@@ -447,83 +444,7 @@ class Decoder:
             codec = codec_for_id(type_id)  # canonical error
         return codec.decode(self)
 
-    def vv(self, stream_key: str) -> VersionVector:
-        """A version vector, full or as a delta against the tuple this
-        link+stream last decoded (which the cache then holds in its
-        place).  A delta with no base, or one that takes a component
-        outside ``[0, 2**64)``, is a :class:`WireFormatError`."""
-        # Hand-inlined varint reads on local data/pos: this is the
-        # hottest decode primitive (every request, reply payload, and
-        # probe carries a vector) and per-component method dispatch was
-        # the measured cost, not the arithmetic.
-        data = self.data
-        pos = self.pos
-        if pos >= len(data):
-            raise WireFormatError("truncated frame: missing version-vector tag")
-        tag = data[pos]
-        pos += 1
-        codec = self._codec
-        streams = self._streams
-        if streams is None and codec.delta_vv:
-            streams = self._streams = codec._seen.setdefault(
-                (self._src, self._dst), {}
-            )
-        if tag == _DELTA_VV:
-            base = streams.get(stream_key) if streams is not None else None
-            if base is None:
-                raise WireFormatError(
-                    f"delta version vector for stream {stream_key!r} from "
-                    f"node {self._src} without a cached base — the sender "
-                    "and receiver caches are out of sync"
-                )
-            if pos < len(data) and data[pos] == 0:
-                # The quiescent steady state: a zero-change delta is the
-                # cached base verbatim — one tag byte, one zero byte, no
-                # per-component work at all.
-                self.pos = pos + 1
-                return VersionVector.from_counts(base)
-            n_changes, pos = read_uvarint(data, pos)
-            if n_changes > MAX_SEQUENCE_ITEMS:
-                raise WireFormatError(
-                    f"declared element count {n_changes} exceeds the "
-                    f"{MAX_SEQUENCE_ITEMS} cap"
-                )
-            mutable = list(base)
-            length = len(mutable)
-            index = -1
-            for _ in range(n_changes):
-                gap, pos = read_uvarint(data, pos)
-                index += gap + 1
-                if index >= length:
-                    raise WireFormatError(
-                        f"delta version vector component index {index} "
-                        f"outside the cached base of length {length}"
-                    )
-                delta, pos = read_svarint(data, pos)
-                component = mutable[index] = mutable[index] + delta
-                if component < 0:
-                    raise WireFormatError(
-                        "delta version vector produced a negative component"
-                    )
-                if component >= _U64_LIMIT:
-                    raise WireFormatError(
-                        "delta version vector produced a component past "
-                        "the 64-bit range"
-                    )
-            counts = tuple(mutable)
-        elif tag == _FULL_VV:
-            counts, pos = _read_full(data, pos)
-        else:
-            raise WireFormatError(f"unknown version-vector tag {tag:#x}")
-        self.pos = pos
-        if streams is not None:
-            # The next delta's base is the component tuple itself:
-            # immutable, so the caller may mutate the vector it is
-            # handed, and no second vector is kept per stream.
-            streams[stream_key] = counts
-        return VersionVector.from_counts(counts)
-
-    def bare_vv(self) -> VersionVector:
+    def vv(self) -> VersionVector:
         """A self-contained vector, full or sparse against zero; the
         cached delta tag is a :class:`WireFormatError` here."""
         data = self.data
@@ -569,23 +490,88 @@ class Decoder:
         self.pos = pos
         return VersionVector.from_counts(counts)
 
+    def cached_vv(self) -> VersionVector:
+        """A request's DBVV, full or as a delta against the tuple this
+        codec last decoded (which the codec then holds in its place).
+        A delta with no base, or one that takes a component outside
+        ``[0, 2**64)``, is a :class:`WireFormatError`."""
+        # Hand-inlined varint reads on local data/pos: every request
+        # carries this vector, and per-component method dispatch was
+        # the measured cost, not the arithmetic.
+        data = self.data
+        pos = self.pos
+        if pos >= len(data):
+            raise WireFormatError("truncated frame: missing version-vector tag")
+        tag = data[pos]
+        pos += 1
+        codec = self._codec
+        if tag == _DELTA_VV:
+            base = codec._seen
+            if base is None:
+                raise WireFormatError(
+                    "delta version vector without a cached base — the "
+                    "sender and receiver caches are out of sync"
+                )
+            if pos < len(data) and data[pos] == 0:
+                # The quiescent steady state: a zero-change delta is the
+                # cached base verbatim — one tag byte, one zero byte, no
+                # per-component work at all.
+                self.pos = pos + 1
+                return VersionVector.from_counts(base)
+            n_changes, pos = read_uvarint(data, pos)
+            if n_changes > MAX_SEQUENCE_ITEMS:
+                raise WireFormatError(
+                    f"declared element count {n_changes} exceeds the "
+                    f"{MAX_SEQUENCE_ITEMS} cap"
+                )
+            mutable = list(base)
+            length = len(mutable)
+            index = -1
+            for _ in range(n_changes):
+                gap, pos = read_uvarint(data, pos)
+                index += gap + 1
+                if index >= length:
+                    raise WireFormatError(
+                        f"delta version vector component index {index} "
+                        f"outside the cached base of length {length}"
+                    )
+                delta, pos = read_svarint(data, pos)
+                component = mutable[index] = mutable[index] + delta
+                if component < 0:
+                    raise WireFormatError(
+                        "delta version vector produced a negative component"
+                    )
+                if component >= _U64_LIMIT:
+                    raise WireFormatError(
+                        "delta version vector produced a component past "
+                        "the 64-bit range"
+                    )
+            counts = tuple(mutable)
+        elif tag == _FULL_VV:
+            counts, pos = _read_full(data, pos)
+        else:
+            raise WireFormatError(f"unknown version-vector tag {tag:#x}")
+        self.pos = pos
+        # The next delta's base is the component tuple itself:
+        # immutable, so the caller may mutate the vector it is handed.
+        codec._seen = counts
+        return VersionVector.from_counts(counts)
+
 
 class WireCodec:
-    """Encodes and decodes whole frames for one message fabric.
+    """Encodes and decodes whole frames for one end of one connection.
 
-    One instance belongs to one ``repro.net`` connection or one
-    journal, and owns the per-link delta-VV caches.  ``schema`` is the
-    item names both ends hold, in order (a :class:`Schema` or the names
-    themselves).  ``delta_vv=False`` disables the caches entirely —
-    every vector travels in full form — which is what a log record and
-    the comparison arm of the wire benchmark need.
+    One instance belongs to one ``repro.net`` connection, one journal,
+    or the checkpoint format.  ``schema`` is the item names both ends
+    hold, in order (a :class:`Schema` or the names themselves).  The
+    codec keeps the last request DBVV it sent and the last it decoded
+    (see the module docstring); nothing else it frames reads a cache.
     """
 
-    __slots__ = ("schema", "delta_vv", "_sent", "_seen", "_pool", "_dpool")
+    __slots__ = ("schema", "_sent", "_seen", "_pool", "_dpool")
 
-    def __init__(self, schema: Schema | Iterable[str], delta_vv: bool = True) -> None:
+    def __init__(self, schema: Schema | Iterable[str]) -> None:
         self.schema = schema if isinstance(schema, Schema) else Schema(schema)
-        self.delta_vv = delta_vv
         # Free lists of reusable Encoders (each keeps its grown buffer)
         # and Decoders, so steady-state encoding allocates only the
         # returned frame and decoding only the decoded message.  Lists,
@@ -593,16 +579,15 @@ class WireCodec:
         # re-entrant encodes must not share a buffer.
         self._pool: list[Encoder] = []
         self._dpool: list[Decoder] = []
-        # (src, dst) -> {stream -> last vector encoded on / decoded from
-        # that directed link}.  Sender and receiver sides are separate
-        # maps: they advance at different times (encode vs decode).
-        self._sent: dict[tuple[int, int], dict[str, tuple[int, ...]]] = {}
-        self._seen: dict[tuple[int, int], dict[str, tuple[int, ...]]] = {}
+        # The last request DBVV encoded and decoded on this connection:
+        # the two directions advance at different times.
+        self._sent: tuple[int, ...] | None = None
+        self._seen: tuple[int, ...] | None = None
 
-    def encode(self, src: int, dst: int, message: Any) -> bytes:
-        """Encode ``message`` into a length-prefixed frame for the
-        directed link ``src -> dst``; the sender-side VV caches advance."""
-        encoder = self._acquire(src, dst)
+    def encode(self, message: Any) -> bytes:
+        """Encode ``message`` into a length-prefixed frame; a request
+        advances the sent DBVV."""
+        encoder = self._pool.pop() if self._pool else Encoder(self)
         try:
             return _assemble_frame(encoder, message)
         finally:
@@ -610,33 +595,15 @@ class WireCodec:
 
     def encode_payload(self, message: Any) -> bytes:
         """``message`` as a frame payload (type id and body, no length
-        prefix) that reads and advances no delta cache — what a journal
-        records for a reply that arrived without a frame."""
-        encoder = self._acquire(0, 0)
-        encoder._streams = None
-        try:
-            frame = _assemble_frame(encoder, message)
-        finally:
-            self._pool.append(encoder)
+        prefix) — what a journal records for a reply that arrived
+        without a frame."""
+        frame = self.encode(message)
         return frame[read_uvarint(frame, 0)[1]:]
 
-    def _acquire(self, src: int, dst: int) -> Encoder:
-        """Lease a pooled encoder retargeted at ``src -> dst``."""
-        if self._pool:
-            encoder = self._pool.pop()
-            encoder._src = src
-            encoder._dst = dst
-            encoder._streams = (
-                self._sent.setdefault((src, dst), {}) if self.delta_vv else None
-            )
-            return encoder
-        return Encoder(self, src, dst)
-
-    def decode(self, src: int, dst: int, frame: bytes) -> Any:
-        """Decode one frame received on ``src -> dst``; the receiver-side
-        VV caches advance.  The frame must parse *exactly*: truncation,
-        trailing bytes, and unknown type ids all raise
-        :class:`WireFormatError`."""
+    def decode(self, frame: bytes) -> Any:
+        """Decode one received frame; a request advances the seen DBVV.
+        The frame must parse *exactly*: truncation, trailing bytes, and
+        unknown type ids all raise :class:`WireFormatError`."""
         length, start = read_uvarint(frame, 0)
         if length > MAX_FRAME_LEN:
             raise WireFormatError(
@@ -653,12 +620,9 @@ class WireCodec:
             decoder = dpool.pop()
             decoder.data = frame
             decoder.pos = start
-            decoder._src = src
-            decoder._dst = dst
-            decoder._streams = None
             decoder._implied = MAX_SEQUENCE_ITEMS
         else:
-            decoder = Decoder(self, src, dst, frame, start)
+            decoder = Decoder(self, frame, start)
         try:
             message = decoder.message()
             if decoder.pos != len(frame):

@@ -17,16 +17,16 @@ codecs before they went).  An item is always its schema position
 == ======================= ==============================================
 id class                   body
 == ======================= ==============================================
-1  ``ItemPayload``         item · value · vv(``ivv:<name>``)
-2  ``PropagationRequest``  recipient · vv(``dbvv``)
+1  ``ItemPayload``         item · value · vv
+2  ``PropagationRequest``  recipient · cached_vv (the DBVV)
 3  ``YouAreCurrent``       source
 4  *retired*               the v1 ``PropagationReply`` (names twice,
                            absolute seqnos); a frame or WAL record that
                            carries it is an *unknown type id*
 5  ``OutOfBoundRequest``   requester · item
-6  ``OutOfBoundReply``     source · item · value · vv(``oob:<name>``)
+6  ``OutOfBoundReply``     source · item · value · vv
 7  ``OpChainEntry``        origin · m · op
-8  ``DeltaPayload``        item · vv(``ivv:<name>``) · count · entries
+8  ``DeltaPayload``        item · vv · count · entries
 9  *retired*               the v2 ``PropagationReply`` (items by name,
                            item IVVs as link-cached deltas); refused like 4
 10 ``PropagationReply``    see below
@@ -38,15 +38,15 @@ in S, as its schema position; D refers to it by its index in S, and a
 tail's seqnos — which climb — travel as differences::
 
     reply   := source count payload* count tail*
-    payload := uvarint(0) item value bare_vv               # whole value
-             | uvarint(1) item bare_vv count op-entry*     # op chain
+    payload := uvarint(0) item value vv                    # whole value
+             | uvarint(1) item vv count op-entry*          # op chain
     tail    := count record*
     record  := uvarint(index into S) svarint(seqno - previous seqno of
                this tail, the first from 0)
 
 The payload tags are local to the reply body.  Every item IVV is a
-``bare_vv`` — full, or sparse against zero, whichever is shorter — so
-the reply reads and advances no link cache: the bytes that arrived are
+self-contained ``vv`` — full, or sparse against zero, whichever is
+shorter — so the reply reads and advances no cache: the bytes that arrived are
 a self-contained record, and a durable recipient journals them as they
 are (:mod:`repro.durable.records`).  A cached delta tag inside a reply
 is a :class:`WireFormatError`.  The decoder accepts the two payload
@@ -83,11 +83,10 @@ Field-domain notes the encoders rely on:
   :class:`~repro.core.delta.OpChainEntry` under the private op-tag
   table below.
 
-Version-vector *stream keys* (the delta-cache granularity, see
-:mod:`repro.wire.codec`): the database vector is stream ``"dbvv"``; a
-standalone item payload's IVV is ``"ivv:<name>"``; out-of-bound replies
-use ``"oob:<name>"`` (auxiliary copies may run ahead of the regular
-IVV).  A reply's item IVVs have no stream.
+Every vector here is self-contained (:meth:`Encoder.vv
+<repro.wire.codec.Encoder.vv>`) but the request's DBVV, the one vector
+read against the connection's cache (:meth:`Encoder.cached_vv
+<repro.wire.codec.Encoder.cached_vv>`).
 """
 
 from __future__ import annotations
@@ -180,25 +179,22 @@ _OP_CHAIN = 1
 
 
 def _encode_item_payload(enc: Encoder, msg: ItemPayload) -> None:
-    name = msg.name
-    enc.item(name)
+    enc.item(msg.name)
     enc.bytes_(msg.value)
-    enc.vv("ivv:" + name, msg.ivv)
+    enc.vv(msg.ivv)
 
 
 def _decode_item_payload(dec: Decoder) -> ItemPayload:
-    name = dec.item()
-    value = dec.bytes_()
-    return ItemPayload(name, value, dec.vv("ivv:" + name))
+    return ItemPayload(dec.item(), dec.bytes_(), dec.vv())
 
 
 def _encode_propagation_request(enc: Encoder, msg: PropagationRequest) -> None:
     enc.uvarint(msg.recipient)
-    enc.vv("dbvv", msg.dbvv)
+    enc.cached_vv(msg.dbvv)
 
 
 def _decode_propagation_request(dec: Decoder) -> PropagationRequest:
-    return PropagationRequest(dec.uvarint(), dec.vv("dbvv"))
+    return PropagationRequest(dec.uvarint(), dec.cached_vv())
 
 
 def _encode_you_are_current(enc: Encoder, msg: YouAreCurrent) -> None:
@@ -225,7 +221,7 @@ def _encode_propagation_reply(enc: Encoder, msg: PropagationReply) -> None:
         if kind is DeltaPayload:
             append(_OP_CHAIN)
             enc.item(payload.name)
-            enc.bare_vv(payload.ivv)
+            enc.vv(payload.ivv)
             _encode_ops(enc, payload.ops)
             index_of[payload.name] = index
             continue
@@ -259,7 +255,7 @@ def _encode_propagation_reply(enc: Encoder, msg: PropagationReply) -> None:
         counts = payload.ivv.as_tuple()
         n = len(counts)
         # Below 128 components every sparse gap and count is one byte,
-        # so bare_vv's choice reduces to: full unless zeros outnumber
+        # so vv's choice reduces to: full unless zeros outnumber
         # the nonzero components by two or more.
         if n < 0x80 and 2 * counts.count(0) <= n + 1:
             try:
@@ -273,7 +269,7 @@ def _encode_propagation_reply(enc: Encoder, msg: PropagationReply) -> None:
             else:
                 _write_full(buf, counts)
         else:
-            enc.bare_vv(payload.ivv)
+            enc.vv(payload.ivv)
         index_of[name] = index
     tails = msg.tails
     enc.uvarint(len(tails))
@@ -330,7 +326,7 @@ def _decode_propagation_reply(dec: Decoder) -> PropagationReply:
             if tag == _OP_CHAIN:
                 dec.pos = pos
                 name = dec.item()
-                ivv = dec.bare_vv()
+                ivv = dec.vv()
                 items.append(DeltaPayload(name, ivv, _decode_ops(dec)))
                 shipped.append(name)
                 continue
@@ -377,7 +373,7 @@ def _decode_propagation_reply(dec: Decoder) -> PropagationReply:
                 dec.pos = stop
             else:
                 dec.pos = pos
-                ivv = dec.bare_vv()
+                ivv = dec.vv()
             name = names[position]
             items.append(ItemPayload(name, value, ivv))
             shipped.append(name)
@@ -429,14 +425,11 @@ def _encode_oob_reply(enc: Encoder, msg: OutOfBoundReply) -> None:
     enc.uvarint(msg.source)
     enc.item(msg.item)
     enc.bytes_(msg.value)
-    enc.vv(f"oob:{msg.item}", msg.ivv)
+    enc.vv(msg.ivv)
 
 
 def _decode_oob_reply(dec: Decoder) -> OutOfBoundReply:
-    source = dec.uvarint()
-    item = dec.item()
-    value = dec.bytes_()
-    return OutOfBoundReply(source, item, value, dec.vv(f"oob:{item}"))
+    return OutOfBoundReply(dec.uvarint(), dec.item(), dec.bytes_(), dec.vv())
 
 
 def _encode_op_chain_entry(enc: Encoder, msg: OpChainEntry) -> None:
@@ -461,14 +454,12 @@ def _decode_ops(dec: Decoder) -> tuple[OpChainEntry, ...]:
 
 def _encode_delta_payload(enc: Encoder, msg: DeltaPayload) -> None:
     enc.item(msg.name)
-    enc.vv("ivv:" + msg.name, msg.ivv)
+    enc.vv(msg.ivv)
     _encode_ops(enc, msg.ops)
 
 
 def _decode_delta_payload(dec: Decoder) -> DeltaPayload:
-    name = dec.item()
-    ivv = dec.vv("ivv:" + name)
-    return DeltaPayload(name, ivv, _decode_ops(dec))
+    return DeltaPayload(dec.item(), dec.vv(), _decode_ops(dec))
 
 
 # -- the type-id table (4 and 9 are retired replies; never reuse them) --------

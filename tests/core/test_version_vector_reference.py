@@ -234,14 +234,16 @@ def test_mismatched_replica_sets_rejected():
 
 @given(st.lists(count_lists, min_size=1, max_size=4))
 def test_wire_roundtrip_preserves_vectors(vector_batch):
-    # Successive requests on one directed link exercise both the full
-    # and the delta vector encodings against the same cache state.
-    for delta in (False, True):
-        sender = WireCodec((), delta_vv=delta)
-        receiver = WireCodec((), delta_vv=delta)
+    # Successive requests on one connection exercise both the full and
+    # the delta vector encodings against the same cache state; a fresh
+    # pair per request (a redial each time) sends every vector full.
+    for redial in (True, False):
+        sender, receiver = WireCodec(()), WireCodec(())
         for counts in vector_batch:
+            if redial:
+                sender, receiver = WireCodec(()), WireCodec(())
             message = PropagationRequest(1, VersionVector.from_counts(counts))
-            decoded = receiver.decode(0, 1, sender.encode(0, 1, message))
+            decoded = receiver.decode(sender.encode(message))
             assert decoded.dbvv == message.dbvv
             assert decoded.dbvv.as_tuple() == tuple(counts)
             assert decoded.dbvv.total() == sum(counts)

@@ -54,6 +54,7 @@ from repro.substrate.operations import (
     Put,
     Truncate,
 )
+from repro.wire import MAX_SEQUENCE_ITEMS
 from repro.wire.varint import write_uvarint
 from tests.node_state import node_state
 
@@ -316,6 +317,21 @@ class TestRestoredNode:
         copy.pull_from(peer)
         assert copy.read("c") == b"hot+local"
         assert not copy.store["c"].has_auxiliary
+        copy.check_invariants()
+
+    def test_an_auxiliary_log_past_the_sparse_budget_restores(self):
+        """At n = 200 every pre-update IVV of an auxiliary log is
+        sparse; 6 000 of them imply more zeros than one section may,
+        and the checkpoint still loads as the same node."""
+        node, peer = EpidemicNode(0, 200, ITEMS), EpidemicNode(1, 200, ITEMS)
+        peer.update("c", Put(b"hot"))
+        node.copy_out_of_bound("c", peer)
+        for _update in range(6000):
+            node.update("c", Put(b"local"))
+        zeros = sum(record.pre_ivv.as_tuple().count(0) for record in node.aux_log)
+        assert zeros > MAX_SEQUENCE_ITEMS
+        copy = restored(node)
+        assert node_state(copy) == node_state(node)
         copy.check_invariants()
 
     def test_delta_node_restores_and_serves_full_copies(self):

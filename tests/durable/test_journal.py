@@ -28,7 +28,7 @@ from tests.node_state import node_state
 
 ITEMS = ["a", "b"]
 #: A journal's record codec over ``ITEMS`` (what ``bind`` builds).
-CODEC = WireCodec(ITEMS, delta_vv=False)
+CODEC = WireCodec(ITEMS)
 #: The bytes trigger's floor (``repro.durable.journal``).
 FLOOR = 64 * 1024
 
@@ -101,7 +101,7 @@ class TestRecordCodec:
         for name, value in (("a", b"xy"), ("b", b"z"), ("a", b"xyz")):
             peer.update(name, Put(value))
         reply = respond(peer, PullSession(node).request())
-        frame = WireCodec(ITEMS).encode(1, 0, reply)
+        frame = WireCodec(ITEMS).encode(reply)
         body = encode_accept(2, CODEC.encode_payload(reply))
         assert body == bytes([2, 2]) + frame[1:]
         assert body[2] == 10
@@ -175,6 +175,84 @@ class TestV2Journal:
         with pytest.raises(WALError, match="type id 9|record kind 1"):
             journal.recover(EpidemicNode, 0, 2, ITEMS)
         assert journal.records_replayed == 0
+
+
+def full_vector_workload(journal: NodeJournal) -> EpidemicNode:
+    """Replica 0 of a three-node {a, b, c} database: an out-of-bound
+    copy of ``a`` updated on top (no regular update, so the DBVV stays
+    all-zero) and folded into a checkpoint, then a resolution of the
+    untouched ``c`` (an all-zero lineage) and a pull of replica 2's
+    ``b``, left in the WAL."""
+    items = ["a", "b", "c"]
+    node = journal.recover(EpidemicNode, 0, 3, items)
+    peer = EpidemicNode(1, 3, items)
+    peer.update("a", Put(b"one"))
+    reply = peer.handle_oob_request(node.make_oob_request("a"))
+    assert node.accept_oob(reply)
+    journal.record_oob(reply)
+    node.update("a", Append(b"+"))
+    journal.record_update("a", Append(b"+"))
+    journal.commit()
+    journal.checkpoint(node)
+    lineage = node.resolve_conflict("c", b"r")
+    journal.record_resolve("c", b"r", lineage)
+    journal.commit()
+    other = EpidemicNode(2, 3, items)
+    other.update("b", Put(b"two"))
+    pull = PullSession(node)
+    answer = respond(other, pull.request())
+    pull.conclude(answer)
+    journal.record_accept(journal.codec.encode_payload(answer))
+    journal.commit()
+    journal.close()
+    return node
+
+
+#: The data directory :func:`full_vector_workload` left in the release
+#: that wrote every journaled vector in full form: the checkpoint's
+#: all-zero DBVV and the resolve record's all-zero lineage are
+#: ``00 03 00 00 00`` where this tree writes ``02 03 00`` (sparse).
+FULL_VECTOR_CHECKPOINT = bytes.fromhex(
+    "9801d02ac09a0300030003000000030f01000000010000000100000061626348"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "00000000000000000c000000000000000000000000030000000c000000000000"
+    "0000000000000c01000003010100046f6e652b0a0100000300010001012b"
+)
+FULL_VECTOR_WAL = bytes.fromhex(
+    "0c1855a590040a00085401abc221c894fc0a841a0d1905090201720003000000"
+    "16227d600706020a020100010374776f0003000001030000010002"
+)
+FULL_ZERO, SPARSE_ZERO = bytes([0, 3, 0, 0, 0]), bytes([2, 3, 0])
+
+
+class TestFullVectorDirectory:
+    """A data directory written when every journaled vector was full
+    recovers to the same node: the reader takes both forms."""
+
+    def test_it_recovers_as_the_node_that_wrote_it(self, tmp_path):
+        (tmp_path / "checkpoint.snap").write_bytes(FULL_VECTOR_CHECKPOINT)
+        (tmp_path / "wal.log").write_bytes(FULL_VECTOR_WAL)
+        journal = NodeJournal(tmp_path, fsync=False)
+        recovered = journal.recover(EpidemicNode, 0, 3, ["a", "b", "c"])
+        journal.close()
+        live = full_vector_workload(
+            NodeJournal(tmp_path / "live", fsync=False, checkpoint_every=0)
+        )
+        assert node_state(recovered) == node_state(live)
+        assert journal.records_replayed == 3  # identity, resolve, accept
+        recovered.check_invariants()
+
+    def test_this_tree_writes_those_zero_vectors_sparse(self, tmp_path):
+        # uvarint(len) · crc32 · lsn · node id · n_nodes, then the DBVV
+        dbvv_at = 9
+        assert FULL_VECTOR_CHECKPOINT[dbvv_at:].startswith(FULL_ZERO)
+        assert FULL_VECTOR_WAL.count(FULL_ZERO) == 1
+        full_vector_workload(NodeJournal(tmp_path, fsync=False, checkpoint_every=0))
+        checkpoint = (tmp_path / "checkpoint.snap").read_bytes()
+        assert checkpoint[dbvv_at:].startswith(SPARSE_ZERO)
+        wal = (tmp_path / "wal.log").read_bytes()
+        assert FULL_ZERO not in wal and SPARSE_ZERO in wal
 
 
 class TestIdentity:

@@ -292,7 +292,7 @@ class TestAcceptance:
     def test_seeded_taint_in_net_shape_is_flagged(self):
         source = (
             "async def sync_with(self, peer_id, link, pull):\n"
-            "    answer = link.codec.decode(0, 1, await link.read())\n"
+            "    answer = link.codec.decode(await link.read())\n"
             "    return pull.conclude(answer)\n"
         )
         hits = lint_source(source, "src/repro/net/node.py", rules_by_id("R13"))

@@ -8,8 +8,8 @@ test queued — raw bytes, or ``None`` for the honest answer of a real
 * raise a *typed* error (``WireFormatError``/``ValidationError``), which
   its client sees as ``{"ok": false}`` on a connection that stays up;
 * leave its store, DBVV and logs exactly as they were;
-* drop the link, so the delta-VV caches the failed decode tore go with
-  it and the next pull redials with full vectors.
+* drop the link, so the next pull redials and sends its DBVV in full
+  on a fresh connection.
 """
 
 import asyncio
@@ -84,7 +84,7 @@ class ScriptedPeer:
 
     def answer_to(self, request, codec):
         """The honest answer's frame (the script may forge from it)."""
-        return codec.encode(1, 0, respond(self.state, request))
+        return codec.encode(respond(self.state, request))
 
     async def _serve(self, reader, writer):
         self.connections += 1
@@ -95,7 +95,7 @@ class ScriptedPeer:
             while True:
                 frame = await read_frame(reader)
                 self.full_dbvvs += frame[3] == 0  # id · recipient · vv tag
-                request = codec.decode(0, 1, frame)
+                request = codec.decode(frame)
                 step = self.script.pop(0) if self.script else None
                 if callable(step):
                     step = step(request, codec)
@@ -132,7 +132,7 @@ def _forged(request, **lies):
     reply = respond(peer, request)
     assert isinstance(reply, PropagationReply)
     lies = {field: lie(reply) for field, lie in lies.items()}
-    return WireCodec(SCHEMA).encode(1, 0, dataclasses.replace(reply, **lies))
+    return WireCodec(SCHEMA).encode(dataclasses.replace(reply, **lies))
 
 
 def _wrong_source(request, codec):
@@ -160,9 +160,15 @@ def _item_without_a_record(request, codec):
     return _forged(request, tails=lambda reply: ((), ()))
 
 
+#: What a refusal says, where the case needs it said.  A request whose
+#: DBVV is a cached delta, sent back as an answer, is refused for want
+#: of a base: the dialling end caches only the DBVV it sent, never one
+#: it received.
+REFUSALS = {"cached-dbvv": "without a cached base"}
+
 BAD_ANSWERS = {
     "garbage": (b"\x05\xde\xad\xbe\xef\x00", WireFormatError),
-    "delta-overflows-u64": (_corpus("delta_vv_overflows_u64"), WireFormatError),
+    "cached-dbvv": (_corpus("delta_vv_overflows_u64"), WireFormatError),
     "item-shipped-twice": (_item_shipped_twice, ValidationError),
     "item-without-a-record": (_item_without_a_record, ValidationError),
     "nested-reply-v1": (_corpus("nested_reply_v1"), WireFormatError),
@@ -196,7 +202,7 @@ def test_a_bad_answer_is_a_typed_error_and_costs_the_link(case, monkeypatch):
 
                 # Straight at the API: the typed error itself.
                 peer.script.append(answer)
-                with pytest.raises(error):
+                with pytest.raises(error, match=REFUSALS.get(case)):
                     await node.sync_with(1)
                 assert 1 not in node._links
                 assert node_state(node.node) == before
@@ -229,11 +235,10 @@ def test_a_bad_answer_is_a_typed_error_and_costs_the_link(case, monkeypatch):
 
 
 def test_a_bad_answer_does_not_kill_the_scheduler():
-    """The anti-entropy task survives what it can name.  A delta that
-    pushes a component past 64 bits used to surface as a bare
-    ``ValueError`` — not a ``ReplicationError`` — and the task died
-    with it; now it is this round's failed session and the next round
-    redials and adopts."""
+    """The anti-entropy task survives what it can name: an answer that
+    does not decode (here a request with a cached-delta DBVV, which the
+    dialling end has no base for) is this round's failed session, and
+    the next round redials and adopts."""
 
     async def run():
         ports = _free_ports(2)

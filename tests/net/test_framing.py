@@ -139,7 +139,7 @@ class TestFrames:
         codec_out = WireCodec(())
         codec_in = WireCodec(())
         message = PropagationRequest(1, VersionVector.from_counts((3, 0, 7)))
-        frame = codec_out.encode(0, 1, message)
+        frame = codec_out.encode(message)
 
         async def run():
             async with _Pipe() as pipe:
@@ -148,11 +148,11 @@ class TestFrames:
 
         received = asyncio.run(run())
         assert received == frame
-        assert codec_in.decode(0, 1, received) == message
+        assert codec_in.decode(received) == message
 
     def test_delta_frames_survive_the_stream(self):
         """Consecutive frames on one connection decode through the
-        connection-scoped delta caches in order."""
+        connection-scoped cached DBVV in order."""
         sender = WireCodec(())
         receiver = WireCodec(())
         first = PropagationRequest(
@@ -166,15 +166,15 @@ class TestFrames:
             async with _Pipe() as pipe:
                 for message in (first, second):
                     await write_frame(
-                        pipe.client_writer, sender.encode(0, 1, message)
+                        pipe.client_writer, sender.encode(message)
                     )
                 return [
                     await read_frame(pipe.server_reader) for _ in range(2)
                 ]
 
         frames = asyncio.run(run())
-        assert receiver.decode(0, 1, frames[0]) == first
-        assert receiver.decode(0, 1, frames[1]) == second
+        assert receiver.decode(frames[0]) == first
+        assert receiver.decode(frames[1]) == second
         # The second frame actually used the delta path: it is smaller
         # than a full two-component vector frame could be.
         assert len(frames[1]) < len(frames[0])
@@ -363,7 +363,7 @@ class TestBufferedReader:
 
     def test_frames_and_preamble_read_through_it(self):
         frame = WireCodec(()).encode(
-            0, 1, PropagationRequest(1, VersionVector.from_counts((3, 0, 7)))
+            PropagationRequest(1, VersionVector.from_counts((3, 0, 7)))
         )
 
         async def run():

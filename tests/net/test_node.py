@@ -177,7 +177,7 @@ class TestReconnects:
 
         same_codec, cache_after = asyncio.run(run())
         assert not same_codec
-        assert cache_after > 0    # the new connection built its own caches
+        assert cache_after > 0    # the new connection built its own cache
 
     def test_unreachable_peer_raises_after_attempts(self):
         async def run():

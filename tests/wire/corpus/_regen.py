@@ -67,7 +67,7 @@ def main() -> None:
     request = PropagationRequest(1, vv)
 
     # 1. Valid frame with its last byte removed.
-    valid = WireCodec(SCHEMA, delta_vv=False).encode(0, 1, request)
+    valid = WireCodec(SCHEMA).encode(request)
     _write("truncated_frame", valid[:-1])
 
     # 2. Length prefix one larger than the actual payload.
@@ -87,9 +87,7 @@ def main() -> None:
     _write("unterminated_varint", _frame(b"\x80"))
 
     # 6. An ItemPayload whose item position is one past the schema.
-    item = WireCodec(SCHEMA, delta_vv=False).encode(
-        0, 1, ItemPayload("x", b"xy", vv)
-    )
+    item = WireCodec(SCHEMA).encode(ItemPayload("x", b"xy", vv))
     assert item[2] == SCHEMA.index("x")
     _write(
         "item_past_schema",
@@ -97,11 +95,11 @@ def main() -> None:
     )
 
     # 7. Delta-form version vector with no cached base at the receiver:
-    #    encode the same request twice on one delta-caching codec and
-    #    keep the second (delta) frame — a fresh codec must refuse it.
-    delta_codec = WireCodec(SCHEMA, delta_vv=True)
-    delta_codec.encode(0, 1, request)
-    _write("delta_without_base", delta_codec.encode(0, 1, request))
+    #    encode the same request twice on one codec and keep the second
+    #    (delta) frame — a fresh codec must refuse it.
+    delta_codec = WireCodec(SCHEMA)
+    delta_codec.encode(request)
+    _write("delta_without_base", delta_codec.encode(request))
 
     # 8. bytes_ field whose length prefix overruns the payload:
     #    ItemPayload(item "a", position 0) with a value field claiming
@@ -126,7 +124,7 @@ def main() -> None:
 
     # 10. Valid body followed by garbage the length prefix *does* cover:
     #     decode succeeds, then the unconsumed-bytes check fires.
-    you = WireCodec(SCHEMA, delta_vv=False).encode(0, 1, YouAreCurrent(2))
+    you = WireCodec(SCHEMA).encode(YouAreCurrent(2))
     _write("trailing_bytes", _frame(you[1:] + b"\xde\xad"))
 
     # 11. Unknown version-vector tag byte (neither full 0x00 nor delta
@@ -162,8 +160,8 @@ def main() -> None:
 
     # 17. A tail record pointing one past the shipped set: a valid
     #     one-item reply whose record index 0 is rewritten to 1.
-    reply = WireCodec(SCHEMA, delta_vv=False).encode(
-        1, 0, PropagationReply(1, ((("a", 5),),), (ItemPayload("a", b"xy", vv),))
+    reply = WireCodec(SCHEMA).encode(
+        PropagationReply(1, ((("a", 5),),), (ItemPayload("a", b"xy", vv),))
     )
     assert reply[-2:] == bytes([0, 10])  # index 0, svarint(+5)
     _write("reply_tail_index_out_of_range", reply[:-2] + bytes([1, 10]))
@@ -189,8 +187,8 @@ def main() -> None:
     # 20. A v3 reply whose item IVV is a link-cached delta (tag 0x01):
     #     a reply reads no cache, so the tag itself is refused, cached
     #     base or not.
-    reply = WireCodec(SCHEMA, delta_vv=False).encode(
-        1, 0, PropagationReply(1, (), (ItemPayload("a", b"xy", vv),))
+    reply = WireCodec(SCHEMA).encode(
+        PropagationReply(1, (), (ItemPayload("a", b"xy", vv),))
     )
     full_ivv = bytes([0x00, 3, 3, 0, 7])
     assert reply.count(full_ivv) == 1

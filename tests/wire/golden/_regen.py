@@ -255,8 +255,8 @@ def replies() -> list[tuple[str, PropagationReply]]:
 
 
 def encode(reply: PropagationReply) -> bytes:
-    """``reply`` as one frame on the link 1 -> 0 of a fresh codec."""
-    return WireCodec(SCHEMA).encode(1, 0, reply)
+    """``reply`` as one frame of a fresh codec."""
+    return WireCodec(SCHEMA).encode(reply)
 
 
 def main() -> None:

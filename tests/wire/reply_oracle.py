@@ -27,11 +27,11 @@ def encode_reply(enc: Encoder, msg: PropagationReply) -> None:
             enc.uvarint(WHOLE_VALUE)
             enc.item(payload.name)
             enc.bytes_(payload.value)
-            enc.bare_vv(payload.ivv)
+            enc.vv(payload.ivv)
         elif type(payload) is DeltaPayload:
             enc.uvarint(OP_CHAIN)
             enc.item(payload.name)
-            enc.bare_vv(payload.ivv)
+            enc.vv(payload.ivv)
             enc.uvarint(len(payload.ops))
             for entry in payload.ops:
                 enc.uvarint(entry.origin)
@@ -65,10 +65,10 @@ def decode_reply(dec: Decoder) -> PropagationReply:
         if tag == WHOLE_VALUE:
             name = dec.item()
             value = dec.bytes_()
-            items.append(ItemPayload(name, value, dec.bare_vv()))
+            items.append(ItemPayload(name, value, dec.vv()))
         elif tag == OP_CHAIN:
             name = dec.item()
-            ivv = dec.bare_vv()
+            ivv = dec.vv()
             ops = tuple(
                 OpChainEntry(dec.uvarint(), dec.uvarint(), decode_wire_op(dec))
                 for _ in range(dec.count())

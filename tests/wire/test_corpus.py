@@ -43,7 +43,7 @@ def test_corpus_is_present():
 def test_malformed_frame_is_rejected(path):
     frame = _load(path)
     with pytest.raises(WireFormatError):
-        WireCodec(SCHEMA, delta_vv=True).decode(0, 1, frame)
+        WireCodec(SCHEMA).decode(frame)
 
 
 def test_over_cap_length_prefix_rejected_without_allocation():
@@ -54,7 +54,7 @@ def test_over_cap_length_prefix_rejected_without_allocation():
     tracemalloc.start()
     try:
         with pytest.raises(WireFormatError, match="exceeds the"):
-            WireCodec(SCHEMA).decode(0, 1, frame)
+            WireCodec(SCHEMA).decode(frame)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -67,7 +67,7 @@ def test_over_cap_count_rejected_without_allocation():
     tracemalloc.start()
     try:
         with pytest.raises(WireFormatError, match="element count"):
-            WireCodec(SCHEMA).decode(0, 1, frame)
+            WireCodec(SCHEMA).decode(frame)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -78,17 +78,17 @@ def test_retired_reply_id_is_unknown_not_half_read():
     """A v1 reply — honest or nested 3000 deep — stops at its type id."""
     for name in ("reply_v1_parent_written", "nested_reply_v1"):
         with pytest.raises(WireFormatError, match="unknown wire message type id 4"):
-            WireCodec(SCHEMA).decode(1, 0, _load(CORPUS / f"{name}.hex"))
+            WireCodec(SCHEMA).decode(_load(CORPUS / f"{name}.hex"))
 
 
 def test_retired_v2_reply_id_is_unknown():
     with pytest.raises(WireFormatError, match="unknown wire message type id 9"):
-        WireCodec(SCHEMA).decode(1, 0, _load(CORPUS / "reply_v2_parent_written.hex"))
+        WireCodec(SCHEMA).decode(_load(CORPUS / "reply_v2_parent_written.hex"))
 
 
 def test_nested_reply_is_refused_at_the_first_level():
     with pytest.raises(WireFormatError, match="reply item has payload tag 10"):
-        WireCodec(SCHEMA).decode(1, 0, _load(CORPUS / "nested_reply.hex"))
+        WireCodec(SCHEMA).decode(_load(CORPUS / "nested_reply.hex"))
 
 
 def test_a_delta_past_64_bits_is_refused():
@@ -96,19 +96,19 @@ def test_a_delta_past_64_bits_is_refused():
     previous request left at 2**64 - 1."""
     primer = PropagationRequest(1, VersionVector.from_counts((2**64 - 1, 0, 0)))
     sender, receiver = WireCodec(SCHEMA), WireCodec(SCHEMA)
-    receiver.decode(0, 1, sender.encode(0, 1, primer))
+    receiver.decode(sender.encode(primer))
     with pytest.raises(WireFormatError, match="past the 64-bit range"):
-        receiver.decode(0, 1, _load(CORPUS / "delta_vv_overflows_u64.hex"))
+        receiver.decode(_load(CORPUS / "delta_vv_overflows_u64.hex"))
 
 
 def test_item_past_the_schema_is_refused():
     with pytest.raises(WireFormatError, match="past the 3-item schema"):
-        WireCodec(SCHEMA).decode(0, 1, _load(CORPUS / "item_past_schema.hex"))
+        WireCodec(SCHEMA).decode(_load(CORPUS / "item_past_schema.hex"))
 
 
 def test_a_delta_ivv_in_a_reply_is_refused_by_its_tag():
     with pytest.raises(WireFormatError, match="delta version vector inside"):
-        WireCodec(SCHEMA).decode(1, 0, _load(CORPUS / "reply_delta_ivv.hex"))
+        WireCodec(SCHEMA).decode(_load(CORPUS / "reply_delta_ivv.hex"))
 
 
 #: The frames that end (or claim more than they hold) inside the reply
@@ -124,7 +124,7 @@ REPLY_LOOP_BOUNDS = (
 @pytest.mark.parametrize("name", REPLY_LOOP_BOUNDS)
 def test_a_reply_cut_short_is_a_wire_format_error_not_an_index_error(name):
     with pytest.raises(WireFormatError, match="truncated"):
-        WireCodec(SCHEMA).decode(1, 0, _load(CORPUS / f"{name}.hex"))
+        WireCodec(SCHEMA).decode(_load(CORPUS / f"{name}.hex"))
 
 
 @pytest.mark.parametrize("name", REPLY_LOOP_BOUNDS)
@@ -133,7 +133,7 @@ def test_a_journaled_reply_cut_short_is_a_wal_error(name):
     _length, start = read_uvarint(frame, 0)
     body = bytes(encode_accept(7, frame[start:]))
     with pytest.raises(WALError, match="failed to decode"):
-        decode_record(WireCodec(SCHEMA, delta_vv=False), body)
+        decode_record(WireCodec(SCHEMA), body)
 
 
 def test_corpus_frames_match_their_regeneration():

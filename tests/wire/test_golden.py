@@ -53,4 +53,4 @@ def test_reply_encodes_to_its_pinned_frame(case):
 @pytest.mark.parametrize("case", list(CASES))
 def test_pinned_frame_decodes_to_its_reply(case):
     frame = bytes.fromhex(PINNED[case])
-    assert WireCodec(REGEN.SCHEMA).decode(1, 0, frame) == CASES[case]
+    assert WireCodec(REGEN.SCHEMA).decode(frame) == CASES[case]

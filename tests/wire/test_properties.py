@@ -6,10 +6,10 @@ Three families:
   strategy-built instance must decode back equal to itself (the
   strategy table below is asserted complete against the registry, so
   registering a new message without extending it fails here);
-* **delta streams** — arbitrary vector sequences with interleaved
-  crashes and drops must always decode exactly, because every desync
-  trigger tears the connection, retiring both ends' codecs, and the
-  next one starts from full form;
+* **the request stream** — a DBVV that climbs, stands still and grows
+  with the replica set, with interleaved crashes and drops, must always
+  decode exactly, because every desync trigger tears the connection,
+  retiring both ends' codecs, and the next one starts from full form;
 * **hostile frames** — truncation and byte corruption must surface as
   :class:`WireFormatError` (or a clean decode), never as
   ``struct.error`` / ``IndexError`` / ``UnicodeDecodeError`` from the
@@ -122,41 +122,54 @@ def test_every_registered_class_roundtrips(data):
     codec = WireCodec(SCHEMA)
     for cls, strategy in MESSAGE_STRATEGIES.items():
         message = data.draw(strategy, label=cls.__qualname__)
-        frame = codec.encode(0, 1, message)
-        assert codec.decode(0, 1, frame) == message
+        frame = codec.encode(message)
+        assert codec.decode(frame) == message
 
 
 @given(st.lists(any_message, min_size=1, max_size=8))
 def test_streamed_messages_roundtrip_through_shared_caches(messages):
     codec = WireCodec(SCHEMA)
     for message in messages:
-        assert codec.decode(2, 3, codec.encode(2, 3, message)) == message
+        assert codec.decode(codec.encode(message)) == message
+
+
+#: How the puller's DBVV moves between two requests: a component
+#: climbs, nothing changes (the quiescent probe), or the replica set
+#: grows by one node.
+dbvv_steps = st.one_of(
+    st.tuples(st.just("bump"), st.integers(0, 15), st.integers(1, 2**32)),
+    st.just(("same", 0, 0)),
+    st.just(("grow", 0, 0)),
+)
 
 
 @given(
     st.lists(
-        st.tuples(
-            st.lists(st.integers(0, 2**32), min_size=4, max_size=4),
-            st.sampled_from(["send", "crash", "drop"]),
-        ),
+        st.tuples(dbvv_steps, st.sampled_from(["send", "send", "crash", "drop"])),
         min_size=1,
-        max_size=20,
+        max_size=30,
     )
 )
 def test_delta_streams_survive_crashes_and_drops(events):
-    """Any interleaving of sends, node crashes, and in-flight drops
-    decodes exactly, provided each tears the connection and both ends
+    """One request stream over a sender/receiver pair: any interleaving
+    of sends, node crashes, and in-flight drops decodes exactly,
+    provided each crash or drop tears the connection and both ends
     start the next one with fresh codecs, as ``repro.net`` does."""
+    counts = [0, 0]
     sender, receiver = WireCodec(SCHEMA), WireCodec(SCHEMA)
-    for counts, event in events:
+    for (step, index, amount), event in events:
+        if step == "grow":
+            counts.append(0)
+        elif step == "bump":
+            counts[index % len(counts)] += amount
         message = PropagationRequest(1, VersionVector.from_counts(counts))
         if event == "drop":
             # The frame left the sender (advancing its cache) but never
             # reached the receiver.
-            sender.encode(0, 1, message)
+            sender.encode(message)
         if event != "send":
             sender, receiver = WireCodec(SCHEMA), WireCodec(SCHEMA)
-        decoded = receiver.decode(0, 1, sender.encode(0, 1, message))
+        decoded = receiver.decode(sender.encode(message))
         assert decoded.dbvv.as_tuple() == tuple(counts)
 
 
@@ -164,10 +177,10 @@ def test_delta_streams_survive_crashes_and_drops(events):
 @given(any_message, st.integers(0, 200))
 def test_truncated_frames_raise_typed_error(message, cut):
     codec = WireCodec(SCHEMA)
-    frame = codec.encode(0, 1, message)
+    frame = codec.encode(message)
     cut = min(cut, len(frame) - 1)
     try:
-        codec.decode(4, 5, frame[:cut])
+        codec.decode(frame[:cut])
     except WireFormatError:
         pass
     else:
@@ -178,10 +191,10 @@ def test_truncated_frames_raise_typed_error(message, cut):
 @given(any_message, st.integers(0, 200), st.integers(1, 255))
 def test_corrupt_frames_never_raise_untyped_errors(message, index, flip):
     codec = WireCodec(SCHEMA)
-    frame = bytearray(codec.encode(0, 1, message))
+    frame = bytearray(codec.encode(message))
     frame[index % len(frame)] ^= flip
     try:
-        codec.decode(4, 5, bytes(frame))
+        codec.decode(bytes(frame))
     except WireFormatError:
         pass  # the typed rejection path
     except (OverflowError, MemoryError):
@@ -196,10 +209,10 @@ def test_corrupt_frames_never_raise_untyped_errors(message, index, flip):
 @settings(max_examples=40)
 @given(replies())
 def test_every_prefix_of_a_reply_frame_is_a_typed_error(reply):
-    frame = WireCodec(SCHEMA).encode(0, 1, reply)
+    frame = WireCodec(SCHEMA).encode(reply)
     for cut in range(len(frame)):
         with pytest.raises(WireFormatError):
-            WireCodec(SCHEMA).decode(0, 1, frame[:cut])
+            WireCodec(SCHEMA).decode(frame[:cut])
 
 
 @settings(max_examples=40)
@@ -208,13 +221,13 @@ def test_every_bit_flip_of_a_reply_frame_decodes_or_is_a_typed_error(reply):
     """Nothing but :class:`WireFormatError` may escape — no
     ``IndexError`` from a tail index, no ``RecursionError`` from an item
     type id flipped into a nesting message, no ``OverflowError``."""
-    frame = WireCodec(SCHEMA).encode(0, 1, reply)
+    frame = WireCodec(SCHEMA).encode(reply)
     for position in range(len(frame)):
         for bit in range(8):
             forged = bytearray(frame)
             forged[position] ^= 1 << bit
             try:
-                WireCodec(SCHEMA).decode(0, 1, bytes(forged))
+                WireCodec(SCHEMA).decode(bytes(forged))
             except WireFormatError:
                 pass
 
@@ -230,10 +243,10 @@ def test_a_tail_naming_an_unshipped_item_does_not_encode(
     tails[origin] += ((stranger, seqno),)
     forged = PropagationReply(reply.source, tuple(tails), reply.items)
     with pytest.raises(WireFormatError, match="does not ship"):
-        WireCodec(SCHEMA).encode(0, 1, forged)
+        WireCodec(SCHEMA).encode(forged)
 
 
 def test_a_reply_ships_payloads_only():
     for stowaway in (YouAreCurrent(1), PropagationReply(1, (), ())):
         with pytest.raises(WireFormatError, match="ItemPayload or DeltaPayload"):
-            WireCodec(SCHEMA).encode(0, 1, PropagationReply(1, (), (stowaway,)))
+            WireCodec(SCHEMA).encode(PropagationReply(1, (), (stowaway,)))

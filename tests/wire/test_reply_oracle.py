@@ -75,14 +75,14 @@ def replies(draw):
 
 
 def _oracle_body(reply: PropagationReply) -> bytes:
-    encoder = Encoder(WireCodec(SCHEMA), 0, 1)
+    encoder = Encoder(WireCodec(SCHEMA))
     encoder.uvarint(REPLY_ID)
     reply_oracle.encode_reply(encoder, reply)
     return bytes(encoder.buf)
 
 
 def _read(read, body: bytes):
-    decoder = Decoder(WireCodec(SCHEMA), 0, 1, body)
+    decoder = Decoder(WireCodec(SCHEMA), body)
     try:
         return read(decoder), decoder.pos
     except WireFormatError:
@@ -99,10 +99,10 @@ def _both(body: bytes):
 @settings(max_examples=100)
 @given(replies())
 def test_a_reply_encodes_to_the_oracles_bytes(reply):
-    frame = WireCodec(SCHEMA).encode(0, 1, reply)
+    frame = WireCodec(SCHEMA).encode(reply)
     _length, start = read_uvarint(frame, 0)
     assert frame[start:] == _oracle_body(reply)
-    assert WireCodec(SCHEMA).decode(0, 1, frame) == reply
+    assert WireCodec(SCHEMA).decode(frame) == reply
 
 
 @settings(max_examples=100)

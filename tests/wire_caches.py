@@ -1,13 +1,12 @@
-"""How many vector streams a :class:`~repro.wire.WireCodec` has cached.
+"""How many vectors a :class:`~repro.wire.WireCodec` has cached.
 
-The codec's delta caches are private state; tests count them from
-outside through this probe.
+The codec's cached request DBVVs are private state; tests count them
+from outside through this probe.
 """
 
 from repro.wire import WireCodec
 
 
 def cache_size(codec: WireCodec) -> int:
-    """Cached vector streams on every link, both directions."""
-    return sum(map(len, codec._sent.values())) + sum(map(len, codec._seen.values()))
-
+    """Cached request DBVVs, sent and seen: 0, 1 or 2."""
+    return (codec._sent is not None) + (codec._seen is not None)
