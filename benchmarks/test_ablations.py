@@ -13,12 +13,12 @@
 
 import pytest
 
+from repro.cluster.network import SimulatedNetwork
 from repro.core.delta import DeltaEpidemicNode
 from repro.core.log_vector import LogComponent
 from repro.core.node import EpidemicNode
 from repro.experiments.ablations import build_item_set_with_set
 from repro.experiments.common import make_items
-from repro.interfaces import DirectTransport
 from repro.metrics.reporting import Table
 from repro.obs import OverheadCounters
 from repro.substrate.operations import BytePatch, Put
@@ -101,7 +101,7 @@ def test_regenerate_ablation_table(benchmark):
             ("operation-shipping", DeltaEpidemicNode),
         ):
             traffic = OverheadCounters()
-            transport = DirectTransport(traffic)
+            transport = SimulatedNetwork(2, counters=traffic)
             source = cls(0, 2, items)
             recipient = cls(1, 2, items)
             source.update(items[0], Put(big))

@@ -6,10 +6,12 @@ wall-clock timings of the measured session at small and large N.
 
 import pytest
 
+from repro.cluster.network import SimulatedNetwork
 from repro.experiments import e1_identical_detection as e1
 from repro.experiments.common import make_items, protocol_class
-from repro.interfaces import DIRECT_TRANSPORT
 from repro.substrate.operations import Put
+
+LINK = SimulatedNetwork(3)
 
 
 def build_triangle(protocol: str, n_items: int, updates: int = 20):
@@ -19,21 +21,21 @@ def build_triangle(protocol: str, n_items: int, updates: int = 20):
     nodes = [cls(k, 3, items) for k in range(3)]
     for idx, item in enumerate(items[:updates]):
         nodes[0].user_update(item, Put(f"v{idx}".encode()))
-    nodes[1].sync_with(nodes[0], DIRECT_TRANSPORT)
-    nodes[2].sync_with(nodes[1], DIRECT_TRANSPORT)
+    nodes[1].sync_with(nodes[0], LINK)
+    nodes[2].sync_with(nodes[1], LINK)
     return nodes
 
 
 @pytest.mark.parametrize("n_items", [100, 10_000])
 def test_bench_dbvv_identical_session(benchmark, n_items):
     nodes = build_triangle("dbvv", n_items)
-    benchmark(lambda: nodes[2].sync_with(nodes[0], DIRECT_TRANSPORT))
+    benchmark(lambda: nodes[2].sync_with(nodes[0], LINK))
 
 
 @pytest.mark.parametrize("n_items", [100, 10_000])
 def test_bench_per_item_identical_session(benchmark, n_items):
     nodes = build_triangle("per-item-vv", n_items)
-    benchmark(lambda: nodes[2].sync_with(nodes[0], DIRECT_TRANSPORT))
+    benchmark(lambda: nodes[2].sync_with(nodes[0], LINK))
 
 
 @pytest.mark.parametrize("n_items", [100, 10_000])
@@ -46,7 +48,7 @@ def test_bench_lotus_identical_session(benchmark, n_items):
         # source modified items since it last spoke to this recipient);
         # otherwise only the first iteration pays the redundant scan.
         nodes[0]._last_prop_to[2] = 0
-        nodes[2].sync_with(nodes[0], DIRECT_TRANSPORT)
+        nodes[2].sync_with(nodes[0], LINK)
 
     benchmark(session)
 

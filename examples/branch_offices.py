@@ -19,14 +19,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.cluster.event_sim import EventDrivenSimulation, NodeSchedule
+from repro.cluster.network import SimulatedNetwork
 from repro.core.protocol import DBVVProtocolNode, DeltaProtocolNode
-from repro.interfaces import (
-    DIRECT_TRANSPORT,
-    DirectTransport,
-    ProtocolNode,
-    SyncStats,
-    Transport,
-)
+from repro.interfaces import ProtocolNode, SyncStats, Transport
 from repro.metrics.reporting import Table, format_bytes
 from repro.obs import OverheadCounters
 from repro.substrate.operations import BytePatch, Put
@@ -51,7 +46,7 @@ def build_offices() -> list[Office]:
 
 
 def sync_all(
-    office: Office, peer: Office, transport: Transport = DIRECT_TRANSPORT
+    office: Office, peer: Office, transport: Transport
 ) -> dict[str, SyncStats]:
     """One dial-up session: pull every database both offices replicate,
     each through its own protocol instance."""
@@ -67,12 +62,15 @@ def demo_offices() -> None:
     # Office 0 lands a customer and fixes a typo on a big wiki page.
     offices[0]["crm"].user_update("customer-00017", Put(b"ACME Corp; tier=gold"))
     offices[0]["wiki"].user_update("page-00003", Put(b"x" * PAGE_SIZE))
-    sync_all(offices[1], offices[0])
-    sync_all(offices[2], offices[1])
+    link = SimulatedNetwork(N_OFFICES)
+    sync_all(offices[1], offices[0], link)
+    sync_all(offices[2], offices[1], link)
     offices[0]["wiki"].user_update("page-00003", BytePatch(1_024, b"[typo fixed]"))
 
     traffic = OverheadCounters()
-    results = sync_all(offices[1], offices[0], DirectTransport(traffic))
+    results = sync_all(
+        offices[1], offices[0], SimulatedNetwork(N_OFFICES, counters=traffic)
+    )
     table = Table(
         "Office 1's next session with office 0 (one connection, every "
         "shared database; the wiki ships the 12-byte patch, not the "

@@ -17,8 +17,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.baselines.lotus import LotusNode
+from repro.cluster.network import SimulatedNetwork
 from repro.core.protocol import DBVVProtocolNode
-from repro.interfaces import DirectTransport
 from repro.metrics.reporting import Table
 from repro.obs import OverheadCounters
 from repro.substrate.operations import Put
@@ -37,7 +37,7 @@ def run_protocol(name, factory):
     offices = [factory(k, counters[k]) for k in range(2)]
     home = factory(2, counters[2])
     traffic = OverheadCounters()
-    line = DirectTransport(traffic)
+    line = SimulatedNetwork(3, counters=traffic)
 
     # Office 0 owns the even SKUs, office 1 the odd ones (no conflicts).
     workload = HotColdWorkload(CATALOG, 1, seed=7, hot_fraction=0.02)
@@ -77,7 +77,7 @@ def main() -> None:
     office = DBVVProtocolNode(0, 2, CATALOG)
     laptop = DBVVProtocolNode(1, 2, CATALOG, counters=counters)
     office.user_update("sku-00042", Put(b"$199 (flash sale)"))
-    line = DirectTransport(OverheadCounters())
+    line = SimulatedNetwork(2)
     laptop.fetch_out_of_bound("sku-00042", office, line)
     print(
         f"out-of-bound fetch of sku-00042: laptop reads "

@@ -12,23 +12,27 @@
 * :mod:`repro.baselines.agrawal_malpani` — decoupled log pushes with
   vector-exchange repair (paper section 8.3).
 
-All implement :class:`repro.interfaces.ProtocolNode`, so any of them
-drops into :class:`repro.cluster.simulation.ClusterSimulation`.
+All five are written on :mod:`repro.baselines.replica`: one value store
+(:class:`~repro.baselines.replica.ValueStoreNode`, a
+:class:`repro.interfaces.ProtocolNode`, so any of them drops into
+:class:`repro.cluster.simulation.ClusterSimulation`), one
+last-writer-wins record (:class:`~repro.baselines.replica.LWWRecord`)
+and one LWW rule (:class:`~repro.baselines.replica.LWWNode`).  Each
+baseline keeps only its own metadata and its ``exchange``.
 """
 
-from repro.baselines.agrawal_malpani import AgrawalMalpaniNode, AMRecord
+from repro.baselines.agrawal_malpani import AgrawalMalpaniNode
 from repro.baselines.lotus import LotusNode
-from repro.baselines.oracle import OraclePushNode, UpdateRecord
+from repro.baselines.oracle import OraclePushNode
 from repro.baselines.per_item import PerItemVVNode
-from repro.baselines.wuu_bernstein import GossipRecord, WuuBernsteinNode
+from repro.baselines.replica import LWWRecord
+from repro.baselines.wuu_bernstein import WuuBernsteinNode
 
 __all__ = [
     "AgrawalMalpaniNode",
-    "AMRecord",
     "LotusNode",
     "OraclePushNode",
-    "UpdateRecord",
     "PerItemVVNode",
-    "GossipRecord",
     "WuuBernsteinNode",
+    "LWWRecord",
 ]

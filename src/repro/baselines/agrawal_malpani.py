@@ -32,45 +32,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.messages import (
-    WORD_SIZE,
-    lww_record_wire_size,
-    payload_list_wire_size,
-)
-from repro.errors import ProtocolStateError, UnknownItemError
-from repro.interfaces import (
-    ContentDigest,
-    ProtocolNode,
-    StateVersion,
-    SyncStats,
-    Transport,
-)
+from repro.baselines.replica import LWWNode, LWWRecord
+from repro.core.messages import WORD_SIZE, payload_list_wire_size
+from repro.errors import ProtocolStateError
+from repro.interfaces import ProtocolNode, SyncStats, Transport
 from repro.obs import NULL_COUNTERS, OverheadCounters
 from repro.substrate.operations import UpdateOperation
 
-__all__ = ["AMRecord", "AgrawalMalpaniNode"]
-
-
-@dataclass(frozen=True, slots=True)
-class AMRecord:
-    """One disseminated update: LWW-stamped resulting value."""
-
-    item: str
-    value: bytes
-    seqno: int
-    origin: int
-
-    def stamp(self) -> tuple[int, int]:
-        return (self.seqno, self.origin)
-
-    def wire_size(self) -> int:
-        return lww_record_wire_size(self.item, self.value)
+__all__ = ["AgrawalMalpaniNode"]
 
 
 @dataclass(frozen=True, slots=True)
 class _LogPush:
     source: int
-    records: tuple[AMRecord, ...]
+    records: tuple[LWWRecord, ...]
 
     def wire_size(self) -> int:
         return WORD_SIZE + payload_list_wire_size(self.records)
@@ -96,7 +71,7 @@ class _RepairRequest:
         return WORD_SIZE + 2 * WORD_SIZE * len(self.gaps)
 
 
-class AgrawalMalpaniNode(ProtocolNode):
+class AgrawalMalpaniNode(LWWNode):
     """One replica under decoupled log/vector dissemination."""
 
     protocol_name = "agrawal-malpani"
@@ -109,19 +84,15 @@ class AgrawalMalpaniNode(ProtocolNode):
         counters: OverheadCounters = NULL_COUNTERS,
         vector_exchange_every: int = 4,
     ):
-        super().__init__(node_id, n_nodes, counters)
+        super().__init__(node_id, n_nodes, items, counters)
         if vector_exchange_every < 1:
             raise ValueError(
                 f"vector_exchange_every must be >= 1, got {vector_exchange_every}"
             )
-        self._values: dict[str, bytes] = {name: b"" for name in items}
-        self._stamps: dict[str, tuple[int, int]] = {
-            name: (0, -1) for name in items
-        }
         # All records this node has received, per origin, in seqno order
         # (dense: record k of a list has seqno k+1 — the prefix shape
         # the dissemination maintains).
-        self._received: list[list[AMRecord]] = [[] for _ in range(n_nodes)]
+        self._received: list[list[LWWRecord]] = [[] for _ in range(n_nodes)]
         # Per-peer: how many of each origin's records we already pushed.
         self._pushed: dict[int, list[int]] = {
             peer: [0] * n_nodes for peer in range(n_nodes)
@@ -130,35 +101,19 @@ class AgrawalMalpaniNode(ProtocolNode):
         self._sync_calls = 0
         self.vector_exchanges = 0
         self.repairs = 0
-        self._digest = ContentDigest()
 
     # -- user operations -----------------------------------------------------
 
     def user_update(self, item: str, op: UpdateOperation) -> None:
-        if item not in self._values:
-            raise UnknownItemError(item)
-        new_value = op.apply(self._values[item])
-        seqno = len(self._received[self.node_id]) + 1
-        record = AMRecord(item, new_value, seqno, self.node_id)
-        self._apply(record)
-        self._received[self.node_id].append(record)
-
-    def read(self, item: str) -> bytes:
-        try:
-            return self._values[item]
-        except KeyError:
-            raise UnknownItemError(item) from None
-
-    def _apply(self, record: AMRecord) -> bool:
-        """LWW-apply; True when the item's value actually changed hands."""
+        # The seqno is the record's dense position in my own dissemination
+        # order, not a Lamport stamp: a write after adopting a higher
+        # stamp loses to it, here and everywhere.
+        known = self._received[self.node_id]
+        value = op.apply(self.read(item))
+        record = LWWRecord(item, value, len(known) + 1, self.node_id)
         self.counters.seqno_comparisons += 1
-        if record.stamp() > self._stamps[record.item]:
-            self._digest.mark(record.item)
-            self._values[record.item] = record.value
-            self._stamps[record.item] = record.stamp()
-            self.counters.items_copied += 1
-            return True
-        return False
+        self._install(record)
+        known.append(record)
 
     def received_vector(self) -> tuple[int, ...]:
         """Per-origin received-record counts (the protocol's vector)."""
@@ -200,7 +155,7 @@ class AgrawalMalpaniNode(ProtocolNode):
         # acknowledgement state; the vector exchange repairs whatever
         # best-effort pushing missed).
         cursors = self._pushed[peer.node_id]
-        fresh: list[AMRecord] = []
+        fresh: list[LWWRecord] = []
         for origin in range(self.n_nodes):
             records = self._received[origin]
             for record in records[cursors[origin]:]:
@@ -216,7 +171,7 @@ class AgrawalMalpaniNode(ProtocolNode):
         return peer._accept_records(message.records)
 
     def _accept_records(
-        self, records: tuple[AMRecord, ...]
+        self, records: tuple[LWWRecord, ...]
     ) -> tuple[int, tuple[str, ...]]:
         """Returns the accepted-record count (``items_transferred``
         semantics, unchanged) plus the names whose value changed."""
@@ -227,7 +182,8 @@ class AgrawalMalpaniNode(ProtocolNode):
             self.counters.seqno_comparisons += 1
             if record.seqno == len(known) + 1:
                 known.append(record)
-                if self._apply(record):
+                self.counters.seqno_comparisons += 1
+                if self._install(record):
                     changed.append(record.item)
                 applied += 1
             # Records out of prefix order (a gap from a missed push)
@@ -292,22 +248,9 @@ class AgrawalMalpaniNode(ProtocolNode):
         return self._accept_records(repair.records)
 
     def _serve_repair(self, request: _RepairRequest) -> _LogPush:
-        records: list[AMRecord] = []
+        records: list[LWWRecord] = []
         for origin, have_through in request.gaps:
             for record in self._received[origin][have_through:]:
                 self.counters.log_records_examined += 1
                 records.append(record)
         return _LogPush(self.node_id, tuple(records))
-
-    # -- introspection --------------------------------------------------------------
-
-    def state_fingerprint(self) -> dict[str, bytes]:
-        return dict(self._values)
-
-    def state_version(self) -> StateVersion:
-        return StateVersion(
-            self.protocol_name, self._digest.token(self.fingerprint_value)
-        )
-
-    def fingerprint_value(self, item: str) -> bytes:
-        return self._values.get(item, b"")

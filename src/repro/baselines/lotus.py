@@ -38,20 +38,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.baselines.replica import LWWRecord, ValueStoreNode
 from repro.core.messages import (
     WORD_SIZE,
-    lww_record_wire_size,
     name_list_wire_size,
+    payload_list_wire_size,
     string_wire_size,
 )
 from repro.errors import ProtocolStateError, UnknownItemError
-from repro.interfaces import (
-    ContentDigest,
-    ProtocolNode,
-    StateVersion,
-    SyncStats,
-    Transport,
-)
+from repro.interfaces import ProtocolNode, SyncStats, Transport
 from repro.obs import NULL_COUNTERS, OverheadCounters
 from repro.substrate.operations import UpdateOperation
 
@@ -60,10 +55,10 @@ __all__ = ["LotusNode"]
 
 @dataclass
 class _Doc:
-    """One Lotus 'document' replica: value, sequence number, local
-    modification time, and the last writer (tie-break only)."""
+    """One Lotus 'document' replica's metadata (its value lives in the
+    shared store): sequence number, local modification time, and the
+    last writer (tie-break only)."""
 
-    value: bytes = b""
     seqno: int = 0
     last_modified: int = 0
     last_writer: int = -1
@@ -109,17 +104,16 @@ class _DocFetch:
 
 @dataclass(frozen=True, slots=True)
 class _DocShipment:
+    """The fetched documents, each stamped ``(seqno, last writer)``."""
+
     source: int
-    docs: tuple[tuple[str, bytes, int, int], ...]  # name, value, seqno, writer
+    docs: tuple[LWWRecord, ...]
 
     def wire_size(self) -> int:
-        return WORD_SIZE + sum(
-            lww_record_wire_size(name, value)
-            for name, value, _seqno, _writer in self.docs
-        )
+        return WORD_SIZE + payload_list_wire_size(self.docs)
 
 
-class LotusNode(ProtocolNode):
+class LotusNode(ValueStoreNode):
     """One replica under the Lotus Notes protocol model."""
 
     protocol_name = "lotus"
@@ -131,7 +125,7 @@ class LotusNode(ProtocolNode):
         items: list[str] | tuple[str, ...],
         counters: OverheadCounters = NULL_COUNTERS,
     ):
-        super().__init__(node_id, n_nodes, counters)
+        super().__init__(node_id, n_nodes, items, counters)
         self._docs: dict[str, _Doc] = {name: _Doc() for name in items}
         # This server's local event clock; advanced by every update and
         # every served propagation, so "modified since" is well ordered.
@@ -139,23 +133,17 @@ class LotusNode(ProtocolNode):
         # When we last propagated updates to each peer, in *our* clock.
         self._last_prop_to: dict[int, int] = {k: 0 for k in range(n_nodes)}
         self._db_last_modified = 0
-        self._digest = ContentDigest()
 
     # -- user operations -----------------------------------------------------
 
     def user_update(self, item: str, op: UpdateOperation) -> None:
         doc = self._doc(item)
         self._clock += 1
-        old = doc.value
-        doc.value = op.apply(doc.value)
-        self._digest.mark(item)
+        self._write(item, op.apply(self._values[item]))
         doc.seqno += 1
         doc.last_modified = self._clock
         doc.last_writer = self.node_id
         self._db_last_modified = self._clock
-
-    def read(self, item: str) -> bytes:
-        return self._doc(item).value
 
     def _doc(self, item: str) -> _Doc:
         try:
@@ -208,21 +196,20 @@ class LotusNode(ProtocolNode):
             peer.node_id, self.node_id, peer._serve_fetch(fetch)
         )
         stats.messages += 2
-        for name, value, seqno, writer in shipment.docs:
-            doc = self._doc(name)
+        for record in shipment.docs:
+            doc = self._doc(record.item)
             # Blind adoption by sequence number: this is where Lotus can
             # silently overwrite a conflicting concurrent update (E4b).
             self._clock += 1
-            self._digest.mark(name)
-            doc.value = value
-            doc.seqno = seqno
-            doc.last_writer = writer
+            self._write(record.item, record.value)
+            doc.seqno = record.seqno
+            doc.last_writer = record.origin
             doc.last_modified = self._clock
             self._db_last_modified = self._clock
             self.counters.items_copied += 1
             stats.items_transferred += 1
         stats.adopted_items = tuple(
-            (self.node_id, name) for name, _v, _s, _w in shipment.docs
+            (self.node_id, record.item) for record in shipment.docs
         )
 
     def _serve_probe(self, probe: _PropagationProbe) -> _ChangeList:
@@ -246,22 +233,10 @@ class LotusNode(ProtocolNode):
 
     def _serve_fetch(self, fetch: _DocFetch) -> _DocShipment:
         docs = tuple(
-            (name, self._docs[name].value, self._docs[name].seqno,
-             self._docs[name].last_writer)
+            LWWRecord(
+                name, self._values[name], self._docs[name].seqno,
+                self._docs[name].last_writer,
+            )
             for name in fetch.names
         )
         return _DocShipment(self.node_id, docs)
-
-    # -- introspection --------------------------------------------------------------
-
-    def state_fingerprint(self) -> dict[str, bytes]:
-        return {name: doc.value for name, doc in self._docs.items()}
-
-    def state_version(self) -> StateVersion:
-        return StateVersion(
-            self.protocol_name, self._digest.token(self.fingerprint_value)
-        )
-
-    def fingerprint_value(self, item: str) -> bytes:
-        doc = self._docs.get(item)
-        return doc.value if doc is not None else b""

@@ -8,7 +8,9 @@ performed."  The model:
 * a local update appends an **update record** to the node's deferred
   queue (we ship the resulting whole value, stamped ``(seqno, origin)``
   — a last-writer-wins register, which is how timestamp-based
-  symmetric replication resolves concurrent writes);
+  symmetric replication resolves concurrent writes; the seqno follows
+  both the writer's own updates and the stamp it overwrites, the
+  shared rule of :meth:`~repro.baselines.replica.LWWNode._write_local`);
 * a push round sends, to each peer, the records that peer has not
   acknowledged yet (per-peer cursors into the queue);
 * recipients apply records **but never forward them** — the defining
@@ -29,52 +31,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.messages import (
-    WORD_SIZE,
-    lww_record_wire_size,
-    payload_list_wire_size,
-)
-from repro.errors import ProtocolStateError, UnknownItemError
-from repro.interfaces import (
-    ContentDigest,
-    ProtocolNode,
-    StateVersion,
-    SyncStats,
-    Transport,
-)
+from repro.baselines.replica import LWWNode, LWWRecord
+from repro.core.messages import WORD_SIZE, payload_list_wire_size
+from repro.errors import ProtocolStateError
+from repro.interfaces import ProtocolNode, SyncStats, Transport
 from repro.obs import NULL_COUNTERS, OverheadCounters
 from repro.substrate.operations import UpdateOperation
 
-__all__ = ["UpdateRecord", "OraclePushNode"]
-
-
-@dataclass(frozen=True, slots=True)
-class UpdateRecord:
-    """One deferred update: the resulting value of ``item``, stamped
-    with the originator's update counter (LWW order: (seqno, origin))."""
-
-    item: str
-    value: bytes
-    seqno: int
-    origin: int
-
-    def stamp(self) -> tuple[int, int]:
-        return (self.seqno, self.origin)
-
-    def wire_size(self) -> int:
-        return lww_record_wire_size(self.item, self.value)
+__all__ = ["OraclePushNode"]
 
 
 @dataclass(frozen=True, slots=True)
 class _PushBatch:
     source: int
-    records: tuple[UpdateRecord, ...]
+    records: tuple[LWWRecord, ...]
 
     def wire_size(self) -> int:
         return WORD_SIZE + payload_list_wire_size(self.records)
 
 
-class OraclePushNode(ProtocolNode):
+class OraclePushNode(LWWNode):
     """One replica under deferred-push symmetric replication."""
 
     protocol_name = "oracle-push"
@@ -86,39 +62,20 @@ class OraclePushNode(ProtocolNode):
         items: list[str] | tuple[str, ...],
         counters: OverheadCounters = NULL_COUNTERS,
     ):
-        super().__init__(node_id, n_nodes, counters)
-        self._values: dict[str, bytes] = {name: b"" for name in items}
-        # The LWW stamp of each item's current value.
-        self._stamps: dict[str, tuple[int, int]] = {
-            name: (0, -1) for name in items
-        }
+        super().__init__(node_id, n_nodes, items, counters)
         # My own updates, in order; never truncated in this model (a
         # real system trims acknowledged prefixes — immaterial here).
-        self._queue: list[UpdateRecord] = []
+        self._queue: list[LWWRecord] = []
         self._own_seq = 0
         # How many of my queue entries each peer has acknowledged.
         self._acked: dict[int, int] = {k: 0 for k in range(n_nodes)}
-        self._digest = ContentDigest()
 
     # -- user operations -----------------------------------------------------
 
     def user_update(self, item: str, op: UpdateOperation) -> None:
-        if item not in self._values:
-            raise UnknownItemError(item)
-        new_value = op.apply(self._values[item])
-        self._own_seq += 1
-        self._digest.mark(item)
-        self._values[item] = new_value
-        self._stamps[item] = (self._own_seq, self.node_id)
-        self._queue.append(
-            UpdateRecord(item, new_value, self._own_seq, self.node_id)
-        )
-
-    def read(self, item: str) -> bytes:
-        try:
-            return self._values[item]
-        except KeyError:
-            raise UnknownItemError(item) from None
+        record = self._write_local(item, op.apply(self.read(item)), self._own_seq)
+        self._own_seq = record.seqno
+        self._queue.append(record)
 
     # -- push propagation ------------------------------------------------------
 
@@ -139,9 +96,9 @@ class OraclePushNode(ProtocolNode):
             self.node_id, peer.node_id, _PushBatch(self.node_id, tuple(pending))
         )
         stats.messages = 1
-        applied, changed = peer._apply_batch(batch)
+        changed = peer._apply_batch(batch)
         self._acked[peer.node_id] = len(self._queue)
-        stats.items_transferred = applied
+        stats.items_transferred = len(changed)
         # A push changes state at the *peer* only.
         stats.adopted_items = tuple(
             (peer.node_id, name) for name in changed
@@ -159,31 +116,12 @@ class OraclePushNode(ProtocolNode):
             if peer.node_id != self.node_id
         ]
 
-    def _apply_batch(self, batch: _PushBatch) -> tuple[int, tuple[str, ...]]:
-        """Apply received records under LWW; returns the adoption count
-        and the names of the items whose value changed."""
-        applied = 0
+    def _apply_batch(self, batch: _PushBatch) -> tuple[str, ...]:
+        """Apply received records under LWW; returns the names of the
+        items whose value changed."""
         changed: list[str] = []
         for record in batch.records:
             self.counters.seqno_comparisons += 1
-            if record.stamp() > self._stamps[record.item]:
-                self._digest.mark(record.item)
-                self._values[record.item] = record.value
-                self._stamps[record.item] = record.stamp()
-                self.counters.items_copied += 1
-                applied += 1
+            if self._install(record):
                 changed.append(record.item)
-        return applied, tuple(changed)
-
-    # -- introspection --------------------------------------------------------------
-
-    def state_fingerprint(self) -> dict[str, bytes]:
-        return dict(self._values)
-
-    def state_version(self) -> StateVersion:
-        return StateVersion(
-            self.protocol_name, self._digest.token(self.fingerprint_value)
-        )
-
-    def fingerprint_value(self, item: str) -> bytes:
-        return self._values.get(item, b"")
+        return tuple(changed)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.baselines.replica import ValueStoreNode
 from repro.core.messages import (
     WORD_SIZE,
     ItemPayload,
@@ -31,14 +32,8 @@ from repro.core.messages import (
     payload_list_wire_size,
 )
 from repro.core.version_vector import Ordering, VersionVector
-from repro.errors import ProtocolStateError, UnknownItemError
-from repro.interfaces import (
-    ContentDigest,
-    ProtocolNode,
-    StateVersion,
-    SyncStats,
-    Transport,
-)
+from repro.errors import ProtocolStateError
+from repro.interfaces import ProtocolNode, SyncStats, Transport
 from repro.obs import NULL_COUNTERS, OverheadCounters
 from repro.substrate.operations import UpdateOperation
 
@@ -88,7 +83,7 @@ class _ItemShipment:
         return WORD_SIZE + payload_list_wire_size(self.payloads)
 
 
-class PerItemVVNode(ProtocolNode):
+class PerItemVVNode(ValueStoreNode):
     """One replica under classic per-item version-vector anti-entropy."""
 
     protocol_name = "per-item-vv"
@@ -100,29 +95,17 @@ class PerItemVVNode(ProtocolNode):
         items: list[str] | tuple[str, ...],
         counters: OverheadCounters = NULL_COUNTERS,
     ):
-        super().__init__(node_id, n_nodes, counters)
-        self._values: dict[str, bytes] = {name: b"" for name in items}
+        super().__init__(node_id, n_nodes, items, counters)
         self._ivvs: dict[str, VersionVector] = {
             name: VersionVector.zero(n_nodes) for name in items
         }
         self._conflicts: list[str] = []
-        self._digest = ContentDigest()
 
     # -- user operations -----------------------------------------------------
 
     def user_update(self, item: str, op: UpdateOperation) -> None:
-        if item not in self._values:
-            raise UnknownItemError(item)
-        old = self._values[item]
-        self._values[item] = op.apply(old)
-        self._digest.mark(item)
+        self._write(item, op.apply(self.read(item)))
         self._ivvs[item].increment(self.node_id)
-
-    def read(self, item: str) -> bytes:
-        try:
-            return self._values[item]
-        except KeyError:
-            raise UnknownItemError(item) from None
 
     # -- anti-entropy ------------------------------------------------------------
 
@@ -174,8 +157,7 @@ class PerItemVVNode(ProtocolNode):
         )
         stats.messages += 2
         for payload in shipment.payloads:
-            self._digest.mark(payload.name)
-            self._values[payload.name] = payload.value
+            self._write(payload.name, payload.value)
             self._ivvs[payload.name] = payload.ivv.copy()
             self.counters.items_copied += 1
             stats.items_transferred += 1
@@ -199,17 +181,6 @@ class PerItemVVNode(ProtocolNode):
         return _ItemShipment(self.node_id, payloads)
 
     # -- introspection --------------------------------------------------------------
-
-    def state_fingerprint(self) -> dict[str, bytes]:
-        return dict(self._values)
-
-    def state_version(self) -> StateVersion:
-        return StateVersion(
-            self.protocol_name, self._digest.token(self.fingerprint_value)
-        )
-
-    def fingerprint_value(self, item: str) -> bytes:
-        return self._values.get(item, b"")
 
     def conflict_count(self) -> int:
         return len(self._conflicts)

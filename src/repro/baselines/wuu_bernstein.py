@@ -34,46 +34,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.messages import (
-    WORD_SIZE,
-    lww_record_wire_size,
-    payload_list_wire_size,
-)
-from repro.errors import ProtocolStateError, UnknownItemError
-from repro.interfaces import (
-    ContentDigest,
-    ProtocolNode,
-    StateVersion,
-    SyncStats,
-    Transport,
-)
+from repro.baselines.replica import LWWNode, LWWRecord
+from repro.core.messages import WORD_SIZE, payload_list_wire_size
+from repro.errors import ProtocolStateError
+from repro.interfaces import ProtocolNode, SyncStats, Transport
 from repro.obs import NULL_COUNTERS, OverheadCounters
 from repro.substrate.operations import UpdateOperation
 
-__all__ = ["GossipRecord", "WuuBernsteinNode"]
-
-
-@dataclass(frozen=True, slots=True)
-class GossipRecord:
-    """One logged update: LWW-stamped resulting value."""
-
-    item: str
-    value: bytes
-    seqno: int
-    origin: int
-
-    def stamp(self) -> tuple[int, int]:
-        return (self.seqno, self.origin)
-
-    def wire_size(self) -> int:
-        return lww_record_wire_size(self.item, self.value)
+__all__ = ["WuuBernsteinNode"]
 
 
 @dataclass(frozen=True, slots=True)
 class _GossipMessage:
     source: int
     time_table: tuple[tuple[int, ...], ...]
-    records: tuple[GossipRecord, ...]
+    records: tuple[LWWRecord, ...]
 
     def wire_size(self) -> int:
         n = len(self.time_table)
@@ -95,7 +70,7 @@ class _GossipRequest:
         return WORD_SIZE
 
 
-class WuuBernsteinNode(ProtocolNode):
+class WuuBernsteinNode(LWWNode):
     """One replica under time-table gossip."""
 
     protocol_name = "wuu-bernstein"
@@ -107,44 +82,18 @@ class WuuBernsteinNode(ProtocolNode):
         items: list[str] | tuple[str, ...],
         counters: OverheadCounters = NULL_COUNTERS,
     ):
-        super().__init__(node_id, n_nodes, counters)
-        self._values: dict[str, bytes] = {name: b"" for name in items}
-        self._stamps: dict[str, tuple[int, int]] = {
-            name: (0, -1) for name in items
-        }
-        self._log: list[GossipRecord] = []
+        super().__init__(node_id, n_nodes, items, counters)
+        self._log: list[LWWRecord] = []
         self._table = [[0] * n_nodes for _ in range(n_nodes)]
-        self._digest = ContentDigest()
 
     # -- user operations -----------------------------------------------------
 
     def user_update(self, item: str, op: UpdateOperation) -> None:
-        if item not in self._values:
-            raise UnknownItemError(item)
-        new_value = op.apply(self._values[item])
-        # Lamport-style stamp: the new seqno must exceed both this
-        # node's own event counter *and* the seqno of the stamp being
-        # overwritten.  Stamping with the bare local counter lets an
-        # update made after adopting a higher-origin stamp install a
-        # *smaller* stamp — this replica then believes its update won
-        # while every peer's LWW rule rejects the gossiped record, and
-        # the replicas never converge (found by `python -m repro.explore
-        # --protocol wuu-bernstein`, minimized to update@1, session@0<-1,
-        # update@0).
-        seqno = max(
-            self._table[self.node_id][self.node_id], self._stamps[item][0]
-        ) + 1
-        self._table[self.node_id][self.node_id] = seqno
-        self._digest.mark(item)
-        self._values[item] = new_value
-        self._stamps[item] = (seqno, self.node_id)
-        self._log.append(GossipRecord(item, new_value, seqno, self.node_id))
-
-    def read(self, item: str) -> bytes:
-        try:
-            return self._values[item]
-        except KeyError:
-            raise UnknownItemError(item) from None
+        record = self._write_local(
+            item, op.apply(self.read(item)), self._table[self.node_id][self.node_id]
+        )
+        self._table[self.node_id][self.node_id] = record.seqno
+        self._log.append(record)
 
     # -- gossip ------------------------------------------------------------------
 
@@ -173,11 +122,7 @@ class WuuBernsteinNode(ProtocolNode):
             if record.seqno > self._table[self.node_id][record.origin]:
                 # Unseen update: log it and LWW-apply it.
                 self._log.append(record)
-                if record.stamp() > self._stamps[record.item]:
-                    self._digest.mark(record.item)
-                    self._values[record.item] = record.value
-                    self._stamps[record.item] = record.stamp()
-                    self.counters.items_copied += 1
+                if self._install(record):
                     changed.append(record.item)
                 applied += 1
         stats.items_transferred = applied
@@ -220,7 +165,7 @@ class WuuBernsteinNode(ProtocolNode):
 
     def _garbage_collect(self) -> None:
         """Drop records provably known everywhere (min over the column)."""
-        def known_everywhere(record: GossipRecord) -> bool:
+        def known_everywhere(record: LWWRecord) -> bool:
             return all(
                 self._table[k][record.origin] >= record.seqno
                 for k in range(self.n_nodes)  # pragma: full-scan the GC rule takes the min over a full time-table column
@@ -229,17 +174,6 @@ class WuuBernsteinNode(ProtocolNode):
         self._log = [r for r in self._log if not known_everywhere(r)]  # pragma: full-scan garbage collection sweeps the whole log by design
 
     # -- introspection --------------------------------------------------------------
-
-    def state_fingerprint(self) -> dict[str, bytes]:
-        return dict(self._values)
-
-    def state_version(self) -> StateVersion:
-        return StateVersion(
-            self.protocol_name, self._digest.token(self.fingerprint_value)
-        )
-
-    def fingerprint_value(self, item: str) -> bytes:
-        return self._values.get(item, b"")
 
     def exploration_key(self) -> tuple:
         """Values/stamps in schema order, the log as a sorted record

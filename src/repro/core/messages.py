@@ -21,9 +21,11 @@ any reasonable constant preserves.  The binary codec in
 cluster's frames are where deployed bytes are measured.
 
 The list-summing helpers below (:func:`name_list_wire_size`,
-:func:`named_vv_list_wire_size`, :func:`payload_list_wire_size`,
-:func:`lww_record_wire_size`) are shared by every baseline so the size
-model cannot fork per protocol.
+:func:`named_vv_list_wire_size`, :func:`payload_list_wire_size`) are
+shared by every baseline so the size model cannot fork per protocol;
+the baselines' one record type,
+:class:`~repro.baselines.replica.LWWRecord`, sizes itself from
+:func:`string_wire_size` and :data:`WORD_SIZE`.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ __all__ = [
     "name_list_wire_size",
     "named_vv_list_wire_size",
     "payload_list_wire_size",
-    "lww_record_wire_size",
     "ItemPayload",
     "PropagationRequest",
     "YouAreCurrent",
@@ -90,14 +91,6 @@ def payload_list_wire_size(payloads: Iterable[_SizedPayload]) -> int:
     """Modelled size of a batch of sized payloads/records — the shared
     body-summing loop of every push/shipment/gossip message."""
     return sum(payload.wire_size() for payload in payloads)
-
-
-def lww_record_wire_size(item: str, value: bytes) -> int:
-    """Modelled size of one last-writer-wins-style log record: the named
-    value plus its ``(seqno, origin)`` stamp.  Shared by the oracle,
-    Agrawal–Malpani, and Wuu–Bernstein record types, which are
-    field-for-field identical on the wire."""
-    return 2 * WORD_SIZE + string_wire_size(item) + len(value)
 
 
 @dataclass(frozen=True, slots=True)

@@ -19,8 +19,9 @@ from repro.baselines.lotus import LotusNode
 from repro.baselines.oracle import OraclePushNode
 from repro.baselines.per_item import PerItemVVNode
 from repro.baselines.wuu_bernstein import WuuBernsteinNode
+from repro.cluster.network import SimulatedNetwork
 from repro.core.protocol import DBVVProtocolNode, DeltaProtocolNode
-from repro.interfaces import DirectTransport, ProtocolNode
+from repro.interfaces import ProtocolNode
 from repro.obs import OverheadCounters
 
 __all__ = [
@@ -87,7 +88,7 @@ class NodePair:
     recipient_counters: OverheadCounters
     source_counters: OverheadCounters
     transport_counters: OverheadCounters
-    transport: "DirectTransport"
+    transport: SimulatedNetwork
 
     def sync(self):
         """One recipient-pulls-from-source session."""
@@ -113,4 +114,6 @@ def fresh_pair(name: str, items: Sequence[str], n_nodes: int = 2) -> NodePair:
     rc, sc, tc = OverheadCounters(), OverheadCounters(), OverheadCounters()
     recipient = cls(0, n_nodes, list(items), counters=rc)  # type: ignore[call-arg]
     source = cls(1, n_nodes, list(items), counters=sc)  # type: ignore[call-arg]
-    return NodePair(recipient, source, rc, sc, tc, DirectTransport(tc))
+    return NodePair(
+        recipient, source, rc, sc, tc, SimulatedNetwork(n_nodes, counters=tc)
+    )

@@ -30,8 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.cluster.network import SimulatedNetwork
 from repro.experiments.common import EPIDEMIC_PROTOCOLS, make_items, protocol_class
-from repro.interfaces import DirectTransport
 from repro.metrics.reporting import Table
 from repro.obs import OverheadCounters
 from repro.substrate.operations import Put
@@ -61,7 +61,7 @@ def run_triangle_session(protocol: str, n_items: int, updates: int) -> E1Row:
     cls_items = items[:updates]
     counters = [OverheadCounters() for _ in range(3)]
     transport_counters = OverheadCounters()
-    transport = DirectTransport(transport_counters)
+    transport = SimulatedNetwork(3, counters=transport_counters)
 
     cls = protocol_class(protocol)
     nodes = [cls(k, 3, items, counters=counters[k]) for k in range(3)]  # type: ignore[call-arg]

@@ -24,9 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.baselines.lotus import LotusNode
+from repro.cluster.network import SimulatedNetwork
 from repro.core.protocol import DBVVProtocolNode
 from repro.experiments.e1_identical_detection import E1Row, run_triangle_session
-from repro.interfaces import DirectTransport
 from repro.metrics.reporting import Table
 from repro.obs import OverheadCounters
 from repro.substrate.operations import Put
@@ -70,7 +70,7 @@ def run_conflict_scenario(protocol: str) -> E4ConflictResult:
     """E4b: i updates x twice, j updates x once, then j pulls from i."""
     items = ["x"]
     counters = [OverheadCounters(), OverheadCounters()]
-    transport = DirectTransport(OverheadCounters())
+    transport = SimulatedNetwork(2)
     if protocol == "dbvv":
         node_i = DBVVProtocolNode(0, 2, items, counters=counters[0])
         node_j = DBVVProtocolNode(1, 2, items, counters=counters[1])

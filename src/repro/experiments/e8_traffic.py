@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cluster.simulation import ClusterSimulation
+from repro.errors import ConvergenceError
 from repro.experiments.common import PROTOCOLS, make_factory, make_items
 from repro.metrics.reporting import Table
 from repro.workload.generators import SingleWriterWorkload
@@ -79,7 +80,7 @@ def run(
         converged = True
         try:
             sim.run_until_converged(max_rounds=60 * n_nodes)
-        except AssertionError:
+        except ConvergenceError:
             converged = False
         totals = sim.total_counters
         shipped = sum(stats.items_transferred for stats in sim.history)

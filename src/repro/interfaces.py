@@ -16,10 +16,11 @@ four abilities:
 * expose a comparable snapshot of its replica (``state_fingerprint``)
   so convergence can be checked without knowing protocol internals.
 
-``sync_with`` takes a :class:`Transport` (duck-typed; the real one lives
-in :mod:`repro.cluster.network`) that charges traffic and models peer
-availability.  :data:`DIRECT_TRANSPORT` is a zero-cost always-up
-transport for unit tests and examples that don't need a network.
+``sync_with`` takes a :class:`Transport` — the simulated network,
+:class:`repro.cluster.network.SimulatedNetwork` — that opens a
+:class:`SessionScope` per session, charges traffic and models peer
+availability.  Unit tests and examples that need no faults use a
+fault-free ``SimulatedNetwork(n, counters=...)``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import enum
 import functools
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Iterable, Protocol, runtime_checkable
+from typing import Callable, Iterable, Protocol
 
 from repro.errors import MessageLostError, NodeDownError
 from repro.obs import NULL_COUNTERS, OverheadCounters
@@ -40,8 +41,6 @@ __all__ = [
     "SessionScope",
     "SyncStats",
     "Transport",
-    "DirectTransport",
-    "DIRECT_TRANSPORT",
     "ProtocolNode",
     "StateVersion",
     "ContentDigest",
@@ -77,11 +76,11 @@ class SessionScope:
     """One session's progress: the leg of its latest message and the
     traffic it has generated so far.
 
-    A transport that tracks sessions (the simulated network) opens it
-    with its ``open_session`` method, sets :attr:`phase`, and attributes
-    every delivered-or-dropped message to it via :meth:`note_message` —
-    what makes ``bytes_wasted_in_aborted_sessions`` attributable.
-    Closing the scope stops the attribution.
+    The transport opens it (:meth:`Transport.open_session`), sets
+    :attr:`phase`, and attributes every delivered-or-dropped message to
+    it via :meth:`note_message` — what makes
+    ``bytes_wasted_in_aborted_sessions`` attributable.  Closing the
+    scope stops the attribution.
     """
 
     initiator: int
@@ -235,8 +234,7 @@ class SyncStats:
     ``messages`` / ``bytes_sent`` — traffic this session generated.
     ``failed``            — the session aborted (peer down / message lost).
     ``aborted_phase``     — the leg of the message an aborted session
-                            died on (None while ``failed`` is False, or
-                            when the transport tracks no sessions).
+                            died on (None while ``failed`` is False).
     ``adopted_items``     — ``(node_id, item)`` pairs whose durable value
                             may have changed during the session (every
                             pair that did change is among them), reported
@@ -261,37 +259,20 @@ class _SizedMessage(Protocol):
     def wire_size(self) -> int: ...
 
 
-@runtime_checkable
 class Transport(Protocol):
-    """What a protocol needs from the network: deliver one message.
+    """What a protocol needs from the network: a scope per session and
+    the delivery of one message.
 
-    ``deliver`` returns the message (identity — the simulation is
-    in-process) after charging its size, or raises
+    ``open_session`` registers the session about to run and returns its
+    :class:`SessionScope`.  ``deliver`` returns the message (identity —
+    the simulation is in-process) after charging its size, or raises
     :class:`~repro.errors.NodeDownError` /
     :class:`~repro.errors.SimulationError` subclasses on failure.
     """
 
+    def open_session(self, initiator: int, responder: int) -> SessionScope: ...
+
     def deliver(self, src: int, dst: int, message: _SizedMessage) -> _SizedMessage: ...
-
-
-class DirectTransport:
-    """A free, reliable, always-up transport for tests and examples.
-
-    Still counts traffic (into an optional counters sink) so even
-    un-networked unit tests can assert on message economics.
-    """
-
-    def __init__(self, counters: OverheadCounters = NULL_COUNTERS) -> None:
-        self.counters = counters
-
-    def deliver(self, src: int, dst: int, message: _SizedMessage) -> _SizedMessage:
-        self.counters.messages_sent += 1
-        self.counters.bytes_sent += message.wire_size()
-        return message
-
-
-DIRECT_TRANSPORT = DirectTransport()
-"""Shared zero-configuration transport (uncounted)."""
 
 
 class ProtocolNode(abc.ABC):
@@ -371,10 +352,7 @@ class ProtocolNode(abc.ABC):
         leg the session died on and the messages and bytes it had moved
         (charged like delivered ones: they left the sender)."""
         stats = SyncStats()
-        # A transport that tracks sessions opens the scope; any other
-        # gets a detached one.
-        opener = getattr(transport, "open_session", SessionScope)
-        scope: SessionScope = opener(self.node_id, peer.node_id)
+        scope = transport.open_session(self.node_id, peer.node_id)
         try:
             exchange(stats)
         except (NodeDownError, MessageLostError):

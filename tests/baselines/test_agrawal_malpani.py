@@ -5,7 +5,6 @@ import pytest
 
 from repro.baselines.agrawal_malpani import AgrawalMalpaniNode
 from repro.cluster.network import SimulatedNetwork
-from repro.interfaces import DirectTransport
 from repro.obs import OverheadCounters
 from repro.substrate.operations import Put
 
@@ -21,7 +20,7 @@ def make_nodes(n=3, vector_exchange_every=4):
         )
         for k in range(n)
     ]
-    return nodes, counters, DirectTransport(OverheadCounters())
+    return nodes, counters, SimulatedNetwork(n)
 
 
 class TestLogPush:
@@ -54,16 +53,16 @@ class TestLogPush:
     def test_out_of_prefix_records_are_dropped(self):
         """A record arriving past a gap is dropped by the cheap path
         (the vector exchange exists to repair exactly this)."""
-        from repro.baselines.agrawal_malpani import AMRecord
+        from repro.baselines.replica import LWWRecord
 
         (a, *_), _, _transport = make_nodes()
         # Origin 1's record with seqno 2 arrives while a has none of
         # origin 1's records: not the next prefix element — dropped.
-        gap_record = AMRecord("item-0", b"gapped", seqno=2, origin=1)
+        gap_record = LWWRecord("item-0", b"gapped", seqno=2, origin=1)
         assert a._accept_records((gap_record,)) == (0, ())
         assert a.read("item-0") == b""
         # The prefix element is accepted, and then its successor.
-        first = AMRecord("item-0", b"first", seqno=1, origin=1)
+        first = LWWRecord("item-0", b"first", seqno=1, origin=1)
         assert a._accept_records((first, gap_record)) == (2, ("item-0", "item-0"))
         assert a.read("item-0") == b"gapped"
 

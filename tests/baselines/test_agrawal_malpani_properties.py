@@ -10,8 +10,7 @@ open.
 from hypothesis import given, settings, strategies as st
 
 from repro.baselines.agrawal_malpani import AgrawalMalpaniNode
-from repro.interfaces import DirectTransport
-from repro.obs import OverheadCounters
+from repro.cluster.network import SimulatedNetwork
 from repro.substrate.operations import Put
 
 N_NODES = 3
@@ -25,7 +24,7 @@ programs = st.lists(steps, max_size=40)
 
 
 def execute(program, vector_exchange_every=3):
-    transport = DirectTransport(OverheadCounters())
+    transport = SimulatedNetwork(N_NODES)
     nodes = [
         AgrawalMalpaniNode(
             k, N_NODES, ITEMS, vector_exchange_every=vector_exchange_every

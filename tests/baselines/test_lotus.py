@@ -2,7 +2,7 @@
 
 
 from repro.baselines.lotus import LotusNode
-from repro.interfaces import DirectTransport
+from repro.cluster.network import SimulatedNetwork
 from repro.obs import OverheadCounters
 from repro.substrate.operations import Put
 
@@ -12,7 +12,7 @@ ITEMS = [f"item-{k}" for k in range(8)]
 def make_nodes(n=2):
     counters = [OverheadCounters() for _ in range(n)]
     nodes = [LotusNode(k, n, ITEMS, counters=counters[k]) for k in range(n)]
-    return nodes, counters, DirectTransport(OverheadCounters())
+    return nodes, counters, SimulatedNetwork(n)
 
 
 class TestBasicReplication:
@@ -47,7 +47,7 @@ class TestBasicReplication:
 
     def test_transitive_convergence_on_clean_histories(self):
         nodes = [LotusNode(k, 3, ITEMS) for k in range(3)]
-        transport = DirectTransport(OverheadCounters())
+        transport = SimulatedNetwork(3)
         nodes[0].user_update("item-0", Put(b"v"))
         nodes[1].sync_with(nodes[0], transport)
         nodes[2].sync_with(nodes[1], transport)
@@ -59,7 +59,7 @@ class TestPaperDeficiencies:
         """Paper section 8.1: identical replicas, but the source scans
         and ships a change list anyway."""
         nodes = [LotusNode(k, 3, ITEMS, counters=OverheadCounters()) for k in range(3)]
-        transport = DirectTransport(OverheadCounters())
+        transport = SimulatedNetwork(3)
         nodes[0].user_update("item-0", Put(b"v"))
         nodes[1].sync_with(nodes[0], transport)
         nodes[2].sync_with(nodes[1], transport)

@@ -5,8 +5,6 @@ import pytest
 from repro.baselines.oracle import OraclePushNode
 from repro.cluster.network import SimulatedNetwork
 from repro.errors import UnknownItemError
-from repro.interfaces import DirectTransport
-from repro.obs import OverheadCounters
 from repro.substrate.operations import Put
 
 ITEMS = [f"item-{k}" for k in range(6)]
@@ -19,7 +17,7 @@ def pending_for(node, peer_id):
 
 def make_nodes(n=3):
     nodes = [OraclePushNode(k, n, ITEMS) for k in range(n)]
-    return nodes, DirectTransport(OverheadCounters())
+    return nodes, SimulatedNetwork(n)
 
 
 class TestDeferredQueue:

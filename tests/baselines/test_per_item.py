@@ -3,8 +3,8 @@
 import pytest
 
 from repro.baselines.per_item import PerItemVVNode
+from repro.cluster.network import SimulatedNetwork
 from repro.errors import UnknownItemError
-from repro.interfaces import DirectTransport
 from repro.obs import OverheadCounters
 from repro.substrate.operations import Put
 
@@ -15,7 +15,7 @@ def make_pair():
     ca, cb = OverheadCounters(), OverheadCounters()
     a = PerItemVVNode(0, 2, ITEMS, counters=ca)
     b = PerItemVVNode(1, 2, ITEMS, counters=cb)
-    return a, b, DirectTransport(OverheadCounters()), ca, cb
+    return a, b, SimulatedNetwork(2), ca, cb
 
 
 class TestUserOperations:
@@ -65,7 +65,7 @@ class TestAntiEntropy:
 
     def test_transitive_convergence(self):
         nodes = [PerItemVVNode(k, 3, ITEMS) for k in range(3)]
-        transport = DirectTransport(OverheadCounters())
+        transport = SimulatedNetwork(3)
         nodes[0].user_update("item-2", Put(b"v"))
         nodes[1].sync_with(nodes[0], transport)
         nodes[2].sync_with(nodes[1], transport)
@@ -80,7 +80,7 @@ class TestAntiEntropy:
 
     def test_metadata_traffic_scales_with_n_items(self):
         counters = OverheadCounters()
-        transport = DirectTransport(counters)
+        transport = SimulatedNetwork(2, counters=counters)
         small_a = PerItemVVNode(0, 2, ITEMS[:2])
         small_b = PerItemVVNode(1, 2, ITEMS[:2])
         small_a.sync_with(small_b, transport)

@@ -18,7 +18,7 @@ import pytest
 from repro.baselines.agrawal_malpani import AgrawalMalpaniNode
 from repro.cluster.network import SimulatedNetwork
 from repro.experiments.common import make_factory, make_items
-from repro.interfaces import DirectTransport, SessionPhase
+from repro.interfaces import SessionPhase
 from repro.obs import OverheadCounters
 from repro.substrate.operations import Put
 
@@ -129,13 +129,17 @@ def test_fault_reports_its_leg_and_traffic(protocol, fault, k, node):
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_direct_transport_stats_unchanged(protocol):
-    """On a transport that tracks no sessions the protocol's own message
-    count stands and no bytes are attributed (a DBVV pull is 2)."""
+    """On a fault-free link with no counters sink the protocol's own
+    message count stands and the session still carries the bytes a
+    counted link charges (a DBVV pull is 2 messages)."""
     a, b = make_pair(protocol)
-    stats = a.sync_with(b, DirectTransport())
+    stats = a.sync_with(b, SimulatedNetwork(2))
     assert not stats.failed
     assert stats.messages == len(reference_legs(protocol))
-    assert stats.bytes_sent == 0
+    counted = SimulatedNetwork(2, counters=OverheadCounters())
+    c, d = make_pair(protocol)
+    c.sync_with(d, counted)
+    assert stats.bytes_sent == link_bytes(counted)
     if protocol == "dbvv":
         assert stats.messages == 2
 

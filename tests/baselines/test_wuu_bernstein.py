@@ -1,7 +1,7 @@
 """Unit tests for the Wuu–Bernstein gossip baseline (section 8.3)."""
 
 from repro.baselines.wuu_bernstein import WuuBernsteinNode
-from repro.interfaces import DirectTransport
+from repro.cluster.network import SimulatedNetwork
 from repro.obs import OverheadCounters
 from repro.substrate.operations import Put
 
@@ -11,7 +11,7 @@ ITEMS = [f"item-{k}" for k in range(6)]
 def make_nodes(n=3):
     counters = [OverheadCounters() for _ in range(n)]
     nodes = [WuuBernsteinNode(k, n, ITEMS, counters=counters[k]) for k in range(n)]
-    return nodes, counters, DirectTransport(OverheadCounters())
+    return nodes, counters, SimulatedNetwork(n)
 
 
 class TestGossip:
@@ -81,7 +81,7 @@ class TestLogGrowthAndGC:
 
     def test_message_carries_n_squared_table(self):
         traffic = OverheadCounters()
-        transport = DirectTransport(traffic)
+        transport = SimulatedNetwork(8, counters=traffic)
         small = [WuuBernsteinNode(k, 2, ITEMS) for k in range(2)]
         small[1].sync_with(small[0], transport)
         small_bytes = traffic.bytes_sent

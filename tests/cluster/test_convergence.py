@@ -1,6 +1,7 @@
 """Unit tests for convergence checking and ground-truth staleness."""
 
 from repro.cluster.convergence import GroundTruth, fingerprints_equal
+from repro.cluster.network import SimulatedNetwork
 from repro.core.protocol import DBVVProtocolNode
 from repro.substrate.operations import Put
 
@@ -57,7 +58,5 @@ class TestGroundTruth:
         nodes = make_nodes(2)
         truth.apply("x", Put(b"v"))
         nodes[0].user_update("x", Put(b"v"))
-        from repro.interfaces import DIRECT_TRANSPORT
-
-        nodes[1].sync_with(nodes[0], DIRECT_TRANSPORT)
+        nodes[1].sync_with(nodes[0], SimulatedNetwork(2))
         assert truth.fully_current(nodes)

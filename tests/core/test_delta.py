@@ -13,8 +13,7 @@ from repro.core.messages import ItemPayload
 from repro.core.node import EpidemicNode
 from repro.core.protocol import DBVVProtocolNode, DeltaProtocolNode
 from repro.core.version_vector import VersionVector
-from repro.interfaces import DIRECT_TRANSPORT, DirectTransport
-from repro.obs import OverheadCounters
+from repro.cluster.network import SimulatedNetwork
 from repro.substrate.operations import Append, BytePatch, Put
 
 ITEMS = [f"item-{k}" for k in range(10)]
@@ -205,7 +204,7 @@ class TestDeltaPropagation:
 
 class TestAdapter:
     def test_delta_cluster_converges(self):
-        transport = DirectTransport(OverheadCounters())
+        transport = SimulatedNetwork(3)
         nodes = [DeltaProtocolNode(k, 3, ITEMS) for k in range(3)]
         nodes[0].user_update("item-0", Put(b"v"))
         nodes[1].sync_with(nodes[0], transport)
@@ -216,9 +215,9 @@ class TestAdapter:
         plain = DBVVProtocolNode(0, 2, ITEMS)
         delta = DeltaProtocolNode(1, 2, ITEMS)
         with pytest.raises(TypeError):
-            plain.sync_with(delta, DIRECT_TRANSPORT)
+            plain.sync_with(delta, SimulatedNetwork(2))
         with pytest.raises(TypeError):
-            delta.sync_with(plain, DIRECT_TRANSPORT)
+            delta.sync_with(plain, SimulatedNetwork(2))
 
     def test_protocol_name(self):
         assert DeltaProtocolNode(0, 2, ITEMS).protocol_name == "dbvv-delta"

@@ -5,7 +5,7 @@ import pytest
 from repro.baselines.lotus import LotusNode
 from repro.cluster.network import SimulatedNetwork
 from repro.core.protocol import DBVVProtocolNode
-from repro.interfaces import DirectTransport, SessionPhase
+from repro.interfaces import SessionPhase
 from repro.obs import OverheadCounters
 from repro.substrate.operations import Put
 
@@ -16,7 +16,7 @@ def make_pair():
     ca, cb, ct = OverheadCounters(), OverheadCounters(), OverheadCounters()
     a = DBVVProtocolNode(0, 2, ITEMS, counters=ca)
     b = DBVVProtocolNode(1, 2, ITEMS, counters=cb)
-    return a, b, DirectTransport(ct), ct
+    return a, b, SimulatedNetwork(2, counters=ct), ct
 
 
 def make_networked_pair():

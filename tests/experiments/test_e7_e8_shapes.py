@@ -1,6 +1,11 @@
 """Shape assertions for experiments E7 (convergence/Theorem 5) and E8
 (end-to-end traffic)."""
 
+import pytest
+
+from repro.baselines.lotus import LotusNode
+from repro.cluster.simulation import ClusterSimulation
+from repro.errors import InvariantViolation
 from repro.experiments.e7_convergence import (
     converge_once,
     run_conflict_detection,
@@ -76,6 +81,27 @@ class TestE8Traffic:
         dbvv = rows["dbvv"]
         # Loose upper bound: every shipped item reaches a new recipient.
         assert dbvv.items_shipped <= 200 * 3
+
+    def test_invariant_violation_escapes_run(self, monkeypatch):
+        """Only non-convergence becomes a "NO" row: an invariant broken
+        inside a session while running to convergence propagates."""
+        converging = []
+        run_until_converged = ClusterSimulation.run_until_converged
+        exchange = LotusNode.exchange
+
+        def mark_converging(sim, *args, **kwargs):
+            converging.append(sim)
+            return run_until_converged(sim, *args, **kwargs)
+
+        def broken_exchange(node, peer, transport, stats):
+            if converging:
+                raise InvariantViolation("replica corrupt")
+            exchange(node, peer, transport, stats)
+
+        monkeypatch.setattr(ClusterSimulation, "run_until_converged", mark_converging)
+        monkeypatch.setattr(LotusNode, "exchange", broken_exchange)
+        with pytest.raises(InvariantViolation, match="replica corrupt"):
+            run_e8(n_nodes=3, n_items=20, updates=10, protocols=("lotus",))
 
 
 class TestE7ExtendedSchedules:

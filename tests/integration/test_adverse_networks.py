@@ -66,9 +66,7 @@ class TestMessageLoss:
         # Simulate the loss by just... not delivering the reply; then a
         # full session succeeds from the same state.
         _ = b.node.send_propagation(a.node.make_propagation_request())
-        from repro.interfaces import DIRECT_TRANSPORT
-
-        stats = a.sync_with(b, DIRECT_TRANSPORT)
+        stats = a.sync_with(b, SimulatedNetwork(2))
         assert stats.items_transferred == 1
         assert a.read(ITEMS[0]) == b"v"
         a.check_invariants()

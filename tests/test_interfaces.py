@@ -2,33 +2,9 @@
 
 import pytest
 
-from repro.interfaces import (
-    DIRECT_TRANSPORT,
-    DirectTransport,
-    ProtocolNode,
-    StateVersion,
-    SyncStats,
-    Transport,
-)
-from repro.core.messages import YouAreCurrent
-from repro.obs import OverheadCounters
+from repro.cluster.network import SimulatedNetwork
+from repro.interfaces import ProtocolNode, StateVersion, SyncStats
 from repro.substrate.operations import Put
-
-
-class TestDirectTransport:
-    def test_delivers_identity_and_counts(self):
-        counters = OverheadCounters()
-        transport = DirectTransport(counters)
-        message = YouAreCurrent(0)
-        assert transport.deliver(0, 1, message) is message
-        assert counters.messages_sent == 1
-        assert counters.bytes_sent == message.wire_size()
-
-    def test_shared_instance_is_uncounted(self):
-        DIRECT_TRANSPORT.deliver(0, 1, YouAreCurrent(0))  # must not raise
-
-    def test_satisfies_transport_protocol(self):
-        assert isinstance(DirectTransport(), Transport)
 
 
 class TestProtocolNodeBase:
@@ -94,6 +70,6 @@ class TestSyncStats:
         a = DBVVProtocolNode(0, 2, ["x"])
         b = DBVVProtocolNode(1, 2, ["x"])
         b.user_update("x", Put(b"v"))
-        stats = a.sync_with(b, DirectTransport())
+        stats = a.sync_with(b, SimulatedNetwork(2))
         assert stats.items_transferred == 1
         assert stats.messages == 2
