@@ -22,24 +22,26 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.experiments.common import EPIDEMIC_PROTOCOLS
 from repro.experiments.e2_propagation_cost import run_session
 from repro.metrics.reporting import Table, format_ratio
 
 SIZES = (100, 400, 1_600, 6_400, 25_600)
 M_CHANGED = 20
-PROTOCOLS = ("dbvv", "per-item-vv", "lotus", "wuu-bernstein")
 
 
 def main() -> None:
     table = Table(
         f"One propagation session, m={M_CHANGED} changed items "
         "(work = comparisons + scans; metadata = bytes beyond item values)",
-        ["N items"] + [f"{p} work" for p in PROTOCOLS] + ["dbvv metadata B"],
+        ["N items"]
+        + [f"{p} work" for p in EPIDEMIC_PROTOCOLS]
+        + ["dbvv metadata B"],
     )
     results = {}
     for n_items in SIZES:
         row = [n_items]
-        for protocol in PROTOCOLS:
+        for protocol in EPIDEMIC_PROTOCOLS:
             result = run_session(protocol, n_items, M_CHANGED)
             results[(protocol, n_items)] = result
             row.append(result.work)
@@ -48,7 +50,7 @@ def main() -> None:
     table.print()
 
     small, large = SIZES[0], SIZES[-1]
-    for protocol in PROTOCOLS:
+    for protocol in EPIDEMIC_PROTOCOLS:
         growth = format_ratio(
             results[(protocol, large)].work, results[(protocol, small)].work
         )

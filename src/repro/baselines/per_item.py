@@ -87,6 +87,7 @@ class PerItemVVNode(ValueStoreNode):
     """One replica under classic per-item version-vector anti-entropy."""
 
     protocol_name = "per-item-vv"
+    causal_values = True
 
     def __init__(
         self,

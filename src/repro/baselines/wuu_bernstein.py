@@ -74,6 +74,8 @@ class WuuBernsteinNode(LWWNode):
     """One replica under time-table gossip."""
 
     protocol_name = "wuu-bernstein"
+    #: Adopts by per-origin stamp, not by version vector.
+    causal_values = False
 
     def __init__(
         self,

@@ -2,11 +2,13 @@
 
 * :mod:`repro.cluster.events` — discrete-event engine.
 * :mod:`repro.cluster.network` — crash/partition/loss-aware transport
-  with traffic accounting.
+  with traffic accounting; it holds at most one active loss
+  ``(rate, rng)``.
 * :mod:`repro.cluster.scheduler` — peer-selection policies (random,
   ring, star, arbitrary topology).
 * :mod:`repro.cluster.failures` — declarative failure plans, including
-  the mid-push crash used by experiment E5.
+  the mid-push crash used by experiment E5 and lossy windows, each
+  with its own RNG (the plan sets the network's loss every round).
 * :mod:`repro.cluster.convergence` — convergence checks and ground-truth
   staleness tracking.
 * :mod:`repro.cluster.simulation` — the round-based driver that runs any

@@ -26,7 +26,7 @@ Two protocol-agnostic instruments:
   then re-examine only the (node, item) pairs in the dirty frontier
   (items updated or adopted since the last query), making per-query
   cost proportional to what changed.  The from-scratch path is kept as
-  :meth:`recompute_stale_pairs` for untracked callers (queries over
+  :meth:`recompute_staleness` for untracked callers (queries over
   node subsets fall back to it automatically) and for the sanitizer
   cross-check.
 
@@ -224,19 +224,24 @@ class GroundTruth:
         if self.tracking(nodes):
             self._drain_dirty()
             return sum(len(stale) for stale in self._stale)
-        return self.recompute_stale_pairs(nodes)
+        return self.recompute_staleness(nodes)[0]
 
-    def recompute_stale_pairs(self, nodes: Sequence[ProtocolNode]) -> int:
-        """The from-scratch count over full fingerprints — used by
-        untracked callers (including subset queries) and as the
-        sanitizer cross-check against the incremental count."""
-        stale = 0
+    def recompute_staleness(self, nodes: Sequence[ProtocolNode]) -> tuple[int, int]:
+        """``(stale pairs, stale nodes)`` from scratch over full
+        fingerprints — used by untracked callers (including subset
+        queries) and as the sanitizer cross-check against the
+        incremental count."""
+        stale_pairs = stale_nodes = 0
         for node in nodes:
             snapshot = node.state_fingerprint()
-            for item, truth in self._values.items():
-                if snapshot.get(item, b"") != truth:
-                    stale += 1
-        return stale
+            node_stale = sum(
+                1
+                for item, truth in self._values.items()
+                if snapshot.get(item, b"") != truth
+            )
+            stale_pairs += node_stale
+            stale_nodes += 1 if node_stale else 0
+        return stale_pairs, stale_nodes
 
     def observe(self, time: float, nodes: list[ProtocolNode]) -> StalenessSample:
         """Sample staleness now and append it to ``samples``."""
@@ -245,18 +250,7 @@ class GroundTruth:
             stale_pairs = sum(len(stale) for stale in self._stale)
             stale_nodes = sum(1 for stale in self._stale if stale)
         else:
-            stale_nodes = 0
-            stale_pairs = 0
-            for node in nodes:
-                snapshot = node.state_fingerprint()
-                node_stale = sum(
-                    1
-                    for item, truth in self._values.items()
-                    if snapshot.get(item, b"") != truth
-                )
-                stale_pairs += node_stale
-                if node_stale:
-                    stale_nodes += 1
+            stale_pairs, stale_nodes = self.recompute_staleness(nodes)
         sample = StalenessSample(time, stale_pairs, stale_nodes)
         self.samples.append(sample)
         return sample

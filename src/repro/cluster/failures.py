@@ -102,10 +102,10 @@ class CrashMidSession:
 @dataclass(frozen=True)
 class LossyWindow:
     """Raise the network's drop probability to ``rate`` for the rounds
-    ``at_round .. until_round - 1``; at ``until_round`` the rate and
-    RNG in force before it opened are restored.  The window draws its
-    drops from its own RNG seeded with ``seed``, so they are the same
-    whatever windows ran before it.
+    ``at_round .. until_round - 1``; at ``until_round`` the still-open
+    window that opened last is active again (none: no loss).  The
+    window draws its drops from its own RNG seeded with ``seed``, so
+    they are the same whatever windows ran before it.
     """
 
     rate: float
@@ -114,6 +114,8 @@ class LossyWindow:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not 0.0 <= self.rate < 1.0:
+            raise ValueError(f"rate must be in [0, 1), got {self.rate}")
         if self.until_round <= self.at_round:
             raise ValueError(
                 f"until_round ({self.until_round}) must be after "
@@ -130,17 +132,17 @@ FailureEvent = (
 class FailurePlan:
     """An ordered script of failure events keyed by round number.
 
-    Lossy windows are opened and closed through the network's *stacked*
-    window API (``push_loss_rate``/``pop_loss_rate``), so overlapping or
-    nested :class:`LossyWindow` events compose: closing one window
-    reinstates whatever window is still open instead of silently
-    resetting to the constructor-time rate.
+    Each open :class:`LossyWindow` keeps its own RNG, and after every
+    round the network's loss is the most recently opened window that is
+    still open (a tie within a round goes to the event listed last), so
+    overlapping or nested windows compose: closing one window
+    reinstates whatever window is still open.
     """
 
     events: list[FailureEvent] = field(default_factory=list)
-    #: Open lossy windows, keyed by event index in :attr:`events`; the
-    #: values are the network's window tokens.
-    _window_tokens: dict[int, int] = field(
+    #: Open lossy windows' ``(rate, rng)``, keyed by ``(at_round, event
+    #: index)`` — their opening order; each window draws from its own RNG.
+    _open_windows: dict[tuple[int, int], tuple[float, random.Random]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -152,17 +154,13 @@ class FailurePlan:
         fired: list[object] = []
         for index, event in enumerate(self.events):
             if isinstance(event, LossyWindow):
+                key = (event.at_round, index)
                 if round_no == event.at_round:
-                    self._window_tokens[index] = network.push_loss_rate(
-                        event.rate,
-                        rng=random.Random(event.seed),
-                    )
+                    self._open_windows[key] = (event.rate, random.Random(event.seed))
                     fired.append(event)
-                elif round_no == event.until_round:
-                    token = self._window_tokens.pop(index, None)
-                    if token is not None:
-                        network.pop_loss_rate(token)
-                        fired.append(event)
+                elif round_no == event.until_round and key in self._open_windows:
+                    del self._open_windows[key]
+                    fired.append(event)
                 continue
             if event.at_round != round_no:
                 continue
@@ -177,6 +175,9 @@ class FailurePlan:
             else:
                 network.heal()
             fired.append(event)
+        network.set_loss(
+            self._open_windows[max(self._open_windows)] if self._open_windows else None
+        )
         return fired
 
     def final_round(self, event: FailureEvent) -> int:

@@ -8,10 +8,9 @@ properties the experiments need:
   abort cleanly, like a failed dial-up);
 * **partitions** — nodes can be split into groups that cannot reach
   each other;
-* **loss** — an optional independent per-message drop probability,
-  deterministic under the injected RNG and adjustable at runtime through
-  stacked windows (:meth:`push_loss_rate` / :meth:`pop_loss_rate`; the
-  failure plan's lossy windows use this);
+* **loss** — at most one active ``(rate, rng)``: each message is
+  dropped independently with that probability, drawn from that RNG
+  (:meth:`set_loss`; the failure plan's lossy windows set it);
 * **sessions** — anti-entropy sessions register a
   :class:`~repro.interfaces.SessionScope` so every message is
   attributed to the session that sent it and labelled with its leg
@@ -39,13 +38,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from repro.errors import (
-    InvariantViolation,
-    MessageLostError,
-    NodeDownError,
-    SimulationError,
-    UnknownNodeError,
-)
+from repro.errors import MessageLostError, NodeDownError, UnknownNodeError
 from repro.interfaces import SessionPhase, SessionScope, _SizedMessage
 from repro.obs import NULL_COUNTERS, OverheadCounters
 
@@ -71,25 +64,16 @@ class SimulatedNetwork:
         Size of the replica set.
     counters:
         Global sink charged for every message that leaves a sender.
-    loss_rate:
-        Probability each message is independently dropped (0 disables).
-    rng:
-        Randomness source for loss; required when ``loss_rate > 0`` so
-        experiments stay reproducible.
     """
 
     n_nodes: int
     counters: OverheadCounters = field(default_factory=lambda: NULL_COUNTERS)
-    loss_rate: float = 0.0
-    rng: random.Random | None = None
 
     def __post_init__(self) -> None:
         if self.n_nodes <= 0:
             raise ValueError(f"n_nodes must be positive, got {self.n_nodes}")
-        self._check_loss_rate(self.loss_rate)
-        if self.loss_rate > 0.0 and self.rng is None:
-            raise ValueError("loss_rate > 0 requires an explicit rng")
-        self._base_loss = (self.loss_rate, self.rng)
+        #: The active loss ``(rate, rng)``, or ``None`` for no loss.
+        self.loss: tuple[float, random.Random] | None = None
         self._up = [True] * self.n_nodes
         # Partition groups: equal group ids can reach each other.  All
         # nodes start in one group (no partitions).
@@ -101,17 +85,6 @@ class SimulatedNetwork:
         self._session: SessionScope | None = None
         self._armed_crashes: list[_ArmedCrash] = []
         self._armed_drops: list[int] = []
-        # Stacked lossy windows: (token, rate, rng) in open order.  The
-        # most recently opened window's rate and RNG are active; closing
-        # it falls back to the previous still-open window's, or the
-        # constructor's.
-        self._loss_windows: list[tuple[int, float, random.Random | None]] = []
-        self._next_loss_token = 0
-
-    @staticmethod
-    def _check_loss_rate(rate: float) -> None:
-        if not 0.0 <= rate < 1.0:
-            raise ValueError(f"loss_rate must be in [0, 1), got {rate}")
 
     # -- liveness ------------------------------------------------------------
 
@@ -185,44 +158,13 @@ class SimulatedNetwork:
 
     # -- loss ------------------------------------------------------------------
 
-    def push_loss_rate(self, rate: float, rng: random.Random | None = None) -> int:
-        """Open a stacked lossy window at ``rate`` that draws its drops
-        from ``rng`` (by default the active RNG); returns a token for
-        :meth:`pop_loss_rate`.
-
-        Windows stack: the most recently opened window's rate and RNG
-        are the active ones, and closing any window re-activates the
-        most recent *still-open* window (or the constructor-time rate
-        and RNG when none remain) — so overlapping or nested failure
-        events cannot clobber each other's saved rate or RNG.
-        """
-        self._check_loss_rate(rate)
-        rng = rng or self.rng
-        if rate > 0.0 and rng is None:
-            raise ValueError("loss_rate > 0 requires an explicit rng")
-        token = self._next_loss_token
-        self._next_loss_token += 1
-        self._loss_windows.append((token, rate, rng))
-        self.loss_rate, self.rng = rate, rng
-        return token
-
-    def pop_loss_rate(self, token: int) -> None:
-        """Close the stacked lossy window identified by ``token``; the
-        active rate and RNG fall back to the most recently opened
-        still-open window's, or the constructor's when none remain."""
-        for index, (open_token, _rate, _rng) in enumerate(self._loss_windows):
-            if open_token == token:
-                del self._loss_windows[index]
-                break
-        else:
-            raise SimulationError(
-                f"pop_loss_rate token {token} does not match any open "
-                "lossy window"
-            )
-        if self._loss_windows:
-            _token, self.loss_rate, self.rng = self._loss_windows[-1]
-        else:
-            self.loss_rate, self.rng = self._base_loss
+    def set_loss(self, loss: tuple[float, random.Random] | None) -> None:
+        """Make ``loss`` the active ``(rate, rng)``: every later message
+        is dropped with probability ``rate``, drawn from ``rng``, until
+        the next call.  ``None`` switches loss off."""
+        if loss is not None and not 0.0 <= loss[0] < 1.0:
+            raise ValueError(f"loss rate must be in [0, 1), got {loss[0]}")
+        self.loss = loss
 
     # -- sessions and scripted faults -----------------------------------------
 
@@ -318,14 +260,9 @@ class SimulatedNetwork:
         if session is not None and session.messages in self._armed_drops:
             self._armed_drops.remove(session.messages)
             dropped = True
-        if not dropped and self.loss_rate > 0.0:
-            if self.rng is None:
-                raise InvariantViolation(
-                    "network has loss_rate > 0 but no RNG; push_loss_rate "
-                    "should have rejected this configuration"
-                )
-            if self.rng.random() < self.loss_rate:
-                dropped = True
+        if not dropped and self.loss is not None:
+            rate, rng = self.loss
+            dropped = rng.random() < rate
         # Scripted crash *between* messages: fires after this message
         # left the sender, so the session's next message finds the node
         # dead mid-exchange.  The sweep runs before a drop is raised —

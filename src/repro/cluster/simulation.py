@@ -148,12 +148,6 @@ class ClusterSimulation:
         boundary semantics are exercised directly by the durable test
         suite's truncation properties.  Needed by CI job
         ``test-durable`` and ``tests/cluster/test_durable_simulation.py``.
-    data_dir:
-        Where durable mode keeps its per-node directories
-        (``<data_dir>/node<k>/``).  ``None`` uses a private temporary
-        directory that lives as long as the simulation object.  Needed
-        by ``tests/cluster/test_durable_simulation.py`` (it inspects the
-        journals a run leaves behind).
     session_observer:
         Optional ``observer(initiator, peer, stats)`` invoked after
         every attempted session (including faulted ones).  Needed by
@@ -173,7 +167,6 @@ class ClusterSimulation:
     retry_attempts: int = 1
     sanitize: bool | None = None
     durable: bool | None = None
-    data_dir: str | None = None
     session_observer: Callable[[int, int, SyncStats], None] | None = None
     seed: int = 0
 
@@ -206,8 +199,6 @@ class ClusterSimulation:
     # -- durable substrate -------------------------------------------------------
 
     def _durable_root(self) -> Path:
-        if self.data_dir is not None:
-            return Path(self.data_dir)
         if self._durable_tmp is None:
             self._durable_tmp = tempfile.TemporaryDirectory(
                 prefix="repro-durable-"
@@ -352,7 +343,7 @@ class ClusterSimulation:
         fast = self.ground_truth.stale_pairs(self.nodes)
         if self.sanitize and self.ground_truth.tracking(self.nodes):
             self.network_counters.tracking_crosschecks += 1
-            full = self.ground_truth.recompute_stale_pairs(self.nodes)
+            full = self.ground_truth.recompute_staleness(self.nodes)[0]
             if fast != full:
                 raise InvariantViolation(
                     "incremental staleness tracking diverged from the "

@@ -38,6 +38,7 @@ class DBVVProtocolNode(ProtocolNode):
     """
 
     protocol_name = "dbvv"
+    causal_values = True
 
     #: The epidemic-node implementation this adapter wraps; the
     #: operation-shipping variant overrides it.

@@ -1,7 +1,7 @@
 """Bounded exhaustive protocol exploration (stateless model checking).
 
 The random simulations in :mod:`repro.cluster` sample schedules; this
-package *enumerates* them.  An :class:`~repro.explore.world.ExplorationWorld`
+package *enumerates* them.  A :class:`~repro.explore.world.ProtocolWorld`
 reifies every nondeterminism point of the cluster simulator — who
 originates an update, which pair runs an anti-entropy session, whether a
 message is delivered or dropped, whether a participant crashes between
@@ -21,6 +21,14 @@ oracle (:mod:`~repro.explore.oracle`) at every state:
   must reach identical replicas (criterion C3);
 * optionally, differential agreement between protocols driven through
   the same schedule (``dbvv`` vs ``per-item-vv`` vs ``wuu-bernstein``).
+
+The protocols come from the experiments' table,
+:data:`repro.experiments.common.PROTOCOLS`; a protocol is explorable
+when its class overrides ``ProtocolNode.exploration_key``
+(:data:`~repro.explore.world.EXPLORABLE_PROTOCOLS`), and its class
+also says whether it offers out-of-bound fetches
+(``fetch_out_of_bound``) and whether the differential oracle may
+demand causal values of it (``causal_values``).
 
 State explosion is contained by three mechanisms: budgets on updates,
 faults, crashes and out-of-bound fetches; revisited-state pruning via
@@ -57,7 +65,7 @@ from repro.explore.minimize import minimize_schedule
 from repro.explore.oracle import InvariantOracle, OracleViolation
 from repro.explore.trace import Trace, load_trace, replay_trace, save_trace
 from repro.explore.world import (
-    PROTOCOL_REGISTRY,
+    EXPLORABLE_PROTOCOLS,
     DifferentialWorld,
     ExplorationConfig,
     ProtocolWorld,
@@ -68,6 +76,7 @@ __all__ = [
     "Action",
     "Crash",
     "DifferentialWorld",
+    "EXPLORABLE_PROTOCOLS",
     "ExplorationConfig",
     "ExplorationResult",
     "ExplorationStats",
@@ -76,7 +85,6 @@ __all__ = [
     "InvariantOracle",
     "OracleViolation",
     "Originate",
-    "PROTOCOL_REGISTRY",
     "ProtocolWorld",
     "Recover",
     "SessionFault",

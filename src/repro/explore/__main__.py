@@ -28,7 +28,7 @@ from repro.explore.minimize import minimize_schedule
 from repro.explore.mutations import MUTATIONS, apply_mutation
 from repro.explore.trace import Trace, load_trace, replay_trace, save_trace
 from repro.explore.world import (
-    PROTOCOL_REGISTRY,
+    EXPLORABLE_PROTOCOLS,
     ExplorationConfig,
     default_items,
 )
@@ -47,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--protocol",
         default="dbvv",
-        choices=sorted(PROTOCOL_REGISTRY),
+        choices=sorted(EXPLORABLE_PROTOCOLS),
         help="protocol to explore (default: dbvv)",
     )
     parser.add_argument(

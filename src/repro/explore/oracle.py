@@ -202,7 +202,7 @@ class InvariantOracle:
             violation = self._converge_member(member)
             if violation is not None:
                 return violation
-        causal_all = [m for m in members if m.spec.causal_values]
+        causal_all = [m for m in members if m.nodes[0].causal_values]
         if len(causal_all) >= 2 and not cloned.config.fault_variants:
             # Conflict agreement.  On fault-free schedules the causal
             # protocols evolve identical item IVVs (same updates, same

@@ -24,13 +24,11 @@ from __future__ import annotations
 import copy
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
-from repro.baselines.per_item import PerItemVVNode
-from repro.baselines.wuu_bernstein import WuuBernsteinNode
 from repro.cluster.network import SimulatedNetwork
-from repro.core.protocol import DBVVProtocolNode, DeltaProtocolNode
 from repro.errors import ReplicationError
+from repro.experiments.common import PROTOCOLS, make_factory
 from repro.explore.actions import (
     Action,
     Crash,
@@ -46,68 +44,21 @@ from repro.obs import OverheadCounters
 from repro.substrate.operations import Append
 
 __all__ = [
-    "PROTOCOL_REGISTRY",
+    "EXPLORABLE_PROTOCOLS",
     "DifferentialWorld",
     "ExplorationConfig",
-    "ProtocolSpec",
     "ProtocolWorld",
     "build_world",
 ]
 
 
-@dataclass(frozen=True)
-class ProtocolSpec:
-    """One explorable protocol: how to build a node, and what the
-    oracle may assume about it.
-
-    ``causal_values`` — the protocol adopts by version-vector
-    domination, so on conflict-free schedules its converged values
-    must equal those of every other causal protocol driven through the
-    same schedule (the differential oracle's cross-protocol check).
-    LWW protocols (wuu-bernstein stamps by per-origin sequence number)
-    converge among their own replicas but may legitimately settle on a
-    different value, so they are only checked for self-convergence.
-    ``supports_oob`` — exposes ``fetch_out_of_bound``.
-    """
-
-    name: str
-    factory: Callable[[int, int, tuple[str, ...], OverheadCounters], ProtocolNode]
-    causal_values: bool = True
-    supports_oob: bool = False
-
-
-PROTOCOL_REGISTRY: dict[str, ProtocolSpec] = {
-    "dbvv": ProtocolSpec(
-        "dbvv",
-        lambda node_id, n, items, counters: DBVVProtocolNode(
-            node_id, n, items, counters=counters
-        ),
-        causal_values=True,
-        supports_oob=True,
-    ),
-    "dbvv-delta": ProtocolSpec(
-        "dbvv-delta",
-        lambda node_id, n, items, counters: DeltaProtocolNode(
-            node_id, n, items, counters=counters
-        ),
-        causal_values=True,
-        supports_oob=True,
-    ),
-    "per-item-vv": ProtocolSpec(
-        "per-item-vv",
-        lambda node_id, n, items, counters: PerItemVVNode(
-            node_id, n, items, counters=counters
-        ),
-        causal_values=True,
-    ),
-    "wuu-bernstein": ProtocolSpec(
-        "wuu-bernstein",
-        lambda node_id, n, items, counters: WuuBernsteinNode(
-            node_id, n, items, counters=counters
-        ),
-        causal_values=False,
-    ),
-}
+#: The protocols the explorer can drive, in table order: those whose
+#: class overrides :meth:`ProtocolNode.exploration_key`.
+EXPLORABLE_PROTOCOLS = tuple(
+    name
+    for name, cls in PROTOCOLS.items()
+    if cls.exploration_key is not ProtocolNode.exploration_key
+)
 
 
 def default_items(n_items: int) -> tuple[str, ...]:
@@ -136,10 +87,10 @@ class ExplorationConfig:
 
     def __post_init__(self) -> None:
         for name in (self.protocol, *self.differential):
-            if name not in PROTOCOL_REGISTRY:
+            if name not in EXPLORABLE_PROTOCOLS:
                 raise ValueError(
                     f"unknown protocol {name!r}; known: "
-                    f"{', '.join(sorted(PROTOCOL_REGISTRY))}"
+                    f"{', '.join(sorted(EXPLORABLE_PROTOCOLS))}"
                 )
         if self.n_nodes < 2:
             raise ValueError("exploration needs at least 2 nodes")
@@ -189,12 +140,11 @@ class ProtocolWorld:
     def __init__(self, config: ExplorationConfig, protocol: str | None = None):
         self.config = config
         self.protocol = protocol if protocol is not None else config.protocol
-        self.spec = PROTOCOL_REGISTRY[self.protocol]
         self.counters = OverheadCounters()
         self.network = SimulatedNetwork(config.n_nodes, counters=self.counters)
+        factory = make_factory(self.protocol, config.n_nodes, config.items)
         self.nodes: list[ProtocolNode] = [
-            self.spec.factory(node_id, config.n_nodes, config.items, self.counters)
-            for node_id in range(config.n_nodes)
+            factory(node_id, self.counters) for node_id in range(config.n_nodes)
         ]
         self.budgets_used = {"updates": 0, "faults": 0, "crashes": 0, "oob": 0}
         #: Faults that were armed but never fired (the session ended
@@ -210,7 +160,7 @@ class ProtocolWorld:
         cloned = object.__new__(type(self))
         memo[id(self)] = cloned
         for name, value in self.__dict__.items():
-            if name in ("config", "spec"):
+            if name == "config":
                 setattr(cloned, name, value)  # frozen, shareable
             else:
                 setattr(cloned, name, copy.deepcopy(value, memo))
@@ -267,7 +217,8 @@ class ProtocolWorld:
                     actions.append(StartSession(i, j, fault))
                 actions.append(StartSession(i, j, SessionFault("crash", 1, i)))
                 actions.append(StartSession(i, j, SessionFault("crash", 1, j)))
-        if self.spec.supports_oob and self.budget_left("oob") > 0:
+        oob = hasattr(self.nodes[0], "fetch_out_of_bound")
+        if oob and self.budget_left("oob") > 0:
             for i, j in pairs:
                 for item in self.config.items:
                     actions.append(FetchOutOfBound(i, item, j))
@@ -321,15 +272,12 @@ class ProtocolWorld:
             self._require_up(action.node)
             self._require_up(action.peer)
             self._spend(action.budget)
-            node = self.nodes[action.node]
-            peer = self.nodes[action.peer]
-            if not isinstance(node, DBVVProtocolNode) or not isinstance(
-                peer, DBVVProtocolNode
-            ):
+            fetch = getattr(self.nodes[action.node], "fetch_out_of_bound", None)
+            if fetch is None:
                 raise InapplicableActionError(
                     f"{self.protocol} does not support out-of-bound fetches"
                 )
-            node.fetch_out_of_bound(action.item, peer, self.network)
+            fetch(action.item, self.nodes[action.peer], self.network)
         else:
             raise InapplicableActionError(f"unknown action {action!r}")
 

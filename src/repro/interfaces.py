@@ -288,6 +288,12 @@ class ProtocolNode(abc.ABC):
 
     #: Short protocol identifier used in experiment tables.
     protocol_name: str = "abstract"
+    #: Whether the explorer's differential oracle may demand causal
+    #: values: the protocol adopts by version-vector domination, so on a
+    #: conflict-free schedule it must close to the same values as every
+    #: other causal protocol.  Last-writer-wins protocols converge among
+    #: their own replicas but may settle on another value.
+    causal_values: bool = False
 
     def __init__(
         self,

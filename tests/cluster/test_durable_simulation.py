@@ -86,10 +86,14 @@ class TestDurableMode:
         monkeypatch.setenv("REPRO_DURABLE", "1")
         assert make_sim(durable=False).durable is False
 
-    def test_data_dir_hosts_the_journals(self, tmp_path):
-        sim = make_sim(durable=True, data_dir=str(tmp_path))
+    def test_data_dir_hosts_the_journals(self):
+        # A run's files stay reachable through its journals.
+        sim = make_sim(durable=True)
         sim.apply_update(0, ITEMS[0], Put(b"v"))
-        assert (tmp_path / "node0" / "wal.log").exists()
+        journal = sim.journals[0]
+        assert journal.wal_path.exists()
+        assert journal.wal_path.parent == journal.data_dir
+        assert journal.checkpoint_path.parent == journal.data_dir
 
     def test_baseline_protocols_run_undisturbed(self):
         # Baselines have no attach_journal; durable mode must skip

@@ -150,9 +150,9 @@ class TestMidSessionEvents:
         with pytest.raises(MessageLostError):
             net.deliver(0, 1, MSG)               # inside the window
         plan.apply_round(3, net)                 # window still open
-        assert net.loss_rate == 0.999
+        assert net.loss[0] == 0.999
         plan.apply_round(4, net)                 # closes
-        assert net.loss_rate == 0.0
+        assert net.loss is None
         net.deliver(0, 1, MSG)
 
     def test_lossy_window_validates_bounds(self):
@@ -199,8 +199,7 @@ class TestMidSessionEvents:
                 except MessageLostError:
                     pattern += "1"
             plan.apply_round(6, net)
-            assert net.loss_rate == 0.0
-            assert net.rng is None
+            assert net.loss is None
             return pattern
 
         alone = drops_in_round_5([LossyWindow(0.5, 5, 6, seed=2)])
@@ -215,10 +214,10 @@ class TestMidSessionEvents:
 class TestOverlappingLossyWindows:
     """Overlapping :class:`LossyWindow` events in both close orderings.
 
-    The plan drives the network's stacked ``push_loss_rate`` /
-    ``pop_loss_rate`` API, so whichever window closes first, the rate
-    falls back to the window still open — never silently to the base
-    rate (the overlapping-window clobbering bug).
+    After every round the plan makes the most recently opened window
+    that is still open the network's loss, so whichever window closes
+    first, the rate falls back to the window still open — never
+    silently to no loss (the overlapping-window clobbering bug).
     """
 
     def rates_by_round(self, plan, last_round, n_nodes=2):
@@ -226,7 +225,7 @@ class TestOverlappingLossyWindows:
         rates = {}
         for round_no in range(last_round + 1):
             plan.apply_round(round_no, net)
-            rates[round_no] = net.loss_rate
+            rates[round_no] = net.loss[0] if net.loss else 0.0
         return rates
 
     def test_nested_windows_inner_closes_first(self):

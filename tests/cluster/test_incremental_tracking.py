@@ -196,14 +196,14 @@ class TestGroundTruthTracking:
         assert sim.ground_truth.stale_pairs(sim.nodes) == 1  # node 1 lags
         sim.apply_update(0, ITEMS[0], Put(b"b"))
         assert sim.ground_truth.stale_pairs(sim.nodes) == 1
-        assert sim.ground_truth.recompute_stale_pairs(sim.nodes) == 1
+        assert sim.ground_truth.recompute_staleness(sim.nodes)[0] == 1
 
     def test_adoptions_clear_staleness_incrementally(self):
         sim = make_sim(n_nodes=3)
         sim.apply_update(0, ITEMS[0], Put(b"v"))
         sim.run_until_converged(max_rounds=50)
         assert sim.ground_truth.stale_pairs(sim.nodes) == 0
-        assert sim.ground_truth.recompute_stale_pairs(sim.nodes) == 0
+        assert sim.ground_truth.recompute_staleness(sim.nodes)[0] == 0
 
     def test_reexaminations_are_frontier_sized(self):
         sim = make_sim(n_nodes=4)
@@ -229,7 +229,7 @@ class TestGroundTruthTracking:
         counters = OverheadCounters()
         truth.track(sim.nodes, counters)
         assert truth.stale_pairs(sim.nodes) == 1
-        assert truth.recompute_stale_pairs(sim.nodes) == 1
+        assert truth.recompute_staleness(sim.nodes)[0] == 1
         # Node 0 matches the (empty) truth; node 1 is examined in full.
         assert counters.staleness_reexaminations == len(ITEMS)
 
@@ -245,7 +245,7 @@ class TestGroundTruthTracking:
         assert sim.ground_truth.stale_pairs(sim.nodes) == 1  # the newcomer
         sim.run_until_converged(max_rounds=60)
         assert sim.ground_truth.stale_pairs(sim.nodes) == 0
-        assert sim.ground_truth.recompute_stale_pairs(sim.nodes) == 0
+        assert sim.ground_truth.recompute_staleness(sim.nodes)[0] == 0
 
     def test_a_failed_session_reports_what_it_changed(self):
         """An agrawal-malpani session whose log push landed before its
@@ -260,7 +260,7 @@ class TestGroundTruthTracking:
         assert sim.session_step(2, 0).failed
         assert sim.nodes[0].read(ITEMS[0]) == b"v"
         assert sim.ground_truth.stale_pairs(sim.nodes) == 1
-        assert sim.ground_truth.recompute_stale_pairs(sim.nodes) == 1
+        assert sim.ground_truth.recompute_staleness(sim.nodes)[0] == 1
 
     def test_sanitize_mode_crosschecks_every_round(self):
         sim = make_sim(n_nodes=3, sanitize=True)
@@ -424,7 +424,7 @@ def test_incremental_always_equals_recompute(protocol, n_nodes, seed, steps, gro
         elif kind == "recover":
             sim.network.set_up(step[1] % sim.n_nodes)
         assert sim.ground_truth.stale_pairs(sim.nodes) == (
-            sim.ground_truth.recompute_stale_pairs(sim.nodes)
+            sim.ground_truth.recompute_staleness(sim.nodes)[0]
         ), f"divergence after {kind} step"
         live = [sim.nodes[k] for k in sim.up_nodes()]
         assert fingerprints_equal(live) == snapshots_equal(live)
@@ -436,14 +436,14 @@ def test_incremental_always_equals_recompute(protocol, n_nodes, seed, steps, gro
             )
         )
         assert sim.ground_truth.stale_pairs(sim.nodes) == (
-            sim.ground_truth.recompute_stale_pairs(sim.nodes)
+            sim.ground_truth.recompute_staleness(sim.nodes)[0]
         )
     for node in range(sim.n_nodes):
         sim.network.set_up(node)
     for _ in range(4):
         sim.run_round()
         assert sim.ground_truth.stale_pairs(sim.nodes) == (
-            sim.ground_truth.recompute_stale_pairs(sim.nodes)
+            sim.ground_truth.recompute_staleness(sim.nodes)[0]
         )
     live = [sim.nodes[k] for k in sim.up_nodes()]
     assert fingerprints_equal(live) == snapshots_equal(live)

@@ -8,10 +8,8 @@ from repro.cluster.network import SimulatedNetwork
 from repro.core.messages import PropagationRequest, YouAreCurrent
 from repro.core.version_vector import VersionVector
 from repro.errors import (
-    InvariantViolation,
     MessageLostError,
     NodeDownError,
-    SimulationError,
     UnknownNodeError,
 )
 from repro.obs import OverheadCounters
@@ -99,19 +97,26 @@ class TestPartitions:
 
 
 class TestLoss:
-    def test_loss_requires_rng(self):
-        with pytest.raises(ValueError):
-            SimulatedNetwork(2, loss_rate=0.5)
-
     def test_loss_rate_bounds(self):
+        net = SimulatedNetwork(2)
         with pytest.raises(ValueError):
-            SimulatedNetwork(2, loss_rate=1.0, rng=random.Random(0))
+            net.set_loss((1.0, random.Random(0)))
+
+    def test_a_refused_loss_leaves_the_active_one(self):
+        net = SimulatedNetwork(2)
+        active = (0.4, random.Random(5))
+        net.set_loss(active)
+        with pytest.raises(ValueError):
+            net.set_loss((1.5, random.Random(0)))
+        assert net.loss is active
+        net.set_loss(None)
+        assert net.loss is None
+        net.deliver(0, 1, MSG)
 
     def test_lossy_network_drops_deterministically(self):
         counters = OverheadCounters()
-        net = SimulatedNetwork(
-            2, counters=counters, loss_rate=0.5, rng=random.Random(42)
-        )
+        net = SimulatedNetwork(2, counters=counters)
+        net.set_loss((0.5, random.Random(42)))
         outcomes = []
         for _ in range(50):
             try:
@@ -123,7 +128,8 @@ class TestLoss:
         # A dropped message left the sender: every attempt is charged.
         assert counters.messages_sent == len(outcomes)
         # Deterministic under the same seed.
-        net2 = SimulatedNetwork(2, loss_rate=0.5, rng=random.Random(42))
+        net2 = SimulatedNetwork(2)
+        net2.set_loss((0.5, random.Random(42)))
         outcomes2 = []
         for _ in range(50):
             try:
@@ -134,16 +140,23 @@ class TestLoss:
         assert outcomes == outcomes2
 
 
+class TestLossWindows:
+    def test_rate_bounds_enforced(self):
+        net = SimulatedNetwork(2)
+        with pytest.raises(ValueError):
+            net.set_loss((-0.1, random.Random(0)))
+
+
 class TestDropAccounting:
     def test_lost_message_is_charged_before_the_drop(self):
         """Regression: a dropped message left the sender — its bytes are
         real traffic and must hit the counters, the same as a delivered
         one."""
         counters = OverheadCounters()
-        # loss_rate ~ 1 is disallowed; 0.999 with any seed drops the
+        # A rate of 1 is disallowed; 0.999 with any seed drops the
         # first message with near certainty — assert it actually did.
-        net = SimulatedNetwork(2, counters=counters, loss_rate=0.999,
-                               rng=random.Random(7))
+        net = SimulatedNetwork(2, counters=counters)
+        net.set_loss((0.999, random.Random(7)))
         with pytest.raises(MessageLostError):
             net.deliver(0, 1, MSG)
         assert counters.messages_sent == 1
@@ -156,18 +169,6 @@ class TestDropAccounting:
         with pytest.raises(NodeDownError):
             net.deliver(0, 1, MSG)
         assert counters.messages_sent == 0
-
-
-class TestLossWindows:
-    def test_nonzero_rate_requires_rng(self):
-        net = SimulatedNetwork(2)
-        with pytest.raises(ValueError):
-            net.push_loss_rate(0.5)
-
-    def test_rate_bounds_enforced(self):
-        net = SimulatedNetwork(2)
-        with pytest.raises(ValueError):
-            net.push_loss_rate(1.0, rng=random.Random(0))
 
 
 class TestSessionScopes:
@@ -275,60 +276,13 @@ class TestDynamicGrowth:
         assert net.can_reach(2, later_id)
 
 
-class TestStackedLossWindows:
-    def test_windows_stack_and_unwind_in_nested_order(self):
-        net = SimulatedNetwork(2, loss_rate=0.1, rng=random.Random(5))
-        outer = net.push_loss_rate(0.5)
-        assert net.loss_rate == 0.5
-        inner = net.push_loss_rate(0.9)
-        assert net.loss_rate == 0.9
-        net.pop_loss_rate(inner)
-        assert net.loss_rate == 0.5
-        net.pop_loss_rate(outer)
-        assert net.loss_rate == 0.1
-        with pytest.raises(SimulationError):
-            net.pop_loss_rate(outer)  # no window is left open
-
-    def test_staggered_close_keeps_the_younger_window_active(self):
-        """The other ordering: the older window closes first while the
-        younger one is still open — its rate must stay active (bare
-        set/restore pairs used to clobber it back to the base rate)."""
-        net = SimulatedNetwork(2, rng=random.Random(5))
-        older = net.push_loss_rate(0.4)
-        younger = net.push_loss_rate(0.8)
-        net.pop_loss_rate(older)
-        assert net.loss_rate == 0.8
-        net.pop_loss_rate(younger)
-        assert net.loss_rate == 0.0
-
-    def test_unknown_and_stale_tokens_raise(self):
-        net = SimulatedNetwork(2, rng=random.Random(5))
-        token = net.push_loss_rate(0.4)
-        with pytest.raises(SimulationError):
-            net.pop_loss_rate(token + 17)
-        net.pop_loss_rate(token)
-        with pytest.raises(SimulationError):
-            net.pop_loss_rate(token)  # already closed
-
-    def test_push_validates_like_the_constructor(self):
-        net = SimulatedNetwork(2)
-        with pytest.raises(ValueError):
-            net.push_loss_rate(0.5)       # nonzero rate without an RNG
-        with pytest.raises(ValueError):
-            net.push_loss_rate(1.0, rng=random.Random(0))
-        assert (net.loss_rate, net.rng) == (0.0, None)
-        with pytest.raises(SimulationError):
-            net.pop_loss_rate(0)  # neither push opened a window
-
-
 class TestPerLinkDropAccounting:
     def test_bytes_dropped_split_per_link_and_delivered_balances(self):
         """Dropped messages in both directions are charged like
         delivered ones: the counters see every attempt."""
         counters = OverheadCounters()
-        net = SimulatedNetwork(
-            2, counters=counters, loss_rate=0.5, rng=random.Random(11)
-        )
+        net = SimulatedNetwork(2, counters=counters)
+        net.set_loss((0.5, random.Random(11)))
         attempts, drops = 40, {(0, 1): 0, (1, 0): 0}
         for index in range(attempts):
             src, dst = (0, 1) if index % 2 == 0 else (1, 0)
@@ -356,7 +310,8 @@ class TestFrameCensus:
     def test_census_counts_dropped_frames_too(self):
         """A dropped frame left the sender; the census is a traffic
         census, not a delivery census."""
-        net = SimulatedNetwork(2, loss_rate=0.999, rng=random.Random(7))
+        net = SimulatedNetwork(2)
+        net.set_loss((0.999, random.Random(7)))
         with pytest.raises(MessageLostError):
             net.deliver(0, 1, MSG)
         assert net.frame_census == {"YouAreCurrent": 1}

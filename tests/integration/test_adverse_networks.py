@@ -27,9 +27,8 @@ class TestMessageLoss:
     @pytest.mark.parametrize("loss_rate", [0.1, 0.3, 0.6])
     def test_convergence_survives_heavy_loss(self, loss_rate):
         n_nodes = 4
-        network = SimulatedNetwork(
-            n_nodes, loss_rate=loss_rate, rng=random.Random(7)
-        )
+        network = SimulatedNetwork(n_nodes)
+        network.set_loss((loss_rate, random.Random(7)))
         nodes = [DBVVProtocolNode(k, n_nodes, ITEMS) for k in range(n_nodes)]
         workload = SingleWriterWorkload(ITEMS, n_nodes, seed=7)
         for event in workload.generate(60):
