@@ -36,8 +36,7 @@ Two protocol-agnostic instruments:
   truth moved under everyone, including the updater — a non-Put update
   applied to a stale base can itself diverge from the truth),
   :meth:`note_adoptions` dirties reported pairs (every protocol names
-  each pair a session changed), :meth:`note_node_added` dirties the
-  whole schema for a newcomer, and :meth:`note_node_refresh`
+  each pair a session changed), and :meth:`note_node_refresh`
   re-examines a node wholesale after a durable node was rebuilt from
   its journal.
 """
@@ -148,14 +147,13 @@ class GroundTruth:
         nodes: list[ProtocolNode],
         counters: OverheadCounters = NULL_COUNTERS,
     ) -> None:
-        """Switch queries over ``nodes`` (the exact list object — it may
-        grow via :meth:`note_node_added`) to incremental accounting.
+        """Switch queries over ``nodes`` (the exact list object) to
+        incremental accounting.
 
         The caller contracts to report every subsequent mutation:
         updates via :meth:`apply`, session adoptions via
-        :meth:`note_adoptions`, rebuilt nodes via
-        :meth:`note_node_refresh`, membership
-        growth via :meth:`note_node_added`.  A node whose
+        :meth:`note_adoptions`, and rebuilt nodes via
+        :meth:`note_node_refresh`.  A node whose
         :class:`~repro.interfaces.StateVersion` digest equals the
         truth's holds the truth's values (up to the 64-bit collision
         caveat :func:`fingerprints_equal` already accepts), so it starts
@@ -191,13 +189,6 @@ class GroundTruth:
         if self._tracked is None:
             return
         self._dirty[node_index].update(self.items)
-
-    def note_node_added(self) -> None:
-        """The tracked list grew by one (all-zero) replica."""
-        if self._tracked is None:
-            return
-        self._dirty.append(set(self.items))
-        self._stale.append(set())
 
     def _drain_dirty(self) -> None:
         """Re-examine every dirty pair, updating the exact stale sets."""

@@ -102,25 +102,6 @@ class SimulatedNetwork:
         self._check_node(node)
         self._up[node] = True
 
-    def add_node(self) -> int:
-        """Grow the fabric by one node (dynamic-membership extension);
-        returns the new node's id.  The newcomer starts up.  While the
-        network is unpartitioned it joins the common group; while any
-        partition is active it forms a fresh singleton group — group ids
-        are renumbered arbitrarily by :meth:`partition`, so landing the
-        newcomer in any existing group would silently place it inside
-        one side of a split it was never part of.
-        """
-        new_id = self.n_nodes
-        self.n_nodes += 1
-        self._up.append(True)
-        groups = set(self._group_of)
-        if len(groups) <= 1:
-            self._group_of.append(self._group_of[0] if self._group_of else 0)
-        else:
-            self._group_of.append(max(groups) + 1)
-        return new_id
-
     # -- partitions ------------------------------------------------------------
 
     def partition(self, groups: list[list[int]]) -> None:

@@ -253,47 +253,6 @@ class ClusterSimulation:
         """Ids of currently live nodes."""
         return [k for k in range(self.n_nodes) if self.network.is_up(k)]
 
-    def add_node(
-        self,
-        build: Callable[[int, OverheadCounters, int], ProtocolNode],
-    ) -> int:
-        """Grow the cluster by one replica (dynamic-membership extension).
-
-        ``build(node_id, counters, n_nodes)`` constructs the newcomer
-        for the *new* replica-set size.  Every existing node's view is
-        expanded first (nodes must expose ``expand_replica_set`` — the
-        DBVV protocol adapters do; the baselines predate the extension),
-        then the fresh all-zero replica joins and catches up through
-        ordinary propagation.  Returns the new node's id.
-        """
-        new_n = self.n_nodes + 1
-        for node in self.nodes:
-            expand = getattr(node, "expand_replica_set", None)
-            if expand is None:
-                raise TypeError(
-                    f"{type(node).__name__} does not support dynamic "
-                    "membership"
-                )
-            expand(new_n)
-        new_id = self.network.add_node()
-        counters = OverheadCounters()
-        self.node_counters.append(counters)
-        newcomer = build(new_id, counters, new_n)
-        if newcomer.node_id != new_id or newcomer.n_nodes != new_n:
-            raise ValueError(
-                f"build() returned a node for id {newcomer.node_id}/"
-                f"{newcomer.n_nodes}, expected {new_id}/{new_n}"
-            )
-        self.nodes.append(newcomer)
-        self.n_nodes = new_n
-        if self.durable:
-            self._attach_journal(newcomer)
-        # The tracked list object just grew in place; the newcomer's
-        # whole schema starts dirty (an all-zero replica lags every
-        # non-empty truth value).
-        self.ground_truth.note_node_added()
-        return new_id
-
     # -- round execution ---------------------------------------------------------
 
     def run_round(self) -> RoundStats:

@@ -168,12 +168,11 @@ class OpHistory:
     def floor(self) -> tuple[int, ...]:
         return tuple(self._floor)
 
-    def extend_to(self, n_nodes: int) -> None:
-        """Grow the replica set (dynamic-membership extension): the new
-        origin has no forgotten ops, so its floor starts at zero."""
-        if n_nodes < len(self._floor):
-            raise ValueError("cannot shrink the replica set")
-        self._floor.extend([0] * (n_nodes - len(self._floor)))
+    def key(self) -> tuple:
+        """The retained entries as ``(origin, m, op)`` and the floor —
+        everything that decides between a chain and a whole value."""
+        entries = tuple((e.origin, e.m, e.op) for e in self._entries)
+        return (entries, self.floor)
 
 
 class DeltaEpidemicNode(EpidemicNode):
@@ -198,6 +197,10 @@ class DeltaEpidemicNode(EpidemicNode):
         # Items whole-value-adopted during the current accept_propagation
         # whose history floors still await the session-final DBVV.
         self._pending_floor_items: set[str] = set()
+
+    def history_key(self) -> tuple:
+        """Every item's :meth:`OpHistory.key`, in store order."""
+        return tuple(history.key() for history in self._histories.values())
 
     # -- hook overrides -------------------------------------------------------
 
@@ -278,11 +281,6 @@ class DeltaEpidemicNode(EpidemicNode):
         # self.dbvv already reflects the merged lineages and the
         # resolution update itself — the correct floor.
         self._histories[entry.name].forget_through(self.dbvv)
-
-    def expand_replica_set(self, new_n_nodes: int) -> None:
-        super().expand_replica_set(new_n_nodes)
-        for history in self._histories.values():
-            history.extend_to(new_n_nodes)
 
     def after_restore(self) -> None:
         """Op histories are a send-side optimization and are not

@@ -292,14 +292,6 @@ class LogVector:
         """
         return sum(1 for c in self._components if c.discard_item(item))
 
-    def add_origin(self) -> LogComponent:
-        """Grow the replica set by one origin (dynamic-membership
-        extension): the new server has performed no updates yet, so its
-        component starts empty."""
-        component = LogComponent(len(self._components))
-        self._components.append(component)
-        return component
-
     def check_invariants(self) -> None:
         """Run :meth:`LogComponent.check_invariants` on every component."""
         for component in self._components:

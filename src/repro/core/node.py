@@ -536,40 +536,6 @@ class EpidemicNode:
         return self.accept_oob(reply)
 
     # ------------------------------------------------------------------
-    # Dynamic membership (extension — the paper fixes the replica set
-    # "to simplify the presentation", section 2)
-    # ------------------------------------------------------------------
-
-    def expand_replica_set(self, new_n_nodes: int) -> None:
-        """Grow this replica's view of the replica set to ``new_n_nodes``.
-
-        Models an administrative membership change applied to every
-        existing replica before the new server participates (the
-        coordination itself — an epoch switch — is outside the protocol,
-        as replica-set changes were for the paper).  All vectors gain
-        zero components and the log vector gains empty origins, which
-        preserves every invariant: the new server has originated nothing
-        yet, and a brand-new replica (all-zero DBVV) catches up through
-        perfectly ordinary update propagation.
-        """
-        if new_n_nodes < self.n_nodes:
-            raise ValueError(
-                f"cannot shrink the replica set from {self.n_nodes} to "
-                f"{new_n_nodes} nodes"
-            )
-        self.dbvv.extend_to(new_n_nodes)
-        while self.log.n_nodes < new_n_nodes:
-            self.log.add_origin()
-        for entry in self.store:
-            entry.ivv.extend_to(new_n_nodes)
-            if entry.aux_ivv is not None:
-                entry.aux_ivv.extend_to(new_n_nodes)
-        for record in self.aux_log:
-            record.pre_ivv.extend_to(new_n_nodes)
-        self.store.n_nodes = new_n_nodes
-        self.n_nodes = new_n_nodes
-
-    # ------------------------------------------------------------------
     # Administration and introspection
     # ------------------------------------------------------------------
 
@@ -578,18 +544,14 @@ class EpidemicNode:
         regular copy, any auxiliary copy, and the vectors captured in
         this node's conflict reports for the item (the conflicting
         remote copy was never adopted, so its vector survives only in
-        the report).  A report taken before an ``expand_replica_set`` is
-        zero-extended: the servers added since had originated nothing
-        when it was taken."""
+        the report)."""
         entry = self.store[item]
         merged = entry.ivv.copy()
         if entry.aux_ivv is not None:
             merged.merge_from(entry.aux_ivv)
-        width = self.n_nodes
         for report in self.conflicts.conflicts_for(item):
             for counts in (report.remote_vv, report.local_vv):
-                padded = counts + (0,) * (width - len(counts))
-                merged.merge_from(VersionVector.from_counts(padded))
+                merged.merge_from(VersionVector.from_counts(counts))
         return merged
 
     def resolve_conflict(

@@ -53,10 +53,9 @@ class DBVVProtocolNode(ProtocolNode):
     ):
         super().__init__(node_id, n_nodes, counters)
         self.node = self.node_class(node_id, n_nodes, items, counters=counters)
-        # Replica-at-birth shape, for journal recovery's fresh-node path
-        # (journaled expand records re-grow the replica set on replay).
+        # The item schema, for journal binding and recovery's fresh-node
+        # path.
         self._items = tuple(items)
-        self._initial_n_nodes = n_nodes
         self.journal: NodeJournal | None = None
 
     # -- durability (repro.durable integration) -------------------------------
@@ -90,12 +89,10 @@ class DBVVProtocolNode(ProtocolNode):
         self.node = self.journal.recover(
             self.node_class,
             self.node_id,
-            self._initial_n_nodes,
+            self.n_nodes,
             list(self._items),
             counters=self.counters,
         )
-        # Journaled expand records may have re-grown the replica set.
-        self.n_nodes = self.node.n_nodes
 
     # -- user operations -----------------------------------------------------
 
@@ -252,15 +249,6 @@ class DBVVProtocolNode(ProtocolNode):
             vectors[f"ivv:{entry.name}"] = entry.ivv.as_tuple()
         return vectors
 
-    def expand_replica_set(self, new_n_nodes: int) -> None:
-        """Dynamic-membership extension: grow this replica's view of the
-        replica set (see :meth:`EpidemicNode.expand_replica_set`)."""
-        self.node.expand_replica_set(new_n_nodes)
-        self.n_nodes = new_n_nodes
-        if self.journal is not None:
-            self.journal.record_expand(new_n_nodes)
-            self.journal.commit(self.node)
-
     def check_invariants(self) -> None:
         """Delegate to the node's cross-structure invariant checks."""
         self.node.check_invariants()
@@ -277,3 +265,10 @@ class DeltaProtocolNode(DBVVProtocolNode):
 
     protocol_name = "dbvv-delta"
     node_class = DeltaEpidemicNode
+    node: DeltaEpidemicNode
+
+    def exploration_key(self) -> tuple:
+        """The whole-value key plus every item's op history: the
+        checkpoint leaves histories out, yet they decide between a chain
+        and a whole value."""
+        return (*super().exploration_key(), self.node.history_key())

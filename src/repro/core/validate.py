@@ -15,8 +15,7 @@ returns its (now trusted) input, so call sites read
 The checks are calibrated against *honest* traffic so they never fire
 on the simulator, the networked cluster, or durable replay:
 
-* Replica-set growth is lockstep (``ClusterSimulation.add_node``
-  expands every node before the newcomer participates), so vectors and
+* The replica set is fixed (paper section 2), so vectors and
   per-origin tail sets from an honest peer always match the local
   ``n_nodes`` exactly.
 * Honest per-origin tails come from ``LogComponent.tail_after`` —
@@ -124,7 +123,7 @@ def validate_value(value: object) -> bytes:
 
 def validate_version_vector(vv: object, n_nodes: int, what: str = "vector") -> VersionVector:
     """An untrusted version vector must cover exactly the local replica
-    set (growth is lockstep, so honest peers always agree on length)
+    set (it is fixed, so honest peers always agree on length)
     with every counter inside the component budget.
     """
     if not isinstance(vv, VersionVector):

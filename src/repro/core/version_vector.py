@@ -178,26 +178,6 @@ class VersionVector:
         dup._tuple = self._tuple
         return dup
 
-    def extend_to(self, n_nodes: int) -> None:
-        """Grow the replica set: append zero components up to ``n_nodes``.
-
-        Part of the dynamic-membership extension (the paper fixes the
-        replica set "to simplify the presentation"); a new server has
-        originated zero updates, so zero-extension preserves every
-        comparison and the DBVV/IVV sum invariant.  Shrinking is not
-        supported — removing a server with unpropagated updates would
-        lose history.
-        """
-        length = len(self._counts)
-        if n_nodes < length:
-            raise ValueError(
-                f"cannot shrink a version vector from {length} "
-                f"to {n_nodes} components"
-            )
-        self._counts.frombytes(bytes(8 * (n_nodes - length)))
-        self._hash = None  # total is unchanged by zero-extension
-        self._tuple = None
-
     # -- basic container protocol --------------------------------------------
 
     def __len__(self) -> int:

@@ -9,9 +9,9 @@ the assumption real:
 * :mod:`~repro.durable.wal` — the append-only log file: LEB128
   length-prefixed, CRC32-guarded records, group-commit fsync batching,
   and the torn-tail truncation rule;
-* :mod:`~repro.durable.records` — the record codec: the five
-  state-changing node inputs (update / accept / oob / resolve /
-  expand) and the identity record that opens every WAL file,
+* :mod:`~repro.durable.records` — the record codec: the four
+  state-changing node inputs (update / accept / oob / resolve) and
+  the identity record that opens every WAL file,
   wire-encoded with LSNs for checkpoint gating;
 * :mod:`~repro.durable.checkpoint` — the checkpoint file: the whole
   protocol state as one WAL-framed record laid out by column, validated
@@ -32,7 +32,6 @@ from __future__ import annotations
 from repro.durable.journal import NodeJournal
 from repro.durable.records import (
     WalAccept,
-    WalExpand,
     WalIdentity,
     WalOob,
     WalRecord,
@@ -48,7 +47,6 @@ from repro.durable.wal import WriteAheadLog
 __all__ = [
     "NodeJournal",
     "WalAccept",
-    "WalExpand",
     "WalIdentity",
     "WalOob",
     "WalRecord",

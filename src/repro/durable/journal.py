@@ -65,7 +65,6 @@ from repro.core.messages import OutOfBoundReply
 from repro.core.version_vector import VersionVector
 from repro.durable.checkpoint import SnapshotError, encode_checkpoint, load_node
 from repro.durable.records import (
-    WalExpand,
     WalIdentity,
     WalOob,
     WalRecord,
@@ -198,9 +197,6 @@ class NodeJournal:
     ) -> None:
         self.record(WalResolve(item, value, lineage))
 
-    def record_expand(self, n_nodes: int) -> None:
-        self.record(WalExpand(n_nodes))
-
     def commit(self, node: EpidemicNode | None = None) -> None:
         """Group-commit the pending batch; with ``node`` given, fold the
         WAL into a checkpoint when either trigger is due (see the module
@@ -245,13 +241,10 @@ class NodeJournal:
         """Rebuild the node from disk: checkpoint base + WAL suffix.
 
         With no durable state yet, this returns a fresh
-        ``node_class(node_id, n_nodes, items, **node_kwargs)`` — the
-        constructor arguments describe the replica *at birth*; journaled
-        ``expand`` records re-grow the replica set during replay.  The
+        ``node_class(node_id, n_nodes, items, **node_kwargs)``.  The
         journal is bound to ``(node_id, items)`` (:meth:`bind`): a
         checkpoint that does not load, or that names another node id,
-        other item names or order, or fewer than ``n_nodes`` replicas
-        (more is legal after an ``expand``), raises
+        other item names or order, or another replica-set size, raises
         :class:`~repro.durable.checkpoint.SnapshotError` before any WAL
         record is read, and a WAL that does not open with an identity
         record naming the same node and schema raises
@@ -268,7 +261,7 @@ class NodeJournal:
             try:
                 base_lsn, node = load_node(snapshot, node_class, **node_kwargs)
                 same_items = list(node.store.names()) == list(items)
-                if node.node_id != node_id or not same_items or node.n_nodes < n_nodes:
+                if node.node_id != node_id or not same_items or node.n_nodes != n_nodes:
                     raise SnapshotError(
                         f"names node {node.node_id} of {node.n_nodes} over "
                         f"{len(node.store)} items, not node {node_id} of "

@@ -1,6 +1,6 @@
 """WAL record types: the state-changing inputs of an epidemic node.
 
-The WAL is a *command log*: it journals the five inputs that change a
+The WAL is a *command log*: it journals the four inputs that change a
 node's durable protocol state, and recovery replays them against the
 checkpoint base.  Replaying a prefix of the inputs reproduces exactly
 the state the node had after accepting that prefix (every entry point
@@ -16,7 +16,6 @@ accept     ``PullSession.conclude`` adopting a    ``node.accept_propagation``
 oob        ``EpidemicNode.accept_oob``            ``node.accept_oob``
 resolve    ``EpidemicNode.resolve_conflict``      ``node.resolve_conflict``
                                                   with the journaled lineage
-expand     ``EpidemicNode.expand_replica_set``    ``node.expand_replica_set``
 identity   the first record of a WAL file         checked, not applied
 =========  =====================================  =======================
 
@@ -50,7 +49,8 @@ after it is created and after each fold, and recovery refuses a WAL
 that does not open with one naming the replica it is recovering.
 Retired kinds are refused loudly, naming the kind: 1, 3 and 6 (an
 update, out-of-bound reply or resolution that named its item, before
-items were schema positions) and 4 (a resolution without its lineage).
+items were schema positions), 4 (a resolution without its lineage) and
+5 (a replica-set expansion: the replica set is fixed, paper section 2).
 The checkpoint (:mod:`repro.durable.checkpoint`) is the same kind of
 frame around a column dump; an old text checkpoint is refused just as
 loudly, so an old data directory is emptied and re-seeded from a peer,
@@ -72,7 +72,6 @@ from typing import Union
 from repro.core.messages import OutOfBoundReply, PropagationReply
 from repro.core.node import EpidemicNode
 from repro.core.validate import (
-    MAX_REPLICA_SET,
     validate_item_name,
     validate_oob_reply,
     validate_propagation_reply,
@@ -88,7 +87,6 @@ from repro.wire.varint import write_uvarint
 
 __all__ = [
     "WalAccept",
-    "WalExpand",
     "WalIdentity",
     "WalOob",
     "WalRecord",
@@ -103,7 +101,6 @@ __all__ = [
 
 #: Record-kind tags; stable on-disk constants like wire type ids.
 _KIND_ACCEPT = 2
-_KIND_EXPAND = 5
 _KIND_UPDATE = 7
 _KIND_OOB = 8
 _KIND_RESOLVE = 9
@@ -114,6 +111,7 @@ _RETIRED_KINDS = {
     3: "an out-of-bound reply that named its item, before items were "
     "schema positions",
     4: "a conflict resolution journaled without its lineage",
+    5: "a replica-set expansion, before the replica set was fixed",
     6: "a conflict resolution that named its item, before items were "
     "schema positions",
 }
@@ -152,13 +150,6 @@ class WalResolve:
 
 
 @dataclass(frozen=True, slots=True)
-class WalExpand:
-    """A replica-set expansion this node learned about."""
-
-    n_nodes: int
-
-
-@dataclass(frozen=True, slots=True)
 class WalIdentity:
     """The replica a WAL file belongs to: its node id and the digest of
     its item schema (:attr:`Schema.digest <repro.wire.codec.Schema.digest>`)."""
@@ -167,7 +158,7 @@ class WalIdentity:
     schema_digest: bytes
 
 
-WalRecord = Union[WalUpdate, WalAccept, WalOob, WalResolve, WalExpand, WalIdentity]
+WalRecord = Union[WalUpdate, WalAccept, WalOob, WalResolve, WalIdentity]
 
 
 def encode_record(codec: WireCodec, lsn: int, record: WalRecord) -> bytes:
@@ -188,9 +179,6 @@ def encode_record(codec: WireCodec, lsn: int, record: WalRecord) -> bytes:
         enc.item(record.item)
         enc.bytes_(record.value)
         enc.vv(record.lineage)
-    elif isinstance(record, WalExpand):
-        enc.uvarint(_KIND_EXPAND)
-        enc.uvarint(record.n_nodes)
     elif isinstance(record, WalIdentity):
         enc.uvarint(_KIND_IDENTITY)
         enc.uvarint(record.node_id)
@@ -246,8 +234,6 @@ def decode_record(codec: WireCodec, body: bytes) -> tuple[int, WalRecord]:
             record = WalOob(message)
         elif kind == _KIND_RESOLVE:
             record = WalResolve(dec.item(), dec.bytes_(), dec.vv())
-        elif kind == _KIND_EXPAND:
-            record = WalExpand(dec.uvarint())
         elif kind == _KIND_IDENTITY:
             record = WalIdentity(dec.uvarint(), dec.bytes_())
         elif kind in _RETIRED_KINDS:
@@ -274,11 +260,11 @@ def validate_record(record: WalRecord, node: EpidemicNode) -> WalRecord:
     The log lives on disk, outside the process: a record that parses
     (CRC and codec both happy) can still carry values no honest run of
     this node ever journaled — an unknown item, a reply sized for a
-    different replica set, a shrinking "expansion".  Replay order
-    preserves state equivalence (the node's ``n_nodes``/DBVV during
-    replay match what they were when the record was journaled), so the
-    deep reply validators apply verbatim.  Registered as an R13
-    sanitizer; raises :class:`~repro.errors.ValidationError`.
+    different replica set.  Replay order preserves state equivalence
+    (the node's DBVV during replay matches what it was when the record
+    was journaled), so the deep reply validators apply verbatim.
+    Registered as an R13 sanitizer; raises
+    :class:`~repro.errors.ValidationError`.
     """
     if isinstance(record, WalUpdate):
         if validate_item_name(record.item) not in node.store:
@@ -303,13 +289,6 @@ def validate_record(record: WalRecord, node: EpidemicNode) -> WalRecord:
         validate_version_vector(
             record.lineage, node.n_nodes, what="resolve record lineage"
         )
-    elif isinstance(record, WalExpand):
-        if not node.n_nodes <= record.n_nodes <= MAX_REPLICA_SET:
-            raise ValidationError(
-                f"expand record grows the replica set from {node.n_nodes} "
-                f"to {record.n_nodes} — shrink or past the "
-                f"{MAX_REPLICA_SET} cap"
-            )
     else:
         raise ValidationError(
             f"unknown WAL record type {type(record).__name__}"
@@ -328,5 +307,3 @@ def apply_record(node: EpidemicNode, record: WalRecord) -> None:
         node.accept_oob(record.reply)
     elif isinstance(record, WalResolve):
         node.resolve_conflict(record.item, record.value, record.lineage)
-    elif isinstance(record, WalExpand):
-        node.expand_replica_set(record.n_nodes)

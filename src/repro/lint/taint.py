@@ -108,7 +108,7 @@ STATE_SINKS = frozenset(
     {
         # EpidemicNode entry points (protocol state transitions)
         "update", "accept_propagation", "accept_oob", "resolve_conflict",
-        "expand_replica_set", "send_propagation", "intra_node_propagation",
+        "send_propagation", "intra_node_propagation",
         # not a mutation, but an untrusted name must not index the store
         # (or come back in the error) unvalidated — the client ``get``
         "read",
@@ -116,12 +116,12 @@ STATE_SINKS = frozenset(
         "conclude", "sync_with", "respond",
         # durable journal / replay
         "record", "record_update", "record_accept", "record_oob",
-        "record_resolve", "record_expand", "apply_record",
+        "record_resolve", "apply_record",
         # checkpoint restore: the one writer of core state outside core
         "rebuild_node",
         # version-vector / log mutators (R4's inventory)
         "increment", "merge_from", "record_local_update_by", "absorb_item_copy",
-        "absorb_item_copies", "extend_to", "discard_item", "add_origin",
+        "absorb_item_copies", "discard_item",
     }
 )
 

@@ -3,9 +3,8 @@
 A deployment is described by a static seed list: every process knows
 the full replica set up front (``id@host:port`` per peer), mirroring
 the paper's setting of a known replica set with an open schedule.
-Dynamic membership stays a simulator-only extension for now — the
-networked mode targets the differential parity harness, which pins the
-replica set.
+The replica set is fixed for the deployment's lifetime (paper
+section 2): ``n_nodes`` is the size of the ``--peers`` list.
 """
 
 from __future__ import annotations

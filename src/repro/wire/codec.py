@@ -47,13 +47,14 @@ last one it decoded::
 
 An unchanged vector costs two bytes regardless of ``n``: the paper's
 O(1) identical-replica detection as measured bytes.  The full form
-(never sparse) is the fallback whenever no cached base exists or the
-replica set grew (vector lengths differ).  A :class:`WireCodec` is one
-end of one connection, and its sent and seen vectors advance
-independently; they stay in step only over an ordered, lossless stream,
-so a :mod:`repro.net` connection owns one codec and drops it on any
-tear (a lost frame, a crash, a reset), and both ends start the next
-connection from full vectors.  A delta arriving without a cached base,
+(never sparse) is the fallback whenever no cached base exists; the
+replica set is fixed (paper section 2), so a base always has the
+vector's length.  A :class:`WireCodec` is one end of one connection,
+and its sent and seen vectors advance independently; they stay in step
+only over an ordered, lossless stream, so a :mod:`repro.net`
+connection owns one codec and drops it on any tear (a lost frame, a
+crash, a reset), and both ends start the next connection from full
+vectors.  A delta arriving without a cached base,
 or one that takes a component outside ``[0, 2**64)``, raises
 :class:`WireFormatError` rather than guessing.
 """
@@ -224,13 +225,13 @@ class Encoder:
 
     def cached_vv(self, vv: VersionVector) -> None:
         """A request's DBVV, as a delta against the last one this codec
-        sent when the lengths match, else in full form."""
+        sent, or in full form when it has sent none."""
         counts = vv.as_tuple()
         codec = self._codec
         base = codec._sent
         codec._sent = counts
         buf = self.buf
-        if base is None or len(base) != len(counts):
+        if base is None:
             _write_full(buf, counts)
         elif base is counts or base == counts:
             # The quiescent steady state: an unchanged vector is two

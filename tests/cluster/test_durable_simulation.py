@@ -131,43 +131,6 @@ class TestRecoverFromDisk:
         assert sim.converged()
 
 
-class TestDynamicMembership:
-    def test_added_node_gets_a_journal(self):
-        from repro.core.protocol import DBVVProtocolNode
-
-        sim = make_sim(n_nodes=3, durable=True)
-        new_id = sim.add_node(
-            lambda node_id, counters, n_nodes: DBVVProtocolNode(
-                node_id, n_nodes, ITEMS, counters=counters
-            )
-        )
-        assert new_id in sim.journals
-
-    def test_journal_survives_membership_expansion(self):
-        from repro.core.protocol import DBVVProtocolNode
-
-        plan = FailurePlan(
-            [Crash(node=1, at_round=2), Recover(node=1, at_round=4)]
-        )
-        sim = make_sim(n_nodes=3, durable=True, failure_plan=plan)
-        sim.apply_update(0, ITEMS[0], Put(b"before"))
-        sim.run_round()
-        sim.add_node(
-            lambda node_id, counters, n_nodes: DBVVProtocolNode(
-                node_id, n_nodes, ITEMS, counters=counters
-            )
-        )
-        for _ in range(6):
-            sim.run_round()
-        sim.run_until_converged(max_rounds=40)
-        for node in sim.nodes:
-            node.check_invariants()
-        # The recovered node replayed (update + expand) records and
-        # ended at the enlarged replica-set size.
-        assert sim.journals[1].records_replayed >= 1
-        assert sim.nodes[1].n_nodes == 4
-
-
 @pytest.mark.parametrize("seed", [1, 9, 23])
 def test_durable_parity_across_seeds(seed):
     plain = crashy_run(

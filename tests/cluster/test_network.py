@@ -237,45 +237,6 @@ class TestScriptedFaults:
             net.arm_message_drop(nth_message=0)
 
 
-class TestDynamicGrowth:
-    def test_add_node_joins_up_and_reachable(self):
-        net = SimulatedNetwork(2)
-        new_id = net.add_node()
-        assert new_id == 2
-        assert net.n_nodes == 3
-        assert net.is_up(2)
-        net.deliver(0, 2, MSG)
-        net.deliver(2, 1, MSG)
-
-    def test_add_node_during_partition_is_isolated(self):
-        """Regression: a node added while a partition is active used to
-        be dumped into group 0 unconditionally, silently making it
-        reachable from one arbitrary side.  It must start in a fresh
-        singleton group — unreachable from *every* existing group —
-        until the partition heals."""
-        net = SimulatedNetwork(3)
-        net.partition([[0, 1], [2]])
-        new_id = net.add_node()
-        assert not net.can_reach(0, new_id)
-        assert not net.can_reach(1, new_id)
-        assert not net.can_reach(2, new_id)
-        net.heal()
-        assert net.can_reach(0, new_id)
-        assert net.can_reach(2, new_id)
-
-    def test_add_node_without_partition_is_reachable(self):
-        """No partition active: the newcomer joins the single universal
-        group and is immediately reachable."""
-        net = SimulatedNetwork(3)
-        new_id = net.add_node()
-        assert net.can_reach(0, new_id)
-        # Also after a partition came and went (heal resets groups).
-        net.partition([[0, 1], [2, 3]])
-        net.heal()
-        later_id = net.add_node()
-        assert net.can_reach(2, later_id)
-
-
 class TestPerLinkDropAccounting:
     def test_bytes_dropped_split_per_link_and_delivered_balances(self):
         """Dropped messages in both directions are charged like

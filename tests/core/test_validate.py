@@ -26,7 +26,6 @@ from repro.core.node import EpidemicNode
 from repro.core.session import PullSession, respond
 from repro.core.validate import (
     MAX_ITEM_NAME_LEN,
-    MAX_REPLICA_SET,
     MAX_SEQNO_GAP,
     MAX_VALUE_LEN,
     MAX_VV_COMPONENT,
@@ -43,7 +42,6 @@ from repro.core.validate import (
 from repro.core.version_vector import VersionVector
 from repro.durable.records import (
     WalAccept,
-    WalExpand,
     WalResolve,
     WalUpdate,
     validate_record,
@@ -382,8 +380,6 @@ class TestWalRecordValidation:
             WalUpdate("a", Put(b"v")),
             WalAccept(reply),
             WalResolve("b", b"winner", node.conflict_lineage("b")),
-            WalExpand(node.n_nodes),
-            WalExpand(node.n_nodes + 1),
         ):
             assert validate_record(record, node) is record
 
@@ -414,16 +410,6 @@ class TestWalRecordValidation:
         forged = WalResolve("b", b"v", VersionVector.from_counts(counts))
         with pytest.raises(ValidationError, match="resolve record lineage"):
             validate_record(forged, node)
-
-    def test_shrinking_expand_rejected(self):
-        node, _ = make_pair()
-        with pytest.raises(ValidationError):
-            validate_record(WalExpand(node.n_nodes - 1), node)
-
-    def test_expand_past_replica_cap_rejected(self):
-        node, _ = make_pair()
-        with pytest.raises(ValidationError):
-            validate_record(WalExpand(MAX_REPLICA_SET + 1), node)
 
     def test_accept_with_forged_reply_rejected(self):
         recipient, source = make_pair()

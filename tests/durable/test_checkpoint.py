@@ -7,9 +7,9 @@
   at a line boundary as a smaller node.)
 * **Round trip.**  Any state a cluster can reach — all five operation
   types, pulls, conflicts and their resolution, out-of-bound copies
-  with their auxiliary log, replica-set growth, the delta-shipping
-  node — comes back from checkpoint → recover ``node_state``-identical
-  and passing ``check_invariants``.
+  with their auxiliary log, the delta-shipping node — comes back from
+  checkpoint → recover ``node_state``-identical and passing
+  ``check_invariants``.
 * **Fold anywhere.**  The same runs journaled input by input, with the
   WAL folded after an arbitrary subset of steps, recover to the same
   node: no record depends on state a checkpoint drops (the conflict
@@ -40,7 +40,6 @@ from repro.core.validate import MAX_REPLICA_SET
 from repro.durable import (
     NodeJournal,
     WalAccept,
-    WalExpand,
     WalOob,
     WalResolve,
     WalUpdate,
@@ -143,7 +142,6 @@ steps = st.lists(
         pulls,
         st.tuples(st.just("oob"), node_ids, node_ids, item_ids),
         st.tuples(st.just("resolve"), node_ids, item_ids),
-        st.just(("expand",)),
     ),
     min_size=6,
     max_size=30,
@@ -181,10 +179,6 @@ def run(node_class, program, journals=None, folds=frozenset()):
         elif kind == "resolve" and nodes[step[1]].store[ITEMS[step[2]]].in_conflict:
             lineage = nodes[step[1]].resolve_conflict(ITEMS[step[2]], b"resolved")
             records.append((step[1], WalResolve(ITEMS[step[2]], b"resolved", lineage)))
-        elif kind == "expand" and nodes[0].n_nodes < 5:
-            for node in nodes:
-                node.expand_replica_set(node.n_nodes + 1)
-                records.append((node.node_id, WalExpand(node.n_nodes)))
         if journals is None:
             continue
         for who, record in records:
@@ -220,11 +214,9 @@ RESOLVE_AFTER_FOLD = [
     ("pull", 0, 1),
     ("resolve", 0, 0),
 ]
-#: A conflict reported at three nodes, resolved at four.
-RESOLVE_AFTER_EXPAND = RESOLVE_AFTER_FOLD[:3] + [("expand",), ("resolve", 0, 0)]
-GROWN_THEN_AUX = [
+#: An auxiliary copy patched and truncated, then pulled.
+PATCHED_AUX = [
     ("update", 0, 2, Append(b"c")),
-    ("expand",),
     ("update", 1, 1, Put(b"late")),
     ("oob", 0, 1, 1),
     ("update", 0, 1, BytePatch(0, b"L")),
@@ -237,7 +229,7 @@ GROWN_THEN_AUX = [
 @given(node_class=st.sampled_from([EpidemicNode, DeltaEpidemicNode]), program=steps)
 @example(node_class=EpidemicNode, program=CONFLICT_THEN_AUX)
 @example(node_class=DeltaEpidemicNode, program=CONFLICT_THEN_AUX)
-@example(node_class=EpidemicNode, program=GROWN_THEN_AUX)
+@example(node_class=EpidemicNode, program=PATCHED_AUX)
 def test_checkpoint_then_recover_reproduces_any_reachable_state(node_class, program):
     with tempfile.TemporaryDirectory(prefix="checkpoint-") as tmp:
         for node in run(node_class, program):
@@ -257,10 +249,8 @@ def test_checkpoint_then_recover_reproduces_any_reachable_state(node_class, prog
     folds=st.frozensets(st.integers(min_value=0, max_value=29)),
 )
 @example(node_class=EpidemicNode, program=RESOLVE_AFTER_FOLD, folds=frozenset({2}))
-@example(node_class=EpidemicNode, program=RESOLVE_AFTER_EXPAND, folds=frozenset())
-@example(node_class=DeltaEpidemicNode, program=RESOLVE_AFTER_EXPAND, folds=frozenset({3}))
 @example(node_class=EpidemicNode, program=CONFLICT_THEN_AUX, folds=frozenset({2, 4, 6}))
-@example(node_class=EpidemicNode, program=GROWN_THEN_AUX, folds=frozenset({0, 3}))
+@example(node_class=EpidemicNode, program=PATCHED_AUX, folds=frozenset({0, 2}))
 def test_fold_anywhere_then_recover_reproduces_the_journaled_node(
     node_class, program, folds
 ):

@@ -279,8 +279,14 @@ class TestIdentity:
 
     @pytest.mark.parametrize(
         "node_id, n_nodes, items",
-        [(1, 2, ["a", "b"]), (0, 2, ["b", "a"]), (0, 2, ["a", "c"]), (0, 3, ["a", "b"])],
-        ids=["node-id", "order", "names", "fewer-replicas"],
+        [
+            (1, 2, ["a", "b"]),
+            (0, 2, ["b", "a"]),
+            (0, 2, ["a", "c"]),
+            (0, 3, ["a", "b"]),
+            (0, 1, ["a", "b"]),
+        ],
+        ids=["node-id", "order", "names", "fewer-replicas", "more-replicas"],
     )
     def test_each_part_of_the_identity_is_checked(self, tmp_path, node_id, n_nodes, items):
         self.folded_node_zero(tmp_path)
@@ -288,16 +294,6 @@ class TestIdentity:
         with pytest.raises(SnapshotError, match="belongs to one replica"):
             journal.recover(EpidemicNode, node_id, n_nodes, items)
         assert journal.records_replayed == 0
-
-    def test_more_replicas_than_configured_is_an_expansion(self, tmp_path):
-        journal = NodeJournal(tmp_path, fsync=False)
-        node = journal.recover(EpidemicNode, 0, 2, ITEMS)
-        node.expand_replica_set(3)
-        journal.record_expand(3)
-        journal.checkpoint(node)
-        journal.close()
-        recovered = NodeJournal(tmp_path).recover(EpidemicNode, 0, 2, ITEMS)
-        assert node_state(recovered) == node_state(node)
 
     @pytest.mark.parametrize(
         "node_id, items", [(1, ITEMS), (0, ["b", "a"])], ids=["node-id", "order"]
@@ -583,16 +579,6 @@ class TestResolveRecord:
         assert node.dbvv.as_tuple() == (2, 1)
         assert_recovers_as(tmp_path, node)
 
-    def test_resolution_after_an_expansion_merges_the_narrow_reports(self, tmp_path):
-        journal = NodeJournal(tmp_path, fsync=False, checkpoint_every=0)
-        node = conflicted_pair(journal)
-        node.expand_replica_set(3)
-        journal.record_expand(3)
-        resolve(journal, node)
-        journal.close()
-        assert node.store["a"].ivv.as_tuple() == (2, 1, 0)
-        assert_recovers_as(tmp_path, node)
-
     def test_record_round_trips_with_its_lineage(self):
         record = WalResolve("a", b"r", VersionVector.from_counts((3, 1)))
         assert decode_record(CODEC, encode_record(CODEC, 2, record)) == (2, record)
@@ -624,6 +610,16 @@ class TestResolveRecord:
         with pytest.raises(WALError, match="retired WAL record kind 4"):
             journal.recover(EpidemicNode, 0, 2, ITEMS)
         assert journal.records_replayed == 0
+
+    def test_retired_kind_5_is_refused_loudly(self, tmp_path):
+        """What a replica-set expansion journaled while the set could
+        grow: lsn 2, kind 5, the new size 3, after the identity record."""
+        (tmp_path / "wal.log").write_bytes(
+            bytes(frame_record(IDENTITY_RECORD) + frame_record(b"\x02\x05\x03"))
+        )
+        journal = NodeJournal(tmp_path, fsync=False)
+        with pytest.raises(WALError, match="retired WAL record kind 5"):
+            journal.recover(EpidemicNode, 0, 2, ITEMS)
 
 
 def adopted_store(items: int) -> tuple[EpidemicNode, EpidemicNode, PropagationReply]:

@@ -2,6 +2,10 @@
 
 import pytest
 
+from repro.core.delta import DeltaEpidemicNode, DeltaPayload
+from repro.core.messages import ItemPayload
+from repro.core.protocol import DeltaProtocolNode
+from repro.durable.checkpoint import encode_checkpoint, load_node
 from repro.explore import (
     Crash,
     ExplorationConfig,
@@ -11,6 +15,7 @@ from repro.explore import (
     build_world,
 )
 from repro.explore.actions import FetchOutOfBound, InapplicableActionError
+from repro.substrate.operations import Append
 
 SMALL = ExplorationConfig(
     protocol="dbvv",
@@ -112,6 +117,23 @@ class TestStateKey:
         fresh = build_world(SMALL)
         assert spent.protocol_key() == fresh.protocol_key()
         assert spent.state_key() != fresh.state_key()
+
+    def test_delta_op_histories_are_part_of_the_key(self):
+        """A delta node restored from a checkpoint has the same bytes as
+        the live one but no op history: it ships a whole value where the
+        live node ships a chain, so the two must not share a key."""
+        live = DeltaProtocolNode(0, 2, ("x0",))
+        live.user_update("x0", Append(b"a"))
+        restored = DeltaProtocolNode(0, 2, ("x0",))
+        _lsn, restored.node = load_node(
+            encode_checkpoint(0, live.node), DeltaEpidemicNode
+        )
+        assert encode_checkpoint(0, restored.node) == encode_checkpoint(0, live.node)
+        request = DeltaEpidemicNode(1, 2, ("x0",)).make_propagation_request()
+        (chain,) = live.node.send_propagation(request).items
+        (whole,) = restored.node.send_propagation(request).items
+        assert isinstance(chain, DeltaPayload) and isinstance(whole, ItemPayload)
+        assert live.exploration_key() != restored.exploration_key()
 
 
 class TestDifferentialWorld:

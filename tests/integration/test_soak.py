@@ -2,13 +2,14 @@
 
 One seeded scenario driver mixes every feature the library has —
 single-writer updates, reads, scheduled anti-entropy, out-of-bound
-fetches, node crashes and recoveries, a mid-run membership expansion —
-over hundreds of steps, checking the cross-structure invariants as it
-goes and requiring exact ground-truth convergence at the end.
+fetches, node crashes and recoveries — over hundreds of steps,
+checking the cross-structure invariants as it goes and requiring exact
+ground-truth convergence at the end.
 
 This is the test that catches interaction bugs no focused unit test
-will: an auxiliary log surviving a crash interleaved with a membership
-change, a coverage edge recorded through a partition, and so on.
+will: an auxiliary log surviving a crash interleaved with an
+out-of-bound fetch, a coverage edge recorded through a partition, and
+so on.
 """
 
 import random
@@ -25,7 +26,7 @@ ITEMS = make_items(25)
 STEPS = 400
 
 
-def run_soak(protocol_class, seed: int, allow_expand: bool) -> None:
+def run_soak(protocol_class, seed: int) -> None:
     rng = random.Random(seed)
     n = 4
     network = SimulatedNetwork(n, counters=OverheadCounters())
@@ -33,20 +34,13 @@ def run_soak(protocol_class, seed: int, allow_expand: bool) -> None:
     truth = {name: b"" for name in ITEMS}
     counter = 0
     down: set[int] = set()
-    expanded = False
-
-    def owner(item_idx: int) -> int:
-        # Ownership must be stable across membership changes — a moved
-        # owner would be a second concurrent writer, not a soak of the
-        # conflict-free path.  The newcomer only forwards.
-        return item_idx % n
 
     for step in range(STEPS):
         roll = rng.random()
         if roll < 0.35:
             # A single-writer update at the item's owner (if up).
             item_idx = rng.randrange(len(ITEMS))
-            node_id = owner(item_idx)
+            node_id = item_idx % n
             if node_id not in down:
                 counter += 1
                 op = Append(f"{counter};".encode())
@@ -85,13 +79,6 @@ def run_soak(protocol_class, seed: int, allow_expand: bool) -> None:
             elif len(down) < len(nodes) - 2:
                 down.add(node_id)
                 network.set_down(node_id)
-        elif allow_expand and not expanded and step > STEPS // 2:
-            # One membership expansion, mid-run.
-            expanded = True
-            for node in nodes:
-                node.expand_replica_set(len(nodes) + 1)
-            new_id = network.add_node()
-            nodes.append(protocol_class(new_id, len(nodes) + 1, ITEMS))
 
         if step % 50 == 49:
             for node_id, node in enumerate(nodes):
@@ -117,15 +104,11 @@ def run_soak(protocol_class, seed: int, allow_expand: bool) -> None:
             )
 
 
-@pytest.mark.parametrize("seed", [101, 202, 303])
+@pytest.mark.parametrize("seed", [101, 202, 303, 606])
 def test_soak_whole_value_mode(seed):
-    run_soak(DBVVProtocolNode, seed, allow_expand=True)
+    run_soak(DBVVProtocolNode, seed)
 
 
 @pytest.mark.parametrize("seed", [404, 505])
 def test_soak_delta_mode(seed):
-    run_soak(DeltaProtocolNode, seed, allow_expand=True)
-
-
-def test_soak_without_membership_changes():
-    run_soak(DBVVProtocolNode, 606, allow_expand=False)
+    run_soak(DeltaProtocolNode, seed)

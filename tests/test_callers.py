@@ -7,12 +7,14 @@ A public name is a module-level function or class, or a method or
 property of a public class, whose name does not start with ``_``.  It
 counts as called when its identifier appears as a name, an attribute or
 the string argument of ``getattr``/``hasattr``/``setattr`` anywhere in
-the three trees.  Its own ``def``, ``__all__`` lists and import
-statements (so package ``__init__`` re-exports) do not count.  Matching
-is by name, so an override counts as called whenever its base method's
-name is called.  A table row for a class covers its methods.  Like the
-knobs guard, a row that names nothing, or a name that now has a caller,
-fails too.
+the three trees except inside a function or method of the same name: a
+recursive call, or a wrapper that only forwards to a same-named method
+one layer down, is no caller.  Its own ``def``, ``__all__`` lists and
+import statements (so package ``__init__`` re-exports) do not count
+either.  Matching is by name, so an override counts as called whenever
+its base method's name is called.  A table row for a class covers its
+methods.  Like the knobs guard, a row that names nothing, or a name
+that now has a caller, fails too.
 """
 
 import ast
@@ -56,26 +58,51 @@ def public_names() -> dict[str, str]:
     return names
 
 
+class _Uses(ast.NodeVisitor):
+    """The identifiers a module uses, each outside every function or
+    method of its own name."""
+
+    def __init__(self) -> None:
+        self.used: set[str] = set()
+        self.enclosing: list[str] = []
+
+    def _use(self, identifier: str) -> None:
+        if identifier not in self.enclosing:
+            self.used.add(identifier)
+
+    def visit_FunctionDef(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
+        self.enclosing.append(node.name)
+        self.generic_visit(node)
+        self.enclosing.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Name(self, node: ast.Name) -> None:
+        self._use(node.id)
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        self._use(node.attr)
+        self.generic_visit(node)
+
+    def visit_Call(self, node: ast.Call) -> None:
+        if (
+            isinstance(node.func, ast.Name)
+            and node.func.id in ATTRIBUTE_CALLS
+            and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant)
+            and isinstance(node.args[1].value, str)
+        ):
+            self._use(node.args[1].value)
+        self.generic_visit(node)
+
+
 @functools.cache
 def used_identifiers() -> set[str]:
-    used: set[str] = set()
+    uses = _Uses()
     for tree in CALLER_TREES:
         for path in tree.rglob("*.py"):
-            for node in ast.walk(_parse(path)):
-                if isinstance(node, ast.Name):
-                    used.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    used.add(node.attr)
-                elif (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Name)
-                    and node.func.id in ATTRIBUTE_CALLS
-                    and len(node.args) >= 2
-                    and isinstance(node.args[1], ast.Constant)
-                    and isinstance(node.args[1].value, str)
-                ):
-                    used.add(node.args[1].value)
-    return used
+            uses.visit(_parse(path))
+    return uses.used
 
 
 def table_rows() -> list[tuple[str, str]]:

@@ -130,13 +130,6 @@ class TestDeltaVectors:
         assert codec.decode(WireCodec(SCHEMA).encode(message)) == message
         assert codec.decode(delta) == message
 
-    def test_membership_growth_falls_back_to_full(self):
-        codec = WireCodec(SCHEMA)
-        codec.decode(codec.encode(PropagationRequest(1, vv(1, 2))))
-        grown = PropagationRequest(1, vv(1, 2, 0))
-        frame = codec.encode(grown)
-        assert codec.decode(frame) == grown
-
     def test_delta_without_base_raises(self):
         sender = WireCodec(SCHEMA)
         receiver = WireCodec(SCHEMA)
