@@ -40,6 +40,7 @@ running the full grid.
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import sys
@@ -356,8 +357,17 @@ def write_report(report: dict[str, Any], path: Path | None = None) -> Path:
     return path
 
 
-def main() -> None:
-    if "--profile" in sys.argv[1:]:
+def main(argv: list[str] | None = None) -> None:
+    parser = argparse.ArgumentParser(
+        prog="python benchmarks/scale_harness.py",
+        description=f"Round-loop cost over the n x N grid; writes {REPORT_NAME}.",
+    )
+    parser.add_argument(
+        "--profile",
+        action="store_true",
+        help="print a cProfile of the quiescent round loop instead (writes nothing)",
+    )
+    if parser.parse_args(argv).profile:
         profile_quiescent()
         return
     report = run_grid()

@@ -29,6 +29,7 @@ is a gain.
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import statistics
@@ -460,8 +461,17 @@ def write_report(report: dict[str, Any], path: Path | None = None) -> Path:
     return path
 
 
-def main() -> None:
-    if "--stages" in sys.argv[1:]:
+def main(argv: list[str] | None = None) -> None:
+    parser = argparse.ArgumentParser(
+        prog="python benchmarks/wire_harness.py",
+        description=f"Codec throughput and session bytes; writes {REPORT_NAME}.",
+    )
+    parser.add_argument(
+        "--stages",
+        action="store_true",
+        help="print the per-stage profile of one burst pull instead (writes nothing)",
+    )
+    if parser.parse_args(argv).stages:
         print_stages()
         return
     report = run_all()

@@ -61,6 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--nodes", type=int, default=3, help="cluster size (default 3)")
     parser.add_argument("--items", type=int, default=3, help="schema size (default 3)")
     parser.add_argument("--depth", type=int, default=4, help="schedule length bound k")
+    parser.add_argument("--updates", type=int, default=2, help="update budget (default 2)")
     parser.add_argument("--faults", type=int, default=1, help="mid-session fault budget")
     parser.add_argument("--crashes", type=int, default=1, help="crash budget")
     parser.add_argument("--oob", type=int, default=1, help="out-of-bound fetch budget")
@@ -100,6 +101,7 @@ def _config_from_args(args: argparse.Namespace) -> ExplorationConfig:
         protocol=args.protocol,
         n_nodes=args.nodes,
         items=default_items(args.items),
+        max_updates=args.updates,
         max_faults=args.faults,
         max_crashes=args.crashes,
         max_oob=args.oob,

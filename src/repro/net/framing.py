@@ -17,7 +17,9 @@ even when the registry evolves.
 
 The JSON client API shares the length-prefix discipline
 (:func:`read_blob`/:func:`write_blob`) with a plain payload instead of
-a registered frame.
+a registered frame; a payload too large to build whole (``status``) is
+written as it is produced, by :func:`write_blob_stream`, once its
+length is known.
 
 Every connection of a node reads through a :class:`BufferedReader`:
 one ``read`` per wake-up, then whole units come out of memory —
@@ -33,6 +35,7 @@ which is how both paths name an EOF the same way.
 from __future__ import annotations
 
 import asyncio
+from typing import Iterable
 
 from repro.errors import NetworkSessionError, WireFormatError
 from repro.wire.codec import MAX_FRAME_LEN
@@ -50,6 +53,7 @@ __all__ = [
     "write_frame",
     "read_blob",
     "write_blob",
+    "write_blob_stream",
     "send_preamble",
     "receive_preamble",
 ]
@@ -264,6 +268,24 @@ async def write_blob(writer: asyncio.StreamWriter, *payloads: bytes) -> None:
     writer.write(buf)  # never touched again: the transport may keep it
     try:
         await writer.drain()
+    except (ConnectionError, OSError):
+        raise ConnectionClosed("connection closed while writing") from None
+
+
+async def write_blob_stream(
+    writer: asyncio.StreamWriter, length: int, chunks: Iterable[bytes | bytearray]
+) -> None:
+    """One client-API payload of ``length`` bytes, written as ``chunks``
+    come, with a drain after each: the payload is never whole in memory.
+    The chunks must add up to ``length``, and none may be touched once
+    yielded (the transport may keep it)."""
+    prefix = bytearray()
+    write_uvarint(prefix, length)
+    writer.write(prefix)
+    try:
+        for chunk in chunks:
+            writer.write(chunk)
+            await writer.drain()
     except (ConnectionError, OSError):
         raise ConnectionClosed("connection closed while writing") from None
 

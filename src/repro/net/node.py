@@ -15,7 +15,8 @@ edges:
 * a **client listener** serving a small length-prefixed JSON API
   (put/get/sync/status/ping/shutdown) for applications and the parity
   harness, pipelined requests served a wake-up's worth at a time
-  (:meth:`NetNode._serve_client`);
+  (:meth:`NetNode._serve_client`), and ``status`` streamed from a
+  snapshot of references (:class:`StatusSnapshot`);
 * an optional **anti-entropy scheduler** pulling from a uniformly
   random other peer every ``anti_entropy_period`` seconds.
 
@@ -41,10 +42,11 @@ decoded as it is.
 from __future__ import annotations
 
 import asyncio
+import binascii
 import json
 import logging
 import random
-from typing import Any
+from typing import Any, Iterable, Iterator
 
 from repro.core.node import EpidemicNode
 from repro.core.messages import PropagationReply, PropagationRequest
@@ -65,6 +67,7 @@ from repro.errors import (
 )
 from repro.net.config import NodeConfig
 from repro.net.framing import (
+    MAX_FRAME_BYTES,
     BufferedReader,
     ConnectionClosed,
     read_blob,
@@ -72,6 +75,7 @@ from repro.net.framing import (
     receive_preamble,
     send_preamble,
     write_blob,
+    write_blob_stream,
     write_frame,
 )
 from repro.net.tasks import TaskTracker, cancel_and_wait
@@ -84,14 +88,30 @@ __all__ = ["NetNode"]
 logger = logging.getLogger("repro.net")
 
 #: Reply bytes one client connection may hold for a write: pipelined
-#: ``status`` requests meet back-pressure instead of piling up.
+#: ``get``s of large values meet back-pressure instead of piling up.
 _HELD_CAP = 1 << 16
+
+#: Largest write of a streamed ``status`` reply; the stream drains the
+#: transport between two of them.
+_STATUS_CHUNK = 1 << 16
+
+#: Bytes one ``recv`` of a node's connection may take.  asyncio's
+#: default (256 KiB) is above glibc's initial mmap threshold (128 KiB):
+#: until the process has freed a larger block, every read maps and
+#: unmaps a fresh 256 KiB buffer.  ``status`` no longer frees such a
+#: block, and a durable idle pull measured ≈ 15 % more CPU without this.
+_RECV_BYTES = 1 << 16
 
 #: The two replies of the hot path, spelled by ``json.dumps`` once, at
 #: import: a successful ``put`` is a constant and a successful ``get``
 #: is its value's hex digits (which never need escaping) between two.
 _PUT_REPLY = json.dumps({"ok": True}).encode("utf-8")
 _GET_HEAD, _GET_TAIL = json.dumps({"ok": True, "value": "|"}).split("|")
+
+
+def _cap_recv(writer: asyncio.StreamWriter) -> None:
+    """Read this connection :data:`_RECV_BYTES` at a time."""
+    writer.transport.max_size = _RECV_BYTES  # type: ignore[attr-defined]
 
 
 class _PeerLink:
@@ -108,6 +128,73 @@ class _PeerLink:
         self.reader = reader
         self.writer = writer
         self.codec = codec
+
+
+class StatusSnapshot:
+    """A ``status`` reply, taken between two awaits and never built whole.
+
+    ``fields`` are the small fields after the store (``dbvv``, the
+    traffic counters, ``durable``), copied; ``rows`` are one ``(name,
+    value, ivv)`` per item, and since a value is immutable ``bytes`` and
+    an IVV a tuple, they hold references, not copies of the store.  The
+    reply is ``json.dumps({"ok": True, "node": node, "store": {name:
+    value.hex()}, "ivvs": {name: list(ivv)}, **fields})`` byte for byte:
+    :attr:`length` is counted from the snapshot, and :meth:`chunks`
+    spells it a piece at a time, so serving it holds one chunk, not the
+    store three times over (hex text, its UTF-8, the framed copy).
+    """
+
+    __slots__ = ("node", "rows", "fields", "length")
+
+    def __init__(
+        self,
+        node: int,
+        rows: list[tuple[str, bytes, tuple[int, ...]]],
+        fields: dict[str, Any],
+    ) -> None:
+        self.node = node
+        self.rows = rows
+        self.fields = fields
+        self.length = sum(
+            len(part) if isinstance(part, str) else 2 * len(part)
+            for part in self._parts()
+        )
+
+    def _parts(self) -> Iterator[str | bytes]:
+        """The reply in order: JSON text, all ASCII (``json.dumps``
+        escapes the rest), and each value as the raw bytes whose hex
+        digits stand between its quotes."""
+        rows = self.rows
+        yield json.dumps({"ok": True, "node": self.node})[:-1] + ', "store": {'
+        for index, (name, value, _ivv) in enumerate(rows):
+            yield f'{", " if index else ""}{json.dumps(name)}: "'
+            yield value
+            yield '"'
+        yield '}, "ivvs": {'
+        for index, (name, _value, ivv) in enumerate(rows):
+            yield f'{", " if index else ""}{json.dumps(name)}: [{", ".join(map(str, ivv))}]'
+        yield "}, " + json.dumps(self.fields)[1:]
+
+    def chunks(self) -> Iterator[bytearray]:
+        """The reply's bytes, at most :data:`_STATUS_CHUNK` at a time,
+        each in a buffer of its own (the transport may keep it)."""
+        half = _STATUS_CHUNK // 2
+        buf = bytearray()
+        for part in self._parts():
+            if isinstance(part, str):
+                pieces: Iterable[bytes] = (part.encode("ascii"),)
+            else:
+                view = memoryview(part)
+                pieces = (
+                    binascii.hexlify(view[start : start + half])
+                    for start in range(0, len(view), half)
+                )
+            for piece in pieces:
+                if len(buf) + len(piece) > _STATUS_CHUNK:
+                    yield buf
+                    buf = bytearray()
+                buf += piece
+        yield buf
 
 
 class NetNode:
@@ -225,6 +312,7 @@ class NetNode:
     ) -> None:
         """Serve a new inbound peer connection on a tracked task (R11),
         which :meth:`stop` cancels and awaits."""
+        _cap_recv(writer)
         self._tasks.spawn(self._serve_peer(reader, writer), name="serve-peer")
 
     async def _serve_peer(
@@ -372,6 +460,7 @@ class NetNode:
                 f"cannot reach peer {peer_id} at "
                 f"{address.host}:{address.port}: {exc}"
             ) from None
+        _cap_recv(writer)
         reader = BufferedReader(raw_reader)
         try:
             await send_preamble(writer, self.node_id, self.schema.digest)
@@ -449,6 +538,7 @@ class NetNode:
     ) -> None:
         """Serve a new client connection on a tracked task, like
         :meth:`_accept_peer`."""
+        _cap_recv(writer)
         self._tasks.spawn(self._serve_client(reader, writer), name="serve-client")
 
     async def _serve_client(
@@ -460,8 +550,12 @@ class NetNode:
         waits again; the replies are held and written in one transport
         write once no complete request is left (a batch is at most what
         one wake-up delivered).  No reply is held across a wait: an op
-        that waits (``sync``, a journaled ``put``) is served alone —
-        held replies are written before it, its own right after it.
+        that waits (``sync``, a journaled ``put``, ``status``'s stream)
+        is served alone — held replies are written before it, its own
+        right after it.  ``status`` is written from a
+        :class:`StatusSnapshot` a chunk at a time, draining in between,
+        so a put on another connection may land mid-stream: the reply
+        is the state at the snapshot, and no copy of the store is made.
         """
         stream = BufferedReader(reader)
         durable = self.journal is not None
@@ -477,12 +571,25 @@ class NetNode:
                     if not isinstance(request, dict):
                         raise TypeError("request is not a JSON object")
                     op = request.get("op")
-                    alone = op == "sync" or (durable and op == "put")
+                    alone = op in ("sync", "status") or (durable and op == "put")
                     if alone and held:
                         await write_blob(writer, *held)
                         held.clear()
                         held_bytes = 0
-                    response = await self._handle_client_op(request)
+                    if op == "status":
+                        status = self._status()
+                        if status.length <= MAX_FRAME_BYTES:
+                            await write_blob_stream(
+                                writer, status.length, status.chunks()
+                            )
+                            continue
+                        response = {
+                            "ok": False,
+                            "error": f"status reply of {status.length} bytes "
+                            f"exceeds the {MAX_FRAME_BYTES}-byte frame cap",
+                        }
+                    else:
+                        response = await self._handle_client_op(request)
                     # A ``put``/``get`` that did not raise succeeded, and
                     # its reply has one shape (see ``_handle_client_op``).
                     if op == "put":
@@ -519,7 +626,8 @@ class NetNode:
         self, request: dict[str, Any]
     ) -> dict[str, Any]:
         # ``_serve_client`` writes a successful ``put``/``get`` without
-        # ``json.dumps``: their two result shapes change there too.
+        # ``json.dumps``: their two result shapes change there too.  It
+        # serves ``status`` itself, as a stream (see ``_status``).
         op = request.get("op")
         if op == "ping":
             return {"ok": True, "node": self.node_id}
@@ -549,8 +657,6 @@ class NetNode:
                 "adopted": list(outcome.adopted),
                 "conflicts": outcome.conflicts,
             }
-        if op == "status":
-            return self._status()
         if op == "shutdown":
             # Reply first, then unwind: the caller's socket sees the
             # acknowledgement before the listener goes away.  The stop
@@ -562,19 +668,15 @@ class NetNode:
             return {"ok": True, "bye": True}
         return {"ok": False, "error": f"unknown op {op!r}"}
 
-    def _status(self) -> dict[str, Any]:
+    def _status(self) -> StatusSnapshot:
         """Converged-state snapshot for the parity harness: regular
-        store contents, per-item IVVs, the DBVV, and traffic totals."""
-        store: dict[str, str] = {}
-        ivvs: dict[str, list[int]] = {}
-        for entry in self.node.store:
-            store[entry.name] = entry.value.hex()
-            ivvs[entry.name] = list(entry.ivv.as_tuple())
-        status: dict[str, Any] = {
-            "ok": True,
-            "node": self.node_id,
-            "store": store,
-            "ivvs": ivvs,
+        store contents, per-item IVVs, the DBVV, and traffic totals —
+        taken with no await, so it is one state of the node."""
+        rows = [
+            (entry.name, entry.value, entry.ivv.as_tuple())
+            for entry in self.node.store
+        ]
+        fields: dict[str, Any] = {
             "dbvv": list(self.node.dbvv.as_tuple()),
             "census": dict(self.census),
             "frames_sent": self.frames_sent,
@@ -585,7 +687,7 @@ class NetNode:
             "conflicts": self.node.conflicts.count,
         }
         if self.journal is not None:
-            status["durable"] = {
+            fields["durable"] = {
                 "checkpoints": self.journal.checkpoints,
                 "records_replayed": self.journal.records_replayed,
                 "records_skipped": self.journal.records_skipped,
@@ -595,4 +697,4 @@ class NetNode:
                 "wal_bytes_since_checkpoint": self.journal.wal_bytes_since_checkpoint,
                 "checkpoint_bytes": self.journal.checkpoint_bytes,
             }
-        return status
+        return StatusSnapshot(self.node_id, rows, fields)

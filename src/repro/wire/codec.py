@@ -49,8 +49,9 @@ An unchanged vector costs two bytes regardless of ``n``: the paper's
 O(1) identical-replica detection as measured bytes.  The full form
 (never sparse) is the fallback whenever no cached base exists; the
 replica set is fixed (paper section 2), so a base always has the
-vector's length.  A :class:`WireCodec` is one end of one connection,
-and its sent and seen vectors advance independently; they stay in step
+vector's length, and a vector of another width is refused at encode.
+A :class:`WireCodec` is one end of one connection, and its sent and
+seen vectors advance independently; they stay in step
 only over an ordered, lossless stream, so a :mod:`repro.net`
 connection owns one codec and drops it on any tear (a lost frame, a
 crash, a reset), and both ends start the next connection from full
@@ -225,11 +226,12 @@ class Encoder:
 
     def cached_vv(self, vv: VersionVector) -> None:
         """A request's DBVV, as a delta against the last one this codec
-        sent, or in full form when it has sent none."""
+        sent, or in full form when it has sent none.  A vector of
+        another width than that one is a :class:`WireFormatError`: a
+        delta cannot say the width changed."""
         counts = vv.as_tuple()
         codec = self._codec
         base = codec._sent
-        codec._sent = counts
         buf = self.buf
         if base is None:
             _write_full(buf, counts)
@@ -239,6 +241,11 @@ class Encoder:
             buf.append(_DELTA_VV)
             buf.append(0)
         else:
+            if len(counts) != len(base):
+                raise WireFormatError(
+                    f"request DBVV of width {len(counts)} after one of width "
+                    f"{len(base)} on this connection — the replica set is fixed"
+                )
             changed = [k for k in range(len(counts)) if counts[k] != base[k]]
             buf.append(_DELTA_VV)
             write_uvarint(buf, len(changed))
@@ -247,6 +254,7 @@ class Encoder:
                 write_uvarint(buf, k - previous - 1)
                 write_svarint(buf, counts[k] - base[k])
                 previous = k
+        codec._sent = counts
 
 
 def _write_full(buf: bytearray, counts: tuple[int, ...]) -> None:

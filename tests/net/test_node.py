@@ -124,6 +124,19 @@ class TestSessions:
 
         assert asyncio.run(run()) == b"relay"
 
+    def test_a_link_reads_64_kib_per_recv(self):
+        """Not asyncio's 256 KiB, which glibc maps and unmaps per read."""
+
+        async def run():
+            nodes = await start_nodes(2)
+            try:
+                await nodes[0].sync_with(1)
+                return nodes[0]._links[1].writer.transport.max_size
+            finally:
+                await stop_nodes(nodes)
+
+        assert asyncio.run(run()) == node_module._RECV_BYTES == 1 << 16
+
     def test_sync_with_illegal_peer_raises(self):
         async def run():
             nodes = await start_nodes(2)
@@ -251,11 +264,13 @@ class TestClientOps:
                     {"op": "sync", "peer": 0}
                 )
                 assert synced["adopted"] == ["a"]
-                status = await nodes[1]._handle_client_op({"op": "status"})
-                assert status["store"]["a"] == b"hey".hex()
-                assert status["dbvv"] == [1, 0]
-                assert status["conflicts"] == 0
-                assert status["census"] == {"PropagationRequest": 1}
+                # ``status`` is streamed by the connection's server; its
+                # snapshot holds what the reply will say.
+                status = nodes[1]._status()
+                assert {name: value for name, value, _ in status.rows}["a"] == b"hey"
+                assert status.fields["dbvv"] == [1, 0]
+                assert status.fields["conflicts"] == 0
+                assert status.fields["census"] == {"PropagationRequest": 1}
             finally:
                 await stop_nodes(nodes)
 
@@ -819,12 +834,12 @@ class TestClientPipelining:
             monkeypatch.setattr(node.journal, "commit", commit_spy)
             await node.start()
             try:
-                before = node._status()["durable"]["fsyncs"]
+                before = node._status().fields["durable"]["fsyncs"]
                 reader, writer = await _connect(node)
                 writer.write(_framed(*requests))
                 replies = await _replies(reader, len(requests))
                 writer.close()
-                return replies, node._status()["durable"]["fsyncs"] - before
+                return replies, node._status().fields["durable"]["fsyncs"] - before
             finally:
                 await node.stop()
 
@@ -876,8 +891,9 @@ class TestClientPipelining:
         async def run():
             nodes = await start_nodes(2)
             try:
+                nodes[0].node.update("a", Put(b"v" * 60))  # a 140-byte reply
                 reader, writer = await _connect(nodes[0])
-                writer.write(_framed(*[{"op": "status"}] * 50))
+                writer.write(_framed(*[{"op": "get", "item": "a"}] * 50))
                 replies = await _replies(reader, 50)
                 writer.close()
                 return replies

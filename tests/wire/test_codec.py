@@ -165,6 +165,21 @@ class TestDeltaVectors:
         with pytest.raises(WireFormatError, match="past the 64-bit range"):
             codec.decode(frame)
 
+    @pytest.mark.parametrize(
+        "first, then", [((1, 2), (1,)), ((1, 2), (1, 2, 3))], ids=["narrower", "wider"]
+    )
+    def test_a_request_of_another_width_is_refused_naming_both(self, first, then):
+        """A delta cannot carry a width, so a DBVV narrower or wider than
+        the last one sent is a typed error, and the link is unharmed."""
+        sender, receiver = WireCodec(SCHEMA), WireCodec(SCHEMA)
+        receiver.decode(sender.encode(PropagationRequest(1, vv(*first))))
+        with pytest.raises(
+            WireFormatError, match=f"width {len(then)} after one of width {len(first)}"
+        ):
+            sender.encode(PropagationRequest(1, vv(*then)))
+        bumped = PropagationRequest(1, vv(first[0] + 1, *first[1:]))
+        assert receiver.decode(sender.encode(bumped)) == bumped
+
     def test_mutating_a_decoded_vector_leaves_the_cached_base_alone(self):
         """The receiver's cache keeps the decoded component tuple, so
         whatever the caller does to the vector it was handed, the next
