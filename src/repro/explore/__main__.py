@@ -3,10 +3,9 @@
 Two modes:
 
 * **explore** (default) — exhaustively search one bounded configuration
-  and report explored/pruned counts.  On a violation, the schedule is
-  minimized and written as a replayable JSON trace; exit code 1.  A
-  clean search ends with the reduction proof: how many interleavings
-  sleep sets and the state cache pruned.
+  and report explored/pruned counts, including how many branches sleep
+  sets and the state cache pruned.  On a violation, the schedule is
+  minimized and written as a replayable JSON trace; exit code 1.
 * **replay** (``--replay trace.json``) — re-run a saved trace through
   the oracle.  Exit 0 when the replay matches the trace's expectation
   (violation reproduces, or a clean witness stays clean), 1 otherwise.
@@ -129,39 +128,6 @@ def _print_stats(result: ExplorationResult) -> None:
     )
 
 
-def _reduction_proof(
-    config: ExplorationConfig, depth: int, result: ExplorationResult
-) -> None:
-    """Show how many interleavings the reduction pruned, by walking the
-    *unreduced* schedule tree (no sleep sets, no state cache, no oracle)
-    with a transition cap at twice the reduced count.  Hitting the cap
-    proves the reduction pruned more than half of all interleavings
-    without paying for the full exponential walk."""
-    cap = 2 * result.stats.transitions + 1
-    baseline = Explorer(
-        config,
-        depth,
-        por=False,
-        visited_cache=False,
-        oracle_checks=False,
-        max_transitions=cap,
-    ).run()
-    reduced = result.stats.transitions
-    if baseline.truncated:
-        print(
-            f"reduction proof:     unreduced tree exceeds {cap} transitions "
-            f"(capped); reduced search explored {reduced} -> "
-            f"reduction prunes > 50% of interleavings"
-        )
-    elif baseline.stats.transitions > 0:
-        share = 1 - reduced / baseline.stats.transitions
-        print(
-            f"reduction proof:     unreduced tree has "
-            f"{baseline.stats.transitions} transitions; reduced search "
-            f"explored {reduced} ({share:.1%} of interleavings pruned)"
-        )
-
-
 def _run_explore(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     label = config.protocol
@@ -181,7 +147,6 @@ def _run_explore(args: argparse.Namespace) -> int:
     result = Explorer(config, args.depth).run()
     _print_stats(result)
     if result.violation is None:
-        _reduction_proof(config, args.depth, result)
         print(
             f"result: exhaustive to depth {args.depth}, "
             "no invariant violations"

@@ -146,14 +146,13 @@ class Explorer:
                            reduction; the state cache stays on).
     ``visited_cache=False`` — disable revisited-state pruning too; with
                            ``por=False`` this walks the raw unreduced
-                           schedule tree (only useful capped, as the
-                           reduction-proof baseline).
+                           schedule tree (only useful capped).
     ``oracle_checks=False`` — skip the oracle entirely; transitions are
-                           only counted (the reduction-proof baseline
-                           measures tree size, not correctness).
+                           only counted (an unreduced baseline measures
+                           tree size, not correctness).
     ``max_transitions``  — hard cap on explored transitions; exceeding it
                            marks the result ``truncated`` instead of
-                           running unbounded (the reduction-proof cap).
+                           running unbounded.
     """
 
     def __init__(

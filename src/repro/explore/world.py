@@ -96,6 +96,12 @@ class ExplorationConfig:
             raise ValueError("exploration needs at least 2 nodes")
         if not self.items:
             raise ValueError("exploration needs at least 1 item")
+        for budget in ("max_updates", "max_faults", "max_crashes", "max_oob"):
+            if getattr(self, budget) < 0:
+                raise ValueError(
+                    f"budget {budget} must not be negative, "
+                    f"got {getattr(self, budget)}"
+                )
 
     def to_json(self) -> dict[str, object]:
         return {

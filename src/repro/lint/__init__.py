@@ -3,10 +3,9 @@
 Generic linters know nothing about DBVV dominance, the one-record-per-
 item log rule, or the determinism contract the experiments depend on.
 This package is an AST-based checker for exactly those protocol-shaped
-bug classes — sixteen rules, R1–R16, each encoding a failure mode this
-repository has actually had.  ``python -m repro.lint --list-rules``
-prints them; ``docs/DEVELOPING.md`` is the catalogue, with each rule's
-history.
+bug classes.  ``python -m repro.lint --list-rules`` prints the rules;
+``docs/DEVELOPING.md`` is the catalogue, with a table of what each rule
+has caught or guards that no test checks.
 
 Run it over the tree with ``python -m repro.lint src tests benchmarks``.
 Suppress a finding on one line with ``# lint: skip=<ID>`` (comma-
@@ -15,7 +14,8 @@ R7, R9 and R16 findings are suppressed only by their reason pragmas,
 ``# pragma: full-scan <reason>``, ``# pragma: blocking <reason>`` and
 ``# pragma: fresh-alloc <reason>``.  Each run also audits the
 suppressions: a pragma whose line no longer produces the finding it
-suppresses is reported under the pseudo rule id ``PRAGMA``.
+suppresses, or a skip naming no registered rule, is reported under the
+pseudo rule id ``PRAGMA``.
 
 Layout: :mod:`repro.lint.engine` parses each file once, runs each
 applicable rule once, and applies and audits the pragmas;

@@ -2,27 +2,30 @@
 
 Every run does two passes over the tree:
 
-1. **lint** — the rule registry (R1–R16), with ``# lint: skip=<ID>`` /
-   ``# pragma: full-scan <reason>`` / ``# pragma: blocking <reason>`` /
-   ``# pragma: fresh-alloc <reason>`` suppressions honoured;
+1. **lint** — the rule registry (``--list-rules``), with
+   ``# lint: skip=<ID>`` / ``# pragma: full-scan <reason>`` /
+   ``# pragma: blocking <reason>`` / ``# pragma: fresh-alloc <reason>``
+   suppressions honoured;
 2. **pragma audit** — flags suppressions that suppress nothing
    (refactored-away violations leave stale pragmas that silently re-arm
-   later); reported under the pseudo rule id ``PRAGMA``.
+   later) and skips naming no registered rule; reported under the
+   pseudo rule id ``PRAGMA``.
 
 Both passes read the same findings: each file is parsed once and each
 rule runs on it once.  Findings go to stdout, one ``path:line:col: ID
 message`` line each; the summary line goes to stderr.
 
 Exit status 0 when both passes are clean, 1 when any rule fires, a file
-fails to parse, or a stale pragma is found, and 2 on usage errors or an
-internal linter crash (so CI can tell "the code is bad" from "the
-linter is bad").
+fails to parse, or a stale pragma is found, and 2 on usage errors (a
+path that does not exist is one) or an internal linter crash (so CI can
+tell "the code is bad" from "the linter is bad").
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 from typing import Sequence
 
 from repro.lint.engine import Violation, lint_paths
@@ -34,7 +37,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.lint",
         description=(
             "Protocol-aware static analysis for the epidemic-replication "
-            "codebase (rules R1-R16; see docs/DEVELOPING.md)."
+            "codebase (--list-rules prints the rules; see docs/DEVELOPING.md)."
         ),
     )
     parser.add_argument(
@@ -82,6 +85,9 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     if not args.paths:
         parser.error("no paths given (try: python -m repro.lint src tests)")
+    missing = [path for path in args.paths if not Path(path).exists()]
+    if missing:
+        parser.error(f"no such file or directory: {', '.join(missing)}")
 
     if args.select:
         ids = [token.strip() for token in args.select.split(",") if token.strip()]

@@ -239,9 +239,10 @@ def lint_file(
     suppresses — residue from refactored code that reads as "this line
     is exempt" while exempting nothing today and, worse, silently
     re-arms if the violation ever comes back on a *different* line.
-    Its findings use the pseudo rule id ``PRAGMA``.  Pragmas for rules
-    outside ``rules`` are not judged (a ``--select`` run cannot know
-    whether an unselected rule still fires)."""
+    Its findings use the pseudo rule id ``PRAGMA``, as do skips naming
+    an id no rule has (a typo, or a retired rule).  Pragmas for other
+    registered rules outside ``rules`` are not judged (a ``--select``
+    run cannot know whether an unselected rule still fires)."""
     text = Path(path).read_text(encoding="utf-8")
     kept, stale = _check(text, make_scope(path), rules)
     return kept + stale if audit else kept
@@ -274,7 +275,11 @@ def _audit(
     scope: FileScope,
     rules: Sequence[LintRule],
 ) -> list[Violation]:
+    # Imported here: the registry's rule modules import this one.
+    from repro.lint.rules import ALL_RULES
+
     selected = {rule.rule_id for rule in rules}
+    registered = selected | {rule.rule_id for rule in ALL_RULES}
     fired_by_line: dict[int, set[str]] = {}
     for violation in raw:
         fired_by_line.setdefault(violation.line, set()).add(violation.rule_id)
@@ -291,7 +296,14 @@ def _audit(
         if match is not None:
             for token in match.group(1).split(","):
                 rule_id = token.strip()
-                if rule_id and rule_id in selected and rule_id not in fired:
+                if rule_id and rule_id not in registered:
+                    flag(
+                        lineno,
+                        match,
+                        f"`lint: skip={rule_id}` names no registered rule "
+                        "(see --list-rules); drop it",
+                    )
+                elif rule_id in selected and rule_id not in fired:
                     flag(
                         lineno,
                         match,

@@ -44,7 +44,6 @@ __all__ = [
     "is_lock_expression",
     "iter_awaits",
     "leaf_name",
-    "message_classes",
     "walk_in_scope",
 ]
 
@@ -69,7 +68,7 @@ S = TypeVar("S")
 
 def leaf_name(expr: ast.AST) -> str | None:
     """``name`` for ``name`` and ``x.y.name``; else ``None`` — how a
-    call, a base class, a decorator or a caught exception is named."""
+    call, a lock or a caught exception is named."""
     if isinstance(expr, ast.Name):
         return expr.id
     if isinstance(expr, ast.Attribute):
@@ -84,25 +83,6 @@ def handler_names(handler: ast.ExceptHandler) -> list[str] | None:
         return None
     types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
     return [name for name in map(leaf_name, types) if name is not None]
-
-
-def message_classes(tree: ast.AST) -> list[ast.ClassDef]:
-    """Classes defining ``wire_size`` — the on-the-wire message marker —
-    except ``Protocol`` shapes, which are never instantiated."""
-    return [
-        node
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ClassDef)
-        and any(
-            isinstance(member, FUNC_DEFS) and member.name == "wire_size"
-            for member in node.body
-        )
-        and "Protocol"
-        not in {
-            leaf_name(base.value if isinstance(base, ast.Subscript) else base)
-            for base in node.bases
-        }
-    ]
 
 
 def walk_in_scope(node: ast.AST) -> Iterator[ast.AST]:

@@ -8,7 +8,9 @@ tests run.  To add a rule: write ``rN_<name>.py`` with a
 subclass :class:`~repro.lint.flow.ForwardWalker` rather than walking
 statements themselves), add a violating + clean fixture pair under
 ``tests/lint/fixtures/``, append an instance here, and add a section
-to ``docs/DEVELOPING.md``.
+to ``docs/DEVELOPING.md`` and a row to its table of what each rule
+catches.  Ids R6 and R8 are retired (their checks became a test of the
+message classes, ``tests/wire/test_codec.py``); never reuse them.
 """
 
 from __future__ import annotations
@@ -19,9 +21,7 @@ from repro.lint.rules.r2_fault_handling import LostMessageHandlingRule
 from repro.lint.rules.r3_determinism import DeterminismRule
 from repro.lint.rules.r4_encapsulation import EncapsulationRule
 from repro.lint.rules.r5_tautology import TautologicalInvariantRule
-from repro.lint.rules.r6_frozen_messages import FrozenMessageRule
 from repro.lint.rules.r7_complexity import ComplexityBudgetRule
-from repro.lint.rules.r8_registered_codecs import RegisteredCodecRule
 from repro.lint.rules.r9_blocking_async import BlockingAsyncRule
 from repro.lint.rules.r10_await_atomicity import AwaitAtomicityRule
 from repro.lint.rules.r11_tracked_tasks import TrackedTasksRule
@@ -42,9 +42,7 @@ ALL_RULES: tuple[LintRule, ...] = (
     DeterminismRule(),
     EncapsulationRule(),
     TautologicalInvariantRule(),
-    FrozenMessageRule(),
     ComplexityBudgetRule(),
-    RegisteredCodecRule(),
     BlockingAsyncRule(),
     AwaitAtomicityRule(),
     TrackedTasksRule(),

@@ -7,8 +7,9 @@ zero-dependency binary codec (LEB128 varints, length-prefixed
 self-describing frames, a stable message-type registry).
 
 Layout: :mod:`~repro.wire.varint` (the number format),
-:mod:`~repro.wire.registry` (type-id table contract, audited by lint
-rule R8), :mod:`~repro.wire.codec` (frames, field primitives, the item
+:mod:`~repro.wire.registry` (type-id table contract, checked against
+the message classes by ``tests/wire/test_codec.py``),
+:mod:`~repro.wire.codec` (frames, field primitives, the item
 schema, self-contained version vectors, and the request DBVV delta
 against the connection's last one) and
 :mod:`~repro.wire.codecs` (the core protocol's encode/decode pairs,

@@ -3,11 +3,12 @@
 Importing this module registers an encode/decode pair for every
 ``wire_size`` class of the DBVV protocol itself — the session and
 out-of-bound messages and the operation-shipping payloads: the whole
-registry, and all a :mod:`repro.net` replica ships.  Lint rule R8
-audits it: a new ``repro.core`` message class without a registration
-(or a registration whose class lost its ``wire_size``) fails
-``python -m repro.lint``.  The baselines run in the simulator only,
-which charges their modelled ``wire_size()``; they have no codec.
+registry, and all a :mod:`repro.net` replica ships.  A new
+``repro.core`` message class without a registration (or a registration
+whose class lost its ``wire_size``) fails
+``tests/wire/test_codec.py::TestFraming::test_message_classes_are_frozen_slotted_and_registered``.
+The baselines run in the simulator only, which charges their modelled
+``wire_size()``; they have no codec.
 
 Type ids are stable protocol constants; never renumber an existing id,
 and never reuse a retired one (4 and 9 here, and 16–50, the baselines'

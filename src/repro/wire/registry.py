@@ -6,13 +6,14 @@ message class.  Type ids are stable protocol constants (declared in
 :mod:`repro.wire.codecs`), never derived from registration order —
 reordering imports must not change the wire format.
 
-The registry is also the contract lint rule R8 audits: every class in
-``repro.core`` that defines ``wire_size`` (the R6 frozen-message set)
-must be registered here, and every registration must point at a class
-that still defines ``wire_size`` — an unregistered message would crash
-a :mod:`repro.net` replica the first time it ships, and a stale
-registration is dead protocol surface that R8 treats exactly like a
-stale suppression pragma.
+The registry is also a contract that
+``tests/wire/test_codec.py::TestFraming::test_message_classes_are_frozen_slotted_and_registered``
+checks: every class in ``repro.core`` that defines ``wire_size`` (a
+frozen, slotted message) must be registered here, and every
+registration must point at a class that still defines ``wire_size`` —
+an unregistered message would crash a :mod:`repro.net` replica the
+first time it ships, and a stale registration is dead protocol
+surface.
 """
 
 from __future__ import annotations
@@ -90,5 +91,5 @@ def codec_for_id(type_id: int) -> MessageCodec:
 
 
 def registered_codecs() -> tuple[MessageCodec, ...]:
-    """Every registration, in type-id order (R8's audit surface)."""
+    """Every registration, in type-id order."""
     return tuple(_BY_ID[type_id] for type_id in sorted(_BY_ID))

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.explore.__main__ as explore_cli
 from repro.core.delta import DeltaEpidemicNode, DeltaPayload
 from repro.core.messages import ItemPayload
 from repro.core.protocol import DeltaProtocolNode
@@ -27,6 +28,21 @@ SMALL = ExplorationConfig(
     max_oob=0,
     fault_variants=False,
 )
+
+
+class TestConfig:
+    BUDGETS = ("max_updates", "max_faults", "max_crashes", "max_oob")
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_negative_budget_is_rejected(self, budget):
+        with pytest.raises(ValueError, match=budget):
+            ExplorationConfig(**{budget: -1})
+        with pytest.raises(ValueError, match=budget):
+            ExplorationConfig.from_json({**SMALL.to_json(), budget: -1})
+
+    def test_cli_exits_2_on_a_negative_budget(self, capsys):
+        assert explore_cli.main(["--updates", "-1", "--depth", "1"]) == 2
+        assert "max_updates must not be negative" in capsys.readouterr().err
 
 
 class TestEnabledActions:

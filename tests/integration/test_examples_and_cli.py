@@ -2,14 +2,17 @@
 
 Examples are part of the public deliverable; a broken example is a
 broken product, so they run as subprocesses exactly as a user would
-run them.
+run them: a fresh interpreter with ``PYTHONPATH=src``.
 """
 
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from tests.test_examples import run_example
 
 REPO = Path(__file__).resolve().parents[2]
 EXAMPLES = sorted((REPO / "examples").glob("*.py"))
@@ -19,6 +22,7 @@ def run(args, timeout=240):
     return subprocess.run(
         args,
         cwd=REPO,
+        env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
         capture_output=True,
         text=True,
         timeout=timeout,
@@ -27,7 +31,7 @@ def run(args, timeout=240):
 
 @pytest.mark.parametrize("script", EXAMPLES, ids=lambda p: p.name)
 def test_example_runs_clean(script):
-    result = run([sys.executable, str(script)])
+    result = run_example(script)
     assert result.returncode == 0, result.stderr[-2000:]
     assert result.stdout.strip(), "examples must narrate what they show"
 

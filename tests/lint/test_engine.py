@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from repro.lint import ALL_RULES, LintRule, make_scope
 from repro.lint.engine import collect_files
 from tests.lint.source import audit_pragmas, lint_source
@@ -11,8 +13,21 @@ from repro.lint.rules import rules_by_id
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 FIXTURES = Path(__file__).parent / "fixtures"
+CATALOGUE = "\n### What each rule catches\n"
 
 BARE_ASSERT = "def f(x):\n    assert x > 0\n"
+
+
+def catalogue_rows():
+    """``(id, name, what it caught)`` for every row of the table of
+    what each rule catches in ``docs/DEVELOPING.md``."""
+    text = (REPO_ROOT / "docs" / "DEVELOPING.md").read_text(encoding="utf-8")
+    section = text.split(CATALOGUE, 1)[1].split("\n#", 1)[0]
+    return [
+        tuple(cell.strip() for cell in line.strip().strip("|").split("|"))
+        for line in section.splitlines()
+        if line.startswith("| R")
+    ]
 
 
 class TestScoping:
@@ -122,6 +137,16 @@ class TestPragmaAudit:
         rules = rules_by_id("R3")
         assert audit_pragmas(source, "src/repro/core/m.py", rules) == []
 
+    @pytest.mark.parametrize("rule_id", ["R42", "R6", "R8"])
+    def test_skip_naming_no_registered_rule_is_flagged(self, rule_id):
+        # An unknown id (a typo, or a retired rule) suppresses nothing,
+        # whichever rules are selected.
+        source = f"x = 1  # lint: skip={rule_id}\n"
+        for rules in (ALL_RULES, rules_by_id("R3")):
+            findings = audit_pragmas(source, "src/repro/core/m.py", rules)
+            assert [v.rule_id for v in findings] == ["PRAGMA"]
+            assert "no registered rule" in findings[0].message
+
 
 class TestParseFailures:
     def test_unparseable_file_reports_parse_violation(self):
@@ -144,8 +169,11 @@ class TestFileDiscovery:
 
 
 class TestRegistry:
-    def test_all_sixteen_rules_registered_in_order(self):
-        assert [r.rule_id for r in ALL_RULES] == [f"R{i}" for i in range(1, 17)]
+    def test_rules_registered_in_order_without_retired_ids(self):
+        retired = {6, 8}
+        assert [r.rule_id for r in ALL_RULES] == [
+            f"R{i}" for i in range(1, 17) if i not in retired
+        ]
 
     def test_rule_ids_are_unique_and_documented(self):
         ids = [r.rule_id for r in ALL_RULES]
@@ -189,8 +217,23 @@ class TestCli:
     def test_list_rules(self):
         result = self._run("--list-rules")
         assert result.returncode == 0
-        for rule_id in ("R1", "R2", "R3", "R4", "R5", "R6"):
-            assert rule_id in result.stdout
+        listed = [line.split()[0] for line in result.stdout.splitlines()]
+        assert listed == [rule.rule_id for rule in ALL_RULES]
+
+    def test_catalogue_table_matches_list_rules(self):
+        """Every rule names the defect it caught or the invariant no
+        test checks, in one row of the catalogue table, in registry
+        order; a row whose rule is gone fails too."""
+        result = self._run("--list-rules")
+        listed = [tuple(line.split()[:2]) for line in result.stdout.splitlines()]
+        rows = catalogue_rows()
+        assert [(rule_id, name) for rule_id, name, _ in rows] == listed
+        unnamed = [
+            rule_id
+            for rule_id, _, caught in rows
+            if not caught.startswith(("Caught in `", "No test"))
+        ]
+        assert unnamed == []
 
     def test_select_limits_rules(self):
         target = "tests/lint/fixtures/src/repro/core/r1_violation.py"
@@ -199,6 +242,12 @@ class TestCli:
 
     def test_no_paths_is_a_usage_error(self):
         assert self._run().returncode == 2
+
+    @pytest.mark.parametrize("missing", ["tests/nosuch", "tests/nosuch.py"])
+    def test_missing_path_is_a_usage_error(self, missing):
+        result = self._run("src/repro/lint", missing)
+        assert result.returncode == 2
+        assert f"no such file or directory: {missing}" in result.stderr
 
     def test_summary_counts_per_rule(self):
         target = "tests/lint/fixtures/src/repro/cluster/r3_violation.py"

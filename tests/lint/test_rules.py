@@ -23,9 +23,7 @@ VIOLATION_FIXTURES = {
     "R3": (FIXTURES / "src/repro/cluster/r3_violation.py", 7),
     "R4": (FIXTURES / "src/repro/cluster/r4_violation.py", 6),
     "R5": (FIXTURES / "src/repro/core/r5_violation.py", 1),
-    "R6": (FIXTURES / "src/repro/cluster/r6_violation.py", 3),
     "R7": (FIXTURES / "src/repro/baselines/r7_violation.py", 4),
-    "R8": (FIXTURES / "src/repro/core/r8_violation.py", 1),
     "R9": (FIXTURES / "src/repro/net/r9_violation.py", 5),
     "R10": (FIXTURES / "src/repro/net/r10_violation.py", 2),
     "R11": (FIXTURES / "src/repro/net/r11_violation.py", 2),
@@ -54,9 +52,7 @@ CLEAN_FIXTURES = {
     "R3": FIXTURES / "src/repro/cluster/r3_clean.py",
     "R4": FIXTURES / "src/repro/cluster/r4_clean.py",
     "R5": FIXTURES / "src/repro/core/r5_clean.py",
-    "R6": FIXTURES / "src/repro/cluster/r6_clean.py",
     "R7": FIXTURES / "src/repro/baselines/r7_clean.py",
-    "R8": FIXTURES / "src/repro/core/r8_clean.py",
     "R9": FIXTURES / "src/repro/net/r9_clean.py",
     "R10": FIXTURES / "src/repro/net/r10_clean.py",
     "R11": FIXTURES / "src/repro/net/r11_clean.py",
@@ -160,68 +156,6 @@ class TestRegressionShapes:
         )
         findings = lint_source(source, "src/repro/core/node.py", ALL_RULES)
         assert not any(v.rule_id == "R5" for v in findings)
-
-
-class TestRegisteredCodecAudit:
-    """R8 audits the AST against the live wire registry, per file."""
-
-    def test_new_unregistered_message_in_real_module_fails(self):
-        # A frozen+slotted message added to the real messages module
-        # without a matching register() call in repro.wire.codecs.
-        source = (
-            "from dataclasses import dataclass\n"
-            "WORD_SIZE = 8\n"
-            "@dataclass(frozen=True, slots=True)\n"
-            "class BrandNewProbe:\n"
-            "    source: int\n"
-            "    def wire_size(self) -> int:\n"
-            "        return WORD_SIZE\n"
-        )
-        findings = lint_source(source, "src/repro/core/r8_probe.py", ALL_RULES)
-        assert any(v.rule_id == "R8" for v in findings)
-
-    def test_removing_a_registered_message_reports_stale_registration(self):
-        # Lint a version of src/repro/core/messages.py from which every
-        # class has vanished: all six core registrations become stale.
-        findings = lint_source(
-            "WORD_SIZE = 8\n", "src/repro/core/messages.py", ALL_RULES
-        )
-        stale = [v for v in findings if v.rule_id == "R8"]
-        assert len(stale) == 6, [v.render() for v in findings]
-        assert all("stale codec registration" in v.message for v in stale)
-
-    def test_real_message_modules_are_fully_registered(self):
-        from pathlib import Path as _Path
-
-        root = _Path(__file__).resolve().parents[2]
-        for module in (
-            "src/repro/core/messages.py",
-            "src/repro/core/delta.py",
-        ):
-            findings = lint_file(root / module, ALL_RULES)
-            assert not any(v.rule_id == "R8" for v in findings), module
-
-    def test_protocol_classes_need_no_registration(self):
-        source = (
-            "from typing import Protocol\n"
-            "class Sized(Protocol):\n"
-            "    def wire_size(self) -> int: ...\n"
-        )
-        findings = lint_source(source, "src/repro/core/shapes.py", ALL_RULES)
-        assert not any(v.rule_id == "R8" for v in findings)
-
-    def test_r8_scoped_to_core(self):
-        # Baseline messages run in the simulator only and have no codec.
-        source = (
-            "from dataclasses import dataclass\n"
-            "@dataclass(frozen=True, slots=True)\n"
-            "class LocalProbe:\n"
-            "    def wire_size(self) -> int:\n"
-            "        return 8\n"
-        )
-        for path in ("src/repro/cluster/probes.py", "src/repro/baselines/probes.py"):
-            findings = lint_source(source, path, ALL_RULES)
-            assert not any(v.rule_id == "R8" for v in findings), path
 
 
 class TestRuleScoping:

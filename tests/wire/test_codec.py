@@ -1,8 +1,12 @@
-"""Unit tests for framing, the request's cached DBVV, and self-contained
-vectors."""
+"""Unit tests for framing, the request's cached DBVV, self-contained
+vectors, and the message classes the registry serves."""
+
+import importlib
+import pkgutil
 
 import pytest
 
+import repro
 from repro.core.delta import DeltaPayload, OpChainEntry
 from repro.core.messages import (
     ItemPayload,
@@ -37,6 +41,42 @@ SCHEMA = ("a", "b")
 
 def vv(*counts):
     return VersionVector.from_counts(list(counts))
+
+
+def message_classes(modules):
+    """The classes each module defines whose own body defines
+    ``wire_size``, the mark of a wire message; ``typing.Protocol``
+    shapes are never instantiated and are left out."""
+    return [
+        cls
+        for module in modules
+        for cls in vars(module).values()
+        if isinstance(cls, type)
+        and cls.__module__ == module.__name__
+        and "wire_size" in vars(cls)
+        and not getattr(cls, "_is_protocol", False)
+    ]
+
+
+def message_class_faults(modules):
+    """Every message class must be ``@dataclass(frozen=True,
+    slots=True)``: the simulator hands the recipient the sender's
+    object, and a retry replays a session, so a mutable message aliases
+    state across endpoints.  Every one in ``repro.core`` must also have
+    a codec, or a ``repro.net`` replica raises ``WireFormatError`` the
+    first time it ships one."""
+    faults = []
+    for cls in message_classes(modules):
+        name = f"{cls.__module__}.{cls.__qualname__}"
+        params = vars(cls).get("__dataclass_params__")
+        if params is None or not params.frozen or "__slots__" not in vars(cls):
+            faults.append(f"{name} is not @dataclass(frozen=True, slots=True)")
+        if cls.__module__.startswith("repro.core."):
+            try:
+                codec_for_class(cls)
+            except WireFormatError:
+                faults.append(f"{name} defines wire_size but has no codec")
+    return faults
 
 
 class TestFraming:
@@ -83,6 +123,22 @@ class TestFraming:
         ids = [codec.type_id for codec in codecs]
         assert ids == sorted(ids)
         assert ids == [1, 2, 3, 5, 6, 7, 8, 10]
+
+    def test_message_classes_are_frozen_slotted_and_registered(self):
+        modules = [
+            importlib.import_module(info.name)
+            for info in pkgutil.walk_packages(repro.__path__, "repro.")
+        ]
+        assert message_class_faults(modules) == []
+        core = {
+            cls
+            for cls in message_classes(modules)
+            if cls.__module__.startswith("repro.core.")
+        }
+        stale = [
+            codec.type_id for codec in registered_codecs() if codec.cls not in core
+        ]
+        assert stale == []
 
 
 class TestDeltaVectors:
