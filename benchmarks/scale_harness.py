@@ -1,7 +1,7 @@
 """Round-loop scale harness: what a simulated round costs as n and N grow.
 
 The round loop's two instruments are incremental: ``converged()``
-compares ``state_version()`` digests and the per-round staleness sample
+compares ``state_digest()`` integers and the per-round staleness sample
 reads the ``GroundTruth`` dirty frontier, so both cost O(n) plus the
 size of what actually changed instead of O(n·N).  This harness times a
 burst-then-quiesce workload through the ``ClusterSimulation`` round

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from repro.core.messages import WORD_SIZE, string_wire_size
 from repro.errors import UnknownItemError
-from repro.interfaces import ContentDigest, ProtocolNode, StateVersion
+from repro.interfaces import ContentDigest, ProtocolNode
 from repro.obs import NULL_COUNTERS, OverheadCounters
 
 __all__ = ["LWWRecord", "ValueStoreNode", "LWWNode"]
@@ -75,10 +75,8 @@ class ValueStoreNode(ProtocolNode):
     def state_fingerprint(self) -> dict[str, bytes]:
         return dict(self._values)
 
-    def state_version(self) -> StateVersion:
-        return StateVersion(
-            self.protocol_name, self._digest.token(self.fingerprint_value)
-        )
+    def state_digest(self) -> int:
+        return self._digest.token(self.fingerprint_value)
 
     def fingerprint_value(self, item: str) -> bytes:
         return self._values.get(item, b"")

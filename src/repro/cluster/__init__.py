@@ -21,7 +21,7 @@ from repro.cluster.convergence import (
     fingerprints_equal,
 )
 from repro.cluster.event_sim import EventDrivenSimulation, NodeSchedule
-from repro.cluster.events import EventHandle, EventLoop
+from repro.cluster.events import EventLoop
 from repro.cluster.failures import (
     Crash,
     FailurePlan,
@@ -45,7 +45,6 @@ __all__ = [
     "fingerprints_equal",
     "EventDrivenSimulation",
     "NodeSchedule",
-    "EventHandle",
     "EventLoop",
     "Crash",
     "FailurePlan",

@@ -4,9 +4,9 @@ Two protocol-agnostic instruments:
 
 * :func:`fingerprints_equal` compares replicas — the test-suite's
   definition of "converged" (correctness criterion C3: when update
-  activity stops, all replicas catch up).  Every node exposes a
-  :class:`~repro.interfaces.StateVersion`, so the comparison is O(n)
-  over the cheap versions instead of O(n·N) over materialized snapshot
+  activity stops, all replicas catch up).  Every node exposes its
+  :class:`~repro.interfaces.ContentDigest` token, so the comparison is
+  O(n) over n integers instead of O(n·N) over materialized snapshot
   dicts; sanitizer mode (``crosscheck=True``) also compares the full
   snapshots and insists the two answers agree.
 
@@ -65,8 +65,8 @@ def fingerprints_equal(
     counters: OverheadCounters = NULL_COUNTERS,
 ) -> bool:
     """True when every replica's durable state is identical, compared
-    as n compact :class:`~repro.interfaces.StateVersion` values instead
-    of n materialized ``state_fingerprint()`` dicts.
+    as n ``state_digest()`` integers instead of n materialized
+    ``state_fingerprint()`` dicts.
 
     ``crosscheck`` is the sanitizer mode: also compare the full
     snapshots — the reference — and raise
@@ -75,18 +75,18 @@ def fingerprints_equal(
     """
     if len(nodes) < 2:
         return True
-    first = nodes[0].state_version()
-    fast = all(first.matches(node.state_version()) for node in nodes[1:])
+    first = nodes[0].state_digest()
+    fast = all(node.state_digest() == first for node in nodes[1:])
     if crosscheck:
         counters.tracking_crosschecks += 1
         reference = nodes[0].state_fingerprint()
         full = all(node.state_fingerprint() == reference for node in nodes[1:])
         if full != fast:
             raise InvariantViolation(
-                "state_version comparison disagrees with full "
-                f"fingerprints: versions say converged={fast}, "
+                "state_digest comparison disagrees with full "
+                f"fingerprints: digests say converged={fast}, "
                 f"snapshots say converged={full} "
-                f"(kind={first.kind!r}, n={len(nodes)})"
+                f"(protocol={nodes[0].protocol_name!r}, n={len(nodes)})"
             )
     return fast
 
@@ -153,13 +153,12 @@ class GroundTruth:
         The caller contracts to report every subsequent mutation:
         updates via :meth:`apply`, session adoptions via
         :meth:`note_adoptions`, and rebuilt nodes via
-        :meth:`note_node_refresh`.  A node whose
-        :class:`~repro.interfaces.StateVersion` digest equals the
-        truth's holds the truth's values (up to the 64-bit collision
-        caveat :func:`fingerprints_equal` already accepts), so it starts
-        clean — a fresh cluster over a fresh truth costs the first query
-        nothing; every other node starts wholly dirty and the first query
-        examines it in full.  Later queries examine only the frontier.
+        :meth:`note_node_refresh`.  A node whose ``state_digest()``
+        equals the truth's holds the truth's values (up to the 64-bit
+        collision caveat :func:`fingerprints_equal` already accepts), so
+        it starts clean — a fresh cluster over a fresh truth costs the
+        first query nothing; every other node starts wholly dirty and the
+        first query examines it in full.  Later queries examine only the frontier.
         Queries passing any *other* list (subsets, ad-hoc node groups)
         keep using the from-scratch path.
         """
@@ -167,7 +166,7 @@ class GroundTruth:
         self._counters = counters
         truth = ContentDigest.recompute(self._values.items())
         self._dirty = [
-            set() if node.state_version().digest == truth else set(self.items)
+            set() if node.state_digest() == truth else set(self.items)
             for node in nodes
         ]
         self._stale = [set() for _ in nodes]

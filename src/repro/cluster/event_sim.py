@@ -121,9 +121,7 @@ class EventDrivenSimulation:
 
     def _arm_next_session(self, node_id: int) -> None:
         gap = self.schedules[node_id].next_gap(self.rng)
-        self.loop.schedule_after(
-            gap, lambda: self._sync_slot(node_id), label=f"sync@{node_id}"
-        )
+        self.loop.schedule_after(gap, lambda: self._sync_slot(node_id))
 
     def _sync_slot(self, node_id: int) -> None:
         # A crashed node skips its slot but keeps its schedule armed, so
@@ -158,7 +156,7 @@ class EventDrivenSimulation:
                 return
             self.cluster.apply_update(node_id, item, op)
 
-        self.loop.schedule_at(at, apply, label=f"update@{node_id}:{item}")
+        self.loop.schedule_at(at, apply)
 
     updates_rejected: int = field(default=0, init=False)
 
@@ -172,7 +170,7 @@ class EventDrivenSimulation:
             self._pending_failure_events -= 1
 
         self._pending_failure_events += 1
-        self.loop.schedule_at(at, crash, label=f"crash@{node_id}")
+        self.loop.schedule_at(at, crash)
 
     def schedule_recovery(self, at: float, node_id: int) -> None:
         """Recover ``node_id`` at simulated time ``at``; in durable mode
@@ -185,7 +183,7 @@ class EventDrivenSimulation:
             self._pending_failure_events -= 1
 
         self._pending_failure_events += 1
-        self.loop.schedule_at(at, recover, label=f"recover@{node_id}")
+        self.loop.schedule_at(at, recover)
 
     # -- execution ------------------------------------------------------------
 

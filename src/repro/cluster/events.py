@@ -17,7 +17,7 @@ from typing import Callable
 from repro.errors import SimulationError
 from repro.substrate.clock import SimClock
 
-__all__ = ["EventHandle", "EventLoop"]
+__all__ = ["EventLoop"]
 
 
 @dataclass(order=True)
@@ -25,27 +25,6 @@ class _Entry:
     time: float
     seq: int
     action: Callable[[], None] = field(compare=False)
-    label: str = field(compare=False, default="")
-    cancelled: bool = field(compare=False, default=False)
-
-
-@dataclass(frozen=True)
-class EventHandle:
-    """Returned by :meth:`EventLoop.schedule`; lets the caller cancel."""
-
-    _entry: _Entry
-
-    @property
-    def time(self) -> float:
-        return self._entry.time
-
-    @property
-    def label(self) -> str:
-        return self._entry.label
-
-    @property
-    def cancelled(self) -> bool:
-        return self._entry.cancelled
 
 
 class EventLoop:
@@ -59,48 +38,30 @@ class EventLoop:
         self.clock = clock if clock is not None else SimClock()
         self._queue: list[_Entry] = []
         self._seq = 0
-        self.events_fired = 0
 
-    def __len__(self) -> int:
-        """Pending (non-cancelled) events."""
-        return sum(1 for entry in self._queue if not entry.cancelled)
-
-    def schedule_at(
-        self, time: float, action: Callable[[], None], label: str = ""
-    ) -> EventHandle:
+    def schedule_at(self, time: float, action: Callable[[], None]) -> None:
         """Schedule ``action`` at absolute simulated time ``time``."""
         if time < self.clock.now():
             raise SimulationError(
                 f"cannot schedule event at {time} before now ({self.clock.now()})"
             )
-        entry = _Entry(time, self._seq, action, label)
+        heapq.heappush(self._queue, _Entry(time, self._seq, action))
         self._seq += 1
-        heapq.heappush(self._queue, entry)
-        return EventHandle(entry)
 
-    def schedule_after(
-        self, delay: float, action: Callable[[], None], label: str = ""
-    ) -> EventHandle:
+    def schedule_after(self, delay: float, action: Callable[[], None]) -> None:
         """Schedule ``action`` ``delay >= 0`` time units from now."""
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
-        return self.schedule_at(self.clock.now() + delay, action, label)
-
-    def cancel(self, handle: EventHandle) -> None:
-        """Cancel a pending event; cancelling a fired event is a no-op."""
-        handle._entry.cancelled = True
+        self.schedule_at(self.clock.now() + delay, action)
 
     def run_next(self) -> bool:
         """Fire the earliest pending event; False when the queue is empty."""
-        while self._queue:
-            entry = heapq.heappop(self._queue)
-            if entry.cancelled:
-                continue
-            self.clock.advance_to(entry.time)
-            entry.action()
-            self.events_fired += 1
-            return True
-        return False
+        if not self._queue:
+            return False
+        entry = heapq.heappop(self._queue)
+        self.clock.advance_to(entry.time)
+        entry.action()
+        return True
 
     def run_until(self, time: float) -> int:
         """Fire all events with timestamp <= ``time``; returns the count.
@@ -109,26 +70,8 @@ class EventLoop:
         earlier (or none fired).
         """
         fired = 0
-        while self._queue:
-            head = self._queue[0]
-            if head.cancelled:
-                heapq.heappop(self._queue)
-                continue
-            if head.time > time:
-                break
-            if self.run_next():
-                fired += 1
-        self.clock.advance_to(max(self.clock.now(), time))
-        return fired
-
-    def run_all(self, max_events: int = 1_000_000) -> int:
-        """Drain the queue; raises if ``max_events`` is exceeded (a
-        runaway self-rescheduling loop, almost certainly a bug)."""
-        fired = 0
-        while self.run_next():
+        while self._queue and self._queue[0].time <= time:
+            self.run_next()
             fired += 1
-            if fired > max_events:
-                raise SimulationError(
-                    f"event loop exceeded {max_events} events; runaway schedule?"
-                )
+        self.clock.advance_to(max(self.clock.now(), time))
         return fired

@@ -185,19 +185,16 @@ class SimulatedNetwork:
         """Scripted faults still waiting to fire (test/experiment aid)."""
         return len(self._armed_crashes) + len(self._armed_drops)
 
-    def clear_armed_faults(self) -> int:
-        """Disarm every scripted fault that has not fired yet; returns
-        how many were cleared.
+    def clear_armed_faults(self) -> None:
+        """Disarm every scripted fault that has not fired yet.
 
         The exhaustive explorer arms a fault for exactly one session; a
         session that finishes before the trigger message leaves the
         one-shot fault armed, and letting it leak into a *later* session
         would make that session's behaviour depend on scheduling history
         the state hash does not see."""
-        cleared = len(self._armed_crashes) + len(self._armed_drops)
         self._armed_crashes.clear()
         self._armed_drops.clear()
-        return cleared
 
     # -- delivery ------------------------------------------------------------
 

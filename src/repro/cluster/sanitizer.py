@@ -20,7 +20,7 @@ benchmarks can report the sanitizer's overhead explicitly.
 Since the incremental convergence/staleness tracking landed, sanitizer
 mode also cross-checks every incremental answer against the from-scratch
 recomputation it replaced: :func:`~repro.cluster.convergence.fingerprints_equal`
-re-derives convergence from full snapshots whenever state versions
+re-derives convergence from full snapshots whenever state digests
 decided it, and the simulation re-derives each round's ``stale_pairs``
 from full fingerprints whenever the ground-truth dirty frontier
 supplied it (counted in ``tracking_crosschecks``).  A disagreement

@@ -599,7 +599,7 @@ class EpidemicNode:
 
         Maintained lazily — *marked* on write, *folded* on read — so a
         process that never asks (every ``repro.net`` node) never
-        hashes.  Only the simulator's ``DBVVProtocolNode.state_version``
+        hashes.  Only the simulator's ``DBVVProtocolNode.state_digest``
         reads it.
         """
         return self._digest.token(self._regular_value)
@@ -614,21 +614,6 @@ class EpidemicNode:
         return {
             entry.name: (entry.value, entry.ivv.as_tuple()) for entry in self.store
         }
-
-    def has_open_log_gaps(self) -> bool:
-        """True while some log component still runs ahead of the DBVV.
-
-        An open gap means this replica's reflected update set is not a
-        per-origin prefix (a conflict somewhere in the cluster dropped
-        updates out of the accounting), so the DBVV is not a sound
-        identical-state certificate even if this replica itself is
-        conflict-free.  Heals once the DBVV catches up — through a
-        conflict resolution propagating in, or later adoptions
-        absorbing the missing lineage.
-        """
-        return any(
-            self.log[k].max_seqno > self.dbvv[k] for k in self.log_gaps
-        )
 
     def check_invariants(self) -> None:
         """Assert the cross-structure invariants from DESIGN.md section 6:

@@ -20,7 +20,7 @@ from repro.core.session import PullSession, respond
 from repro.durable.checkpoint import encode_checkpoint
 from repro.durable.journal import NodeJournal
 from repro.errors import DurabilityError, ProtocolStateError
-from repro.interfaces import ProtocolNode, StateVersion, SyncStats, Transport
+from repro.interfaces import ProtocolNode, SyncStats, Transport
 from repro.obs import NULL_COUNTERS, OverheadCounters
 from repro.substrate.operations import UpdateOperation
 
@@ -207,21 +207,8 @@ class DBVVProtocolNode(ProtocolNode):
     def state_fingerprint(self) -> dict[str, bytes]:
         return {entry.name: entry.value for entry in self.node.store}
 
-    def state_version(self) -> StateVersion:
-        """O(n) plus one hash per item written since the last call:
-        the content digest (folded here, its only reader), plus the
-        DBVV tuple as the paper's identical-detection
-        certificate while this replica is conflict-free AND free of
-        imported log gaps.  A conflict freezes DBVV accounting, and a
-        gap imported from a frozen peer means the reflected update set
-        is not a per-origin prefix — either voids the equal-DBVV ⟹
-        equal-state argument (see ``EpidemicNode.has_open_log_gaps``).
-        """
-        node = self.node
-        certificate = None
-        if node.conflicts.count == 0 and not node.has_open_log_gaps():
-            certificate = node.dbvv.as_tuple()
-        return StateVersion(self.protocol_name, node.content_digest, certificate)
+    def state_digest(self) -> int:
+        return self.node.content_digest
 
     def fingerprint_value(self, item: str) -> bytes:
         return self.node.store[item].value
@@ -233,8 +220,8 @@ class DBVVProtocolNode(ProtocolNode):
         """The checkpoint bytes — already a canonical encoding of every
         durable structure (DBVV, IVVs, values, conflict flags, log
         vector, auxiliary copies and log) — plus conflict *existence*,
-        which the protocol reads back (it freezes DBVV certificates and
-        invariant checks) but the checkpoint deliberately omits.
+        which the protocol reads back (``check_invariants`` and
+        ``conflict_lineage``) but the checkpoint deliberately omits.
         Existence, not the count: re-detecting an already-known conflict
         every session changes no behaviour, and keying on the count
         would keep a legitimately-conflicted state from ever reaching a

@@ -118,7 +118,7 @@ def run_arm(
                     hot_reads += 1
                     stale_hot += 0 if fresh else 1
 
-            sim.loop.schedule_at(at, do_read, label="read")
+            sim.loop.schedule_at(at, do_read)
         else:
             sim.schedule_update(at, event.node, event.item, event.op)
     sim.run_until((n_events + 2) * EVENT_SPACING)

@@ -32,8 +32,8 @@ demand causal values of it (``causal_values``).
 
 State explosion is contained by three mechanisms: budgets on updates,
 faults, crashes and out-of-bound fetches; revisited-state pruning via
-the PR-3 ``state_version()`` content digests plus full protocol-state
-fingerprints (the DBVV snapshot format doubles as the hash preimage);
+full protocol-state keys (``exploration_key()``: the DBVV checkpoint
+format doubles as the hash preimage);
 and a sleep-set partial-order reduction exploiting commutativity of
 actions with disjoint node footprints (sessions between disjoint pairs,
 updates at uninvolved nodes).

@@ -86,10 +86,8 @@ class ExplorationResult:
 
     config: ExplorationConfig
     depth: int
-    complete: bool
     violation: OracleViolation | None = None
     schedule: tuple[Action, ...] = ()
-    truncated: bool = False
     stats: ExplorationStats = field(default_factory=ExplorationStats)
 
     @property
@@ -102,10 +100,6 @@ class _ViolationFound(Exception):
         super().__init__(violation.describe())
         self.schedule = schedule
         self.violation = violation
-
-
-class _Truncated(Exception):
-    pass
 
 
 def step(
@@ -139,71 +133,35 @@ def step(
 
 
 class Explorer:
-    """Bounded exhaustive exploration of one configuration.
+    """Bounded exhaustive exploration of one configuration: every
+    schedule of at most ``depth`` actions, judged by the oracle at every
+    transition, with both reductions of the module docstring on."""
 
-    ``depth``            — schedule length bound k.
-    ``por=False``        — disable sleep sets (baseline for measuring the
-                           reduction; the state cache stays on).
-    ``visited_cache=False`` — disable revisited-state pruning too; with
-                           ``por=False`` this walks the raw unreduced
-                           schedule tree (only useful capped).
-    ``oracle_checks=False`` — skip the oracle entirely; transitions are
-                           only counted (an unreduced baseline measures
-                           tree size, not correctness).
-    ``max_transitions``  — hard cap on explored transitions; exceeding it
-                           marks the result ``truncated`` instead of
-                           running unbounded.
-    """
-
-    def __init__(
-        self,
-        config: ExplorationConfig,
-        depth: int,
-        por: bool = True,
-        max_transitions: int | None = None,
-        visited_cache: bool = True,
-        oracle_checks: bool = True,
-    ):
+    def __init__(self, config: ExplorationConfig, depth: int):
         if depth < 1:
             raise ValueError(f"exploration depth must be >= 1, got {depth}")
         self.config = config
         self.depth = depth
         self.oracle = InvariantOracle()
-        self.por = por
-        self.visited_cache = visited_cache
-        self.oracle_checks = oracle_checks
-        self.max_transitions = max_transitions
         self.stats = ExplorationStats()
         # state digest -> non-dominated (remaining_depth, sleep_set) visits
         self._visited: dict[bytes, list[tuple[int, frozenset[Action]]]] = {}
 
     def run(self) -> ExplorationResult:
         root = build_world(self.config)
-        result = ExplorationResult(self.config, self.depth, complete=False)
-        result.stats = self.stats
-        if self.oracle_checks:
-            initial = self.oracle.check_state(root) or self.oracle.check_quiescence(
-                root
-            )
-            if initial is not None:
-                result.violation = initial
-                self._finish(result)
-                return result
-        try:
-            self._dfs(root, self.depth, frozenset(), [])
-            result.complete = True
-        except _ViolationFound as found:
-            result.violation = found.violation
-            result.schedule = tuple(found.schedule)
-        except _Truncated:
-            result.truncated = True
-        self._finish(result)
-        return result
-
-    def _finish(self, result: ExplorationResult) -> None:
+        result = ExplorationResult(self.config, self.depth, stats=self.stats)
+        result.violation = (
+            self.oracle.check_state(root) or self.oracle.check_quiescence(root)
+        )
+        if result.violation is None:
+            try:
+                self._dfs(root, self.depth, frozenset(), [])
+            except _ViolationFound as found:
+                result.violation = found.violation
+                result.schedule = tuple(found.schedule)
         self.stats.closure_runs = self.oracle.closure_runs
         self.stats.closure_memo_hits = self.oracle.closure_memo_hits
-        result.stats = self.stats
+        return result
 
     def _dfs(
         self,
@@ -212,9 +170,7 @@ class Explorer:
         sleep: frozenset[Action],
         schedule: list[Action],
     ) -> None:
-        if self.visited_cache and self._covered(
-            world.state_key(), depth_left, sleep
-        ):
+        if self._covered(world.state_key(), depth_left, sleep):
             self.stats.pruned_visited += 1
             return
         self.stats.states_explored += 1
@@ -227,33 +183,17 @@ class Explorer:
             if action in sleeping:
                 self.stats.pruned_sleep += 1
                 continue
-            if (
-                self.max_transitions is not None
-                and self.stats.transitions >= self.max_transitions
-            ):
-                raise _Truncated()
             self.stats.transitions += 1
-            if self.oracle_checks:
-                child, violation = step(world, action, self.oracle)
-            else:
-                child = world.clone()
-                child.apply(action)
-                violation = None
+            child, violation = step(world, action, self.oracle)
             schedule.append(action)
             if violation is not None:
                 raise _ViolationFound(list(schedule), violation)
-            if self.por:
-                child_sleep = frozenset(
-                    slept
-                    for slept in sleeping
-                    if independent(action, slept, budgets)
-                )
-            else:
-                child_sleep = frozenset()
+            child_sleep = frozenset(
+                slept for slept in sleeping if independent(action, slept, budgets)
+            )
             self._dfs(child, depth_left - 1, child_sleep, schedule)
             schedule.pop()
-            if self.por:
-                sleeping.add(action)
+            sleeping.add(action)
 
     def _covered(
         self, key: bytes, depth_left: int, sleep: frozenset[Action]

@@ -13,7 +13,7 @@ with equal :meth:`state_key` must be behaviourally identical — same
 enabled actions, same successor states, same oracle verdicts.  The key
 therefore covers every bit of state that can influence the protocol:
 the per-node ``exploration_key()`` (full protocol state, not just the
-``state_version()`` value digest — two replicas with equal values but
+``state_digest()`` value digest — two replicas with equal values but
 different logs behave differently), node liveness, and the remaining
 budgets.  Measurement state (counters, conflict *histories* beyond the
 count) is deliberately excluded.
@@ -153,9 +153,6 @@ class ProtocolWorld:
             factory(node_id, self.counters) for node_id in range(config.n_nodes)
         ]
         self.budgets_used = {"updates": 0, "faults": 0, "crashes": 0, "oob": 0}
-        #: Faults that were armed but never fired (the session ended
-        #: before the trigger message); tracked for reporting honesty.
-        self.faults_unfired = 0
 
     # -- cloning ---------------------------------------------------------------
 
@@ -262,8 +259,8 @@ class ProtocolWorld:
             if self.network.armed_fault_count():
                 # The session finished before the fault's trigger
                 # message; a one-shot fault must not leak into a later
-                # session, so clear it and record the dud.
-                self.faults_unfired += self.network.clear_armed_faults()
+                # session, so clear it.
+                self.network.clear_armed_faults()
         elif isinstance(action, Crash):
             self._require_up(action.node)
             self._spend(action.budget)

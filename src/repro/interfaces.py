@@ -13,8 +13,9 @@ four abilities:
   replication; the protocol writes only the message exchange
   (``exchange``), and the shared session envelope turns transport
   faults into :class:`SyncStats`,
-* expose a comparable snapshot of its replica (``state_fingerprint``)
-  so convergence can be checked without knowing protocol internals.
+* expose its replica's content digest (``state_digest``), one integer,
+  and the snapshot it digests (``state_fingerprint``), so convergence
+  can be checked without knowing protocol internals.
 
 ``sync_with`` takes a :class:`Transport` — the simulated network,
 :class:`repro.cluster.network.SimulatedNetwork` — that opens a
@@ -42,7 +43,6 @@ __all__ = [
     "SyncStats",
     "Transport",
     "ProtocolNode",
-    "StateVersion",
     "ContentDigest",
     "value_digest",
 ]
@@ -188,40 +188,6 @@ class ContentDigest:
 
     def __repr__(self) -> str:
         return f"ContentDigest(token={self._acc:#018x}, marked={len(self._stale)})"
-
-
-@dataclass(frozen=True, slots=True)
-class StateVersion:
-    """A cheap, comparable summary of one replica's durable state.
-
-    ``kind``
-        The protocol name; versions of different kinds are never
-        comparable (mixed-protocol clusters are rejected upstream, this
-        is belt-and-braces).
-    ``digest``
-        The replica's :class:`ContentDigest` token — the equality
-        decider.  Equal digests mean equal ``{item: value}`` maps up to
-        64-bit hash collisions; the sanitizer cross-check
-        (``REPRO_SANITIZE=1``) re-verifies against full fingerprints.
-    ``certificate``
-        For the paper's protocol, the DBVV tuple — the O(n) summary
-        behind its O(1) identical-replica detection (equal DBVVs imply
-        identical replicas on conflict-free histories).  ``None`` for
-        the baselines and for replicas with detected conflicts.  Kept
-        for introspection and experiment assertions; equality checking
-        uses the digest because a conflict *anywhere in the cluster*
-        can leave a conflict-free third party with a non-prefix
-        reflected update set, voiding the certificate's soundness
-        argument (see docs/PROTOCOL.md).
-    """
-
-    kind: str
-    digest: int
-    certificate: tuple[int, ...] | None = None
-
-    def matches(self, other: "StateVersion") -> bool:
-        """True when both replicas provably hold identical durable state."""
-        return self.kind == other.kind and self.digest == other.digest
 
 
 @dataclass
@@ -383,12 +349,11 @@ class ProtocolNode(abc.ABC):
         """
 
     @abc.abstractmethod
-    def state_version(self) -> StateVersion:
-        """A cheap summary of the durable state: its
-        :class:`ContentDigest` token, equal to
-        ``ContentDigest.recompute(state_fingerprint().items())``.
+    def state_digest(self) -> int:
+        """The :class:`ContentDigest` token of the durable state, equal
+        to ``ContentDigest.recompute(state_fingerprint().items())``.
 
-        ``fingerprints_equal`` compares versions instead of
+        ``fingerprints_equal`` compares digests instead of
         materializing full ``state_fingerprint()`` snapshots — the
         de-quadratization of the round loop.
         """

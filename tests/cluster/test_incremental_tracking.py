@@ -25,7 +25,7 @@ from repro.errors import (
     ReplicationError,
 )
 from repro.experiments.common import make_factory, make_items
-from repro.interfaces import ContentDigest, StateVersion, value_digest
+from repro.interfaces import ContentDigest, value_digest
 from repro.obs import OverheadCounters
 from repro.substrate.operations import Put
 
@@ -105,20 +105,6 @@ class TestContentDigest:
 
 
 class TestStateVersion:
-    def test_matches_on_kind_and_digest(self):
-        assert StateVersion("dbvv", 7).matches(StateVersion("dbvv", 7))
-        assert not StateVersion("dbvv", 7).matches(StateVersion("dbvv", 8))
-        assert not StateVersion("dbvv", 7).matches(StateVersion("lotus", 7))
-
-    def test_certificate_is_informational_only(self):
-        # A conflicted replica reports no certificate, but its digest
-        # still decides equality (DBVV equality stops implying state
-        # equality once a conflict froze a replica's accounting).
-        with_cert = StateVersion("dbvv", 7, certificate=(1, 2))
-        without = StateVersion("dbvv", 7, certificate=None)
-        assert with_cert.matches(without)
-        assert without.matches(with_cert)
-
     @pytest.mark.parametrize(
         "protocol",
         [
@@ -128,20 +114,7 @@ class TestStateVersion:
     )
     def test_every_protocol_reports_a_version(self, protocol):
         sim = make_sim(protocol, n_nodes=2)
-        version = sim.nodes[0].state_version()
-        assert version is not None
-        assert version.kind == protocol
-        assert version.digest == 0  # all-empty replica
-
-    def test_dbvv_certificate_suppressed_under_conflict(self):
-        sim = make_sim("dbvv", n_nodes=2)
-        assert sim.nodes[0].state_version().certificate == (0, 0)
-        sim.apply_update(0, ITEMS[0], Put(b"a"))
-        sim.apply_update(1, ITEMS[0], Put(b"b"))
-        sim.run_round()  # conflict detected at some endpoint
-        conflicted = [n for n in sim.nodes if n.conflict_count() > 0]
-        assert conflicted
-        assert all(n.state_version().certificate is None for n in conflicted)
+        assert sim.nodes[0].state_digest() == 0  # all-empty replica
 
 
 class TestFingerprintsEqual:
@@ -165,9 +138,8 @@ class TestFingerprintsEqual:
     def test_crosscheck_catches_a_lying_version(self):
         sim = make_sim("per-item-vv", n_nodes=2)
         sim.apply_update(0, ITEMS[0], Put(b"v"))  # states now differ
-        lie = StateVersion("per-item-vv", 0)
         for node in sim.nodes:
-            node.state_version = lambda: lie  # type: ignore[method-assign]
+            node.state_digest = lambda: 0  # type: ignore[method-assign]
         with pytest.raises(InvariantViolation):
             fingerprints_equal(sim.nodes, crosscheck=True)
 

@@ -1,7 +1,7 @@
 """The two contracts every protocol keeps, so that no fallback stands in
 for a node that does not.
 
-* ``state_version().digest`` is the :class:`ContentDigest` token of the
+* ``state_digest()`` is the :class:`ContentDigest` token of the
   node's ``state_fingerprint()``: convergence is decided on it.
 * Every ``(node, item)`` whose value a session changed is among that
   session's ``adopted_items``: the ground truth re-examines only those.
@@ -77,6 +77,6 @@ def test_digest_and_adopted_items_contracts(protocol, program):
             }
             assert changed <= set(stats.adopted_items), (protocol, step, stats)
         for node in nodes:
-            assert node.state_version().digest == ContentDigest.recompute(
+            assert node.state_digest() == ContentDigest.recompute(
                 node.state_fingerprint().items()
             ), (protocol, step)

@@ -1,18 +1,13 @@
-"""Smoke tests: every example script and the CLI run to completion.
-
-Examples are part of the public deliverable; a broken example is a
-broken product, so they run as subprocesses exactly as a user would
-run them: a fresh interpreter with ``PYTHONPATH=src``.
+"""Smoke tests: the examples cover the required scenarios and the CLI
+runs to completion, as a subprocess exactly as a user would run it: a
+fresh interpreter with ``PYTHONPATH=src``.  Each example's own run is
+``tests/test_examples.py::test_example_runs``.
 """
 
 import os
 import subprocess
 import sys
 from pathlib import Path
-
-import pytest
-
-from tests.test_examples import run_example
 
 REPO = Path(__file__).resolve().parents[2]
 EXAMPLES = sorted((REPO / "examples").glob("*.py"))
@@ -27,13 +22,6 @@ def run(args, timeout=240):
         text=True,
         timeout=timeout,
     )
-
-
-@pytest.mark.parametrize("script", EXAMPLES, ids=lambda p: p.name)
-def test_example_runs_clean(script):
-    result = run_example(script)
-    assert result.returncode == 0, result.stderr[-2000:]
-    assert result.stdout.strip(), "examples must narrate what they show"
 
 
 def test_examples_cover_the_required_scenarios():

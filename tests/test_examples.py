@@ -2,12 +2,8 @@
 
 Each script asserts its own story; this runs it in a fresh interpreter
 with ``PYTHONPATH=src`` and requires exit status 0 and some output.
-``run_example`` runs each script at most once per test session, so
-``tests/integration/test_examples_and_cli.py`` reads the same run
-instead of starting a second subprocess.
 """
 
-import functools
 import os
 import subprocess
 import sys
@@ -19,9 +15,9 @@ ROOT = Path(__file__).resolve().parent.parent
 EXAMPLES = sorted((ROOT / "examples").glob("*.py"))
 
 
-@functools.cache
-def run_example(script):
-    return subprocess.run(
+@pytest.mark.parametrize("script", EXAMPLES, ids=lambda path: path.stem)
+def test_example_runs(script):
+    result = subprocess.run(
         [sys.executable, str(script)],
         cwd=ROOT,
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
@@ -29,10 +25,5 @@ def run_example(script):
         text=True,
         timeout=240,
     )
-
-
-@pytest.mark.parametrize("script", EXAMPLES, ids=lambda path: path.stem)
-def test_example_runs(script):
-    result = run_example(script)
     assert result.returncode == 0, result.stderr[-2000:]
     assert result.stdout.strip(), "examples must narrate what they show"

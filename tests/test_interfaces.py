@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster.network import SimulatedNetwork
-from repro.interfaces import ProtocolNode, StateVersion, SyncStats
+from repro.interfaces import ProtocolNode, SyncStats
 from repro.substrate.operations import Put
 
 
@@ -23,8 +23,8 @@ class TestProtocolNodeBase:
         def state_fingerprint(self):
             return {}
 
-        def state_version(self):
-            return StateVersion(self.protocol_name, 0)
+        def state_digest(self):
+            return 0
 
         def fingerprint_value(self, item):
             return b""
@@ -46,7 +46,7 @@ class TestProtocolNodeBase:
         with pytest.raises(TypeError):
             ProtocolNode(0, 2)  # type: ignore[abstract]
 
-    @pytest.mark.parametrize("hook", ["state_version", "fingerprint_value"])
+    @pytest.mark.parametrize("hook", ["state_digest", "fingerprint_value"])
     def test_every_node_states_its_version_and_values(self, hook):
         """No fallback stands in for a node without a digest or an
         O(1) value probe: leaving either out is a TypeError."""
