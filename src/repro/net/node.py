@@ -14,9 +14,9 @@ edges:
   sessions, one at a time per peer;
 * a **client listener** serving a small length-prefixed JSON API
   (put/get/sync/status/ping/shutdown) for applications and the parity
-  harness, pipelined requests served a wake-up's worth at a time
-  (:meth:`NetNode._serve_client`), and ``status`` streamed from a
-  snapshot of references (:class:`StatusSnapshot`);
+  harness, pipelined requests (journaled puts too) served a wake-up's
+  worth at a time (:meth:`NetNode._serve_client`), and ``status``
+  streamed from a snapshot of references (:class:`StatusSnapshot`);
 * an optional **anti-entropy scheduler** pulling from a uniformly
   random other peer every ``anti_entropy_period`` seconds.
 
@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import asyncio
 import binascii
+import contextlib
 import json
 import logging
 import random
@@ -549,16 +550,16 @@ class NetNode:
         What has already arrived is served, in order, before the task
         waits again; the replies are held and written in one transport
         write once no complete request is left (a batch is at most what
-        one wake-up delivered).  No reply is held across a wait: an op
-        that waits (``sync``, a journaled ``put``, ``status``'s stream)
-        is served alone — held replies are written before it, its own
-        right after it.  ``status`` is written from a
+        one wake-up delivered).  A journaled ``put``'s ack is held only
+        once fsynced; if a commit fails, the held acks go out and the
+        connection ends.  An op that waits (``sync``, ``status``'s
+        stream) is served alone — held replies are written before it,
+        its own right after it.  ``status`` is written from a
         :class:`StatusSnapshot` a chunk at a time, draining in between,
         so a put on another connection may land mid-stream: the reply
         is the state at the snapshot, and no copy of the store is made.
         """
         stream = BufferedReader(reader)
-        durable = self.journal is not None
         held: list[bytes] = []
         held_bytes = 0
         try:
@@ -571,7 +572,7 @@ class NetNode:
                     if not isinstance(request, dict):
                         raise TypeError("request is not a JSON object")
                     op = request.get("op")
-                    alone = op in ("sync", "status") or (durable and op == "put")
+                    alone = op in ("sync", "status")
                     if alone and held:
                         await write_blob(writer, *held)
                         held.clear()
@@ -598,6 +599,11 @@ class NetNode:
                         reply = (_GET_HEAD + response["value"] + _GET_TAIL).encode("utf-8")
                 except ConnectionClosed:
                     raise  # the write of the held replies, not the op
+                except OSError:
+                    # A failed commit: the held acks are of synced puts.
+                    with contextlib.suppress(ConnectionClosed):
+                        await write_blob(writer, *held)
+                    raise
                 except ReplicationError as exc:
                     response = {"ok": False, "error": str(exc)}
                 except (ValueError, KeyError, TypeError) as exc:

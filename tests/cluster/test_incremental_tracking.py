@@ -104,7 +104,7 @@ class TestContentDigest:
         assert value_digest("ab", b"c") != value_digest("a", b"bc")
 
 
-class TestStateVersion:
+class TestStateDigest:
     @pytest.mark.parametrize(
         "protocol",
         [
@@ -112,7 +112,7 @@ class TestStateVersion:
             "oracle-push", "wuu-bernstein", "agrawal-malpani",
         ],
     )
-    def test_every_protocol_reports_a_version(self, protocol):
+    def test_every_protocol_reports_a_digest(self, protocol):
         sim = make_sim(protocol, n_nodes=2)
         assert sim.nodes[0].state_digest() == 0  # all-empty replica
 

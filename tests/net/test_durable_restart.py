@@ -7,14 +7,20 @@ come back with exactly its pre-kill protocol state and re-converge with
 the cluster through ordinary anti-entropy.
 """
 
+import socket
+
 import pytest
 
 from repro.net.harness import LocalCluster
+from tests.net.test_node import _framed
 
 ITEMS = ("a", "b")
 #: 64 items × 1.5 KiB: one adopting pull journals ≈ 97 KiB, past the
 #: journal's 64 KiB floor for folding a WAL that outweighs its checkpoint.
 LARGE_ITEMS = tuple(f"k{index:02d}" for index in range(64))
+#: One pipelined put per item: fewer records than ``checkpoint_every``
+#: (256), so the restart replays every one of them from the WAL.
+PIPELINED_ITEMS = tuple(f"p{index:03d}" for index in range(240))
 
 
 @pytest.fixture()
@@ -88,6 +94,42 @@ class TestKillRestart:
         wal = cluster.data_dir / "node-0" / "wal.log"
         assert durable["wal_bytes_since_checkpoint"] == wal.stat().st_size > 0
         assert durable["checkpoint_bytes"] == 0  # none written yet
+
+
+class TestPipelinedBatch:
+    def test_every_ack_of_a_pipelined_batch_survives_a_kill(self, tmp_path):
+        """Acks of pipelined puts leave a journaled node in batches; each
+        one still means its put was on disk before the SIGKILL."""
+        values = {
+            name: f"v{index}".encode() * 3
+            for index, name in enumerate(PIPELINED_ITEMS)
+        }
+        puts = [
+            {"op": "put", "item": name, "value": value.hex()}
+            for name, value in values.items()
+        ]
+        acks = _framed(*[{"ok": True}] * len(puts))
+        with LocalCluster(
+            2, PIPELINED_ITEMS, tmp_path / "logs", seed=13, data_dir=tmp_path / "data"
+        ) as cluster:
+            with socket.create_connection(
+                ("127.0.0.1", cluster.client_ports[1]), timeout=30
+            ) as raw:
+                raw.sendall(_framed(*puts))
+                with raw.makefile("rb") as replies:
+                    assert replies.read(len(acks)) == acks
+            before = cluster.client(1).status()
+            assert before["durable"]["fsyncs"] >= len(puts)
+
+            cluster.kill(1)
+            cluster.restart(1)
+            after = cluster.client(1).status()
+            assert after["store"] == before["store"]
+            assert after["ivvs"] == before["ivvs"]
+            assert after["dbvv"] == before["dbvv"]
+            assert after["durable"]["records_replayed"] >= len(puts)
+            for name, value in values.items():
+                assert cluster.client(1).get(name) == value
 
 
 class TestWholeStoreAdoption:

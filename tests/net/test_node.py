@@ -9,7 +9,9 @@ anti-entropy scheduler.  The multi-process path is covered by
 
 import asyncio
 import dataclasses
+import errno
 import json
+import os
 import random
 import shutil
 import tempfile
@@ -21,6 +23,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.core.node import EpidemicNode
 from repro.durable import NodeJournal, WalAccept, decode_record
+from repro.durable import wal as wal_module
 from repro.durable.wal import WriteAheadLog
 from repro.errors import NetworkSessionError
 from repro.net import node as node_module
@@ -680,21 +683,6 @@ class _WriteSpy:
         return sum(self.sizes)
 
 
-def _count_handled(node, monkeypatch):
-    """A one-element list counting the replies ``node`` has produced."""
-    handled = [0]
-    inner = node._handle_client_op
-
-    async def handle(request):
-        try:
-            return await inner(request)
-        finally:
-            handled[0] += 1
-
-    monkeypatch.setattr(node, "_handle_client_op", handle)
-    return handled
-
-
 class TestClientPipelining:
     """A client may send its next request before the last reply: what one
     wake-up delivers is served in order and answered in one write."""
@@ -805,11 +793,16 @@ class TestClientPipelining:
         assert bytes.fromhex(reply["value"]) == b"kept"
         assert rest == b""  # dropped, nothing more said
 
-    def test_durable_puts_commit_one_by_one_with_nothing_held(
+    @staticmethod
+    def _durable_node(data_dir):
+        return NetNode(NodeConfig(node_id=0, items=ITEMS, data_dir=str(data_dir)))
+
+    def test_durable_acks_leave_with_their_batch_after_their_own_fsync(
         self, tmp_path, monkeypatch
     ):
-        """N pipelined puts on a journaled node are N fsyncs, and no
-        reply waits in memory while the node waits for the disk."""
+        """N pipelined puts on a journaled node are N fsyncs; each ack
+        is held until its own commit returned, then shares the batch's
+        one write with the gets and pings around it."""
         spy = _WriteSpy(monkeypatch)
         requests = []
         for k in range(40):
@@ -817,18 +810,17 @@ class TestClientPipelining:
             if k % 3:
                 requests.append({"op": "ping"})
             requests.append({"op": "put", "item": "a", "value": bytes([k]).hex()})
-        puts = sum(request["op"] == "put" for request in requests)
-        held_at_commit = []
+        put_positions = [
+            index for index, request in enumerate(requests) if request["op"] == "put"
+        ]
+        written_at_commit = []
 
         async def run():
-            node = NetNode(
-                NodeConfig(node_id=0, items=ITEMS, data_dir=str(tmp_path))
-            )
-            handled = _count_handled(node, monkeypatch)
+            node = self._durable_node(tmp_path)
             commit = node.journal.commit
 
             def commit_spy(state):
-                held_at_commit.append(handled[0] - spy.written)
+                written_at_commit.append(spy.written)
                 return commit(state)
 
             monkeypatch.setattr(node.journal, "commit", commit_spy)
@@ -845,10 +837,53 @@ class TestClientPipelining:
 
         replies, fsyncs = asyncio.run(run())
         assert all(reply["ok"] for reply in replies)
-        assert fsyncs == puts
-        assert held_at_commit == [0] * puts
-        # The gets and pings between two puts still shared one write.
-        assert max(spy.sizes) > 1
+        assert fsyncs == len(put_positions)
+        # At each commit, only replies to the requests before that put
+        # have reached ``write_blob``: neither its ack nor a later one.
+        assert len(written_at_commit) == len(put_positions)
+        assert all(
+            written <= position
+            for written, position in zip(written_at_commit, put_positions)
+        )
+        # The batch goes out in a few writes, not one or two per put.
+        assert sum(spy.sizes) == len(requests)
+        assert len(spy.sizes) < len(requests) // 10
+
+    def test_a_failed_commit_still_sends_the_acks_before_it(
+        self, tmp_path, monkeypatch
+    ):
+        """Five pipelined puts whose third fsync fails: the two synced
+        puts are acknowledged, the failing one is not, and the
+        connection ends."""
+        fsync = os.fsync
+        calls = [0]
+
+        def failing_fsync(fd):
+            calls[0] += 1
+            if calls[0] == 3:
+                raise OSError(errno.EIO, "injected fsync failure")
+            return fsync(fd)
+
+        puts = [{"op": "put", "item": "a", "value": bytes([k]).hex()} for k in range(5)]
+
+        async def run():
+            node = self._durable_node(tmp_path)
+            await node.start()
+            try:
+                monkeypatch.setattr(wal_module.os, "fsync", failing_fsync)
+                reader, writer = await _connect(node)
+                writer.write(_framed(*puts))
+                replies = await _replies(reader, 2)
+                rest = await reader.read()
+                writer.close()
+                return replies, rest
+            finally:
+                await node.stop()
+
+        replies, rest = asyncio.run(run())
+        assert replies == [{"ok": True}] * 2
+        assert rest == b""  # the third put's ack never came: EOF
+        assert calls[0] >= 3
 
     def test_nothing_is_held_across_a_sync(self, monkeypatch):
         """``get, sync, get`` in one segment: the first reply is on the
