@@ -44,15 +44,15 @@ def test_bench_dedup_with_flags(benchmark):
         def __init__(self):
             self.is_selected = False
 
-    flags = {record.item: _Flagged() for record in tail}
+    flags = {item: _Flagged() for item, _seqno in tail}
 
     def flag_dedup():
         selected = []
-        for record in tail:
-            entry = flags[record.item]
+        for item, _seqno in tail:
+            entry = flags[item]
             if not entry.is_selected:
                 entry.is_selected = True
-                selected.append(record.item)
+                selected.append(item)
         for item in selected:
             flags[item].is_selected = False
         return selected

@@ -22,7 +22,7 @@ from repro.core.conflicts import (
 )
 from repro.core.dbvv import DatabaseVersionVector
 from repro.core.items import DataItem, ItemStore
-from repro.core.log_vector import LogComponent, LogRecord, LogVector
+from repro.core.log_vector import LogComponent, LogVector
 from repro.core.messages import (
     ItemPayload,
     OutOfBoundReply,
@@ -48,7 +48,6 @@ __all__ = [
     "DataItem",
     "ItemStore",
     "LogComponent",
-    "LogRecord",
     "LogVector",
     "ItemPayload",
     "OutOfBoundReply",

@@ -190,13 +190,16 @@ class DeltaEpidemicNode(EpidemicNode):
     ) -> None:
         super().__init__(*args, **kwargs)
         self.history_limit = history_limit
-        self._histories: dict[str, OpHistory] = {
-            name: OpHistory(self.n_nodes, history_limit)
-            for name in self.store.names()
-        }
+        self._histories = self._empty_histories()
         # Items whole-value-adopted during the current accept_propagation
         # whose history floors still await the session-final DBVV.
         self._pending_floor_items: set[str] = set()
+
+    def _empty_histories(self) -> dict[str, OpHistory]:
+        return {
+            name: OpHistory(self.n_nodes, self.history_limit)
+            for name in self.store.names()
+        }
 
     def history_key(self) -> tuple:
         """Every item's :meth:`OpHistory.key`, in store order."""
@@ -288,7 +291,9 @@ class DeltaEpidemicNode(EpidemicNode):
         not — every pre-crash update is unreconstructible, so all
         floors rise to the restored DBVV (whole-value fallback until
         fresh updates rebuild the histories).  The base rebuilds the
-        content digest."""
+        content digest.  The histories are built here, over the restored
+        schema: a restore registers its items after construction."""
         super().after_restore()
+        self._histories = self._empty_histories()
         for history in self._histories.values():
             history.forget_through(self.dbvv)

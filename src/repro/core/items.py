@@ -38,10 +38,10 @@ class DataItem:
         "in_conflict",
     )
 
-    def __init__(self, name: str, n_nodes: int, value: bytes = b""):
+    def __init__(self, name: str, ivv: VersionVector, value: bytes = b""):
         self.name = name
         self.value = value
-        self.ivv = VersionVector.zero(n_nodes)
+        self.ivv = ivv
         # Scratch flag for SendPropagation's O(m) dedup of the item set S.
         self.is_selected = False
         self.aux_value: bytes | None = None
@@ -103,16 +103,17 @@ class ItemStore:
         self.n_nodes = n_nodes
         self._items = _ItemDict()
         for name in item_names:
-            self.register(name)
+            self.register(name, VersionVector.zero(n_nodes))
 
-    def register(self, name: str, value: bytes = b"") -> DataItem:
-        """Add an item to the schema; idempotent registration is an error
-        (a duplicate name almost certainly means two call sites disagree
-        about schema ownership).
+    def register(self, name: str, ivv: VersionVector, value: bytes = b"") -> DataItem:
+        """Add an item to the schema with its regular copy's IVV and
+        value; idempotent registration is an error (a duplicate name
+        almost certainly means two call sites disagree about schema
+        ownership).
         """
         if name in self._items:
             raise ValueError(f"item {name!r} already registered")
-        item = DataItem(name, self.n_nodes, value)
+        item = DataItem(name, ivv, value)
         self._items[name] = item
         return item
 

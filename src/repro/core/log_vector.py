@@ -22,19 +22,25 @@ Two properties make the whole protocol O(m):
    updates originated at ``k`` — and it is found by walking backwards
    from the tail, touching only the records that will be sent.
 
-The linked structure below is a direct transcription of Figure 1: a
-doubly linked list with a tail pointer plus the ``P`` pointer map.
+Each component is one :class:`collections.OrderedDict` mapping item to
+seqno: Figure 1's doubly linked list and its ``P`` pointer map in one C
+structure (a hash map whose live entries sit on a doubly linked list).
+Re-adding an item moves its entry to the tail, so one record per item
+holds by construction, and the reversed walk visits only live entries.
+A plain ``dict`` would not do: it leaves a hole where each re-added
+item used to be and compacts only on resize, so a reversed walk could
+cross O(N) holes to ship m records.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from collections import OrderedDict
+from typing import Iterable, KeysView, ValuesView
 
 from repro.errors import InvariantViolation, UnknownNodeError
 from repro.obs import NULL_COUNTERS, OverheadCounters
 
-__all__ = ["LogRecord", "LogComponent", "LogVector", "LOG_RECORD_WIRE_SIZE"]
+__all__ = ["LogComponent", "LogVector", "LOG_RECORD_WIRE_SIZE"]
 
 LOG_RECORD_WIRE_SIZE = 16
 """Modelled wire size of one (item, seqno) record: two 8-byte words.
@@ -44,105 +50,82 @@ byte accounting in the message layer uses this constant.
 """
 
 
-@dataclass(eq=False)
-class LogRecord:
-    """One ``(x, m)`` entry of a log component.
-
-    ``item``   — name of the updated data item.
-    ``seqno``  — the origin's own-update count at the time of the update,
-                 *including* this update (the value of ``V_jj``).
-
-    ``prev``/``next`` are the intrusive doubly-linked-list hooks; they
-    belong to the :class:`LogComponent` that owns the record and must not
-    be touched by other code.  Equality is identity equality on purpose:
-    the same ``(item, seqno)`` pair may legitimately exist in the logs of
-    different nodes, and list surgery needs object identity.
-    """
-
-    item: str
-    seqno: int
-    prev: "LogRecord | None" = None
-    next: "LogRecord | None" = None
-
-    def pair(self) -> tuple[str, int]:
-        """The record's value ``(item, seqno)`` without the list hooks."""
-        return (self.item, self.seqno)
-
-    def __repr__(self) -> str:
-        return f"LogRecord({self.item!r}, {self.seqno})"
-
-
 class LogComponent:
     """One component ``L_i[j]``: updates from a single origin server.
 
     Implements the paper's ``AddLogRecord`` in O(1) and suffix extraction
-    in time linear in the suffix length.  Maintains the invariants:
-
-    * at most one record per item (checked by :meth:`check_invariants`),
-    * records in strictly increasing ``seqno`` order.
+    in time linear in the suffix length.  A record is an ``(item,
+    seqno)`` pair; the records sit in strictly increasing ``seqno``
+    order (checked by :meth:`check_invariants`), one per item.
     """
 
-    __slots__ = ("origin", "_head", "_tail", "_by_item", "_size")
+    __slots__ = ("origin", "_by_item")
 
     def __init__(self, origin: int) -> None:
         self.origin = origin
-        self._head: LogRecord | None = None
-        self._tail: LogRecord | None = None
-        # P_j(x): item name -> its (unique) record in this component.
-        # A hash lookup is the Python equivalent of the paper's per-item
-        # pointer array; both are O(1) per access.
-        self._by_item: dict[str, LogRecord] = {}
-        self._size = 0
+        # P_j(x) and the list in one: item -> seqno, oldest first.
+        self._by_item: OrderedDict[str, int] = OrderedDict()
 
     def __len__(self) -> int:
-        return self._size
-
-    def __iter__(self) -> Iterator[LogRecord]:
-        node = self._head
-        while node is not None:
-            yield node
-            node = node.next
+        return len(self._by_item)
 
     def pairs(self) -> list[tuple[str, int]]:
         """All records as ``(item, seqno)`` pairs, head to tail."""
-        return [record.pair() for record in self]
+        return list(self._by_item.items())
+
+    def keys(self) -> KeysView[str]:
+        """The records' items, head to tail (a live view)."""
+        return self._by_item.keys()
+
+    def values(self) -> ValuesView[int]:
+        """The records' seqnos, head to tail (a live view)."""
+        return self._by_item.values()
 
     @property
     def max_seqno(self) -> int:
         """Sequence number of the newest record, or 0 when empty."""
-        return self._tail.seqno if self._tail is not None else 0
+        for seqno in reversed(self._by_item.values()):
+            return seqno
+        return 0
 
     def add(
         self,
         item: str,
         seqno: int,
         counters: OverheadCounters = NULL_COUNTERS,
-    ) -> LogRecord:
-        """The paper's ``AddLogRecord``: link a new record at the tail and
-        unlink the previous record for the same item, all in O(1).
+    ) -> None:
+        """The paper's ``AddLogRecord``: the record for ``item`` becomes
+        ``(item, seqno)`` at the tail, replacing any previous one, in O(1).
 
         ``seqno`` must exceed the current tail's — log components only
         ever grow at the high end (local updates carry the incremented
         ``V_ii``; propagation tails carry seqnos above the recipient's
         ``V_i[origin]``, which bounds everything already in the log).
         """
-        if self._tail is not None and seqno <= self._tail.seqno:
-            raise ValueError(
-                f"log component for origin {self.origin} is at seqno "
-                f"{self._tail.seqno}; refusing out-of-order add of "
-                f"({item!r}, {seqno})"
-            )
-        record = LogRecord(item, seqno)
-        self._link_tail(record)
-        old = self._by_item.get(item)
-        if old is not None:
-            self._unlink(old)
-        self._by_item[item] = record
+        by_item = self._by_item
+        for newest in reversed(by_item.values()):
+            if seqno <= newest:
+                raise ValueError(
+                    f"log component for origin {self.origin} is at seqno "
+                    f"{newest}; refusing out-of-order add of ({item!r}, {seqno})"
+                )
+            break
         if counters is not NULL_COUNTERS:
             counters.log_records_added += 1
-            if old is not None:
+            if item in by_item:
                 counters.log_records_evicted += 1
-        return record
+        by_item[item] = seqno
+        by_item.move_to_end(item)
+
+    def restore(self, pairs: Iterable[tuple[str, int]]) -> None:
+        """Fill an empty component with ``pairs`` in one bulk call: a
+        restored snapshot's records, already checked to be oldest first
+        with strictly increasing seqnos and one per item."""
+        if self._by_item:
+            raise ValueError(
+                f"log component for origin {self.origin} is not empty"
+            )
+        self._by_item.update(pairs)
 
     def discard_item(self, item: str) -> bool:
         """Drop the record for ``item`` if present; True when dropped.
@@ -151,101 +134,46 @@ class LogComponent:
         copies are frozen until resolution, so their log entries must not
         keep flowing).
         """
-        record = self._by_item.pop(item, None)
-        if record is None:
-            return False
-        self._unlink_only(record)
-        return True
+        return self._by_item.pop(item, None) is not None
 
     def tail_after(
         self,
         threshold: int,
         counters: OverheadCounters = NULL_COUNTERS,
-    ) -> list[LogRecord]:
-        """Records with ``seqno > threshold``, oldest first.
+    ) -> list[tuple[str, int]]:
+        """The ``(item, seqno)`` records with ``seqno > threshold``,
+        oldest first.
 
         Walks backwards from the tail so the cost is linear in the number
         of records *returned*, never in the component size — this is what
         keeps ``SendPropagation`` at O(m) (paper section 6).
         """
-        selected: list[LogRecord] = []
-        node = self._tail
-        while node is not None and node.seqno > threshold:
-            selected.append(node)
-            node = node.prev
+        selected = []
+        for item, seqno in reversed(self._by_item.items()):
+            if seqno <= threshold:
+                break
+            selected.append((item, seqno))
         selected.reverse()
         if counters is not NULL_COUNTERS:
             counters.log_records_examined += len(selected)
         return selected
 
     def check_invariants(self) -> None:
-        """Verify structural invariants; raises
+        """Verify that seqnos strictly increase from head to tail; raises
         :class:`~repro.errors.InvariantViolation` on breakage (so the
-        checks survive ``python -O``, unlike a bare ``assert``).
+        check survives ``python -O``, unlike a bare ``assert``).
 
-        Used by tests and the run-time sanitizer: one record per item,
-        strictly increasing seqnos, pointer map consistent with list
-        membership, size honest.
+        Used by tests and the run-time sanitizer.  One record per item
+        and a pointer map that agrees with the list hold by construction.
         """
-        seen_items: set[str] = set()
         last_seqno = 0
-        count = 0
-        prev: LogRecord | None = None
-        node = self._head
-        while node is not None:
-            if node.item in seen_items:
+        for seqno in self._by_item.values():
+            if seqno <= last_seqno:
                 raise InvariantViolation(
-                    f"duplicate record for item {node.item!r} in L[{self.origin}]"
+                    f"non-increasing seqno {seqno} after {last_seqno} "
+                    f"in L[{self.origin}]"
                 )
-            seen_items.add(node.item)
-            if node.seqno <= last_seqno:
-                raise InvariantViolation(
-                    f"non-increasing seqno {node.seqno} after {last_seqno}"
-                )
-            last_seqno = node.seqno
-            if self._by_item.get(node.item) is not node:
-                raise InvariantViolation(
-                    f"pointer map stale for item {node.item!r}"
-                )
-            if node.prev is not prev:
-                raise InvariantViolation("broken prev link")
-            prev = node
-            count += 1
-            node = node.next
-        if self._tail is not prev:
-            raise InvariantViolation("tail pointer stale")
-        if count != self._size:
-            raise InvariantViolation(f"size {self._size} != walked {count}")
-        if count != len(self._by_item):
-            raise InvariantViolation("pointer map has orphans")
-
-    # -- list surgery ------------------------------------------------------
-
-    def _link_tail(self, record: LogRecord) -> None:
-        record.prev = self._tail
-        record.next = None
-        if self._tail is not None:
-            self._tail.next = record
-        else:
-            self._head = record
-        self._tail = record
-        self._size += 1
-
-    def _unlink(self, record: LogRecord) -> None:
-        self._unlink_only(record)
-        # _by_item already points at the replacement; nothing to fix here.
-
-    def _unlink_only(self, record: LogRecord) -> None:
-        if record.prev is not None:
-            record.prev.next = record.next
-        else:
-            self._head = record.next
-        if record.next is not None:
-            record.next.prev = record.prev
-        else:
-            self._tail = record.prev
-        record.prev = record.next = None
-        self._size -= 1
+            last_seqno = seqno
 
 
 class LogVector:
@@ -282,9 +210,13 @@ class LogVector:
         item: str,
         seqno: int,
         counters: OverheadCounters = NULL_COUNTERS,
-    ) -> LogRecord:
+    ) -> None:
         """AddLogRecord against the component for ``origin``."""
-        return self[origin].add(item, seqno, counters)
+        self[origin].add(item, seqno, counters)
+
+    def restore(self, origin: int, pairs: Iterable[tuple[str, int]]) -> None:
+        """:meth:`LogComponent.restore` against the component for ``origin``."""
+        self[origin].restore(pairs)
 
     def discard_item(self, item: str) -> int:
         """Drop ``item``'s record from every component; returns how many

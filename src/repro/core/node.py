@@ -258,10 +258,8 @@ class EpidemicNode:
             if mine[k] <= theirs[k]:
                 tails.append(())
                 continue
-            tail = []
-            for record in self.log[k].tail_after(theirs[k], self.counters):
-                item = record.item
-                tail.append((item, record.seqno))
+            tail = self.log[k].tail_after(theirs[k], self.counters)
+            for item, _seqno in tail:
                 entry = entry_of(item)
                 if not entry.is_selected:
                     entry.is_selected = True

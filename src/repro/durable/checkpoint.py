@@ -49,7 +49,7 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate, compress, count, islice, repeat
+from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import attrgetter, is_not, lt
 from typing import AnyStr, Callable, Iterable, Sequence, TypeVar
 
@@ -125,8 +125,6 @@ _IVV = attrgetter("ivv")
 _AUX_IVV = attrgetter("aux_ivv")
 _VALUE = attrgetter("value")
 _CONFLICT = attrgetter("in_conflict")
-_ITEM = attrgetter("item")
-_SEQNO = attrgetter("seqno")
 
 
 def encode_checkpoint(lsn: int, node: EpidemicNode) -> bytearray:
@@ -147,13 +145,16 @@ def encode_checkpoint(lsn: int, node: EpidemicNode) -> bytearray:
     _block(body, _words("I", map(len, values)), b"".join(values))
     _block(body, bytes(map(_CONFLICT, entries)))
     index = dict(zip(names, range(len(names))))
-    components = [list(node.log[origin]) for origin in range(node.n_nodes)]
-    records = [record for component in components for record in component]
+    components = node.log.components()
     _block(
         body,
         _words("I", map(len, components)),
-        _words("I", map(index.__getitem__, map(_ITEM, records))),
-        _words("Q", map(_SEQNO, records)),
+        _words("I", map(index.__getitem__, chain.from_iterable(
+            component.keys() for component in components
+        ))),
+        _words("Q", chain.from_iterable(
+            component.values() for component in components
+        )),
     )
     section = Encoder(_CODEC)
     copies = list(compress(count(), map(is_not, map(_AUX_IVV, entries), repeat(None))))
@@ -323,20 +324,21 @@ def rebuild_node(
     """
     n = snapshot.n_nodes
     names = snapshot.names
-    node = node_class(snapshot.node_id, n, names, **node_kwargs)
+    # Built over an empty schema, so each item is registered once, with
+    # the IVV and value the snapshot gives it.
+    node = node_class(snapshot.node_id, n, (), **node_kwargs)
     node.dbvv.merge_from(snapshot.dbvv)  # lint: skip=R4
     ivvs = snapshot.ivvs
-    for start, entry, value, conflict in zip(
-        range(0, len(ivvs), n), node.store, snapshot.values, snapshot.conflicts
+    register = node.store.register
+    for name, start, value, conflict in zip(
+        names, range(0, len(ivvs), n), snapshot.values, snapshot.conflicts
     ):
-        entry.ivv = VersionVector.from_counts(ivvs[start:start + n])  # lint: skip=R4
-        entry.value = value
+        entry = register(name, VersionVector.from_counts(ivvs[start:start + n]), value)
         entry.in_conflict = conflict == 1
     for index, ivv, value in snapshot.aux:
         node.store[names[index]].install_auxiliary(value, ivv)
     for origin, indexes, seqnos in snapshot.log:
-        for index, seqno in zip(indexes, seqnos):
-            node.log.add(origin, names[index], seqno)  # lint: skip=R4
+        node.log.restore(origin, zip(map(names.__getitem__, indexes), seqnos))  # lint: skip=R4
     for index, ivv, op in snapshot.aux_log:
         node.aux_log.append(names[index], ivv, op)
     node.after_restore()

@@ -18,7 +18,6 @@ buys:
 
 from __future__ import annotations
 
-from repro.core.log_vector import LogRecord
 from repro.obs import NULL_COUNTERS, OverheadCounters
 
 __all__ = ["AppendOnlyLog", "build_item_set_with_set"]
@@ -30,14 +29,14 @@ class AppendOnlyLog:
     Interface-compatible with the pieces of
     :class:`~repro.core.log_vector.LogComponent` the experiments use
     (``add``, ``tail_after``, ``__len__``), so E3's ablation bench swaps
-    it in directly.
+    it in directly.  Records are plain ``(item, seqno)`` pairs.
     """
 
     __slots__ = ("origin", "_records")
 
     def __init__(self, origin: int):
         self.origin = origin
-        self._records: list[LogRecord] = []
+        self._records: list[tuple[str, int]] = []
 
     def __len__(self) -> int:
         return len(self._records)
@@ -47,28 +46,26 @@ class AppendOnlyLog:
         item: str,
         seqno: int,
         counters: OverheadCounters = NULL_COUNTERS,
-    ) -> LogRecord:
+    ) -> None:
         """Append without eviction — unbounded growth."""
-        if self._records and seqno <= self._records[-1].seqno:
+        if self._records and seqno <= self._records[-1][1]:
             raise ValueError(
-                f"out-of-order append: {seqno} after {self._records[-1].seqno}"
+                f"out-of-order append: {seqno} after {self._records[-1][1]}"
             )
-        record = LogRecord(item, seqno)
-        self._records.append(record)
+        self._records.append((item, seqno))
         counters.log_records_added += 1
-        return record
 
     def tail_after(
         self,
         threshold: int,
         counters: OverheadCounters = NULL_COUNTERS,
-    ) -> list[LogRecord]:
+    ) -> list[tuple[str, int]]:
         """All records above ``threshold`` — including the redundant
         older records for items that were updated again later, which is
         precisely the cost the one-record rule eliminates."""
-        selected: list[LogRecord] = []
+        selected: list[tuple[str, int]] = []
         idx = len(self._records) - 1
-        while idx >= 0 and self._records[idx].seqno > threshold:
+        while idx >= 0 and self._records[idx][1] > threshold:
             counters.log_records_examined += 1
             selected.append(self._records[idx])
             idx -= 1
@@ -77,16 +74,16 @@ class AppendOnlyLog:
 
 
 def build_item_set_with_set(
-    records: list[LogRecord], counters: OverheadCounters = NULL_COUNTERS
+    records: list[tuple[str, int]], counters: OverheadCounters = NULL_COUNTERS
 ) -> list[str]:
     """Dedup a tail's item references with a hash set (ablation of the
     IsSelected-flag trick).  Returns the distinct item names in first-
     reference order."""
     seen: set[str] = set()
     ordered: list[str] = []
-    for record in records:
+    for item, _seqno in records:
         counters.bump("set_dedup_probes")
-        if record.item not in seen:
-            seen.add(record.item)
-            ordered.append(record.item)
+        if item not in seen:
+            seen.add(item)
+            ordered.append(item)
     return ordered

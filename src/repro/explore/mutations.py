@@ -7,12 +7,16 @@ exploration finds a counterexample, that the minimizer shrinks it, and
 that the saved trace replays.  A model checker that cannot re-find a
 known bug is vacuous — these three keep it honest:
 
-``skip-unlink``
-    ``AddLogRecord`` appends the new record but never unlinks the old
-    one through ``P(x)`` — the one-record-per-item rule (paper section
-    4) silently breaks, and with it Theorem 2's ``N``-records-per-
-    component bound.  Caught structurally (``node-invariants`` /
-    ``log-bound``) as soon as one node updates the same item twice.
+``skip-move``
+    ``AddLogRecord`` rewrites ``P(x)``'s seqno in place but does not
+    move the record to the tail — the component's seqnos stop
+    increasing, so a later tail walk stops early at the out-of-place
+    record and the items behind it never ship.  A component is keyed
+    by item, so it cannot hold two records for one item (Theorem 2's
+    ``n·N`` bound holds by construction); a record out of place is the
+    bug its structure can have.  Needs two items and three updates:
+    caught structurally (``node-invariants``) once one node updates
+    ``x0``, then ``x1``, then ``x0`` again.
 
 ``adopt-any``
     ``AcceptPropagation`` adopts *concurrent* incoming copies instead
@@ -43,7 +47,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from repro.core.log_vector import LogComponent, LogRecord
+from repro.core.log_vector import LogComponent
 from repro.core.messages import PropagationReply
 from repro.core.node import AcceptOutcome, EpidemicNode, IntraNodeOutcome
 from repro.core.version_vector import Ordering, merge
@@ -53,28 +57,29 @@ from repro.obs import NULL_COUNTERS, OverheadCounters
 __all__ = ["MUTATIONS", "Mutation", "apply_mutation"]
 
 
-def _add_without_unlink(
+def _add_without_move(
     self: LogComponent,
     item: str,
     seqno: int,
     counters: OverheadCounters = NULL_COUNTERS,
-) -> LogRecord:
-    """``LogComponent.add`` minus the P(x) unlink of the superseded
-    record (the ``skip-unlink`` mutation)."""
-    if self._tail is not None and seqno <= self._tail.seqno:
-        raise ValueError(
-            f"log component for origin {self.origin} is at seqno "
-            f"{self._tail.seqno}; refusing out-of-order add of "
-            f"({item!r}, {seqno})"
-        )
-    record = LogRecord(item, seqno)
-    self._link_tail(record)
-    # BUG: the previous record for `item` stays linked; the pointer map
-    # forgets it and the component grows without bound.
-    self._by_item[item] = record
+) -> None:
+    """``LogComponent.add`` minus the move to the tail (the
+    ``skip-move`` mutation)."""
+    by_item = self._by_item
+    for newest in reversed(by_item.values()):
+        if seqno <= newest:
+            raise ValueError(
+                f"log component for origin {self.origin} is at seqno "
+                f"{newest}; refusing out-of-order add of ({item!r}, {seqno})"
+            )
+        break
     if counters is not NULL_COUNTERS:
         counters.log_records_added += 1
-    return record
+        if item in by_item:
+            counters.log_records_evicted += 1
+    # BUG: the rewritten record keeps its old place in the list, so the
+    # seqnos no longer increase from head to tail.
+    by_item[item] = seqno
 
 
 def _accept_adopt_any(
@@ -119,16 +124,16 @@ def _tail_after_off_by_one(
     self: LogComponent,
     threshold: int,
     counters: OverheadCounters = NULL_COUNTERS,
-) -> list[LogRecord]:
+) -> list[tuple[str, int]]:
     """``tail_after`` with the comparison shifted by one (the
     ``tail-off-by-one`` mutation): the oldest missing record is never
     shipped."""
-    selected: list[LogRecord] = []
-    node = self._tail
-    # BUG: `> threshold + 1` stops one record early.
-    while node is not None and node.seqno > threshold + 1:
-        selected.append(node)
-        node = node.prev
+    selected = []
+    for item, seqno in reversed(self._by_item.items()):
+        # BUG: `<= threshold + 1` stops one record early.
+        if seqno <= threshold + 1:
+            break
+        selected.append((item, seqno))
     selected.reverse()
     if counters is not NULL_COUNTERS:
         counters.log_records_examined += len(selected)
@@ -160,14 +165,17 @@ _SMALL = dict(
 )
 
 MUTATIONS: dict[str, Mutation] = {
-    "skip-unlink": Mutation(
-        "skip-unlink",
-        "AddLogRecord keeps the superseded record linked (P(x) unlink skipped)",
+    "skip-move": Mutation(
+        "skip-move",
+        "AddLogRecord rewrites P(x)'s seqno in place without moving the "
+        "record to the tail",
         LogComponent,
         "add",
-        _add_without_unlink,
-        ExplorationConfig(protocol="dbvv", **_SMALL),
-        depth=2,
+        _add_without_move,
+        ExplorationConfig(
+            protocol="dbvv", **{**_SMALL, "items": ("x0", "x1"), "max_updates": 3}
+        ),
+        depth=3,
     ),
     "adopt-any": Mutation(
         "adopt-any",

@@ -6,13 +6,11 @@ The oracle catalogue (docs/PROTOCOL.md section 11):
     The per-node cross-structure checks, via the same
     ``check_invariants`` paths the run-time sanitizer sweeps
     (:func:`repro.cluster.sanitizer.sanitize_endpoints`): DBVV = IVV
-    column sums, one record per item per log component (P(x) pointer
-    consistency), strictly increasing seqnos, log seqnos bounded by the
-    DBVV, auxiliary-log chain integrity.
-``log-bound``
-    Paper Theorem 2: every log component holds at most N records, the
-    whole log vector at most n·N — checked explicitly, not just via
-    the structural walk, because it is the paper's headline bound.
+    column sums, strictly increasing seqnos per log component, log
+    seqnos bounded by the DBVV, auxiliary-log chain integrity.  Paper
+    Theorem 2's bound (at most N records per component, n·N in all)
+    needs no check: a component is a map keyed by item, so it cannot
+    hold two records for one item.
 ``monotonicity``
     Criterion C2 made mechanical: every labelled version vector a
     protocol reports through ``exploration_vectors()`` must grow
@@ -128,33 +126,6 @@ class InvariantOracle:
                     f"{member.protocol}: {exc}",
                     node.node_id,
                 )
-            if isinstance(node, DBVVProtocolNode):
-                violation = self._check_log_bound(member, node)
-                if violation is not None:
-                    return violation
-        return None
-
-    def _check_log_bound(
-        self, member: ProtocolWorld, node: DBVVProtocolNode
-    ) -> OracleViolation | None:
-        n_items = len(member.config.items)
-        for origin in range(node.n_nodes):
-            size = len(node.node.log[origin])
-            if size > n_items:
-                return OracleViolation(
-                    "log-bound",
-                    f"log component {origin} holds {size} records, "
-                    f"schema has only {n_items} items (Theorem 2 bound)",
-                    node.node_id,
-                )
-        total = len(node.node.log)
-        bound = node.n_nodes * n_items
-        if total > bound:
-            return OracleViolation(
-                "log-bound",
-                f"log vector holds {total} records > n*N = {bound}",
-                node.node_id,
-            )
         return None
 
     def check_transition(

@@ -7,8 +7,8 @@ Outside it, code in ``src/repro`` may not:
 * call vector mutators (``increment``, ``merge_from``, ...) on an
   attribute named ``dbvv``, ``ivv`` or ``aux_ivv`` of another object;
 * assign to such an attribute or to its components;
-* call log-vector mutators (``add``, ``discard_item``) through a
-  ``.log`` attribute;
+* call log-vector mutators (``add``, ``discard_item``, ``restore``)
+  through a ``.log`` attribute;
 * touch the private internals of the core structures (``_components``,
   ``_by_item``, ``_head``, ...) on any object other than ``self``.
 
@@ -38,7 +38,7 @@ _VECTOR_MUTATORS = frozenset(
 )
 
 #: Mutators of :class:`~repro.core.log_vector.LogVector` / components.
-_LOG_MUTATORS = frozenset({"add", "discard_item"})
+_LOG_MUTATORS = frozenset({"add", "discard_item", "restore"})
 
 #: Private internals of the core data structures (linked lists, pointer
 #: maps, dense counts) that nothing outside core may touch on another

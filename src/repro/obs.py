@@ -163,6 +163,9 @@ class _NullCounters(OverheadCounters):
     ``DatabaseVersionVector.absorb_item_copies``) skip the charge when
     their sink ``is NULL_COUNTERS``: ``EpidemicNode.update`` writes
     here zero times, a propagation session a constant number of times.
+    ``tail_after`` charges ``log_records_examined`` once with the
+    length of the tail it returns; ``LogComponent.restore`` (a
+    checkpoint's bulk load) charges nothing.
     """
 
     def bump(self, name: str, by: int = 1) -> None:  # noqa: D102 - see class

@@ -139,7 +139,7 @@ class TestConflictPath:
         outcome, _ = a.pull_from(b)
         assert outcome.records_dropped == 1
         assert outcome.records_appended == 1
-        assert [r.item for r in a.log[1]] == ["item-2"]
+        assert list(a.log[1].keys()) == ["item-2"]
 
     def test_non_conflicting_items_still_adopted(self):
         a, b = self.make_conflicting_pair()

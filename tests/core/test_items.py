@@ -9,7 +9,7 @@ from repro.errors import UnknownItemError
 
 class TestDataItem:
     def test_fresh_item_state(self):
-        item = DataItem("x", n_nodes=3)
+        item = DataItem("x", VersionVector.zero(3))
         assert item.value == b""
         assert item.ivv.as_tuple() == (0, 0, 0)
         assert not item.has_auxiliary
@@ -17,21 +17,21 @@ class TestDataItem:
         assert not item.in_conflict
 
     def test_current_value_prefers_auxiliary(self):
-        item = DataItem("x", n_nodes=2, value=b"regular")
+        item = DataItem("x", VersionVector.zero(2), b"regular")
         assert item.current_value() == b"regular"
         item.install_auxiliary(b"aux", VersionVector.from_counts([0, 1]))
         assert item.current_value() == b"aux"
         assert item.current_ivv().as_tuple() == (0, 1)
 
     def test_install_auxiliary_copies_the_ivv(self):
-        item = DataItem("x", n_nodes=2)
+        item = DataItem("x", VersionVector.zero(2))
         ivv = VersionVector.from_counts([0, 1])
         item.install_auxiliary(b"aux", ivv)
         ivv.increment(0)
         assert item.aux_ivv.as_tuple() == (0, 1)
 
     def test_drop_auxiliary_restores_regular_view(self):
-        item = DataItem("x", n_nodes=2, value=b"regular")
+        item = DataItem("x", VersionVector.zero(2), b"regular")
         item.install_auxiliary(b"aux", VersionVector.from_counts([0, 1]))
         item.drop_auxiliary()
         assert not item.has_auxiliary
@@ -39,7 +39,7 @@ class TestDataItem:
         assert item.current_ivv() is item.ivv
 
     def test_repr_mentions_auxiliary(self):
-        item = DataItem("x", n_nodes=2)
+        item = DataItem("x", VersionVector.zero(2))
         assert "+aux" not in repr(item)
         item.install_auxiliary(b"a", VersionVector.zero(2))
         assert "+aux" in repr(item)
@@ -55,7 +55,7 @@ class TestItemStore:
     def test_duplicate_registration_rejected(self):
         store = ItemStore(2, ["x"])
         with pytest.raises(ValueError):
-            store.register("x")
+            store.register("x", VersionVector.zero(2))
 
     def test_unknown_item_raises(self):
         store = ItemStore(2, ["x"])
@@ -70,5 +70,5 @@ class TestItemStore:
 
     def test_register_with_initial_value(self):
         store = ItemStore(2)
-        store.register("x", b"seed")
+        store.register("x", VersionVector.zero(2), b"seed")
         assert store["x"].value == b"seed"

@@ -1,8 +1,8 @@
 """Property-based tests for the log component (DESIGN.md invariant 3).
 
 A log component fed any stream of (item, increasing-seqno) adds must
-always hold at most one record per item, in increasing seqno order,
-with its pointer map consistent — and its tails must name exactly the
+always hold at most one record per item, in increasing seqno order —
+and its tails must name exactly the
 items whose *latest* update exceeds the threshold.
 """
 
@@ -59,7 +59,7 @@ def test_tail_matches_brute_force(stream, threshold):
     expected = sorted(
         ((s, i) for i, s in latest.items() if s > threshold)
     )
-    tail = [(r.seqno, r.item) for r in log.tail_after(threshold)]
+    tail = [(seqno, item) for item, seqno in log.tail_after(threshold)]
     assert tail == expected
 
 
@@ -76,7 +76,7 @@ def test_tails_cover_exactly_items_updated_after_threshold(stream):
     if not stream:
         return
     for threshold in {0, stream[len(stream) // 2][1], stream[-1][1]}:
-        tail_items = {r.item for r in log.tail_after(threshold)}
+        tail_items = {item for item, _seqno in log.tail_after(threshold)}
         expected = {i for i, s in latest.items() if s > threshold}
         assert tail_items == expected
 
@@ -89,5 +89,5 @@ def test_discard_then_invariants(stream, to_discard):
     for item in to_discard:
         log.discard_item(item)
     log.check_invariants()
-    remaining = {r.item for r in log}
+    remaining = set(log.keys())
     assert remaining.isdisjoint(to_discard)

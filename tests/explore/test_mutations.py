@@ -54,10 +54,10 @@ def test_unknown_mutation_is_rejected():
 
 
 def test_mutation_restores_original_method_on_error():
-    mutation = MUTATIONS["skip-unlink"]
+    mutation = MUTATIONS["skip-move"]
     original = getattr(mutation.target, mutation.attr)
     with pytest.raises(RuntimeError):
-        with apply_mutation("skip-unlink"):
+        with apply_mutation("skip-move"):
             assert getattr(mutation.target, mutation.attr) is not original
             raise RuntimeError("boom")
     assert getattr(mutation.target, mutation.attr) is original
